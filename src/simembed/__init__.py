@@ -43,6 +43,7 @@ from .graphs import (
     Layer,
     LayeredInstance,
     PathOrder,
+    SimultaneousEmbedding,
     as_path,
     caterpillar_decompose,
     caterpillar_to_path,
@@ -56,7 +57,6 @@ from .mapped import (
     FIVE_PATHS,
     FivePointSearchResult,
     PairCoverage,
-    SimultaneousEmbedding,
     disjoint_edge_pairs,
     embed_path_caterpillar,
     embed_two_caterpillars,

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidInstanceError
 from .geometry import GridPoint, _conflict_raw, find_collinear_triple, orient
-from .graphs import LayeredInstance
-from .mapped import SimultaneousEmbedding
+from .graphs import LayeredInstance, SimultaneousEmbedding
 
 KINDS = ("layer-crossing", "collinear-triple", "out-of-bounds", "duplicate-point", "bad-bijection")
 
@@ -87,6 +86,20 @@ def _layer_crossings(
     return out
 
 
+def check_embedding_shape(emb: SimultaneousEmbedding, inst: LayeredInstance) -> None:
+    """Raise unless the embedding has one point per vertex and one layer,
+    plus one assignment if it carries any, per instance layer."""
+    if len(emb.layers) != len(inst.layers):
+        raise InvalidInstanceError("embedding and instance disagree on layer count")
+    if len(emb.coords) != inst.n:
+        raise InvalidInstanceError("embedding and instance disagree on vertex count")
+    if emb.assignments is None:
+        if inst.mapping == "free":
+            raise InvalidInstanceError("free-mapping embedding must carry its bijections")
+    elif len(emb.assignments) != len(inst.layers):
+        raise InvalidInstanceError("embedding and instance disagree on assignment count")
+
+
 def certify_embedding(
     emb: SimultaneousEmbedding,
     inst: LayeredInstance,
@@ -97,19 +110,12 @@ def certify_embedding(
 
     Crossings between different layers are deliberately never reported.
     """
-    if len(emb.layers) != len(inst.layers):
-        raise InvalidInstanceError("embedding and instance disagree on layer count")
-    if len(emb.coords) != inst.n:
-        raise InvalidInstanceError("embedding and instance disagree on vertex count")
-
+    check_embedding_shape(emb, inst)
     violations = _duplicate_violations(emb.coords)
     xs = [p.x for p in emb.coords]
     ys = [p.y for p in emb.coords]
 
     assignments = emb.assignments
-    if inst.mapping == "free":
-        if assignments is None:
-            raise InvalidInstanceError("free-mapping embedding must carry its bijections")
     for li, layer_edges in enumerate(emb.layers):
         if assignments is None:
             phi = None

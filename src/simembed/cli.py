@@ -25,10 +25,9 @@ from .documents import (
 )
 from .errors import ParseError, SimembedError, UnsupportedInstanceError
 from .generate import generate
-from .graphs import LayeredInstance, as_path, caterpillar_decompose, Layer
+from .graphs import Layer, LayeredInstance, SimultaneousEmbedding, as_path, caterpillar_decompose
 from .mapped import (
     FIVE_PATHS,
-    SimultaneousEmbedding,
     embed_path_caterpillar,
     embed_two_caterpillars,
     embed_two_paths,
@@ -154,6 +153,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance))
     emb, _stored = parse_result(_read(args.infile), [list(l.edges) for l in inst.layers])
+    certify_mod.check_embedding_shape(emb, inst)
     _write(args.svg, render_svg(emb, labels=inst.labels))
     return 0
 

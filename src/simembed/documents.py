@@ -12,8 +12,7 @@ from typing import Any, Optional
 from .certify import CertificateReport
 from .errors import InvalidInstanceError, ParseError
 from .geometry import GridPoint
-from .graphs import LAYER_CLASSES, Layer, LayeredInstance, validate_instance
-from .mapped import SimultaneousEmbedding
+from .graphs import LAYER_CLASSES, Layer, LayeredInstance, SimultaneousEmbedding, validate_instance
 
 _INSTANCE_KEYS = {"n", "mapping", "layers"}
 _LAYER_KEYS = {"class", "edges", "rotation", "outer_cycle"}
@@ -148,6 +147,9 @@ def parse_result(
         if key not in data:
             raise ParseError(f"result document missing {key!r}")
     coords = [GridPoint(x, y) for x, y in _int_pairs(data["coords"], "coords")]
+    for key in ("width", "height"):
+        if not isinstance(data[key], int) or data[key] < 1:
+            raise ParseError(f"{key} must be a positive integer")
     assignments = data.get("assignments")
     if assignments is not None and not (
         isinstance(assignments, list)
@@ -162,6 +164,9 @@ def parse_result(
         assignments=assignments,
     )
     cert = None
-    if "certificate" in data and data["certificate"] is not None:
-        cert = CertificateReport.from_json(data["certificate"])
+    if data.get("certificate") is not None:
+        try:
+            cert = CertificateReport.from_json(data["certificate"])
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"malformed certificate: {exc!r}") from exc
     return emb, cert

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InternalInvariantError, InvalidInstanceError
+from .geometry import GridPoint
 
 LAYER_CLASSES = ("path", "caterpillar", "outerplanar", "planar")
 
@@ -41,6 +42,19 @@ class LayeredInstance:
     def __post_init__(self) -> None:
         if not self.labels:
             self.labels = [f"v{i + 1}" for i in range(self.n)]
+
+
+@dataclass
+class SimultaneousEmbedding:
+    """A drawing shared by all layers: one point per vertex plus the
+    per-layer edge lists.  With free mapping, ``assignments`` maps each
+    layer's own vertex indices to point indices."""
+
+    coords: list[GridPoint]
+    layers: list[list[tuple[int, int]]]
+    width: int
+    height: int
+    assignments: Optional[list[list[int]]] = None
 
 
 @dataclass

@@ -20,23 +20,10 @@ from .errors import (
     SearchBudgetError,
 )
 from .geometry import GridPoint, _conflict_raw
-from .graphs import Caterpillar, PathOrder, caterpillar_to_path
+from .graphs import Caterpillar, PathOrder, SimultaneousEmbedding, caterpillar_to_path
 
 #: Largest square grid the five-point search will exhaust.
 EXHAUSTIVE_GRID_LIMIT = 8
-
-
-@dataclass
-class SimultaneousEmbedding:
-    """A drawing shared by all layers: one point per vertex plus the
-    per-layer edge lists.  With free mapping, ``assignments`` maps each
-    layer's own vertex indices to point indices."""
-
-    coords: list[GridPoint]
-    layers: list[list[tuple[int, int]]]
-    width: int
-    height: int
-    assignments: Optional[list[list[int]]] = None
 
 
 def _check_permutation(order: Sequence[int], n: int, what: str) -> None:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .mapped import SimultaneousEmbedding
+from .errors import InvalidInstanceError
+from .graphs import SimultaneousEmbedding
 
 LAYER_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -49,9 +50,12 @@ def render_svg(
         out.append(
             f'  <g id="layer-{li}" stroke="{color}" stroke-width="{unit / 8:.6g}" fill="none">'
         )
+        slot = range(len(coords)) if phi is None else phi
         for u, v in edges:
-            a = coords[u if phi is None else phi[u]]
-            b = coords[v if phi is None else phi[v]]
+            ends = [slot[w] if 0 <= w < len(slot) else -1 for w in (u, v)]
+            if min(ends) < 0 or max(ends) >= len(coords):
+                raise InvalidInstanceError(f"layer {li} edge ({u},{v}) maps to no point")
+            a, b = coords[ends[0]], coords[ends[1]]
             out.append(
                 f'    <line x1="{sx(a.x):.6g}" y1="{sy(a.y):.6g}" '
                 f'x2="{sx(b.x):.6g}" y2="{sy(b.y):.6g}"/>'

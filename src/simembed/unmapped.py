@@ -3,8 +3,10 @@
 The pipeline building blocks: a shift-method grid drawing for plane
 triangulations, a scaled perturbation that upgrades any plane drawing to
 general position, parabola-based point sets that are collinearity-free by
-construction, and the recursive embedding of a maximal outerplanar graph
-onto an arbitrary general-position point set.
+construction, and the split-by-split embedding of a maximal outerplanar
+graph onto an arbitrary general-position point set: one angular-rank split
+rule, proved in :func:`_select_split`, applied to an explicit stack of
+subproblems.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ from .geometry import (
 )
 from .graphs import (
     Layer,
+    SimultaneousEmbedding,
     _trace_faces,
     check_plane_embedding,
     maximalize_outerplanar,
     triangulate_plane,
     validate_layer,
 )
-from .mapped import SimultaneousEmbedding, _scatter_general_position, _translate_to_origin
+from .mapped import _scatter_general_position, _translate_to_origin
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +298,18 @@ def _angular_sort(
     return sorted(others, key=cmp_to_key(cmp))
 
 
-def _one_side_of(pts: list[GridPoint], a: int, b: int, subset: list[int]) -> bool:
-    signs = {orient(pts[a], pts[b], pts[s]) for s in subset}
-    return 0 not in signs and len(signs) <= 1
-
-
 def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]:
     """Map a maximal outerplanar graph onto general-position points without
     crossings; returns point index per vertex.
 
-    Recursive split: the designated outer-cycle edge sits on a hull edge
-    (p, q); the apex of its internal triangle goes to a split point r
-    chosen by angular rank so that both subproblems again have their edge
-    on their own hull.  Two symmetric candidate ranks cover the choice; a
-    verified full scan backs them up, and the hull-edge invariant is
-    asserted on entry to every subproblem.
+    Split by split: the designated outer-cycle edge sits on a hull edge
+    (p, q) of its point subset; the apex of its internal triangle goes to
+    the split point r that :func:`_select_split` proves to exist, and the
+    two sides become subproblems whose designated edges (p, r) and (r, q)
+    are again hull edges of their own subsets.  Pending subproblems live on
+    an explicit stack, so the depth of the outerplanar graph's dual tree
+    never meets the interpreter's recursion limit.  The hull-edge invariant
+    is asserted on entry to every subproblem.
     """
     k = len(pts)
     validate_layer(layer, k)
@@ -326,7 +326,6 @@ def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]
             "point-set embedding expects a maximal outerplanar layer (E = 2n-3)"
         )
     cyc = layer.outer_cycle
-    pos = {v: i for i, v in enumerate(cyc)}
     edge_set = {frozenset(e) for e in layer.edges}
     for i in range(k):
         if frozenset((cyc[i], cyc[(i + 1) % k])) not in edge_set:
@@ -338,17 +337,13 @@ def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]
 
     hull = convex_hull(pts)
     hull_edges = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
-    best = min(
-        hull_edges,
-        key=lambda e: tuple(sorted(((pts[e[0]].x, pts[e[0]].y), (pts[e[1]].x, pts[e[1]].y)))),
-    )
-    p_idx, q_idx = best
-    if (pts[q_idx].x, pts[q_idx].y) < (pts[p_idx].x, pts[p_idx].y):
-        p_idx, q_idx = q_idx, p_idx
+    best = min(hull_edges, key=lambda e: sorted((pts[e[0]], pts[e[1]])))
+    p_idx, q_idx = sorted(best, key=pts.__getitem__)
 
     chain = [cyc[0]] + cyc[:0:-1]
+    others = [i for i in range(k) if i != p_idx and i != q_idx]
     phi = [-1] * k
-    _embed_chain(pts, adj, phi, chain, list(range(k)), p_idx, q_idx)
+    _embed_chain(pts, adj, phi, [(chain, others, p_idx, q_idx)])
     if sorted(phi) != list(range(k)):
         raise InternalInvariantError("point assignment is not a bijection")
     return phi
@@ -358,42 +353,34 @@ def _embed_chain(
     pts: list[GridPoint],
     adj: list[set[int]],
     phi: list[int],
-    chain: list[int],
-    point_idxs: list[int],
-    p_i: int,
-    q_i: int,
+    stack: list[tuple[list[int], list[int], int, int]],
 ) -> None:
-    phi[chain[0]] = p_i
-    phi[chain[-1]] = q_i
-    if len(chain) == 2:
-        return
-    u, v = chain[0], chain[-1]
-    apexes = [w for w in chain[1:-1] if w in adj[u] and w in adj[v]]
-    if len(apexes) != 1:
-        raise InvalidInstanceError(
-            f"edge ({u},{v}) must close exactly one triangle inside its chain"
-        )
-    w = apexes[0]
-    j = chain.index(w)
-    n_a = j - 1
-    n_b = len(chain) - 2 - j
+    # Each pending subproblem (chain, others, p_i, q_i) maps the chain's
+    # ends to the hull edge (p_i, q_i) and its inner vertices to ``others``.
+    while stack:
+        chain, others, p_i, q_i = stack.pop()
+        phi[chain[0]] = p_i
+        phi[chain[-1]] = q_i
+        if len(chain) == 2:
+            continue
+        u, v = chain[0], chain[-1]
+        apexes = [w for w in chain[1:-1] if w in adj[u] and w in adj[v]]
+        if len(apexes) != 1:
+            raise InvalidInstanceError(
+                f"edge ({u},{v}) must close exactly one triangle inside its chain"
+            )
+        j = chain.index(apexes[0])
+        n_a = j - 1
+        n_b = len(chain) - 2 - j
 
-    others = [i for i in point_idxs if i != p_i and i != q_i]
-    sides = {orient(pts[p_i], pts[q_i], pts[s]) for s in others}
-    if 0 in sides or len(sides) > 1:
-        raise HullEdgeInvariantError(
-            "designated edge is not a hull edge of its point subset"
-        )
-    side = sides.pop()
-
-    split = _select_split(pts, others, p_i, q_i, side, n_a, n_b)
-    if split is None:
-        raise HullEdgeInvariantError(
-            "no valid split point for the designated hull edge"
-        )
-    r, part_a, part_b = split
-    _embed_chain(pts, adj, phi, chain[: j + 1], [p_i, r] + part_a, p_i, r)
-    _embed_chain(pts, adj, phi, chain[j:], [r, q_i] + part_b, r, q_i)
+        sides = {orient(pts[p_i], pts[q_i], pts[s]) for s in others}
+        if 0 in sides or len(sides) > 1:
+            raise HullEdgeInvariantError(
+                "designated edge is not a hull edge of its point subset"
+            )
+        r, part_a, part_b = _select_split(pts, others, p_i, q_i, sides.pop(), n_a, n_b)
+        stack.append((chain[j:], part_b, r, q_i))
+        stack.append((chain[: j + 1], part_a, p_i, r))
 
 
 def _select_split(
@@ -404,64 +391,50 @@ def _select_split(
     side: int,
     n_a: int,
     n_b: int,
-) -> Optional[tuple[int, list[int], list[int]]]:
-    """Pick the apex point r and the two point subsets.
+) -> tuple[int, list[int], list[int]]:
+    """Pick the apex point r and the point sets A (n_a points) and B (n_b).
 
-    A valid split is a line through r, crossing the open segment pq, with
-    p plus n_a points strictly on one side and q plus n_b points strictly
-    on the other, such that (p, r) and (r, q) are hull edges of their
-    sides.  The line keeps the two sub-hulls disjoint except at r, so the
-    sub-drawings cannot interfere.
+    The m = n_a + n_b + 1 points ``others`` lie strictly on ``side`` of the
+    hull edge (p, q).  This is the constructive split behind the point-set
+    embeddings of Gritzmann, Mohar, Pach & Pollack (1991) and Bose (CGTA
+    2002).  Rank the points by angle around p, from ray pq, and around q,
+    from ray qp.  A point lies beyond line pr (on the far side from q)
+    exactly when its p-rank is above r's, beyond line qr (on the far side
+    from p) exactly when its q-rank is above r's, and inside triangle pqr
+    exactly when both its ranks are below r's.
+
+    Rule: r is the first point in p-order whose q-rank is at most n_a.
+    Points beyond pr only go to A and points beyond qr only go to B.  The
+    points beyond both fill the wedge at r opposite the triangle; sorted
+    by angle around r, they are cut so that |A| = n_a.  A line through r
+    between the two parts of that wedge crosses the open segment pq, with
+    p and A strictly on one side and q and B on the other.  A lies beyond
+    pr and B beyond qr, so (p, r) and (r, q) are hull edges of their sides
+    and the two sub-drawings meet only at r.
+
+    Existence: the n_b + 1 lowest p-ranks and the n_a + 1 lowest q-ranks
+    make m + 1 picks from m points, so some point is picked twice; r, the
+    first such point in p-order, has p-rank <= n_b and q-rank <= n_a.  A
+    point inside triangle pqr would have both ranks below r's and so come
+    before r, hence the triangle is empty: every point but r lies beyond
+    pr, beyond qr, or both.  At least m - 1 - n_b = n_a points lie beyond
+    pr and at least n_b beyond qr, so at most n_a lie beyond pr only, at
+    most n_b beyond qr only, and the cut falls inside the wedge.  (Equally,
+    r is the first point in p-order with an empty triangle pqr, at least
+    n_a points beyond pr and at least n_b beyond qr.)
     """
-    # Fast candidate: r at angular rank n_b+1 around p, larger angles with
-    # p.  The separating line is p-r nudged off p, so only (r, q) needs a
-    # check.
     by_p = _angular_sort(pts, p_i, others, side)
-    r = by_p[n_b]
-    part_a, part_b = by_p[n_b + 1 :], by_p[:n_b]
-    if _one_side_of(pts, r, q_i, part_b):
-        return r, part_a, part_b
-
-    # Mirror candidate around q: smaller q-angles with p, only (p, r)
-    # needs a check.
     by_q = _angular_sort(pts, q_i, others, -side)
-    r = by_q[n_a]
-    part_a, part_b = by_q[:n_a], by_q[n_a + 1 :]
-    if _one_side_of(pts, p_i, r, part_a):
-        return r, part_a, part_b
-
-    # Full sweep: every combinatorially distinct separating line through
-    # every candidate r arises as the line through r and a witness point w,
-    # nudged to put w on either side.  General position means only w sits
-    # on that line, so these assignments cover every split the line family
-    # can produce; p with A and q with B forces the orientation.
-    for r in sorted(others, key=lambda i: (pts[i].x, pts[i].y)):
-        rest = [i for i in others if i != r]
-        everyone = rest + [p_i, q_i]
-        for w in sorted(everyone, key=lambda i: (pts[i].x, pts[i].y)):
-            for w_left in (True, False):
-                left = {
-                    x
-                    for x in everyone
-                    if x != w and orient(pts[r], pts[w], pts[x]) > 0
-                }
-                if w_left:
-                    left.add(w)
-                if p_i in left and q_i not in left:
-                    part_a = [x for x in rest if x in left]
-                elif q_i in left and p_i not in left:
-                    part_a = [x for x in rest if x not in left]
-                else:
-                    continue
-                part_b = [x for x in rest if x not in part_a]
-                if len(part_a) != n_a:
-                    continue
-                if not _one_side_of(pts, p_i, r, part_a):
-                    continue
-                if not _one_side_of(pts, r, q_i, part_b):
-                    continue
-                return r, part_a, part_b
-    return None
+    rank_p = {x: i for i, x in enumerate(by_p)}
+    rank_q = {x: i for i, x in enumerate(by_q)}
+    r = next(x for x in by_p if rank_q[x] <= n_a)
+    i, j = rank_p[r], rank_q[r]
+    part_a = [x for x in by_p[i + 1 :] if rank_q[x] < j]
+    part_b = [x for x in by_q[j + 1 :] if rank_p[x] < i]
+    both = [x for x in by_p[i + 1 :] if rank_q[x] > j]
+    cut = n_a - len(part_a)
+    both = _angular_sort(pts, r, both, -side)
+    return r, part_a + both[:cut], part_b + both[cut:]
 
 
 def brute_force_point_assignment(

@@ -309,3 +309,54 @@ def test_cli_env_seed(tmp_path, monkeypatch):
     c = tmp_path / "c.json"
     assert cli_main(["gen", "--kind", "two-paths", "--n", "6", "--out", str(c)]) == 0
     assert a.read_text(encoding="utf-8") != c.read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# malformed result documents: one error line, never a traceback
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def outerplanar_result(tmp_path):
+    inst_file = tmp_path / "inst.json"
+    out_file = tmp_path / "result.json"
+    assert cli_main(["gen", "--kind", "outerplanars", "--n", "6", "--layers", "2",
+                     "--seed", "1", "--out", str(inst_file)]) == 0
+    assert cli_main(["embed", "--in", str(inst_file), "--out", str(out_file)]) == 0
+    return inst_file, json.loads(out_file.read_text(encoding="utf-8"))
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+MALFORMED_RESULTS = {
+    "few-coords": lambda doc: doc["coords"].pop(),
+    "assignment-out-of-range": lambda doc: doc["assignments"][0].__setitem__(0, 99),
+    "few-assignments": lambda doc: doc["assignments"].pop(),
+    "width-abc": _set("width", "abc"),
+    "height-null": _set("height", None),
+    "width-zero": _set("width", 0),
+    "certificate-no-violations": _set("certificate", {"ok": True}),
+    "certificate-string": _set("certificate", "yes"),
+}
+
+
+@pytest.mark.parametrize("command", ["render", "certify"])
+@pytest.mark.parametrize("defect", sorted(MALFORMED_RESULTS))
+def test_cli_malformed_result_one_error_line(tmp_path, capsys, outerplanar_result, command, defect):
+    inst_file, doc = outerplanar_result
+    MALFORMED_RESULTS[defect](doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    target = ["--svg", str(tmp_path / "out.svg")] if command == "render" else ["--out", "-"]
+    capsys.readouterr()
+    rc = cli_main([command, "--in", str(bad), "--instance", str(inst_file)] + target)
+    err = capsys.readouterr().err.splitlines()
+    assert rc in (1, 2)
+    if command == "certify" and defect == "assignment-out-of-range":
+        # certify reports a broken bijection as a failed certificate
+        assert rc == 2 and len(err) == 1 and err[0].startswith("certificate FAILED"), err
+    else:
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
