@@ -9,15 +9,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import CoordinateBudgetError, DegenerateSegmentError, DuplicatePointError
 
 # Largest coordinate magnitude accepted anywhere in the kernel.  Generous
 # enough for the largest grids the embedders emit at practical sizes
-# (n <= 300), and small enough that every intermediate product below fits
-# comfortably in 128 bits.
+# (planar layers up to n = 550, checked before any work), and small enough
+# that every intermediate product below fits comfortably in 128 bits.
 COORD_LIMIT = 1 << 40
+
+
+def _largest_within_budget(extent: Callable[[int], int]) -> int:
+    """Largest n >= 1 whose ``extent(n)`` stays within COORD_LIMIT, for an
+    extent that grows with n; 0 when even n = 1 exceeds it."""
+    hi = 1
+    while extent(hi) <= COORD_LIMIT:
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if extent(mid) <= COORD_LIMIT:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True, order=True)

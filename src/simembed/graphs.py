@@ -8,6 +8,7 @@ their declared class and compute the decompositions the embedders consume.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -351,6 +352,74 @@ def check_plane_embedding(layer: Layer, n: int) -> int:
     return f
 
 
+def _complete_faces(
+    n: int,
+    edges: list[tuple[int, int]],
+    rotation: list[list[int]],
+    skip_dart: Optional[tuple[int, int]] = None,
+) -> list[tuple[int, int]]:
+    """Add chords until every face except the one holding ``skip_dart`` is a
+    triangle; ``edges`` and ``rotation`` are extended in place and the added
+    edges are returned.
+
+    The chord sequence is the one that re-tracing all faces after each chord
+    would give, but the faces are traced once.  In that re-trace the forward
+    dart of edge k comes at key (0, k) and its reverse at (1, k), each face
+    walk starts at its smallest-key dart, and the first face longer than
+    three darts gets the chord.  Here a heap keyed by start dart holds the
+    long faces, and a chord from corner i to corner j of walk w splits w in
+    place into w[i+1..j] + [(q, p)] and w[j+1..] + w[..i] + [(p, q)], which
+    the re-trace would find as they are.  The chord joins the first pair of
+    distinct, non-adjacent corners i < j - 1 of the walk, so no parallel
+    edge appears.  Corner i sits at vertex w[i][1], between darts w[i] and
+    w[i+1]; each endpoint enters the other's rotation right before the
+    corner's in-dart source, which keeps the rotation a plane embedding.
+    """
+    key: dict[tuple[int, int], tuple[int, int]] = {}
+    for k, (u, v) in enumerate(edges):
+        key[(u, v)] = (0, k)
+        key[(v, u)] = (1, k)
+    edge_set = {frozenset(e) for e in edges}
+    heap = [
+        (key[f[0]], f)
+        for f in _trace_faces(n, edges, rotation)
+        if len(f) > 3 and skip_dart not in f
+    ]
+    heapq.heapify(heap)
+    dummies: list[tuple[int, int]] = []
+    while heap:
+        _, walk = heapq.heappop(heap)
+        k = len(walk)
+        corner = [d[1] for d in walk]
+        chord = next(
+            (
+                (i, j)
+                for i in range(k)
+                for j in range(i + 2, k)
+                if corner[i] != corner[j] and frozenset((corner[i], corner[j])) not in edge_set
+            ),
+            None,
+        )
+        if chord is None:
+            raise InternalInvariantError(
+                f"face of length {k} admits no chord; embedding is inconsistent"
+            )
+        i, j = chord
+        p, q = corner[i], corner[j]
+        rotation[p].insert(rotation[p].index(walk[i][0]), q)
+        rotation[q].insert(rotation[q].index(walk[j][0]), p)
+        key[(p, q)] = (0, len(edges))
+        key[(q, p)] = (1, len(edges))
+        edges.append((p, q))
+        edge_set.add(frozenset((p, q)))
+        dummies.append((p, q))
+        for face in (walk[i + 1 : j + 1] + [(q, p)], walk[j + 1 :] + walk[: i + 1] + [(p, q)]):
+            if len(face) > 3:
+                start = min(range(len(face)), key=lambda t: key[face[t]])
+                heapq.heappush(heap, (key[face[start]], face[start:] + face[:start]))
+    return dummies
+
+
 def triangulate_plane(layer: Layer, n: int) -> tuple[Layer, list[tuple[int, int]]]:
     """Add chords until every face of the embedding is a triangle.
 
@@ -363,40 +432,7 @@ def triangulate_plane(layer: Layer, n: int) -> tuple[Layer, list[tuple[int, int]
         raise InvalidInstanceError("triangulation needs at least 3 vertices")
     rotation = [list(r) for r in layer.rotation or []]
     edges = list(layer.edges)
-    edge_set = {frozenset(e) for e in edges}
-    dummies: list[tuple[int, int]] = []
-
-    while True:
-        faces = _trace_faces(n, edges, rotation)
-        big = next((f for f in faces if len(f) > 3), None)
-        if big is None:
-            break
-        # Corner i sits at vertex big[i][1], between darts big[i] and big[i+1].
-        k = len(big)
-        corner_vertex = [d[1] for d in big]
-        chord = None
-        for i in range(k):
-            for j in range(i + 2, k):
-                p, q = corner_vertex[i], corner_vertex[j]
-                if p != q and frozenset((p, q)) not in edge_set:
-                    chord = (i, j)
-                    break
-            if chord:
-                break
-        if chord is None:
-            raise InternalInvariantError(
-                f"face of length {k} admits no chord; embedding is inconsistent"
-            )
-        i, j = chord
-        p, q = corner_vertex[i], corner_vertex[j]
-        # Insert each endpoint into the other's rotation at the corner gap:
-        # placing the new neighbor right before the corner's in-dart source
-        # keeps the rotation a plane embedding.
-        rotation[p].insert(rotation[p].index(big[i][0]), q)
-        rotation[q].insert(rotation[q].index(big[j][0]), p)
-        edges.append((p, q))
-        edge_set.add(frozenset((p, q)))
-        dummies.append((p, q))
+    dummies = _complete_faces(n, edges, rotation)
 
     if len(edges) != 3 * n - 6:
         raise InternalInvariantError(
@@ -462,39 +498,11 @@ def maximalize_outerplanar(layer: Layer, n: int) -> tuple[Layer, list[tuple[int,
             dummies.append((u, v))
 
     # Convex-position rotation: neighbors ordered by cyclic distance.
-    def build_rotation() -> list[list[int]]:
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        return [
-            sorted(neighbors[v], key=lambda w: (pos[w] - pos[v]) % n) for v in range(n)
-        ]
-
-    outer_dart = (cyc[1], cyc[0])
-    while True:
-        rotation = build_rotation()
-        faces = _trace_faces(n, edges, rotation)
-        outer = next(f for f in faces if outer_dart in f)
-        big = next((f for f in faces if f is not outer and len(f) > 3), None)
-        if big is None:
-            break
-        corner_vertex = [d[1] for d in big]
-        k = len(big)
-        chord = None
-        for i in range(k):
-            for j in range(i + 2, k):
-                p, q = corner_vertex[i], corner_vertex[j]
-                if p != q and frozenset((p, q)) not in edge_set:
-                    chord = (p, q)
-                    break
-            if chord:
-                break
-        if chord is None:
-            raise InternalInvariantError("internal face admits no chord")
-        edges.append(chord)
-        edge_set.add(frozenset(chord))
-        dummies.append(chord)
+    rotation = [
+        sorted(nbrs, key=lambda w: (pos[w] - pos[v]) % n)
+        for v, nbrs in enumerate(_adjacency(n, edges))
+    ]
+    dummies += _complete_faces(n, edges, rotation, skip_dart=(cyc[1], cyc[0]))
 
     if len(edges) != 2 * n - 3:
         raise InternalInvariantError(

@@ -10,16 +10,18 @@ pair coverage plus an exhaustive search over small grids.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
+    CoordinateBudgetError,
     InternalInvariantError,
     InvalidInstanceError,
     SearchBudgetError,
 )
-from .geometry import GridPoint, _conflict_raw
+from .geometry import COORD_LIMIT, GridPoint, _conflict_raw, _largest_within_budget
 from .graphs import Caterpillar, PathOrder, SimultaneousEmbedding, caterpillar_to_path
 
 #: Largest square grid the five-point search will exhaust.
@@ -73,35 +75,47 @@ def _scatter_general_position(
 ) -> list[GridPoint]:
     """Greedy placement: one point per cell (center +- half sizes), never
     collinear with any two already-placed points.  A counting argument on
-    the cell capacity guarantees a free slot exists."""
-    px: list[int] = []
-    py: list[int] = []
+    the cell capacity guarantees a free slot exists.
+
+    A candidate c is collinear with placed points a and b exactly when the
+    directions from c to a and from c to b, each reduced by its gcd and
+    with its sign normalised, are equal (the slope hashing of
+    ``find_collinear_triple``).  So one pass over the m placed points with
+    a set of directions tests a candidate in O(m) rather than over all
+    O(m^2) pairs.  A candidate on a placed point has no direction
+    to it; it lies on a line with that point and any other, so it is
+    rejected once two points are placed.
+    """
+    gcd = math.gcd
+    placed: list[tuple[int, int]] = []
     for cx, cy in centers:
-        placed = None
+        m = len(placed)
         for dx, dy in _offset_scan(half_w, half_h):
             x = cx + dx
             y = cy + dy
-            m = len(px)
-            ok = True
-            for j in range(m - 1):
-                xj = px[j]
-                yj = py[j]
-                for k in range(j + 1, m):
-                    if (px[k] - xj) * (y - yj) == (py[k] - yj) * (x - xj):
-                        ok = False
+            seen: set[tuple[int, int]] = set()
+            for a, b in placed:
+                a -= x
+                b -= y
+                g = gcd(a, b)
+                if g == 0:
+                    if m >= 2:
                         break
-                if not ok:
+                    continue
+                if a < 0 or (a == 0 and b < 0):
+                    g = -g
+                direction = (a // g, b // g)
+                if direction in seen:
                     break
-            if ok:
-                placed = (x, y)
+                seen.add(direction)
+            else:
                 break
-        if placed is None:
+        else:
             raise InternalInvariantError(
                 "no collinearity-free slot in cell; counting bound violated"
             )
-        px.append(placed[0])
-        py.append(placed[1])
-    return [GridPoint(x, y) for x, y in zip(px, py)]
+        placed.append((x, y))
+    return [GridPoint(x, y) for x, y in placed]
 
 
 def refine_general_position(
@@ -112,7 +126,8 @@ def refine_general_position(
     Each input point's cell is the box of its scaled position plus/minus
     (m, m^2) where m = max(base extent, point count); x stretches by
     2m + 1, y by 2m^2 + 1.  Points in different cells keep their relative
-    x and y order.
+    x and y order.  Coordinates reach base extent * (2m^2 + 1) + m^2, which
+    is checked against COORD_LIMIT before any work.
     """
     for p in points:
         if abs(p.x) > base_extent or abs(p.y) > base_extent:
@@ -127,6 +142,13 @@ def refine_general_position(
     m = max(base_extent, len(points))
     cell_w = 2 * m + 1
     cell_h = 2 * m * m + 1
+    extent = base_extent * cell_h + m * m
+    if extent > COORD_LIMIT:
+        fits = _largest_within_budget(lambda k: k * (2 * k * k + 1) + k * k)
+        raise CoordinateBudgetError(
+            f"general-position refinement needs coordinates up to {extent}, over "
+            f"the budget 2^40; point counts and base extents up to {fits} fit"
+        )
     centers = [(p.x * cell_w, p.y * cell_h) for p in points]
     return _scatter_general_position(centers, m, m * m)
 

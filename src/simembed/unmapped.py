@@ -16,14 +16,17 @@ from functools import cmp_to_key
 from typing import Optional
 
 from .errors import (
+    CoordinateBudgetError,
     HullEdgeInvariantError,
     InternalInvariantError,
     InvalidInstanceError,
     SearchBudgetError,
 )
 from .geometry import (
+    COORD_LIMIT,
     GridPoint,
     _conflict_raw,
+    _largest_within_budget,
     convex_hull,
     find_collinear_triple,
     orient,
@@ -221,8 +224,17 @@ def planar_general_position_draw(layer: Layer, n: int) -> list[GridPoint]:
     Triangulates, draws on the small grid, scales by the safety factor,
     then perturbs each vertex inside its own (2n+1) x (2n^2+1) cell until
     every collinearity is broken.  Existing crossings cannot appear because
-    the scaled spacing dwarfs the cells.
+    the scaled spacing dwarfs the cells.  The drawing fits in
+    :func:`general_position_bounds`, which is checked against COORD_LIMIT
+    before any work: at most 550 vertices fit.
     """
+    width, height = general_position_bounds(n)
+    if max(width, height) > COORD_LIMIT:
+        fits = _largest_within_budget(lambda k: max(general_position_bounds(k)))
+        raise CoordinateBudgetError(
+            f"a general-position drawing of {n} vertices needs a {width} x {height} "
+            f"grid, over the coordinate budget 2^40; at most {fits} vertices fit"
+        )
     tri, _dummies = triangulate_plane(layer, n)
     base = planar_grid_draw(tri, n)
     s = _sigma(n)
@@ -342,8 +354,11 @@ def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]
 
     chain = [cyc[0]] + cyc[:0:-1]
     others = [i for i in range(k) if i != p_idx and i != q_idx]
+    side = orient(pts[p_idx], pts[q_idx], pts[others[0]])
+    by_p = _angular_sort(pts, p_idx, others, side)
+    by_q = _angular_sort(pts, q_idx, others, -side)
     phi = [-1] * k
-    _embed_chain(pts, adj, phi, [(chain, others, p_idx, q_idx)])
+    _embed_chain(pts, adj, phi, [(chain, by_p, by_q, p_idx, q_idx)])
     if sorted(phi) != list(range(k)):
         raise InternalInvariantError("point assignment is not a bijection")
     return phi
@@ -353,12 +368,13 @@ def _embed_chain(
     pts: list[GridPoint],
     adj: list[set[int]],
     phi: list[int],
-    stack: list[tuple[list[int], list[int], int, int]],
+    stack: list[tuple[list[int], list[int], list[int], int, int]],
 ) -> None:
-    # Each pending subproblem (chain, others, p_i, q_i) maps the chain's
-    # ends to the hull edge (p_i, q_i) and its inner vertices to ``others``.
+    # Each pending subproblem (chain, by_p, by_q, p_i, q_i) maps the chain's
+    # ends to the hull edge (p_i, q_i) and its inner vertices to its points,
+    # given in angular order around p_i (by_p) and around q_i (by_q).
     while stack:
-        chain, others, p_i, q_i = stack.pop()
+        chain, by_p, by_q, p_i, q_i = stack.pop()
         phi[chain[0]] = p_i
         phi[chain[-1]] = q_i
         if len(chain) == 2:
@@ -373,35 +389,34 @@ def _embed_chain(
         n_a = j - 1
         n_b = len(chain) - 2 - j
 
-        sides = {orient(pts[p_i], pts[q_i], pts[s]) for s in others}
+        sides = {orient(pts[p_i], pts[q_i], pts[s]) for s in by_p}
         if 0 in sides or len(sides) > 1:
             raise HullEdgeInvariantError(
                 "designated edge is not a hull edge of its point subset"
             )
-        r, part_a, part_b = _select_split(pts, others, p_i, q_i, sides.pop(), n_a, n_b)
-        stack.append((chain[j:], part_b, r, q_i))
-        stack.append((chain[: j + 1], part_a, p_i, r))
+        r, part_a, part_b = _select_split(pts, by_p, by_q, sides.pop(), n_a, n_b)
+        stack.append((chain[j:], *part_b, r, q_i))
+        stack.append((chain[: j + 1], *part_a, p_i, r))
 
 
 def _select_split(
     pts: list[GridPoint],
-    others: list[int],
-    p_i: int,
-    q_i: int,
+    by_p: list[int],
+    by_q: list[int],
     side: int,
     n_a: int,
     n_b: int,
-) -> tuple[int, list[int], list[int]]:
+) -> tuple[int, tuple[list[int], list[int]], tuple[list[int], list[int]]]:
     """Pick the apex point r and the point sets A (n_a points) and B (n_b).
 
-    The m = n_a + n_b + 1 points ``others`` lie strictly on ``side`` of the
-    hull edge (p, q).  This is the constructive split behind the point-set
-    embeddings of Gritzmann, Mohar, Pach & Pollack (1991) and Bose (CGTA
-    2002).  Rank the points by angle around p, from ray pq, and around q,
-    from ray qp.  A point lies beyond line pr (on the far side from q)
-    exactly when its p-rank is above r's, beyond line qr (on the far side
-    from p) exactly when its q-rank is above r's, and inside triangle pqr
-    exactly when both its ranks are below r's.
+    The m = n_a + n_b + 1 points lie strictly on ``side`` of the hull edge
+    (p, q); ``by_p`` and ``by_q`` list them by angle around p, from ray pq,
+    and around q, from ray qp.  This is the constructive split behind the
+    point-set embeddings of Gritzmann, Mohar, Pach & Pollack (1991) and
+    Bose (CGTA 2002).  A point lies beyond line pr (on the far side from
+    q) exactly when its p-rank is above r's, beyond line qr (on the far
+    side from p) exactly when its q-rank is above r's, and inside triangle
+    pqr exactly when both its ranks are below r's.
 
     Rule: r is the first point in p-order whose q-rank is at most n_a.
     Points beyond pr only go to A and points beyond qr only go to B.  The
@@ -422,19 +437,40 @@ def _select_split(
     most n_b beyond qr only, and the cut falls inside the wedge.  (Equally,
     r is the first point in p-order with an empty triangle pqr, at least
     n_a points beyond pr and at least n_b beyond qr.)
+
+    Returns each side as its subproblem's two angular orders: A around p
+    and around r, B around r and around q.  A lies beyond pr, so
+    orient(p, r, a) = side and A's order around p, from ray pr, is ``by_p``
+    restricted to A; likewise B's order around q, from ray qr, is ``by_q``
+    restricted to B.  General position makes every angular order total, so
+    only orders around the new point r need sorting.  Around r, from ray
+    rp, the points beyond pr only come before the wedge, whose points
+    nearest them go to A; from ray rq, the points beyond qr only come
+    before the wedge, traversed the other way.  So each side's order
+    around r is its own points beyond one line only, sorted, followed by
+    its part of the sorted wedge, and every point is sorted around r once.
     """
-    by_p = _angular_sort(pts, p_i, others, side)
-    by_q = _angular_sort(pts, q_i, others, -side)
     rank_p = {x: i for i, x in enumerate(by_p)}
     rank_q = {x: i for i, x in enumerate(by_q)}
     r = next(x for x in by_p if rank_q[x] <= n_a)
     i, j = rank_p[r], rank_q[r]
-    part_a = [x for x in by_p[i + 1 :] if rank_q[x] < j]
-    part_b = [x for x in by_q[j + 1 :] if rank_p[x] < i]
-    both = [x for x in by_p[i + 1 :] if rank_q[x] > j]
-    cut = n_a - len(part_a)
-    both = _angular_sort(pts, r, both, -side)
-    return r, part_a + both[:cut], part_b + both[cut:]
+    beyond_p, beyond_q = by_p[i + 1 :], by_q[j + 1 :]
+    only_a = [x for x in beyond_p if rank_q[x] < j]
+    only_b = [x for x in beyond_q if rank_p[x] < i]
+    both = _angular_sort(pts, r, [x for x in beyond_p if rank_q[x] > j], -side)
+    cut = n_a - len(only_a)
+    in_a = set(both[:cut])
+    return (
+        r,
+        (
+            [x for x in beyond_p if rank_q[x] < j or x in in_a],
+            _angular_sort(pts, r, only_a, -side) + both[:cut],
+        ),
+        (
+            _angular_sort(pts, r, only_b, side) + both[cut:][::-1],
+            [x for x in beyond_q if x not in in_a],
+        ),
+    )
 
 
 def brute_force_point_assignment(

@@ -1,0 +1,60 @@
+"""Seeded layer thinning shared by the golden and reference tests.
+
+``generate`` only yields maximal layers, which leave ``triangulate_plane``
+and ``maximalize_outerplanar`` no face to complete; thinning removes edges
+so that they have real work.
+"""
+
+from __future__ import annotations
+
+import random
+
+from simembed import Layer
+
+
+def thin_plane(layer: Layer, n: int, share: float, rng: random.Random) -> Layer:
+    """Drop ``share`` of the non-tree edges of a random spanning tree (1.0
+    leaves the tree) and prune the rotation to match.  Deleting a non-bridge
+    edge of a connected plane embedding merges two faces, so the result is
+    again a connected plane embedding."""
+    order = sorted(tuple(sorted(e)) for e in layer.edges)
+    rng.shuffle(order)
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    spare = []
+    for u, v in order:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            spare.append((u, v))
+        else:
+            root[ru] = rv
+    dropped = set(spare[: round(share * len(spare))])
+    gone: list[set[int]] = [set() for _ in range(n)]
+    for u, v in dropped:
+        gone[u].add(v)
+        gone[v].add(u)
+    assert layer.rotation is not None
+    return Layer(
+        kind="planar",
+        edges=[e for e in layer.edges if tuple(sorted(e)) not in dropped],
+        rotation=[[w for w in rot if w not in gone[v]] for v, rot in enumerate(layer.rotation)],
+    )
+
+
+def thin_outerplanar(layer: Layer, density: float, rng: random.Random) -> Layer:
+    """Keep a ``density`` share of the chords and every outer-cycle edge."""
+    cyc = layer.outer_cycle
+    assert cyc is not None
+    n = len(cyc)
+    pos = {v: i for i, v in enumerate(cyc)}
+    cycle, chords = [], []
+    for u, v in layer.edges:
+        (cycle if (pos[v] - pos[u]) % n in (1, n - 1) else chords).append((u, v))
+    kept = rng.sample(chords, round(density * len(chords)))
+    return Layer(kind="outerplanar", edges=cycle + kept, outer_cycle=list(cyc))

@@ -262,6 +262,34 @@ def test_cli_rejects_unsupported_combination(tmp_path):
     assert rc == 2
 
 
+def test_cli_planar_layer_over_budget_one_error_line(tmp_path, capsys):
+    # 551 vertices: the general-position drawing would pass 2^40
+    n = 551
+    doc = {
+        "n": n,
+        "mapping": "free",
+        "layers": [
+            {
+                "class": "planar",
+                "edges": [[i, i + 1] for i in range(n - 1)],
+                "rotation": [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)],
+            },
+            {
+                "class": "outerplanar",
+                "edges": [[i, (i + 1) % n] for i in range(n)],
+                "outer_cycle": list(range(n)),
+            },
+        ],
+    }
+    inst_file = tmp_path / "big-planar.json"
+    inst_file.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    rc = cli_main(["embed", "--in", str(inst_file), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "at most 550 vertices" in err[0]
+
+
 def test_cli_io_error_exit_code(tmp_path):
     rc = cli_main(["embed", "--in", str(tmp_path / "missing.json"), "--out", "-"])
     assert rc == 1

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from simembed import (
+    CoordinateBudgetError,
     FIVE_PATHS,
     Caterpillar,
     GridPoint,
@@ -134,6 +135,13 @@ def test_refine_random_properties():
                     assert out[i].x < out[j].x
                 if base[i].y < base[j].y:
                     assert out[i].y < out[j].y
+
+
+def test_refine_checks_budget_up_front():
+    # base extent 8191 reaches 8191 * (2 * 8191^2 + 1) + 8191^2 < 2^40
+    assert len(refine_general_position([P(0, 0), P(8191, 8191)], 8191)) == 2
+    with pytest.raises(CoordinateBudgetError, match="up to 8191 fit"):
+        refine_general_position([P(0, 0), P(8192, 8192)], 8192)
 
 
 def test_refine_rejects_bad_input():

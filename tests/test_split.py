@@ -63,8 +63,17 @@ def test_split_exists_for_every_n_a(pts):
     others = [i for i in range(len(pts)) if i not in (p, q)]
     side = orient(pts[p], pts[q], pts[others[0]])
     m = len(others)
+    by_p = unmapped._angular_sort(pts, p, others, side)
+    by_q = unmapped._angular_sort(pts, q, others, -side)
     for n_a in range(m):
-        r, part_a, part_b = unmapped._select_split(pts, others, p, q, side, n_a, m - 1 - n_a)
+        r, (part_a, a_by_r), (b_by_r, part_b) = unmapped._select_split(
+            pts, by_p, by_q, side, n_a, m - 1 - n_a
+        )
+        # each side comes back in its subproblem's two angular orders
+        assert part_a == unmapped._angular_sort(pts, p, part_a, side)
+        assert a_by_r == unmapped._angular_sort(pts, r, part_a, -side)
+        assert b_by_r == unmapped._angular_sort(pts, r, part_b, side)
+        assert part_b == unmapped._angular_sort(pts, q, part_b, -side)
         assert len(part_a) == n_a and len(part_b) == m - 1 - n_a
         assert sorted(part_a + part_b + [r]) == sorted(others)
         # A strictly beyond line pr (away from q), B strictly beyond line rq

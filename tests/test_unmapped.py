@@ -1,8 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import thin_plane
 from simembed import (
+    COORD_LIMIT,
+    CoordinateBudgetError,
     GridPoint,
     InvalidInstanceError,
     Layer,
@@ -17,12 +22,14 @@ from simembed import (
     find_collinear_triple,
     general_position_bounds,
     generate,
+    orient,
     parabola_pointset,
     planar_general_position_draw,
     planar_grid_draw,
     simul_embed_outerplanars,
     simul_embed_planar_outerplanar,
 )
+from simembed import unmapped
 from simembed.graphs import rotation_system_from_faces
 
 P = GridPoint
@@ -136,6 +143,39 @@ def test_general_position_draw_plane_graph_with_big_faces():
     pts = planar_general_position_draw(lay, 6)
     assert certify_general_position(pts).ok
     assert drawing_certified(lay, 6, pts)
+
+
+def path_plane_layer(n):
+    return Layer(
+        "planar",
+        [(i, i + 1) for i in range(n - 1)],
+        rotation=[[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)],
+    )
+
+
+def test_general_position_draw_checks_budget_up_front(monkeypatch):
+    assert max(general_position_bounds(550)) <= COORD_LIMIT < max(general_position_bounds(551))
+
+    def no_work(*args):
+        raise AssertionError("the budget check must come before any work")
+
+    monkeypatch.setattr(unmapped, "triangulate_plane", no_work)
+    with pytest.raises(CoordinateBudgetError, match="at most 550 vertices fit"):
+        planar_general_position_draw(path_plane_layer(551), 551)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 25), st.integers(0, 10**6), st.sampled_from([0.0, 0.5, 1.0]))
+def test_general_position_draw_keeps_base_orientations(n, seed, share):
+    # sigma = 6n: scaling the base drawing by sigma * cell size must leave
+    # the perturbation too small to flip any strict orientation of it
+    lay = thin_plane(generate("plane-triangulation", n, seed), n, share, random.Random(seed))
+    base = planar_grid_draw(unmapped.triangulate_plane(lay, n)[0], n)
+    pts = planar_general_position_draw(lay, n)
+    for a, b, c in combinations(range(n), 3):
+        o = orient(base[a], base[b], base[c])
+        if o != 0:
+            assert orient(pts[a], pts[b], pts[c]) == o
 
 
 # ---------------------------------------------------------------------------
