@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidInstanceError
-from .geometry import GridPoint, _conflict_raw, find_collinear_triple, orient
+from .geometry import GridPoint, _conflict_raw, _direction_buckets, find_collinear_triple
 from .graphs import LayeredInstance, SimultaneousEmbedding
 
 KINDS = ("layer-crossing", "collinear-triple", "out-of-bounds", "duplicate-point", "bad-bijection")
@@ -63,6 +63,23 @@ def _duplicate_violations(points: list[GridPoint]) -> list[Violation]:
 def _layer_crossings(
     xs: list[int], ys: list[int], edges: list[tuple[int, int]], layer_idx: int
 ) -> list[Violation]:
+    """Every conflicting edge pair (i, j), i < j, of one layer, in order.
+
+    A pair can conflict only if the closed bounding boxes of its edges
+    overlap on both axes, so the exact predicate runs on exactly those
+    pairs, found by one sort-and-sweep along an axis: x when the edges'
+    x-spans sum to no more than their y-spans, else y.  Edges arrive in
+    order of their low end on the sweep axis; the active list holds the
+    earlier edges whose high end is at or past the arriving edge's low
+    end.  A pair whose sweep-axis intervals overlap is tested when its
+    later-starting edge arrives: the earlier edge started no later, and
+    its high end is at least that start, so it is still active then.  A
+    pair that does not overlap on the sweep axis never meets, because the
+    earlier edge has left the list by the time the later one arrives and
+    does not come back (low ends only grow).  The other axis is tested
+    per active edge.  Every conflicting pair is listed, so a layer full of
+    crossings still costs O(m^2) tests.
+    """
     m = len(edges)
     ax = [xs[e[0]] for e in edges]
     ay = [ys[e[0]] for e in edges]
@@ -72,18 +89,28 @@ def _layer_crossings(
     hi_x = [max(a, b) for a, b in zip(ax, bx)]
     lo_y = [min(a, b) for a, b in zip(ay, by)]
     hi_y = [max(a, b) for a, b in zip(ay, by)]
-    out = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if lo_x[i] > hi_x[j] or lo_x[j] > hi_x[i]:
+    if sum(hi_x) - sum(lo_x) <= sum(hi_y) - sum(lo_y):
+        lo, hi, lo2, hi2 = lo_x, hi_x, lo_y, hi_y
+    else:
+        lo, hi, lo2, hi2 = lo_y, hi_y, lo_x, hi_x
+    hits = []
+    active: list[int] = []
+    for k in sorted(range(m), key=lo.__getitem__):
+        start, lo_k, hi_k = lo[k], lo2[k], hi2[k]
+        still = []
+        for a in active:
+            if hi[a] < start:
                 continue
-            if lo_y[i] > hi_y[j] or lo_y[j] > hi_y[i]:
+            still.append(a)
+            if lo2[a] > hi_k or lo_k > hi2[a]:
                 continue
-            if _conflict_raw(
-                ax[i], ay[i], bx[i], by[i], ax[j], ay[j], bx[j], by[j]
-            ):
-                out.append(Violation("layer-crossing", (layer_idx, i, j)))
-    return out
+            i, j = (a, k) if a < k else (k, a)
+            if _conflict_raw(ax[i], ay[i], bx[i], by[i], ax[j], ay[j], bx[j], by[j]):
+                hits.append((i, j))
+        still.append(k)
+        active = still
+    hits.sort()
+    return [Violation("layer-crossing", (layer_idx, i, j)) for i, j in hits]
 
 
 def check_embedding_shape(emb: SimultaneousEmbedding, inst: LayeredInstance) -> None:
@@ -158,18 +185,24 @@ def certify_general_position(
     """Report collinear triples (and duplicate points) in a point set.
 
     By default the first offending triple suffices; ``full_scan`` lists
-    every collinear triple.
+    every collinear triple in lexicographic order.  Both bucket the later
+    points by their reduced direction from each anchor i, so the points
+    j < k collinear with i are the pairs within one bucket.
     """
     violations = _duplicate_violations(points)
     if violations:
         return _report(violations)
     if full_scan:
-        n = len(points)
-        for i in range(n - 2):
-            for j in range(i + 1, n - 1):
-                for k in range(j + 1, n):
-                    if orient(points[i], points[j], points[k]) == 0:
-                        violations.append(Violation("collinear-triple", (i, j, k)))
+        xs = [p.x for p in points]
+        ys = [p.y for p in points]
+        for i in range(len(points) - 2):
+            pairs = sorted(
+                (j, k)
+                for idxs in _direction_buckets(xs, ys, i).values()
+                for jj, j in enumerate(idxs)
+                for k in idxs[jj + 1 :]
+            )
+            violations.extend(Violation("collinear-triple", (i, j, k)) for j, k in pairs)
     else:
         triple = find_collinear_triple(points)
         if triple is not None:

@@ -140,6 +140,29 @@ def _check_distinct(points: list[GridPoint]) -> None:
         seen[key] = i
 
 
+def _direction_buckets(
+    xs: list[int], ys: list[int], i: int
+) -> dict[tuple[int, int], list[int]]:
+    """The indices j > i, ascending, grouped by their direction from point i.
+
+    Directions are reduced by their gcd and sign-normalised, so two indices
+    share a bucket iff they are collinear with point i.  The points must be
+    distinct.
+    """
+    xi, yi = xs[i], ys[i]
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for j in range(i + 1, len(xs)):
+        dx = xs[j] - xi
+        dy = ys[j] - yi
+        g = math.gcd(abs(dx), abs(dy))
+        dx //= g
+        dy //= g
+        if dx < 0 or (dx == 0 and dy < 0):
+            dx, dy = -dx, -dy
+        buckets.setdefault((dx, dy), []).append(j)
+    return buckets
+
+
 def find_collinear_triple(points: list[GridPoint]) -> Optional[tuple[int, int, int]]:
     """Lexicographically smallest index triple (i, j, k) with collinear points.
 
@@ -154,19 +177,8 @@ def find_collinear_triple(points: list[GridPoint]) -> Optional[tuple[int, int, i
     xs = [p.x for p in points]
     ys = [p.y for p in points]
     for i in range(n - 2):
-        xi, yi = xs[i], ys[i]
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for j in range(i + 1, n):
-            dx = xs[j] - xi
-            dy = ys[j] - yi
-            g = math.gcd(abs(dx), abs(dy))
-            dx //= g
-            dy //= g
-            if dx < 0 or (dx == 0 and dy < 0):
-                dx, dy = -dx, -dy
-            buckets.setdefault((dx, dy), []).append(j)
         best: Optional[tuple[int, int]] = None
-        for idxs in buckets.values():
+        for idxs in _direction_buckets(xs, ys, i).values():
             if len(idxs) >= 2:
                 cand = (idxs[0], idxs[1])
                 if best is None or cand < best:

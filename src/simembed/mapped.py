@@ -351,7 +351,7 @@ def exhaustive_five_point_check(
     Returns the first such counterexample found, or None if every valid
     placement forces a crossing in some path.  Grids up to extent 8 are
     exhausted; larger grids require ``samples`` and are randomly probed
-    with the seeded generator.
+    with the seeded generator.  A ``samples`` count below 1 is rejected.
     """
     if isinstance(grid_extent, tuple):
         w, h = grid_extent
@@ -359,6 +359,9 @@ def exhaustive_five_point_check(
         w = h = grid_extent
     if w < 1 or h < 1:
         raise InvalidInstanceError("grid extent must be positive")
+    if samples is not None and samples < 1:
+        # a verdict after no placements would claim what nothing checked
+        raise InvalidInstanceError(f"sample count must be positive, got {samples}")
     for p in paths:
         if p.n != 5:
             raise InvalidInstanceError("the search is defined for 5-vertex paths")

@@ -323,12 +323,19 @@ def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]
     never meets the interpreter's recursion limit.  The hull-edge invariant
     is asserted on entry to every subproblem.
     """
-    k = len(pts)
-    validate_layer(layer, k)
+    validate_layer(layer, len(pts))
     if layer.kind != "outerplanar" or layer.outer_cycle is None:
         raise InvalidInstanceError("point-set embedding expects an outerplanar layer")
     if find_collinear_triple(pts) is not None:
         raise InvalidInstanceError("points are not in general position")
+    return _embed_on_general_position(layer, pts)
+
+
+def _embed_on_general_position(layer: Layer, pts: list[GridPoint]) -> list[int]:
+    # embed_outerplanar_on_points for a valid outerplanar layer and points
+    # known to be distinct and in general position, so that a pipeline
+    # checks its shared point set once rather than once per layer.
+    k = len(pts)
     if k == 1:
         return [0]
     if k == 2:
@@ -553,7 +560,9 @@ def simul_embed_planar_outerplanar(
         raise InvalidInstanceError("second layer must be outerplanar")
     pts = planar_general_position_draw(g1, n)
     maxed, _dummies = maximalize_outerplanar(g2, n)
-    phi2 = embed_outerplanar_on_points(maxed, pts)
+    # The scatter accepts no point collinear with two placed ones, and its
+    # cells are far apart, so pts needs no second collinearity check.
+    phi2 = _embed_on_general_position(maxed, pts)
     coords, width, height = _translate_to_origin(pts)
     return SimultaneousEmbedding(
         coords=coords,
@@ -575,11 +584,11 @@ def simul_embed_outerplanars(layers: list[Layer], n: int) -> SimultaneousEmbeddi
         validate_layer(layer, n)
         if layer.kind != "outerplanar":
             raise InvalidInstanceError("all layers must be outerplanar")
-    ps = parabola_pointset(n)
+    ps = parabola_pointset(n)  # checked for collinear triples here, once
     assignments = []
     for layer in layers:
         maxed, _dummies = maximalize_outerplanar(layer, n)
-        assignments.append(embed_outerplanar_on_points(maxed, ps.points))
+        assignments.append(_embed_on_general_position(maxed, ps.points))
     coords, width, height = _translate_to_origin(ps.points)
     return SimultaneousEmbedding(
         coords=coords,

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 from simembed import (
     GridPoint,
+    Violation,
     InternalInvariantError,
     InvalidInstanceError,
     Layer,
     check_plane_embedding,
     validate_layer,
 )
+from simembed import certify
+from simembed.geometry import orient
 from simembed.graphs import _chords_cross, _trace_faces
 from simembed.mapped import _offset_scan
 
@@ -118,3 +121,44 @@ def maximalize_outerplanar_retrace(
         edge_set.add(frozenset(chord))
         dummies.append(chord)
     return Layer(kind="outerplanar", edges=edges, outer_cycle=cyc), dummies
+
+
+def layer_crossings_all_pairs(
+    xs: list[int], ys: list[int], edges: list[tuple[int, int]], layer_idx: int
+) -> list[Violation]:
+    """Visit all m(m-1)/2 edge pairs, skip those whose bounding boxes miss,
+    and test the rest with the exact predicate, looked up on the certify
+    module so that a test can count its calls."""
+    m = len(edges)
+    ax = [xs[e[0]] for e in edges]
+    ay = [ys[e[0]] for e in edges]
+    bx = [xs[e[1]] for e in edges]
+    by = [ys[e[1]] for e in edges]
+    lo_x = [min(a, b) for a, b in zip(ax, bx)]
+    hi_x = [max(a, b) for a, b in zip(ax, bx)]
+    lo_y = [min(a, b) for a, b in zip(ay, by)]
+    hi_y = [max(a, b) for a, b in zip(ay, by)]
+    out = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            if lo_x[i] > hi_x[j] or lo_x[j] > hi_x[i]:
+                continue
+            if lo_y[i] > hi_y[j] or lo_y[j] > hi_y[i]:
+                continue
+            if certify._conflict_raw(
+                ax[i], ay[i], bx[i], by[i], ax[j], ay[j], bx[j], by[j]
+            ):
+                out.append(Violation("layer-crossing", (layer_idx, i, j)))
+    return out
+
+
+def collinear_triples_cubic(points: list[GridPoint]) -> list[tuple[int, int, int]]:
+    """Every index triple i < j < k of collinear points, by testing each."""
+    n = len(points)
+    return [
+        (i, j, k)
+        for i in range(n - 2)
+        for j in range(i + 1, n - 1)
+        for k in range(j + 1, n)
+        if orient(points[i], points[j], points[k]) == 0
+    ]

@@ -316,6 +316,17 @@ def test_cli_fivepaths_sampled(tmp_path):
     assert doc["search"]["counterexample"] is None
 
 
+@pytest.mark.parametrize("grid, samples", [("12", "0"), ("12", "-5"), ("4", "0")])
+def test_cli_fivepaths_rejects_a_sample_count_below_one(tmp_path, capsys, grid, samples):
+    out = tmp_path / "five.json"
+    capsys.readouterr()
+    rc = cli_main(["fivepaths", "--grid", grid, "--samples", samples, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "sample count" in err[0]
+    assert not out.exists()
+
+
 def test_cli_fivepaths_verdict(tmp_path):
     out_file = tmp_path / "five.json"
     rc = cli_main(["fivepaths", "--grid", "4", "--out", str(out_file)])

@@ -1,9 +1,11 @@
-"""The optimized scatter and face completion against their plain references.
+"""The optimized routines against their plain references.
 
-The package's direction-hash scatter and trace-once face completion must
-return exactly what the pair scan and the re-trace-per-chord loops in
-``reference.py`` return, on inputs chosen so that candidates are rejected
-and faces of every size get completed.
+The package's direction-hash scatter, trace-once face completion,
+bounding-box sweep of the certifier and bucketed full collinearity scan
+must return exactly what the pair scan, the re-trace-per-chord loops, the
+all-pairs edge loop and the cubic triple loop in ``reference.py`` return,
+on inputs chosen so that candidates are rejected, faces of every size get
+completed, and edges overlap, touch and tie in every way a grid allows.
 """
 
 import random
@@ -13,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import thin_outerplanar, thin_plane
 from reference import (
+    collinear_triples_cubic,
+    layer_crossings_all_pairs,
     maximalize_outerplanar_retrace,
     scatter_pair_scan,
     triangulate_plane_retrace,
@@ -21,10 +25,13 @@ from simembed import (
     GridPoint,
     InternalInvariantError,
     Layer,
+    certify_general_position,
     generate,
     maximalize_outerplanar,
     triangulate_plane,
 )
+from simembed import certify
+from simembed.certify import _layer_crossings
 from simembed.mapped import _scatter_general_position
 
 
@@ -89,3 +96,91 @@ def test_maximalize_small_cycles_match_retrace():
                 continue
             layer = Layer("outerplanar", edges, outer_cycle=list(range(n)))
             assert maximalize_outerplanar(layer, n) == maximalize_outerplanar_retrace(layer, n)
+
+
+def _with_conflict_count(fn, *args):
+    # Both versions look the exact predicate up on the certify module, so
+    # patching it there counts the pairs each one tests.
+    real = certify._conflict_raw
+    calls = 0
+
+    def counting(*coords):
+        nonlocal calls
+        calls += 1
+        return real(*coords)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "_conflict_raw", counting)
+        out = fn(*args)
+    return out, calls
+
+
+@st.composite
+def grid_layers(draw):
+    # Up to 9 points on a 5 x 5 grid, coincident ones included: edges are
+    # often horizontal or vertical, overlap collinearly, end inside one
+    # another (T-junctions) and share their low ends on both axes.
+    n = draw(st.integers(2, 9))
+    xs = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    ys = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(ends.filter(lambda e: e[0] != e[1]), max_size=16))
+    if draw(st.booleans()):
+        # Add the mirror image of every point and edge across the diagonal,
+        # so the x-spans sum to exactly the y-spans.
+        xs, ys = xs + ys, ys + xs
+        edges = edges + [(u + n, v + n) for u, v in edges]
+    return xs, ys, edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_layers(), st.integers(0, 3))
+def test_layer_crossings_sweep_matches_all_pairs(layer, layer_idx):
+    xs, ys, edges = layer
+    assert _with_conflict_count(_layer_crossings, xs, ys, edges, layer_idx) == (
+        _with_conflict_count(layer_crossings_all_pairs, xs, ys, edges, layer_idx)
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_layer_crossings_sweep_matches_all_pairs_on_larger_layers(seed):
+    rng = random.Random(seed)
+    n, side = 120, 40
+    xs = [rng.randrange(side) for _ in range(n)]
+    ys = [rng.randrange(side // (1 + seed % 3)) for _ in range(n)]
+    edges = []
+    while len(edges) < 250:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u != v:
+            edges.append((u, v))
+    out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, 0)
+    assert (out, calls) == _with_conflict_count(layer_crossings_all_pairs, xs, ys, edges, 0)
+    assert out and calls < len(edges) * (len(edges) - 1) // 2
+
+
+def test_layer_crossings_tied_axes_example():
+    # Edge 0 runs along y = 0; edge 1 stands on its middle point (a
+    # T-junction); edge 2 overlaps edge 0 collinearly and shares an
+    # endpoint with edge 1; edge 3 shares only an endpoint with edge 0;
+    # edge 4 crosses edge 1 properly; edge 5 only touches edge 1's end.
+    # The spans sum to 6 on both axes, so the sweep runs along x.
+    xs = [0, 2, 1, 1, 0, 2]
+    ys = [0, 0, 0, 2, 2, 2]
+    edges = [(0, 1), (2, 3), (2, 1), (0, 4), (4, 1), (3, 5)]
+    assert sum(abs(xs[u] - xs[v]) for u, v in edges) == 6
+    assert sum(abs(ys[u] - ys[v]) for u, v in edges) == 6
+    got = [v.witness for v in _layer_crossings(xs, ys, edges, 5)]
+    assert got == [(5, 0, 1), (5, 0, 2), (5, 1, 4)]
+    assert _with_conflict_count(_layer_crossings, xs, ys, edges, 5) == (
+        _with_conflict_count(layer_crossings_all_pairs, xs, ys, edges, 5)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), unique=True, max_size=14))
+def test_full_collinearity_scan_matches_cubic_loop(coords):
+    points = [GridPoint(x, y) for x, y in coords]
+    report = certify_general_position(points, full_scan=True)
+    assert all(v.kind == "collinear-triple" for v in report.violations)
+    assert [v.witness for v in report.violations] == collinear_triples_cubic(points)

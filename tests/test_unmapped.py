@@ -378,6 +378,28 @@ def test_simul_outerplanars_single_layer():
     assert certify_embedding(emb, free_instance([tri], 3)).ok
 
 
+def test_free_pipelines_check_their_point_set_once(monkeypatch):
+    calls = []
+    real = unmapped.find_collinear_triple
+    monkeypatch.setattr(
+        unmapped, "find_collinear_triple", lambda pts: calls.append(len(pts)) or real(pts)
+    )
+    n = 12
+    layers = [generate("maximal-outerplanar", n, s) for s in range(3)]
+    emb = simul_embed_outerplanars(layers, n)
+    assert calls == [n]  # the parabola set, not once more per layer
+    assert certify_embedding(emb, free_instance(layers, n)).ok
+    # The scatter admits no collinear point, so the plane + outerplanar
+    # pipeline needs no kernel check at all; direct callers still get one.
+    calls.clear()
+    g1, g2 = generate("plane-triangulation", n, 1), generate("maximal-outerplanar", n, 2)
+    emb = simul_embed_planar_outerplanar(g1, g2, n)
+    assert calls == []
+    assert certify_embedding(emb, free_instance([g1, g2], n)).ok
+    embed_outerplanar_on_points(layers[0], parabola_pointset(n, verify=False).points)
+    assert calls == [n]
+
+
 def test_embedders_are_pure_under_concurrency():
     # pure functions: concurrent calls give the same results as serial ones
     from concurrent.futures import ThreadPoolExecutor
