@@ -7,7 +7,11 @@ carry witnesses so a failed check is immediately diagnosable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from math import gcd
 
 from .errors import InvalidInstanceError
 from .geometry import GridPoint, _conflict_raw, _direction_buckets, find_collinear_triple
@@ -65,20 +69,36 @@ def _layer_crossings(
 ) -> list[Violation]:
     """Every conflicting edge pair (i, j), i < j, of one layer, in order.
 
-    A pair can conflict only if the closed bounding boxes of its edges
-    overlap on both axes, so the exact predicate runs on exactly those
-    pairs, found by one sort-and-sweep along an axis: x when the edges'
-    x-spans sum to no more than their y-spans, else y.  Edges arrive in
-    order of their low end on the sweep axis; the active list holds the
-    earlier edges whose high end is at or past the arriving edge's low
-    end.  A pair whose sweep-axis intervals overlap is tested when its
-    later-starting edge arrives: the earlier edge started no later, and
-    its high end is at least that start, so it is still active then.  A
-    pair that does not overlap on the sweep axis never meets, because the
-    earlier edge has left the list by the time the later one arrives and
-    does not come back (low ends only grow).  The other axis is tested
-    per active edge.  Every conflicting pair is listed, so a layer full of
-    crossings still costs O(m^2) tests.
+    Two edges that share an endpoint v conflict only if they leave v in the
+    same direction: if they leave it in different directions they meet only
+    at v (the segments are not collinear, or lie on opposite rays from v),
+    and an edge of length zero meets the other only at v.  So those pairs
+    are looked up per vertex, by the gcd-reduced direction to the other
+    endpoint, and only pairs in one direction bucket reach the exact
+    predicate.
+
+    Two edges that share no endpoint can conflict only if their closed
+    bounding boxes overlap on both axes, and the exact predicate runs on
+    exactly those pairs, found by one sort-and-sweep along the axis on
+    which fewer pairs of edges overlap (counted exactly, by bisection over
+    the sorted low ends; ties go to x).  Edges arrive in order of their
+    low end on the sweep axis, and the edges seen so far are kept until
+    their high end falls below the arriving edge's low end.  A pair whose
+    sweep-axis intervals overlap is met when its later-starting edge
+    arrives: the earlier edge started no later, and its high end is at
+    least that start, so it is still kept then.  A pair that does not
+    overlap on the sweep axis never meets, because the earlier edge is
+    dropped before the later one arrives and does not come back (low ends
+    only grow).  The other axis is tested per kept edge.
+
+    The kept edges are grouped by an endpoint of degree three or more in
+    the layer (the one of higher degree), or in one shared group when both
+    endpoints have degree at most two.  An arriving edge skips the groups
+    of its own endpoints, whose edges all share an endpoint with it, so the
+    edges around a hub are never paired with one another in the sweep.  In
+    the shared group it meets at most two edges it shares an endpoint with.
+    Every conflicting pair is listed, so a layer full of crossings still
+    costs O(m^2) tests.
     """
     m = len(edges)
     ax = [xs[e[0]] for e in edges]
@@ -89,28 +109,77 @@ def _layer_crossings(
     hi_x = [max(a, b) for a, b in zip(ax, bx)]
     lo_y = [min(a, b) for a, b in zip(ay, by)]
     hi_y = [max(a, b) for a, b in zip(ay, by)]
-    if sum(hi_x) - sum(lo_x) <= sum(hi_y) - sum(lo_y):
+    if _overlapping_pairs(lo_x, hi_x) <= _overlapping_pairs(lo_y, hi_y):
         lo, hi, lo2, hi2 = lo_x, hi_x, lo_y, hi_y
     else:
         lo, hi, lo2, hi2 = lo_y, hi_y, lo_x, hi_x
-    hits = []
-    active: list[int] = []
+
+    pairs = _shared_endpoint_pairs(edges, ax, ay, bx, by)
+    degree = Counter(chain.from_iterable(edges))
+    groups: dict[int | None, list[int]] = {}
     for k in sorted(range(m), key=lo.__getitem__):
         start, lo_k, hi_k = lo[k], lo2[k], hi2[k]
-        still = []
-        for a in active:
-            if hi[a] < start:
+        u, w = edges[k]
+        for v, group in list(groups.items()):
+            if v == u or v == w:
                 continue
-            still.append(a)
-            if lo2[a] > hi_k or lo_k > hi2[a]:
+            kept = [a for a in group if hi[a] >= start]
+            if not kept:
+                del groups[v]
                 continue
-            i, j = (a, k) if a < k else (k, a)
-            if _conflict_raw(ax[i], ay[i], bx[i], by[i], ax[j], ay[j], bx[j], by[j]):
-                hits.append((i, j))
-        still.append(k)
-        active = still
-    hits.sort()
+            groups[v] = kept
+            for a in kept:
+                if lo2[a] > hi_k or lo_k > hi2[a]:
+                    continue
+                p, q = edges[a]
+                if p == u or p == w or q == u or q == w:
+                    continue
+                pairs.append((a, k) if a < k else (k, a))
+        hub = u if degree[u] >= degree[w] else w
+        groups.setdefault(hub if degree[hub] > 2 else None, []).append(k)
+
+    hits = sorted(
+        (i, j)
+        for i, j in pairs
+        if _conflict_raw(ax[i], ay[i], bx[i], by[i], ax[j], ay[j], bx[j], by[j])
+    )
     return [Violation("layer-crossing", (layer_idx, i, j)) for i, j in hits]
+
+
+def _overlapping_pairs(lo: list[int], hi: list[int]) -> int:
+    """How many pairs of the closed intervals [lo, hi] overlap.  With the
+    intervals sorted by low end, the one at position p overlaps the
+    intervals at positions up to p whose low end is at most its high end:
+    bisection finds p + 1 plus its later-starting partners."""
+    m = len(lo)
+    starts = sorted(lo)
+    return sum(map(bisect_right, repeat(starts, m), hi)) - m * (m + 1) // 2
+
+
+def _shared_endpoint_pairs(
+    edges: list[tuple[int, int]], ax: list[int], ay: list[int], bx: list[int], by: list[int]
+) -> list[tuple[int, int]]:
+    """The edge pairs (i, j), i < j, that share an endpoint and leave it in
+    the same direction.  Each edge of nonzero length leaves its endpoints
+    along two rays, keyed by the endpoint and the gcd-reduced direction;
+    the pairs are those of edges with a key in common."""
+    dx = [b - a for a, b in zip(ax, bx)]
+    dy = [b - a for a, b in zip(ay, by)]
+    g = list(map(gcd, dx, dy))  # 0 for an edge of length zero
+    keys = [(u, x // d, y // d) for (u, _), x, y, d in zip(edges, dx, dy, g) if d]
+    keys += [(w, -x // d, -y // d) for (_, w), x, y, d in zip(edges, dx, dy, g) if d]
+    if len(set(keys)) == len(keys):
+        return []
+    live = [k for k, d in enumerate(g) if d]
+    along: dict[tuple[int, int, int], list[int]] = defaultdict(list)
+    for k, key in zip(live + live, keys):
+        along[key].append(k)
+    return sorted({
+        (min(i, j), max(i, j))
+        for ks in along.values()
+        for jj, j in enumerate(ks)
+        for i in ks[:jj]
+    })
 
 
 def check_embedding_shape(emb: SimultaneousEmbedding, inst: LayeredInstance) -> None:

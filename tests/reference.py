@@ -152,6 +152,38 @@ def layer_crossings_all_pairs(
     return out
 
 
+def same_ray(xs: list[int], ys: list[int], v: int, a: int, b: int) -> bool:
+    """Whether points a and b both differ from point v and lie on one ray
+    from it."""
+    dax, day = xs[a] - xs[v], ys[a] - ys[v]
+    dbx, dby = xs[b] - xs[v], ys[b] - ys[v]
+    if (dax, day) == (0, 0) or (dbx, dby) == (0, 0):
+        return False
+    return dax * dby == day * dbx and dax * dbx + day * dby > 0
+
+
+def certifier_pair_tests(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) -> int:
+    """How many edge pairs the certifier hands to the exact predicate: the
+    pairs that share an endpoint and leave it along one ray, and the pairs
+    that share no endpoint and whose bounding boxes overlap."""
+    count = 0
+    for i, (a, b) in enumerate(edges):
+        for c, d in edges[i + 1 :]:
+            shared = {a, b} & {c, d}
+            if shared:
+                count += any(
+                    same_ray(xs, ys, v, b if a == v else a, d if c == v else c) for v in shared
+                )
+            else:
+                count += (
+                    min(xs[a], xs[b]) <= max(xs[c], xs[d])
+                    and min(xs[c], xs[d]) <= max(xs[a], xs[b])
+                    and min(ys[a], ys[b]) <= max(ys[c], ys[d])
+                    and min(ys[c], ys[d]) <= max(ys[a], ys[b])
+                )
+    return count
+
+
 def collinear_triples_cubic(points: list[GridPoint]) -> list[tuple[int, int, int]]:
     """Every index triple i < j < k of collinear points, by testing each."""
     n = len(points)

@@ -15,9 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import thin_outerplanar, thin_plane
 from reference import (
+    certifier_pair_tests,
     collinear_triples_cubic,
     layer_crossings_all_pairs,
     maximalize_outerplanar_retrace,
+    same_ray,
     scatter_pair_scan,
     triangulate_plane_retrace,
 )
@@ -31,7 +33,7 @@ from simembed import (
     triangulate_plane,
 )
 from simembed import certify
-from simembed.certify import _layer_crossings
+from simembed.certify import _layer_crossings, _overlapping_pairs
 from simembed.mapped import _scatter_general_position
 
 
@@ -127,7 +129,7 @@ def grid_layers(draw):
     edges = draw(st.lists(ends.filter(lambda e: e[0] != e[1]), max_size=16))
     if draw(st.booleans()):
         # Add the mirror image of every point and edge across the diagonal,
-        # so the x-spans sum to exactly the y-spans.
+        # so as many edge pairs overlap on x as on y and the axes tie.
         xs, ys = xs + ys, ys + xs
         edges = edges + [(u + n, v + n) for u, v in edges]
     return xs, ys, edges
@@ -137,9 +139,9 @@ def grid_layers(draw):
 @given(grid_layers(), st.integers(0, 3))
 def test_layer_crossings_sweep_matches_all_pairs(layer, layer_idx):
     xs, ys, edges = layer
-    assert _with_conflict_count(_layer_crossings, xs, ys, edges, layer_idx) == (
-        _with_conflict_count(layer_crossings_all_pairs, xs, ys, edges, layer_idx)
-    )
+    out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, layer_idx)
+    assert out == layer_crossings_all_pairs(xs, ys, edges, layer_idx)
+    assert calls == certifier_pair_tests(xs, ys, edges)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -155,26 +157,89 @@ def test_layer_crossings_sweep_matches_all_pairs_on_larger_layers(seed):
         if u != v:
             edges.append((u, v))
     out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, 0)
-    assert (out, calls) == _with_conflict_count(layer_crossings_all_pairs, xs, ys, edges, 0)
-    assert out and calls < len(edges) * (len(edges) - 1) // 2
+    assert out == layer_crossings_all_pairs(xs, ys, edges, 0)
+    assert out and calls == certifier_pair_tests(xs, ys, edges)
 
 
-def test_layer_crossings_tied_axes_example():
+def test_layer_crossings_hand_example_on_both_axes():
     # Edge 0 runs along y = 0; edge 1 stands on its middle point (a
     # T-junction); edge 2 overlaps edge 0 collinearly and shares an
     # endpoint with edge 1; edge 3 shares only an endpoint with edge 0;
     # edge 4 crosses edge 1 properly; edge 5 only touches edge 1's end.
-    # The spans sum to 6 on both axes, so the sweep runs along x.
     xs = [0, 2, 1, 1, 0, 2]
     ys = [0, 0, 0, 2, 2, 2]
     edges = [(0, 1), (2, 3), (2, 1), (0, 4), (4, 1), (3, 5)]
-    assert sum(abs(xs[u] - xs[v]) for u, v in edges) == 6
-    assert sum(abs(ys[u] - ys[v]) for u, v in edges) == 6
     got = [v.witness for v in _layer_crossings(xs, ys, edges, 5)]
     assert got == [(5, 0, 1), (5, 0, 2), (5, 1, 4)]
-    assert _with_conflict_count(_layer_crossings, xs, ys, edges, 5) == (
-        _with_conflict_count(layer_crossings_all_pairs, xs, ys, edges, 5)
-    )
+    # 12 pairs overlap on x and 13 on y, so the sweep runs along x; the
+    # mirror image across the diagonal runs along y; the two together are
+    # their own mirror image, so the counts tie.
+    assert [_axis_overlaps(xs, edges), _axis_overlaps(ys, edges)] == [12, 13]
+    both = (xs + ys, ys + xs, edges + [(u + 6, v + 6) for u, v in edges])
+    assert _axis_overlaps(both[0], both[2]) == _axis_overlaps(both[1], both[2])
+    for lx, ly, le in [(xs, ys, edges), (ys, xs, edges), both]:
+        out, calls = _with_conflict_count(_layer_crossings, lx, ly, le, 5)
+        assert out == layer_crossings_all_pairs(lx, ly, le, 5)
+        assert calls == certifier_pair_tests(lx, ly, le)
+
+
+def _axis_overlaps(cs, edges):
+    lo = [min(cs[u], cs[v]) for u, v in edges]
+    hi = [max(cs[u], cs[v]) for u, v in edges]
+    return _overlapping_pairs(lo, hi)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=3),
+    st.booleans(),
+    st.booleans(),
+)
+def test_edges_leaving_a_shared_endpoint_apart_never_conflict(pts, flip_a, flip_b):
+    # Point 0 is the shared endpoint.  The exact predicate says yes iff
+    # points 1 and 2 lie on one ray from it, whichever way round the two
+    # segments are given; coincident points included.
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    (vx, vy), (px, py), (qx, qy) = pts
+    s1 = (px, py, vx, vy) if flip_a else (vx, vy, px, py)
+    s2 = (qx, qy, vx, vy) if flip_b else (vx, vy, qx, qy)
+    if same_ray(xs, ys, 0, 1, 2):
+        assert certify._conflict_raw(*s1, *s2) and certify._conflict_raw(*s2, *s1)
+    else:
+        assert not certify._conflict_raw(*s1, *s2)
+        assert not certify._conflict_raw(*s2, *s1)
+
+
+def test_layer_crossings_around_hubs():
+    # Two caterpillar-like stars in a strip 4 wide: every pair of edges at
+    # a hub has overlapping boxes, and none of them conflicts.  Then a leaf
+    # edge that runs along another from its hub, and a spine edge across
+    # the strip that crosses leaf edges.
+    xs, ys, edges = [0, 0], [100, 300], [(0, 1)]
+    for y in range(400):
+        if y in (100, 300):
+            continue
+        xs.append(1 + y % 3)
+        ys.append(y)
+        edges.append((0 if y < 200 else 1, len(xs) - 1))
+    out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, 0)
+    assert out == [] and calls == 0
+    assert certifier_pair_tests(xs, ys, edges) == 0
+
+    # A new leaf of the second hub, twice as far out along the ray to its
+    # last leaf, and a vertical edge at x = 3 across the first star.
+    xs.append(2 * xs[-1])
+    ys.append(300 + 2 * (ys[-1] - 300))
+    edges.append((1, len(xs) - 1))
+    xs += [3, 3]
+    ys += [50, 150]
+    edges.append((len(xs) - 2, len(xs) - 1))
+    out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, 0)
+    assert out == layer_crossings_all_pairs(xs, ys, edges, 0)
+    assert calls == certifier_pair_tests(xs, ys, edges)
+    assert (0, len(edges) - 3, len(edges) - 2) in [v.witness for v in out]
+    assert any(v.witness[2] == len(edges) - 1 for v in out)
 
 
 @settings(max_examples=300, deadline=None)
