@@ -82,46 +82,44 @@ def _parse_bounds(text: Optional[str]) -> Optional[tuple[int, int]]:
         raise ParseError(f"--bounds expects WxH, got {text!r}")
 
 
+# The two-layer embedders by mapping and layer classes, keyed in the order
+# each takes its layers.  The lambdas look the embedders up in this module
+# when called, so a patched module attribute is the one that runs.
+_PAIR_EMBEDDERS = {
+    ("given", ("path", "path")): lambda a, b, n: embed_two_paths(as_path(a, n), as_path(b, n)),
+    ("given", ("path", "caterpillar")): lambda a, b, n: embed_path_caterpillar(
+        as_path(a, n), caterpillar_decompose(b, n)
+    )[0],
+    ("given", ("caterpillar", "caterpillar")): lambda a, b, n: embed_two_caterpillars(
+        caterpillar_decompose(a, n), caterpillar_decompose(b, n)
+    ),
+    ("free", ("planar", "outerplanar")): lambda a, b, n: simul_embed_planar_outerplanar(a, b, n),
+}
+
+
 def _dispatch_embed(inst: LayeredInstance) -> SimultaneousEmbedding:
     kinds = [layer.kind for layer in inst.layers]
-    if inst.mapping == "given":
-        if len(kinds) != 2 or any(k in ("planar", "outerplanar") for k in kinds):
+    if inst.mapping == "free" and all(k == "outerplanar" for k in kinds):
+        return simul_embed_outerplanars(inst.layers, inst.n)
+    flipped = (inst.mapping, tuple(kinds)) not in _PAIR_EMBEDDERS
+    layers = inst.layers[::-1] if flipped else inst.layers
+    embed = _PAIR_EMBEDDERS.get((inst.mapping, tuple(layer.kind for layer in layers)))
+    if embed is None:
+        if inst.mapping == "given":
             raise UnsupportedInstanceError(
                 f"no with-mapping embedder for classes {kinds}; "
                 f"supported: {SUPPORTED_GIVEN}. Two planar layers with a given "
                 "mapping cannot be simultaneously embedded in general."
             )
-        l0, l1 = inst.layers
-        if kinds == ["path", "path"]:
-            return embed_two_paths(as_path(l0, inst.n), as_path(l1, inst.n))
-        if kinds == ["path", "caterpillar"]:
-            emb, _shifts = embed_path_caterpillar(
-                as_path(l0, inst.n), caterpillar_decompose(l1, inst.n)
-            )
-            return emb
-        if kinds == ["caterpillar", "path"]:
-            emb, _shifts = embed_path_caterpillar(
-                as_path(l1, inst.n), caterpillar_decompose(l0, inst.n)
-            )
-            emb.layers.reverse()
-            return emb
-        return embed_two_caterpillars(
-            caterpillar_decompose(l0, inst.n), caterpillar_decompose(l1, inst.n)
+        raise UnsupportedInstanceError(
+            f"no without-mapping embedder for classes {kinds}; supported: {SUPPORTED_FREE}"
         )
-    # free mapping
-    if all(k == "outerplanar" for k in kinds):
-        return simul_embed_outerplanars(inst.layers, inst.n)
-    if sorted(kinds) == ["outerplanar", "planar"]:
-        if kinds[0] == "planar":
-            return simul_embed_planar_outerplanar(inst.layers[0], inst.layers[1], inst.n)
-        emb = simul_embed_planar_outerplanar(inst.layers[1], inst.layers[0], inst.n)
+    emb = embed(*layers, inst.n)
+    if flipped:
         emb.layers.reverse()
-        assert emb.assignments is not None
-        emb.assignments.reverse()
-        return emb
-    raise UnsupportedInstanceError(
-        f"no without-mapping embedder for classes {kinds}; supported: {SUPPORTED_FREE}"
-    )
+        if emb.assignments is not None:
+            emb.assignments.reverse()
+    return emb
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:

@@ -212,19 +212,3 @@ def convex_hull(points: list[GridPoint]) -> list[int]:
     lower = build(idx)
     upper = build(idx[::-1])
     return lower[:-1] + upper[:-1]
-
-
-def point_in_convex_hull(p: GridPoint, hull_pts: list[GridPoint]) -> bool:
-    """True iff p lies inside or on the hull polygon (given in CCW order)."""
-    m = len(hull_pts)
-    if m == 1:
-        return p == hull_pts[0]
-    if m == 2:
-        a, b = hull_pts
-        if orient(a, b, p) != 0:
-            return False
-        return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    for i in range(m):
-        if orient(hull_pts[i], hull_pts[(i + 1) % m], p) < 0:
-            return False
-    return True

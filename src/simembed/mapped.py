@@ -351,7 +351,8 @@ def exhaustive_five_point_check(
     Returns the first such counterexample found, or None if every valid
     placement forces a crossing in some path.  Grids up to extent 8 are
     exhausted; larger grids require ``samples`` and are randomly probed
-    with the seeded generator.  A ``samples`` count below 1 is rejected.
+    with the seeded generator.  A ``samples`` count below 1, or one given
+    for a grid that is exhausted, is rejected.
     """
     if isinstance(grid_extent, tuple):
         w, h = grid_extent
@@ -366,6 +367,17 @@ def exhaustive_five_point_check(
         if p.n != 5:
             raise InvalidInstanceError("the search is defined for 5-vertex paths")
         _check_permutation(p.order, 5, "path")
+    exhaustive = max(w, h) <= EXHAUSTIVE_GRID_LIMIT
+    if exhaustive and samples is not None:
+        raise InvalidInstanceError(
+            f"a sample count applies only above grid {EXHAUSTIVE_GRID_LIMIT}; "
+            f"grid {w}x{h} is searched exhaustively"
+        )
+    if not exhaustive and samples is None:
+        raise SearchBudgetError(
+            f"grid {w}x{h} exceeds the exhaustive budget "
+            f"({EXHAUSTIVE_GRID_LIMIT}); pass a sample count"
+        )
 
     # Same-path disjoint edge pairs, bucketed by their largest vertex so the
     # search can check each pair as soon as its last endpoint is placed.
@@ -381,134 +393,58 @@ def exhaustive_five_point_check(
         [(i, j) for i in range(lvl) for j in range(i + 1, lvl)] for lvl in range(5)
     ]
 
-    if max(w, h) > EXHAUSTIVE_GRID_LIMIT:
-        if samples is None:
-            raise SearchBudgetError(
-                f"grid {w}x{h} exceeds the exhaustive budget "
-                f"({EXHAUSTIVE_GRID_LIMIT}); pass a sample count"
-            )
-        return _sampled_check(w, h, cross_checks, tri_checks, seed, samples)
-
-    pts = _grid_points(w, h)
-    count = len(pts)
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-
-    def conflict(a: int, b: int, c: int, d: int) -> bool:
-        return _conflict_raw(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d])
-
-    conflict_table: Optional[bytearray] = None
-    if count**4 <= 2_000_000:
-        conflict_table = bytearray(count**4)
-        for a in range(count):
-            for b in range(count):
-                if a == b:
-                    continue
-                base = (a * count + b) * count
-                for c in range(count):
-                    for d in range(count):
-                        if c == d:
-                            continue
-                        if conflict(a, b, c, d):
-                            conflict_table[(base + c) * count + d] = 1
-
-    placement = [0] * 5
-    checked = 0
-    first_candidates = _fundamental_domain(w, h)
-
-    def collinear(a: int, b: int, c: int) -> bool:
-        return (xs[b] - xs[a]) * (ys[c] - ys[a]) == (ys[b] - ys[a]) * (xs[c] - xs[a])
+    # Coordinates of vertices 0..4; vertex lvl and every vertex below it
+    # are placed when level_ok(lvl) runs.
+    px = [0] * 5
+    py = [0] * 5
 
     def level_ok(lvl: int) -> bool:
-        pt = placement[lvl]
+        x, y = px[lvl], py[lvl]
         for i, j in tri_checks[lvl]:
-            if collinear(placement[i], placement[j], pt):
+            if (px[j] - px[i]) * (y - py[i]) == (py[j] - py[i]) * (x - px[i]):
                 return False
         for a, b, c, d in cross_checks[lvl]:
-            pa, pb, pc, pd = placement[a], placement[b], placement[c], placement[d]
-            if conflict_table is not None:
-                if conflict_table[((pa * count + pb) * count + pc) * count + pd]:
-                    return False
-            elif conflict(pa, pb, pc, pd):
+            if _conflict_raw(px[a], py[a], px[b], py[b], px[c], py[c], px[d], py[d]):
                 return False
         return True
 
-    def dfs(lvl: int) -> Optional[list[int]]:
-        nonlocal checked
-        candidates = first_candidates if lvl == 0 else range(count)
-        for pt in candidates:
-            if pt in placement[:lvl]:
-                continue
-            placement[lvl] = pt
-            if lvl == 4:
-                checked += 1
-            if not level_ok(lvl):
-                continue
-            if lvl == 4:
-                return list(placement)
-            found = dfs(lvl + 1)
-            if found is not None:
-                return found
-        return None
-
-    witness = dfs(0)
-    counterexample = (
-        [GridPoint(xs[i], ys[i]) for i in witness] if witness is not None else None
-    )
-    return FivePointSearchResult(
-        counterexample=counterexample,
-        placements_checked=checked,
-        exhaustive=True,
-        grid=(w, h),
-    )
-
-
-def _sampled_check(
-    w: int,
-    h: int,
-    cross_checks: list[list[tuple[int, int, int, int]]],
-    tri_checks: list[list[tuple[int, int]]],
-    seed: Optional[int],
-    samples: int,
-) -> FivePointSearchResult:
-    rng = random.Random(seed)
     checked = 0
-    for _ in range(samples):
-        pts: list[tuple[int, int]] = []
-        used = set()
-        while len(pts) < 5:
-            cand = (rng.randrange(w), rng.randrange(h))
-            if cand not in used:
-                used.add(cand)
-                pts.append(cand)
-        checked += 1
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        ok = True
-        for lvl in range(5):
-            for i, j in tri_checks[lvl]:
-                if (xs[j] - xs[i]) * (ys[lvl] - ys[i]) == (ys[j] - ys[i]) * (
-                    xs[lvl] - xs[i]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-            for a, b, c, d in cross_checks[lvl]:
-                if _conflict_raw(
-                    xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return FivePointSearchResult(
-                counterexample=[GridPoint(x, y) for x, y in pts],
-                placements_checked=checked,
-                exhaustive=False,
-                grid=(w, h),
-            )
+    if exhaustive:
+        pts = _grid_points(w, h)
+        placement = [0] * 5
+        first_candidates = _fundamental_domain(w, h)
+
+        def dfs(lvl: int) -> bool:
+            nonlocal checked
+            candidates = first_candidates if lvl == 0 else range(len(pts))
+            for pt in candidates:
+                if pt in placement[:lvl]:
+                    continue
+                placement[lvl] = pt
+                px[lvl], py[lvl] = pts[pt]
+                if lvl == 4:
+                    checked += 1
+                if level_ok(lvl) and (lvl == 4 or dfs(lvl + 1)):
+                    return True
+            return False
+
+        found = dfs(0)
+    else:
+        rng = random.Random(seed)
+        found = False
+        while not found and checked < samples:
+            drawn: list[tuple[int, int]] = []
+            while len(drawn) < 5:
+                cand = (rng.randrange(w), rng.randrange(h))
+                if cand not in drawn:
+                    drawn.append(cand)
+            px[:], py[:] = zip(*drawn)
+            checked += 1
+            found = all(level_ok(lvl) for lvl in range(5))
+
     return FivePointSearchResult(
-        counterexample=None, placements_checked=checked, exhaustive=False, grid=(w, h)
+        counterexample=[GridPoint(x, y) for x, y in zip(px, py)] if found else None,
+        placements_checked=checked,
+        exhaustive=exhaustive,
+        grid=(w, h),
     )

@@ -58,15 +58,13 @@ def _canonical_face(walk: list[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(verts[k:] + verts[:k])
 
 
-def planar_grid_draw(
-    layer: Layer, n: int, outer_face: Optional[tuple[int, int, int]] = None
-) -> list[GridPoint]:
+def planar_grid_draw(layer: Layer, n: int) -> list[GridPoint]:
     """Draw a plane triangulation on the (2n-4) x (n-2) grid.
 
     Incremental construction: vertices enter in a canonical order along
     the outer face, each insertion shifting the covered part of the
     drawing right by one or two columns so the new fan stays planar.
-    The outer face defaults to the lexicographically smallest face walk.
+    The outer face is the lexicographically smallest face walk.
     """
     check_plane_embedding(layer, n)
     if len(layer.edges) != 3 * n - 6:
@@ -77,16 +75,7 @@ def planar_grid_draw(
     if any(len(f) != 3 for f in faces):
         raise InvalidInstanceError("grid drawing requires all faces to be triangles")
 
-    if outer_face is None:
-        walk = min((_canonical_face(f) for f in faces))
-    else:
-        want = set(outer_face)
-        match = next(
-            (f for f in faces if set(_face_vertices(f)) == want), None
-        )
-        if match is None:
-            raise InvalidInstanceError(f"{outer_face} is not a face of this embedding")
-        walk = _canonical_face(match)
+    walk = min(_canonical_face(f) for f in faces)
     v1, v2, v_top = walk
 
     if n == 3:

@@ -6,8 +6,13 @@ match exactly; ``test_reference.py`` compares them on random inputs.
 
 from __future__ import annotations
 
+import itertools
+import random
+from typing import Optional, Sequence
+
 from simembed import (
     GridPoint,
+    PathOrder,
     Violation,
     InternalInvariantError,
     InvalidInstanceError,
@@ -16,9 +21,17 @@ from simembed import (
     validate_layer,
 )
 from simembed import certify
-from simembed.geometry import orient
+from simembed.errors import SearchBudgetError
+from simembed.geometry import _conflict_raw, orient
 from simembed.graphs import _chords_cross, _trace_faces
-from simembed.mapped import _offset_scan
+from simembed.mapped import (
+    EXHAUSTIVE_GRID_LIMIT,
+    FivePointSearchResult,
+    _check_permutation,
+    _fundamental_domain,
+    _grid_points,
+    _offset_scan,
+)
 
 
 def scatter_pair_scan(
@@ -194,3 +207,179 @@ def collinear_triples_cubic(points: list[GridPoint]) -> list[tuple[int, int, int
         for k in range(j + 1, n)
         if orient(points[i], points[j], points[k]) == 0
     ]
+
+
+def five_point_check_table(
+    grid_extent: int | tuple[int, int],
+    paths: Sequence[PathOrder],
+    seed: Optional[int] = None,
+    samples: Optional[int] = None,
+) -> FivePointSearchResult:
+    """The five-point search before its two modes shared one per-level
+    check: a precomputed ``count**4`` conflict table on grids up to 6 x 6,
+    the direct predicate above that, and its own sampled loop.
+
+    Returns the first placement, no 3 collinear, where every given path is
+    crossing-free, or None if every valid placement forces a crossing in
+    some path.  Grids up to extent 8 are exhausted; larger grids require
+    ``samples`` and are randomly probed with the seeded generator.
+    """
+    if isinstance(grid_extent, tuple):
+        w, h = grid_extent
+    else:
+        w = h = grid_extent
+    if w < 1 or h < 1:
+        raise InvalidInstanceError("grid extent must be positive")
+    if samples is not None and samples < 1:
+        # a verdict after no placements would claim what nothing checked
+        raise InvalidInstanceError(f"sample count must be positive, got {samples}")
+    for p in paths:
+        if p.n != 5:
+            raise InvalidInstanceError("the search is defined for 5-vertex paths")
+        _check_permutation(p.order, 5, "path")
+
+    # Same-path disjoint edge pairs, bucketed by their largest vertex so the
+    # search can check each pair as soon as its last endpoint is placed.
+    cross_checks: list[list[tuple[int, int, int, int]]] = [[] for _ in range(5)]
+    for p in paths:
+        edges = [tuple(sorted(e)) for e in p.edges()]
+        for e1, e2 in itertools.combinations(edges, 2):
+            if set(e1) & set(e2):
+                continue
+            level = max(*e1, *e2)
+            cross_checks[level].append((*e1, *e2))
+    tri_checks: list[list[tuple[int, int]]] = [
+        [(i, j) for i in range(lvl) for j in range(i + 1, lvl)] for lvl in range(5)
+    ]
+
+    if max(w, h) > EXHAUSTIVE_GRID_LIMIT:
+        if samples is None:
+            raise SearchBudgetError(
+                f"grid {w}x{h} exceeds the exhaustive budget "
+                f"({EXHAUSTIVE_GRID_LIMIT}); pass a sample count"
+            )
+        return sampled_five_point_check(w, h, cross_checks, tri_checks, seed, samples)
+
+    pts = _grid_points(w, h)
+    count = len(pts)
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+
+    def conflict(a: int, b: int, c: int, d: int) -> bool:
+        return _conflict_raw(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d])
+
+    conflict_table: Optional[bytearray] = None
+    if count**4 <= 2_000_000:
+        conflict_table = bytearray(count**4)
+        for a in range(count):
+            for b in range(count):
+                if a == b:
+                    continue
+                base = (a * count + b) * count
+                for c in range(count):
+                    for d in range(count):
+                        if c == d:
+                            continue
+                        if conflict(a, b, c, d):
+                            conflict_table[(base + c) * count + d] = 1
+
+    placement = [0] * 5
+    checked = 0
+    first_candidates = _fundamental_domain(w, h)
+
+    def collinear(a: int, b: int, c: int) -> bool:
+        return (xs[b] - xs[a]) * (ys[c] - ys[a]) == (ys[b] - ys[a]) * (xs[c] - xs[a])
+
+    def level_ok(lvl: int) -> bool:
+        pt = placement[lvl]
+        for i, j in tri_checks[lvl]:
+            if collinear(placement[i], placement[j], pt):
+                return False
+        for a, b, c, d in cross_checks[lvl]:
+            pa, pb, pc, pd = placement[a], placement[b], placement[c], placement[d]
+            if conflict_table is not None:
+                if conflict_table[((pa * count + pb) * count + pc) * count + pd]:
+                    return False
+            elif conflict(pa, pb, pc, pd):
+                return False
+        return True
+
+    def dfs(lvl: int) -> Optional[list[int]]:
+        nonlocal checked
+        candidates = first_candidates if lvl == 0 else range(count)
+        for pt in candidates:
+            if pt in placement[:lvl]:
+                continue
+            placement[lvl] = pt
+            if lvl == 4:
+                checked += 1
+            if not level_ok(lvl):
+                continue
+            if lvl == 4:
+                return list(placement)
+            found = dfs(lvl + 1)
+            if found is not None:
+                return found
+        return None
+
+    witness = dfs(0)
+    counterexample = (
+        [GridPoint(xs[i], ys[i]) for i in witness] if witness is not None else None
+    )
+    return FivePointSearchResult(
+        counterexample=counterexample,
+        placements_checked=checked,
+        exhaustive=True,
+        grid=(w, h),
+    )
+
+
+def sampled_five_point_check(
+    w: int,
+    h: int,
+    cross_checks: list[list[tuple[int, int, int, int]]],
+    tri_checks: list[list[tuple[int, int]]],
+    seed: Optional[int],
+    samples: int,
+) -> FivePointSearchResult:
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(samples):
+        pts: list[tuple[int, int]] = []
+        used = set()
+        while len(pts) < 5:
+            cand = (rng.randrange(w), rng.randrange(h))
+            if cand not in used:
+                used.add(cand)
+                pts.append(cand)
+        checked += 1
+        xs = [p[0] for p in pts]
+        ys = [p[1] for p in pts]
+        ok = True
+        for lvl in range(5):
+            for i, j in tri_checks[lvl]:
+                if (xs[j] - xs[i]) * (ys[lvl] - ys[i]) == (ys[j] - ys[i]) * (
+                    xs[lvl] - xs[i]
+                ):
+                    ok = False
+                    break
+            if not ok:
+                break
+            for a, b, c, d in cross_checks[lvl]:
+                if _conflict_raw(
+                    xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d]
+                ):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return FivePointSearchResult(
+                counterexample=[GridPoint(x, y) for x, y in pts],
+                placements_checked=checked,
+                exhaustive=False,
+                grid=(w, h),
+            )
+    return FivePointSearchResult(
+        counterexample=None, placements_checked=checked, exhaustive=False, grid=(w, h)
+    )

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from helpers import thin_outerplanar, thin_plane
-from simembed import LayeredInstance, cli_main, generate, serialize_instance
+from simembed import LayeredInstance, cli_main, generate, parse_instance, serialize_instance
 
 GEN_KINDS = ("two-paths", "two-caterpillars", "path-caterpillar", "outerplanars", "planar-outerplanar")
 
@@ -48,6 +48,20 @@ def _thinned_case(kind, n, seed, plane_share, density):
     return f"thin-{kind}-n{n}-s{seed}-drop{plane_share}-chords{density}", build
 
 
+def _reversed_case(kind, n, seed):
+    # The embedders take path before caterpillar and planar before
+    # outerplanar; these instances list the layers the other way round.
+    def build(tmp_path):
+        _, gen_build = _gen_case(kind, n, seed)
+        path = gen_build(tmp_path)
+        inst = parse_instance(path.read_text(encoding="utf-8"))
+        inst.layers.reverse()
+        path.write_text(serialize_instance(inst))
+        return path
+
+    return f"reversed-{kind}-n{n}-s{seed}", build
+
+
 CASES = dict(
     [_gen_case(kind, n, seed) for kind in GEN_KINDS for n in (6, 11) for seed in (1, 2)]
     + [
@@ -57,9 +71,16 @@ CASES = dict(
         for share, density in ((0.4, 0.5), (1.0, 0.0))
     ]
     + [_thinned_case("outerplanars", n, seed, 0.0, 0.5) for n in (7, 13, 30) for seed in (1, 2)]
+    + [
+        _reversed_case(kind, n, seed)
+        for kind in ("path-caterpillar", "planar-outerplanar")
+        for n in (6, 11)
+        for seed in (1, 2)
+    ]
 )
 
-# Recorded before the scatter and face-completion rewrites.
+# Recorded before the scatter and face-completion rewrites; the reversed-*
+# entries before the embed dispatch became table-driven.
 DIGESTS = {
     "gen-outerplanars-n11-s1": "0c25a39f70c4e105879a6ed03e47afa12a4d7b2dabab6baeff35a33629fc7abe",
     "gen-outerplanars-n11-s2": "1c84398644564d3635c5f05ed758b348501ef9f6c48e6ea298b757d2f94de049",
@@ -81,6 +102,14 @@ DIGESTS = {
     "gen-two-paths-n11-s2": "c5bd614447f2db7ff438ce839ed1403bd80714a365a766fe5f424817d7a7aeac",
     "gen-two-paths-n6-s1": "29c1b084019b84fd8e95e77113545190f4d7b52f88c72f2148a07eba1ce3b651",
     "gen-two-paths-n6-s2": "07184b35ca94303eb9d8b2e03f9e4a126e4268376056052dc6606d3011a36636",
+    "reversed-path-caterpillar-n11-s1": "d38719ffd29208bf287984bc9af126a74abf28f76f3b44efbd1273d59e278030",
+    "reversed-path-caterpillar-n11-s2": "ea4ebec1c098491f69f3c3bdfce71c9adecda32bb98e7a4e63c3ee2a5bb4d325",
+    "reversed-path-caterpillar-n6-s1": "b85c207d9cc89380790e33245a99ef53fae52b35889a4ef016f047ca9e8fc1c8",
+    "reversed-path-caterpillar-n6-s2": "9a5e51ba57e048f5972a499b036f604a2313620f94a9a3c84a3879e787c546a6",
+    "reversed-planar-outerplanar-n11-s1": "45731d4faa19f7e7a729768bc65d9b78e80b953bbe0bf2299fe162780ea87dea",
+    "reversed-planar-outerplanar-n11-s2": "5dc1811c57dfeeb36c3d7cafc87f13003e6925bb4c629608f4a6e4af138805c3",
+    "reversed-planar-outerplanar-n6-s1": "b485029f99e0d6fabecd77d39b0304d2c25bc0e28d2453f3fc7a82e432aa9741",
+    "reversed-planar-outerplanar-n6-s2": "38d0cbb63b450cd8ec2d9b0e1157ec63abc2cc8e76a8ab3de86e67d41628fa9d",
     "thin-outerplanars-n13-s1-drop0.0-chords0.5": "a719a311bfbbae551270e205765e65d49fadc6c74639165f068acf6a0c8f57c1",
     "thin-outerplanars-n13-s2-drop0.0-chords0.5": "84d042f13c1f425ef90fea0949d6222e92417117a2314e3240417c3f541563d0",
     "thin-outerplanars-n30-s1-drop0.0-chords0.5": "43dddcaca88d582f5ae6b6065f9b7688536dd685764b7058fe4ef9086cec9527",

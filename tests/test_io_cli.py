@@ -239,6 +239,18 @@ def test_cli_embed_reversed_layer_orders(tmp_path):
     assert doc2["certificate"]["ok"] is True
 
 
+    # the embedding lists its layers in the instance's order; the result
+    # document does not show this for a given mapping
+    from simembed.cli import _dispatch_embed
+
+    for doc_path in (f, f2):
+        inst = parse_instance(doc_path.read_text(encoding="utf-8"))
+        emb = _dispatch_embed(inst)
+        assert [{frozenset(e) for e in edges} for edges in emb.layers] == [
+            {frozenset(e) for e in layer.edges} for layer in inst.layers
+        ]
+
+
 def test_cli_rejects_unsupported_combination(tmp_path):
     doc = {
         "n": 4,
@@ -316,7 +328,8 @@ def test_cli_fivepaths_sampled(tmp_path):
     assert doc["search"]["counterexample"] is None
 
 
-@pytest.mark.parametrize("grid, samples", [("12", "0"), ("12", "-5"), ("4", "0")])
+# ("4", "5"): a count at or below grid 8 would be ignored by the exhaustive search
+@pytest.mark.parametrize("grid, samples", [("12", "0"), ("12", "-5"), ("4", "0"), ("4", "5")])
 def test_cli_fivepaths_rejects_a_sample_count_below_one(tmp_path, capsys, grid, samples):
     out = tmp_path / "five.json"
     capsys.readouterr()

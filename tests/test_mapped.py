@@ -293,6 +293,8 @@ def test_exhaustive_check_small_grid():
     res = exhaustive_five_point_check(4, paths)
     assert res.counterexample is None
     assert res.exhaustive
+    assert res.placements_checked == 13680
+    assert exhaustive_five_point_check(3, paths).placements_checked == 420
 
 
 def test_exhaustive_check_four_paths_find_witness():

@@ -6,8 +6,11 @@ must return exactly what the pair scan, the re-trace-per-chord loops, the
 all-pairs edge loop and the cubic triple loop in ``reference.py`` return,
 on inputs chosen so that candidates are rejected, faces of every size get
 completed, and edges overlap, touch and tie in every way a grid allows.
+The five-point search with one per-level check must report what the
+conflict-table search and its separate sampled loop reported.
 """
 
+import itertools
 import random
 
 import pytest
@@ -17,6 +20,7 @@ from helpers import thin_outerplanar, thin_plane
 from reference import (
     certifier_pair_tests,
     collinear_triples_cubic,
+    five_point_check_table,
     layer_crossings_all_pairs,
     maximalize_outerplanar_retrace,
     same_ray,
@@ -24,12 +28,16 @@ from reference import (
     triangulate_plane_retrace,
 )
 from simembed import (
+    FIVE_PATHS,
     GridPoint,
     InternalInvariantError,
     Layer,
+    PathOrder,
     certify_general_position,
+    exhaustive_five_point_check,
     generate,
     maximalize_outerplanar,
+    path_from_digits,
     triangulate_plane,
 )
 from simembed import certify
@@ -249,3 +257,42 @@ def test_full_collinearity_scan_matches_cubic_loop(coords):
     report = certify_general_position(points, full_scan=True)
     assert all(v.kind == "collinear-triple" for v in report.violations)
     assert [v.witness for v in report.violations] == collinear_triples_cubic(points)
+
+
+def _search_outcome(res):
+    return res.counterexample, res.placements_checked, res.exhaustive
+
+
+_FIVE = [path_from_digits(d) for d in FIVE_PATHS]
+_RANDOM_PATH_SETS = [
+    [PathOrder(random.Random(seed * 10 + k).sample(range(5), 5)) for k in range(1 + seed % 4)]
+    for seed in range(6)
+]
+
+
+@pytest.mark.parametrize(
+    "grid", [1, 2, 3, 4, (1, 5), (2, 3), (4, 3)], ids=["1", "2", "3", "4", "1x5", "2x3", "4x3"]
+)
+def test_five_point_search_matches_table_search(grid):
+    subsets = [list(c) for k in range(1, 6) for c in itertools.combinations(_FIVE, k)]
+    for paths in subsets + _RANDOM_PATH_SETS:
+        assert _search_outcome(exhaustive_five_point_check(grid, paths)) == _search_outcome(
+            five_point_check_table(grid, paths)
+        )
+
+
+@pytest.mark.parametrize(
+    "grid", [9, 10, 11, 12, (9, 12), (12, 10)], ids=["9", "10", "11", "12", "9x12", "12x10"]
+)
+def test_sampled_five_point_search_matches_old_sampler(grid):
+    # Two or three paths leave room for a witness, so the sampler stops
+    # early and the draw order decides where; all five never embed.  The
+    # rectangles tell an x draw from a y draw.
+    witnesses = 0
+    for seed in range(10):
+        for paths in (_FIVE[:2], _FIVE[1:4], _FIVE, _RANDOM_PATH_SETS[seed % 6]):
+            new = exhaustive_five_point_check(grid, paths, seed=seed, samples=200)
+            old = five_point_check_table(grid, paths, seed=seed, samples=200)
+            assert _search_outcome(new) == _search_outcome(old)
+            witnesses += new.counterexample is not None
+    assert witnesses >= 10
