@@ -1,10 +1,11 @@
 """Simultaneous straight-line grid embeddings of layered graphs.
 
 With a given vertex mapping: two paths on an n x n grid, a path plus a
-caterpillar on at most (2n-k) x n, two caterpillars on n(2n+1) x
-n(2n^2+1).  Without a mapping: any number of outerplanar graphs on a
-near-n x n grid, and a planar/outerplanar pair on a polynomially bounded
-grid.  Every output can be certified independently with exact integer
+caterpillar on at most (2n-k) x n, two caterpillars on pn x pn for p the
+smallest prime >= n.  Without a mapping: any number of outerplanar graphs
+on a near-n x n grid, and a planar/outerplanar pair on about
+12n^3 x 6n^3.  General position comes in closed form from Erdős's mod-p
+parabola, lifted onto a scaled base drawing.  Every output can be certified independently with exact integer
 predicates, and the bundled five-path family comes with an exhaustive
 impossibility check.
 """

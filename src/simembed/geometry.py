@@ -15,7 +15,7 @@ from .errors import CoordinateBudgetError, DegenerateSegmentError, DuplicatePoin
 
 # Largest coordinate magnitude accepted anywhere in the kernel.  Generous
 # enough for the largest grids the embedders emit at practical sizes
-# (planar layers up to n = 550, checked before any work), and small enough
+# (planar layers up to n = 4507, checked before any work), and small enough
 # that every intermediate product below fits comfortably in 128 bits.
 COORD_LIMIT = 1 << 40
 
@@ -34,6 +34,14 @@ def _largest_within_budget(extent: Callable[[int], int]) -> int:
         else:
             hi = mid
     return lo
+
+
+def _next_prime(m: int) -> int:
+    """The smallest prime >= max(m, 2)."""
+    c = max(m, 2)
+    while any(c % d == 0 for d in range(2, math.isqrt(c) + 1)):
+        c += 1
+    return c
 
 
 @dataclass(frozen=True, order=True)
@@ -64,6 +72,30 @@ class Segment:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise DegenerateSegmentError(f"segment endpoints coincide at {self.a}")
+
+
+def _parabola_lift(base: list[GridPoint], scale: int, p: int) -> list[GridPoint]:
+    """Point i goes to scale * base[i] + (i, i^2 mod p).
+
+    For p prime, at most p points and ``scale`` a multiple of p, no three
+    lifted points are collinear, whatever the base points (Erdős's mod-p
+    parabola; see Roth, *On a problem of Heilbronn*, 1951).  Reduced mod p,
+    the determinant of lifted points i < j < k is that of the offsets
+    (t, t^2) for t = i, j, k, the Vandermonde product (j-i)(k-i)(k-j),
+    and p divides none of its factors.  Distinctness follows the same way
+    from the x offsets i mod p.
+    """
+    return [GridPoint(scale * b.x + i, scale * b.y + i * i % p) for i, b in enumerate(base)]
+
+
+def _translate_to_origin(points: list[GridPoint]) -> tuple[list[GridPoint], int, int]:
+    # Shift so the smallest x and y are 1; also return the width and height.
+    min_x = min(p.x for p in points)
+    min_y = min(p.y for p in points)
+    shifted = [GridPoint(p.x - min_x + 1, p.y - min_y + 1) for p in points]
+    width = max(p.x for p in shifted)
+    height = max(p.y for p in shifted)
+    return shifted, width, height
 
 
 def orient(a: GridPoint, b: GridPoint, c: GridPoint) -> int:

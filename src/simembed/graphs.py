@@ -336,10 +336,17 @@ def rotation_system_from_faces(n: int, faces: list[tuple[int, ...]]) -> list[lis
 
 def check_plane_embedding(layer: Layer, n: int) -> int:
     """Validate a rotation system via Euler's formula and return the face count."""
+    return len(_plane_faces(layer, n))
+
+
+def _plane_faces(layer: Layer, n: int) -> list[list[tuple[int, int]]]:
+    # check_plane_embedding's checks, returning the traced faces so that a
+    # caller that needs them does not trace them again.
     validate_layer(layer, n)
     if layer.rotation is None:
         raise InvalidInstanceError("plane embedding check requires a rotation system")
-    _validate_rotation(layer, n)
+    if layer.kind != "planar":  # validate_layer checked a planar rotation
+        _validate_rotation(layer, n)
     adj = _adjacency(n, layer.edges)
     if not _connected(n, adj):
         raise InvalidInstanceError("plane embedding check requires a connected graph")
@@ -349,18 +356,18 @@ def check_plane_embedding(layer: Layer, n: int) -> int:
         raise InvalidInstanceError(
             f"rotation is not a plane embedding: V-E+F = {n - len(layer.edges) + f}"
         )
-    return f
+    return faces
 
 
 def _complete_faces(
-    n: int,
     edges: list[tuple[int, int]],
     rotation: list[list[int]],
+    faces: list[list[tuple[int, int]]],
     skip_dart: Optional[tuple[int, int]] = None,
 ) -> list[tuple[int, int]]:
     """Add chords until every face except the one holding ``skip_dart`` is a
     triangle; ``edges`` and ``rotation`` are extended in place and the added
-    edges are returned.
+    edges are returned.  ``faces`` is ``_trace_faces`` of the input.
 
     The chord sequence is the one that re-tracing all faces after each chord
     would give, but the faces are traced once.  In that re-trace the forward
@@ -382,7 +389,7 @@ def _complete_faces(
     edge_set = {frozenset(e) for e in edges}
     heap = [
         (key[f[0]], f)
-        for f in _trace_faces(n, edges, rotation)
+        for f in faces
         if len(f) > 3 and skip_dart not in f
     ]
     heapq.heapify(heap)
@@ -427,12 +434,12 @@ def triangulate_plane(layer: Layer, n: int) -> tuple[Layer, list[tuple[int, int]
     drawings can drop them afterwards.  Never creates parallel edges: a
     chord is only drawn between distinct, non-adjacent corners of a face.
     """
-    check_plane_embedding(layer, n)
+    faces = _plane_faces(layer, n)
     if n < 3:
         raise InvalidInstanceError("triangulation needs at least 3 vertices")
     rotation = [list(r) for r in layer.rotation or []]
     edges = list(layer.edges)
-    dummies = _complete_faces(n, edges, rotation)
+    dummies = _complete_faces(edges, rotation, faces)
 
     if len(edges) != 3 * n - 6:
         raise InternalInvariantError(
@@ -502,7 +509,8 @@ def maximalize_outerplanar(layer: Layer, n: int) -> tuple[Layer, list[tuple[int,
         sorted(nbrs, key=lambda w: (pos[w] - pos[v]) % n)
         for v, nbrs in enumerate(_adjacency(n, edges))
     ]
-    dummies += _complete_faces(n, edges, rotation, skip_dart=(cyc[1], cyc[0]))
+    faces = _trace_faces(n, edges, rotation)
+    dummies += _complete_faces(edges, rotation, faces, skip_dart=(cyc[1], cyc[0]))
 
     if len(edges) != 2 * n - 3:
         raise InternalInvariantError(

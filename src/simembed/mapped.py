@@ -1,7 +1,7 @@
 """Embedders for instances whose vertex mapping is given.
 
 Two paths go straight onto an n x n grid, caterpillars go through the
-two-path layout plus a grid refinement that breaks all collinearities,
+two-path layout plus a mod-p parabola lift that breaks all collinearities,
 and a path/caterpillar pair uses the doubled-column layout with right
 shifts.  The five-path machinery provides the impossibility certificate:
 pair coverage plus an exhaustive search over small grids.
@@ -10,7 +10,6 @@ pair coverage plus an exhaustive search over small grids.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -21,7 +20,14 @@ from .errors import (
     InvalidInstanceError,
     SearchBudgetError,
 )
-from .geometry import COORD_LIMIT, GridPoint, _conflict_raw, _largest_within_budget
+from .geometry import (
+    COORD_LIMIT,
+    GridPoint,
+    _conflict_raw,
+    _next_prime,
+    _parabola_lift,
+    _translate_to_origin,
+)
 from .graphs import Caterpillar, PathOrder, SimultaneousEmbedding, caterpillar_to_path
 
 #: Largest square grid the five-point search will exhaust.
@@ -56,78 +62,18 @@ def embed_two_paths(p1: PathOrder, p2: PathOrder) -> SimultaneousEmbedding:
     )
 
 
-def _offset_scan(half_w: int, half_h: int):
-    # Row-major from the cell center outward: dy = 0, +1, -1, ...; within a
-    # row dx = 0, +1, -1, ...
-    def steps(limit: int):
-        yield 0
-        for d in range(1, limit + 1):
-            yield d
-            yield -d
-
-    for dy in steps(half_h):
-        for dx in steps(half_w):
-            yield dx, dy
-
-
-def _scatter_general_position(
-    centers: list[tuple[int, int]], half_w: int, half_h: int
-) -> list[GridPoint]:
-    """Greedy placement: one point per cell (center +- half sizes), never
-    collinear with any two already-placed points.  A counting argument on
-    the cell capacity guarantees a free slot exists.
-
-    A candidate c is collinear with placed points a and b exactly when the
-    directions from c to a and from c to b, each reduced by its gcd and
-    with its sign normalised, are equal (the slope hashing of
-    ``find_collinear_triple``).  So one pass over the m placed points with
-    a set of directions tests a candidate in O(m) rather than over all
-    O(m^2) pairs.  A candidate on a placed point has no direction
-    to it; it lies on a line with that point and any other, so it is
-    rejected once two points are placed.
-    """
-    gcd = math.gcd
-    placed: list[tuple[int, int]] = []
-    for cx, cy in centers:
-        m = len(placed)
-        for dx, dy in _offset_scan(half_w, half_h):
-            x = cx + dx
-            y = cy + dy
-            seen: set[tuple[int, int]] = set()
-            for a, b in placed:
-                a -= x
-                b -= y
-                g = gcd(a, b)
-                if g == 0:
-                    if m >= 2:
-                        break
-                    continue
-                if a < 0 or (a == 0 and b < 0):
-                    g = -g
-                direction = (a // g, b // g)
-                if direction in seen:
-                    break
-                seen.add(direction)
-            else:
-                break
-        else:
-            raise InternalInvariantError(
-                "no collinearity-free slot in cell; counting bound violated"
-            )
-        placed.append((x, y))
-    return [GridPoint(x, y) for x, y in placed]
-
-
 def refine_general_position(
     points: list[GridPoint], base_extent: int
 ) -> list[GridPoint]:
     """Rescale a small-grid point set so no three points are collinear.
 
-    Each input point's cell is the box of its scaled position plus/minus
-    (m, m^2) where m = max(base extent, point count); x stretches by
-    2m + 1, y by 2m^2 + 1.  Points in different cells keep their relative
-    x and y order.  Coordinates reach base extent * (2m^2 + 1) + m^2, which
-    is checked against COORD_LIMIT before any work.
+    Point i goes to p * base_i + (i, i^2 mod p), with p the smallest prime
+    >= the point count: the mod-p parabola lift of
+    :func:`geometry._parabola_lift`, so no three outputs are collinear.
+    Every offset lies in [0, p - 1], so base x values a < b give
+    p*a + (p - 1) < p*b and points keep their strict x order, and likewise
+    their strict y order.  Coordinates reach p * base extent + p - 1,
+    which is checked against COORD_LIMIT before any work.
     """
     for p in points:
         if abs(p.x) > base_extent or abs(p.y) > base_extent:
@@ -139,33 +85,22 @@ def refine_general_position(
         if (p.x, p.y) in seen:
             raise InvalidInstanceError(f"duplicate base point {p}")
         seen.add((p.x, p.y))
-    m = max(base_extent, len(points))
-    cell_w = 2 * m + 1
-    cell_h = 2 * m * m + 1
-    extent = base_extent * cell_h + m * m
+    prime = _next_prime(len(points))
+    extent = prime * base_extent + prime - 1
     if extent > COORD_LIMIT:
-        fits = _largest_within_budget(lambda k: k * (2 * k * k + 1) + k * k)
         raise CoordinateBudgetError(
-            f"general-position refinement needs coordinates up to {extent}, over "
-            f"the budget 2^40; point counts and base extents up to {fits} fit"
+            f"general-position refinement of {len(points)} points needs coordinates "
+            f"up to {extent}, over the budget 2^40; base extents up to "
+            f"{(COORD_LIMIT - prime + 1) // prime} fit"
         )
-    centers = [(p.x * cell_w, p.y * cell_h) for p in points]
-    return _scatter_general_position(centers, m, m * m)
-
-
-def _translate_to_origin(points: list[GridPoint]) -> tuple[list[GridPoint], int, int]:
-    min_x = min(p.x for p in points)
-    min_y = min(p.y for p in points)
-    shifted = [GridPoint(p.x - min_x + 1, p.y - min_y + 1) for p in points]
-    width = max(p.x for p in shifted)
-    height = max(p.y for p in shifted)
-    return shifted, width, height
+    return _parabola_lift(points, prime, prime)
 
 
 def embed_two_caterpillars(c1: Caterpillar, c2: Caterpillar) -> SimultaneousEmbedding:
     """Linearize both caterpillars, lay the two paths out on n x n, then
     refine to general position and swap the path edges for the caterpillar
-    edges.  Fits n(2n+1) x n(2n^2+1)."""
+    edges.  Fits p*n x p*n for p the smallest prime >= n, and p < 2n for
+    n >= 2 (Bertrand's postulate)."""
     n = c1.n
     if c2.n != n:
         raise InvalidInstanceError("caterpillars must share one vertex set")

@@ -1,8 +1,8 @@
 """Embedders for instances without a prescribed vertex mapping.
 
 The pipeline building blocks: a shift-method grid drawing for plane
-triangulations, a scaled perturbation that upgrades any plane drawing to
-general position, parabola-based point sets that are collinearity-free by
+triangulations, a mod-p parabola lift that upgrades it to general position
+in closed form, parabola-based point sets that are collinearity-free by
 construction, and the split-by-split embedding of a maximal outerplanar
 graph onto an arbitrary general-position point set: one angular-rank split
 rule, proved in :func:`_select_split`, applied to an explicit stack of
@@ -27,6 +27,9 @@ from .geometry import (
     GridPoint,
     _conflict_raw,
     _largest_within_budget,
+    _next_prime,
+    _parabola_lift,
+    _translate_to_origin,
     convex_hull,
     find_collinear_triple,
     orient,
@@ -34,13 +37,12 @@ from .geometry import (
 from .graphs import (
     Layer,
     SimultaneousEmbedding,
+    _plane_faces,
     _trace_faces,
-    check_plane_embedding,
     maximalize_outerplanar,
     triangulate_plane,
     validate_layer,
 )
-from .mapped import _scatter_general_position, _translate_to_origin
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +68,17 @@ def planar_grid_draw(layer: Layer, n: int) -> list[GridPoint]:
     drawing right by one or two columns so the new fan stays planar.
     The outer face is the lexicographically smallest face walk.
     """
-    check_plane_embedding(layer, n)
+    faces = _plane_faces(layer, n)
     if len(layer.edges) != 3 * n - 6:
         raise InvalidInstanceError("grid drawing requires a triangulation (E = 3n-6)")
-    rotation = layer.rotation
-    assert rotation is not None
-    faces = _trace_faces(n, layer.edges, rotation)
+    return _draw_triangulation(layer.rotation, faces, n)
+
+
+def _draw_triangulation(
+    rotation: list[list[int]], faces: list[list[tuple[int, int]]], n: int
+) -> list[GridPoint]:
+    # planar_grid_draw for a rotation system already known to be a plane
+    # embedding with 3n - 6 edges, given its traced faces.
     if any(len(f) != 3 for f in faces):
         raise InvalidInstanceError("grid drawing requires all faces to be triangles")
 
@@ -189,33 +196,57 @@ def planar_grid_draw(layer: Layer, n: int) -> list[GridPoint]:
 # General-position drawing
 # ---------------------------------------------------------------------------
 
-#: Safety factor for the general-position perturbation.  Scaling the base
-#: drawing by sigma * cell size keeps every perturbation at most a 1/sigma
-#: fraction of the point spacing, which is small enough that no strict
-#: orientation of a base triple can flip (the worst-case error term stays
-#: below the scaled unit determinant for sigma >= 6n).
-def _sigma(n: int) -> int:
-    return 6 * n
+
+def _planar_lift(n: int) -> tuple[int, int]:
+    # The prime p and scale lambda of planar_general_position_draw.
+    p = _next_prime(n)
+    return p, p * (6 * n + 1)
 
 
 def general_position_bounds(n: int) -> tuple[int, int]:
     """Documented extent bound for :func:`planar_general_position_draw`."""
-    s = _sigma(n)
-    return (
-        s * (2 * n - 4) * (2 * n + 1) + 2 * n + 1,
-        s * (n - 2) * (2 * n * n + 1) + 2 * n * n + 1,
-    )
+    p, lam = _planar_lift(n)
+    return lam * (2 * n - 4) + p, lam * (n - 2) + p
 
 
 def planar_general_position_draw(layer: Layer, n: int) -> list[GridPoint]:
     """Draw a plane graph so that additionally no three vertices are collinear.
 
-    Triangulates, draws on the small grid, scales by the safety factor,
-    then perturbs each vertex inside its own (2n+1) x (2n^2+1) cell until
-    every collinearity is broken.  Existing crossings cannot appear because
-    the scaled spacing dwarfs the cells.  The drawing fits in
-    :func:`general_position_bounds`, which is checked against COORD_LIMIT
-    before any work: at most 550 vertices fit.
+    Triangulates and draws the triangulation on the (2n-4) x (n-2) grid as
+    base points b_i, then lifts vertex i to lam * b_i + o_i with offset
+    o_i = (i, i^2 mod p), p the smallest prime >= n and lam = p(6n + 1).
+    The drawing fits in :func:`general_position_bounds`, which is checked
+    against COORD_LIMIT before any work: at most 4507 vertices fit.  As p
+    divides lam, :func:`geometry._parabola_lift` leaves no three collinear.
+
+    Orientations: a lifted triple's determinant is lam^2 D_b + lam E + D_o,
+    with D_b the base determinant, D_o that of the offsets and E the two
+    mixed cross products of base and offset differences.  Base differences
+    are at most 2n - 4 and n - 2 per axis and offset differences at most
+    p - 1, so |E| < 2(3n - 6)p < 6np and |D_o| < 2p^2 <= lam * p.  Hence
+    lam^2 = lam * 6np + lam * p exceeds the error, and every nonzero base
+    orientation keeps its sign.
+
+    Plane: the base drawing is plane with distinct points.  With no three
+    lifted points collinear, no vertex lies on an edge and edges sharing an
+    endpoint cannot overlap, so lifted edges ab and cd can only cross
+    properly, each separating the other's endpoints.
+      * No base orientation among a, b, c, d is zero: all four signs are
+        kept, so the base edges would cross.
+      * c or d on base line ab (beyond the edge), neither a nor b on base
+        line cd: a and b keep their strict sides of line cd, so base
+        segment ab meets line cd, at the one common point of the two
+        lines, which is the vertex of c, d on line ab.  That vertex would
+        lie on base edge ab, which the plane base forbids.  Likewise for
+        a or b on base line cd.
+      * c or d on base line ab and a or b on base line cd: if the lines
+        differ, both vertices sit at their one common point, impossible.
+        Otherwise all four are collinear and the base edges are disjoint
+        intervals of one line with primitive direction w.  In w . (x, y),
+        distinct base points on it differ by at least |w|^2 and two
+        offsets by at most (|w_x| + |w_y|)(p - 1) < lam |w|^2, so the
+        lifted points keep their order along w and a line across w
+        separates the edges.
     """
     width, height = general_position_bounds(n)
     if max(width, height) > COORD_LIMIT:
@@ -225,12 +256,9 @@ def planar_general_position_draw(layer: Layer, n: int) -> list[GridPoint]:
             f"grid, over the coordinate budget 2^40; at most {fits} vertices fit"
         )
     tri, _dummies = triangulate_plane(layer, n)
-    base = planar_grid_draw(tri, n)
-    s = _sigma(n)
-    cell_w = 2 * n + 1
-    cell_h = 2 * n * n + 1
-    centers = [(p.x * s * cell_w, p.y * s * cell_h) for p in base]
-    return _scatter_general_position(centers, n, n * n)
+    base = _draw_triangulation(tri.rotation, _trace_faces(n, tri.edges, tri.rotation), n)
+    p, lam = _planar_lift(n)
+    return _parabola_lift(base, lam, p)
 
 
 # ---------------------------------------------------------------------------
@@ -244,24 +272,6 @@ class ParabolaSet:
 
     p: int
     points: list[GridPoint]
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _next_prime(m: int) -> int:
-    c = max(m, 2)
-    while not _is_prime(c):
-        c += 1
-    return c
 
 
 def parabola_pointset(n: int, verify: bool = True) -> ParabolaSet:
@@ -541,16 +551,15 @@ def simul_embed_planar_outerplanar(
     their own index spaces; the returned assignments map them onto the
     shared points (identity for the plane layer).
     """
-    validate_layer(g1, n)
-    validate_layer(g2, n)
+    validate_layer(g2, n)  # g1 is validated by the drawing, once
     if g1.kind != "planar":
         raise InvalidInstanceError("first layer must be a plane graph with rotation")
     if g2.kind != "outerplanar":
         raise InvalidInstanceError("second layer must be outerplanar")
     pts = planar_general_position_draw(g1, n)
     maxed, _dummies = maximalize_outerplanar(g2, n)
-    # The scatter accepts no point collinear with two placed ones, and its
-    # cells are far apart, so pts needs no second collinearity check.
+    # The parabola lift leaves no three points collinear, so pts needs no
+    # second collinearity check.
     phi2 = _embed_on_general_position(maxed, pts)
     coords, width, height = _translate_to_origin(pts)
     return SimultaneousEmbedding(

@@ -7,6 +7,7 @@ match exactly; ``test_reference.py`` compares them on random inputs.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Optional, Sequence
 
@@ -30,8 +31,67 @@ from simembed.mapped import (
     _check_permutation,
     _fundamental_domain,
     _grid_points,
-    _offset_scan,
 )
+
+
+def _offset_scan(half_w: int, half_h: int):
+    # Row-major from the cell center outward: dy = 0, +1, -1, ...; within a
+    # row dx = 0, +1, -1, ...
+    def steps(limit: int):
+        yield 0
+        for d in range(1, limit + 1):
+            yield d
+            yield -d
+
+    for dy in steps(half_h):
+        for dx in steps(half_w):
+            yield dx, dy
+
+
+def scatter_direction_hash(
+    centers: list[tuple[int, int]], half_w: int, half_h: int
+) -> list[GridPoint]:
+    """Greedy placement: one point per cell (center +- half sizes), the
+    first candidate in scan order that is collinear with no two placed
+    points.  The general-position drawings used this before the closed-form
+    parabola lift replaced it.
+
+    A candidate c is collinear with placed points a and b exactly when the
+    directions from c to a and from c to b, each reduced by its gcd and
+    with its sign normalised, are equal.  So one pass over the m placed
+    points with a set of directions tests a candidate in O(m) rather than
+    over all O(m^2) pairs.  A candidate on a placed point has no direction
+    to it; it lies on a line with that point and any other, so it is
+    rejected once two points are placed.
+    """
+    gcd = math.gcd
+    placed: list[tuple[int, int]] = []
+    for cx, cy in centers:
+        m = len(placed)
+        for dx, dy in _offset_scan(half_w, half_h):
+            x = cx + dx
+            y = cy + dy
+            seen: set[tuple[int, int]] = set()
+            for a, b in placed:
+                a -= x
+                b -= y
+                g = gcd(a, b)
+                if g == 0:
+                    if m >= 2:
+                        break
+                    continue
+                if a < 0 or (a == 0 and b < 0):
+                    g = -g
+                direction = (a // g, b // g)
+                if direction in seen:
+                    break
+                seen.add(direction)
+            else:
+                break
+        else:
+            raise InternalInvariantError("no collinearity-free slot in cell")
+        placed.append((x, y))
+    return [GridPoint(x, y) for x, y in placed]
 
 
 def scatter_pair_scan(

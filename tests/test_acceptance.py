@@ -41,6 +41,7 @@ from simembed import (
     simul_embed_planar_outerplanar,
 )
 from simembed.generate import KINDS
+from simembed.geometry import _next_prime
 
 P = GridPoint
 
@@ -140,21 +141,20 @@ def test_criterion_3_refinement():
                 base.append(P(*c))
         out = refine_general_position(base, extent)
         assert find_collinear_triple(out) is None
-        m = max(extent, count)
-        cw, ch = 2 * m + 1, 2 * m * m + 1
-        for src, dst in zip(base, out):
-            assert abs(dst.x - src.x * cw) <= m
-            assert abs(dst.y - src.y * ch) <= m * m
+        # the parabola lift: p * base_i + (i, i^2 mod p), p prime >= count
+        p = _next_prime(count)
+        for i, (src, dst) in enumerate(zip(base, out)):
+            assert (dst.x, dst.y) == (p * src.x + i, p * src.y + i * i % p)
         for i in range(count):
             for j in range(count):
                 if base[i].x < base[j].x:
                     assert out[i].x < out[j].x
                 if base[i].y < base[j].y:
                     assert out[i].y < out[j].y
-        width = max(p.x for p in out) - min(p.x for p in out) + 1
-        height = max(p.y for p in out) - min(p.y for p in out) + 1
-        assert width <= m * (2 * m + 1) and height <= m * (2 * m * m + 1)
-    report(3, True, "200 refinements: general position, in-cell, order-preserving, in bounds")
+        width = max(q.x for q in out) - min(q.x for q in out) + 1
+        height = max(q.y for q in out) - min(q.y for q in out) + 1
+        assert width <= p * extent and height <= p * extent
+    report(3, True, "200 refinements: general position, parabola lift, order-preserving, in bounds")
 
 
 def test_criterion_4_caterpillars():
@@ -166,7 +166,7 @@ def test_criterion_4_caterpillars():
         emb = embed_two_caterpillars(c1, c2)
         inst = given_instance(emb.layers, n, ["caterpillar", "caterpillar"])
         assert certify_embedding(emb, inst).ok
-        assert emb.width <= n * (2 * n + 1) and emb.height <= n * (2 * n * n + 1)
+        assert emb.width <= _next_prime(n) * n and emb.height <= _next_prime(n) * n
 
     for trial in range(200):
         n = rng.randrange(2, 101)

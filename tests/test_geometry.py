@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simembed import (
     COORD_LIMIT,
@@ -16,6 +17,7 @@ from simembed import (
     parabola_pointset,
     segments_conflict,
 )
+from simembed.geometry import _next_prime, _parabola_lift
 
 P = GridPoint
 
@@ -187,3 +189,27 @@ def test_convex_hull_matches_halfplane_oracle():
         if find_collinear_triple(pts) is not None:
             continue
         assert set(convex_hull(pts)) == hull_bruteforce_membership(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), max_size=30),
+    st.integers(-20, 20),
+    st.integers(0, 30),
+    st.integers(0, 3),
+    st.integers(0, 2),
+)
+def test_parabola_lift_leaves_no_collinear_triple(coords, row, row_len, mult, extra):
+    # Any base points, repeats allowed, plus a fully collinear row; any
+    # prime p >= the point count and any scale that p divides.
+    base = [P(x, y) for x, y in coords] + [P(x, row) for x in range(row_len)]
+    p = _next_prime(len(base))
+    for _ in range(extra):
+        p = _next_prime(p + 1)
+    lifted = _parabola_lift(base, mult * p, p)
+    assert find_collinear_triple(lifted) is None
+    assert lifted == [P(mult * p * b.x + i, mult * p * b.y + i * i % p) for i, b in enumerate(base)]
+
+
+def test_next_prime():
+    assert [_next_prime(m) for m in (0, 1, 2, 3, 4, 14, 4507, 4508)] == [2, 2, 2, 3, 5, 17, 4507, 4513]

@@ -2,7 +2,7 @@
 
 Every ``gen`` kind at small n and a few seeds, plus free-mapping instances
 whose planar and outerplanar layers were thinned, so that face completion
-and the general-position scatter do real work.  A refactor that is meant
+and the general-position lift do real work.  A refactor that is meant
 to keep behaviour must keep every digest; one that changes output on
 purpose must say why and record the new digests.
 """
@@ -80,7 +80,10 @@ CASES = dict(
 )
 
 # Recorded before the scatter and face-completion rewrites; the reversed-*
-# entries before the embed dispatch became table-driven.
+# entries before the embed dispatch became table-driven.  The
+# two-caterpillars and planar-outerplanar entries (gen, thin and reversed)
+# were re-recorded when the closed-form parabola lift replaced the greedy
+# general-position scatter, which moves every point of those results.
 DIGESTS = {
     "gen-outerplanars-n11-s1": "0c25a39f70c4e105879a6ed03e47afa12a4d7b2dabab6baeff35a33629fc7abe",
     "gen-outerplanars-n11-s2": "1c84398644564d3635c5f05ed758b348501ef9f6c48e6ea298b757d2f94de049",
@@ -90,14 +93,14 @@ DIGESTS = {
     "gen-path-caterpillar-n11-s2": "ea4ebec1c098491f69f3c3bdfce71c9adecda32bb98e7a4e63c3ee2a5bb4d325",
     "gen-path-caterpillar-n6-s1": "b85c207d9cc89380790e33245a99ef53fae52b35889a4ef016f047ca9e8fc1c8",
     "gen-path-caterpillar-n6-s2": "9a5e51ba57e048f5972a499b036f604a2313620f94a9a3c84a3879e787c546a6",
-    "gen-planar-outerplanar-n11-s1": "a509fa9f194615adce58291aefc6eb516a4114163ba1a6f6fbf27cb7acc16684",
-    "gen-planar-outerplanar-n11-s2": "4eb02b1c8a8d29adefc464003b8a67165b6a2f7bf1f9b02a9f06586b89a38d52",
-    "gen-planar-outerplanar-n6-s1": "9f60d34d8f3832bd1516a05aa4cd7a7e0b3052a9cd1471ad50934c4bd5059e9b",
-    "gen-planar-outerplanar-n6-s2": "85ea92f25ab5439aa67385d80848058f0e0f63f849e52a148913116abe9fb489",
-    "gen-two-caterpillars-n11-s1": "45b9aaf4d11384f3cd475689fafa3b4435a1b4aee41f3ac5409619b118bc1472",
-    "gen-two-caterpillars-n11-s2": "2311c2913a67b5e8a94acfab33731fae08f29456761fbffe8f936d02165ea2cf",
-    "gen-two-caterpillars-n6-s1": "de2c4c4c343aafd4daab850f126db8ce036b83f1de3d7845423a6c3f251a12aa",
-    "gen-two-caterpillars-n6-s2": "53100c4d599382e471024ace80b4ee134e51176d91c71a3babae682da0d2d7c3",
+    "gen-planar-outerplanar-n11-s1": "8963fe906672da75431a9edeb01b92f8dcf671493407e1cdac90c3893a063568",
+    "gen-planar-outerplanar-n11-s2": "629af0f0852adb92d99cddf374700123d9fb94f490038b3c7ef54c0bef3f9840",
+    "gen-planar-outerplanar-n6-s1": "88a0028faf4a6e04dd2786c1bf936c32eb68150558f0d3f092ecbd6e07f55f99",
+    "gen-planar-outerplanar-n6-s2": "6e5c6b7f8557ca82ee58a30ca61478bf4d2671f5673f60d32a797e4d5be5df50",
+    "gen-two-caterpillars-n11-s1": "1b3e7da09452750de51a60acf632797375194c209eda7fa981961e1e758287d8",
+    "gen-two-caterpillars-n11-s2": "e6e19c724d51bd653f67e19c56bf58332482053d89277afe1e3abac03859ef1e",
+    "gen-two-caterpillars-n6-s1": "1b71e7f6e4787a6b1b1f19105edd7c79ecc3707107c71641106141eb6a69cc48",
+    "gen-two-caterpillars-n6-s2": "4955c4d46808fde09ac3df9875fe04dcd9c3da997d7a9f0e4afd15ee8a49a36b",
     "gen-two-paths-n11-s1": "f6bdc079e63002f828cf7bff88f05cc50d5c465e62bc649785e91a841cbd204a",
     "gen-two-paths-n11-s2": "c5bd614447f2db7ff438ce839ed1403bd80714a365a766fe5f424817d7a7aeac",
     "gen-two-paths-n6-s1": "29c1b084019b84fd8e95e77113545190f4d7b52f88c72f2148a07eba1ce3b651",
@@ -106,28 +109,28 @@ DIGESTS = {
     "reversed-path-caterpillar-n11-s2": "ea4ebec1c098491f69f3c3bdfce71c9adecda32bb98e7a4e63c3ee2a5bb4d325",
     "reversed-path-caterpillar-n6-s1": "b85c207d9cc89380790e33245a99ef53fae52b35889a4ef016f047ca9e8fc1c8",
     "reversed-path-caterpillar-n6-s2": "9a5e51ba57e048f5972a499b036f604a2313620f94a9a3c84a3879e787c546a6",
-    "reversed-planar-outerplanar-n11-s1": "45731d4faa19f7e7a729768bc65d9b78e80b953bbe0bf2299fe162780ea87dea",
-    "reversed-planar-outerplanar-n11-s2": "5dc1811c57dfeeb36c3d7cafc87f13003e6925bb4c629608f4a6e4af138805c3",
-    "reversed-planar-outerplanar-n6-s1": "b485029f99e0d6fabecd77d39b0304d2c25bc0e28d2453f3fc7a82e432aa9741",
-    "reversed-planar-outerplanar-n6-s2": "38d0cbb63b450cd8ec2d9b0e1157ec63abc2cc8e76a8ab3de86e67d41628fa9d",
+    "reversed-planar-outerplanar-n11-s1": "8c7003287311a8adad71c3b081a403334fec59f6bc7670994a6f3ca2fadca170",
+    "reversed-planar-outerplanar-n11-s2": "731e15ed4fa7df62264af8e98b8ab4c3ca9cd601f63b00632f401eb4dc1e164e",
+    "reversed-planar-outerplanar-n6-s1": "7eaf0557c739859a9da2b3c9009d8c1dba8e3e254c7f44d079cc39ef24d25d46",
+    "reversed-planar-outerplanar-n6-s2": "0322ca45485c29064a58d1b43894c51ef7cb7c0ce3736923d22102b1d51bba91",
     "thin-outerplanars-n13-s1-drop0.0-chords0.5": "a719a311bfbbae551270e205765e65d49fadc6c74639165f068acf6a0c8f57c1",
     "thin-outerplanars-n13-s2-drop0.0-chords0.5": "84d042f13c1f425ef90fea0949d6222e92417117a2314e3240417c3f541563d0",
     "thin-outerplanars-n30-s1-drop0.0-chords0.5": "43dddcaca88d582f5ae6b6065f9b7688536dd685764b7058fe4ef9086cec9527",
     "thin-outerplanars-n30-s2-drop0.0-chords0.5": "f93e3c912df6eb20e08692f3fb1ac4a78efbafeeec15d48613f54a0e8268a97d",
     "thin-outerplanars-n7-s1-drop0.0-chords0.5": "2ffd31fb634436270efb5a3fd9b85c25944de4c29353be3174c4e79e3e6bb2ad",
     "thin-outerplanars-n7-s2-drop0.0-chords0.5": "333d48261695b25f6c4136ccdbbe7885ea76a7773f3cfce74c634446188292e5",
-    "thin-planar-outerplanar-n14-s1-drop0.4-chords0.5": "1533b2d576a3f30ea279049ecb80582d659efaeb95f417e3caef0ac974dd59c8",
-    "thin-planar-outerplanar-n14-s1-drop1.0-chords0.0": "ed14cc3fa59508ce70c166689b32b1283fcb6805af69d9d82b3c80cec9b6be80",
-    "thin-planar-outerplanar-n14-s2-drop0.4-chords0.5": "75c6ac72dd034e92264acf370f62fd5098217b5d4b4a238a3c8422ed99496d4c",
-    "thin-planar-outerplanar-n14-s2-drop1.0-chords0.0": "4869be9def7e6f6c4dd3ade1adcc696949728211407044a746e40c4e839c20d8",
-    "thin-planar-outerplanar-n24-s1-drop0.4-chords0.5": "41d65d122e6a44d2d3e67784d350b92a0d3cc50eec753ebe2a03edbb506d3026",
-    "thin-planar-outerplanar-n24-s1-drop1.0-chords0.0": "c8b654e0e084f8085b31dff504889bab08d401524d541eb6197659bda661624d",
-    "thin-planar-outerplanar-n24-s2-drop0.4-chords0.5": "3fff5546f8e58bb01f019fd2bdd3ed67c1238f532feca520aca90b95d01aa844",
-    "thin-planar-outerplanar-n24-s2-drop1.0-chords0.0": "458a4f38c85e44272256d0922e97c842cb4ff063db8a468d30c394817793e68d",
-    "thin-planar-outerplanar-n8-s1-drop0.4-chords0.5": "39b3c4e2a0d5bb3af716ec65d1aafbd396b69ab10ed6ab00a0ea2a0dcafa525d",
-    "thin-planar-outerplanar-n8-s1-drop1.0-chords0.0": "88cd031ac01bb62b3f1a81c39e5645c71daa015853c700de07f4ce5b492378fa",
-    "thin-planar-outerplanar-n8-s2-drop0.4-chords0.5": "d22d90c89d7d9ed52619296424eabbc8cc23d23d287c00e108b54c491e139b35",
-    "thin-planar-outerplanar-n8-s2-drop1.0-chords0.0": "39ef43faaded85b080d860193571c8ae5eba6cff32b9f1a385658f45a3edef19",
+    "thin-planar-outerplanar-n14-s1-drop0.4-chords0.5": "8bf2976afb95ad2c7aeaf2e4eab381a2379e03779996e71083c13d1b19805c36",
+    "thin-planar-outerplanar-n14-s1-drop1.0-chords0.0": "c022698d882d4bc6031b9c21e82e4c12797f322742a5942ba6dd11640afab870",
+    "thin-planar-outerplanar-n14-s2-drop0.4-chords0.5": "ce931aa0fa75c575d501ed9254868e215c28f0649adba6ec6d1a180b39e241d4",
+    "thin-planar-outerplanar-n14-s2-drop1.0-chords0.0": "c182e1686f29a2352a6788886ec2472cbbce1e2b73af30215ed6d56149b84a0e",
+    "thin-planar-outerplanar-n24-s1-drop0.4-chords0.5": "125db416082d4413c178b8edd6624d2b4954f1f33bb222e2ec0583d451ac30bb",
+    "thin-planar-outerplanar-n24-s1-drop1.0-chords0.0": "1a39fc8984b54881c596144db909e23d2478fb396f2b5efe245d0a1426e9193f",
+    "thin-planar-outerplanar-n24-s2-drop0.4-chords0.5": "6ba198d4af388793e19fa7a015b53b051b98147cc5b46c8a9e1d57d577b328b3",
+    "thin-planar-outerplanar-n24-s2-drop1.0-chords0.0": "00e45e7ec9178057ddc0091ee3be73664de8acdc1ca788db8491b0803fbafa73",
+    "thin-planar-outerplanar-n8-s1-drop0.4-chords0.5": "69ed2df4e3290c8da416a5a6b17d85266ae95097b2fa08967307597f38000901",
+    "thin-planar-outerplanar-n8-s1-drop1.0-chords0.0": "59a5f7d15cb08aa80aa803a888d1a137820707415976329148b3a846e2214c93",
+    "thin-planar-outerplanar-n8-s2-drop0.4-chords0.5": "f54ea47379aba7ff36f485bdf2129b37092ddc0e022e6053e209f873480c4c3b",
+    "thin-planar-outerplanar-n8-s2-drop1.0-chords0.0": "8675d4fe807c4b4b8e46f6bddd633b9c100e257df42336c1bb25836dc4d0f535",
 }
 
 

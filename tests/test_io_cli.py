@@ -4,6 +4,7 @@ import random
 import pytest
 
 from simembed import (
+    InvalidInstanceError,
     Layer,
     LayeredInstance,
     ParseError,
@@ -17,6 +18,7 @@ from simembed import (
     serialize_instance,
     serialize_result,
 )
+from simembed import unmapped
 from simembed.generate import KINDS
 
 
@@ -274,32 +276,37 @@ def test_cli_rejects_unsupported_combination(tmp_path):
     assert rc == 2
 
 
-def test_cli_planar_layer_over_budget_one_error_line(tmp_path, capsys):
-    # 551 vertices: the general-position drawing would pass 2^40
-    n = 551
-    doc = {
-        "n": n,
-        "mapping": "free",
-        "layers": [
-            {
-                "class": "planar",
-                "edges": [[i, i + 1] for i in range(n - 1)],
-                "rotation": [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)],
-            },
-            {
-                "class": "outerplanar",
-                "edges": [[i, (i + 1) % n] for i in range(n)],
-                "outer_cycle": list(range(n)),
-            },
-        ],
-    }
-    inst_file = tmp_path / "big-planar.json"
-    inst_file.write_text(json.dumps(doc), encoding="utf-8")
-    capsys.readouterr()
-    rc = cli_main(["embed", "--in", str(inst_file), "--out", str(tmp_path / "r.json")])
-    err = capsys.readouterr().err.splitlines()
-    assert rc == 2
-    assert len(err) == 1 and err[0].startswith("error:") and "at most 550 vertices" in err[0]
+def test_cli_planar_layer_over_budget_one_error_line(tmp_path, capsys, monkeypatch):
+    # 4508 vertices: the general-position drawing would pass 2^40; 4507
+    # fit, so that instance passes the check and reaches the triangulation
+    def passed(*args):
+        raise InvalidInstanceError("passed the budget check")
+
+    monkeypatch.setattr(unmapped, "triangulate_plane", passed)
+    for n, message in ((4508, "at most 4507 vertices fit"), (4507, "passed the budget check")):
+        doc = {
+            "n": n,
+            "mapping": "free",
+            "layers": [
+                {
+                    "class": "planar",
+                    "edges": [[i, i + 1] for i in range(n - 1)],
+                    "rotation": [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)],
+                },
+                {
+                    "class": "outerplanar",
+                    "edges": [[i, (i + 1) % n] for i in range(n)],
+                    "outer_cycle": list(range(n)),
+                },
+            ],
+        }
+        inst_file = tmp_path / "big-planar.json"
+        inst_file.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        rc = cli_main(["embed", "--in", str(inst_file), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
 
 
 def test_cli_io_error_exit_code(tmp_path):

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simembed import (
+    COORD_LIMIT,
     CoordinateBudgetError,
     FIVE_PATHS,
     Caterpillar,
@@ -27,6 +29,7 @@ from simembed import (
     path_from_digits,
     refine_general_position,
 )
+from simembed.geometry import _next_prime as next_prime
 
 P = GridPoint
 
@@ -93,22 +96,34 @@ def test_two_paths_monotone_layers():
 # ---------------------------------------------------------------------------
 
 
+def lifted(base, p):
+    # The parabola lift: point i goes to p * base_i + (i, i^2 mod p).
+    return [P(p * b.x + i, p * b.y + i * i % p) for i, b in enumerate(base)]
+
+
 def test_refine_two_points_unchanged_up_to_scaling():
     out = refine_general_position([P(1, 2), P(3, 1)], 4)
-    m = 4
-    assert [(p.x, p.y) for p in out] == [
-        (1 * (2 * m + 1), 2 * (2 * m * m + 1)),
-        (3 * (2 * m + 1), 1 * (2 * m * m + 1)),
-    ]
+    # p = 2, the smallest prime >= 2 points
+    assert [(q.x, q.y) for q in out] == [(2 * 1 + 0, 2 * 2 + 0), (2 * 3 + 1, 2 * 1 + 1)]
 
 
 def test_refine_breaks_diagonal():
-    out = refine_general_position([P(0, 0), P(1, 1), P(2, 2)], 3)
+    base = [P(0, 0), P(1, 1), P(2, 2)]
+    out = refine_general_position(base, 3)
     assert find_collinear_triple(out) is None
-    m = 3
-    for src, dst in zip([P(0, 0), P(1, 1), P(2, 2)], out):
-        assert abs(dst.x - src.x * (2 * m + 1)) <= m
-        assert abs(dst.y - src.y * (2 * m * m + 1)) <= m * m
+    assert out == lifted(base, 3)
+
+
+def assert_refined(base, out):
+    # exact formula, no three collinear, strict x and y order kept
+    assert out == lifted(base, next_prime(len(base)))
+    assert find_collinear_triple(out) is None
+    for i in range(len(base)):
+        for j in range(len(base)):
+            if base[i].x < base[j].x:
+                assert out[i].x < out[j].x
+            if base[i].y < base[j].y:
+                assert out[i].y < out[j].y
 
 
 def test_refine_random_properties():
@@ -125,23 +140,41 @@ def test_refine_random_properties():
                 base.append(P(*c))
         out = refine_general_position(base, extent)
         assert certify_general_position(out).ok
-        m = max(extent, count)
-        for src, dst in zip(base, out):
-            assert abs(dst.x - src.x * (2 * m + 1)) <= m
-            assert abs(dst.y - src.y * (2 * m * m + 1)) <= m * m
-        for i in range(count):
-            for j in range(count):
-                if base[i].x < base[j].x:
-                    assert out[i].x < out[j].x
-                if base[i].y < base[j].y:
-                    assert out[i].y < out[j].y
+        assert_refined(base, out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), unique=True, max_size=40),
+    st.integers(-9, 9),
+    st.integers(0, 19),
+    st.booleans(),
+)
+def test_refine_is_the_order_keeping_lift(coords, row, row_len, column):
+    # a fully collinear row (one y value, distinct x), or column, rides
+    # along with the arbitrary points; the lift breaks it while keeping
+    # both axis orders
+    line = [(x, row) for x in range(-9, -9 + row_len)]
+    if column:
+        line = [(y, x) for x, y in line]
+    base = [P(x, y) for x, y in coords + [c for c in line if c not in coords]]
+    assert_refined(base, refine_general_position(base, 9))
 
 
 def test_refine_checks_budget_up_front():
-    # base extent 8191 reaches 8191 * (2 * 8191^2 + 1) + 8191^2 < 2^40
-    assert len(refine_general_position([P(0, 0), P(8191, 8191)], 8191)) == 2
-    with pytest.raises(CoordinateBudgetError, match="up to 8191 fit"):
-        refine_general_position([P(0, 0), P(8192, 8192)], 8192)
+    # p points at base extent e reach p * e + p - 1; with 2 points, p = 2
+    # and 2e + 1 <= 2^40 exactly for e up to (2^40 - 1) // 2
+    fits = (COORD_LIMIT - 1) // 2
+    out = refine_general_position([P(0, 0), P(fits, fits)], fits)
+    assert out == [P(0, 0), P(2 * fits + 1, 2 * fits + 1)]
+    with pytest.raises(CoordinateBudgetError, match=f"up to {fits} fit"):
+        refine_general_position([P(0, 0), P(fits + 1, fits + 1)], fits + 1)
+    # five points: p = 5
+    fits = (COORD_LIMIT - 4) // 5
+    base = [P(0, 0), P(fits, 1), P(1, fits), P(2, 2), P(fits, fits)]
+    assert max(q.x for q in refine_general_position(base, fits)) <= COORD_LIMIT
+    with pytest.raises(CoordinateBudgetError, match=f"of 5 points .* up to {fits} fit"):
+        refine_general_position(base, fits + 1)
 
 
 def test_refine_rejects_bad_input():
@@ -172,7 +205,7 @@ def test_two_caterpillars_legless_reduces_to_paths():
     emb = embed_two_caterpillars(c1, c2)
     assert certify_embedding(emb, caterpillar_instance(c1, c2, 3)).ok
     n = 3
-    assert emb.width <= n * (2 * n + 1) and emb.height <= n * (2 * n * n + 1)
+    assert emb.width <= 3 * n and emb.height <= 3 * n  # p = 3
 
 
 def test_two_caterpillars_star_and_path():
@@ -189,8 +222,7 @@ def test_two_caterpillars_random_certified_within_bounds():
         c2 = caterpillar_decompose(generate("caterpillar", n, seed + 500), n)
         emb = embed_two_caterpillars(c1, c2)
         assert certify_embedding(emb, caterpillar_instance(c1, c2, n)).ok
-        assert emb.width <= n * (2 * n + 1)
-        assert emb.height <= n * (2 * n * n + 1)
+        assert emb.width <= 41 * n and emb.height <= 41 * n  # p = 41
         assert certify_general_position(emb.coords).ok
 
 

@@ -1,8 +1,8 @@
 """The optimized routines against their plain references.
 
-The package's direction-hash scatter, trace-once face completion,
-bounding-box sweep of the certifier and bucketed full collinearity scan
-must return exactly what the pair scan, the re-trace-per-chord loops, the
+The direction-hash scatter, which the package no longer uses, and the
+package's trace-once face completion, bounding-box sweep of the
+certifier and bucketed full collinearity scan must return exactly what the pair scan, the re-trace-per-chord loops, the
 all-pairs edge loop and the cubic triple loop in ``reference.py`` return,
 on inputs chosen so that candidates are rejected, faces of every size get
 completed, and edges overlap, touch and tie in every way a grid allows.
@@ -24,6 +24,7 @@ from reference import (
     layer_crossings_all_pairs,
     maximalize_outerplanar_retrace,
     same_ray,
+    scatter_direction_hash,
     scatter_pair_scan,
     triangulate_plane_retrace,
 )
@@ -42,7 +43,6 @@ from simembed import (
 )
 from simembed import certify
 from simembed.certify import _layer_crossings, _overlapping_pairs
-from simembed.mapped import _scatter_general_position
 
 
 def _outcome(fn, *args):
@@ -61,7 +61,7 @@ def _outcome(fn, *args):
 def test_scatter_matches_pair_scan(centers, half_w, half_h):
     # Cells this small and this close overlap, so candidates are rejected
     # for collinearity and for coinciding with placed points.
-    assert _outcome(_scatter_general_position, centers, half_w, half_h) == _outcome(
+    assert _outcome(scatter_direction_hash, centers, half_w, half_h) == _outcome(
         scatter_pair_scan, centers, half_w, half_h
     )
 
@@ -70,11 +70,11 @@ def test_scatter_coincident_candidates():
     P = GridPoint
     # With one point placed there is no pair, so a coincident candidate is
     # accepted; from two placed points on it is rejected.
-    assert _scatter_general_position([(0, 0), (0, 0)], 0, 0) == [P(0, 0), P(0, 0)]
+    assert scatter_direction_hash([(0, 0), (0, 0)], 0, 0) == [P(0, 0), P(0, 0)]
     with pytest.raises(InternalInvariantError):
-        _scatter_general_position([(0, 0), (3, 1), (0, 0)], 0, 0)
+        scatter_direction_hash([(0, 0), (3, 1), (0, 0)], 0, 0)
     for centers in ([(0, 0), (3, 1), (0, 0)], [(0, 0), (0, 0), (5, 2)], [(1, 1), (4, 2), (1, 1)]):
-        assert _outcome(_scatter_general_position, centers, 1, 1) == _outcome(
+        assert _outcome(scatter_direction_hash, centers, 1, 1) == _outcome(
             scatter_pair_scan, centers, 1, 1
         )
 

@@ -30,6 +30,7 @@ from simembed import (
     simul_embed_planar_outerplanar,
 )
 from simembed import unmapped
+from simembed.geometry import _next_prime as next_prime, _parabola_lift
 from simembed.graphs import rotation_system_from_faces
 
 P = GridPoint
@@ -154,28 +155,54 @@ def path_plane_layer(n):
 
 
 def test_general_position_draw_checks_budget_up_front(monkeypatch):
-    assert max(general_position_bounds(550)) <= COORD_LIMIT < max(general_position_bounds(551))
+    assert max(general_position_bounds(4507)) <= COORD_LIMIT < max(general_position_bounds(4508))
+
+    class PassedTheCheck(Exception):
+        pass
 
     def no_work(*args):
-        raise AssertionError("the budget check must come before any work")
+        raise PassedTheCheck
 
     monkeypatch.setattr(unmapped, "triangulate_plane", no_work)
-    with pytest.raises(CoordinateBudgetError, match="at most 550 vertices fit"):
-        planar_general_position_draw(path_plane_layer(551), 551)
+    with pytest.raises(CoordinateBudgetError, match="at most 4507 vertices fit"):
+        planar_general_position_draw(path_plane_layer(4508), 4508)
+    with pytest.raises(PassedTheCheck):
+        planar_general_position_draw(path_plane_layer(4507), 4507)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 25), st.integers(0, 10**6), st.sampled_from([0.0, 0.5, 1.0]))
 def test_general_position_draw_keeps_base_orientations(n, seed, share):
-    # sigma = 6n: scaling the base drawing by sigma * cell size must leave
-    # the perturbation too small to flip any strict orientation of it
+    # lam = p(6n + 1): the parabola offsets are too small against the
+    # scaled base drawing to flip any strict orientation of it, and the
+    # drawing is exactly the lift of the public grid drawing
     lay = thin_plane(generate("plane-triangulation", n, seed), n, share, random.Random(seed))
     base = planar_grid_draw(unmapped.triangulate_plane(lay, n)[0], n)
     pts = planar_general_position_draw(lay, n)
+    p, lam = unmapped._planar_lift(n)
+    assert (p, lam) == (next_prime(n), next_prime(n) * (6 * n + 1))
+    assert pts == [P(lam * b.x + i, lam * b.y + i * i % p) for i, b in enumerate(base)]
     for a, b, c in combinations(range(n), 3):
         o = orient(base[a], base[b], base[c])
         if o != 0:
             assert orient(pts[a], pts[b], pts[c]) == o
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(3, 30), st.booleans())
+def test_planar_lift_keeps_every_nonzero_base_orientation(data, n, one_row):
+    # Any n base points in the (2n-4) x (n-2) box, a drawing or not, with
+    # repeats allowed; with one_row they all lie on one row.  The lift at
+    # the planar lam keeps every nonzero orientation and breaks every zero.
+    xs = st.integers(0, 2 * n - 4)
+    ys = st.just(data.draw(st.integers(0, n - 2))) if one_row else st.integers(0, n - 2)
+    base = [P(*c) for c in data.draw(st.lists(st.tuples(xs, ys), min_size=n, max_size=n))]
+    p, lam = unmapped._planar_lift(n)
+    pts = _parabola_lift(base, lam, p)
+    for a, b, c in combinations(range(n), 3):
+        o = orient(base[a], base[b], base[c])
+        assert orient(pts[a], pts[b], pts[c]) == o or o == 0
+        assert orient(pts[a], pts[b], pts[c]) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +416,9 @@ def test_free_pipelines_check_their_point_set_once(monkeypatch):
     emb = simul_embed_outerplanars(layers, n)
     assert calls == [n]  # the parabola set, not once more per layer
     assert certify_embedding(emb, free_instance(layers, n)).ok
-    # The scatter admits no collinear point, so the plane + outerplanar
-    # pipeline needs no kernel check at all; direct callers still get one.
+    # The parabola lift leaves no three points collinear, so the plane +
+    # outerplanar pipeline needs no kernel check at all; direct callers
+    # still get one.
     calls.clear()
     g1, g2 = generate("plane-triangulation", n, 1), generate("maximal-outerplanar", n, 2)
     emb = simul_embed_planar_outerplanar(g1, g2, n)
