@@ -25,7 +25,13 @@ from .documents import (
 )
 from .errors import ParseError, SimembedError, UnsupportedInstanceError
 from .generate import generate
-from .graphs import Layer, LayeredInstance, SimultaneousEmbedding, as_path, caterpillar_decompose
+from .graphs import (
+    LayeredInstance,
+    SimultaneousEmbedding,
+    as_path,
+    caterpillar_decompose,
+    validate_instance,
+)
 from .mapped import (
     FIVE_PATHS,
     embed_path_caterpillar,
@@ -174,10 +180,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     mapping, recipe = _GEN_RECIPES[args.kind]
     if recipe is None:
         recipe = ["maximal-outerplanar"] * args.layers
-    layers: list[Layer] = []
-    for i, k in enumerate(recipe):
-        layers.append(generate(k, args.n, seed + i))
+    layers = [generate(k, args.n, seed + i) for i, k in enumerate(recipe)]
     inst = LayeredInstance(n=args.n, layers=layers, mapping=mapping)
+    validate_instance(inst)  # write nothing that embed would reject
     _write(args.out, serialize_instance(inst))
     return 0
 

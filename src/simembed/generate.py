@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 
 from .errors import InvalidInstanceError
@@ -82,34 +83,27 @@ def _plane_triangulation(n: int, rng: random.Random) -> Layer:
 
     # Stacked triangulations are a narrow family; scramble with random
     # diagonal flips.  Edge (a, b) between oriented faces (a, b, c) and
-    # (b, a, d) becomes (c, d) with faces (c, a, d) and (d, b, c).
-    def edge_faces() -> dict[tuple[int, int], int]:
-        m = {}
-        for fi, f in enumerate(faces):
-            for i in range(3):
-                m[(f[i], f[(i + 1) % 3])] = fi
-        return m
-
-    edge_set = set()
-    for f in faces:
-        for i in range(3):
-            edge_set.add(frozenset((f[i], f[(i + 1) % 3])))
+    # (b, a, d) becomes (c, d) with faces (c, a, d) and (d, b, c).  The
+    # dart -> face map and the sorted edge list are kept up to date.
+    darts = {(f[i], f[(i + 1) % 3]): fi for fi, f in enumerate(faces) for i in range(3)}
+    edges = sorted({(min(u, v), max(u, v)) for u, v in darts})
     for _ in range(4 * n):
-        darts = edge_faces()
-        u, v = sorted(rng.choice(sorted(tuple(sorted(e)) for e in edge_set)))
+        edge = rng.choice(edges)
+        u, v = edge
         if rng.random() < 0.5:
             u, v = v, u
-        f1 = faces[darts[(u, v)]]
-        f2 = faces[darts[(v, u)]]
-        cc = next(x for x in f1 if x not in (u, v))
-        dd = next(x for x in f2 if x not in (u, v))
-        if cc == dd or frozenset((cc, dd)) in edge_set:
+        i1, i2 = darts[(u, v)], darts[(v, u)]
+        cc = next(x for x in faces[i1] if x not in (u, v))
+        dd = next(x for x in faces[i2] if x not in (u, v))
+        if cc == dd or (cc, dd) in darts:
             continue
-        faces[darts[(u, v)]] = (cc, u, dd)
-        faces[darts[(v, u)]] = (dd, v, cc)
-        edge_set.discard(frozenset((u, v)))
-        edge_set.add(frozenset((cc, dd)))
+        del darts[(u, v)], darts[(v, u)]
+        for fi, f in ((i1, (cc, u, dd)), (i2, (dd, v, cc))):
+            faces[fi] = f
+            for i in range(3):
+                darts[(f[i], f[(i + 1) % 3])] = fi
+        del edges[bisect.bisect_left(edges, edge)]
+        bisect.insort(edges, (min(cc, dd), max(cc, dd)))
 
-    edges = sorted(tuple(sorted(e)) for e in edge_set)
     rotation = rotation_system_from_faces(n, faces)
     return Layer(kind="planar", edges=edges, rotation=rotation)

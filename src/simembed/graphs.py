@@ -336,7 +336,7 @@ def rotation_system_from_faces(n: int, faces: list[tuple[int, ...]]) -> list[lis
 
 def check_plane_embedding(layer: Layer, n: int) -> int:
     """Validate a rotation system via Euler's formula and return the face count."""
-    return len(_plane_faces(layer, n))
+    return len(_plane_faces(layer, n)) or 1
 
 
 def _plane_faces(layer: Layer, n: int) -> list[list[tuple[int, int]]]:
@@ -351,7 +351,7 @@ def _plane_faces(layer: Layer, n: int) -> list[list[tuple[int, int]]]:
     if not _connected(n, adj):
         raise InvalidInstanceError("plane embedding check requires a connected graph")
     faces = _trace_faces(n, layer.edges, layer.rotation)
-    f = len(faces)
+    f = len(faces) or 1  # a lone vertex traces no walk but has one face
     if n - len(layer.edges) + f != 2:
         raise InvalidInstanceError(
             f"rotation is not a plane embedding: V-E+F = {n - len(layer.edges) + f}"
@@ -448,17 +448,6 @@ def triangulate_plane(layer: Layer, n: int) -> tuple[Layer, list[tuple[int, int]
     return Layer(kind="planar", edges=edges, rotation=rotation), dummies
 
 
-def _chords_cross(n: int, pos_a: int, pos_b: int, pos_c: int, pos_d: int) -> bool:
-    # Chords (a,b) and (c,d) of a cyclic order cross iff exactly one of c, d
-    # lies strictly inside the arc from a to b.
-    def inside(p: int) -> bool:
-        return (p - pos_a) % n < (pos_b - pos_a) % n and p != pos_a
-
-    in_c = inside(pos_c)
-    in_d = inside(pos_d)
-    return in_c != in_d
-
-
 def maximalize_outerplanar(layer: Layer, n: int) -> tuple[Layer, list[tuple[int, int]]]:
     """Complete an outerplanar layer to a maximal outerplanar graph.
 
@@ -481,21 +470,26 @@ def maximalize_outerplanar(layer: Layer, n: int) -> tuple[Layer, list[tuple[int,
             dummies.append((cyc[0], cyc[1]))
         return Layer(kind="outerplanar", edges=edges, outer_cycle=cyc), dummies
 
-    chords = []
-    for u, v in layer.edges:
-        gap = (pos[v] - pos[u]) % n
-        if gap != 1 and gap != n - 1:
-            chords.append((u, v))
-    for i in range(len(chords)):
-        for j in range(i + 1, len(chords)):
-            a, b = chords[i]
-            c, d = chords[j]
-            if len({a, b, c, d}) == 4 and _chords_cross(
-                n, pos[a], pos[b], pos[c], pos[d]
-            ):
-                raise InvalidInstanceError(
-                    f"chords ({a},{b}) and ({c},{d}) cross in the declared outer cycle"
-                )
+    # Chords by (lo, -hi) on their cycle positions, walked with a stack of
+    # the open chords, each nested in the one below.  Popping every open
+    # chord that ends at or before lo leaves only chords with lo' <= lo < hi';
+    # the new chord crosses one of them iff it crosses the innermost one,
+    # that is iff it ends past the innermost one's hi.
+    spans = sorted(
+        (min(pos[u], pos[v]), -max(pos[u], pos[v]), (u, v))
+        for u, v in layer.edges
+        if (pos[v] - pos[u]) % n not in (1, n - 1)
+    )
+    open_chords: list[tuple[int, tuple[int, int]]] = []
+    for lo, neg_hi, chord in spans:
+        while open_chords and open_chords[-1][0] <= lo:
+            open_chords.pop()
+        if open_chords and -neg_hi > open_chords[-1][0]:
+            (a, b), (c, d) = open_chords[-1][1], chord
+            raise InvalidInstanceError(
+                f"chords ({a},{b}) and ({c},{d}) cross in the declared outer cycle"
+            )
+        open_chords.append((-neg_hi, chord))
 
     for i in range(n):
         u, v = cyc[i], cyc[(i + 1) % n]

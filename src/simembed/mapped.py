@@ -119,7 +119,7 @@ def embed_path_caterpillar(
 ) -> tuple[SimultaneousEmbedding, int]:
     """Embed a path and a caterpillar on at most (2n - k) x n, k = leg count.
 
-    Spine vertex number i starts in column 2i, its legs in column 2i + 1;
+    Spine vertex number i starts in column 2i - 1, its legs in column 2i;
     rows follow the path order.  Marching along the spine, whenever a leg
     of the current spine vertex is collinear with the spine edge ahead,
     that edge's far endpoint and everything right of it shift one column
@@ -135,31 +135,26 @@ def embed_path_caterpillar(
     ys = [0] * n
     for i, v in enumerate(p.order):
         ys[v] = i + 1
+    # A shift moves b and everything right of it, which is every later
+    # spine vertex with its legs, so a running column places each spine
+    # vertex once, after all the shifts made before it.
     xs = [0] * n
-    for i, s in enumerate(cat.spine):
-        xs[s] = 2 * (i + 1)
-        for leg in cat.legs[i]:
-            xs[leg] = 2 * (i + 1) + 1
-
     total_legs = cat.leg_count()
     shifts = 0
-    for i in range(len(cat.spine) - 1):
-        a = cat.spine[i]
+    x = 1
+    for i, a in enumerate(cat.spine):
+        xs[a] = x
+        for leg in cat.legs[i]:
+            xs[leg] = x + 1
+        x += 2
+        if i + 1 == len(cat.spine):
+            break
         b = cat.spine[i + 1]
-        while True:
-            hit = False
-            for leg in cat.legs[i]:
-                if (xs[b] - xs[a]) * (ys[leg] - ys[a]) == (ys[b] - ys[a]) * (
-                    xs[leg] - xs[a]
-                ):
-                    hit = True
-                    break
-            if not hit:
-                break
-            threshold = xs[b]
-            for v in range(n):
-                if xs[v] >= threshold:
-                    xs[v] += 1
+        while any(
+            (x - xs[a]) * (ys[leg] - ys[a]) == (ys[b] - ys[a]) * (xs[leg] - xs[a])
+            for leg in cat.legs[i]
+        ):
+            x += 1
             shifts += 1
             if shifts > total_legs:
                 raise InternalInvariantError("shift count exceeded the leg count")
@@ -197,9 +192,6 @@ class PairCoverage:
     @property
     def all_covered(self) -> bool:
         return all(self.covered_by)
-
-    def uncovered(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        return [pair for pair, paths in zip(self.pairs, self.covered_by) if not paths]
 
     def per_path_counts(self, path_count: int) -> list[int]:
         counts = [0] * path_count

@@ -15,16 +15,10 @@ from .graphs import SimultaneousEmbedding
 LAYER_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def render_svg(
-    emb: SimultaneousEmbedding,
-    labels: Optional[Sequence[str]] = None,
-    colors: Optional[Sequence[str]] = None,
-) -> str:
+def render_svg(emb: SimultaneousEmbedding, labels: Optional[Sequence[str]] = None) -> str:
     coords = emb.coords
     if labels is None:
         labels = [f"v{i + 1}" for i in range(len(coords))]
-    if colors is None:
-        colors = LAYER_COLORS
     min_x = min((p.x for p in coords), default=0)
     max_x = max((p.x for p in coords), default=0)
     min_y = min((p.y for p in coords), default=0)
@@ -45,7 +39,7 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {view_w:.6g} {view_h:.6g}">',
     ]
     for li, edges in enumerate(emb.layers):
-        color = colors[li % len(colors)]
+        color = LAYER_COLORS[li % len(LAYER_COLORS)]
         phi = emb.assignments[li] if emb.assignments is not None else None
         out.append(
             f'  <g id="layer-{li}" stroke="{color}" stroke-width="{unit / 8:.6g}" fill="none">'

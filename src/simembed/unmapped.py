@@ -85,13 +85,6 @@ def _draw_triangulation(
     walk = min(_canonical_face(f) for f in faces)
     v1, v2, v_top = walk
 
-    if n == 3:
-        out: list[GridPoint] = [GridPoint(0, 0)] * 3
-        out[v1] = GridPoint(0, 0)
-        out[v2] = GridPoint(2, 0)
-        out[v_top] = GridPoint(1, 1)
-        return out
-
     adj = [set(r) for r in rotation]
 
     # Reverse canonical order: peel chord-free outer vertices off the path

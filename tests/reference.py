@@ -7,11 +7,11 @@ match exactly; ``test_reference.py`` compares them on random inputs.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from typing import Optional, Sequence
 
 from simembed import (
+    Caterpillar,
     GridPoint,
     PathOrder,
     Violation,
@@ -24,7 +24,7 @@ from simembed import (
 from simembed import certify
 from simembed.errors import SearchBudgetError
 from simembed.geometry import _conflict_raw, orient
-from simembed.graphs import _chords_cross, _trace_faces
+from simembed.graphs import _trace_faces, rotation_system_from_faces
 from simembed.mapped import (
     EXHAUSTIVE_GRID_LIMIT,
     FivePointSearchResult,
@@ -34,88 +34,110 @@ from simembed.mapped import (
 )
 
 
-def _offset_scan(half_w: int, half_h: int):
-    # Row-major from the cell center outward: dy = 0, +1, -1, ...; within a
-    # row dx = 0, +1, -1, ...
-    def steps(limit: int):
-        yield 0
-        for d in range(1, limit + 1):
-            yield d
-            yield -d
+def _chords_cross(n: int, pos_a: int, pos_b: int, pos_c: int, pos_d: int) -> bool:
+    # Chords (a,b) and (c,d) of a cyclic order cross iff exactly one of c, d
+    # lies strictly inside the arc from a to b.
+    def inside(p: int) -> bool:
+        return (p - pos_a) % n < (pos_b - pos_a) % n and p != pos_a
 
-    for dy in steps(half_h):
-        for dx in steps(half_w):
-            yield dx, dy
+    return inside(pos_c) != inside(pos_d)
 
 
-def scatter_direction_hash(
-    centers: list[tuple[int, int]], half_w: int, half_h: int
-) -> list[GridPoint]:
-    """Greedy placement: one point per cell (center +- half sizes), the
-    first candidate in scan order that is collinear with no two placed
-    points.  The general-position drawings used this before the closed-form
-    parabola lift replaced it.
-
-    A candidate c is collinear with placed points a and b exactly when the
-    directions from c to a and from c to b, each reduced by its gcd and
-    with its sign normalised, are equal.  So one pass over the m placed
-    points with a set of directions tests a candidate in O(m) rather than
-    over all O(m^2) pairs.  A candidate on a placed point has no direction
-    to it; it lies on a line with that point and any other, so it is
-    rejected once two points are placed.
-    """
-    gcd = math.gcd
-    placed: list[tuple[int, int]] = []
-    for cx, cy in centers:
-        m = len(placed)
-        for dx, dy in _offset_scan(half_w, half_h):
-            x = cx + dx
-            y = cy + dy
-            seen: set[tuple[int, int]] = set()
-            for a, b in placed:
-                a -= x
-                b -= y
-                g = gcd(a, b)
-                if g == 0:
-                    if m >= 2:
-                        break
-                    continue
-                if a < 0 or (a == 0 and b < 0):
-                    g = -g
-                direction = (a // g, b // g)
-                if direction in seen:
-                    break
-                seen.add(direction)
-            else:
-                break
-        else:
-            raise InternalInvariantError("no collinearity-free slot in cell")
-        placed.append((x, y))
-    return [GridPoint(x, y) for x, y in placed]
+def chords_cross(cycle: list[int], e: tuple[int, int], f: tuple[int, int]) -> bool:
+    """Whether chords e and f share no endpoint and cross in ``cycle``."""
+    pos = {v: i for i, v in enumerate(cycle)}
+    (a, b), (c, d) = e, f
+    return len({a, b, c, d}) == 4 and _chords_cross(
+        len(cycle), pos[a], pos[b], pos[c], pos[d]
+    )
 
 
-def scatter_pair_scan(
-    centers: list[tuple[int, int]], half_w: int, half_h: int
-) -> list[GridPoint]:
-    """Per cell, the first candidate in scan order that is collinear with no
-    pair of placed points, tested pair by pair: O(m^2) per candidate."""
-    px: list[int] = []
-    py: list[int] = []
-    for cx, cy in centers:
-        for dx, dy in _offset_scan(half_w, half_h):
-            x, y = cx + dx, cy + dy
-            m = len(px)
-            if not any(
-                (px[k] - px[j]) * (y - py[j]) == (py[k] - py[j]) * (x - px[j])
-                for j in range(m - 1)
-                for k in range(j + 1, m)
-            ):
-                break
-        else:
-            raise InternalInvariantError("no collinearity-free slot in cell")
-        px.append(x)
-        py.append(y)
-    return [GridPoint(x, y) for x, y in zip(px, py)]
+def crossing_chords_pair_scan(
+    cycle: list[int], edges: list[tuple[int, int]]
+) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
+    """The first pair of chords, in edge order, that cross in the cyclic
+    order ``cycle``, found by testing every pair; None when no two cross."""
+    n = len(cycle)
+    pos = {v: i for i, v in enumerate(cycle)}
+    chords = [(u, v) for u, v in edges if (pos[v] - pos[u]) % n not in (1, n - 1)]
+    for i, (a, b) in enumerate(chords):
+        for c, d in chords[i + 1 :]:
+            if len({a, b, c, d}) == 4 and _chords_cross(n, pos[a], pos[b], pos[c], pos[d]):
+                return (a, b), (c, d)
+    return None
+
+
+def plane_triangulation_rebuild(n: int, seed: int) -> Layer:
+    """``generate("plane-triangulation", n, seed)`` as it was written first:
+    the dart -> face map is rebuilt and every edge re-sorted before each of
+    the 4n flips."""
+    rng = random.Random(("plane-triangulation", n, seed).__repr__())
+    labels = list(range(n))
+    rng.shuffle(labels)
+    a, b, c = labels[0], labels[1], labels[2]
+    faces = [(a, b, c), (a, c, b)]
+    for v in labels[3:]:
+        fa, fb, fc = faces.pop(rng.randrange(len(faces)))
+        faces.extend([(fa, fb, v), (fb, fc, v), (fc, fa, v)])
+
+    def edge_faces():
+        m = {}
+        for fi, f in enumerate(faces):
+            for i in range(3):
+                m[(f[i], f[(i + 1) % 3])] = fi
+        return m
+
+    edge_set = set()
+    for f in faces:
+        for i in range(3):
+            edge_set.add(frozenset((f[i], f[(i + 1) % 3])))
+    for _ in range(4 * n):
+        darts = edge_faces()
+        u, v = sorted(rng.choice(sorted(tuple(sorted(e)) for e in edge_set)))
+        if rng.random() < 0.5:
+            u, v = v, u
+        f1 = faces[darts[(u, v)]]
+        f2 = faces[darts[(v, u)]]
+        cc = next(x for x in f1 if x not in (u, v))
+        dd = next(x for x in f2 if x not in (u, v))
+        if cc == dd or frozenset((cc, dd)) in edge_set:
+            continue
+        faces[darts[(u, v)]] = (cc, u, dd)
+        faces[darts[(v, u)]] = (dd, v, cc)
+        edge_set.discard(frozenset((u, v)))
+        edge_set.add(frozenset((cc, dd)))
+
+    edges = sorted(tuple(sorted(e)) for e in edge_set)
+    return Layer(kind="planar", edges=edges, rotation=rotation_system_from_faces(n, faces))
+
+
+def path_caterpillar_rescan(p: PathOrder, cat: Caterpillar) -> tuple[list[GridPoint], int]:
+    """The path + caterpillar layout with every shift applied by a pass over
+    all n vertices: spine vertex i (from 0) starts in column 2i + 2, its
+    legs in column 2i + 3.  Returns the coordinates and the shift count."""
+    n = p.n
+    ys = [0] * n
+    for i, v in enumerate(p.order):
+        ys[v] = i + 1
+    xs = [0] * n
+    for i, s in enumerate(cat.spine):
+        xs[s] = 2 * (i + 1)
+        for leg in cat.legs[i]:
+            xs[leg] = 2 * (i + 1) + 1
+    shifts = 0
+    for i in range(len(cat.spine) - 1):
+        a = cat.spine[i]
+        b = cat.spine[i + 1]
+        while any(
+            (xs[b] - xs[a]) * (ys[leg] - ys[a]) == (ys[b] - ys[a]) * (xs[leg] - xs[a])
+            for leg in cat.legs[i]
+        ):
+            threshold = xs[b]
+            for v in range(n):
+                if xs[v] >= threshold:
+                    xs[v] += 1
+            shifts += 1
+    return [GridPoint(xs[v], ys[v]) for v in range(n)], shifts
 
 
 def _first_chord(big, edge_set):
@@ -165,11 +187,8 @@ def maximalize_outerplanar_retrace(
             edges.append((cyc[0], cyc[1]))
             dummies.append((cyc[0], cyc[1]))
         return Layer(kind="outerplanar", edges=edges, outer_cycle=cyc), dummies
-    chords = [(u, v) for u, v in edges if (pos[v] - pos[u]) % n not in (1, n - 1)]
-    for a, b in chords:
-        for c, d in chords:
-            if len({a, b, c, d}) == 4 and _chords_cross(n, pos[a], pos[b], pos[c], pos[d]):
-                raise InvalidInstanceError("chords cross")
+    if crossing_chords_pair_scan(cyc, edges) is not None:
+        raise InvalidInstanceError("chords cross")
     for i in range(n):
         u, v = cyc[i], cyc[(i + 1) % n]
         if frozenset((u, v)) not in edge_set:

@@ -83,16 +83,19 @@ CASES = dict(
 # entries before the embed dispatch became table-driven.  The
 # two-caterpillars and planar-outerplanar entries (gen, thin and reversed)
 # were re-recorded when the closed-form parabola lift replaced the greedy
-# general-position scatter, which moves every point of those results.
+# general-position scatter, which moves every point of those results.  The
+# path-caterpillar entries (gen and reversed) were re-recorded when that
+# layout moved one column left to start in column 1, which made its width
+# the drawing's true width.
 DIGESTS = {
     "gen-outerplanars-n11-s1": "0c25a39f70c4e105879a6ed03e47afa12a4d7b2dabab6baeff35a33629fc7abe",
     "gen-outerplanars-n11-s2": "1c84398644564d3635c5f05ed758b348501ef9f6c48e6ea298b757d2f94de049",
     "gen-outerplanars-n6-s1": "e81323c026ba8faf88f5388317db0cb2b2ad9a2dce7f7fb6bc6a157e5527aa83",
     "gen-outerplanars-n6-s2": "726f51cfb98d9cf32be5da1175e71f7be742c5057bee0c4e99821a37f11321fb",
-    "gen-path-caterpillar-n11-s1": "d38719ffd29208bf287984bc9af126a74abf28f76f3b44efbd1273d59e278030",
-    "gen-path-caterpillar-n11-s2": "ea4ebec1c098491f69f3c3bdfce71c9adecda32bb98e7a4e63c3ee2a5bb4d325",
-    "gen-path-caterpillar-n6-s1": "b85c207d9cc89380790e33245a99ef53fae52b35889a4ef016f047ca9e8fc1c8",
-    "gen-path-caterpillar-n6-s2": "9a5e51ba57e048f5972a499b036f604a2313620f94a9a3c84a3879e787c546a6",
+    "gen-path-caterpillar-n11-s1": "a188cb5821cd3280205c74a6ad0ae3b0d6bf3b6691b78df845b1162c6a891cf7",
+    "gen-path-caterpillar-n11-s2": "9bdf43cff7d283468574fb5eae7f309eb3c9bf90b2b4d9ec559431f1ca5d04cb",
+    "gen-path-caterpillar-n6-s1": "d9b29a7eee79e3222632f6f3d820fe83d19f99bdbcabc57ed803e739de87d06e",
+    "gen-path-caterpillar-n6-s2": "38d1b7a23594fc03bb8d4df73f87c358d015b6e831f304ed0d760e577835b246",
     "gen-planar-outerplanar-n11-s1": "8963fe906672da75431a9edeb01b92f8dcf671493407e1cdac90c3893a063568",
     "gen-planar-outerplanar-n11-s2": "629af0f0852adb92d99cddf374700123d9fb94f490038b3c7ef54c0bef3f9840",
     "gen-planar-outerplanar-n6-s1": "88a0028faf4a6e04dd2786c1bf936c32eb68150558f0d3f092ecbd6e07f55f99",
@@ -105,10 +108,10 @@ DIGESTS = {
     "gen-two-paths-n11-s2": "c5bd614447f2db7ff438ce839ed1403bd80714a365a766fe5f424817d7a7aeac",
     "gen-two-paths-n6-s1": "29c1b084019b84fd8e95e77113545190f4d7b52f88c72f2148a07eba1ce3b651",
     "gen-two-paths-n6-s2": "07184b35ca94303eb9d8b2e03f9e4a126e4268376056052dc6606d3011a36636",
-    "reversed-path-caterpillar-n11-s1": "d38719ffd29208bf287984bc9af126a74abf28f76f3b44efbd1273d59e278030",
-    "reversed-path-caterpillar-n11-s2": "ea4ebec1c098491f69f3c3bdfce71c9adecda32bb98e7a4e63c3ee2a5bb4d325",
-    "reversed-path-caterpillar-n6-s1": "b85c207d9cc89380790e33245a99ef53fae52b35889a4ef016f047ca9e8fc1c8",
-    "reversed-path-caterpillar-n6-s2": "9a5e51ba57e048f5972a499b036f604a2313620f94a9a3c84a3879e787c546a6",
+    "reversed-path-caterpillar-n11-s1": "a188cb5821cd3280205c74a6ad0ae3b0d6bf3b6691b78df845b1162c6a891cf7",
+    "reversed-path-caterpillar-n11-s2": "9bdf43cff7d283468574fb5eae7f309eb3c9bf90b2b4d9ec559431f1ca5d04cb",
+    "reversed-path-caterpillar-n6-s1": "d9b29a7eee79e3222632f6f3d820fe83d19f99bdbcabc57ed803e739de87d06e",
+    "reversed-path-caterpillar-n6-s2": "38d1b7a23594fc03bb8d4df73f87c358d015b6e831f304ed0d760e577835b246",
     "reversed-planar-outerplanar-n11-s1": "8c7003287311a8adad71c3b081a403334fec59f6bc7670994a6f3ca2fadca170",
     "reversed-planar-outerplanar-n11-s2": "731e15ed4fa7df62264af8e98b8ab4c3ca9cd601f63b00632f401eb4dc1e164e",
     "reversed-planar-outerplanar-n6-s1": "7eaf0557c739859a9da2b3c9009d8c1dba8e3e254c7f44d079cc39ef24d25d46",

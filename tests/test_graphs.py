@@ -139,6 +139,9 @@ def test_check_plane_embedding_counts():
     assert check_plane_embedding(TRIANGLE, 3) == 2
     k4 = generate("plane-triangulation", 4, 0)
     assert check_plane_embedding(k4, 4) == 4
+    # a lone vertex traces no face walk, yet the plane around it is a face
+    assert check_plane_embedding(Layer("planar", [], rotation=[[]]), 1) == 1
+    assert check_plane_embedding(Layer("planar", [(0, 1)], rotation=[[1], [0]]), 2) == 1
 
 
 def test_check_plane_embedding_rejects_broken_rotation():

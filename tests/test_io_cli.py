@@ -309,6 +309,49 @@ def test_cli_planar_layer_over_budget_one_error_line(tmp_path, capsys, monkeypat
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--kind", "two-paths", "--n", "0"], "at least one vertex"),
+        (["--kind", "outerplanars", "--n", "5", "--layers", "0"], "at least one layer"),
+        (["--kind", "outerplanars", "--n", "5", "--layers", "-2"], "at least one layer"),
+    ],
+    ids=["two-paths-n0", "outerplanars-layers0", "outerplanars-layers-2"],
+)
+def test_cli_gen_refuses_what_embed_would_reject(capsys, options, message):
+    capsys.readouterr()
+    rc = cli_main(["gen", *options, "--out", "-"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cli_planar_outerplanar_below_three_vertices_one_error_line(tmp_path, capsys, n):
+    # the one-vertex plane layer is a plane embedding with one face; both
+    # sizes fail for what they are, too small to triangulate
+    doc = {
+        "n": n,
+        "mapping": "free",
+        "layers": [
+            {
+                "class": "planar",
+                "edges": [[0, 1]][: n - 1],
+                "rotation": [[1 - v] for v in range(n)] if n == 2 else [[]],
+            },
+            {"class": "outerplanar", "edges": [[0, 1]][: n - 1], "outer_cycle": list(range(n))},
+        ],
+    }
+    inst_file = tmp_path / "small.json"
+    inst_file.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    rc = cli_main(["embed", "--in", str(inst_file), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert err == ["error: triangulation needs at least 3 vertices"]
+
+
 def test_cli_io_error_exit_code(tmp_path):
     rc = cli_main(["embed", "--in", str(tmp_path / "missing.json"), "--out", "-"])
     assert rc == 1

@@ -241,9 +241,9 @@ def pc_instance(p, cat, n):
 def test_path_caterpillar_fixture():
     p = PathOrder([0, 1, 2, 3])
     cat = Caterpillar([0, 1, 2], [[], [3], []])
-    assert orient(P(4, 2), P(6, 3), P(5, 4)) != 0
+    assert orient(P(3, 2), P(5, 3), P(4, 4)) != 0
     emb, shifts = embed_path_caterpillar(p, cat)
-    assert [(q.x, q.y) for q in emb.coords] == [(2, 1), (4, 2), (6, 3), (5, 4)]
+    assert [(q.x, q.y) for q in emb.coords] == [(1, 1), (3, 2), (5, 3), (4, 4)]
     assert shifts == 0
     assert certify_embedding(emb, pc_instance(p, cat, 4)).ok
 
@@ -253,7 +253,7 @@ def test_path_caterpillar_no_legs():
     cat = Caterpillar([1, 0, 2], [[], [], []])
     emb, shifts = embed_path_caterpillar(p, cat)
     assert shifts == 0
-    assert all(q.x % 2 == 0 for q in emb.coords)
+    assert all(q.x % 2 == 1 for q in emb.coords)
     assert certify_embedding(emb, pc_instance(p, cat, 3)).ok
 
 
@@ -266,7 +266,7 @@ def test_path_caterpillar_forced_shift():
     assert shifts == 1
     assert certify_embedding(emb, pc_instance(p, cat, 3)).ok
     # width grows by exactly the shift count
-    assert emb.width == 4 + shifts
+    assert emb.width == 3 + shifts
 
 
 def test_path_caterpillar_random_certified_with_bounds():
@@ -283,6 +283,9 @@ def test_path_caterpillar_random_certified_with_bounds():
         assert shifts <= k
         assert emb.width <= 2 * n - k
         assert emb.height == n
+        # the drawing starts in column 1, so its width is its largest x
+        assert min(q.x for q in emb.coords) == 1
+        assert emb.width == max(q.x for q in emb.coords)
         assert certify_embedding(emb, pc_instance(p, cat, n)).ok
         # path layer stays y-monotone after shifting
         ys = [emb.coords[v].y for v in order]

@@ -1,17 +1,21 @@
 """The optimized routines against their plain references.
 
-The direction-hash scatter, which the package no longer uses, and the
-package's trace-once face completion, bounding-box sweep of the
-certifier and bucketed full collinearity scan must return exactly what the pair scan, the re-trace-per-chord loops, the
-all-pairs edge loop and the cubic triple loop in ``reference.py`` return,
-on inputs chosen so that candidates are rejected, faces of every size get
-completed, and edges overlap, touch and tie in every way a grid allows.
-The five-point search with one per-level check must report what the
-conflict-table search and its separate sampled loop reported.
+The package's trace-once face completion, one-pass chord check, flip
+generator that updates its dart map in place, path + caterpillar layout
+with a running shift, bounding-box sweep of the certifier and bucketed
+full collinearity scan must return exactly what the re-trace-per-chord
+loops, the chord pair scan, the rebuild-per-flip generator, the shift pass
+over all vertices, the all-pairs edge loop and the cubic triple loop in
+``reference.py`` return, on inputs chosen so that faces of every size get
+completed, chords nest, cross and share endpoints, and edges overlap,
+touch and tie in every way a grid allows.  The five-point search with one
+per-level check must report what the conflict-table search and its
+separate sampled loop reported.
 """
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,22 +23,26 @@ from hypothesis import given, settings, strategies as st
 from helpers import thin_outerplanar, thin_plane
 from reference import (
     certifier_pair_tests,
+    chords_cross,
     collinear_triples_cubic,
+    crossing_chords_pair_scan,
     five_point_check_table,
     layer_crossings_all_pairs,
     maximalize_outerplanar_retrace,
+    path_caterpillar_rescan,
+    plane_triangulation_rebuild,
     same_ray,
-    scatter_direction_hash,
-    scatter_pair_scan,
     triangulate_plane_retrace,
 )
 from simembed import (
     FIVE_PATHS,
     GridPoint,
-    InternalInvariantError,
+    InvalidInstanceError,
     Layer,
     PathOrder,
+    caterpillar_decompose,
     certify_general_position,
+    embed_path_caterpillar,
     exhaustive_five_point_check,
     generate,
     maximalize_outerplanar,
@@ -43,40 +51,6 @@ from simembed import (
 )
 from simembed import certify
 from simembed.certify import _layer_crossings, _overlapping_pairs
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except InternalInvariantError:
-        return "no slot"
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=14),
-    st.integers(0, 2),
-    st.integers(0, 3),
-)
-def test_scatter_matches_pair_scan(centers, half_w, half_h):
-    # Cells this small and this close overlap, so candidates are rejected
-    # for collinearity and for coinciding with placed points.
-    assert _outcome(scatter_direction_hash, centers, half_w, half_h) == _outcome(
-        scatter_pair_scan, centers, half_w, half_h
-    )
-
-
-def test_scatter_coincident_candidates():
-    P = GridPoint
-    # With one point placed there is no pair, so a coincident candidate is
-    # accepted; from two placed points on it is rejected.
-    assert scatter_direction_hash([(0, 0), (0, 0)], 0, 0) == [P(0, 0), P(0, 0)]
-    with pytest.raises(InternalInvariantError):
-        scatter_direction_hash([(0, 0), (3, 1), (0, 0)], 0, 0)
-    for centers in ([(0, 0), (3, 1), (0, 0)], [(0, 0), (0, 0), (5, 2)], [(1, 1), (4, 2), (1, 1)]):
-        assert _outcome(scatter_direction_hash, centers, 1, 1) == _outcome(
-            scatter_pair_scan, centers, 1, 1
-        )
 
 
 @settings(max_examples=150, deadline=None)
@@ -106,6 +80,61 @@ def test_maximalize_small_cycles_match_retrace():
                 continue
             layer = Layer("outerplanar", edges, outer_cycle=list(range(n)))
             assert maximalize_outerplanar(layer, n) == maximalize_outerplanar_retrace(layer, n)
+
+
+_CROSSING = re.compile(
+    r"chords \((\d+),(\d+)\) and \((\d+),(\d+)\) cross in the declared outer cycle"
+)
+
+
+def test_chord_stack_matches_pair_scan():
+    # Random edge sets on small cycles: chords share endpoints, nest and
+    # cross, and cycle edges in the set must be ignored.
+    rng = random.Random(7)
+    verdicts = set()
+    for n in range(3, 11):
+        pairs = list(itertools.combinations(range(n), 2))
+        for _ in range(300):
+            cycle = rng.sample(range(n), n)
+            chosen = rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n)))
+            edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in chosen]
+            layer = Layer("outerplanar", edges, outer_cycle=cycle)
+            expected = crossing_chords_pair_scan(cycle, edges)
+            try:
+                maximalize_outerplanar(layer, n)
+            except InvalidInstanceError as exc:
+                named = _CROSSING.fullmatch(str(exc))
+                assert expected is not None and named, str(exc)
+                a, b, c, d = map(int, named.groups())
+                assert {(a, b), (c, d)} <= set(edges)
+                assert chords_cross(cycle, (a, b), (c, d))
+                verdicts.add("cross")
+            else:
+                assert expected is None
+                verdicts.add("plane")
+    assert verdicts == {"cross", "plane"}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_plane_triangulation_matches_rebuild_per_flip(seed):
+    for n in range(3, 61):
+        assert generate("plane-triangulation", n, seed) == plane_triangulation_rebuild(n, seed)
+
+
+def test_path_caterpillar_matches_shift_pass_over_all_vertices():
+    rng = random.Random(11)
+    total_shifts = 0
+    for trial in range(400):
+        n = rng.randrange(1, 40)
+        cat = caterpillar_decompose(generate("caterpillar", n, trial), n)
+        p = PathOrder(rng.sample(range(n), n))
+        emb, shifts = embed_path_caterpillar(p, cat)
+        old, old_shifts = path_caterpillar_rescan(p, cat)
+        assert shifts == old_shifts
+        # the old layout began in column 2, one right of the drawing's width
+        assert emb.coords == [GridPoint(q.x - 1, q.y) for q in old]
+        total_shifts += shifts
+    assert total_shifts > 0
 
 
 def _with_conflict_count(fn, *args):

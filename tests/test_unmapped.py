@@ -68,8 +68,12 @@ def drawing_certified(layer, n, pts, bounds=None):
 
 
 def test_grid_draw_triangle_base_case():
-    pts = planar_grid_draw(TRIANGLE, 3)
-    assert [(p.x, p.y) for p in pts] == [(0, 0), (2, 0), (1, 1)]
+    # The outer face walk is (0, 1, 2) however the rotation lists start, and
+    # the general drawing, peeling no vertex, puts it on the base triangle.
+    for flips in range(8):
+        rotation = [r[::-1] if flips >> v & 1 else r for v, r in enumerate(TRIANGLE.rotation)]
+        pts = planar_grid_draw(Layer("planar", TRIANGLE.edges, rotation=rotation), 3)
+        assert [(p.x, p.y) for p in pts] == [(0, 0), (2, 0), (1, 1)]
 
 
 def test_grid_draw_k4():
