@@ -6,13 +6,15 @@ in closed form, parabola-based point sets that are collinearity-free by
 construction, and the split-by-split embedding of a maximal outerplanar
 graph onto an arbitrary general-position point set: one angular-rank split
 rule, proved in :func:`_select_split`, applied to an explicit stack of
-subproblems.
+subproblems that sort their angular orders only when a split reads them.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import groupby
 from typing import Optional
 
 from .errors import (
@@ -89,12 +91,28 @@ def _draw_triangulation(
 
     # Reverse canonical order: peel chord-free outer vertices off the path
     # from v1 to v2, recording the fan of alive neighbors each leaves behind.
+    # ``path_deg[v]`` counts v's neighbours on the path (all alive), kept
+    # up to date as vertices enter and leave it; a path vertex other than
+    # v1, v2 is chord-free when it has exactly its two path neighbours.
+    # ``ready`` is a heap of such vertices, checked again when popped, so
+    # the smallest chord-free vertex is picked.
     alive = [True] * n
     on_path = [False] * n
+    path_deg = [0] * n
     nxt = {v1: v_top, v_top: v2}
     prv = {v_top: v1, v2: v_top}
-    for v in (v1, v_top, v2):
-        on_path[v] = True
+    ready: list[int] = []
+
+    def enter(w: int) -> None:
+        on_path[w] = True
+        for x in adj[w]:
+            if on_path[x]:
+                path_deg[x] += 1
+                path_deg[w] += 1
+                if path_deg[x] == 2 and x != v1 and x != v2:
+                    heapq.heappush(ready, x)
+        if path_deg[w] == 2 and w != v1 and w != v2:
+            heapq.heappush(ready, w)
 
     def path_iter():
         v = v1
@@ -104,21 +122,16 @@ def _draw_triangulation(
                 return
             v = nxt[v]
 
+    for v in (v1, v_top, v2):
+        enter(v)
     fans: dict[int, tuple[int, list[int], int]] = {}
     removal_order: list[int] = []
     for _ in range(n - 3):
-        candidate = None
-        for v in path_iter():
-            if v == v1 or v == v2:
-                continue
-            path_neighbors = sum(
-                1 for w in adj[v] if alive[w] and on_path[w]
-            )
-            if path_neighbors == 2 and (candidate is None or v < candidate):
-                candidate = v
-        if candidate is None:
+        while ready and not (on_path[ready[0]] and path_deg[ready[0]] == 2):
+            heapq.heappop(ready)
+        if not ready:
             raise InternalInvariantError("no chord-free outer vertex available")
-        u = candidate
+        u = heapq.heappop(ready)
         a, b = prv[u], nxt[u]
         alive_ring = [w for w in rotation[u] if alive[w]]
         ia = alive_ring.index(a)
@@ -135,9 +148,14 @@ def _draw_triangulation(
         removal_order.append(u)
         alive[u] = False
         on_path[u] = False
+        for x in adj[u]:
+            if on_path[x]:
+                path_deg[x] -= 1
+                if path_deg[x] == 2 and x != v1 and x != v2:
+                    heapq.heappush(ready, x)
         prev = a
         for w in interior:
-            on_path[w] = True
+            enter(w)
             nxt[prev] = w
             prv[w] = prev
             prev = w
@@ -291,15 +309,33 @@ PointAssignment = list[int]
 
 
 def _angular_sort(
-    pts: list[GridPoint], pivot: int, others: list[int], side: int
+    pts: list[GridPoint], pivot: int, ref: int, others: list[int]
 ) -> list[int]:
-    # Sort point indices by angle around the pivot, sweeping from the side's
-    # boundary ray; all candidates lie strictly on one side, so the exact
-    # orientation predicate is a total comparator.
-    def cmp(s: int, t: int) -> int:
-        return -side * orient(pts[pivot], pts[s], pts[t])
-
-    return sorted(others, key=cmp_to_key(cmp))
+    # Sort point indices by angle around the pivot, from the ray pivot->ref;
+    # every point lies strictly on one side of the line through the two.
+    # The key -dot/|cross| is minus the cotangent of that angle, strictly
+    # increasing in it.  CPython's int / int is correctly rounded, hence
+    # monotone, so two points with different float keys are in the right
+    # order; only a run of equal keys needs the exact orientation predicate.
+    o, r = pts[pivot], pts[ref]
+    dx, dy = r.x - o.x, r.y - o.y
+    # dot = d . (s - o) and cross = d x (s - o) for d = ref - pivot, with
+    # d . o and d x o taken out of the loop.
+    dot_o, cross_o = dx * o.x + dy * o.y, dx * o.y - dy * o.x
+    key = {
+        s: (dot_o - dx * pts[s].x - dy * pts[s].y)
+        / abs(dx * pts[s].y - dy * pts[s].x - cross_o)
+        for s in others
+    }
+    order = sorted(others, key=key.__getitem__)
+    if len(set(key.values())) == len(order):
+        return order
+    side = orient(o, r, pts[order[0]])
+    exact = cmp_to_key(lambda s, t: -side * orient(o, pts[s], pts[t]))
+    repaired: list[int] = []
+    for _, run in groupby(order, key.__getitem__):
+        repaired.extend(sorted(run, key=exact))
+    return repaired
 
 
 def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]:
@@ -314,6 +350,17 @@ def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]
     an explicit stack, so the depth of the outerplanar graph's dual tree
     never meets the interpreter's recursion limit.  The hull-edge invariant
     is asserted on entry to every subproblem.
+
+    A split does only the work its side sizes need (see
+    :func:`_embed_chain`).  When one side is empty, r is the first point
+    in one angular order and the other side keeps the rest of that order,
+    so nothing is sorted; the fan-like layers that
+    :func:`graphs.maximalize_outerplanar` makes from sparse input are mostly
+    such splits.  An angular order is sorted only when a split with two
+    nonempty sides needs it, by float keys that are exact up to ties (see
+    :func:`_angular_sort`).  What stays quadratic in the worst case is
+    linear work per split: the hull-edge check and the copy of the
+    surviving order.
     """
     validate_layer(layer, len(pts))
     if layer.kind != "outerplanar" or layer.outer_cycle is None:
@@ -353,62 +400,105 @@ def _embed_on_general_position(layer: Layer, pts: list[GridPoint]) -> list[int]:
 
     chain = [cyc[0]] + cyc[:0:-1]
     others = [i for i in range(k) if i != p_idx and i != q_idx]
-    side = orient(pts[p_idx], pts[q_idx], pts[others[0]])
-    by_p = _angular_sort(pts, p_idx, others, side)
-    by_q = _angular_sort(pts, q_idx, others, -side)
+    by_p = _angular_sort(pts, p_idx, q_idx, others)
     phi = [-1] * k
-    _embed_chain(pts, adj, phi, [(chain, by_p, by_q, p_idx, q_idx)])
+    _embed_chain(pts, adj, chain, phi, [(0, k - 1, by_p, None, p_idx, q_idx)])
     if sorted(phi) != list(range(k)):
         raise InternalInvariantError("point assignment is not a bijection")
     return phi
 
 
+#: A pending subproblem (lo, hi, by_p, by_q, p_i, q_i) of :func:`_embed_chain`.
+Subproblem = tuple[int, int, Optional[list[int]], Optional[list[int]], int, int]
+
+
 def _embed_chain(
     pts: list[GridPoint],
     adj: list[set[int]],
+    chain: list[int],
     phi: list[int],
-    stack: list[tuple[list[int], list[int], list[int], int, int]],
+    stack: list[Subproblem],
 ) -> None:
-    # Each pending subproblem (chain, by_p, by_q, p_i, q_i) maps the chain's
-    # ends to the hull edge (p_i, q_i) and its inner vertices to its points,
-    # given in angular order around p_i (by_p) and around q_i (by_q).
+    """Run the pending subproblems on ``stack`` to the end.
+
+    A subproblem (lo, hi, by_p, by_q, p_i, q_i) maps the ends of the
+    interval ``chain[lo..hi]`` of the root chain to the hull edge
+    (p_i, q_i) and its inner vertices to its points, listed by angle
+    around p_i from ray p_i q_i (``by_p``) and around q_i from ray q_i p_i
+    (``by_q``).  Either order may be None, not sorted yet, but never both.
+    The apex of the designated edge (u, v) is a common neighbour strictly
+    inside the interval, found through the positions of the chain's
+    vertices in time linear in the smaller degree.
+
+    With n_a points on the p side of the apex and n_b on the q side, the
+    split rule of :func:`_select_split` needs no sort when a side is
+    empty.  If n_b = 0, every q-rank is at most m - 1 = n_a, so r is
+    ``by_p[0]`` and A keeps ``by_p[1:]`` as its order around p, with its
+    order around r not sorted.  If n_a = 0, r is the first point in p-order
+    with q-rank 0, which is ``by_q[0]``, and B keeps ``by_q[1:]``.  A
+    missing order is sorted only when a split needs it.  Every order is a
+    total order of its points (general position, all on one side of the
+    edge), and :func:`_angular_sort` is exact, so a late sort equals the
+    one the parent would have passed down, and the result is the same as
+    with both orders always kept.
+    """
+    pos = [0] * len(chain)
+    for i, v in enumerate(chain):
+        pos[v] = i
     while stack:
-        chain, by_p, by_q, p_i, q_i = stack.pop()
-        phi[chain[0]] = p_i
-        phi[chain[-1]] = q_i
-        if len(chain) == 2:
+        lo, hi, by_p, by_q, p_i, q_i = stack.pop()
+        u, v = chain[lo], chain[hi]
+        phi[u] = p_i
+        phi[v] = q_i
+        if hi - lo == 1:
             continue
-        u, v = chain[0], chain[-1]
-        apexes = [w for w in chain[1:-1] if w in adj[u] and w in adj[v]]
+        apexes = [w for w in adj[u] & adj[v] if lo < pos[w] < hi]
         if len(apexes) != 1:
             raise InvalidInstanceError(
                 f"edge ({u},{v}) must close exactly one triangle inside its chain"
             )
-        j = chain.index(apexes[0])
-        n_a = j - 1
-        n_b = len(chain) - 2 - j
+        j = pos[apexes[0]]
+        n_a = j - lo - 1
+        n_b = hi - j - 1
 
-        sides = {orient(pts[p_i], pts[q_i], pts[s]) for s in by_p}
-        if 0 in sides or len(sides) > 1:
+        # Hull-edge invariant: d x s is above d x p for every point s, or
+        # below it for every one, with d = q - p.
+        a, b = pts[p_i], pts[q_i]
+        dx, dy = b.x - a.x, b.y - a.y
+        at_p = dx * a.y - dy * a.x
+        cross = [dx * pts[s].y - dy * pts[s].x for s in (by_p if by_p is not None else by_q)]
+        if not (min(cross) > at_p or max(cross) < at_p):
             raise HullEdgeInvariantError(
                 "designated edge is not a hull edge of its point subset"
             )
-        r, part_a, part_b = _select_split(pts, by_p, by_q, sides.pop(), n_a, n_b)
-        stack.append((chain[j:], *part_b, r, q_i))
-        stack.append((chain[: j + 1], *part_a, p_i, r))
+        # Sort a missing order only if the split below reads it: by_p
+        # unless n_a = 0 < n_b, by_q unless n_b = 0.
+        if by_p is None and (n_a > 0 or n_b == 0):
+            by_p = _angular_sort(pts, p_i, q_i, by_q)
+        if by_q is None and n_b > 0:
+            by_q = _angular_sort(pts, q_i, p_i, by_p)
+        if n_b == 0:
+            r, part_a, part_b = by_p[0], (by_p[1:], None), ([], [])
+        elif n_a == 0:
+            r, part_a, part_b = by_q[0], ([], []), (None, by_q[1:])
+        else:
+            r, part_a, part_b = _select_split(pts, p_i, q_i, by_p, by_q, n_a, n_b)
+        stack.append((j, hi, *part_b, r, q_i))
+        stack.append((lo, j, *part_a, p_i, r))
 
 
 def _select_split(
     pts: list[GridPoint],
+    p: int,
+    q: int,
     by_p: list[int],
     by_q: list[int],
-    side: int,
     n_a: int,
     n_b: int,
 ) -> tuple[int, tuple[list[int], list[int]], tuple[list[int], list[int]]]:
     """Pick the apex point r and the point sets A (n_a points) and B (n_b).
 
-    The m = n_a + n_b + 1 points lie strictly on ``side`` of the hull edge
+    The m = n_a + n_b + 1 points lie strictly on one side of the hull edge
     (p, q); ``by_p`` and ``by_q`` list them by angle around p, from ray pq,
     and around q, from ray qp.  This is the constructive split behind the
     point-set embeddings of Gritzmann, Mohar, Pach & Pollack (1991) and
@@ -437,17 +527,25 @@ def _select_split(
     r is the first point in p-order with an empty triangle pqr, at least
     n_a points beyond pr and at least n_b beyond qr.)
 
+    Degenerate sides: if n_b = 0, every q-rank is at most m - 1 = n_a, so
+    r = ``by_p[0]`` and A is ``by_p[1:]``; if n_a = 0, r is the point of
+    q-rank 0, ``by_q[0]``, and B is ``by_q[1:]``.  :func:`_embed_chain`
+    takes those splits itself, without this function's ranks and sorts.
+
     Returns each side as its subproblem's two angular orders: A around p
-    and around r, B around r and around q.  A lies beyond pr, so
-    orient(p, r, a) = side and A's order around p, from ray pr, is ``by_p``
-    restricted to A; likewise B's order around q, from ray qr, is ``by_q``
-    restricted to B.  General position makes every angular order total, so
-    only orders around the new point r need sorting.  Around r, from ray
-    rp, the points beyond pr only come before the wedge, whose points
-    nearest them go to A; from ray rq, the points beyond qr only come
-    before the wedge, traversed the other way.  So each side's order
-    around r is its own points beyond one line only, sorted, followed by
-    its part of the sorted wedge, and every point is sorted around r once.
+    and around r, B around r and around q.  A lies beyond pr, so A's order
+    around p, from ray pr, is ``by_p`` restricted to A; likewise B's order
+    around q, from ray qr, is ``by_q`` restricted to B.  General position
+    makes every angular order total, so only orders around the new point r
+    need sorting.  Around r, from ray rp, the points beyond pr only come
+    before the wedge, whose points nearest them go to A; from ray rq, the
+    points beyond qr only come before the wedge, traversed the other way.
+    So each side's order around r is its own points beyond one line only,
+    sorted, followed by its part of the sorted wedge, and every point is
+    sorted around r once.  :func:`_angular_sort` keys each point by minus
+    the cotangent of its angle, -dot/|cross|, a correctly rounded int / int
+    that never inverts two points; only points with equal float keys are
+    ordered by the exact orientation predicate.
     """
     rank_p = {x: i for i, x in enumerate(by_p)}
     rank_q = {x: i for i, x in enumerate(by_q)}
@@ -456,17 +554,17 @@ def _select_split(
     beyond_p, beyond_q = by_p[i + 1 :], by_q[j + 1 :]
     only_a = [x for x in beyond_p if rank_q[x] < j]
     only_b = [x for x in beyond_q if rank_p[x] < i]
-    both = _angular_sort(pts, r, [x for x in beyond_p if rank_q[x] > j], -side)
+    both = _angular_sort(pts, r, p, [x for x in beyond_p if rank_q[x] > j])
     cut = n_a - len(only_a)
     in_a = set(both[:cut])
     return (
         r,
         (
             [x for x in beyond_p if rank_q[x] < j or x in in_a],
-            _angular_sort(pts, r, only_a, -side) + both[:cut],
+            _angular_sort(pts, r, p, only_a) + both[:cut],
         ),
         (
-            _angular_sort(pts, r, only_b, side) + both[cut:][::-1],
+            _angular_sort(pts, r, q, only_b) + both[cut:][::-1],
             [x for x in beyond_q if x not in in_a],
         ),
     )

@@ -1,4 +1,5 @@
-"""Seeded layer thinning shared by the golden and reference tests.
+"""Seeded layer thinning shared by the golden and reference tests, and the
+general-position point sets of the split and reference tests.
 
 ``generate`` only yields maximal layers, which leave ``triangulate_plane``
 and ``maximalize_outerplanar`` no face to complete; thinning removes edges
@@ -8,8 +9,27 @@ so that they have real work.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
-from simembed import Layer
+from hypothesis import assume, strategies as st
+
+from simembed import GridPoint, Layer, orient
+
+
+@st.composite
+def general_position_points(draw, max_size: int = 14, coord_max: int = 60):
+    """Between 3 and ``max_size`` grid points, no three collinear: a point
+    drawn on the line of two kept ones is dropped."""
+    coord = st.integers(0, coord_max)
+    size = draw(st.integers(3, max_size))
+    raw = draw(st.lists(st.tuples(coord, coord), min_size=size, max_size=size, unique=True))
+    pts: list[GridPoint] = []
+    for x, y in raw:
+        c = GridPoint(x, y)
+        if all(orient(a, b, c) != 0 for a, b in combinations(pts, 2)):
+            pts.append(c)
+    assume(len(pts) >= 3)
+    return pts
 
 
 def thin_plane(layer: Layer, n: int, share: float, rng: random.Random) -> Layer:

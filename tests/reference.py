@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import cmp_to_key
 from typing import Optional, Sequence
 
 from simembed import (
@@ -19,10 +20,11 @@ from simembed import (
     InvalidInstanceError,
     Layer,
     check_plane_embedding,
+    convex_hull,
     validate_layer,
 )
-from simembed import certify
-from simembed.errors import SearchBudgetError
+from simembed import certify, unmapped
+from simembed.errors import HullEdgeInvariantError, SearchBudgetError
 from simembed.geometry import _conflict_raw, orient
 from simembed.graphs import _trace_faces, rotation_system_from_faces
 from simembed.mapped import (
@@ -462,3 +464,175 @@ def sampled_five_point_check(
     return FivePointSearchResult(
         counterexample=None, placements_checked=checked, exhaustive=False, grid=(w, h)
     )
+
+
+def draw_triangulation_path_walk(
+    rotation: list[list[int]], faces: list[list[tuple[int, int]]], n: int
+) -> list[GridPoint]:
+    """``unmapped._draw_triangulation`` as it was written first: each of the
+    n - 3 peeled vertices is picked by walking the whole outer path and
+    counting every path vertex's alive path neighbours."""
+    if any(len(f) != 3 for f in faces):
+        raise InvalidInstanceError("grid drawing requires all faces to be triangles")
+
+    walk = min(unmapped._canonical_face(f) for f in faces)
+    v1, v2, v_top = walk
+
+    adj = [set(r) for r in rotation]
+
+    # Reverse canonical order: peel chord-free outer vertices off the path
+    # from v1 to v2, recording the fan of alive neighbors each leaves behind.
+    alive = [True] * n
+    on_path = [False] * n
+    nxt = {v1: v_top, v_top: v2}
+    prv = {v_top: v1, v2: v_top}
+    for v in (v1, v_top, v2):
+        on_path[v] = True
+
+    def path_iter():
+        v = v1
+        while True:
+            yield v
+            if v == v2:
+                return
+            v = nxt[v]
+
+    fans: dict[int, tuple[int, list[int], int]] = {}
+    removal_order: list[int] = []
+    for _ in range(n - 3):
+        candidate = None
+        for v in path_iter():
+            if v == v1 or v == v2:
+                continue
+            path_neighbors = sum(
+                1 for w in adj[v] if alive[w] and on_path[w]
+            )
+            if path_neighbors == 2 and (candidate is None or v < candidate):
+                candidate = v
+        if candidate is None:
+            raise InternalInvariantError("no chord-free outer vertex available")
+        u = candidate
+        a, b = prv[u], nxt[u]
+        alive_ring = [w for w in rotation[u] if alive[w]]
+        ia = alive_ring.index(a)
+        ring_a = alive_ring[ia:] + alive_ring[:ia]
+        if ring_a[-1] == b:
+            interior = ring_a[1:-1]
+        else:
+            ib = alive_ring.index(b)
+            ring_b = alive_ring[ib:] + alive_ring[:ib]
+            if ring_b[-1] != a:
+                raise InternalInvariantError("outer vertex fan is not contiguous")
+            interior = ring_b[1:-1][::-1]
+        fans[u] = (a, interior, b)
+        removal_order.append(u)
+        alive[u] = False
+        on_path[u] = False
+        prev = a
+        for w in interior:
+            on_path[w] = True
+            nxt[prev] = w
+            prv[w] = prev
+            prev = w
+        nxt[prev] = b
+        prv[b] = prev
+
+    remaining = [v for v in path_iter()]
+    if len(remaining) != 3:
+        raise InternalInvariantError("canonical peeling left a non-triangle")
+    v3 = remaining[1]
+
+    xs = [0] * n
+    ys = [0] * n
+    xs[v2] = 2
+    xs[v3], ys[v3] = 1, 1
+    covered: list[list[int]] = [[v] for v in range(n)]
+    path = [v1, v3, v2]
+
+    for v in reversed(removal_order):
+        a, interior, b = fans[v]
+        ia = path.index(a)
+        ib = path.index(b)
+        if path[ia + 1 : ib] != interior:
+            raise InternalInvariantError("insertion fan does not match the outer path")
+        for w in path[ia + 1 : ib]:
+            for t in covered[w]:
+                xs[t] += 1
+        for w in path[ib:]:
+            for t in covered[w]:
+                xs[t] += 2
+        xa, ya = xs[a], ys[a]
+        xb, yb = xs[b], ys[b]
+        if (xa - ya + xb + yb) % 2 != 0:
+            raise InternalInvariantError("diagonal intersection left the lattice")
+        xs[v] = (xa - ya + xb + yb) // 2
+        ys[v] = (xb + yb - xa + ya) // 2
+        bag = [v]
+        for w in interior:
+            bag.extend(covered[w])
+        covered[v] = bag
+        path[ia + 1 : ib] = [v]
+
+    if min(xs) < 0 or max(xs) > 2 * n - 4 or min(ys) < 0 or max(ys) > n - 2:
+        raise InternalInvariantError("drawing escaped the (2n-4) x (n-2) grid")
+    return [GridPoint(xs[v], ys[v]) for v in range(n)]
+
+
+def angular_sort_comparator(
+    pts: list[GridPoint], pivot: int, others: list[int], side: int
+) -> list[int]:
+    """``unmapped._angular_sort`` as it was written first: the exact
+    orientation predicate as the comparator, sweeping from the boundary ray
+    of ``side``, for points all strictly on that side."""
+
+    def cmp(s: int, t: int) -> int:
+        return -side * orient(pts[pivot], pts[s], pts[t])
+
+    return sorted(others, key=cmp_to_key(cmp))
+
+
+def embed_on_general_position_eager(layer: Layer, pts: list[GridPoint]) -> list[int]:
+    """``unmapped._embed_on_general_position`` as it was written first, for
+    a valid maximal outerplanar layer on k >= 3 points: every subproblem
+    carries its chain as a slice and both angular orders, sorted by the
+    comparator, and every split goes through ``_select_split``."""
+    k = len(pts)
+    cyc = layer.outer_cycle
+    adj: list[set[int]] = [set() for _ in range(k)]
+    for u, v in layer.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    hull = convex_hull(pts)
+    hull_edges = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
+    best = min(hull_edges, key=lambda e: sorted((pts[e[0]], pts[e[1]])))
+    p_idx, q_idx = sorted(best, key=pts.__getitem__)
+    others = [i for i in range(k) if i != p_idx and i != q_idx]
+    side = orient(pts[p_idx], pts[q_idx], pts[others[0]])
+    by_p = angular_sort_comparator(pts, p_idx, others, side)
+    by_q = angular_sort_comparator(pts, q_idx, others, -side)
+    phi = [-1] * k
+    stack = [([cyc[0]] + cyc[:0:-1], by_p, by_q, p_idx, q_idx)]
+    while stack:
+        chain, by_p, by_q, p_i, q_i = stack.pop()
+        phi[chain[0]] = p_i
+        phi[chain[-1]] = q_i
+        if len(chain) == 2:
+            continue
+        u, v = chain[0], chain[-1]
+        apexes = [w for w in chain[1:-1] if w in adj[u] and w in adj[v]]
+        if len(apexes) != 1:
+            raise InvalidInstanceError(
+                f"edge ({u},{v}) must close exactly one triangle inside its chain"
+            )
+        j = chain.index(apexes[0])
+        n_a = j - 1
+        n_b = len(chain) - 2 - j
+        sides = {orient(pts[p_i], pts[q_i], pts[s]) for s in by_p}
+        if 0 in sides or len(sides) > 1:
+            raise HullEdgeInvariantError(
+                "designated edge is not a hull edge of its point subset"
+            )
+        r, part_a, part_b = unmapped._select_split(pts, p_i, q_i, by_p, by_q, n_a, n_b)
+        stack.append((chain[j:], *part_b, r, q_i))
+        stack.append((chain[: j + 1], *part_a, p_i, r))
+    return phi

@@ -10,7 +10,11 @@ over all vertices, the all-pairs edge loop and the cubic triple loop in
 completed, chords nest, cross and share endpoints, and edges overlap,
 touch and tie in every way a grid allows.  The five-point search with one
 per-level check must report what the conflict-table search and its
-separate sampled loop reported.
+separate sampled loop reported.  The outerplanar point-set embedder, with
+lazy angular orders, interval chains and float-keyed sorts, must assign
+what the eager slicing driver with comparator sorts assigns, and the
+heap-driven peeling of the shift-method drawing must draw what the walk
+over the whole outer path drew.
 """
 
 import itertools
@@ -20,12 +24,15 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import thin_outerplanar, thin_plane
+from helpers import general_position_points, thin_outerplanar, thin_plane
 from reference import (
+    angular_sort_comparator,
     certifier_pair_tests,
     chords_cross,
     collinear_triples_cubic,
     crossing_chords_pair_scan,
+    draw_triangulation_path_walk,
+    embed_on_general_position_eager,
     five_point_check_table,
     layer_crossings_all_pairs,
     maximalize_outerplanar_retrace,
@@ -42,14 +49,18 @@ from simembed import (
     PathOrder,
     caterpillar_decompose,
     certify_general_position,
+    embed_outerplanar_on_points,
     embed_path_caterpillar,
     exhaustive_five_point_check,
     generate,
     maximalize_outerplanar,
+    orient,
     path_from_digits,
+    planar_general_position_draw,
     triangulate_plane,
 )
-from simembed import certify
+from simembed import certify, unmapped
+from simembed.graphs import _trace_faces
 from simembed.certify import _layer_crossings, _overlapping_pairs
 
 
@@ -325,3 +336,131 @@ def test_sampled_five_point_search_matches_old_sampler(grid):
             assert _search_outcome(new) == _search_outcome(old)
             witnesses += new.counterexample is not None
     assert witnesses >= 10
+
+
+@st.composite
+def half_plane_points(draw):
+    # A pivot, a reference point and points strictly on one side of the
+    # line through them, no two on one ray from the pivot.  Far clusters
+    # near the diagonal put angles closer than a double can tell apart.
+    if draw(st.booleans()):
+        coord = st.integers(-60, 60)
+        raw = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=40, unique=True))
+    else:
+        base = draw(st.integers(2**30, 2**39))
+        step = st.tuples(st.integers(-50, 50), st.integers(-3, 3))
+        raw = [(0, 0), (1, 0)] + [
+            (base + t, base + t + c)
+            for t, c in draw(st.lists(step, min_size=1, max_size=40, unique=True))
+        ]
+    pts = [GridPoint(x, y) for x, y in raw]
+    pivot, ref = 0, 1
+    side = draw(st.sampled_from([1, -1]))
+    others: list[int] = []
+    for s in range(2, len(pts)):
+        if orient(pts[pivot], pts[ref], pts[s]) == side and all(
+            orient(pts[pivot], pts[s], pts[t]) != 0 for t in others
+        ):
+            others.append(s)
+    draw(st.randoms()).shuffle(others)
+    return pts, pivot, ref, others
+
+
+@settings(max_examples=300, deadline=None)
+@given(half_plane_points())
+def test_float_key_sort_matches_comparator(case):
+    pts, pivot, ref, others = case
+    side = orient(pts[pivot], pts[ref], pts[others[0]]) if others else 1
+    assert unmapped._angular_sort(pts, pivot, ref, others) == angular_sort_comparator(
+        pts, pivot, others, side
+    )
+
+
+def test_float_key_ties_are_ordered_exactly():
+    # All four keys -x/y round to one double; only the repair orders them.
+    b = 2**39
+    pts = [GridPoint(0, 0), GridPoint(1, 0)] + [
+        GridPoint(b + d, b + d + 1) for d in (0, 2, 4, -2)
+    ]
+    others = [2, 3, 4, 5]
+    assert len({-p.x / p.y for p in pts[2:]}) == 1
+    expected = angular_sort_comparator(pts, 0, others, 1)
+    assert expected == [4, 3, 2, 5]  # the steeper the slope, the later
+    assert unmapped._angular_sort(pts, 0, 1, others) == expected
+    assert unmapped._angular_sort(pts, 0, 1, others[::-1]) == expected
+
+
+def _relabelled(k: int, edges, rng: random.Random) -> Layer:
+    # The outerplanar layer with outer cycle 0..k-1 and these edges, under
+    # a random labelling and a random start of its outer cycle.
+    label = list(range(k))
+    rng.shuffle(label)
+    start = rng.randrange(k)
+    return Layer(
+        "outerplanar",
+        [(label[u], label[v]) for u, v in edges],
+        outer_cycle=[label[(start + i) % k] for i in range(k)],
+    )
+
+
+def _cycle(k: int) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % k) for i in range(k)]
+
+
+def fan_layer(k: int, rng: random.Random) -> Layer:
+    return _relabelled(k, _cycle(k) + [(0, i) for i in range(2, k - 1)], rng)
+
+
+def zigzag_layer(k: int, rng: random.Random) -> Layer:
+    # Chords alternate between the two ends, so the splits alternate
+    # between an empty p side and an empty q side.
+    edges = _cycle(k)
+    lo, hi = 0, k - 1
+    while hi - lo > 2:
+        if len(edges) % 2:
+            lo += 1
+        else:
+            hi -= 1
+        edges.append((lo, hi))
+    return _relabelled(k, edges, rng)
+
+
+def _layers(k: int, seed: int) -> list[Layer]:
+    rng = random.Random(seed)
+    maximal = generate("maximal-outerplanar", k, seed)
+    return [
+        maximal,
+        maximalize_outerplanar(thin_outerplanar(maximal, rng.random(), rng), k)[0],
+        fan_layer(k, rng),
+        zigzag_layer(k, rng),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_position_points(max_size=30, coord_max=10**4), st.integers(0, 10**6))
+def test_lazy_split_driver_matches_eager_on_random_points(pts, seed):
+    for layer in _layers(len(pts), seed):
+        assert embed_outerplanar_on_points(layer, pts) == embed_on_general_position_eager(
+            layer, pts
+        )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lazy_split_driver_matches_eager_on_planar_drawings(seed):
+    for k in (3, 4, 7, 12, 25, 60, 120):
+        pts = planar_general_position_draw(generate("plane-triangulation", k, seed), k)
+        for layer in _layers(k, seed):
+            assert unmapped._embed_on_general_position(
+                layer, pts
+            ) == embed_on_general_position_eager(layer, pts)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_heap_peeling_matches_path_walk(seed):
+    for n in range(3, 81):
+        lay = generate("plane-triangulation", n, seed)
+        faces = _trace_faces(n, lay.edges, lay.rotation)
+        assert unmapped._draw_triangulation(
+            lay.rotation, faces, n
+        ) == draw_triangulation_path_walk(lay.rotation, faces, n)
+

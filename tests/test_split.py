@@ -1,16 +1,17 @@
 """Property tests for the outerplanar point-set split.
 
 ``_select_split`` claims a split exists for every n_a; these tests draw
-general-position point sets and try every n_a on the designated hull edge.
+general-position point sets and try every n_a on the designated hull edge,
+and check that with an empty side the rule picks the first point of one
+angular order, which is the split the driver takes without it.
 """
 
 import sys
-from itertools import combinations
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from helpers import general_position_points
 from simembed import (
-    GridPoint,
     Layer,
     LayeredInstance,
     SimultaneousEmbedding,
@@ -22,19 +23,6 @@ from simembed import (
     parabola_pointset,
 )
 from simembed import unmapped
-
-
-@st.composite
-def general_position_points(draw, max_size=14):
-    coord = st.integers(0, 60)
-    raw = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=max_size, unique=True))
-    pts: list[GridPoint] = []
-    for x, y in raw:
-        c = GridPoint(x, y)
-        if all(orient(a, b, c) != 0 for a, b in combinations(pts, 2)):
-            pts.append(c)
-    assume(len(pts) >= 3)
-    return pts
 
 
 def lowest_hull_edge(pts):
@@ -56,32 +44,47 @@ def separated_at(pts, r, left, right):
     return False
 
 
+def root_orders(pts):
+    p, q = lowest_hull_edge(pts)
+    others = [i for i in range(len(pts)) if i not in (p, q)]
+    return p, q, unmapped._angular_sort(pts, p, q, others), unmapped._angular_sort(pts, q, p, others)
+
+
 @settings(max_examples=150, deadline=None)
 @given(general_position_points())
 def test_split_exists_for_every_n_a(pts):
-    p, q = lowest_hull_edge(pts)
-    others = [i for i in range(len(pts)) if i not in (p, q)]
-    side = orient(pts[p], pts[q], pts[others[0]])
-    m = len(others)
-    by_p = unmapped._angular_sort(pts, p, others, side)
-    by_q = unmapped._angular_sort(pts, q, others, -side)
+    p, q, by_p, by_q = root_orders(pts)
+    m = len(by_p)
     for n_a in range(m):
         r, (part_a, a_by_r), (b_by_r, part_b) = unmapped._select_split(
-            pts, by_p, by_q, side, n_a, m - 1 - n_a
+            pts, p, q, by_p, by_q, n_a, m - 1 - n_a
         )
         # each side comes back in its subproblem's two angular orders
-        assert part_a == unmapped._angular_sort(pts, p, part_a, side)
-        assert a_by_r == unmapped._angular_sort(pts, r, part_a, -side)
-        assert b_by_r == unmapped._angular_sort(pts, r, part_b, side)
-        assert part_b == unmapped._angular_sort(pts, q, part_b, -side)
+        assert part_a == unmapped._angular_sort(pts, p, r, part_a)
+        assert a_by_r == unmapped._angular_sort(pts, r, p, part_a)
+        assert b_by_r == unmapped._angular_sort(pts, r, q, part_b)
+        assert part_b == unmapped._angular_sort(pts, q, r, part_b)
         assert len(part_a) == n_a and len(part_b) == m - 1 - n_a
-        assert sorted(part_a + part_b + [r]) == sorted(others)
+        assert sorted(part_a + part_b + [r]) == sorted(by_p)
         # A strictly beyond line pr (away from q), B strictly beyond line rq
         away_q = -orient(pts[p], pts[r], pts[q])
         away_p = -orient(pts[r], pts[q], pts[p])
         assert all(orient(pts[p], pts[r], pts[x]) == away_q for x in part_a)
         assert all(orient(pts[r], pts[q], pts[x]) == away_p for x in part_b)
         assert separated_at(pts, r, [p] + part_a, [q] + part_b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_position_points())
+def test_split_with_an_empty_side_takes_the_first_point(pts):
+    # The split driver takes these two splits without calling the rule;
+    # here the rule itself picks the same r and the same surviving order.
+    p, q, by_p, by_q = root_orders(pts)
+    m = len(by_p)
+    r, (part_a, _), (_, part_b) = unmapped._select_split(pts, p, q, by_p, by_q, 0, m - 1)
+    assert (r, part_a, part_b) == (by_q[0], [], by_q[1:])
+    r, (part_a, _), (_, part_b) = unmapped._select_split(pts, p, q, by_p, by_q, m - 1, 0)
+    assert (r, part_a, part_b) == (by_p[0], by_p[1:], [])
 
 
 @settings(max_examples=60, deadline=None)
