@@ -2,12 +2,14 @@
 
 With a given vertex mapping: two paths on an n x n grid, a path plus a
 caterpillar on at most (2n-k) x n, two caterpillars on pn x pn for p the
-smallest prime >= n.  Without a mapping: any number of outerplanar graphs
-on a near-n x n grid, and a planar/outerplanar pair on about
-12n^3 x 6n^3.  General position comes in closed form from Erdős's mod-p
-parabola, lifted onto a scaled base drawing.  Every output can be certified independently with exact integer
-predicates, and the bundled five-path family comes with an exhaustive
-impossibility check.
+smallest prime >= n.  Without a mapping, one pipeline: a point set with no
+three points collinear, then every outerplanar layer mapped onto it.  Any
+number of outerplanar graphs share a near-n x n grid; one plane graph plus
+any number of outerplanar graphs share about 12n^3 x 6n^3.  General
+position comes in closed form from Erdős's mod-p parabola, lifted onto a
+scaled base drawing.  Every output can be certified independently with
+exact integer predicates, and the bundled five-path family comes with an
+exhaustive impossibility check.
 """
 
 from .certify import (
@@ -76,15 +78,13 @@ from .documents import (
 from .svg import render_svg
 from .unmapped import (
     ParabolaSet,
-    PointAssignment,
     brute_force_point_assignment,
     embed_outerplanar_on_points,
     general_position_bounds,
     parabola_pointset,
     planar_general_position_draw,
     planar_grid_draw,
-    simul_embed_outerplanars,
-    simul_embed_planar_outerplanar,
+    simul_embed_free,
 )
 from .cli import cli_main
 
@@ -107,7 +107,6 @@ __all__ = [
     "LayeredInstance",
     "PairCoverage",
     "ParabolaSet",
-    "PointAssignment",
     "ParseError",
     "PathOrder",
     "SearchBudgetError",
@@ -149,8 +148,7 @@ __all__ = [
     "segments_conflict",
     "serialize_instance",
     "serialize_result",
-    "simul_embed_outerplanars",
-    "simul_embed_planar_outerplanar",
+    "simul_embed_free",
     "triangulate_plane",
     "validate_instance",
     "validate_layer",

@@ -10,11 +10,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import gcd
 
 from .errors import InvalidInstanceError
-from .geometry import GridPoint, _conflict_raw, _direction_buckets, find_collinear_triple
+from .geometry import GridPoint, _collinear_triples, _conflict_raw
 from .graphs import LayeredInstance, SimultaneousEmbedding
 
 KINDS = ("layer-crossing", "collinear-triple", "out-of-bounds", "duplicate-point", "bad-bijection")
@@ -254,28 +254,16 @@ def certify_general_position(
     """Report collinear triples (and duplicate points) in a point set.
 
     By default the first offending triple suffices; ``full_scan`` lists
-    every collinear triple in lexicographic order.  Both bucket the later
-    points by their reduced direction from each anchor i, so the points
-    j < k collinear with i are the pairs within one bucket.
+    every collinear triple in lexicographic order.  Both read the same
+    per-anchor listing of :func:`geometry._collinear_triples`.
     """
     violations = _duplicate_violations(points)
     if violations:
         return _report(violations)
-    if full_scan:
-        xs = [p.x for p in points]
-        ys = [p.y for p in points]
-        for i in range(len(points) - 2):
-            pairs = sorted(
-                (j, k)
-                for idxs in _direction_buckets(xs, ys, i).values()
-                for jj, j in enumerate(idxs)
-                for k in idxs[jj + 1 :]
-            )
-            violations.extend(Violation("collinear-triple", (i, j, k)) for j, k in pairs)
-    else:
-        triple = find_collinear_triple(points)
-        if triple is not None:
-            violations.append(Violation("collinear-triple", triple))
+    triples = _collinear_triples(points)
+    if not full_scan:
+        triples = islice(triples, 1)
+    violations.extend(Violation("collinear-triple", t) for t in triples)
     return _report(violations)
 
 

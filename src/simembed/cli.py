@@ -43,10 +43,9 @@ from .mapped import (
     path_from_digits,
 )
 from .svg import render_svg
-from .unmapped import simul_embed_outerplanars, simul_embed_planar_outerplanar
+from .unmapped import simul_embed_free
 
 SUPPORTED_GIVEN = "path+path, path+caterpillar, caterpillar+caterpillar"
-SUPPORTED_FREE = "outerplanar (any number), planar+outerplanar"
 
 
 def _read(path: str) -> str:
@@ -88,43 +87,37 @@ def _parse_bounds(text: Optional[str]) -> Optional[tuple[int, int]]:
         raise ParseError(f"--bounds expects WxH, got {text!r}")
 
 
-# The two-layer embedders by mapping and layer classes, keyed in the order
-# each takes its layers.  The lambdas look the embedders up in this module
-# when called, so a patched module attribute is the one that runs.
+# The two-layer embedders for a given mapping by layer classes, keyed in
+# the order each takes its layers.  The lambdas look the embedders up in
+# this module when called, so a patched module attribute is the one that
+# runs.
 _PAIR_EMBEDDERS = {
-    ("given", ("path", "path")): lambda a, b, n: embed_two_paths(as_path(a, n), as_path(b, n)),
-    ("given", ("path", "caterpillar")): lambda a, b, n: embed_path_caterpillar(
+    ("path", "path"): lambda a, b, n: embed_two_paths(as_path(a, n), as_path(b, n)),
+    ("path", "caterpillar"): lambda a, b, n: embed_path_caterpillar(
         as_path(a, n), caterpillar_decompose(b, n)
     )[0],
-    ("given", ("caterpillar", "caterpillar")): lambda a, b, n: embed_two_caterpillars(
+    ("caterpillar", "caterpillar"): lambda a, b, n: embed_two_caterpillars(
         caterpillar_decompose(a, n), caterpillar_decompose(b, n)
     ),
-    ("free", ("planar", "outerplanar")): lambda a, b, n: simul_embed_planar_outerplanar(a, b, n),
 }
 
 
 def _dispatch_embed(inst: LayeredInstance) -> SimultaneousEmbedding:
-    kinds = [layer.kind for layer in inst.layers]
-    if inst.mapping == "free" and all(k == "outerplanar" for k in kinds):
-        return simul_embed_outerplanars(inst.layers, inst.n)
-    flipped = (inst.mapping, tuple(kinds)) not in _PAIR_EMBEDDERS
+    if inst.mapping == "free":
+        return simul_embed_free(inst.layers, inst.n)
+    kinds = tuple(layer.kind for layer in inst.layers)
+    flipped = kinds not in _PAIR_EMBEDDERS
     layers = inst.layers[::-1] if flipped else inst.layers
-    embed = _PAIR_EMBEDDERS.get((inst.mapping, tuple(layer.kind for layer in layers)))
+    embed = _PAIR_EMBEDDERS.get(kinds[::-1] if flipped else kinds)
     if embed is None:
-        if inst.mapping == "given":
-            raise UnsupportedInstanceError(
-                f"no with-mapping embedder for classes {kinds}; "
-                f"supported: {SUPPORTED_GIVEN}. Two planar layers with a given "
-                "mapping cannot be simultaneously embedded in general."
-            )
         raise UnsupportedInstanceError(
-            f"no without-mapping embedder for classes {kinds}; supported: {SUPPORTED_FREE}"
+            f"no with-mapping embedder for classes {list(kinds)}; "
+            f"supported: {SUPPORTED_GIVEN}. Two planar layers with a given "
+            "mapping cannot be simultaneously embedded in general."
         )
     emb = embed(*layers, inst.n)
     if flipped:
-        emb.layers.reverse()
-        if emb.assignments is not None:
-            emb.assignments.reverse()
+        emb.layers.reverse()  # a given mapping has no assignments to reverse
     return emb
 
 

@@ -7,9 +7,11 @@ operations are pure functions and safe to call concurrently.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import combinations
+from typing import Callable, Iterator, Optional
 
 from .errors import CoordinateBudgetError, DegenerateSegmentError, DuplicatePointError
 
@@ -195,6 +197,23 @@ def _direction_buckets(
     return buckets
 
 
+def _collinear_triples(points: list[GridPoint]) -> Iterator[tuple[int, int, int]]:
+    """Every index triple i < j < k of collinear points, lexicographically.
+
+    Per anchor i, the points j < k collinear with it are the pairs within
+    one of its direction buckets.  Each bucket lists its pairs in order and
+    no index sits in two buckets, so merging the buckets' pair streams
+    yields the anchor's pairs in order, lazily: the first triple costs no
+    more than finding it.  The points must be distinct.
+    """
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    for i in range(len(points) - 2):
+        buckets = _direction_buckets(xs, ys, i).values()
+        for j, k in heapq.merge(*(combinations(idxs, 2) for idxs in buckets if len(idxs) >= 2)):
+            yield i, j, k
+
+
 def find_collinear_triple(points: list[GridPoint]) -> Optional[tuple[int, int, int]]:
     """Lexicographically smallest index triple (i, j, k) with collinear points.
 
@@ -203,21 +222,7 @@ def find_collinear_triple(points: list[GridPoint]) -> Optional[tuple[int, int, i
     identical triple.
     """
     _check_distinct(points)
-    n = len(points)
-    if n < 3:
-        return None
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    for i in range(n - 2):
-        best: Optional[tuple[int, int]] = None
-        for idxs in _direction_buckets(xs, ys, i).values():
-            if len(idxs) >= 2:
-                cand = (idxs[0], idxs[1])
-                if best is None or cand < best:
-                    best = cand
-        if best is not None:
-            return (i, best[0], best[1])
-    return None
+    return next(_collinear_triples(points), None)
 
 
 def convex_hull(points: list[GridPoint]) -> list[int]:

@@ -7,6 +7,8 @@ construction, and the split-by-split embedding of a maximal outerplanar
 graph onto an arbitrary general-position point set: one angular-rank split
 rule, proved in :func:`_select_split`, applied to an explicit stack of
 subproblems that sort their angular orders only when a split reads them.
+:func:`simul_embed_free` composes them: one point set, then every
+outerplanar layer mapped onto it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     InternalInvariantError,
     InvalidInstanceError,
     SearchBudgetError,
+    UnsupportedInstanceError,
 )
 from .geometry import (
     COORD_LIMIT,
@@ -285,28 +288,25 @@ class ParabolaSet:
     points: list[GridPoint]
 
 
-def parabola_pointset(n: int, verify: bool = True) -> ParabolaSet:
+def parabola_pointset(n: int) -> ParabolaSet:
     """n points on the mod-p parabola, p the smallest prime >= n.
 
-    Any collinear triple would force two parameters equal mod p, so the
-    set is in general position; ``verify`` re-checks that with the kernel.
+    No three are collinear, by construction.  As in
+    :func:`geometry._parabola_lift`, the determinant of the points with
+    parameters a < b < c, reduced mod p, is that of the offsets (t, t^2)
+    for t = a, b, c: the Vandermonde product (b - a)(c - a)(c - b).  Each
+    factor lies in 1..n-1 and so below p, which is prime and divides none
+    of them; hence the determinant is nonzero.
     """
     if n < 1:
         raise InvalidInstanceError("point set needs at least one point")
     p = _next_prime(n)
-    points = [GridPoint(t, (t * t) % p) for t in range(1, n + 1)]
-    if verify and find_collinear_triple(points) is not None:
-        raise InternalInvariantError("parabola point set contains a collinear triple")
-    return ParabolaSet(p=p, points=points)
+    return ParabolaSet(p=p, points=[GridPoint(t, (t * t) % p) for t in range(1, n + 1)])
 
 
 # ---------------------------------------------------------------------------
 # Outerplanar graphs onto fixed point sets
 # ---------------------------------------------------------------------------
-
-#: One layer's bijection: position v holds the point index of vertex v.
-PointAssignment = list[int]
-
 
 def _angular_sort(
     pts: list[GridPoint], pivot: int, ref: int, others: list[int]
@@ -372,8 +372,8 @@ def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]
 
 def _embed_on_general_position(layer: Layer, pts: list[GridPoint]) -> list[int]:
     # embed_outerplanar_on_points for a valid outerplanar layer and points
-    # known to be distinct and in general position, so that a pipeline
-    # checks its shared point set once rather than once per layer.
+    # known to be distinct and in general position, such as the point sets
+    # of simul_embed_free, which are so by construction.
     k = len(pts)
     if k == 1:
         return [0]
@@ -632,53 +632,39 @@ def brute_force_point_assignment(
 # ---------------------------------------------------------------------------
 
 
-def simul_embed_planar_outerplanar(
-    g1: Layer, g2: Layer, n: int
-) -> SimultaneousEmbedding:
-    """Embed a plane graph and an outerplanar graph on one point set.
+def simul_embed_free(layers: list[Layer], n: int) -> SimultaneousEmbedding:
+    """Embed at most one plane graph and any number of outerplanar graphs
+    on one point set, with no vertex mapping given.
 
-    The plane graph is drawn in general position; the outerplanar graph is
-    maximalized and embedded onto those points.  Layer edge lists keep
-    their own index spaces; the returned assignments map them onto the
-    shared points (identity for the plane layer).
-    """
-    validate_layer(g2, n)  # g1 is validated by the drawing, once
-    if g1.kind != "planar":
-        raise InvalidInstanceError("first layer must be a plane graph with rotation")
-    if g2.kind != "outerplanar":
-        raise InvalidInstanceError("second layer must be outerplanar")
-    pts = planar_general_position_draw(g1, n)
-    maxed, _dummies = maximalize_outerplanar(g2, n)
-    # The parabola lift leaves no three points collinear, so pts needs no
-    # second collinearity check.
-    phi2 = _embed_on_general_position(maxed, pts)
-    coords, width, height = _translate_to_origin(pts)
-    return SimultaneousEmbedding(
-        coords=coords,
-        layers=[list(g1.edges), list(g2.edges)],
-        width=width,
-        height=height,
-        assignments=[list(range(n)), phi2],
-    )
-
-
-def simul_embed_outerplanars(layers: list[Layer], n: int) -> SimultaneousEmbedding:
-    """Embed any number of outerplanar graphs on one parabola point set.
-
-    The shared grid stays within p x p for p the smallest prime >= n.
+    The points are the plane layer's general-position drawing, within
+    :func:`general_position_bounds`, or without a plane layer the
+    parabola set, within p x p for p the smallest prime >= n.  Both leave
+    no three points collinear by construction, so neither is checked
+    again.  Each outerplanar layer is maximalized and mapped onto those
+    points by the split of :func:`embed_outerplanar_on_points`.  Layers
+    keep their order and their own index spaces; the returned assignments
+    map them onto the shared points, the identity for the plane layer.
     """
     if not layers:
         raise InvalidInstanceError("need at least one layer")
+    kinds = [layer.kind for layer in layers]
+    if any(k not in ("planar", "outerplanar") for k in kinds) or kinds.count("planar") > 1:
+        raise UnsupportedInstanceError(
+            f"no without-mapping embedder for classes {kinds}; supported: "
+            "at most one planar layer plus any number of outerplanar layers"
+        )
+    planar = [layer for layer in layers if layer.kind == "planar"]
     for layer in layers:
-        validate_layer(layer, n)
-        if layer.kind != "outerplanar":
-            raise InvalidInstanceError("all layers must be outerplanar")
-    ps = parabola_pointset(n)  # checked for collinear triples here, once
-    assignments = []
-    for layer in layers:
-        maxed, _dummies = maximalize_outerplanar(layer, n)
-        assignments.append(_embed_on_general_position(maxed, ps.points))
-    coords, width, height = _translate_to_origin(ps.points)
+        if layer.kind == "outerplanar":  # the plane layer is validated by its drawing
+            validate_layer(layer, n)
+    pts = planar_general_position_draw(planar[0], n) if planar else parabola_pointset(n).points
+    assignments = [
+        list(range(n))
+        if layer.kind == "planar"
+        else _embed_on_general_position(maximalize_outerplanar(layer, n)[0], pts)
+        for layer in layers
+    ]
+    coords, width, height = _translate_to_origin(pts)
     return SimultaneousEmbedding(
         coords=coords,
         layers=[list(layer.edges) for layer in layers],

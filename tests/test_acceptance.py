@@ -37,8 +37,7 @@ from simembed import (
     planar_grid_draw,
     refine_general_position,
     serialize_instance,
-    simul_embed_outerplanars,
-    simul_embed_planar_outerplanar,
+    simul_embed_free,
 )
 from simembed.generate import KINDS
 from simembed.geometry import _next_prime
@@ -221,7 +220,7 @@ def test_criterion_6_parabola_sets():
 
     n = 25
     layers = [generate("maximal-outerplanar", n, s) for s in range(5)]
-    emb = simul_embed_outerplanars(layers, n)
+    emb = simul_embed_free(layers, n)
     inst = LayeredInstance(n=n, layers=layers, mapping="free")
     assert certify_embedding(emb, inst).ok
     p = parabola_pointset(n).p
@@ -269,7 +268,7 @@ def test_criterion_8_planar_outerplanar_pipeline():
         n = rng.randrange(4, 21)
         g1 = generate("plane-triangulation", n, trial)
         g2 = generate("maximal-outerplanar", n, trial + 4000)
-        emb = simul_embed_planar_outerplanar(g1, g2, n)
+        emb = simul_embed_free([g1, g2], n)
         inst = LayeredInstance(n=n, layers=[g1, g2], mapping="free")
         assert certify_embedding(emb, inst).ok
         assert emb.assignments is not None

@@ -36,6 +36,12 @@ def _thinned_case(kind, n, seed, plane_share, density):
                 thin_plane(generate("plane-triangulation", n, seed), n, plane_share, rng),
                 thin_outerplanar(generate("maximal-outerplanar", n, seed + 1), density, rng),
             ]
+        elif kind == "planar-outerplanars":
+            layers = [
+                thin_outerplanar(generate("maximal-outerplanar", n, seed + 1), density, rng),
+                thin_plane(generate("plane-triangulation", n, seed), n, plane_share, rng),
+                thin_outerplanar(generate("maximal-outerplanar", n, seed + 2), 1.0, rng),
+            ]
         else:
             layers = [
                 thin_outerplanar(generate("maximal-outerplanar", n, seed + i), d, rng)
@@ -71,6 +77,7 @@ CASES = dict(
         for share, density in ((0.4, 0.5), (1.0, 0.0))
     ]
     + [_thinned_case("outerplanars", n, seed, 0.0, 0.5) for n in (7, 13, 30) for seed in (1, 2)]
+    + [_thinned_case("planar-outerplanars", 12, 1, 0.4, 0.5)]
     + [
         _reversed_case(kind, n, seed)
         for kind in ("path-caterpillar", "planar-outerplanar")
@@ -86,7 +93,9 @@ CASES = dict(
 # general-position scatter, which moves every point of those results.  The
 # path-caterpillar entries (gen and reversed) were re-recorded when that
 # layout moved one column left to start in column 1, which made its width
-# the drawing's true width.
+# the drawing's true width.  The thin-planar-outerplanars entry, a plane
+# layer between two outerplanar ones, was recorded when the free pipelines
+# were merged into one, which made that instance embeddable.
 DIGESTS = {
     "gen-outerplanars-n11-s1": "0c25a39f70c4e105879a6ed03e47afa12a4d7b2dabab6baeff35a33629fc7abe",
     "gen-outerplanars-n11-s2": "1c84398644564d3635c5f05ed758b348501ef9f6c48e6ea298b757d2f94de049",
@@ -134,6 +143,7 @@ DIGESTS = {
     "thin-planar-outerplanar-n8-s1-drop1.0-chords0.0": "59a5f7d15cb08aa80aa803a888d1a137820707415976329148b3a846e2214c93",
     "thin-planar-outerplanar-n8-s2-drop0.4-chords0.5": "f54ea47379aba7ff36f485bdf2129b37092ddc0e022e6053e209f873480c4c3b",
     "thin-planar-outerplanar-n8-s2-drop1.0-chords0.0": "8675d4fe807c4b4b8e46f6bddd633b9c100e257df42336c1bb25836dc4d0f535",
+    "thin-planar-outerplanars-n12-s1-drop0.4-chords0.5": "77d0937fe907b5ba18b2c70644e84dad3cbcb198826297ce788c1555e881d0d6",
 }
 
 

@@ -128,9 +128,9 @@ def test_svg_three_layers():
     path = Layer("outerplanar", [(i, i + 1) for i in range(n - 1)], outer_cycle=list(range(n)))
     star = Layer("outerplanar", [(0, i) for i in range(1, n)], outer_cycle=list(range(n)))
     cyc = Layer("outerplanar", [(i, (i + 1) % n) for i in range(n)], outer_cycle=list(range(n)))
-    from simembed import simul_embed_outerplanars
+    from simembed import simul_embed_free
 
-    emb = simul_embed_outerplanars([path, star, cyc], n)
+    emb = simul_embed_free([path, star, cyc], n)
     svg = render_svg(emb)
     assert svg.count("<g id=\"layer-") == 3
 
@@ -274,6 +274,54 @@ def test_cli_rejects_unsupported_combination(tmp_path):
     inst_file.write_text(json.dumps(doc), encoding="utf-8")
     rc = cli_main(["embed", "--in", str(inst_file), "--out", str(tmp_path / "r.json")])
     assert rc == 2
+
+
+def _embed_free(tmp_path, layers, n):
+    from simembed.documents import instance_to_json
+
+    inst_file = tmp_path / "free.json"
+    inst = LayeredInstance(n=n, layers=layers, mapping="free")
+    inst_file.write_text(json.dumps(instance_to_json(inst)), encoding="utf-8")
+    out_file = tmp_path / "free-r.json"
+    rc = cli_main(["embed", "--in", str(inst_file), "--out", str(out_file)])
+    return rc, (json.loads(out_file.read_text(encoding="utf-8")) if rc == 0 else None)
+
+
+def test_cli_free_planar_between_outerplanars(tmp_path):
+    n = 10
+    layers = [
+        generate("maximal-outerplanar", n, 1),
+        generate("plane-triangulation", n, 2),
+        generate("maximal-outerplanar", n, 3),
+    ]
+    rc, doc = _embed_free(tmp_path, layers, n)
+    assert rc == 0
+    assert doc["certificate"]["ok"] is True
+    assert len(doc["assignments"]) == 3
+    assert doc["assignments"][1] == list(range(n))
+
+
+def test_cli_free_lone_planar_layer(tmp_path):
+    n = 9
+    rc, doc = _embed_free(tmp_path, [generate("plane-triangulation", n, 4)], n)
+    assert rc == 0
+    assert doc["certificate"]["ok"] is True
+    assert doc["assignments"] == [list(range(n))]
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [("plane-triangulation", "plane-triangulation"), ("path", "maximal-outerplanar")],
+    ids=["two-planar", "path"],
+)
+def test_cli_free_unsupported_classes_one_error_line(tmp_path, capsys, kinds):
+    n = 7
+    layers = [generate(kind, n, seed) for seed, kind in enumerate(kinds)]
+    capsys.readouterr()
+    rc, _doc = _embed_free(tmp_path, layers, n)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "without-mapping" in err[0]
 
 
 def test_cli_planar_layer_over_budget_one_error_line(tmp_path, capsys, monkeypatch):

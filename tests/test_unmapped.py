@@ -26,8 +26,7 @@ from simembed import (
     parabola_pointset,
     planar_general_position_draw,
     planar_grid_draw,
-    simul_embed_outerplanars,
-    simul_embed_planar_outerplanar,
+    simul_embed_free,
 )
 from simembed import unmapped
 from simembed.geometry import _next_prime as next_prime, _parabola_lift
@@ -230,6 +229,16 @@ def test_parabola_general_position_n100():
     assert find_collinear_triple(parabola_pointset(100).points) is None
 
 
+@pytest.mark.parametrize(
+    "n",
+    list(range(1, 151)) + [q + d for q in (97, 101, 211) for d in (-1, 0, 1)],
+)
+def test_parabola_pointset_has_no_collinear_triple(n):
+    # parabola_pointset does not re-check its points at run time; this is
+    # the check of its Vandermonde argument, also where n meets a prime.
+    assert find_collinear_triple(parabola_pointset(n).points) is None
+
+
 def test_parabola_modular_reason():
     # an integer collinearity would force equal parameters mod p
     ps = parabola_pointset(60)
@@ -371,14 +380,14 @@ def free_instance(layers, n):
 
 def test_simul_planar_outerplanar_triangle_path():
     g2 = Layer("outerplanar", [(0, 1), (1, 2)], outer_cycle=[0, 1, 2])
-    emb = simul_embed_planar_outerplanar(TRIANGLE, g2, 3)
+    emb = simul_embed_free([TRIANGLE, g2], 3)
     assert certify_embedding(emb, free_instance([TRIANGLE, g2], 3)).ok
 
 
 def test_simul_planar_outerplanar_octahedron_cycle():
     octa = octahedron()
     cyc = Layer("outerplanar", [(i, (i + 1) % 6) for i in range(6)], outer_cycle=list(range(6)))
-    emb = simul_embed_planar_outerplanar(octa, cyc, 6)
+    emb = simul_embed_free([octa, cyc], 6)
     assert certify_embedding(emb, free_instance([octa, cyc], 6)).ok
 
 
@@ -387,7 +396,7 @@ def test_simul_planar_outerplanar_random():
         n = 15
         g1 = generate("plane-triangulation", n, seed)
         g2 = generate("maximal-outerplanar", n, seed + 77)
-        emb = simul_embed_planar_outerplanar(g1, g2, n)
+        emb = simul_embed_free([g1, g2], n)
         assert certify_embedding(emb, free_instance([g1, g2], n)).ok
         assert emb.assignments is not None and len(emb.assignments) == 2
 
@@ -398,14 +407,14 @@ def test_simul_outerplanars_three_kinds():
     star = Layer("outerplanar", [(0, i) for i in range(1, n)],
                  outer_cycle=[0] + list(range(1, n)))
     cycle = Layer("outerplanar", [(i, (i + 1) % n) for i in range(n)], outer_cycle=list(range(n)))
-    emb = simul_embed_outerplanars([path, star, cycle], n)
+    emb = simul_embed_free([path, star, cycle], n)
     assert certify_embedding(emb, free_instance([path, star, cycle], n)).ok
     assert len(emb.layers) == 3
 
 
 def test_simul_outerplanars_single_layer():
     tri = Layer("outerplanar", [(0, 1), (1, 2), (2, 0)], outer_cycle=[0, 1, 2])
-    emb = simul_embed_outerplanars([tri], 3)
+    emb = simul_embed_free([tri], 3)
     assert certify_embedding(emb, free_instance([tri], 3)).ok
 
 
@@ -415,20 +424,19 @@ def test_free_pipelines_check_their_point_set_once(monkeypatch):
     monkeypatch.setattr(
         unmapped, "find_collinear_triple", lambda pts: calls.append(len(pts)) or real(pts)
     )
+    # Both point sources leave no three points collinear by construction,
+    # so neither the parabola set nor the planar lift runs the kernel;
+    # direct callers of embed_outerplanar_on_points still get one check.
     n = 12
     layers = [generate("maximal-outerplanar", n, s) for s in range(3)]
-    emb = simul_embed_outerplanars(layers, n)
-    assert calls == [n]  # the parabola set, not once more per layer
+    emb = simul_embed_free(layers, n)
+    assert calls == []
     assert certify_embedding(emb, free_instance(layers, n)).ok
-    # The parabola lift leaves no three points collinear, so the plane +
-    # outerplanar pipeline needs no kernel check at all; direct callers
-    # still get one.
-    calls.clear()
     g1, g2 = generate("plane-triangulation", n, 1), generate("maximal-outerplanar", n, 2)
-    emb = simul_embed_planar_outerplanar(g1, g2, n)
+    emb = simul_embed_free([g1, g2], n)
     assert calls == []
     assert certify_embedding(emb, free_instance([g1, g2], n)).ok
-    embed_outerplanar_on_points(layers[0], parabola_pointset(n, verify=False).points)
+    embed_outerplanar_on_points(layers[0], parabola_pointset(n).points)
     assert calls == [n]
 
 
@@ -451,6 +459,6 @@ def test_embedders_are_pure_under_concurrency():
 def test_simul_outerplanars_bounds():
     n = 25
     layers = [generate("maximal-outerplanar", n, s) for s in range(5)]
-    emb = simul_embed_outerplanars(layers, n)
+    emb = simul_embed_free(layers, n)
     assert certify_embedding(emb, free_instance(layers, n), bounds=(29, 29)).ok
     assert emb.width <= 29 and emb.height <= 29
