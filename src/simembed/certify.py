@@ -69,6 +69,140 @@ def _layer_crossings(
 ) -> list[Violation]:
     """Every conflicting edge pair (i, j), i < j, of one layer, in order.
 
+    A valid layer has none, so :func:`_any_conflict` first decides whether
+    there is one, with O(m log m) orientation tests and at most 3m exact
+    ones; only a layer with a conflict is handed to
+    :func:`_listed_crossings`, which names every conflicting pair.  Both
+    sweep along the axis that :func:`_sweep_frame` picks.
+    """
+    if _any_conflict(*_sweep_frame(xs, ys, edges), edges):
+        return _listed_crossings(xs, ys, edges, layer_idx)
+    return []
+
+
+def _sweep_frame(
+    xs: list[int], ys: list[int], edges: list[tuple[int, int]]
+) -> tuple[list[int], list[int]]:
+    """The coordinates with the sweep axis first: x when no more pairs of
+    edges overlap on x than on y (counted exactly), else y."""
+    lo_x = [min(xs[u], xs[w]) for u, w in edges]
+    hi_x = [max(xs[u], xs[w]) for u, w in edges]
+    lo_y = [min(ys[u], ys[w]) for u, w in edges]
+    hi_y = [max(ys[u], ys[w]) for u, w in edges]
+    if _overlapping_pairs(lo_x, hi_x) <= _overlapping_pairs(lo_y, hi_y):
+        return xs, ys
+    return ys, xs
+
+
+def _any_conflict(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) -> bool:
+    """Whether any two edges conflict (``_conflict_raw``), by a Shamos–Hoey
+    sweep in lexicographic (x, y) order.
+
+    An edge of length zero conflicts with nothing (its own orientations are
+    all zero, so the predicate only asks whether a point lies strictly
+    inside a point), and it is left out.  Every other edge runs from its
+    lexicographically smaller endpoint L to its larger endpoint R.  At each
+    event point p, first the edges with R = p leave the status list, then
+    the edges with L = p enter it.  The list is ordered bottom to top.  An
+    entering edge e is placed by binary search: a kept edge k is below p
+    if orient(L_k, R_k, p) > 0 and above it if < 0, and a zero is settled
+    by the direction of R_e against that of R_k (the order around p when
+    L_k = p).  Every two edges that become neighbours, when e enters or
+    when an edge between them leaves, go to the exact predicate, which is
+    the only test that reports.  So the answer is never a false yes, and
+    each edge costs at most three predicate calls.
+
+    No conflict is missed.  Shear the plane by (x, y) -> (x + εy, y) for a
+    small ε > 0: orientations and intersections are unchanged, the
+    lexicographic order becomes the order of the new x, and no edge is
+    vertical.  Let q be the lexicographically first point that is the
+    first point of e ∩ f for some conflicting pair (e, f).  Before q no two
+    edges meet except at an endpoint of both, so between events the list
+    is the bottom-to-top order of the edges crossing the sweep line.  At an
+    event p before q, the edges kept across p are ordered by height at p,
+    none contains p, and the edges that entered at p so far sit between
+    those below and those above p in the order of their directions, which
+    lie in a half-plane; so the comparisons read "e goes higher" on a
+    prefix of the list and "lower" on the rest, the binary search puts e
+    in its place, and the order stays right after p.
+
+    (a) If L_e < q and L_f < q, then e ∩ f = {q} (a collinear overlap
+    would start before q), and q lies inside one of them, say e.  Just
+    before q the edges between e and f in the list all pass through q, so
+    e and its neighbour on the side of f both contain q, which is not an
+    endpoint of e: that neighbouring pair conflicts, and it was tested when
+    it became neighbours, before q.  Otherwise no two kept edges contain q
+    (they would be such a pair), and some conflicting pair has L_f = q.
+    (b) If an edge e kept across q contains q, the first edge g to enter
+    at q conflicts with it.  (c) Else L_e = q as well (with L_e < q, q
+    would lie strictly inside e, as R_e = q would only touch), e and f
+    leave q along one ray, and whichever enters second, g, conflicts with
+    the first.  In (b) and (c), let M be the kept edges that g conflicts
+    with: e alone in (b), and in (c) the edges from q along g's ray, which
+    are consecutive in the order of directions.  The comparisons read
+    "higher" on a prefix of the list, anything on M and "lower" on the
+    rest.  A binary search ends between an element it read as "higher" and
+    one it read as "lower" (or an end of the list), so g lands next to an
+    element of M, and that neighbour test reports.
+    """
+    lx: list[int] = []
+    ly: list[int] = []
+    rx: list[int] = []
+    ry: list[int] = []
+    events = []
+    for u, w in edges:
+        a, b = (xs[u], ys[u]), (xs[w], ys[w])
+        if a == b:
+            continue
+        if b < a:
+            a, b = b, a
+        k = len(lx)
+        lx.append(a[0])
+        ly.append(a[1])
+        rx.append(b[0])
+        ry.append(b[1])
+        events.append((a[0], a[1], 1, k))
+        events.append((b[0], b[1], 0, k))
+    dx = [r - l for l, r in zip(lx, rx)]
+    dy = [r - l for l, r in zip(ly, ry)]
+    events.sort()
+
+    def conflict(i: int, j: int) -> bool:
+        return _conflict_raw(lx[i], ly[i], rx[i], ry[i], lx[j], ly[j], rx[j], ry[j])
+
+    status: list[int] = []
+    for x, y, enters, e in events:
+        if not enters:
+            i = status.index(e)
+            del status[i]
+            if 0 < i < len(status) and conflict(status[i - 1], status[i]):
+                return True
+            continue
+        lo, hi = 0, len(status)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            k = status[mid]
+            side = dx[k] * (y - ly[k]) - dy[k] * (x - lx[k])
+            if not side:
+                side = dx[k] * dy[e] - dy[k] * dx[e]
+            if side > 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        status.insert(lo, e)
+        if lo and conflict(status[lo - 1], e):
+            return True
+        if lo + 1 < len(status) and conflict(e, status[lo + 1]):
+            return True
+    return False
+
+
+def _listed_crossings(
+    xs: list[int], ys: list[int], edges: list[tuple[int, int]], layer_idx: int
+) -> list[Violation]:
+    """Every conflicting edge pair (i, j), i < j, of one layer, in order,
+    found by a bounding-box sweep.
+
     Two edges that share an endpoint v conflict only if they leave v in the
     same direction: if they leave it in different directions they meet only
     at v (the segments are not collinear, or lie on opposite rays from v),
@@ -79,17 +213,16 @@ def _layer_crossings(
 
     Two edges that share no endpoint can conflict only if their closed
     bounding boxes overlap on both axes, and the exact predicate runs on
-    exactly those pairs, found by one sort-and-sweep along the axis on
-    which fewer pairs of edges overlap (counted exactly, by bisection over
-    the sorted low ends; ties go to x).  Edges arrive in order of their
-    low end on the sweep axis, and the edges seen so far are kept until
-    their high end falls below the arriving edge's low end.  A pair whose
-    sweep-axis intervals overlap is met when its later-starting edge
-    arrives: the earlier edge started no later, and its high end is at
-    least that start, so it is still kept then.  A pair that does not
-    overlap on the sweep axis never meets, because the earlier edge is
-    dropped before the later one arrives and does not come back (low ends
-    only grow).  The other axis is tested per kept edge.
+    exactly those pairs, found by one sort-and-sweep along the axis of
+    :func:`_sweep_frame`.  Edges arrive in order of their low end on the
+    sweep axis, and the edges seen so far are kept until their high end
+    falls below the arriving edge's low end.  A pair whose sweep-axis
+    intervals overlap is met when its later-starting edge arrives: the
+    earlier edge started no later, and its high end is at least that
+    start, so it is still kept then.  A pair that does not overlap on the
+    sweep axis never meets, because the earlier edge is dropped before the
+    later one arrives and does not come back (low ends only grow).  The
+    other axis is tested per kept edge.
 
     The kept edges are grouped by an endpoint of degree three or more in
     the layer (the one of higher degree), or in one shared group when both
@@ -105,14 +238,11 @@ def _layer_crossings(
     ay = [ys[e[0]] for e in edges]
     bx = [xs[e[1]] for e in edges]
     by = [ys[e[1]] for e in edges]
-    lo_x = [min(a, b) for a, b in zip(ax, bx)]
-    hi_x = [max(a, b) for a, b in zip(ax, bx)]
-    lo_y = [min(a, b) for a, b in zip(ay, by)]
-    hi_y = [max(a, b) for a, b in zip(ay, by)]
-    if _overlapping_pairs(lo_x, hi_x) <= _overlapping_pairs(lo_y, hi_y):
-        lo, hi, lo2, hi2 = lo_x, hi_x, lo_y, hi_y
-    else:
-        lo, hi, lo2, hi2 = lo_y, hi_y, lo_x, hi_x
+    us, vs = _sweep_frame(xs, ys, edges)
+    lo = [min(us[u], us[w]) for u, w in edges]
+    hi = [max(us[u], us[w]) for u, w in edges]
+    lo2 = [min(vs[u], vs[w]) for u, w in edges]
+    hi2 = [max(vs[u], vs[w]) for u, w in edges]
 
     pairs = _shared_endpoint_pairs(edges, ax, ay, bx, by)
     degree = Counter(chain.from_iterable(edges))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from simembed import (
@@ -12,8 +14,10 @@ from simembed import (
     certify_embedding,
     certify_general_position,
     embed_two_paths,
+    generate,
     parabola_pointset,
     refine_general_position,
+    simul_embed_free,
 )
 
 P = GridPoint
@@ -129,3 +133,61 @@ def test_report_round_trips_through_json():
     assert [(v.kind, v.witness) for v in again.violations] == [
         (v.kind, v.witness) for v in rep.violations
     ]
+
+
+def _valid_embeddings():
+    # A free-mapping result (three outerplanar layers on the parabola set)
+    # and a given-mapping one (two paths), each certified clean first.
+    n = 40
+    layers = [generate("maximal-outerplanar", n, seed) for seed in (1, 2, 3)]
+    free = (simul_embed_free(layers, n), LayeredInstance(n=n, layers=layers, mapping="free"))
+    order = [3, 0, 7, 5, 1, 8, 2, 6, 4, 9]
+    emb = embed_two_paths(PathOrder(list(range(10))), PathOrder(order))
+    given = (emb, LayeredInstance(n=10, layers=[Layer("path", e) for e in emb.layers]))
+    for emb, inst in (free, given):
+        assert certify_embedding(emb, inst).ok
+    return [free, given]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["free", "given"])
+@pytest.mark.parametrize("li", [0, 1])
+def test_vertex_moved_onto_an_edge_of_its_layer_is_named(case, li):
+    # Doubling every coordinate keeps the drawing valid and puts the midpoint
+    # of each edge on the grid; moving the point of a vertex there plants a
+    # conflict between that edge and every edge at the vertex.
+    emb, inst = _valid_embeddings()[case]
+    phi = emb.assignments[li] if emb.assignments else list(range(inst.n))
+    edges = emb.layers[li]
+    i = len(edges) // 2
+    a, b = phi[edges[i][0]], phi[edges[i][1]]
+    v = next(w for w in range(inst.n) if phi[w] not in (a, b))
+    coords = [P(2 * p.x, 2 * p.y) for p in emb.coords]
+    mid = P((coords[a].x + coords[b].x) // 2, (coords[a].y + coords[b].y) // 2)
+    assert mid not in coords
+    coords[phi[v]] = mid
+    rep = certify_embedding(dataclasses.replace(emb, coords=coords), inst)
+    assert not rep.ok
+    named = {(x.kind, x.witness) for x in rep.violations}
+    at_v = [j for j, e in enumerate(edges) if v in e]
+    assert at_v
+    for j in at_v:
+        assert ("layer-crossing", (li, min(i, j), max(i, j))) in named
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["free", "given"])
+def test_duplicated_point_is_named(case):
+    emb, inst = _valid_embeddings()[case]
+    coords = list(emb.coords)
+    coords[7] = coords[2]
+    rep = certify_embedding(dataclasses.replace(emb, coords=coords), inst)
+    assert not rep.ok
+    assert rep.violations[0].kind == "duplicate-point"
+    assert rep.violations[0].witness == (2, 7)
+
+
+def test_broken_bijection_is_named():
+    emb, inst = _valid_embeddings()[0]
+    assignments = [list(phi) for phi in emb.assignments]
+    assignments[1][9] = assignments[1][4]
+    rep = certify_embedding(dataclasses.replace(emb, assignments=assignments), inst)
+    assert [(x.kind, x.witness) for x in rep.violations] == [("bad-bijection", (1, 4, 9))]

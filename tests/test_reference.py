@@ -8,7 +8,9 @@ loops, the chord pair scan, the rebuild-per-flip generator, the shift pass
 over all vertices, the all-pairs edge loop and the cubic triple loop in
 ``reference.py`` return, on inputs chosen so that faces of every size get
 completed, chords nest, cross and share endpoints, and edges overlap,
-touch and tie in every way a grid allows.  The five-point search with one
+touch and tie in every way a grid allows; the certifier's Shamos–Hoey
+decision must say yes exactly when the exact predicate finds some
+conflicting pair among all pairs.  The five-point search with one
 per-level check must report what the conflict-table search and its
 separate sampled loop reported.  The outerplanar point-set embedder, with
 lazy angular orders, interval chains and float-keyed sorts, must assign
@@ -57,11 +59,12 @@ from simembed import (
     orient,
     path_from_digits,
     planar_general_position_draw,
+    simul_embed_free,
     triangulate_plane,
 )
 from simembed import certify, unmapped
 from simembed.graphs import _trace_faces
-from simembed.certify import _layer_crossings, _overlapping_pairs
+from simembed.certify import _any_conflict, _layer_crossings, _listed_crossings, _overlapping_pairs
 
 
 @settings(max_examples=150, deadline=None)
@@ -187,9 +190,10 @@ def grid_layers(draw):
 @given(grid_layers(), st.integers(0, 3))
 def test_layer_crossings_sweep_matches_all_pairs(layer, layer_idx):
     xs, ys, edges = layer
-    out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, layer_idx)
+    out, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, layer_idx)
     assert out == layer_crossings_all_pairs(xs, ys, edges, layer_idx)
     assert calls == certifier_pair_tests(xs, ys, edges)
+    assert _layer_crossings(xs, ys, edges, layer_idx) == out
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -204,9 +208,10 @@ def test_layer_crossings_sweep_matches_all_pairs_on_larger_layers(seed):
         v = rng.randrange(n)
         if u != v:
             edges.append((u, v))
-    out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, 0)
+    out, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, 0)
     assert out == layer_crossings_all_pairs(xs, ys, edges, 0)
     assert out and calls == certifier_pair_tests(xs, ys, edges)
+    assert _layer_crossings(xs, ys, edges, 0) == out
 
 
 def test_layer_crossings_hand_example_on_both_axes():
@@ -217,7 +222,7 @@ def test_layer_crossings_hand_example_on_both_axes():
     xs = [0, 2, 1, 1, 0, 2]
     ys = [0, 0, 0, 2, 2, 2]
     edges = [(0, 1), (2, 3), (2, 1), (0, 4), (4, 1), (3, 5)]
-    got = [v.witness for v in _layer_crossings(xs, ys, edges, 5)]
+    got = [v.witness for v in _listed_crossings(xs, ys, edges, 5)]
     assert got == [(5, 0, 1), (5, 0, 2), (5, 1, 4)]
     # 12 pairs overlap on x and 13 on y, so the sweep runs along x; the
     # mirror image across the diagonal runs along y; the two together are
@@ -226,9 +231,10 @@ def test_layer_crossings_hand_example_on_both_axes():
     both = (xs + ys, ys + xs, edges + [(u + 6, v + 6) for u, v in edges])
     assert _axis_overlaps(both[0], both[2]) == _axis_overlaps(both[1], both[2])
     for lx, ly, le in [(xs, ys, edges), (ys, xs, edges), both]:
-        out, calls = _with_conflict_count(_layer_crossings, lx, ly, le, 5)
+        out, calls = _with_conflict_count(_listed_crossings, lx, ly, le, 5)
         assert out == layer_crossings_all_pairs(lx, ly, le, 5)
         assert calls == certifier_pair_tests(lx, ly, le)
+        assert _layer_crossings(lx, ly, le, 5) == out
 
 
 def _axis_overlaps(cs, edges):
@@ -271,9 +277,11 @@ def test_layer_crossings_around_hubs():
         xs.append(1 + y % 3)
         ys.append(y)
         edges.append((0 if y < 200 else 1, len(xs) - 1))
-    out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, 0)
+    out, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, 0)
     assert out == [] and calls == 0
     assert certifier_pair_tests(xs, ys, edges) == 0
+    out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, 0)
+    assert out == [] and 0 < calls <= 3 * len(edges)
 
     # A new leaf of the second hub, twice as far out along the ray to its
     # last leaf, and a vertical edge at x = 3 across the first star.
@@ -283,11 +291,71 @@ def test_layer_crossings_around_hubs():
     xs += [3, 3]
     ys += [50, 150]
     edges.append((len(xs) - 2, len(xs) - 1))
-    out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, 0)
+    out, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, 0)
     assert out == layer_crossings_all_pairs(xs, ys, edges, 0)
     assert calls == certifier_pair_tests(xs, ys, edges)
+    assert _layer_crossings(xs, ys, edges, 0) == out
     assert (0, len(edges) - 3, len(edges) - 2) in [v.witness for v in out]
     assert any(v.witness[2] == len(edges) - 1 for v in out)
+
+
+@st.composite
+def distinct_grid_layers(draw):
+    # Distinct points on a g x g grid, g = 2..7, and random edges: on so
+    # small a grid edges are often vertical, collinear, touching end to
+    # end or at a T, and share endpoints.  Sometimes one point is joined
+    # to every other, a star.
+    g = draw(st.integers(2, 7))
+    cell = st.tuples(st.integers(0, g - 1), st.integers(0, g - 1))
+    cells = draw(st.lists(cell, min_size=2, max_size=min(10, g * g), unique=True))
+    n = len(cells)
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(ends.filter(lambda e: e[0] != e[1]), max_size=12))
+    if draw(st.booleans()):
+        hub = draw(st.integers(0, n - 1))
+        edges += [(hub, v) for v in range(n) if v != hub]
+    return [x for x, _ in cells], [y for _, y in cells], edges
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(distinct_grid_layers(), grid_layers()))
+def test_conflict_decision_matches_all_pairs(layer):
+    # The sweep decides exactly whether some pair conflicts, along either
+    # axis, coincident points and edges of length zero included, with at
+    # most three exact tests per edge.
+    xs, ys, edges = layer
+    segments = [(xs[u], ys[u], xs[w], ys[w]) for u, w in edges]
+    want = any(
+        certify._conflict_raw(*s, *t) for s, t in itertools.combinations(segments, 2)
+    )
+    for lx, ly in [(xs, ys), (ys, xs)]:
+        got, calls = _with_conflict_count(_any_conflict, lx, ly, edges)
+        assert got == want
+        assert calls <= 3 * len(edges)
+    assert _layer_crossings(xs, ys, edges, 0) == layer_crossings_all_pairs(xs, ys, edges, 0)
+
+
+def test_conflict_decision_tests_the_pair_a_removal_joins():
+    # Edges 0 and 2 cross at (5, 5), but in a sweep along x edge 1 lies
+    # between them from the moment edge 2 enters until it leaves at (2, 5);
+    # only then do 0 and 2 become neighbours.
+    xs = [0, 10, 1, 2, 1, 10]
+    ys = [0, 10, 5, 5, 9, 0]
+    edges = [(0, 1), (2, 3), (4, 5)]
+    assert _any_conflict(xs, ys, edges)
+    assert not _any_conflict(xs, ys, edges[:2]) and not _any_conflict(xs, ys, edges[1:])
+    assert [v.witness for v in _layer_crossings(xs, ys, edges, 0)] == [(0, 0, 2)]
+
+
+def test_conflict_decision_work_bound_on_a_maximal_outerplanar_layer():
+    n = 1500
+    emb = simul_embed_free([generate("maximal-outerplanar", n, 1)], n)
+    phi = emb.assignments[0]
+    xs = [p.x for p in emb.coords]
+    ys = [p.y for p in emb.coords]
+    edges = [(phi[u], phi[v]) for u, v in emb.layers[0]]
+    out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, 0)
+    assert out == [] and 0 < calls <= 3 * len(edges)
 
 
 @settings(max_examples=300, deadline=None)
