@@ -23,7 +23,6 @@ from .errors import (
     CoordinateBudgetError,
     DegenerateSegmentError,
     DuplicatePointError,
-    HullEdgeInvariantError,
     InternalInvariantError,
     InvalidInstanceError,
     ParseError,
@@ -78,7 +77,6 @@ from .documents import (
 from .svg import render_svg
 from .unmapped import (
     ParabolaSet,
-    brute_force_point_assignment,
     embed_outerplanar_on_points,
     general_position_bounds,
     parabola_pointset,
@@ -100,7 +98,6 @@ __all__ = [
     "FIVE_PATHS",
     "FivePointSearchResult",
     "GridPoint",
-    "HullEdgeInvariantError",
     "InternalInvariantError",
     "InvalidInstanceError",
     "Layer",
@@ -116,7 +113,6 @@ __all__ = [
     "UnsupportedInstanceError",
     "Violation",
     "as_path",
-    "brute_force_point_assignment",
     "caterpillar_decompose",
     "caterpillar_to_path",
     "certify_bounds",

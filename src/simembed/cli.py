@@ -128,7 +128,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     report = certify_mod.certify_embedding(emb, inst, bounds=bounds)
     _write(args.out, serialize_result(emb, report))
     if args.svg:
-        _write(args.svg, render_svg(emb, labels=inst.labels))
+        _write(args.svg, render_svg(emb))
     if not report.ok:
         print("certificate FAILED:", report.to_json(), file=sys.stderr)
         return 2
@@ -151,7 +151,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance))
     emb, _stored = parse_result(_read(args.infile), [list(l.edges) for l in inst.layers])
     certify_mod.check_embedding_shape(emb, inst)
-    _write(args.svg, render_svg(emb, labels=inst.labels))
+    _write(args.svg, render_svg(emb))
     return 0
 
 

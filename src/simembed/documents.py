@@ -33,7 +33,8 @@ def _int_pairs(value: Any, what: str) -> list[tuple[int, int]]:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(x, int) for x in item)
+            or not isinstance(item[0], int)
+            or not isinstance(item[1], int)
         ):
             raise ParseError(f"{what} entries must be integer pairs")
         out.append((item[0], item[1]))

@@ -35,7 +35,3 @@ class SearchBudgetError(SimembedError):
 
 class InternalInvariantError(SimembedError):
     """A guaranteed-by-construction property failed; indicates a bug."""
-
-
-class HullEdgeInvariantError(InternalInvariantError):
-    """A recursive point-set split lost its designated hull edge."""

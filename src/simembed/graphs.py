@@ -9,7 +9,7 @@ their declared class and compute the decompositions the embedders consume.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InternalInvariantError, InvalidInstanceError
@@ -38,11 +38,6 @@ class LayeredInstance:
     n: int
     layers: list[Layer]
     mapping: str = "given"
-    labels: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.labels:
-            self.labels = [f"v{i + 1}" for i in range(self.n)]
 
 
 @dataclass
@@ -128,7 +123,7 @@ def validate_layer(layer: Layer, n: int) -> None:
     if layer.kind == "outerplanar":
         if layer.outer_cycle is None:
             raise InvalidInstanceError("outerplanar layer requires its outer cycle")
-        if sorted(layer.outer_cycle) != list(range(n)):
+        if len(layer.outer_cycle) != n or sorted(layer.outer_cycle) != list(range(n)):
             raise InvalidInstanceError("outer cycle must visit every vertex exactly once")
 
 
@@ -155,8 +150,6 @@ def validate_instance(inst: LayeredInstance) -> None:
         raise InvalidInstanceError(f"mapping must be 'given' or 'free', got {inst.mapping!r}")
     if not inst.layers:
         raise InvalidInstanceError("instance needs at least one layer")
-    if len(inst.labels) != inst.n:
-        raise InvalidInstanceError("label count must equal vertex count")
     for layer in inst.layers:
         validate_layer(layer, inst.n)
 

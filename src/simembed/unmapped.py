@@ -21,16 +21,13 @@ from typing import Optional
 
 from .errors import (
     CoordinateBudgetError,
-    HullEdgeInvariantError,
     InternalInvariantError,
     InvalidInstanceError,
-    SearchBudgetError,
     UnsupportedInstanceError,
 )
 from .geometry import (
     COORD_LIMIT,
     GridPoint,
-    _conflict_raw,
     _largest_within_budget,
     _next_prime,
     _parabola_lift,
@@ -348,8 +345,7 @@ def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]
     two sides become subproblems whose designated edges (p, r) and (r, q)
     are again hull edges of their own subsets.  Pending subproblems live on
     an explicit stack, so the depth of the outerplanar graph's dual tree
-    never meets the interpreter's recursion limit.  The hull-edge invariant
-    is asserted on entry to every subproblem.
+    never meets the interpreter's recursion limit.
 
     A split does only the work its side sizes need (see
     :func:`_embed_chain`).  When one side is empty, r is the first point
@@ -359,8 +355,9 @@ def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]
     such splits.  An angular order is sorted only when a split with two
     nonempty sides needs it, by float keys that are exact up to ties (see
     :func:`_angular_sort`).  What stays quadratic in the worst case is
-    linear work per split: the hull-edge check and the copy of the
-    surviving order.
+    work per split over the whole subproblem: the copy of the surviving
+    order and, when the empty side alternates as in a zig-zag, the sort of
+    the order the parent did not pass down.
     """
     validate_layer(layer, len(pts))
     if layer.kind != "outerplanar" or layer.outer_cycle is None:
@@ -426,7 +423,9 @@ def _embed_chain(
     (p_i, q_i) and its inner vertices to its points, listed by angle
     around p_i from ray p_i q_i (``by_p``) and around q_i from ray q_i p_i
     (``by_q``).  Either order may be None, not sorted yet, but never both.
-    The apex of the designated edge (u, v) is a common neighbour strictly
+    That (p_i, q_i) is a hull edge of the subproblem's points follows from
+    the proof in :func:`_select_split` and is not checked again here.  The
+    apex of the designated edge (u, v) is a common neighbour strictly
     inside the interval, found through the positions of the chain's
     vertices in time linear in the smaller degree.
 
@@ -440,7 +439,8 @@ def _embed_chain(
     total order of its points (general position, all on one side of the
     edge), and :func:`_angular_sort` is exact, so a late sort equals the
     one the parent would have passed down, and the result is the same as
-    with both orders always kept.
+    with both orders always kept.  Beyond those sorts and the rule, the
+    only pass a split makes over its points is the copy of that tail.
     """
     pos = [0] * len(chain)
     for i, v in enumerate(chain):
@@ -461,16 +461,6 @@ def _embed_chain(
         n_a = j - lo - 1
         n_b = hi - j - 1
 
-        # Hull-edge invariant: d x s is above d x p for every point s, or
-        # below it for every one, with d = q - p.
-        a, b = pts[p_i], pts[q_i]
-        dx, dy = b.x - a.x, b.y - a.y
-        at_p = dx * a.y - dy * a.x
-        cross = [dx * pts[s].y - dy * pts[s].x for s in (by_p if by_p is not None else by_q)]
-        if not (min(cross) > at_p or max(cross) < at_p):
-            raise HullEdgeInvariantError(
-                "designated edge is not a hull edge of its point subset"
-            )
         # Sort a missing order only if the split below reads it: by_p
         # unless n_a = 0 < n_b, by_q unless n_b = 0.
         if by_p is None and (n_a > 0 or n_b == 0):
@@ -515,6 +505,13 @@ def _select_split(
     p and A strictly on one side and q and B on the other.  A lies beyond
     pr and B beyond qr, so (p, r) and (r, q) are hull edges of their sides
     and the two sub-drawings meet only at r.
+
+    Nothing in the package re-checks this hull-edge invariant per split.
+    It is checked instead by the eager driver in ``tests/reference.py``,
+    which asserts it on every split and which the production driver must
+    match; by the property tests in ``tests/test_split.py``; and, for
+    every drawing, by the certifier that runs on every ``embed``, which
+    reports any crossing the split would cause.
 
     Existence: the n_b + 1 lowest p-ranks and the n_a + 1 lowest q-ranks
     make m + 1 picks from m points, so some point is picked twice; r, the
@@ -568,63 +565,6 @@ def _select_split(
             [x for x in beyond_q if x not in in_a],
         ),
     )
-
-
-def brute_force_point_assignment(
-    layer: Layer, pts: list[GridPoint]
-) -> Optional[list[int]]:
-    """Exhaustively search crossing-free bijections vertex -> point.
-
-    Independent of the recursive embedder: works on any layer's edge set,
-    returns the lexicographically first solution or None.  Limited to 9
-    points.
-    """
-    k = len(pts)
-    if k > 9:
-        raise SearchBudgetError("brute-force assignment is limited to 9 points")
-    validate_layer(layer, k)
-    edges = layer.edges
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    by_level: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for u, v in edges:
-        by_level[max(u, v)].append((u, v))
-
-    phi = [-1] * k
-    used = [False] * k
-    placed: list[tuple[int, int, int, int]] = []
-
-    def dfs(lvl: int) -> bool:
-        if lvl == k:
-            return True
-        for pt in range(k):
-            if used[pt]:
-                continue
-            phi[lvl] = pt
-            used[pt] = True
-            new_segs = []
-            ok = True
-            for u, v in by_level[lvl]:
-                seg = (xs[phi[u]], ys[phi[u]], xs[phi[v]], ys[phi[v]])
-                for old in placed + new_segs:
-                    if _conflict_raw(*old, *seg):
-                        ok = False
-                        break
-                if not ok:
-                    break
-                new_segs.append(seg)
-            if ok:
-                placed.extend(new_segs)
-                if dfs(lvl + 1):
-                    return True
-                del placed[len(placed) - len(new_segs) :]
-            used[pt] = False
-        phi[lvl] = -1
-        return False
-
-    if dfs(0):
-        return list(phi)
-    return None
 
 
 # ---------------------------------------------------------------------------

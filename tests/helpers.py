@@ -1,5 +1,5 @@
 """Seeded layer thinning shared by the golden and reference tests, and the
-general-position point sets of the split and reference tests.
+general-position point sets of the split, reference and unmapped tests.
 
 ``generate`` only yields maximal layers, which leave ``triangulate_plane``
 and ``maximalize_outerplanar`` no face to complete; thinning removes edges
@@ -13,7 +13,7 @@ from itertools import combinations
 
 from hypothesis import assume, strategies as st
 
-from simembed import GridPoint, Layer, orient
+from simembed import GridPoint, Layer, find_collinear_triple, orient
 
 
 @st.composite
@@ -30,6 +30,22 @@ def general_position_points(draw, max_size: int = 14, coord_max: int = 60):
             pts.append(c)
     assume(len(pts) >= 3)
     return pts
+
+
+def random_general_position(k: int, rng: random.Random) -> list[GridPoint]:
+    """``k`` distinct seeded points in the 6k x 6k square, no three
+    collinear: a whole draw is repeated until one has none."""
+    extent = 6 * k
+    while True:
+        pts = []
+        seen = set()
+        while len(pts) < k:
+            c = (rng.randrange(extent), rng.randrange(extent))
+            if c not in seen:
+                seen.add(c)
+                pts.append(GridPoint(*c))
+        if find_collinear_triple(pts) is None:
+            return pts
 
 
 def thin_plane(layer: Layer, n: int, share: float, rng: random.Random) -> Layer:

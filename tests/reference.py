@@ -2,6 +2,8 @@
 
 Each function here is the plain algorithm the package's faster code must
 match exactly; ``test_reference.py`` compares them on random inputs.
+``brute_force_point_assignment`` is an exhaustive oracle instead: tests
+use it to confirm that small point sets admit the embeddings found.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from simembed import (
     validate_layer,
 )
 from simembed import certify, unmapped
-from simembed.errors import HullEdgeInvariantError, SearchBudgetError
+from simembed.errors import SearchBudgetError
 from simembed.geometry import _conflict_raw, orient
 from simembed.graphs import _trace_faces, rotation_system_from_faces
 from simembed.mapped import (
@@ -629,10 +631,67 @@ def embed_on_general_position_eager(layer: Layer, pts: list[GridPoint]) -> list[
         n_b = len(chain) - 2 - j
         sides = {orient(pts[p_i], pts[q_i], pts[s]) for s in by_p}
         if 0 in sides or len(sides) > 1:
-            raise HullEdgeInvariantError(
+            raise InternalInvariantError(
                 "designated edge is not a hull edge of its point subset"
             )
         r, part_a, part_b = unmapped._select_split(pts, p_i, q_i, by_p, by_q, n_a, n_b)
         stack.append((chain[j:], *part_b, r, q_i))
         stack.append((chain[: j + 1], *part_a, p_i, r))
     return phi
+
+
+def brute_force_point_assignment(
+    layer: Layer, pts: list[GridPoint]
+) -> Optional[list[int]]:
+    """Exhaustively search crossing-free bijections vertex -> point.
+
+    Independent of the package's point-set embedder: works on any layer's
+    edge set, returns the lexicographically first solution or None.
+    Limited to 9 points.
+    """
+    k = len(pts)
+    if k > 9:
+        raise SearchBudgetError("brute-force assignment is limited to 9 points")
+    validate_layer(layer, k)
+    edges = layer.edges
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
+    by_level: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for u, v in edges:
+        by_level[max(u, v)].append((u, v))
+
+    phi = [-1] * k
+    used = [False] * k
+    placed: list[tuple[int, int, int, int]] = []
+
+    def dfs(lvl: int) -> bool:
+        if lvl == k:
+            return True
+        for pt in range(k):
+            if used[pt]:
+                continue
+            phi[lvl] = pt
+            used[pt] = True
+            new_segs = []
+            ok = True
+            for u, v in by_level[lvl]:
+                seg = (xs[phi[u]], ys[phi[u]], xs[phi[v]], ys[phi[v]])
+                for old in placed + new_segs:
+                    if _conflict_raw(*old, *seg):
+                        ok = False
+                        break
+                if not ok:
+                    break
+                new_segs.append(seg)
+            if ok:
+                placed.extend(new_segs)
+                if dfs(lvl + 1):
+                    return True
+                del placed[len(placed) - len(new_segs) :]
+            used[pt] = False
+        phi[lvl] = -1
+        return False
+
+    if dfs(0):
+        return list(phi)
+    return None

@@ -71,6 +71,18 @@ def test_parse_accepts_bytes():
     assert inst.n == 3
 
 
+def test_int_pairs_accepts_exactly_two_element_integer_lists():
+    from simembed.documents import _int_pairs
+
+    # bools are ints to isinstance, and the parser has always let them through
+    assert _int_pairs([[0, 1], [True, 2], [-3, 10**30]], "edges") == [
+        (0, 1), (True, 2), (-3, 10**30)
+    ]
+    for bad in ([[0, 1.0]], [["0", 1]], [[0, None]], [[0]], [[0, 1, 2]], [(0, 1)], [None], {}):
+        with pytest.raises(ParseError):
+            _int_pairs(bad, "edges")
+
+
 def random_instance(seed):
     rng = random.Random(seed)
     n = rng.randrange(3, 15)
@@ -355,6 +367,86 @@ def test_cli_planar_layer_over_budget_one_error_line(tmp_path, capsys, monkeypat
         err = capsys.readouterr().err.splitlines()
         assert rc == 2
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+
+def test_cli_broken_split_is_caught_by_the_certificate(tmp_path, capsys, monkeypatch):
+    # No split re-checks its hull edge; a rule that keeps both side sizes
+    # but takes the wrong apex must still end in a failed certificate,
+    # never in a silent crossing or a traceback.
+    def wrong_apex(pts, p, q, by_p, by_q, n_a, n_b):
+        r, rest = by_p[-1], by_p[:-1]
+        return r, (rest[:n_a], None), (None, rest[n_a:])
+
+    monkeypatch.setattr(unmapped, "_select_split", wrong_apex)
+    n = 40
+    inst_file = tmp_path / "outerplanars.json"
+    out_file = tmp_path / "r.json"
+    layers = [generate("maximal-outerplanar", n, seed) for seed in (1, 2, 3)]
+    inst_file.write_text(
+        serialize_instance(LayeredInstance(n=n, layers=layers, mapping="free")), encoding="utf-8"
+    )
+    capsys.readouterr()
+    rc = cli_main(["embed", "--in", str(inst_file), "--out", str(out_file)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("certificate FAILED:"), err
+    certificate = json.loads(out_file.read_text(encoding="utf-8"))["certificate"]
+    assert not certificate["ok"]
+    assert "layer-crossing" in {v["kind"] for v in certificate["violations"]}
+
+
+HUGE_N = 10**12
+
+HUGE_INSTANCES = {
+    "given-two-paths": {
+        "n": HUGE_N,
+        "mapping": "given",
+        "layers": [{"class": "path", "edges": [[0, 1]]}, {"class": "path", "edges": [[1, 2]]}],
+    },
+    "free-outerplanar-triangle": {
+        "n": HUGE_N,
+        "mapping": "free",
+        "layers": [
+            {"class": "outerplanar", "edges": [[0, 1], [1, 2], [2, 0]], "outer_cycle": [0, 1, 2]}
+        ],
+    },
+    "free-planar-triangle": {
+        "n": HUGE_N,
+        "mapping": "free",
+        "layers": [
+            {
+                "class": "planar",
+                "edges": [[0, 1], [1, 2], [2, 0]],
+                "rotation": [[1, 2], [2, 0], [0, 1]],
+            }
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["embed", "certify", "render"])
+@pytest.mark.parametrize("instance", sorted(HUGE_INSTANCES))
+def test_cli_huge_vertex_count_one_error_line(tmp_path, capsys, command, instance):
+    # Nothing may allocate per vertex before the instance is known to be
+    # consistent: each run ends in one error line, not in exhausted memory.
+    inst_file = tmp_path / "huge.json"
+    inst_file.write_text(json.dumps(HUGE_INSTANCES[instance]), encoding="utf-8")
+    result_file = tmp_path / "result.json"
+    result_file.write_text(
+        json.dumps({"coords": [[0, 0], [1, 0], [0, 1]], "width": 2, "height": 2}),
+        encoding="utf-8",
+    )
+    args = {
+        "embed": ["embed", "--in", str(inst_file), "--out", str(tmp_path / "r.json")],
+        "certify": ["certify", "--in", str(result_file), "--instance", str(inst_file)],
+        "render": ["render", "--in", str(result_file), "--instance", str(inst_file),
+                   "--svg", str(tmp_path / "out.svg")],
+    }[command]
+    capsys.readouterr()
+    rc = cli_main(args)
+    err = capsys.readouterr().err.splitlines()
+    assert rc in (1, 2)
+    assert len(err) == 1 and err[0].startswith("error:"), err
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,8 @@ separate sampled loop reported.  The outerplanar point-set embedder, with
 lazy angular orders, interval chains and float-keyed sorts, must assign
 what the eager slicing driver with comparator sorts assigns, and the
 heap-driven peeling of the shift-method drawing must draw what the walk
-over the whole outer path drew.
+over the whole outer path drew.  The brute-force assignment search that
+the point-set tests use as an oracle is checked here on hand-made cases.
 """
 
 import itertools
@@ -26,9 +27,15 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import general_position_points, thin_outerplanar, thin_plane
+from helpers import (
+    general_position_points,
+    random_general_position,
+    thin_outerplanar,
+    thin_plane,
+)
 from reference import (
     angular_sort_comparator,
+    brute_force_point_assignment,
     certifier_pair_tests,
     chords_cross,
     collinear_triples_cubic,
@@ -49,6 +56,7 @@ from simembed import (
     InvalidInstanceError,
     Layer,
     PathOrder,
+    SearchBudgetError,
     caterpillar_decompose,
     certify_general_position,
     embed_outerplanar_on_points,
@@ -532,3 +540,40 @@ def test_heap_peeling_matches_path_walk(seed):
             lay.rotation, faces, n
         ) == draw_triangulation_path_walk(lay.rotation, faces, n)
 
+
+# ---------------------------------------------------------------------------
+# brute-force assignment
+# ---------------------------------------------------------------------------
+
+
+def test_bruteforce_triangle_identity():
+    tri = Layer("outerplanar", [(0, 1), (1, 2), (2, 0)], outer_cycle=[0, 1, 2])
+    pts = [GridPoint(0, 0), GridPoint(4, 1), GridPoint(1, 3)]
+    assert brute_force_point_assignment(tri, pts) == [0, 1, 2]
+
+
+def test_bruteforce_path_always_embeds():
+    rng = random.Random(6)
+    path = Layer("path", [(0, 1), (1, 2), (2, 3)])
+    for _ in range(20):
+        pts = random_general_position(4, rng)
+        assert brute_force_point_assignment(path, pts) is not None
+
+
+def test_bruteforce_k4_needs_interior_point():
+    k4 = Layer("planar", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+               rotation=[[1, 2, 3], [2, 0, 3], [0, 1, 3], [0, 2, 1]])
+    # one point inside the triangle of the others: embeddable
+    inside = [GridPoint(0, 0), GridPoint(10, 0), GridPoint(5, 8), GridPoint(5, 3)]
+    assert brute_force_point_assignment(
+        Layer("path", k4.edges), inside
+    ) is not None
+    # convex position: the two diagonals must cross
+    convex = [GridPoint(0, 0), GridPoint(10, 1), GridPoint(9, 9), GridPoint(1, 8)]
+    assert brute_force_point_assignment(Layer("path", k4.edges), convex) is None
+
+
+def test_bruteforce_budget():
+    path = Layer("path", [(i, i + 1) for i in range(9)])
+    with pytest.raises(SearchBudgetError):
+        brute_force_point_assignment(path, [GridPoint(i, i * i) for i in range(10)])

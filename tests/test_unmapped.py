@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import thin_plane
+from helpers import random_general_position, thin_plane
+from reference import brute_force_point_assignment
 from simembed import (
     COORD_LIMIT,
     CoordinateBudgetError,
@@ -12,9 +13,7 @@ from simembed import (
     InvalidInstanceError,
     Layer,
     LayeredInstance,
-    SearchBudgetError,
     SimultaneousEmbedding,
-    brute_force_point_assignment,
     certify_embedding,
     certify_general_position,
     check_plane_embedding,
@@ -268,20 +267,6 @@ def assignment_certified(layer, pts, phi):
     return certify_embedding(emb, inst).ok
 
 
-def random_general_position(k, rng, extent=None):
-    extent = extent or 6 * k
-    while True:
-        pts = []
-        seen = set()
-        while len(pts) < k:
-            c = (rng.randrange(extent), rng.randrange(extent))
-            if c not in seen:
-                seen.add(c)
-                pts.append(P(*c))
-        if find_collinear_triple(pts) is None:
-            return pts
-
-
 def test_embed_triangle_any_points():
     tri = Layer("outerplanar", [(0, 1), (1, 2), (2, 0)], outer_cycle=[0, 1, 2])
     phi = embed_outerplanar_on_points(tri, [P(0, 0), P(5, 1), P(2, 4)])
@@ -330,43 +315,6 @@ def test_embed_requires_maximal():
     square = Layer("outerplanar", [(0, 1), (1, 2), (2, 3), (3, 0)], outer_cycle=[0, 1, 2, 3])
     with pytest.raises(InvalidInstanceError):
         embed_outerplanar_on_points(square, [P(0, 0), P(7, 1), P(5, 6), P(1, 5)])
-
-
-# ---------------------------------------------------------------------------
-# brute-force assignment
-# ---------------------------------------------------------------------------
-
-
-def test_bruteforce_triangle_identity():
-    tri = Layer("outerplanar", [(0, 1), (1, 2), (2, 0)], outer_cycle=[0, 1, 2])
-    assert brute_force_point_assignment(tri, [P(0, 0), P(4, 1), P(1, 3)]) == [0, 1, 2]
-
-
-def test_bruteforce_path_always_embeds():
-    rng = random.Random(6)
-    path = Layer("path", [(0, 1), (1, 2), (2, 3)])
-    for _ in range(20):
-        pts = random_general_position(4, rng)
-        assert brute_force_point_assignment(path, pts) is not None
-
-
-def test_bruteforce_k4_needs_interior_point():
-    k4 = Layer("planar", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
-               rotation=[[1, 2, 3], [2, 0, 3], [0, 1, 3], [0, 2, 1]])
-    # one point inside the triangle of the others: embeddable
-    inside = [P(0, 0), P(10, 0), P(5, 8), P(5, 3)]
-    assert brute_force_point_assignment(
-        Layer("path", k4.edges), inside
-    ) is not None
-    # convex position: the two diagonals must cross
-    convex = [P(0, 0), P(10, 1), P(9, 9), P(1, 8)]
-    assert brute_force_point_assignment(Layer("path", k4.edges), convex) is None
-
-
-def test_bruteforce_budget():
-    path = Layer("path", [(i, i + 1) for i in range(9)])
-    with pytest.raises(SearchBudgetError):
-        brute_force_point_assignment(path, [P(i, i * i) for i in range(10)])
 
 
 # ---------------------------------------------------------------------------
