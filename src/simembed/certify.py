@@ -10,11 +10,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from math import gcd
 
 from .errors import InvalidInstanceError
-from .geometry import GridPoint, _collinear_triples, _conflict_raw
+from .geometry import GridPoint, _conflict_raw, _first_collinear_triple
 from .graphs import LayeredInstance, SimultaneousEmbedding
 
 KINDS = ("layer-crossing", "collinear-triple", "out-of-bounds", "duplicate-point", "bad-bijection")
@@ -378,22 +378,15 @@ def _bijection_violations(phi: list[int], n: int, layer_idx: int) -> list[Violat
     return out
 
 
-def certify_general_position(
-    points: list[GridPoint], full_scan: bool = False
-) -> CertificateReport:
-    """Report collinear triples (and duplicate points) in a point set.
-
-    By default the first offending triple suffices; ``full_scan`` lists
-    every collinear triple in lexicographic order.  Both read the same
-    per-anchor listing of :func:`geometry._collinear_triples`.
-    """
+def certify_general_position(points: list[GridPoint]) -> CertificateReport:
+    """Report the duplicate points of a point set or, when there are none,
+    its lexicographically first collinear triple, as
+    :func:`geometry.find_collinear_triple` finds it."""
     violations = _duplicate_violations(points)
-    if violations:
-        return _report(violations)
-    triples = _collinear_triples(points)
-    if not full_scan:
-        triples = islice(triples, 1)
-    violations.extend(Violation("collinear-triple", t) for t in triples)
+    if not violations:
+        triple = _first_collinear_triple(points)
+        if triple is not None:
+            violations.append(Violation("collinear-triple", triple))
     return _report(violations)
 
 

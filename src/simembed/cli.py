@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -65,26 +64,16 @@ def _write(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _default_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("SIMEMBED_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"SIMEMBED_SEED must be an integer, got {env!r}")
-    return 0
-
-
 def _parse_bounds(text: Optional[str]) -> Optional[tuple[int, int]]:
     if text is None:
         return None
     try:
-        w, h = text.lower().split("x")
-        return int(w), int(h)
+        w, h = map(int, text.lower().split("x"))
     except ValueError:
         raise ParseError(f"--bounds expects WxH, got {text!r}")
+    if w < 1 or h < 1:
+        raise ParseError(f"--bounds expects a positive width and height, got {text!r}")
+    return w, h
 
 
 # The two-layer embedders for a given mapping by layer classes, keyed in
@@ -165,7 +154,6 @@ _GEN_RECIPES = {
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    seed = _default_seed(args)
     if args.kind not in _GEN_RECIPES:
         raise SimembedError(
             f"unknown kind {args.kind!r}; choose from {sorted(_GEN_RECIPES)}"
@@ -173,7 +161,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     mapping, recipe = _GEN_RECIPES[args.kind]
     if recipe is None:
         recipe = ["maximal-outerplanar"] * args.layers
-    layers = [generate(k, args.n, seed + i) for i, k in enumerate(recipe)]
+    layers = [generate(k, args.n, args.seed + i) for i, k in enumerate(recipe)]
     inst = LayeredInstance(n=args.n, layers=layers, mapping=mapping)
     validate_instance(inst)  # write nothing that embed would reject
     _write(args.out, serialize_instance(inst))
@@ -195,7 +183,7 @@ def _cmd_fivepaths(args: argparse.Namespace) -> int:
             "per_path": cov.per_path_counts(len(paths)),
         }
     result = exhaustive_five_point_check(
-        args.grid, paths, seed=_default_seed(args), samples=args.samples
+        args.grid, paths, seed=args.seed, samples=args.samples
     )
     report["search"] = {
         "exhaustive": result.exhaustive,
@@ -246,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--kind", required=True, help=", ".join(sorted(_GEN_RECIPES)))
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--layers", type=int, default=3, help="layer count for outerplanars")
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default="-")
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -254,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_five.add_argument("--grid", type=int, default=5)
     p_five.add_argument("--paths", default=None, help="comma-separated digit strings")
     p_five.add_argument("--samples", type=int, default=None)
-    p_five.add_argument("--seed", type=int, default=None)
+    p_five.add_argument("--seed", type=int, default=0)
     p_five.add_argument("--out", default="-")
     p_five.set_defaults(func=_cmd_fivepaths)
     return parser

@@ -7,13 +7,16 @@ operations are pure functions and safe to call concurrently.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
-from .errors import CoordinateBudgetError, DegenerateSegmentError, DuplicatePointError
+from .errors import (
+    CoordinateBudgetError,
+    DegenerateSegmentError,
+    DuplicatePointError,
+    InvalidInstanceError,
+)
 
 # Largest coordinate magnitude accepted anywhere in the kernel.  Generous
 # enough for the largest grids the embedders emit at practical sizes
@@ -197,21 +200,21 @@ def _direction_buckets(
     return buckets
 
 
-def _collinear_triples(points: list[GridPoint]) -> Iterator[tuple[int, int, int]]:
-    """Every index triple i < j < k of collinear points, lexicographically.
+def _first_collinear_triple(points: list[GridPoint]) -> Optional[tuple[int, int, int]]:
+    """Lexicographically smallest index triple i < j < k of collinear points.
 
     Per anchor i, the points j < k collinear with it are the pairs within
-    one of its direction buckets.  Each bucket lists its pairs in order and
-    no index sits in two buckets, so merging the buckets' pair streams
-    yields the anchor's pairs in order, lazily: the first triple costs no
-    more than finding it.  The points must be distinct.
+    one of its direction buckets, and a bucket's smallest pair is its first
+    two indices; the first anchor with a bucket of two holds the triple.
+    The points must be distinct.
     """
     xs = [p.x for p in points]
     ys = [p.y for p in points]
     for i in range(len(points) - 2):
-        buckets = _direction_buckets(xs, ys, i).values()
-        for j, k in heapq.merge(*(combinations(idxs, 2) for idxs in buckets if len(idxs) >= 2)):
-            yield i, j, k
+        pairs = [(b[0], b[1]) for b in _direction_buckets(xs, ys, i).values() if len(b) >= 2]
+        if pairs:
+            return (i, *min(pairs))
+    return None
 
 
 def find_collinear_triple(points: list[GridPoint]) -> Optional[tuple[int, int, int]]:
@@ -222,7 +225,7 @@ def find_collinear_triple(points: list[GridPoint]) -> Optional[tuple[int, int, i
     identical triple.
     """
     _check_distinct(points)
-    return next(_collinear_triples(points), None)
+    return _first_collinear_triple(points)
 
 
 def convex_hull(points: list[GridPoint]) -> list[int]:
@@ -235,7 +238,7 @@ def convex_hull(points: list[GridPoint]) -> list[int]:
     _check_distinct(points)
     n = len(points)
     if n < 3:
-        raise ValueError("convex hull needs at least 3 points")
+        raise InvalidInstanceError("convex hull needs at least 3 points")
     idx = sorted(range(n), key=lambda i: (points[i].x, points[i].y))
 
     def build(seq: list[int]) -> list[int]:

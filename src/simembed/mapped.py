@@ -179,6 +179,8 @@ FIVE_PATHS = ("12345", "13542", "25134", "32415", "35214")
 
 def path_from_digits(digits: str) -> PathOrder:
     """Parse compact 1-based path notation such as '13542'."""
+    if not all("1" <= ch <= "9" for ch in digits):
+        raise InvalidInstanceError(f"path digits must be 1 to 9, got {digits!r}")
     return PathOrder([int(ch) - 1 for ch in digits])
 
 
@@ -241,10 +243,6 @@ class FivePointSearchResult:
     placements_checked: int
     exhaustive: bool
     grid: tuple[int, int]
-
-    @property
-    def crossing_forced(self) -> bool:
-        return self.counterexample is None
 
 
 def _grid_points(w: int, h: int) -> list[tuple[int, int]]:

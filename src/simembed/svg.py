@@ -7,18 +7,14 @@ deterministic function of the input.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from .errors import InvalidInstanceError
 from .graphs import SimultaneousEmbedding
 
 LAYER_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def render_svg(emb: SimultaneousEmbedding, labels: Optional[Sequence[str]] = None) -> str:
+def render_svg(emb: SimultaneousEmbedding) -> str:
     coords = emb.coords
-    if labels is None:
-        labels = [f"v{i + 1}" for i in range(len(coords))]
     min_x = min((p.x for p in coords), default=0)
     max_x = max((p.x for p in coords), default=0)
     min_y = min((p.y for p in coords), default=0)
@@ -61,7 +57,7 @@ def render_svg(emb: SimultaneousEmbedding, labels: Optional[Sequence[str]] = Non
             f'    <circle cx="{sx(p.x):.6g}" cy="{sy(p.y):.6g}" r="{unit / 6:.6g}" fill="#333"/>'
         )
         out.append(
-            f'    <text x="{sx(p.x) + unit / 5:.6g}" y="{sy(p.y) - unit / 5:.6g}">{labels[i]}</text>'
+            f'    <text x="{sx(p.x) + unit / 5:.6g}" y="{sy(p.y) - unit / 5:.6g}">v{i + 1}</text>'
         )
     out.append("  </g>")
     out.append("</svg>")

@@ -39,8 +39,7 @@ from .geometry import (
 from .graphs import (
     Layer,
     SimultaneousEmbedding,
-    _plane_faces,
-    _trace_faces,
+    check_plane_embedding,
     maximalize_outerplanar,
     triangulate_plane,
     validate_layer,
@@ -52,16 +51,6 @@ from .graphs import (
 # ---------------------------------------------------------------------------
 
 
-def _face_vertices(walk: list[tuple[int, int]]) -> list[int]:
-    return [d[0] for d in walk]
-
-
-def _canonical_face(walk: list[tuple[int, int]]) -> tuple[int, ...]:
-    verts = _face_vertices(walk)
-    k = verts.index(min(verts))
-    return tuple(verts[k:] + verts[:k])
-
-
 def planar_grid_draw(layer: Layer, n: int) -> list[GridPoint]:
     """Draw a plane triangulation on the (2n-4) x (n-2) grid.
 
@@ -70,24 +59,32 @@ def planar_grid_draw(layer: Layer, n: int) -> list[GridPoint]:
     drawing right by one or two columns so the new fan stays planar.
     The outer face is the lexicographically smallest face walk.
     """
-    faces = _plane_faces(layer, n)
+    check_plane_embedding(layer, n)
     if len(layer.edges) != 3 * n - 6:
         raise InvalidInstanceError("grid drawing requires a triangulation (E = 3n-6)")
-    return _draw_triangulation(layer.rotation, faces, n)
+    return _draw_triangulation(layer.rotation, n)
 
 
-def _draw_triangulation(
-    rotation: list[list[int]], faces: list[list[tuple[int, int]]], n: int
-) -> list[GridPoint]:
-    # planar_grid_draw for a rotation system already known to be a plane
-    # embedding with 3n - 6 edges, given its traced faces.
-    if any(len(f) != 3 for f in faces):
-        raise InvalidInstanceError("grid drawing requires all faces to be triangles")
+def _draw_triangulation(rotation: list[list[int]], n: int) -> list[GridPoint]:
+    """planar_grid_draw for a rotation system already known to be a plane
+    embedding with 3n - 6 edges, in time linear in n.
 
-    walk = min(_canonical_face(f) for f in faces)
-    v1, v2, v_top = walk
+    Every face is a triangle: Euler gives 2n - 4 faces, whose walks share
+    the 6n - 12 darts and each take at least 3.  The smallest face walk
+    contains vertex 0, and each dart (0, x) starts exactly one triangle
+    (0, x, w), w the predecessor of 0 in x's rotation, so the outer face is
+    the smallest of those.
 
-    adj = [set(r) for r in rotation]
+    Placement follows Chrobak & Payne (IPL 1995): instead of shifting the
+    absolute x of every covered vertex right of an insertion, ``dx[w]`` keeps
+    x(w) minus the x of w's predecessor on the outer path, frozen once w is
+    covered (the first covered vertex of a fan counts from the vertex that
+    covers it).  An insertion then changes three offsets, and one pass over
+    the peel order adds them up.
+    """
+    v1, v2, v_top = min(
+        (0, x, rotation[x][rotation[x].index(0) - 1]) for x in rotation[0]
+    )
 
     # Reverse canonical order: peel chord-free outer vertices off the path
     # from v1 to v2, recording the fan of alive neighbors each leaves behind.
@@ -105,7 +102,7 @@ def _draw_triangulation(
 
     def enter(w: int) -> None:
         on_path[w] = True
-        for x in adj[w]:
+        for x in rotation[w]:
             if on_path[x]:
                 path_deg[x] += 1
                 path_deg[w] += 1
@@ -148,7 +145,7 @@ def _draw_triangulation(
         removal_order.append(u)
         alive[u] = False
         on_path[u] = False
-        for x in adj[u]:
+        for x in rotation[u]:
             if on_path[x]:
                 path_deg[x] -= 1
                 if path_deg[x] == 2 and x != v1 and x != v2:
@@ -167,36 +164,37 @@ def _draw_triangulation(
         raise InternalInvariantError("canonical peeling left a non-triangle")
     v3 = remaining[1]
 
-    xs = [0] * n
+    # Replaying the peel in reverse, v covers exactly its fan's interior,
+    # the path between a and b.
+    dx = [0] * n
     ys = [0] * n
-    xs[v2] = 2
-    xs[v3], ys[v3] = 1, 1
-    covered: list[list[int]] = [[v] for v in range(n)]
-    path = [v1, v3, v2]
-
+    dx[v3], ys[v3] = 1, 1
+    dx[v2] = 1
     for v in reversed(removal_order):
         a, interior, b = fans[v]
-        ia = path.index(a)
-        ib = path.index(b)
-        if path[ia + 1 : ib] != interior:
-            raise InternalInvariantError("insertion fan does not match the outer path")
-        for w in path[ia + 1 : ib]:
-            for t in covered[w]:
-                xs[t] += 1
-        for w in path[ib:]:
-            for t in covered[w]:
-                xs[t] += 2
-        xa, ya = xs[a], ys[a]
-        xb, yb = xs[b], ys[b]
-        if (xa - ya + xb + yb) % 2 != 0:
+        # Shift the interior right by one column, b and all right of it by two.
+        dx[interior[0] if interior else b] += 1
+        dx[b] += 1
+        run = sum(dx[w] for w in interior) + dx[b]  # x(b) - x(a)
+        ya, yb = ys[a], ys[b]
+        if (run - ya + yb) % 2 != 0:
             raise InternalInvariantError("diagonal intersection left the lattice")
-        xs[v] = (xa - ya + xb + yb) // 2
-        ys[v] = (xb + yb - xa + ya) // 2
-        bag = [v]
-        for w in interior:
-            bag.extend(covered[w])
-        covered[v] = bag
-        path[ia + 1 : ib] = [v]
+        dx[v] = (run - ya + yb) // 2
+        ys[v] = (run + ya + yb) // 2
+        dx[b] = run - dx[v]
+        if interior:
+            dx[interior[0]] -= dx[v]
+
+    # The path ends as v1, v_top, v2, and each vertex is placed before the
+    # fan interior it covers, which follows it in the peel order.
+    xs = [0] * n
+    xs[v_top] = dx[v_top]
+    xs[v2] = xs[v_top] + dx[v2]
+    for v in removal_order:
+        x = xs[v]
+        for w in fans[v][1]:
+            x += dx[w]
+            xs[w] = x
 
     if min(xs) < 0 or max(xs) > 2 * n - 4 or min(ys) < 0 or max(ys) > n - 2:
         raise InternalInvariantError("drawing escaped the (2n-4) x (n-2) grid")
@@ -267,7 +265,7 @@ def planar_general_position_draw(layer: Layer, n: int) -> list[GridPoint]:
             f"grid, over the coordinate budget 2^40; at most {fits} vertices fit"
         )
     tri, _dummies = triangulate_plane(layer, n)
-    base = _draw_triangulation(tri.rotation, _trace_faces(n, tri.edges, tri.rotation), n)
+    base = _draw_triangulation(tri.rotation, n)
     p, lam = _planar_lift(n)
     return _parabola_lift(base, lam, p)
 

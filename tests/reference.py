@@ -468,6 +468,12 @@ def sampled_five_point_check(
     )
 
 
+def _canonical_face(walk: list[tuple[int, int]]) -> tuple[int, ...]:
+    verts = [d[0] for d in walk]
+    k = verts.index(min(verts))
+    return tuple(verts[k:] + verts[:k])
+
+
 def draw_triangulation_path_walk(
     rotation: list[list[int]], faces: list[list[tuple[int, int]]], n: int
 ) -> list[GridPoint]:
@@ -477,7 +483,7 @@ def draw_triangulation_path_walk(
     if any(len(f) != 3 for f in faces):
         raise InvalidInstanceError("grid drawing requires all faces to be triangles")
 
-    walk = min(unmapped._canonical_face(f) for f in faces)
+    walk = min(_canonical_face(f) for f in faces)
     v1, v2, v_top = walk
 
     adj = [set(r) for r in rotation]

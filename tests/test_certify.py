@@ -107,12 +107,6 @@ def test_general_position_reports():
     assert certify_general_position(out).ok
 
 
-def test_general_position_full_scan_lists_all():
-    pts = [P(0, 0), P(1, 1), P(2, 2), P(3, 3)]
-    rep = certify_general_position(pts, full_scan=True)
-    assert len(rep.violations) == 4  # all C(4,3) triples are collinear
-
-
 def test_certify_bounds():
     emb = embed_two_paths(PathOrder([0, 1, 2]), PathOrder([2, 0, 1]))
     assert certify_bounds(emb, 3, 3).ok

@@ -10,6 +10,7 @@ from simembed import (
     DegenerateSegmentError,
     DuplicatePointError,
     GridPoint,
+    InvalidInstanceError,
     Segment,
     convex_hull,
     find_collinear_triple,
@@ -172,6 +173,12 @@ def test_convex_hull_square():
 
 def test_convex_hull_drops_interior():
     assert sorted(convex_hull([P(0, 0), P(4, 0), P(0, 4), P(1, 1)])) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_convex_hull_of_fewer_than_three_points_is_a_package_error(k):
+    with pytest.raises(InvalidInstanceError, match="at least 3 points"):
+        convex_hull([P(i, i * i) for i in range(k)])
 
 
 def test_convex_hull_matches_halfplane_oracle():

@@ -540,17 +540,45 @@ def test_cli_fivepaths_verdict(tmp_path):
     assert "no counterexample" in doc["verdict"]
 
 
-def test_cli_env_seed(tmp_path, monkeypatch):
-    monkeypatch.setenv("SIMEMBED_SEED", "42")
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    assert cli_main(["gen", "--kind", "two-paths", "--n", "6", "--out", str(a)]) == 0
-    assert cli_main(["gen", "--kind", "two-paths", "--n", "6", "--out", str(b)]) == 0
-    assert a.read_text(encoding="utf-8") == b.read_text(encoding="utf-8")
-    monkeypatch.setenv("SIMEMBED_SEED", "43")
-    c = tmp_path / "c.json"
-    assert cli_main(["gen", "--kind", "two-paths", "--n", "6", "--out", str(c)]) == 0
-    assert a.read_text(encoding="utf-8") != c.read_text(encoding="utf-8")
+def test_cli_gen_seed(tmp_path):
+    outs = []
+    for i, seed in enumerate(("42", "42", "43")):
+        out = tmp_path / f"{i}.json"
+        argv = ["gen", "--kind", "two-paths", "--n", "6", "--seed", seed, "--out", str(out)]
+        assert cli_main(argv) == 0
+        outs.append(out.read_text(encoding="utf-8"))
+    assert outs[0] == outs[1] != outs[2]
+
+
+@pytest.mark.parametrize("paths", ["12a45", "12345,13542,25134,32415,3521x"])
+def test_cli_fivepaths_rejects_a_path_that_is_not_digits(tmp_path, capsys, paths):
+    out = tmp_path / "five.json"
+    capsys.readouterr()
+    rc = cli_main(["fivepaths", "--grid", "4", "--paths", paths, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "path digits" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["embed", "certify"])
+@pytest.mark.parametrize("bounds", ["0x0", "0x3", "3x0", "-3x4"])
+def test_cli_bounds_must_be_positive(tmp_path, capsys, command, bounds):
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(MINIMAL_TWO_PATHS, encoding="utf-8")
+    result_file = tmp_path / "result.json"
+    assert cli_main(["embed", "--in", str(inst_file), "--out", str(result_file)]) == 0
+    out = tmp_path / "out.json"
+    args = {
+        "embed": ["embed", "--in", str(inst_file)],
+        "certify": ["certify", "--in", str(result_file), "--instance", str(inst_file)],
+    }[command]
+    capsys.readouterr()
+    rc = cli_main([*args, "--out", str(out), f"--bounds={bounds}"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "positive" in err[0], err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,12 @@ def test_pair_coverage_of_the_five_paths():
     assert all(len(c) == 1 for c in cov.covered_by)
 
 
+@pytest.mark.parametrize("digits", ["12a45", "1234x", "02345", "12 45"])
+def test_path_from_digits_rejects_anything_but_digits_one_to_nine(digits):
+    with pytest.raises(InvalidInstanceError, match="path digits"):
+        path_from_digits(digits)
+
+
 def test_single_path_eliminates_three_pairs():
     cov = five_path_pair_coverage([path_from_digits("12345")])
     covered = {
