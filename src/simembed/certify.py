@@ -8,9 +8,8 @@ carry witnesses so a failed check is immediately diagnosable.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from math import gcd
 
 from .errors import InvalidInstanceError
@@ -73,7 +72,9 @@ def _layer_crossings(
     there is one, with O(m log m) orientation tests and at most 3m exact
     ones; only a layer with a conflict is handed to
     :func:`_listed_crossings`, which names every conflicting pair.  Both
-    sweep along the axis that :func:`_sweep_frame` picks.
+    sweep along the axis that :func:`_sweep_frame` picks, the one on which
+    a sweep line meets fewer edges on average; the axis changes how fast
+    they run, never what they find.
     """
     if _any_conflict(*_sweep_frame(xs, ys, edges), edges):
         return _listed_crossings(xs, ys, edges, layer_idx)
@@ -83,13 +84,19 @@ def _layer_crossings(
 def _sweep_frame(
     xs: list[int], ys: list[int], edges: list[tuple[int, int]]
 ) -> tuple[list[int], list[int]]:
-    """The coordinates with the sweep axis first: x when no more pairs of
-    edges overlap on x than on y (counted exactly), else y."""
-    lo_x = [min(xs[u], xs[w]) for u, w in edges]
-    hi_x = [max(xs[u], xs[w]) for u, w in edges]
-    lo_y = [min(ys[u], ys[w]) for u, w in edges]
-    hi_y = [max(ys[u], ys[w]) for u, w in edges]
-    if _overlapping_pairs(lo_x, hi_x) <= _overlapping_pairs(lo_y, hi_y):
+    """The coordinates with the sweep axis first: x when
+    sum |dx| * height <= sum |dy| * width over the edges, else y.
+
+    Width and height are the drawing's extents, so each side is, up to the
+    common factor width * height, the mean number of edges that a sweep
+    line meets on its axis: a line at a uniformly random x meets an edge
+    with probability |dx| / width.  One pass, no sort.
+    """
+    if not edges:
+        return xs, ys
+    along_x = sum(abs(xs[u] - xs[w]) for u, w in edges)
+    along_y = sum(abs(ys[u] - ys[w]) for u, w in edges)
+    if along_x * (max(ys) - min(ys)) <= along_y * (max(xs) - min(xs)):
         return xs, ys
     return ys, xs
 
@@ -201,7 +208,7 @@ def _listed_crossings(
     xs: list[int], ys: list[int], edges: list[tuple[int, int]], layer_idx: int
 ) -> list[Violation]:
     """Every conflicting edge pair (i, j), i < j, of one layer, in order,
-    found by a bounding-box sweep.
+    found by a bounding-box scan.
 
     Two edges that share an endpoint v conflict only if they leave v in the
     same direction: if they leave it in different directions they meet only
@@ -213,25 +220,14 @@ def _listed_crossings(
 
     Two edges that share no endpoint can conflict only if their closed
     bounding boxes overlap on both axes, and the exact predicate runs on
-    exactly those pairs, found by one sort-and-sweep along the axis of
-    :func:`_sweep_frame`.  Edges arrive in order of their low end on the
-    sweep axis, and the edges seen so far are kept until their high end
-    falls below the arriving edge's low end.  A pair whose sweep-axis
-    intervals overlap is met when its later-starting edge arrives: the
-    earlier edge started no later, and its high end is at least that
-    start, so it is still kept then.  A pair that does not overlap on the
-    sweep axis never meets, because the earlier edge is dropped before the
-    later one arrives and does not come back (low ends only grow).  The
-    other axis is tested per kept edge.
-
-    The kept edges are grouped by an endpoint of degree three or more in
-    the layer (the one of higher degree), or in one shared group when both
-    endpoints have degree at most two.  An arriving edge skips the groups
-    of its own endpoints, whose edges all share an endpoint with it, so the
-    edges around a hub are never paired with one another in the sweep.  In
-    the shared group it meets at most two edges it shares an endpoint with.
-    Every conflicting pair is listed, so a layer full of crossings still
-    costs O(m^2) tests.
+    exactly those pairs.  The edges are sorted by their low end on the axis
+    of :func:`_sweep_frame`.  Two of them overlap on that axis if and only
+    if the later one in this order starts no higher than the earlier one's
+    high end, so each edge is paired with the later edges up to the last
+    start at or below its high end, found by bisection; those pairs are
+    filtered on the other axis and on shared endpoints.  Every pair whose
+    boxes overlap is tested, so a layer whose long edges overlap one
+    another costs O(m^2) tests.
     """
     m = len(edges)
     ax = [xs[e[0]] for e in edges]
@@ -243,30 +239,18 @@ def _listed_crossings(
     hi = [max(us[u], us[w]) for u, w in edges]
     lo2 = [min(vs[u], vs[w]) for u, w in edges]
     hi2 = [max(vs[u], vs[w]) for u, w in edges]
+    order = sorted(range(m), key=lo.__getitem__)
+    starts = [lo[k] for k in order]
 
     pairs = _shared_endpoint_pairs(edges, ax, ay, bx, by)
-    degree = Counter(chain.from_iterable(edges))
-    groups: dict[int | None, list[int]] = {}
-    for k in sorted(range(m), key=lo.__getitem__):
-        start, lo_k, hi_k = lo[k], lo2[k], hi2[k]
-        u, w = edges[k]
-        for v, group in list(groups.items()):
-            if v == u or v == w:
-                continue
-            kept = [a for a in group if hi[a] >= start]
-            if not kept:
-                del groups[v]
-                continue
-            groups[v] = kept
-            for a in kept:
-                if lo2[a] > hi_k or lo_k > hi2[a]:
-                    continue
-                p, q = edges[a]
-                if p == u or p == w or q == u or q == w:
-                    continue
-                pairs.append((a, k) if a < k else (k, a))
-        hub = u if degree[u] >= degree[w] else w
-        groups.setdefault(hub if degree[hub] > 2 else None, []).append(k)
+    for p, i in enumerate(order):
+        u, w = edges[i]
+        lo2_i, hi2_i = lo2[i], hi2[i]
+        pairs += [
+            (i, j) if i < j else (j, i)
+            for j in order[p + 1 : bisect_right(starts, hi[i])]
+            if lo2[j] <= hi2_i and lo2_i <= hi2[j] and u not in edges[j] and w not in edges[j]
+        ]
 
     hits = sorted(
         (i, j)
@@ -274,16 +258,6 @@ def _listed_crossings(
         if _conflict_raw(ax[i], ay[i], bx[i], by[i], ax[j], ay[j], bx[j], by[j])
     )
     return [Violation("layer-crossing", (layer_idx, i, j)) for i, j in hits]
-
-
-def _overlapping_pairs(lo: list[int], hi: list[int]) -> int:
-    """How many pairs of the closed intervals [lo, hi] overlap.  With the
-    intervals sorted by low end, the one at position p overlaps the
-    intervals at positions up to p whose low end is at most its high end:
-    bisection finds p + 1 plus its later-starting partners."""
-    m = len(lo)
-    starts = sorted(lo)
-    return sum(map(bisect_right, repeat(starts, m), hi)) - m * (m + 1) // 2
 
 
 def _shared_endpoint_pairs(

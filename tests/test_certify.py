@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from simembed import (
     refine_general_position,
     simul_embed_free,
 )
+from simembed.certify import _sweep_frame
 
 P = GridPoint
 
@@ -185,3 +187,23 @@ def test_broken_bijection_is_named():
     assignments[1][9] = assignments[1][4]
     rep = certify_embedding(dataclasses.replace(emb, assignments=assignments), inst)
     assert [(x.kind, x.witness) for x in rep.violations] == [("bad-bijection", (1, 4, 9))]
+
+
+def test_sweep_axis_is_the_one_a_sweep_line_meets_fewer_edges_on():
+    # Each path of a two-paths layout steps by one on its own axis and
+    # jumps across the grid on the other, so a sweep along that own axis
+    # meets about one edge at a time, and one along the other about n / 3.
+    rng = random.Random(5)
+    orders = [rng.sample(range(200), 200) for _ in range(2)]
+    emb = embed_two_paths(PathOrder(orders[0]), PathOrder(orders[1]))
+    xs = [p.x for p in emb.coords]
+    ys = [p.y for p in emb.coords]
+    first = [_sweep_frame(xs, ys, edges)[0] for edges in emb.layers]
+    assert first[0] is xs and first[1] is ys
+    # Passed the other way round, each layer still sweeps along its own path.
+    first = [_sweep_frame(ys, xs, edges)[0] for edges in emb.layers]
+    assert first[0] is xs and first[1] is ys
+    # Horizontal edges only: every vertical sweep line meets many of them
+    # (sum |dx| > 0), every horizontal one meets none (sum |dy| = 0).
+    xs, ys = [0, 5, 1, 6, 2, 7], [0, 0, 1, 1, 2, 2]
+    assert _sweep_frame(xs, ys, [(0, 1), (2, 3), (4, 5)]) == (ys, xs)

@@ -1,7 +1,13 @@
+import functools
+import io
 import json
 import random
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from simembed import (
     InvalidInstanceError,
@@ -18,7 +24,7 @@ from simembed import (
     serialize_instance,
     serialize_result,
 )
-from simembed import unmapped
+from simembed import cli, unmapped
 from simembed.generate import KINDS
 
 
@@ -492,6 +498,27 @@ def test_cli_planar_outerplanar_below_three_vertices_one_error_line(tmp_path, ca
     assert err == ["error: triangulation needs at least 3 vertices"]
 
 
+@pytest.mark.parametrize(
+    "chords, rc, message",
+    [([[0, 1]], 1, "duplicate edge"), ([[0, 2], [1, 3]], 2, "cross")],
+    ids=["duplicate-edge", "crossing-chords"],
+)
+def test_cli_invalid_instance_exit_code_follows_where_it_is_caught(
+    tmp_path, capsys, chords, rc, message
+):
+    # A structural error is caught while the document is parsed (exit 1);
+    # chords that cross in the declared cycle, while embedding (exit 2).
+    cycle = [[0, 1], [1, 2], [2, 3], [3, 0]]
+    layer = {"class": "outerplanar", "edges": cycle + chords, "outer_cycle": [0, 1, 2, 3]}
+    doc = {"n": 4, "mapping": "free", "layers": [layer]}
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(["embed", "--in", str(inst_file), "--out", str(tmp_path / "r.json")]) == rc
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+
+
 def test_cli_io_error_exit_code(tmp_path):
     rc = cli_main(["embed", "--in", str(tmp_path / "missing.json"), "--out", "-"])
     assert rc == 1
@@ -630,3 +657,110 @@ def test_cli_malformed_result_one_error_line(tmp_path, capsys, outerplanar_resul
     else:
         assert len(err) == 1 and err[0].startswith("error: "), err
 
+
+
+# ---------------------------------------------------------------------------
+# fuzzed contract: a mutated document ends in exit 0, 1 or 2, and a nonzero
+# exit prints exactly one reason line
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_documents(kind, n, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, res = Path(tmp, "inst.json"), Path(tmp, "res.json")
+        with redirect_stderr(io.StringIO()):
+            assert cli_main(["gen", "--kind", kind, "--n", str(n), "--layers", "2",
+                             "--seed", str(seed), "--out", str(inst)]) == 0
+            assert cli_main(["embed", "--in", str(inst), "--out", str(res)]) == 0
+        return inst.read_text(encoding="utf-8"), res.read_text(encoding="utf-8")
+
+
+def _node_paths(node, path):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _is_permutation_list(path):
+    # An outer cycle, one vertex's rotation, or one layer's assignment.
+    return path[-1] == "outer_cycle" or (
+        len(path) >= 3 and path[-2] in ("rotation", "assignments")
+    )
+
+
+_MUTATIONS = {
+    "wrong-type": lambda path: True,
+    "deleted-key": lambda path: len(path) > 1,
+    "out-of-range-id": lambda path: len(path) > 1,
+    "huge-integer": lambda path: len(path) > 1,
+    "duplicate-edge": lambda path: len(path) > 2 and path[-2] == "edges",
+    "broken-rotation-or-cycle": lambda path: len(path) > 1 and _is_permutation_list(path),
+}
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(sorted(cli._GEN_RECIPES)), st.integers(3, 7), st.integers(0, 3),
+       st.sampled_from(sorted(_MUTATIONS)), st.data())
+def test_cli_mutated_documents_keep_the_exit_contract(kind, n, seed, how, data):
+    inst_text, res_text = _valid_documents(kind, n, seed)
+    docs = {"instance": json.loads(inst_text), "result": json.loads(res_text)}
+    targets = [
+        path
+        for name in ("instance", "result")
+        for path in _node_paths(docs[name], (name,))
+        if _MUTATIONS[how](path)
+    ]
+    assume(targets)
+    path = data.draw(st.sampled_from(targets), label="node")
+    parent = docs
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if how == "wrong-type":
+        parent[key] = data.draw(st.sampled_from(["x", None, 1.5, True, [], {}, [[0, 1]]]))
+    elif how == "deleted-key":
+        del parent[key]
+    elif how == "out-of-range-id":
+        parent[key] = data.draw(st.sampled_from([-1, n, n + 1]))
+    elif how == "huge-integer":
+        parent[key] = data.draw(st.sampled_from([10**30, -(10**30), 2**64]))
+    elif how == "duplicate-edge":
+        edge = parent[key]
+        parent.append(data.draw(st.sampled_from([list(edge), list(edge[::-1])])))
+    else:
+        order = parent[key]
+        change = data.draw(st.sampled_from(["drop", "repeat", "swap"]))
+        if change == "drop":
+            order.pop()
+        elif change == "repeat":
+            order[1] = order[0]
+        else:
+            order[0], order[1] = order[1], order[0]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, res = Path(tmp, "inst.json"), Path(tmp, "res.json")
+        inst.write_text(json.dumps(docs["instance"]), encoding="utf-8")
+        res.write_text(json.dumps(docs["result"]), encoding="utf-8")
+        runs = [
+            ["embed", "--in", str(inst), "--out", str(Path(tmp, "out.json"))],
+            ["certify", "--in", str(res), "--instance", str(inst),
+             "--out", str(Path(tmp, "report.json"))],
+            ["render", "--in", str(res), "--instance", str(inst),
+             "--svg", str(Path(tmp, "out.svg"))],
+        ]
+        for argv in runs:
+            err = io.StringIO()
+            with redirect_stderr(err):
+                rc = cli_main(argv)
+            assert rc in (0, 1, 2), (argv[0], rc)
+            if rc:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1, (argv[0], lines)
+                assert lines[0].startswith(("error:", "certificate FAILED:")), (argv[0], lines)

@@ -2,7 +2,7 @@
 
 The package's trace-once face completion, one-pass chord check, flip
 generator that updates its dart map in place, path + caterpillar layout
-with a running shift, bounding-box sweep of the certifier and bucketed
+with a running shift, bounding-box scan of the certifier and bucketed
 full collinearity scan must return exactly what the re-trace-per-chord
 loops, the chord pair scan, the rebuild-per-flip generator, the shift pass
 over all vertices, the all-pairs edge loop and the cubic triple loop in
@@ -72,7 +72,7 @@ from simembed import (
 )
 from simembed import certify, unmapped
 from simembed.graphs import _trace_faces
-from simembed.certify import _any_conflict, _layer_crossings, _listed_crossings, _overlapping_pairs
+from simembed.certify import _any_conflict, _layer_crossings, _listed_crossings
 
 
 @settings(max_examples=150, deadline=None)
@@ -232,23 +232,14 @@ def test_layer_crossings_hand_example_on_both_axes():
     edges = [(0, 1), (2, 3), (2, 1), (0, 4), (4, 1), (3, 5)]
     got = [v.witness for v in _listed_crossings(xs, ys, edges, 5)]
     assert got == [(5, 0, 1), (5, 0, 2), (5, 1, 4)]
-    # 12 pairs overlap on x and 13 on y, so the sweep runs along x; the
-    # mirror image across the diagonal runs along y; the two together are
-    # their own mirror image, so the counts tie.
-    assert [_axis_overlaps(xs, edges), _axis_overlaps(ys, edges)] == [12, 13]
+    # The same outputs and call counts on the layer, on its mirror image
+    # across the diagonal, and on the two together, whose axes tie.
     both = (xs + ys, ys + xs, edges + [(u + 6, v + 6) for u, v in edges])
-    assert _axis_overlaps(both[0], both[2]) == _axis_overlaps(both[1], both[2])
     for lx, ly, le in [(xs, ys, edges), (ys, xs, edges), both]:
         out, calls = _with_conflict_count(_listed_crossings, lx, ly, le, 5)
         assert out == layer_crossings_all_pairs(lx, ly, le, 5)
         assert calls == certifier_pair_tests(lx, ly, le)
         assert _layer_crossings(lx, ly, le, 5) == out
-
-
-def _axis_overlaps(cs, edges):
-    lo = [min(cs[u], cs[v]) for u, v in edges]
-    hi = [max(cs[u], cs[v]) for u, v in edges]
-    return _overlapping_pairs(lo, hi)
 
 
 @settings(max_examples=500, deadline=None)
@@ -364,6 +355,29 @@ def test_conflict_decision_work_bound_on_a_maximal_outerplanar_layer():
     edges = [(phi[u], phi[v]) for u, v in emb.layers[0]]
     out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, 0)
     assert out == [] and 0 < calls <= 3 * len(edges)
+
+
+@pytest.mark.parametrize("kind", ["fan", "maximal-outerplanar"])
+def test_listing_on_a_broken_parabola_set_layer(kind):
+    # An embedder's output with two assignment entries swapped: long edges
+    # across the parabola set, and in the fan a hub of degree n - 1.
+    n = 300
+    if kind == "fan":
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(0, i) for i in range(2, n - 1)]
+        layer = Layer("outerplanar", edges, outer_cycle=list(range(n)))
+    else:
+        layer = generate(kind, n, 1)
+    emb = simul_embed_free([layer], n)
+    phi = list(emb.assignments[0])
+    phi[1], phi[n // 2] = phi[n // 2], phi[1]
+    xs = [p.x for p in emb.coords]
+    ys = [p.y for p in emb.coords]
+    edges = [(phi[u], phi[v]) for u, v in emb.layers[0]]
+    out = _layer_crossings(xs, ys, edges, 0)
+    assert out and out == layer_crossings_all_pairs(xs, ys, edges, 0)
+    listed, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, 0)
+    assert listed == out
+    assert calls == certifier_pair_tests(xs, ys, edges)
 
 
 @settings(max_examples=300, deadline=None)
