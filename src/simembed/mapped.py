@@ -24,6 +24,7 @@ from .geometry import (
     COORD_LIMIT,
     GridPoint,
     _conflict_raw,
+    _largest_within_budget,
     _next_prime,
     _parabola_lift,
     _translate_to_origin,
@@ -96,14 +97,29 @@ def refine_general_position(
     return _parabola_lift(points, prime, prime)
 
 
+def _two_caterpillar_extent(n: int) -> int:
+    # the largest coordinate refine_general_position gives n points of
+    # base extent n
+    prime = _next_prime(n)
+    return prime * n + prime - 1
+
+
 def embed_two_caterpillars(c1: Caterpillar, c2: Caterpillar) -> SimultaneousEmbedding:
     """Linearize both caterpillars, lay the two paths out on n x n, then
     refine to general position and swap the path edges for the caterpillar
     edges.  Fits p*n x p*n for p the smallest prime >= n, and p < 2n for
-    n >= 2 (Bertrand's postulate)."""
+    n >= 2 (Bertrand's postulate).  The extent p*n + p - 1 is checked
+    against COORD_LIMIT before the caterpillars are linearized."""
     n = c1.n
     if c2.n != n:
         raise InvalidInstanceError("caterpillars must share one vertex set")
+    if _two_caterpillar_extent(n) > COORD_LIMIT:
+        fits = _largest_within_budget(_two_caterpillar_extent)
+        raise CoordinateBudgetError(
+            f"two caterpillars on {n} vertices need coordinates up to "
+            f"{_two_caterpillar_extent(n)}, over the coordinate budget 2^40; "
+            f"at most {fits} vertices fit"
+        )
     p1 = caterpillar_to_path(c1)
     p2 = caterpillar_to_path(c2)
     base = embed_two_paths(p1, p2)
@@ -264,6 +280,121 @@ def _fundamental_domain(w: int, h: int) -> list[int]:
     return out
 
 
+def _side_masks(w: int, h: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Bitmasks over the w x h grid points, bit k standing for point k of
+    :func:`_grid_points`: ``left[i][j]`` holds the points strictly left of
+    the directed line i -> j and ``col[i][j]`` the points other than i and
+    j on the line through them (both 0 when i == j)."""
+    pts = _grid_points(w, h)
+    count = len(pts)
+    full = (1 << count) - 1
+    left = [[0] * count for _ in range(count)]
+    col = [[0] * count for _ in range(count)]
+    for i, (ax, ay) in enumerate(pts):
+        for j in range(i + 1, count):
+            dx = pts[j][0] - ax
+            dy = pts[j][1] - ay
+            on_left = on_line = 0
+            for k, (x, y) in enumerate(pts):
+                o = dx * (y - ay) - dy * (x - ax)
+                if o > 0:
+                    on_left |= 1 << k
+                elif o == 0:
+                    on_line |= 1 << k
+            left[i][j] = on_left
+            left[j][i] = full ^ on_left ^ on_line
+            col[i][j] = col[j][i] = on_line ^ (1 << i) ^ (1 << j)
+    return left, col
+
+
+def _shadow(left: list[list[int]], a: int, c: int, d: int) -> int:
+    """The points x for which segment a-x properly crosses segment c-d.
+
+    The segments cross properly iff c and d lie strictly on opposite sides
+    of line ax and a and x strictly on opposite sides of line cd.  The
+    first holds iff x is left of exactly one of the lines a -> c and
+    a -> d, the double wedge at a between those rays; the second iff x is
+    on the open side of line cd away from a.  Exact for a, c, d not
+    collinear and x on none of the three lines through two of them.
+    """
+    wedge = left[a][c] ^ left[a][d]
+    if left[c][d] >> a & 1:
+        return wedge & left[d][c]
+    return wedge & left[c][d]
+
+
+def _search_grid(
+    w: int, h: int, cross_checks: list[list[tuple[int, int, int, int]]]
+) -> tuple[Optional[list[int]], int]:
+    """Depth-first search over placements of vertices 0..4 on distinct
+    points of the w x h grid, points tried in ascending index order and
+    vertex 0 confined to :func:`_fundamental_domain`.
+
+    ``cross_checks[lvl]`` holds the same-path disjoint edge pairs
+    (a, b) / (c, d), each sorted, whose largest vertex is lvl.  Returns the
+    first placement (point indices) with no three points collinear and no
+    such pair in conflict, or None, and the number of vertex-4 placements
+    a point-by-point search looks at.
+
+    Vertex ``lvl`` may take any point outside a forbidden mask: the placed
+    points, the lines through two placed points, and for each pair whose
+    edges are (a, lvl) and (c, d) the :func:`_shadow` of cd seen from a.
+    The placed points are in general position, because every point on a
+    line through two of them was forbidden when it could be taken.  So a
+    candidate x off those lines forms with a, c, d four points no three
+    collinear.  For such points all four orientations in ``_conflict_raw``
+    are nonzero, so its collinear and touching branches never fire and it
+    reports exactly a proper crossing of a-x and c-d, which is exactly
+    shadow membership.  The free mask therefore holds exactly the
+    candidates the per-placement predicates accept, in the same order.
+    Vertex 4 is not tried point by point: the lowest free bit is the
+    witness, and the count is the number of unplaced points at or below
+    it, or all N - 4 when no bit is free.
+    """
+    left, col = _side_masks(w, h)
+    count = w * h
+    full = (1 << count) - 1
+    # Each check as (a, c, d): vertex lvl's neighbour a and the other edge.
+    shadow_checks = [
+        [(a, c, d) if b == lvl else (c, a, b) for a, b, c, d in checks]
+        for lvl, checks in enumerate(cross_checks)
+    ]
+    placement = [0] * 5
+    checked = 0
+
+    def dfs(lvl: int, free: int, blocked: int) -> bool:
+        # free: the candidates for vertex lvl; blocked: the points of
+        # vertices 0..lvl-1 and every line through two of them
+        nonlocal checked
+        while free:
+            low = free & -free
+            free ^= low
+            pt = low.bit_length() - 1
+            placement[lvl] = pt
+            now_blocked = blocked | low
+            for q in placement[:lvl]:
+                now_blocked |= col[pt][q]
+            forbidden = now_blocked
+            for a, c, d in shadow_checks[lvl + 1]:
+                forbidden |= _shadow(left, placement[a], placement[c], placement[d])
+            next_free = full & ~forbidden
+            if lvl < 3:
+                if dfs(lvl + 1, next_free, now_blocked):
+                    return True
+            elif next_free:
+                low = next_free & -next_free
+                placement[4] = low.bit_length() - 1
+                below = sum(1 for q in placement[:4] if q < placement[4])
+                checked += placement[4] + 1 - below
+                return True
+            else:
+                checked += count - 4
+        return False
+
+    found = dfs(0, sum(1 << pt for pt in _fundamental_domain(w, h)), 0)
+    return (list(placement) if found else None), checked
+
+
 def exhaustive_five_point_check(
     grid_extent: int | tuple[int, int],
     paths: Sequence[PathOrder],
@@ -275,9 +406,13 @@ def exhaustive_five_point_check(
 
     Returns the first such counterexample found, or None if every valid
     placement forces a crossing in some path.  Grids up to extent 8 are
-    exhausted; larger grids require ``samples`` and are randomly probed
-    with the seeded generator.  A ``samples`` count below 1, or one given
-    for a grid that is exhausted, is rejected.
+    exhausted by :func:`_search_grid`, which keeps the candidates of each
+    vertex as a bitmask built from per-grid side and collinearity masks;
+    ``placements_checked`` counts the vertex-4 placements a point-by-point
+    search would look at.  Larger grids require ``samples`` and are
+    randomly probed with the seeded generator, each draw tested level by
+    level on coordinates.  A ``samples`` count below 1, or one given for a
+    grid that is exhausted, is rejected.
     """
     if isinstance(grid_extent, tuple):
         w, h = grid_extent
@@ -314,6 +449,19 @@ def exhaustive_five_point_check(
                 continue
             level = max(*e1, *e2)
             cross_checks[level].append((*e1, *e2))
+
+    if exhaustive:
+        placement, checked = _search_grid(w, h, cross_checks)
+        pts = _grid_points(w, h)
+        return FivePointSearchResult(
+            counterexample=(
+                [GridPoint(*pts[pt]) for pt in placement] if placement is not None else None
+            ),
+            placements_checked=checked,
+            exhaustive=True,
+            grid=(w, h),
+        )
+
     tri_checks: list[list[tuple[int, int]]] = [
         [(i, j) for i in range(lvl) for j in range(i + 1, lvl)] for lvl in range(5)
     ]
@@ -333,43 +481,22 @@ def exhaustive_five_point_check(
                 return False
         return True
 
+    rng = random.Random(seed)
     checked = 0
-    if exhaustive:
-        pts = _grid_points(w, h)
-        placement = [0] * 5
-        first_candidates = _fundamental_domain(w, h)
-
-        def dfs(lvl: int) -> bool:
-            nonlocal checked
-            candidates = first_candidates if lvl == 0 else range(len(pts))
-            for pt in candidates:
-                if pt in placement[:lvl]:
-                    continue
-                placement[lvl] = pt
-                px[lvl], py[lvl] = pts[pt]
-                if lvl == 4:
-                    checked += 1
-                if level_ok(lvl) and (lvl == 4 or dfs(lvl + 1)):
-                    return True
-            return False
-
-        found = dfs(0)
-    else:
-        rng = random.Random(seed)
-        found = False
-        while not found and checked < samples:
-            drawn: list[tuple[int, int]] = []
-            while len(drawn) < 5:
-                cand = (rng.randrange(w), rng.randrange(h))
-                if cand not in drawn:
-                    drawn.append(cand)
-            px[:], py[:] = zip(*drawn)
-            checked += 1
-            found = all(level_ok(lvl) for lvl in range(5))
+    found = False
+    while not found and checked < samples:
+        drawn: list[tuple[int, int]] = []
+        while len(drawn) < 5:
+            cand = (rng.randrange(w), rng.randrange(h))
+            if cand not in drawn:
+                drawn.append(cand)
+        px[:], py[:] = zip(*drawn)
+        checked += 1
+        found = all(level_ok(lvl) for lvl in range(5))
 
     return FivePointSearchResult(
         counterexample=[GridPoint(x, y) for x, y in zip(px, py)] if found else None,
         placements_checked=checked,
-        exhaustive=exhaustive,
+        exhaustive=False,
         grid=(w, h),
     )

@@ -417,6 +417,84 @@ def five_point_check_table(
     )
 
 
+def five_point_check_dfs(
+    grid_extent: int | tuple[int, int], paths: Sequence[PathOrder]
+) -> FivePointSearchResult:
+    """The exhaustive five-point search before it worked on candidate
+    bitmasks: every candidate of every level placed in turn, and a
+    collinearity and ``_conflict_raw`` test per placed vertex.  Grids up
+    to extent 8 only.
+    """
+    if isinstance(grid_extent, tuple):
+        w, h = grid_extent
+    else:
+        w = h = grid_extent
+    if w < 1 or h < 1:
+        raise InvalidInstanceError("grid extent must be positive")
+    if max(w, h) > EXHAUSTIVE_GRID_LIMIT:
+        raise SearchBudgetError(f"grid {w}x{h} exceeds the exhaustive budget")
+    for p in paths:
+        if p.n != 5:
+            raise InvalidInstanceError("the search is defined for 5-vertex paths")
+        _check_permutation(p.order, 5, "path")
+
+    # Same-path disjoint edge pairs, bucketed by their largest vertex so the
+    # search can check each pair as soon as its last endpoint is placed.
+    cross_checks: list[list[tuple[int, int, int, int]]] = [[] for _ in range(5)]
+    for p in paths:
+        edges = [tuple(sorted(e)) for e in p.edges()]
+        for e1, e2 in itertools.combinations(edges, 2):
+            if set(e1) & set(e2):
+                continue
+            level = max(*e1, *e2)
+            cross_checks[level].append((*e1, *e2))
+    tri_checks: list[list[tuple[int, int]]] = [
+        [(i, j) for i in range(lvl) for j in range(i + 1, lvl)] for lvl in range(5)
+    ]
+
+    # Coordinates of vertices 0..4; vertex lvl and every vertex below it
+    # are placed when level_ok(lvl) runs.
+    px = [0] * 5
+    py = [0] * 5
+
+    def level_ok(lvl: int) -> bool:
+        x, y = px[lvl], py[lvl]
+        for i, j in tri_checks[lvl]:
+            if (px[j] - px[i]) * (y - py[i]) == (py[j] - py[i]) * (x - px[i]):
+                return False
+        for a, b, c, d in cross_checks[lvl]:
+            if _conflict_raw(px[a], py[a], px[b], py[b], px[c], py[c], px[d], py[d]):
+                return False
+        return True
+
+    checked = 0
+    pts = _grid_points(w, h)
+    placement = [0] * 5
+    first_candidates = _fundamental_domain(w, h)
+
+    def dfs(lvl: int) -> bool:
+        nonlocal checked
+        candidates = first_candidates if lvl == 0 else range(len(pts))
+        for pt in candidates:
+            if pt in placement[:lvl]:
+                continue
+            placement[lvl] = pt
+            px[lvl], py[lvl] = pts[pt]
+            if lvl == 4:
+                checked += 1
+            if level_ok(lvl) and (lvl == 4 or dfs(lvl + 1)):
+                return True
+        return False
+
+    found = dfs(0)
+    return FivePointSearchResult(
+        counterexample=[GridPoint(x, y) for x, y in zip(px, py)] if found else None,
+        placements_checked=checked,
+        exhaustive=True,
+        grid=(w, h),
+    )
+
+
 def sampled_five_point_check(
     w: int,
     h: int,

@@ -29,7 +29,8 @@ from simembed import (
     path_from_digits,
     refine_general_position,
 )
-from simembed.geometry import _next_prime as next_prime
+from simembed import mapped
+from simembed.geometry import _largest_within_budget, _next_prime as next_prime
 
 P = GridPoint
 
@@ -226,6 +227,29 @@ def test_two_caterpillars_random_certified_within_bounds():
         assert certify_general_position(emb.coords).ok
 
 
+def test_two_caterpillars_check_budget_up_front(monkeypatch):
+    # refine_general_position gives n points of base extent n coordinates
+    # up to p*n + p - 1, p the smallest prime >= n
+    fits = _largest_within_budget(lambda n: next_prime(n) * n + next_prime(n) - 1)
+    assert 1_000_000 < fits < 1_100_000
+
+    class Linearized(Exception):
+        pass
+
+    def linearize(cat):
+        raise Linearized
+
+    def embed_stars(n):
+        star = Caterpillar([0], [list(range(1, n))])
+        embed_two_caterpillars(star, star)
+
+    monkeypatch.setattr(mapped, "caterpillar_to_path", linearize)
+    with pytest.raises(Linearized):
+        embed_stars(fits)
+    with pytest.raises(CoordinateBudgetError, match=f"at most {fits} vertices fit"):
+        embed_stars(fits + 1)
+
+
 # ---------------------------------------------------------------------------
 # path + caterpillar
 # ---------------------------------------------------------------------------
@@ -336,6 +360,14 @@ def test_exhaustive_check_small_grid():
     assert res.exhaustive
     assert res.placements_checked == 13680
     assert exhaustive_five_point_check(3, paths).placements_checked == 420
+
+
+def test_exhaustive_check_grid_six():
+    paths = [path_from_digits(d) for d in FIVE_PATHS]
+    res = exhaustive_five_point_check(6, paths)
+    assert res.counterexample is None
+    assert res.exhaustive
+    assert res.placements_checked == 1528704
 
 
 def test_exhaustive_check_four_paths_find_witness():

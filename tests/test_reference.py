@@ -10,14 +10,17 @@ over all vertices, the all-pairs edge loop and the cubic triple loop in
 completed, chords nest, cross and share endpoints, and edges overlap,
 touch and tie in every way a grid allows; the certifier's Shamos–Hoey
 decision must say yes exactly when the exact predicate finds some
-conflicting pair among all pairs.  The five-point search with one
-per-level check must report what the conflict-table search and its
-separate sampled loop reported.  The outerplanar point-set embedder, with
-lazy angular orders, interval chains and float-keyed sorts, must assign
-what the eager slicing driver with comparator sorts assigns, and the
-heap-driven peeling of the shift-method drawing must draw what the walk
-over the whole outer path drew.  The brute-force assignment search that
-the point-set tests use as an oracle is checked here on hand-made cases.
+conflicting pair among all pairs.  The five-point search on candidate
+bitmasks must report what the conflict-table search and the
+per-placement search reported, its shadow masks must hold exactly the
+points whose segment properly crosses, and its sampled probe must draw
+what the separate sampled loop drew.  The outerplanar point-set
+embedder, with lazy angular orders, interval chains and float-keyed
+sorts, must assign what the eager slicing loop with comparator sorts
+assigns, and the heap-driven peeling of the shift-method drawing must
+draw what the walk over the whole outer path drew.  The brute-force
+assignment search that the point-set tests use as an oracle is checked
+here on hand-made cases.
 """
 
 import itertools
@@ -42,6 +45,7 @@ from reference import (
     crossing_chords_pair_scan,
     draw_triangulation_path_walk,
     embed_on_general_position_eager,
+    five_point_check_dfs,
     five_point_check_table,
     layer_crossings_all_pairs,
     maximalize_outerplanar_retrace,
@@ -73,6 +77,8 @@ from simembed import (
 from simembed import certify, unmapped
 from simembed.graphs import _trace_faces
 from simembed.certify import _any_conflict, _layer_crossings, _listed_crossings
+from simembed.geometry import _conflict_raw
+from simembed.mapped import _grid_points, _shadow, _side_masks
 
 
 @settings(max_examples=150, deadline=None)
@@ -401,15 +407,67 @@ _RANDOM_PATH_SETS = [
 ]
 
 
+_SMALL_GRIDS = [1, 2, 3, 4, (1, 5), (2, 3), (4, 3)]
+
+
+def _grid_id(grid):
+    return "x".join(map(str, grid)) if isinstance(grid, tuple) else str(grid)
+
+
 @pytest.mark.parametrize(
-    "grid", [1, 2, 3, 4, (1, 5), (2, 3), (4, 3)], ids=["1", "2", "3", "4", "1x5", "2x3", "4x3"]
+    "grid", _SMALL_GRIDS + [5, (5, 3), (3, 5), (6, 2)], ids=_grid_id
 )
 def test_five_point_search_matches_table_search(grid):
-    subsets = [list(c) for k in range(1, 6) for c in itertools.combinations(_FIVE, k)]
+    # Every subset of the five paths on the small grids, against the table
+    # search.  On the larger ones the five paths and each four-path subset
+    # (which has a witness at grid 5, so a partial count is compared),
+    # against the per-placement search, which is the faster reference there.
+    if grid in _SMALL_GRIDS:
+        subsets = [list(c) for k in range(1, 6) for c in itertools.combinations(_FIVE, k)]
+        reference = five_point_check_table
+    else:
+        subsets = [_FIVE] + [list(c) for c in itertools.combinations(_FIVE, 4)]
+        reference = five_point_check_dfs
     for paths in subsets + _RANDOM_PATH_SETS:
         assert _search_outcome(exhaustive_five_point_check(grid, paths)) == _search_outcome(
-            five_point_check_table(grid, paths)
+            reference(grid, paths)
         )
+
+
+@pytest.mark.parametrize("grid", [(4, 4), (5, 3)], ids=_grid_id)
+def test_shadow_mask_is_the_proper_crossing_region(grid):
+    # For a, c, d not collinear and x on none of the lines through two of
+    # them, x is in the shadow of cd seen from a exactly when segment a-x
+    # meets segment c-d.
+    w, h = grid
+    pts = _grid_points(w, h)
+    left, col = _side_masks(w, h)
+    crossings = 0
+    for a, c, d in itertools.permutations(range(len(pts)), 3):
+        if col[a][c] >> d & 1:
+            continue
+        shadow = _shadow(left, a, c, d)
+        lines = col[a][c] | col[a][d] | col[c][d] | 1 << a | 1 << c | 1 << d
+        for x in range(len(pts)):
+            if lines >> x & 1:
+                continue
+            meets = _conflict_raw(*pts[a], *pts[x], *pts[c], *pts[d])
+            assert bool(shadow >> x & 1) == meets, (pts[a], pts[c], pts[d], pts[x])
+            crossings += meets
+    assert crossings > 0
+
+
+def test_side_masks_match_orientation():
+    w, h = 4, 3
+    pts = [GridPoint(x, y) for x, y in _grid_points(w, h)]
+    left, col = _side_masks(w, h)
+    for i, j, k in itertools.product(range(len(pts)), repeat=3):
+        if i == j:
+            assert left[i][j] == col[i][j] == 0
+            continue
+        o = orient(pts[i], pts[j], pts[k])
+        assert bool(left[i][j] >> k & 1) == (o > 0)
+        assert bool(col[i][j] >> k & 1) == (o == 0 and k not in (i, j))
 
 
 @pytest.mark.parametrize(
