@@ -1,7 +1,9 @@
 """JSON serialization of instances, results, and certificates.
 
 Documents are strict: unknown fields are rejected so that typos in
-fixtures fail loudly instead of being ignored.
+fixtures fail loudly instead of being ignored.  Integers are checked with
+``type(x) is int``: JSON true and false load as bool, which ``isinstance``
+would count as the integers 1 and 0.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ def _int_pairs(value: Any, what: str) -> list[tuple[int, int]]:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not isinstance(item[0], int)
-            or not isinstance(item[1], int)
+            or type(item[0]) is not int
+            or type(item[1]) is not int
         ):
             raise ParseError(f"{what} entries must be integer pairs")
         out.append((item[0], item[1]))
@@ -54,7 +56,7 @@ def parse_instance(text: str | bytes) -> LayeredInstance:
         if key not in data:
             raise ParseError(f"instance document missing {key!r}")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError("n must be a positive integer")
     mapping = data["mapping"]
     if mapping not in ("given", "free"):
@@ -75,16 +77,14 @@ def parse_instance(text: str | bytes) -> LayeredInstance:
         if "rotation" in raw and raw["rotation"] is not None:
             rotation = raw["rotation"]
             if not isinstance(rotation, list) or not all(
-                isinstance(r, list) and all(isinstance(x, int) for x in r)
+                isinstance(r, list) and all(type(x) is int for x in r)
                 for r in rotation
             ):
                 raise ParseError(f"layer {li} rotation must be integer lists")
         outer_cycle = None
         if "outer_cycle" in raw and raw["outer_cycle"] is not None:
             outer_cycle = raw["outer_cycle"]
-            if not isinstance(outer_cycle, list) or not all(
-                isinstance(x, int) for x in outer_cycle
-            ):
+            if not isinstance(outer_cycle, list) or not all(type(x) is int for x in outer_cycle):
                 raise ParseError(f"layer {li} outer_cycle must be integers")
         layers.append(
             Layer(kind=raw["class"], edges=edges, rotation=rotation, outer_cycle=outer_cycle)
@@ -149,12 +149,12 @@ def parse_result(
             raise ParseError(f"result document missing {key!r}")
     coords = [GridPoint(x, y) for x, y in _int_pairs(data["coords"], "coords")]
     for key in ("width", "height"):
-        if not isinstance(data[key], int) or data[key] < 1:
+        if type(data[key]) is not int or data[key] < 1:
             raise ParseError(f"{key} must be a positive integer")
     assignments = data.get("assignments")
     if assignments is not None and not (
         isinstance(assignments, list)
-        and all(isinstance(a, list) and all(isinstance(x, int) for x in a) for a in assignments)
+        and all(isinstance(a, list) and all(type(x) is int for x in a) for a in assignments)
     ):
         raise ParseError("assignments must be lists of integers")
     emb = SimultaneousEmbedding(

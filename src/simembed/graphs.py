@@ -353,71 +353,70 @@ def _plane_faces(layer: Layer, n: int) -> list[list[tuple[int, int]]]:
 
 
 def _complete_faces(
-    edges: list[tuple[int, int]],
-    rotation: list[list[int]],
-    faces: list[list[tuple[int, int]]],
-    skip_dart: Optional[tuple[int, int]] = None,
-) -> list[tuple[int, int]]:
-    """Add chords until every face except the one holding ``skip_dart`` is a
-    triangle; ``edges`` and ``rotation`` are extended in place and the added
-    edges are returned.  ``faces`` is ``_trace_faces`` of the input.
+    edges: list[tuple[int, int]], faces: list[list[tuple[int, int]]]
+) -> list[tuple[int, int, int, int]]:
+    """Add chords until every face in ``faces`` is a triangle.
+
+    ``faces`` are walks from ``_trace_faces`` over ``edges``, each starting
+    at its smallest-key dart; ``edges`` is extended in place.  Returns one
+    (p, q, a, b) per chord p-q in insertion order, with a and b the sources
+    of the in-darts of its corners at p and q: a plane rotation stays plane
+    when q goes in right before a at p and p right before b at q.
 
     The chord sequence is the one that re-tracing all faces after each chord
     would give, but the faces are traced once.  In that re-trace the forward
     dart of edge k comes at key (0, k) and its reverse at (1, k), each face
     walk starts at its smallest-key dart, and the first face longer than
-    three darts gets the chord.  Here a heap keyed by start dart holds the
-    long faces, and a chord from corner i to corner j of walk w splits w in
-    place into w[i+1..j] + [(q, p)] and w[j+1..] + w[..i] + [(p, q)], which
-    the re-trace would find as they are.  The chord joins the first pair of
-    distinct, non-adjacent corners i < j - 1 of the walk, so no parallel
-    edge appears.  Corner i sits at vertex w[i][1], between darts w[i] and
-    w[i+1]; each endpoint enters the other's rotation right before the
-    corner's in-dart source, which keeps the rotation a plane embedding.
+    three darts gets the chord, between the first pair of distinct,
+    non-adjacent corners i < j - 1 (corner i sits at w[i][1], between darts
+    w[i] and w[i+1]), so no parallel edge appears.  A chord cuts
+    w[i+1..j] + [(q, p)] off the walk w, onto a heap of long faces keyed by
+    start dart, and w becomes w[..i] + [(p, q)] + w[j+1..] in place.  That
+    kept walk keeps its start dart and so stays the first long face; it has
+    only lost corners and gained an edge, so no pair before (i, i + 2) can
+    take a chord and the scan resumes there.  The one exception: the new
+    forward dart (p, q) sorts before every reverse dart, so a walk whose
+    start is a reverse dart starts at (p, q) after its first chord and is
+    scanned again from corner 0.
     """
     key: dict[tuple[int, int], tuple[int, int]] = {}
     for k, (u, v) in enumerate(edges):
         key[(u, v)] = (0, k)
         key[(v, u)] = (1, k)
     edge_set = {frozenset(e) for e in edges}
-    heap = [
-        (key[f[0]], f)
-        for f in faces
-        if len(f) > 3 and skip_dart not in f
-    ]
+    heap = [(key[f[0]], f) for f in faces if len(f) > 3]
     heapq.heapify(heap)
-    dummies: list[tuple[int, int]] = []
+    inserts: list[tuple[int, int, int, int]] = []
     while heap:
-        _, walk = heapq.heappop(heap)
-        k = len(walk)
-        corner = [d[1] for d in walk]
-        chord = next(
-            (
-                (i, j)
-                for i in range(k)
-                for j in range(i + 2, k)
-                if corner[i] != corner[j] and frozenset((corner[i], corner[j])) not in edge_set
-            ),
-            None,
-        )
-        if chord is None:
-            raise InternalInvariantError(
-                f"face of length {k} admits no chord; embedding is inconsistent"
-            )
-        i, j = chord
-        p, q = corner[i], corner[j]
-        rotation[p].insert(rotation[p].index(walk[i][0]), q)
-        rotation[q].insert(rotation[q].index(walk[j][0]), p)
-        key[(p, q)] = (0, len(edges))
-        key[(q, p)] = (1, len(edges))
-        edges.append((p, q))
-        edge_set.add(frozenset((p, q)))
-        dummies.append((p, q))
-        for face in (walk[i + 1 : j + 1] + [(q, p)], walk[j + 1 :] + walk[: i + 1] + [(p, q)]):
-            if len(face) > 3:
-                start = min(range(len(face)), key=lambda t: key[face[t]])
-                heapq.heappush(heap, (key[face[start]], face[start:] + face[:start]))
-    return dummies
+        (reverse_start, _), walk = heapq.heappop(heap)
+        i, j = 0, 2
+        while len(walk) > 3:
+            if j >= len(walk):
+                i, j = i + 1, i + 3
+                if j > len(walk):
+                    raise InternalInvariantError(
+                        f"face of length {len(walk)} admits no chord; embedding is inconsistent"
+                    )
+                continue
+            p, q = walk[i][1], walk[j][1]
+            if p == q or frozenset((p, q)) in edge_set:
+                j += 1
+                continue
+            inserts.append((p, q, walk[i][0], walk[j][0]))
+            key[(p, q)] = (0, len(edges))
+            key[(q, p)] = (1, len(edges))
+            edges.append((p, q))
+            edge_set.add(frozenset((p, q)))
+            cut = walk[i + 1 : j + 1] + [(q, p)]
+            if len(cut) > 3:
+                start = min(range(len(cut)), key=lambda t: key[cut[t]])
+                heapq.heappush(heap, (key[cut[start]], cut[start:] + cut[:start]))
+            walk[i + 1 : j + 1] = [(p, q)]
+            if reverse_start:
+                walk = walk[i + 1 :] + walk[: i + 1]
+                reverse_start, i = 0, 0
+            j = i + 2
+    return inserts
 
 
 def triangulate_plane(layer: Layer, n: int) -> tuple[Layer, list[tuple[int, int]]]:
@@ -432,13 +431,15 @@ def triangulate_plane(layer: Layer, n: int) -> tuple[Layer, list[tuple[int, int]
         raise InvalidInstanceError("triangulation needs at least 3 vertices")
     rotation = [list(r) for r in layer.rotation or []]
     edges = list(layer.edges)
-    dummies = _complete_faces(edges, rotation, faces)
+    for p, q, a, b in _complete_faces(edges, faces):
+        rotation[p].insert(rotation[p].index(a), q)
+        rotation[q].insert(rotation[q].index(b), p)
 
     if len(edges) != 3 * n - 6:
         raise InternalInvariantError(
             f"triangulation has {len(edges)} edges, expected {3 * n - 6}"
         )
-    return Layer(kind="planar", edges=edges, rotation=rotation), dummies
+    return Layer(kind="planar", edges=edges, rotation=rotation), edges[len(layer.edges) :]
 
 
 def maximalize_outerplanar(layer: Layer, n: int) -> tuple[Layer, list[tuple[int, int]]]:
@@ -455,13 +456,11 @@ def maximalize_outerplanar(layer: Layer, n: int) -> tuple[Layer, list[tuple[int,
     pos = {v: i for i, v in enumerate(cyc)}
     edges = list(layer.edges)
     edge_set = {frozenset(e) for e in edges}
-    dummies: list[tuple[int, int]] = []
 
     if n <= 2:
         if n == 2 and frozenset((cyc[0], cyc[1])) not in edge_set:
             edges.append((cyc[0], cyc[1]))
-            dummies.append((cyc[0], cyc[1]))
-        return Layer(kind="outerplanar", edges=edges, outer_cycle=cyc), dummies
+        return Layer(kind="outerplanar", edges=edges, outer_cycle=cyc), edges[len(layer.edges) :]
 
     # Chords by (lo, -hi) on their cycle positions, walked with a stack of
     # the open chords, each nested in the one below.  Popping every open
@@ -489,18 +488,18 @@ def maximalize_outerplanar(layer: Layer, n: int) -> tuple[Layer, list[tuple[int,
         if frozenset((u, v)) not in edge_set:
             edges.append((u, v))
             edge_set.add(frozenset((u, v)))
-            dummies.append((u, v))
 
-    # Convex-position rotation: neighbors ordered by cyclic distance.
+    # Convex-position rotation: neighbors ordered by cyclic distance.  The
+    # outer face, the one walking (cyc[1], cyc[0]), stays as it is.
     rotation = [
         sorted(nbrs, key=lambda w: (pos[w] - pos[v]) % n)
         for v, nbrs in enumerate(_adjacency(n, edges))
     ]
-    faces = _trace_faces(n, edges, rotation)
-    dummies += _complete_faces(edges, rotation, faces, skip_dart=(cyc[1], cyc[0]))
+    outer_dart = (cyc[1], cyc[0])
+    _complete_faces(edges, [f for f in _trace_faces(n, edges, rotation) if outer_dart not in f])
 
     if len(edges) != 2 * n - 3:
         raise InternalInvariantError(
             f"maximal outerplanar graph has {len(edges)} edges, expected {2 * n - 3}"
         )
-    return Layer(kind="outerplanar", edges=edges, outer_cycle=cyc), dummies
+    return Layer(kind="outerplanar", edges=edges, outer_cycle=cyc), edges[len(layer.edges) :]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from typing import Optional, Sequence
 
 from simembed import (
@@ -292,6 +292,33 @@ def collinear_triples_cubic(points: list[GridPoint]) -> list[tuple[int, int, int
     ]
 
 
+@lru_cache(maxsize=None)
+def _conflict_table(w: int, h: int) -> Optional[bytes]:
+    """``five_point_check_table``'s ``count**4`` conflict table of the w x h
+    grid, or None above 2 000 000 entries.  It depends on the grid alone,
+    so it is built once per grid and shared, immutable, by every path
+    set."""
+    pts = _grid_points(w, h)
+    count = len(pts)
+    if count**4 > 2_000_000:
+        return None
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    table = bytearray(count**4)
+    for a in range(count):
+        for b in range(count):
+            if a == b:
+                continue
+            base = (a * count + b) * count
+            for c in range(count):
+                for d in range(count):
+                    if c == d:
+                        continue
+                    if _conflict_raw(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d]):
+                        table[(base + c) * count + d] = 1
+    return bytes(table)
+
+
 def five_point_check_table(
     grid_extent: int | tuple[int, int],
     paths: Sequence[PathOrder],
@@ -351,20 +378,7 @@ def five_point_check_table(
     def conflict(a: int, b: int, c: int, d: int) -> bool:
         return _conflict_raw(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d])
 
-    conflict_table: Optional[bytearray] = None
-    if count**4 <= 2_000_000:
-        conflict_table = bytearray(count**4)
-        for a in range(count):
-            for b in range(count):
-                if a == b:
-                    continue
-                base = (a * count + b) * count
-                for c in range(count):
-                    for d in range(count):
-                        if c == d:
-                            continue
-                        if conflict(a, b, c, d):
-                            conflict_table[(base + c) * count + d] = 1
+    conflict_table = _conflict_table(w, h)
 
     placement = [0] * 5
     checked = 0

@@ -80,11 +80,10 @@ def test_parse_accepts_bytes():
 def test_int_pairs_accepts_exactly_two_element_integer_lists():
     from simembed.documents import _int_pairs
 
-    # bools are ints to isinstance, and the parser has always let them through
-    assert _int_pairs([[0, 1], [True, 2], [-3, 10**30]], "edges") == [
-        (0, 1), (True, 2), (-3, 10**30)
-    ]
-    for bad in ([[0, 1.0]], [["0", 1]], [[0, None]], [[0]], [[0, 1, 2]], [(0, 1)], [None], {}):
+    assert _int_pairs([[0, 1], [-3, 10**30]], "edges") == [(0, 1), (-3, 10**30)]
+    # bools are ints to isinstance, but JSON true is no vertex
+    for bad in ([[0, 1.0]], [["0", 1]], [[0, None]], [[0]], [[0, 1, 2]], [(0, 1)], [None], {},
+                [[True, 2]], [[0, False]]):
         with pytest.raises(ParseError):
             _int_pairs(bad, "edges")
 
@@ -657,6 +656,63 @@ def test_cli_malformed_result_one_error_line(tmp_path, capsys, outerplanar_resul
     else:
         assert len(err) == 1 and err[0].startswith("error: "), err
 
+
+
+def _replace_first_one(rows):
+    # Put true in place of the first integer 1 in a list of integer lists.
+    i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x == 1)
+    rows[i][j] = True
+
+
+_CYCLE_4 = {
+    "n": 4,
+    "mapping": "free",
+    "layers": [{"class": "outerplanar", "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+                "outer_cycle": [0, 1, 2, 3]}],
+}
+_TRIANGLE = {
+    "n": 3,
+    "mapping": "free",
+    "layers": [{"class": "planar", "edges": [[0, 1], [1, 2], [2, 0]],
+                "rotation": [[1, 2], [2, 0], [0, 1]]}],
+}
+# Each case puts JSON true where the document needs an integer 1, so a
+# parser that took true for 1 would embed or certify it without complaint.
+BOOLEAN_FIELDS = {
+    "n": (None, lambda doc: doc.update(n=True)),
+    "edge": (_CYCLE_4, lambda doc: doc["layers"][0]["edges"][0].__setitem__(1, True)),
+    "rotation": (_TRIANGLE, lambda doc: doc["layers"][0]["rotation"][0].__setitem__(0, True)),
+    "outer-cycle": (_CYCLE_4, lambda doc: doc["layers"][0]["outer_cycle"].__setitem__(1, True)),
+    "coords": (_CYCLE_4, lambda doc: _replace_first_one(doc["coords"])),
+    "width": (_CYCLE_4, lambda doc: doc.update(width=True)),
+    "height": (_CYCLE_4, lambda doc: doc.update(height=True)),
+    "assignments": (_CYCLE_4, lambda doc: _replace_first_one(doc["assignments"])),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BOOLEAN_FIELDS))
+def test_cli_rejects_json_booleans_as_integers(tmp_path, capsys, field):
+    instance, mutate = BOOLEAN_FIELDS[field]
+    inst_file, res_file = tmp_path / "inst.json", tmp_path / "result.json"
+    if instance is None:  # two one-vertex paths, which embed for n = 1
+        instance = {"n": 1, "mapping": "given", "layers": [{"class": "path", "edges": []}] * 2}
+    instance = json.loads(json.dumps(instance))
+    if field in ("n", "edge", "rotation", "outer-cycle"):
+        mutate(instance)
+        inst_file.write_text(json.dumps(instance), encoding="utf-8")
+        args = ["embed", "--in", str(inst_file), "--out", str(res_file)]
+    else:
+        inst_file.write_text(json.dumps(instance), encoding="utf-8")
+        assert cli_main(["embed", "--in", str(inst_file), "--out", str(res_file)]) == 0
+        doc = json.loads(res_file.read_text(encoding="utf-8"))
+        mutate(doc)
+        res_file.write_text(json.dumps(doc), encoding="utf-8")
+        args = ["certify", "--in", str(res_file), "--instance", str(inst_file), "--out", "-"]
+    capsys.readouterr()
+    rc = cli_main(args)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: ") and "integer" in err[0], err
 
 
 # ---------------------------------------------------------------------------

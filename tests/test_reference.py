@@ -28,9 +28,11 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    bare_cycle,
+    flip_and_shuffle,
     general_position_points,
     random_general_position,
     thin_outerplanar,
@@ -81,23 +83,47 @@ from simembed.geometry import _conflict_raw
 from simembed.mapped import _grid_points, _shadow, _side_masks
 
 
+# How a case reshapes its thinned layer: not at all, by reversing and
+# shuffling edges (so a face may start at a reverse dart or at a chord added
+# mid-walk), or by replacing it with a bare cycle, whose faces are single
+# long walks and, in one orientation, walk reverse darts only.
+_SHAPES = ("thinned", "flipped", "bare cycle")
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(3, 30), st.integers(0, 10**6), st.floats(0, 1))
-def test_triangulate_plane_matches_retrace(n, seed, share):
+@given(st.integers(3, 30), st.integers(0, 10**6), st.floats(0, 1), st.sampled_from(_SHAPES))
+@example(5, 0, 0.0, "bare cycle")
+def test_triangulate_plane_matches_retrace(n, seed, share, shape):
     # share 1.0 thins the triangulation down to a spanning tree
-    layer = thin_plane(generate("plane-triangulation", n, seed), n, share, random.Random(seed))
+    rng = random.Random(seed)
+    layer = thin_plane(generate("plane-triangulation", n, seed), n, share, rng)
+    if shape == "flipped":
+        layer = flip_and_shuffle(layer, rng)
+    elif shape == "bare cycle":
+        layer = bare_cycle("planar", n, rng)
     assert triangulate_plane(layer, n) == triangulate_plane_retrace(layer, n)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(3, 30), st.integers(0, 10**6), st.floats(0, 1), st.floats(0, 1))
-def test_maximalize_outerplanar_matches_retrace(n, seed, density, cycle_keep):
+@given(
+    st.integers(3, 30),
+    st.integers(0, 10**6),
+    st.floats(0, 1),
+    st.floats(0, 1),
+    st.sampled_from(_SHAPES),
+)
+@example(8, 0, 0.0, 0.0, "bare cycle")
+def test_maximalize_outerplanar_matches_retrace(n, seed, density, cycle_keep, shape):
     rng = random.Random(seed)
     thinned = thin_outerplanar(generate("maximal-outerplanar", n, seed), density, rng)
     cyc = thinned.outer_cycle
     cycle = {frozenset((cyc[i], cyc[(i + 1) % n])) for i in range(n)}
     edges = [e for e in thinned.edges if frozenset(e) not in cycle or rng.random() < cycle_keep]
     layer = Layer("outerplanar", edges, outer_cycle=cyc)
+    if shape == "flipped":
+        layer = flip_and_shuffle(layer, rng)
+    elif shape == "bare cycle":
+        layer = bare_cycle("outerplanar", n, rng)
     assert maximalize_outerplanar(layer, n) == maximalize_outerplanar_retrace(layer, n)
 
 
