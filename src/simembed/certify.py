@@ -115,9 +115,13 @@ def _any_conflict(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) ->
     if orient(L_k, R_k, p) > 0 and above it if < 0, and a zero is settled
     by the direction of R_e against that of R_k (the order around p when
     L_k = p).  Every two edges that become neighbours, when e enters or
-    when an edge between them leaves, go to the exact predicate, which is
-    the only test that reports.  So the answer is never a false yes, and
-    each edge costs at most three predicate calls.
+    when an edge between them leaves, are tested exactly, and only that
+    test reports.  Two edges with the same L (or the same R) leave it into
+    one open half-plane, so they meet beyond it iff they are parallel,
+    dx_i * dy_j = dy_i * dx_j.  Every other pair goes to the exact
+    predicate; an edge whose R is the L of another has left the list
+    before the other enters, so such a pair is never tested.  So the
+    answer is never a false yes, and each edge costs at most three tests.
 
     No conflict is missed.  Shear the plane by (x, y) -> (x + εy, y) for a
     small ε > 0: orientations and intersections are unchanged, the
@@ -152,6 +156,8 @@ def _any_conflict(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) ->
     one it read as "lower" (or an end of the list), so g lands next to an
     element of M, and that neighbour test reports.
     """
+    lp: list[tuple[int, int]] = []
+    rp: list[tuple[int, int]] = []
     lx: list[int] = []
     ly: list[int] = []
     rx: list[int] = []
@@ -164,6 +170,8 @@ def _any_conflict(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) ->
         if b < a:
             a, b = b, a
         k = len(lx)
+        lp.append(a)
+        rp.append(b)
         lx.append(a[0])
         ly.append(a[1])
         rx.append(b[0])
@@ -175,6 +183,8 @@ def _any_conflict(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) ->
     events.sort()
 
     def conflict(i: int, j: int) -> bool:
+        if lp[i] == lp[j] or rp[i] == rp[j]:
+            return dx[i] * dy[j] == dy[i] * dx[j]
         return _conflict_raw(lx[i], ly[i], rx[i], ry[i], lx[j], ly[j], rx[j], ry[j])
 
     status: list[int] = []

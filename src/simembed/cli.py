@@ -11,12 +11,14 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
 
 from . import certify as certify_mod
 from .documents import (
+    _dumps,
     parse_instance,
     parse_result,
     serialize_instance,
@@ -129,7 +131,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     emb, _stored = parse_result(_read(args.infile), [list(l.edges) for l in inst.layers])
     bounds = _parse_bounds(args.bounds)
     report = certify_mod.certify_embedding(emb, inst, bounds=bounds)
-    _write(args.out, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+    _write(args.out, _dumps(report.to_json()) + "\n")
     if not report.ok:
         print("certificate FAILED:", report.to_json(), file=sys.stderr)
         return 2
@@ -198,11 +200,15 @@ def _cmd_fivepaths(args: argparse.Namespace) -> int:
         else "counterexample found: all paths embed"
     )
     report["verdict"] = verdict
-    _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write(args.out, _dumps(report) + "\n")
     print(verdict, file=sys.stderr)
     return 0
 
 
+# Built once per process, on the first call, and shared: parse_args does
+# not change the parser, and each handler looks up what it calls on this
+# module when it runs, so a patched module attribute is the one that runs.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simembed",

@@ -97,6 +97,46 @@ def parse_instance(text: str | bytes) -> LayeredInstance:
     return inst
 
 
+def _dumps(obj: Any) -> str:
+    """The JSON text of ``obj`` indented by 2 with sorted keys, byte for
+    byte what ``json.dumps`` writes with those settings, for any value
+    whose dict keys are strings, as in every document of the package.
+
+    The standard library writes indented JSON with its pure-Python encoder;
+    this one builds each nested level with ``str.join``.  A list of exact
+    ints (``type(x) is int``, so no bools) and a list of exact-int pairs,
+    such as coordinates and edges, are written in one join each.  Strings,
+    floats, bools and None go to ``json.dumps``.
+    """
+    return _dumps_at(obj, "\n")
+
+
+def _dumps_at(obj: Any, nl: str) -> str:
+    # nl is a newline plus the indentation of the line obj starts on.
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        p1 = nl + "  "
+        if all(type(x) is int for x in obj):
+            return "[" + p1 + ("," + p1).join(map(str, obj)) + nl + "]"
+        if all(
+            type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+            for p in obj
+        ):
+            p2 = p1 + "  "
+            pair = "[" + p2 + "%d," + p2 + "%d" + p1 + "]"
+            return "[" + p1 + ("," + p1).join([pair % (x, y) for x, y in obj]) + nl + "]"
+        return "[" + p1 + ("," + p1).join([_dumps_at(x, p1) for x in obj]) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        p1 = nl + "  "
+        return "{" + p1 + ("," + p1).join(
+            [json.dumps(k) + ": " + _dumps_at(v, p1) for k, v in sorted(obj.items())]
+        ) + nl + "}"
+    return json.dumps(obj)
+
+
 def instance_to_json(inst: LayeredInstance) -> dict:
     layers = []
     for layer in inst.layers:
@@ -110,7 +150,7 @@ def instance_to_json(inst: LayeredInstance) -> dict:
 
 
 def serialize_instance(inst: LayeredInstance) -> str:
-    return json.dumps(instance_to_json(inst), indent=2, sort_keys=True) + "\n"
+    return _dumps(instance_to_json(inst)) + "\n"
 
 
 def result_to_json(
@@ -130,7 +170,7 @@ def result_to_json(
 def serialize_result(
     emb: SimultaneousEmbedding, certificate: Optional[CertificateReport] = None
 ) -> str:
-    return json.dumps(result_to_json(emb, certificate), indent=2, sort_keys=True) + "\n"
+    return _dumps(result_to_json(emb, certificate)) + "\n"
 
 
 def parse_result(

@@ -106,13 +106,13 @@ def validate_layer(layer: Layer, n: int) -> None:
     """Structural checks: simple edges in range, class side data present."""
     if layer.kind not in LAYER_CLASSES:
         raise InvalidInstanceError(f"unknown layer class {layer.kind!r}")
-    seen: set[frozenset[int]] = set()
+    seen: set[tuple[int, int]] = set()
     for u, v in layer.edges:
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidInstanceError(f"edge ({u},{v}) out of vertex range 0..{n - 1}")
         if u == v:
             raise InvalidInstanceError(f"loop at vertex {u}")
-        key = frozenset((u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             raise InvalidInstanceError(f"duplicate edge ({u},{v})")
         seen.add(key)

@@ -2,7 +2,9 @@ import functools
 import io
 import json
 import random
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -25,7 +27,9 @@ from simembed import (
     serialize_result,
 )
 from simembed import cli, unmapped
+from simembed.documents import _dumps, instance_to_json
 from simembed.generate import KINDS
+from test_golden import CASES
 
 
 MINIMAL_TWO_PATHS = json.dumps(
@@ -113,6 +117,55 @@ def test_result_document_roundtrip():
     assert cert is None
     assert [(p.x, p.y) for p in again.coords] == [(p.x, p.y) for p in emb.coords]
     assert (again.width, again.height) == (emb.width, emb.height)
+
+
+def _stdlib_dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# Ints beyond 64 bits; strings with quotes, backslashes, control and
+# non-ASCII characters; lists that are all ints or all int pairs but for a
+# bool or None, which the writer must not take for an int.
+_INTS = st.integers() | st.integers(min_value=2**63) | st.integers(max_value=-(2**63))
+_STRINGS = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\tAé☃\U0001f600') | st.characters())
+_NEAR_INTS = _INTS | st.booleans() | st.none()
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | _INTS
+    | st.floats()
+    | _STRINGS
+    | st.lists(_INTS)
+    | st.lists(_NEAR_INTS)
+    | st.lists(st.lists(_INTS, min_size=2, max_size=2))
+    | st.lists(st.lists(_NEAR_INTS, min_size=2, max_size=2))
+    | st.lists(st.lists(_INTS, min_size=1, max_size=3)),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_STRINGS, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_JSON_VALUES)
+def test_writer_matches_indented_json_dumps(value):
+    assert _dumps(value) == _stdlib_dumps(value)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_documents_match_indented_json_dumps_on_the_golden_corpus(tmp_path, name):
+    # The instance as gen or serialize_instance wrote it, and the result
+    # and certificate documents that embed and certify write for it.
+    inst_path = CASES[name](tmp_path)
+    text = inst_path.read_text(encoding="utf-8")
+    inst = parse_instance(text)
+    assert text == serialize_instance(inst) == _stdlib_dumps(instance_to_json(inst)) + "\n"
+    result, report = tmp_path / "result.json", tmp_path / "report.json"
+    assert cli_main(["embed", "--in", str(inst_path), "--out", str(result)]) == 0
+    assert cli_main(["certify", "--in", str(result), "--instance", str(inst_path),
+                     "--out", str(report)]) == 0
+    for path in (result, report):
+        doc = path.read_text(encoding="utf-8")
+        assert doc == _stdlib_dumps(json.loads(doc)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +586,58 @@ def test_cli_usage_errors(tmp_path):
     assert rc == 1
     rc = cli_main(["embed", "--in", str(inst_file), "--out", str(tmp_path / "r.json"), "--bounds", "3x3"])
     assert rc == 0
+
+
+def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    inst = tmp_path / "inst.json"
+    inst.write_text(MINIMAL_TWO_PATHS, encoding="utf-8")
+    result, report = tmp_path / "result.json", tmp_path / "report.json"
+    assert cli_main(["embed", "--in", str(inst), "--out", str(result)]) == 0
+    certify = ["certify", "--in", str(result), "--instance", str(inst), "--out", str(report)]
+    assert cli_main(certify) == 0
+    first = report.read_text(encoding="utf-8")
+    report.unlink()
+    assert cli_main(["certify", "--in", str(result)]) == 1  # no --instance
+    assert cli_main(["certify", "--instance", str(inst), "--bogus"]) == 1
+    assert cli_main(certify) == 0
+    assert report.read_text(encoding="utf-8") == first
+    capsys.readouterr()
+    assert cli_main(["--help"]) == 0
+    assert cli_main(["certify", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: simembed") and "--instance" in out
+
+
+def test_cli_certify_from_threads_matches_serial_runs(tmp_path):
+    # Eight results, each certified against its own bounds: some fit, some
+    # fail with their own out-of-bounds witnesses.
+    runs = []
+    for i in range(8):
+        inst, result = tmp_path / f"inst{i}.json", tmp_path / f"result{i}.json"
+        assert cli_main(["gen", "--kind", "two-paths", "--n", "30", "--seed", str(i),
+                         "--out", str(inst)]) == 0
+        assert cli_main(["embed", "--in", str(inst), "--out", str(result)]) == 0
+        runs.append(["certify", "--in", str(result), "--instance", str(inst),
+                     "--bounds", f"{5 * i + 1}x30"])
+
+    def certify(i, tag):
+        out = tmp_path / f"report{i}-{tag}.json"
+        rc = cli_main(runs[i] + ["--out", str(out)])
+        return rc, out.read_text(encoding="utf-8")
+
+    interval = sys.getswitchinterval()
+    try:
+        with redirect_stderr(io.StringIO()):
+            serial = [certify(i, "serial") for i in range(8)]
+            sys.setswitchinterval(1e-5)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(certify, range(8), ["thread"] * 8, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert {rc for rc, _ in serial} == {0, 2}
+    assert len({doc for _, doc in serial}) > 2
 
 
 def test_cli_fivepaths_sampled(tmp_path):

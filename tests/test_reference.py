@@ -311,8 +311,12 @@ def test_layer_crossings_around_hubs():
     out, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, 0)
     assert out == [] and calls == 0
     assert certifier_pair_tests(xs, ys, edges) == 0
+    # The decision calls the predicate only on neighbours that share no
+    # endpoint.  The two stars span disjoint ranges of y, so every two
+    # edges that are neighbours in the sweep share a hub, and those pairs
+    # are decided by direction.
     out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, 0)
-    assert out == [] and 0 < calls <= 3 * len(edges)
+    assert out == [] and calls == 0
 
     # A new leaf of the second hub, twice as far out along the ray to its
     # last leaf, and a vertical edge at x = 3 across the first star.
@@ -364,6 +368,26 @@ def test_conflict_decision_matches_all_pairs(layer):
         assert got == want
         assert calls <= 3 * len(edges)
     assert _layer_crossings(xs, ys, edges, 0) == layer_crossings_all_pairs(xs, ys, edges, 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_layers())
+@example(([0, 0, 3, 3], [0, 0, 1, 1], [(0, 2), (1, 3)]))  # identical segments
+@example(([0, 1, 2, 4], [0, 2, 4, 8], [(0, 2), (0, 3), (3, 1)]))  # overlaps from L, from R
+@example(([1, 1, 0, 2], [1, 1, 0, 2], [(0, 2), (1, 3), (2, 3)]))  # coincident, end to start
+def test_conflict_decision_decides_shared_endpoints_by_direction(layer):
+    # Alone in a layer, two edges that share an endpoint are the only pair
+    # the sweep can test.  It decides them without the exact predicate and
+    # agrees with it, along either axis.
+    xs, ys, edges = layer
+    for e, f in itertools.combinations(edges, 2):
+        s = (xs[e[0]], ys[e[0]], xs[e[1]], ys[e[1]])
+        t = (xs[f[0]], ys[f[0]], xs[f[1]], ys[f[1]])
+        if not {s[:2], s[2:]} & {t[:2], t[2:]}:
+            continue
+        want = certify._conflict_raw(*s, *t)
+        for lx, ly in [(xs, ys), (ys, xs)]:
+            assert _with_conflict_count(_any_conflict, lx, ly, [e, f]) == (want, 0)
 
 
 def test_conflict_decision_tests_the_pair_a_removal_joins():
