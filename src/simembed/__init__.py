@@ -15,13 +15,11 @@ exhaustive impossibility check.
 from .certify import (
     CertificateReport,
     Violation,
-    certify_bounds,
     certify_embedding,
     certify_general_position,
 )
 from .errors import (
     CoordinateBudgetError,
-    DegenerateSegmentError,
     DuplicatePointError,
     InternalInvariantError,
     InvalidInstanceError,
@@ -34,11 +32,9 @@ from .generate import generate
 from .geometry import (
     COORD_LIMIT,
     GridPoint,
-    Segment,
     convex_hull,
     find_collinear_triple,
     orient,
-    segments_conflict,
 )
 from .graphs import (
     Caterpillar,
@@ -59,7 +55,6 @@ from .mapped import (
     FIVE_PATHS,
     FivePointSearchResult,
     PairCoverage,
-    disjoint_edge_pairs,
     embed_path_caterpillar,
     embed_two_caterpillars,
     embed_two_paths,
@@ -76,7 +71,6 @@ from .documents import (
 )
 from .svg import render_svg
 from .unmapped import (
-    ParabolaSet,
     embed_outerplanar_on_points,
     general_position_bounds,
     parabola_pointset,
@@ -93,7 +87,6 @@ __all__ = [
     "Caterpillar",
     "CertificateReport",
     "CoordinateBudgetError",
-    "DegenerateSegmentError",
     "DuplicatePointError",
     "FIVE_PATHS",
     "FivePointSearchResult",
@@ -103,11 +96,9 @@ __all__ = [
     "Layer",
     "LayeredInstance",
     "PairCoverage",
-    "ParabolaSet",
     "ParseError",
     "PathOrder",
     "SearchBudgetError",
-    "Segment",
     "SimembedError",
     "SimultaneousEmbedding",
     "UnsupportedInstanceError",
@@ -115,13 +106,11 @@ __all__ = [
     "as_path",
     "caterpillar_decompose",
     "caterpillar_to_path",
-    "certify_bounds",
     "certify_embedding",
     "certify_general_position",
     "check_plane_embedding",
     "cli_main",
     "convex_hull",
-    "disjoint_edge_pairs",
     "embed_outerplanar_on_points",
     "embed_path_caterpillar",
     "embed_two_caterpillars",
@@ -141,7 +130,6 @@ __all__ = [
     "planar_grid_draw",
     "refine_general_position",
     "render_svg",
-    "segments_conflict",
     "serialize_instance",
     "serialize_result",
     "simul_embed_free",

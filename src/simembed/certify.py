@@ -16,9 +16,6 @@ from .errors import InvalidInstanceError
 from .geometry import GridPoint, _conflict_raw, _first_collinear_triple
 from .graphs import LayeredInstance, SimultaneousEmbedding
 
-KINDS = ("layer-crossing", "collinear-triple", "out-of-bounds", "duplicate-point", "bad-bijection")
-
-
 @dataclass
 class Violation:
     kind: str
@@ -316,7 +313,9 @@ def certify_embedding(
     bounds: tuple[int, int] | None = None,
 ) -> CertificateReport:
     """Check an embedding against its instance: per-layer planarity,
-    distinct coordinates, bijection validity, and (optionally) grid bounds.
+    distinct coordinates, bijection validity, and (optionally) that the
+    drawing fits a w x h grid once its minimum corner is translated to
+    (1, 1), for ``bounds=(w, h)``.
 
     Crossings between different layers are deliberately never reported.
     """
@@ -386,9 +385,3 @@ def _bounds_violations(points: list[GridPoint], w: int, h: int) -> list[Violatio
         if not (1 <= sx <= w and 1 <= sy <= h):
             out.append(Violation("out-of-bounds", (i,)))
     return out
-
-
-def certify_bounds(emb: SimultaneousEmbedding, w: int, h: int) -> CertificateReport:
-    """Check that the drawing fits a w x h grid once its minimum corner
-    is translated to (1, 1)."""
-    return _report(_bounds_violations(emb.coords, w, h))

@@ -35,6 +35,7 @@ from .graphs import (
 )
 from .mapped import (
     FIVE_PATHS,
+    _check_two_caterpillar_budget,
     embed_path_caterpillar,
     embed_two_caterpillars,
     embed_two_paths,
@@ -44,7 +45,7 @@ from .mapped import (
     path_from_digits,
 )
 from .svg import render_svg
-from .unmapped import simul_embed_free
+from .unmapped import _check_general_position_budget, simul_embed_free
 
 SUPPORTED_GIVEN = "path+path, path+caterpillar, caterpillar+caterpillar"
 
@@ -146,12 +147,18 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each kind's mapping, layer recipe and, where its embedder has one, the
+# coordinate budget check that embedder runs first.
 _GEN_RECIPES = {
-    "two-paths": ("given", ["path", "path"]),
-    "two-caterpillars": ("given", ["caterpillar", "caterpillar"]),
-    "path-caterpillar": ("given", ["path", "caterpillar"]),
-    "outerplanars": ("free", None),
-    "planar-outerplanar": ("free", ["plane-triangulation", "maximal-outerplanar"]),
+    "two-paths": ("given", ["path", "path"], None),
+    "two-caterpillars": ("given", ["caterpillar", "caterpillar"], _check_two_caterpillar_budget),
+    "path-caterpillar": ("given", ["path", "caterpillar"], None),
+    "outerplanars": ("free", None, None),
+    "planar-outerplanar": (
+        "free",
+        ["plane-triangulation", "maximal-outerplanar"],
+        _check_general_position_budget,
+    ),
 }
 
 
@@ -160,7 +167,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise SimembedError(
             f"unknown kind {args.kind!r}; choose from {sorted(_GEN_RECIPES)}"
         )
-    mapping, recipe = _GEN_RECIPES[args.kind]
+    mapping, recipe, check_budget = _GEN_RECIPES[args.kind]
+    if check_budget is not None:
+        check_budget(args.n)  # before generating: embed would refuse this n
     if recipe is None:
         recipe = ["maximal-outerplanar"] * args.layers
     layers = [generate(k, args.n, args.seed + i) for i, k in enumerate(recipe)]

@@ -9,10 +9,6 @@ class CoordinateBudgetError(SimembedError):
     """A coordinate is not an integer or exceeds the kernel's magnitude limit."""
 
 
-class DegenerateSegmentError(SimembedError):
-    """A segment's endpoints coincide."""
-
-
 class DuplicatePointError(SimembedError):
     """A point-set operation received two identical points."""
 

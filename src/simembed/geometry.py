@@ -11,12 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import (
-    CoordinateBudgetError,
-    DegenerateSegmentError,
-    DuplicatePointError,
-    InvalidInstanceError,
-)
+from .errors import CoordinateBudgetError, DuplicatePointError, InvalidInstanceError
 
 # Largest coordinate magnitude accepted anywhere in the kernel.  Generous
 # enough for the largest grids the embedders emit at practical sizes
@@ -57,7 +52,7 @@ class GridPoint:
     y: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
+        if type(self.x) is not int or type(self.y) is not int:
             raise CoordinateBudgetError(
                 f"coordinates must be integers, got ({self.x!r}, {self.y!r})"
             )
@@ -65,18 +60,6 @@ class GridPoint:
             raise CoordinateBudgetError(
                 f"coordinate magnitude exceeds budget 2^40: ({self.x}, {self.y})"
             )
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A closed straight-line segment with distinct endpoints."""
-
-    a: GridPoint
-    b: GridPoint
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise DegenerateSegmentError(f"segment endpoints coincide at {self.a}")
 
 
 def _parabola_lift(base: list[GridPoint], scale: int, p: int) -> list[GridPoint]:
@@ -118,7 +101,14 @@ def orient(a: GridPoint, b: GridPoint, c: GridPoint) -> int:
 
 
 def _conflict_raw(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
-    # Shared by the public Segment API and the certifier's inner loop.
+    """True iff segments ab and cd share any point other than a common endpoint.
+
+    Proper crossings, collinear overlaps, and an endpoint of one segment
+    sitting in the interior of the other all count as conflicts.  Touching
+    at exactly one shared endpoint does not.  Both segments must have
+    distinct endpoints.  The certifier and the five-point search call it
+    on raw coordinates in their inner loops.
+    """
     o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
     o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
@@ -154,18 +144,6 @@ def _strictly_between(px, py, qx, qy, rx, ry) -> bool:
     if px != rx:
         return min(px, rx) < qx < max(px, rx)
     return min(py, ry) < qy < max(py, ry)
-
-
-def segments_conflict(s1: Segment, s2: Segment) -> bool:
-    """True iff the segments share any point other than a common endpoint.
-
-    Proper crossings, collinear overlaps, and an endpoint of one segment
-    sitting in the interior of the other all count as conflicts.  Touching
-    at exactly one shared endpoint does not.
-    """
-    return _conflict_raw(
-        s1.a.x, s1.a.y, s1.b.x, s1.b.y, s2.a.x, s2.a.y, s2.b.x, s2.b.y
-    )
 
 
 def _check_distinct(points: list[GridPoint]) -> None:

@@ -104,6 +104,18 @@ def _two_caterpillar_extent(n: int) -> int:
     return prime * n + prime - 1
 
 
+def _check_two_caterpillar_budget(n: int) -> None:
+    # Raise unless _two_caterpillar_extent(n) fits COORD_LIMIT; the CLI's
+    # gen runs it too, so it writes no instance that embed would refuse.
+    if _two_caterpillar_extent(n) > COORD_LIMIT:
+        fits = _largest_within_budget(_two_caterpillar_extent)
+        raise CoordinateBudgetError(
+            f"two caterpillars on {n} vertices need coordinates up to "
+            f"{_two_caterpillar_extent(n)}, over the coordinate budget 2^40; "
+            f"at most {fits} vertices fit"
+        )
+
+
 def embed_two_caterpillars(c1: Caterpillar, c2: Caterpillar) -> SimultaneousEmbedding:
     """Linearize both caterpillars, lay the two paths out on n x n, then
     refine to general position and swap the path edges for the caterpillar
@@ -113,13 +125,7 @@ def embed_two_caterpillars(c1: Caterpillar, c2: Caterpillar) -> SimultaneousEmbe
     n = c1.n
     if c2.n != n:
         raise InvalidInstanceError("caterpillars must share one vertex set")
-    if _two_caterpillar_extent(n) > COORD_LIMIT:
-        fits = _largest_within_budget(_two_caterpillar_extent)
-        raise CoordinateBudgetError(
-            f"two caterpillars on {n} vertices need coordinates up to "
-            f"{_two_caterpillar_extent(n)}, over the coordinate budget 2^40; "
-            f"at most {fits} vertices fit"
-        )
+    _check_two_caterpillar_budget(n)
     p1 = caterpillar_to_path(c1)
     p2 = caterpillar_to_path(c2)
     base = embed_two_paths(p1, p2)
@@ -224,16 +230,6 @@ class PairCoverage:
         return f"{a + 1}{b + 1}-{c + 1}{d + 1}"
 
 
-def disjoint_edge_pairs() -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """The 15 vertex-disjoint edge pairs of K5, lexicographically ordered."""
-    edges = list(itertools.combinations(range(5), 2))
-    pairs = []
-    for e1, e2 in itertools.combinations(edges, 2):
-        if not set(e1) & set(e2):
-            pairs.append((e1, e2))
-    return sorted(pairs)
-
-
 def five_path_pair_coverage(paths: Sequence[PathOrder]) -> PairCoverage:
     """For each disjoint K5 edge pair, list the paths containing both edges."""
     for p in paths:
@@ -243,7 +239,9 @@ def five_path_pair_coverage(paths: Sequence[PathOrder]) -> PairCoverage:
     edge_sets = [
         {tuple(sorted(e)) for e in p.edges()} for p in paths
     ]
-    pairs = disjoint_edge_pairs()
+    # the 15 vertex-disjoint edge pairs of K5, in lexicographic order
+    k5_edges = itertools.combinations(range(5), 2)
+    pairs = [(e1, e2) for e1, e2 in itertools.combinations(k5_edges, 2) if not set(e1) & set(e2)]
     covered = [
         [i for i, es in enumerate(edge_sets) if e1 in es and e2 in es]
         for e1, e2 in pairs

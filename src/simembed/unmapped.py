@@ -14,7 +14,6 @@ outerplanar layer mapped onto it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import groupby
 from typing import Optional
@@ -218,6 +217,18 @@ def general_position_bounds(n: int) -> tuple[int, int]:
     return lam * (2 * n - 4) + p, lam * (n - 2) + p
 
 
+def _check_general_position_budget(n: int) -> None:
+    # Raise unless general_position_bounds(n) fits COORD_LIMIT; the CLI's
+    # gen runs it too, so it writes no instance that embed would refuse.
+    width, height = general_position_bounds(n)
+    if max(width, height) > COORD_LIMIT:
+        fits = _largest_within_budget(lambda k: max(general_position_bounds(k)))
+        raise CoordinateBudgetError(
+            f"a general-position drawing of {n} vertices needs a {width} x {height} "
+            f"grid, over the coordinate budget 2^40; at most {fits} vertices fit"
+        )
+
+
 def planar_general_position_draw(layer: Layer, n: int) -> list[GridPoint]:
     """Draw a plane graph so that additionally no three vertices are collinear.
 
@@ -257,13 +268,7 @@ def planar_general_position_draw(layer: Layer, n: int) -> list[GridPoint]:
         lifted points keep their order along w and a line across w
         separates the edges.
     """
-    width, height = general_position_bounds(n)
-    if max(width, height) > COORD_LIMIT:
-        fits = _largest_within_budget(lambda k: max(general_position_bounds(k)))
-        raise CoordinateBudgetError(
-            f"a general-position drawing of {n} vertices needs a {width} x {height} "
-            f"grid, over the coordinate budget 2^40; at most {fits} vertices fit"
-        )
+    _check_general_position_budget(n)
     tri, _dummies = triangulate_plane(layer, n)
     base = _draw_triangulation(tri.rotation, n)
     p, lam = _planar_lift(n)
@@ -275,16 +280,8 @@ def planar_general_position_draw(layer: Layer, n: int) -> list[GridPoint]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ParabolaSet:
-    """General-position points (t, t^2 mod p) for t = 1..n, p prime >= n."""
-
-    p: int
-    points: list[GridPoint]
-
-
-def parabola_pointset(n: int) -> ParabolaSet:
-    """n points on the mod-p parabola, p the smallest prime >= n.
+def parabola_pointset(n: int) -> list[GridPoint]:
+    """The n points (t, t^2 mod p) for t = 1..n, p the smallest prime >= n.
 
     No three are collinear, by construction.  As in
     :func:`geometry._parabola_lift`, the determinant of the points with
@@ -296,7 +293,7 @@ def parabola_pointset(n: int) -> ParabolaSet:
     if n < 1:
         raise InvalidInstanceError("point set needs at least one point")
     p = _next_prime(n)
-    return ParabolaSet(p=p, points=[GridPoint(t, (t * t) % p) for t in range(1, n + 1)])
+    return [GridPoint(t, (t * t) % p) for t in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +592,7 @@ def simul_embed_free(layers: list[Layer], n: int) -> SimultaneousEmbedding:
     for layer in layers:
         if layer.kind == "outerplanar":  # the plane layer is validated by its drawing
             validate_layer(layer, n)
-    pts = planar_general_position_draw(planar[0], n) if planar else parabola_pointset(n).points
+    pts = planar_general_position_draw(planar[0], n) if planar else parabola_pointset(n)
     assignments = [
         list(range(n))
         if layer.kind == "planar"

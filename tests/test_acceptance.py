@@ -16,7 +16,6 @@ from simembed import (
     PathOrder,
     SimultaneousEmbedding,
     caterpillar_decompose,
-    certify_bounds,
     certify_embedding,
     certify_general_position,
     cli_main,
@@ -213,17 +212,17 @@ def test_criterion_5_planar_drawing():
 
 def test_criterion_6_parabola_sets():
     for n in range(2, 201):
-        ps = parabola_pointset(n)
-        assert ps.p < 2 * n, (n, ps.p)
-        assert certify_general_position(ps.points).ok
+        p = _next_prime(n)
+        assert p < 2 * n, (n, p)
+        assert certify_general_position(parabola_pointset(n)).ok
 
     n = 25
     layers = [generate("maximal-outerplanar", n, s) for s in range(5)]
     emb = simul_embed_free(layers, n)
     inst = LayeredInstance(n=n, layers=layers, mapping="free")
     assert certify_embedding(emb, inst).ok
-    p = parabola_pointset(n).p
-    assert certify_bounds(emb, p, p).ok
+    p = _next_prime(n)
+    assert certify_embedding(emb, inst, bounds=(p, p)).ok
     report(6, True, "parabola sets general position with p < 2n for n in 2..200; 5 layers on n=25 certified")
 
 
@@ -265,7 +264,7 @@ def test_criterion_8_planar_outerplanar_pipeline():
         for phi in emb.assignments:
             assert sorted(phi) == list(range(n))
         w_bound, h_bound = general_position_bounds(n)
-        assert certify_bounds(emb, w_bound, h_bound).ok
+        assert certify_embedding(emb, inst, bounds=(w_bound, h_bound)).ok
     report(8, True, "100 planar+outerplanar pairs certified on shared points with bijections, documented bounds")
 
 

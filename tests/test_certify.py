@@ -11,7 +11,6 @@ from simembed import (
     LayeredInstance,
     PathOrder,
     SimultaneousEmbedding,
-    certify_bounds,
     certify_embedding,
     certify_general_position,
     embed_two_paths,
@@ -100,7 +99,7 @@ def test_arity_mismatch_is_an_error_not_a_report():
 
 
 def test_general_position_reports():
-    assert certify_general_position(parabola_pointset(10).points).ok
+    assert certify_general_position(parabola_pointset(10)).ok
     rep = certify_general_position([P(0, 0), P(1, 1), P(2, 2)])
     assert not rep.ok
     assert rep.violations[0].kind == "collinear-triple"
@@ -111,15 +110,17 @@ def test_general_position_reports():
 
 def test_certify_bounds():
     emb = embed_two_paths(PathOrder([0, 1, 2]), PathOrder([2, 0, 1]))
-    assert certify_bounds(emb, 3, 3).ok
-    rep = certify_bounds(emb, 1, 1)
+    inst = LayeredInstance(n=3, layers=[Layer("path", e) for e in emb.layers])
+    assert certify_embedding(emb, inst, bounds=(3, 3)).ok
+    rep = certify_embedding(emb, inst, bounds=(1, 1))
     assert not rep.ok
     assert all(v.kind == "out-of-bounds" for v in rep.violations)
     # translation to (1,1) happens before checking
     shifted = SimultaneousEmbedding(
         coords=[P(100, 200), P(101, 201)], layers=[[(0, 1)]], width=2, height=2
     )
-    assert certify_bounds(shifted, 2, 2).ok
+    shifted_inst = LayeredInstance(n=2, layers=[Layer("path", [(0, 1)])])
+    assert certify_embedding(shifted, shifted_inst, bounds=(2, 2)).ok
 
 
 def test_report_round_trips_through_json():

@@ -7,20 +7,23 @@ from hypothesis import given, settings, strategies as st
 from simembed import (
     COORD_LIMIT,
     CoordinateBudgetError,
-    DegenerateSegmentError,
     DuplicatePointError,
     GridPoint,
     InvalidInstanceError,
-    Segment,
     convex_hull,
     find_collinear_triple,
     orient,
     parabola_pointset,
-    segments_conflict,
 )
-from simembed.geometry import _next_prime, _parabola_lift
+from simembed.geometry import _conflict_raw, _next_prime, _parabola_lift
 
 P = GridPoint
+
+
+def conflict(s1, s2):
+    """_conflict_raw on two segments given as pairs of points."""
+    (a, b), (c, d) = s1, s2
+    return _conflict_raw(a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
 
 
 def brute_collinear_triple(points):
@@ -68,11 +71,10 @@ def test_coordinate_budget_enforced():
         P(COORD_LIMIT + 1, 0)
     with pytest.raises(CoordinateBudgetError):
         P(0.5, 0)
-
-
-def test_segment_degenerate():
-    with pytest.raises(DegenerateSegmentError):
-        Segment(P(3, 3), P(3, 3))
+    # bool is an int subclass; serialized as JSON true/false it would not parse back
+    for x, y in ((True, 1), (1, False), (False, True)):
+        with pytest.raises(CoordinateBudgetError):
+            P(x, y)
 
 
 def test_predicates_exact_at_budget_extremes():
@@ -81,41 +83,40 @@ def test_predicates_exact_at_budget_extremes():
     assert orient(P(-lim, -lim), P(lim, lim), P(0, 0)) == 0
     assert orient(P(-lim, -lim), P(lim, lim), P(0, 1)) == 1
     assert orient(P(-lim, -lim), P(lim, lim), P(0, -1)) == -1
-    s1 = Segment(P(-lim, 0), P(lim, 1))
-    s2 = Segment(P(-lim, 1), P(lim, 0))
-    assert segments_conflict(s1, s2)
+    s1 = (P(-lim, 0), P(lim, 1))
+    s2 = (P(-lim, 1), P(lim, 0))
+    assert conflict(s1, s2)
 
 
 def test_segments_conflict_cases():
-    assert segments_conflict(Segment(P(0, 0), P(2, 2)), Segment(P(0, 2), P(2, 0)))
-    assert not segments_conflict(Segment(P(0, 0), P(1, 1)), Segment(P(1, 1), P(2, 0)))
-    assert segments_conflict(Segment(P(0, 0), P(3, 0)), Segment(P(1, 0), P(2, 0)))
+    assert conflict((P(0, 0), P(2, 2)), (P(0, 2), P(2, 0)))
+    assert not conflict((P(0, 0), P(1, 1)), (P(1, 1), P(2, 0)))
+    assert conflict((P(0, 0), P(3, 0)), (P(1, 0), P(2, 0)))
     # endpoint in the interior of the other segment
-    assert segments_conflict(Segment(P(0, 0), P(4, 0)), Segment(P(2, 0), P(2, 5)))
+    assert conflict((P(0, 0), P(4, 0)), (P(2, 0), P(2, 5)))
     # collinear, sharing exactly one endpoint
-    assert not segments_conflict(Segment(P(0, 0), P(1, 1)), Segment(P(1, 1), P(2, 2)))
+    assert not conflict((P(0, 0), P(1, 1)), (P(1, 1), P(2, 2)))
     # identical segments overlap everywhere
-    assert segments_conflict(Segment(P(0, 0), P(2, 2)), Segment(P(0, 0), P(2, 2)))
+    assert conflict((P(0, 0), P(2, 2)), (P(0, 0), P(2, 2)))
     # disjoint collinear
-    assert not segments_conflict(Segment(P(0, 0), P(1, 0)), Segment(P(2, 0), P(3, 0)))
+    assert not conflict((P(0, 0), P(1, 0)), (P(2, 0), P(3, 0)))
 
 
 def test_segments_conflict_symmetric_random():
     rng = random.Random(2)
     for _ in range(500):
         coords = [rng.randrange(-6, 7) for _ in range(8)]
-        try:
-            s1 = Segment(P(coords[0], coords[1]), P(coords[2], coords[3]))
-            s2 = Segment(P(coords[4], coords[5]), P(coords[6], coords[7]))
-        except DegenerateSegmentError:
-            continue
-        assert segments_conflict(s1, s2) == segments_conflict(s2, s1)
+        s1 = (P(coords[0], coords[1]), P(coords[2], coords[3]))
+        s2 = (P(coords[4], coords[5]), P(coords[6], coords[7]))
+        if s1[0] == s1[1] or s2[0] == s2[1]:
+            continue  # _conflict_raw takes segments with distinct endpoints
+        assert conflict(s1, s2) == conflict(s2, s1)
 
 
 def test_find_collinear_triple_examples():
     assert find_collinear_triple([P(0, 0), P(1, 1), P(2, 2)]) == (0, 1, 2)
     assert find_collinear_triple([P(0, 0), P(1, 0), P(0, 1)]) is None
-    assert find_collinear_triple(parabola_pointset(7).points) is None
+    assert find_collinear_triple(parabola_pointset(7)) is None
 
 
 def test_find_collinear_triple_matches_bruteforce():
@@ -182,7 +183,7 @@ def test_convex_hull_of_fewer_than_three_points_is_a_package_error(k):
 
 
 def test_convex_hull_matches_halfplane_oracle():
-    pts = parabola_pointset(5).points
+    pts = parabola_pointset(5)
     assert set(convex_hull(pts)) == hull_bruteforce_membership(pts)
     rng = random.Random(4)
     for _ in range(50):

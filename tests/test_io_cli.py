@@ -525,6 +525,28 @@ def test_cli_gen_refuses_what_embed_would_reject(capsys, options, message):
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
 
 
+@pytest.mark.parametrize(
+    "kind, fits",
+    [("planar-outerplanar", 4507), ("two-caterpillars", 1048573)],
+)
+def test_cli_gen_checks_the_coordinate_budget_before_generating(
+    tmp_path, capsys, monkeypatch, kind, fits
+):
+    # one vertex over the budget, gen refuses with embed's own message;
+    # at the budget the check passes and generation starts
+    def passed(*args):
+        raise InvalidInstanceError("passed the budget check")
+
+    monkeypatch.setattr(cli, "generate", passed)
+    for n, message in ((fits + 1, f"at most {fits} vertices fit"), (fits, "passed the budget check")):
+        out = tmp_path / f"{kind}-{n}.json"
+        capsys.readouterr()
+        rc = cli_main(["gen", "--kind", kind, "--n", str(n), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and not out.exists()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_cli_planar_outerplanar_below_three_vertices_one_error_line(tmp_path, capsys, n):
     # the one-vertex plane layer is a plane embedding with one face; both

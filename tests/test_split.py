@@ -105,7 +105,7 @@ def test_deep_fan_needs_no_recursion():
     edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
     edges += [(0, i) for i in range(2, n - 1)]
     fan = Layer("outerplanar", edges, outer_cycle=list(range(n)))
-    pts = parabola_pointset(n).points
+    pts = parabola_pointset(n)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:

@@ -213,19 +213,18 @@ def test_planar_lift_keeps_every_nonzero_base_orientation(data, n, one_row):
 
 
 def test_parabola_small_fixture():
-    ps = parabola_pointset(5)
-    assert ps.p == 5
-    assert [(p.x, p.y) for p in ps.points] == [(1, 1), (2, 4), (3, 4), (4, 1), (5, 0)]
+    assert next_prime(5) == 5
+    assert [(p.x, p.y) for p in parabola_pointset(5)] == [(1, 1), (2, 4), (3, 4), (4, 1), (5, 0)]
 
 
 def test_parabola_prime_choice():
-    assert parabola_pointset(6).p == 7
-    assert parabola_pointset(14).p == 17
-    assert parabola_pointset(1).p == 2
+    assert next_prime(6) == 7
+    assert next_prime(14) == 17
+    assert next_prime(1) == 2
 
 
 def test_parabola_general_position_n100():
-    assert find_collinear_triple(parabola_pointset(100).points) is None
+    assert find_collinear_triple(parabola_pointset(100)) is None
 
 
 @pytest.mark.parametrize(
@@ -235,13 +234,12 @@ def test_parabola_general_position_n100():
 def test_parabola_pointset_has_no_collinear_triple(n):
     # parabola_pointset does not re-check its points at run time; this is
     # the check of its Vandermonde argument, also where n meets a prime.
-    assert find_collinear_triple(parabola_pointset(n).points) is None
+    assert find_collinear_triple(parabola_pointset(n)) is None
 
 
 def test_parabola_modular_reason():
     # an integer collinearity would force equal parameters mod p
-    ps = parabola_pointset(60)
-    p = ps.p
+    p = next_prime(60)
     for t1, t2, t3 in ((1, 7, 31), (2, 9, 44), (5, 20, 59)):
         det = (t2 - t1) * ((t3 * t3) % p - (t1 * t1) % p) - (t3 - t1) * (
             (t2 * t2) % p - (t1 * t1) % p
@@ -289,7 +287,7 @@ def test_embed_fan_on_parabola():
     n = 12
     edges = [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)]
     fan = Layer("outerplanar", edges, outer_cycle=list(range(n)))
-    pts = parabola_pointset(n).points
+    pts = parabola_pointset(n)
     phi = embed_outerplanar_on_points(fan, pts)
     assert assignment_certified(fan, pts, phi)
 
@@ -384,7 +382,7 @@ def test_free_pipelines_check_their_point_set_once(monkeypatch):
     emb = simul_embed_free([g1, g2], n)
     assert calls == []
     assert certify_embedding(emb, free_instance([g1, g2], n)).ok
-    embed_outerplanar_on_points(layers[0], parabola_pointset(n).points)
+    embed_outerplanar_on_points(layers[0], parabola_pointset(n))
     assert calls == [n]
 
 
