@@ -321,6 +321,31 @@ def _shadow(left: list[list[int]], a: int, c: int, d: int) -> int:
     return wedge & left[c][d]
 
 
+def _shadow_table(left: list[list[int]], count: int) -> list[list[list[int]]]:
+    """``table[a][c][d]`` = :func:`_shadow` ``(left, a, c, d)`` for every
+    triple of the ``count`` grid points that is not collinear, the only
+    triples the search looks up: ``count**3`` entries.
+
+    A shadow is symmetric in c and d: neither the double wedge between the
+    rays a -> c and a -> d nor the side of line cd away from a depends on
+    their order.  So each pair c < d is computed once and stored at [c][d]
+    and [d][c].  Equal masks share one int object (717 distinct masks
+    among the 15 625 entries at grid 5), so the table costs little more
+    than its list slots.
+    """
+    span = range(count)
+    share = {}.setdefault
+    table = []
+    for a in span:
+        rows = [[0] * count for _ in span]
+        for c in span:
+            for d in range(c + 1, count):
+                mask = _shadow(left, a, c, d)
+                rows[c][d] = rows[d][c] = share(mask, mask)
+        table.append(rows)
+    return table
+
+
 def _search_grid(
     w: int, h: int, cross_checks: list[list[tuple[int, int, int, int]]]
 ) -> tuple[Optional[list[int]], int]:
@@ -348,15 +373,27 @@ def _search_grid(
     Vertex 4 is not tried point by point: the lowest free bit is the
     witness, and the count is the number of unplaced points at or below
     it, or all N - 4 when no bit is free.
+
+    The shadows are looked up in :func:`_shadow_table`, built once per
+    search.  While the loop of level ``lvl`` tries its candidates, the
+    points of vertices 0..lvl-1 stay where they are; only vertex lvl
+    moves.  So a shadow of the next level whose three vertices all lie
+    below lvl is the same for every candidate: it is ORed once, before the
+    loop, and only the shadows that involve vertex lvl are looked up per
+    candidate.
     """
     left, col = _side_masks(w, h)
     count = w * h
     full = (1 << count) - 1
-    # Each check as (a, c, d): vertex lvl's neighbour a and the other edge.
-    shadow_checks = [
-        [(a, c, d) if b == lvl else (c, a, b) for a, b, c, d in checks]
-        for lvl, checks in enumerate(cross_checks)
-    ]
+    table = _shadow_table(left, count)
+    # Each check of level lvl + 1 as (a, c, d): that vertex's neighbour a
+    # and the other edge, split by whether it involves vertex lvl.
+    fixed_checks: list[list[tuple[int, int, int]]] = []
+    moving_checks: list[list[tuple[int, int, int]]] = []
+    for lvl, checks in enumerate(cross_checks[1:]):
+        shadow_checks = [(a, c, d) if b == lvl + 1 else (c, a, b) for a, b, c, d in checks]
+        fixed_checks.append([t for t in shadow_checks if lvl not in t])
+        moving_checks.append([t for t in shadow_checks if lvl in t])
     placement = [0] * 5
     checked = 0
 
@@ -364,17 +401,23 @@ def _search_grid(
         # free: the candidates for vertex lvl; blocked: the points of
         # vertices 0..lvl-1 and every line through two of them
         nonlocal checked
+        fixed = 0
+        for a, c, d in fixed_checks[lvl]:
+            fixed |= table[placement[a]][placement[c]][placement[d]]
+        moving = moving_checks[lvl]
+        placed = placement[:lvl]
         while free:
             low = free & -free
             free ^= low
             pt = low.bit_length() - 1
             placement[lvl] = pt
             now_blocked = blocked | low
-            for q in placement[:lvl]:
-                now_blocked |= col[pt][q]
-            forbidden = now_blocked
-            for a, c, d in shadow_checks[lvl + 1]:
-                forbidden |= _shadow(left, placement[a], placement[c], placement[d])
+            col_pt = col[pt]
+            for q in placed:
+                now_blocked |= col_pt[q]
+            forbidden = now_blocked | fixed
+            for a, c, d in moving:
+                forbidden |= table[placement[a]][placement[c]][placement[d]]
             next_free = full & ~forbidden
             if lvl < 3:
                 if dfs(lvl + 1, next_free, now_blocked):
@@ -390,6 +433,9 @@ def _search_grid(
         return False
 
     found = dfs(0, sum(1 << pt for pt in _fundamental_domain(w, h)), 0)
+    # dfs holds itself through its closure; clearing it frees the table on
+    # return rather than at the next garbage collection
+    del dfs
     return (list(placement) if found else None), checked
 
 
@@ -405,12 +451,13 @@ def exhaustive_five_point_check(
     Returns the first such counterexample found, or None if every valid
     placement forces a crossing in some path.  Grids up to extent 8 are
     exhausted by :func:`_search_grid`, which keeps the candidates of each
-    vertex as a bitmask built from per-grid side and collinearity masks;
-    ``placements_checked`` counts the vertex-4 placements a point-by-point
-    search would look at.  Larger grids require ``samples`` and are
-    randomly probed with the seeded generator, each draw tested level by
-    level on coordinates.  A ``samples`` count below 1, or one given for a
-    grid that is exhausted, is rejected.
+    vertex as a bitmask built from per-grid side and collinearity masks
+    and a per-search shadow table; ``placements_checked`` counts the
+    vertex-4 placements a point-by-point search would look at.  Larger
+    grids require ``samples`` and are randomly probed with the seeded
+    generator, each draw tested level by level on coordinates.  A
+    ``samples`` count below 1, or one given for a grid that is exhausted,
+    is rejected.
     """
     if isinstance(grid_extent, tuple):
         w, h = grid_extent

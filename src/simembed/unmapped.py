@@ -359,13 +359,38 @@ def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]
         raise InvalidInstanceError("point-set embedding expects an outerplanar layer")
     if find_collinear_triple(pts) is not None:
         raise InvalidInstanceError("points are not in general position")
-    return _embed_on_general_position(layer, pts)
+    return _embed_on_general_position(layer, pts, _hull_root(pts))
 
 
-def _embed_on_general_position(layer: Layer, pts: list[GridPoint]) -> list[int]:
+#: The root of the split: the designated hull edge (p, q) and the other
+#: points by angle around p, from ray pq.
+Root = tuple[int, int, list[int]]
+
+
+def _hull_root(pts: list[GridPoint]) -> Optional[Root]:
+    """The root of the split on distinct points in general position: the
+    lexicographically least hull edge, its ends (p, q) in point order, and
+    the other points sorted by angle around p.  It depends on the points
+    alone, so :func:`simul_embed_free` computes it once for all of its
+    outerplanar layers.  None for fewer than three points, which no split
+    reads."""
+    if len(pts) < 3:
+        return None
+    hull = convex_hull(pts)
+    hull_edges = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
+    best = min(hull_edges, key=lambda e: sorted((pts[e[0]], pts[e[1]])))
+    p_idx, q_idx = sorted(best, key=pts.__getitem__)
+    others = [i for i in range(len(pts)) if i != p_idx and i != q_idx]
+    return p_idx, q_idx, _angular_sort(pts, p_idx, q_idx, others)
+
+
+def _embed_on_general_position(
+    layer: Layer, pts: list[GridPoint], root: Optional[Root]
+) -> list[int]:
     # embed_outerplanar_on_points for a valid outerplanar layer and points
     # known to be distinct and in general position, such as the point sets
-    # of simul_embed_free, which are so by construction.
+    # of simul_embed_free, which are so by construction; root is
+    # _hull_root(pts), which the caller may share between layers.
     k = len(pts)
     if k == 1:
         return [0]
@@ -385,14 +410,8 @@ def _embed_on_general_position(layer: Layer, pts: list[GridPoint]) -> list[int]:
         adj[u].add(v)
         adj[v].add(u)
 
-    hull = convex_hull(pts)
-    hull_edges = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
-    best = min(hull_edges, key=lambda e: sorted((pts[e[0]], pts[e[1]])))
-    p_idx, q_idx = sorted(best, key=pts.__getitem__)
-
+    p_idx, q_idx, by_p = root
     chain = [cyc[0]] + cyc[:0:-1]
-    others = [i for i in range(k) if i != p_idx and i != q_idx]
-    by_p = _angular_sort(pts, p_idx, q_idx, others)
     phi = [-1] * k
     _embed_chain(pts, adj, chain, phi, [(0, k - 1, by_p, None, p_idx, q_idx)])
     if sorted(phi) != list(range(k)):
@@ -593,10 +612,11 @@ def simul_embed_free(layers: list[Layer], n: int) -> SimultaneousEmbedding:
         if layer.kind == "outerplanar":  # the plane layer is validated by its drawing
             validate_layer(layer, n)
     pts = planar_general_position_draw(planar[0], n) if planar else parabola_pointset(n)
+    root = _hull_root(pts) if "outerplanar" in kinds else None
     assignments = [
         list(range(n))
         if layer.kind == "planar"
-        else _embed_on_general_position(maximalize_outerplanar(layer, n)[0], pts)
+        else _embed_on_general_position(maximalize_outerplanar(layer, n)[0], pts, root)
         for layer in layers
     ]
     coords, width, height = _translate_to_origin(pts)

@@ -35,6 +35,8 @@ from simembed.mapped import (
     _check_permutation,
     _fundamental_domain,
     _grid_points,
+    _shadow,
+    _side_masks,
 )
 
 
@@ -507,6 +509,81 @@ def five_point_check_dfs(
         exhaustive=True,
         grid=(w, h),
     )
+
+
+def search_grid_per_candidate(
+    w: int, h: int, cross_checks: list[list[tuple[int, int, int, int]]]
+) -> tuple[Optional[list[int]], int]:
+    """``mapped._search_grid`` before it looked shadows up in a per-search
+    table: every shadow of the next level recomputed for every candidate.
+
+    Depth-first search over placements of vertices 0..4 on distinct
+    points of the w x h grid, points tried in ascending index order and
+    vertex 0 confined to :func:`_fundamental_domain`.
+
+    ``cross_checks[lvl]`` holds the same-path disjoint edge pairs
+    (a, b) / (c, d), each sorted, whose largest vertex is lvl.  Returns the
+    first placement (point indices) with no three points collinear and no
+    such pair in conflict, or None, and the number of vertex-4 placements
+    a point-by-point search looks at.
+
+    Vertex ``lvl`` may take any point outside a forbidden mask: the placed
+    points, the lines through two placed points, and for each pair whose
+    edges are (a, lvl) and (c, d) the :func:`_shadow` of cd seen from a.
+    The placed points are in general position, because every point on a
+    line through two of them was forbidden when it could be taken.  So a
+    candidate x off those lines forms with a, c, d four points no three
+    collinear.  For such points all four orientations in ``_conflict_raw``
+    are nonzero, so its collinear and touching branches never fire and it
+    reports exactly a proper crossing of a-x and c-d, which is exactly
+    shadow membership.  The free mask therefore holds exactly the
+    candidates the per-placement predicates accept, in the same order.
+    Vertex 4 is not tried point by point: the lowest free bit is the
+    witness, and the count is the number of unplaced points at or below
+    it, or all N - 4 when no bit is free.
+    """
+    left, col = _side_masks(w, h)
+    count = w * h
+    full = (1 << count) - 1
+    # Each check as (a, c, d): vertex lvl's neighbour a and the other edge.
+    shadow_checks = [
+        [(a, c, d) if b == lvl else (c, a, b) for a, b, c, d in checks]
+        for lvl, checks in enumerate(cross_checks)
+    ]
+    placement = [0] * 5
+    checked = 0
+
+    def dfs(lvl: int, free: int, blocked: int) -> bool:
+        # free: the candidates for vertex lvl; blocked: the points of
+        # vertices 0..lvl-1 and every line through two of them
+        nonlocal checked
+        while free:
+            low = free & -free
+            free ^= low
+            pt = low.bit_length() - 1
+            placement[lvl] = pt
+            now_blocked = blocked | low
+            for q in placement[:lvl]:
+                now_blocked |= col[pt][q]
+            forbidden = now_blocked
+            for a, c, d in shadow_checks[lvl + 1]:
+                forbidden |= _shadow(left, placement[a], placement[c], placement[d])
+            next_free = full & ~forbidden
+            if lvl < 3:
+                if dfs(lvl + 1, next_free, now_blocked):
+                    return True
+            elif next_free:
+                low = next_free & -next_free
+                placement[4] = low.bit_length() - 1
+                below = sum(1 for q in placement[:4] if q < placement[4])
+                checked += placement[4] + 1 - below
+                return True
+            else:
+                checked += count - 4
+        return False
+
+    found = dfs(0, sum(1 << pt for pt in _fundamental_domain(w, h)), 0)
+    return (list(placement) if found else None), checked
 
 
 def sampled_five_point_check(

@@ -683,6 +683,18 @@ def test_cli_fivepaths_rejects_a_sample_count_below_one(tmp_path, capsys, grid, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["1", "2"])
+def test_cli_fivepaths_refuses_a_grid_without_five_points(tmp_path, capsys, grid):
+    # no five points in general position: the search would check nothing
+    out = tmp_path / "five.json"
+    capsys.readouterr()
+    rc = cli_main(["fivepaths", "--grid", grid, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error:") and f"grid {grid}" in err[0]
+    assert not out.exists()
+
+
 def test_cli_fivepaths_verdict(tmp_path):
     out_file = tmp_path / "five.json"
     rc = cli_main(["fivepaths", "--grid", "4", "--out", str(out_file)])

@@ -370,6 +370,14 @@ def test_exhaustive_check_grid_six():
     assert res.placements_checked == 1528704
 
 
+def test_exhaustive_check_grid_seven():
+    paths = [path_from_digits(d) for d in FIVE_PATHS]
+    res = exhaustive_five_point_check(7, paths)
+    assert res.counterexample is None
+    assert res.exhaustive
+    assert res.placements_checked == 10365570
+
+
 def test_exhaustive_check_four_paths_find_witness():
     from simembed import SimultaneousEmbedding
 

@@ -12,9 +12,11 @@ touch and tie in every way a grid allows; the certifier's Shamos–Hoey
 decision must say yes exactly when the exact predicate finds some
 conflicting pair among all pairs.  The five-point search on candidate
 bitmasks must report what the conflict-table search and the
-per-placement search reported, its shadow masks must hold exactly the
-points whose segment properly crosses, and its sampled probe must draw
-what the separate sampled loop drew.  The outerplanar point-set
+per-placement search reported, and with its shadows hoisted and looked
+up in one table what the loop that recomputed them per candidate
+reported; its shadow masks must hold exactly the points whose segment
+properly crosses, and its sampled probe must draw what the separate
+sampled loop drew.  The outerplanar point-set
 embedder, with lazy angular orders, interval chains and float-keyed
 sorts, must assign what the eager slicing loop with comparator sorts
 assigns, and the heap-driven peeling of the shift-method drawing must
@@ -54,6 +56,7 @@ from reference import (
     path_caterpillar_rescan,
     plane_triangulation_rebuild,
     same_ray,
+    search_grid_per_candidate,
     triangulate_plane_retrace,
 )
 from simembed import (
@@ -76,11 +79,11 @@ from simembed import (
     simul_embed_free,
     triangulate_plane,
 )
-from simembed import certify, unmapped
+from simembed import certify, mapped, unmapped
 from simembed.graphs import _trace_faces
 from simembed.certify import _any_conflict, _layer_crossings, _listed_crossings
 from simembed.geometry import _conflict_raw
-from simembed.mapped import _grid_points, _shadow, _side_masks
+from simembed.mapped import _grid_points, _shadow, _shadow_table, _side_masks
 
 
 # How a case reshapes its thinned layer: not at all, by reversing and
@@ -464,39 +467,57 @@ def _grid_id(grid):
     return "x".join(map(str, grid)) if isinstance(grid, tuple) else str(grid)
 
 
-@pytest.mark.parametrize(
-    "grid", _SMALL_GRIDS + [5, (5, 3), (3, 5), (6, 2)], ids=_grid_id
-)
-def test_five_point_search_matches_table_search(grid):
-    # Every subset of the five paths on the small grids, against the table
-    # search.  On the larger ones the five paths and each four-path subset
-    # (which has a witness at grid 5, so a partial count is compared),
-    # against the per-placement search, which is the faster reference there.
+_SEARCH_GRIDS = _SMALL_GRIDS + [5, (5, 3), (3, 5), (6, 2)]
+
+
+def _path_sets(grid):
+    # Every subset of the five paths on the small grids; on the larger ones
+    # the five paths and each four-path subset (which has a witness at
+    # grid 5, so a partial count is compared).  Random path sets on both.
     if grid in _SMALL_GRIDS:
         subsets = [list(c) for k in range(1, 6) for c in itertools.combinations(_FIVE, k)]
-        reference = five_point_check_table
     else:
         subsets = [_FIVE] + [list(c) for c in itertools.combinations(_FIVE, 4)]
-        reference = five_point_check_dfs
-    for paths in subsets + _RANDOM_PATH_SETS:
+    return subsets + _RANDOM_PATH_SETS
+
+
+@pytest.mark.parametrize("grid", _SEARCH_GRIDS, ids=_grid_id)
+def test_five_point_search_matches_table_search(grid):
+    # Against the table search on the small grids, and against the
+    # per-placement search, which is the faster reference there, on the
+    # larger ones.
+    reference = five_point_check_table if grid in _SMALL_GRIDS else five_point_check_dfs
+    for paths in _path_sets(grid):
         assert _search_outcome(exhaustive_five_point_check(grid, paths)) == _search_outcome(
             reference(grid, paths)
         )
 
 
-@pytest.mark.parametrize("grid", [(4, 4), (5, 3)], ids=_grid_id)
+@pytest.mark.parametrize("grid", _SEARCH_GRIDS, ids=_grid_id)
+def test_shadow_table_search_matches_per_candidate_search(grid, monkeypatch):
+    # The search with hoisted shadows from one table against the loop that
+    # computed every shadow of the next level for every candidate.
+    path_sets = _path_sets(grid)
+    hoisted = [_search_outcome(exhaustive_five_point_check(grid, p)) for p in path_sets]
+    monkeypatch.setattr(mapped, "_search_grid", search_grid_per_candidate)
+    assert [_search_outcome(exhaustive_five_point_check(grid, p)) for p in path_sets] == hoisted
+
+
+@pytest.mark.parametrize("grid", [(4, 4), (5, 3), (6, 2)], ids=_grid_id)
 def test_shadow_mask_is_the_proper_crossing_region(grid):
     # For a, c, d not collinear and x on none of the lines through two of
     # them, x is in the shadow of cd seen from a exactly when segment a-x
-    # meets segment c-d.
+    # meets segment c-d; the search's table holds that shadow.
     w, h = grid
     pts = _grid_points(w, h)
     left, col = _side_masks(w, h)
+    table = _shadow_table(left, len(pts))
     crossings = 0
     for a, c, d in itertools.permutations(range(len(pts)), 3):
         if col[a][c] >> d & 1:
             continue
-        shadow = _shadow(left, a, c, d)
+        shadow = table[a][c][d]
+        assert shadow == _shadow(left, a, c, d)
         lines = col[a][c] | col[a][d] | col[c][d] | 1 << a | 1 << c | 1 << d
         for x in range(len(pts)):
             if lines >> x & 1:
@@ -650,7 +671,7 @@ def test_lazy_split_driver_matches_eager_on_planar_drawings(seed):
         pts = planar_general_position_draw(generate("plane-triangulation", k, seed), k)
         for layer in _layers(k, seed):
             assert unmapped._embed_on_general_position(
-                layer, pts
+                layer, pts, unmapped._hull_root(pts)
             ) == embed_on_general_position_eager(layer, pts)
 
 
