@@ -8,9 +8,7 @@ carry witnesses so a failed check is immediately diagnosable.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field
-from math import gcd
 
 from .errors import InvalidInstanceError
 from .geometry import GridPoint, _conflict_raw, _first_collinear_triple
@@ -98,25 +96,65 @@ def _sweep_frame(
     return ys, xs
 
 
-def _any_conflict(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) -> bool:
-    """Whether any two edges conflict (``_conflict_raw``), by a Shamos–Hoey
-    sweep in lexicographic (x, y) order.
+def _edge_table(
+    xs: list[int], ys: list[int], edges: list[tuple[int, int]]
+) -> tuple[list, ...]:
+    """One pass over a layer: each edge k oriented from its lexicographically
+    smaller endpoint L to its larger endpoint R, as the points ``lp[k]`` and
+    ``rp[k]``, their coordinates ``lx, ly, rx, ry``, the direction
+    ``dx, dy`` from L to R, and the sorted sweep events ``(x, y, enters, k)``
+    at L (enters = 1) and at R (enters = 0).
 
     An edge of length zero conflicts with nothing (its own orientations are
     all zero, so the predicate only asks whether a point lies strictly
-    inside a point), and it is left out.  Every other edge runs from its
-    lexicographically smaller endpoint L to its larger endpoint R.  At each
-    event point p, first the edges with R = p leave the status list, then
-    the edges with L = p enter it.  The list is ordered bottom to top.  An
-    entering edge e is placed by binary search: a kept edge k is below p
-    if orient(L_k, R_k, p) > 0 and above it if < 0, and a zero is settled
-    by the direction of R_e against that of R_k (the order around p when
-    L_k = p).  Every two edges that become neighbours, when e enters or
-    when an edge between them leaves, are tested exactly, and only that
-    test reports.  Two edges with the same L (or the same R) leave it into
-    one open half-plane, so they meet beyond it iff they are parallel,
-    dx_i * dy_j = dy_i * dx_j.  Every other pair goes to the exact
-    predicate; an edge whose R is the L of another has left the list
+    inside a point), so it gets no events: neither :func:`_any_conflict`
+    nor :func:`_listed_crossings` ever looks at it.
+    """
+    lp: list[tuple[int, int]] = []
+    rp: list[tuple[int, int]] = []
+    lx: list[int] = []
+    ly: list[int] = []
+    rx: list[int] = []
+    ry: list[int] = []
+    events = []
+    for u, w in edges:
+        a, b = (xs[u], ys[u]), (xs[w], ys[w])
+        if b < a:
+            a, b = b, a
+        k = len(lx)
+        lp.append(a)
+        rp.append(b)
+        lx.append(a[0])
+        ly.append(a[1])
+        rx.append(b[0])
+        ry.append(b[1])
+        if a != b:
+            events.append((a[0], a[1], 1, k))
+            events.append((b[0], b[1], 0, k))
+    dx = [r - l for l, r in zip(lx, rx)]
+    dy = [r - l for l, r in zip(ly, ry)]
+    events.sort()
+    return lp, rp, lx, ly, rx, ry, dx, dy, events
+
+
+def _any_conflict(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) -> bool:
+    """Whether any two edges conflict (``_conflict_raw``), by a Shamos–Hoey
+    sweep in lexicographic (x, y) order over the events of
+    :func:`_edge_table`, with each edge running from L to R as there.
+
+    At each event point p, first the edges with R = p leave the status
+    list, then the edges with L = p enter it.  The list is ordered bottom
+    to top.  An entering edge e is placed by binary search: a kept edge k
+    is below p if orient(L_k, R_k, p) > 0 and above it if < 0, and a zero
+    is settled by the direction of R_e against that of R_k (the order
+    around p when L_k = p).  Every two edges that become neighbours, when e
+    enters or when an edge between them leaves, are tested exactly, and
+    only that test reports.
+
+    The shared-endpoint rule: two edges with the same L (or the same R)
+    leave it into one open half-plane, so they meet beyond it iff they are
+    parallel, dx_i * dy_j = dy_i * dx_j.  Every other pair goes to the
+    exact predicate; an edge whose R is the L of another has left the list
     before the other enters, so such a pair is never tested.  So the
     answer is never a false yes, and each edge costs at most three tests.
 
@@ -153,31 +191,7 @@ def _any_conflict(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) ->
     one it read as "lower" (or an end of the list), so g lands next to an
     element of M, and that neighbour test reports.
     """
-    lp: list[tuple[int, int]] = []
-    rp: list[tuple[int, int]] = []
-    lx: list[int] = []
-    ly: list[int] = []
-    rx: list[int] = []
-    ry: list[int] = []
-    events = []
-    for u, w in edges:
-        a, b = (xs[u], ys[u]), (xs[w], ys[w])
-        if a == b:
-            continue
-        if b < a:
-            a, b = b, a
-        k = len(lx)
-        lp.append(a)
-        rp.append(b)
-        lx.append(a[0])
-        ly.append(a[1])
-        rx.append(b[0])
-        ry.append(b[1])
-        events.append((a[0], a[1], 1, k))
-        events.append((b[0], b[1], 0, k))
-    dx = [r - l for l, r in zip(lx, rx)]
-    dy = [r - l for l, r in zip(ly, ry)]
-    events.sort()
+    lp, rp, lx, ly, rx, ry, dx, dy, events = _edge_table(xs, ys, edges)
 
     def conflict(i: int, j: int) -> bool:
         if lp[i] == lp[j] or rp[i] == rp[j]:
@@ -215,82 +229,50 @@ def _listed_crossings(
     xs: list[int], ys: list[int], edges: list[tuple[int, int]], layer_idx: int
 ) -> list[Violation]:
     """Every conflicting edge pair (i, j), i < j, of one layer, in order,
-    found by a bounding-box scan.
+    found by a bounding-box scan over the table of :func:`_edge_table`,
+    built in the frame of :func:`_sweep_frame`.
 
-    Two edges that share an endpoint v conflict only if they leave v in the
-    same direction: if they leave it in different directions they meet only
-    at v (the segments are not collinear, or lie on opposite rays from v),
-    and an edge of length zero meets the other only at v.  So those pairs
-    are looked up per vertex, by the gcd-reduced direction to the other
-    endpoint, and only pairs in one direction bucket reach the exact
-    predicate.
+    Two edges can conflict only if their closed bounding boxes overlap on
+    both axes.  On the sweep axis an edge's box is [L, R].  The edges are
+    taken in the order of their L, the order of their entering events; a
+    later edge overlaps an earlier one on that axis if and only if it
+    starts no higher than the earlier one's R, so each edge is paired with
+    the later edges up to the last start at or below its R, found by
+    bisection, and those pairs are filtered on the other axis.
 
-    Two edges that share no endpoint can conflict only if their closed
-    bounding boxes overlap on both axes, and the exact predicate runs on
-    exactly those pairs.  The edges are sorted by their low end on the axis
-    of :func:`_sweep_frame`.  Two of them overlap on that axis if and only
-    if the later one in this order starts no higher than the earlier one's
-    high end, so each edge is paired with the later edges up to the last
-    start at or below its high end, found by bisection; those pairs are
-    filtered on the other axis and on shared endpoints.  Every pair whose
-    boxes overlap is tested, so a layer whose long edges overlap one
-    another costs O(m^2) tests.
+    Each pair that is left is decided by the shared-endpoint rule of
+    :func:`_any_conflict` when the two edges have the same L or the same
+    R.  When the R of the earlier edge is the L of the later one, p, they
+    never conflict: the earlier lies lexicographically at or before p and
+    the later at or after it, so they meet only at p, an endpoint of both.
+    (The later edge's R lies after its L, so it is never the earlier one's
+    L.)  Every other pair goes to the exact predicate.  Every pair whose
+    boxes overlap is looked at, so a layer whose long edges overlap one
+    another costs O(m^2).
     """
-    m = len(edges)
-    ax = [xs[e[0]] for e in edges]
-    ay = [ys[e[0]] for e in edges]
-    bx = [xs[e[1]] for e in edges]
-    by = [ys[e[1]] for e in edges]
     us, vs = _sweep_frame(xs, ys, edges)
-    lo = [min(us[u], us[w]) for u, w in edges]
-    hi = [max(us[u], us[w]) for u, w in edges]
-    lo2 = [min(vs[u], vs[w]) for u, w in edges]
-    hi2 = [max(vs[u], vs[w]) for u, w in edges]
-    order = sorted(range(m), key=lo.__getitem__)
-    starts = [lo[k] for k in order]
+    lp, rp, lx, ly, rx, ry, dx, dy, events = _edge_table(us, vs, edges)
+    low = list(map(min, ly, ry))
+    high = list(map(max, ly, ry))
+    order = [k for _, _, enters, k in events if enters]
+    starts = [lx[k] for k in order]
 
-    pairs = _shared_endpoint_pairs(edges, ax, ay, bx, by)
+    hits = []
     for p, i in enumerate(order):
-        u, w = edges[i]
-        lo2_i, hi2_i = lo2[i], hi2[i]
-        pairs += [
-            (i, j) if i < j else (j, i)
-            for j in order[p + 1 : bisect_right(starts, hi[i])]
-            if lo2[j] <= hi2_i and lo2_i <= hi2[j] and u not in edges[j] and w not in edges[j]
-        ]
-
-    hits = sorted(
-        (i, j)
-        for i, j in pairs
-        if _conflict_raw(ax[i], ay[i], bx[i], by[i], ax[j], ay[j], bx[j], by[j])
-    )
+        l_i, r_i, low_i, high_i = lp[i], rp[i], low[i], high[i]
+        for j in order[p + 1 : bisect_right(starts, rx[i])]:
+            if low[j] > high_i or high[j] < low_i:
+                continue
+            if lp[j] == l_i or rp[j] == r_i:
+                hit = dx[i] * dy[j] == dy[i] * dx[j]
+            else:
+                hit = lp[j] != r_i and _conflict_raw(
+                    lx[i], ly[i], rx[i], ry[i], lx[j], ly[j], rx[j], ry[j]
+                )
+            if hit:
+                hits.append((i, j) if i < j else (j, i))
+    hits.sort()
     return [Violation("layer-crossing", (layer_idx, i, j)) for i, j in hits]
-
-
-def _shared_endpoint_pairs(
-    edges: list[tuple[int, int]], ax: list[int], ay: list[int], bx: list[int], by: list[int]
-) -> list[tuple[int, int]]:
-    """The edge pairs (i, j), i < j, that share an endpoint and leave it in
-    the same direction.  Each edge of nonzero length leaves its endpoints
-    along two rays, keyed by the endpoint and the gcd-reduced direction;
-    the pairs are those of edges with a key in common."""
-    dx = [b - a for a, b in zip(ax, bx)]
-    dy = [b - a for a, b in zip(ay, by)]
-    g = list(map(gcd, dx, dy))  # 0 for an edge of length zero
-    keys = [(u, x // d, y // d) for (u, _), x, y, d in zip(edges, dx, dy, g) if d]
-    keys += [(w, -x // d, -y // d) for (_, w), x, y, d in zip(edges, dx, dy, g) if d]
-    if len(set(keys)) == len(keys):
-        return []
-    live = [k for k, d in enumerate(g) if d]
-    along: dict[tuple[int, int, int], list[int]] = defaultdict(list)
-    for k, key in zip(live + live, keys):
-        along[key].append(k)
-    return sorted({
-        (min(i, j), max(i, j))
-        for ks in along.values()
-        for jj, j in enumerate(ks)
-        for i in ks[:jj]
-    })
 
 
 def check_embedding_shape(emb: SimultaneousEmbedding, inst: LayeredInstance) -> None:

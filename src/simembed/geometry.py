@@ -36,6 +36,18 @@ def _largest_within_budget(extent: Callable[[int], int]) -> int:
     return lo
 
 
+def _check_coord_budget(n: int, extent: Callable[[int], int], what: str) -> None:
+    """Raise unless ``extent(n)``, the largest coordinate that ``what`` on
+    n vertices needs, fits COORD_LIMIT, with a message that names the
+    largest n that fits.  ``extent`` must grow with n."""
+    need = extent(n)
+    if need > COORD_LIMIT:
+        raise CoordinateBudgetError(
+            f"{what} on {n} vertices needs coordinates up to {need}, over the "
+            f"coordinate budget 2^40; at most {_largest_within_budget(extent)} vertices fit"
+        )
+
+
 def _next_prime(m: int) -> int:
     """The smallest prime >= max(m, 2)."""
     c = max(m, 2)

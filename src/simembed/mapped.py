@@ -23,8 +23,8 @@ from .errors import (
 from .geometry import (
     COORD_LIMIT,
     GridPoint,
+    _check_coord_budget,
     _conflict_raw,
-    _largest_within_budget,
     _next_prime,
     _parabola_lift,
     _translate_to_origin,
@@ -105,15 +105,8 @@ def _two_caterpillar_extent(n: int) -> int:
 
 
 def _check_two_caterpillar_budget(n: int) -> None:
-    # Raise unless _two_caterpillar_extent(n) fits COORD_LIMIT; the CLI's
-    # gen runs it too, so it writes no instance that embed would refuse.
-    if _two_caterpillar_extent(n) > COORD_LIMIT:
-        fits = _largest_within_budget(_two_caterpillar_extent)
-        raise CoordinateBudgetError(
-            f"two caterpillars on {n} vertices need coordinates up to "
-            f"{_two_caterpillar_extent(n)}, over the coordinate budget 2^40; "
-            f"at most {fits} vertices fit"
-        )
+    # the CLI's gen runs it too, so it writes no instance that embed refuses
+    _check_coord_budget(n, _two_caterpillar_extent, "a two-caterpillar drawing")
 
 
 def embed_two_caterpillars(c1: Caterpillar, c2: Caterpillar) -> SimultaneousEmbedding:
@@ -346,6 +339,21 @@ def _shadow_table(left: list[list[int]], count: int) -> list[list[list[int]]]:
     return table
 
 
+def _cross_checks(paths: Sequence[PathOrder]) -> list[list[tuple[int, int, int, int]]]:
+    """The same-path disjoint edge pairs (a, b) / (c, d), each sorted,
+    bucketed by their largest vertex, so the search checks each pair as soon
+    as its last endpoint is placed."""
+    cross_checks: list[list[tuple[int, int, int, int]]] = [[] for _ in range(5)]
+    for p in paths:
+        edges = [tuple(sorted(e)) for e in p.edges()]
+        for e1, e2 in itertools.combinations(edges, 2):
+            if set(e1) & set(e2):
+                continue
+            level = max(*e1, *e2)
+            cross_checks[level].append((*e1, *e2))
+    return cross_checks
+
+
 def _search_grid(
     w: int, h: int, cross_checks: list[list[tuple[int, int, int, int]]]
 ) -> tuple[Optional[list[int]], int]:
@@ -455,9 +463,10 @@ def exhaustive_five_point_check(
     and a per-search shadow table; ``placements_checked`` counts the
     vertex-4 placements a point-by-point search would look at.  Larger
     grids require ``samples`` and are randomly probed with the seeded
-    generator, each draw tested level by level on coordinates.  A
-    ``samples`` count below 1, or one given for a grid that is exhausted,
-    is rejected.
+    generator, each draw tested level by level on coordinates.  A grid
+    with a side below 3, which holds no five points in general position,
+    is rejected, and so is a ``samples`` count below 1 or one given for a
+    grid that is exhausted.
     """
     if isinstance(grid_extent, tuple):
         w, h = grid_extent
@@ -465,6 +474,14 @@ def exhaustive_five_point_check(
         w = h = grid_extent
     if w < 1 or h < 1:
         raise InvalidInstanceError("grid extent must be positive")
+    if min(w, h) < 3:
+        # every point lies on one of at most two lines along the long side,
+        # and five points on two lines put three on one: there is no
+        # placement, and a verdict would claim what nothing checked
+        raise InvalidInstanceError(
+            f"grid {w}x{h} holds no five points with no three collinear; "
+            f"both sides must be 3 or more"
+        )
     if samples is not None and samples < 1:
         # a verdict after no placements would claim what nothing checked
         raise InvalidInstanceError(f"sample count must be positive, got {samples}")
@@ -484,17 +501,7 @@ def exhaustive_five_point_check(
             f"({EXHAUSTIVE_GRID_LIMIT}); pass a sample count"
         )
 
-    # Same-path disjoint edge pairs, bucketed by their largest vertex so the
-    # search can check each pair as soon as its last endpoint is placed.
-    cross_checks: list[list[tuple[int, int, int, int]]] = [[] for _ in range(5)]
-    for p in paths:
-        edges = [tuple(sorted(e)) for e in p.edges()]
-        for e1, e2 in itertools.combinations(edges, 2):
-            if set(e1) & set(e2):
-                continue
-            level = max(*e1, *e2)
-            cross_checks[level].append((*e1, *e2))
-
+    cross_checks = _cross_checks(paths)
     if exhaustive:
         placement, checked = _search_grid(w, h, cross_checks)
         pts = _grid_points(w, h)

@@ -19,15 +19,13 @@ from itertools import groupby
 from typing import Optional
 
 from .errors import (
-    CoordinateBudgetError,
     InternalInvariantError,
     InvalidInstanceError,
     UnsupportedInstanceError,
 )
 from .geometry import (
-    COORD_LIMIT,
     GridPoint,
-    _largest_within_budget,
+    _check_coord_budget,
     _next_prime,
     _parabola_lift,
     _translate_to_origin,
@@ -218,15 +216,10 @@ def general_position_bounds(n: int) -> tuple[int, int]:
 
 
 def _check_general_position_budget(n: int) -> None:
-    # Raise unless general_position_bounds(n) fits COORD_LIMIT; the CLI's
-    # gen runs it too, so it writes no instance that embed would refuse.
-    width, height = general_position_bounds(n)
-    if max(width, height) > COORD_LIMIT:
-        fits = _largest_within_budget(lambda k: max(general_position_bounds(k)))
-        raise CoordinateBudgetError(
-            f"a general-position drawing of {n} vertices needs a {width} x {height} "
-            f"grid, over the coordinate budget 2^40; at most {fits} vertices fit"
-        )
+    # the CLI's gen runs it too, so it writes no instance that embed refuses
+    _check_coord_budget(
+        n, lambda k: max(general_position_bounds(k)), "a general-position drawing"
+    )
 
 
 def planar_general_position_draw(layer: Layer, n: int) -> list[GridPoint]:

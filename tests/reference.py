@@ -261,24 +261,22 @@ def same_ray(xs: list[int], ys: list[int], v: int, a: int, b: int) -> bool:
 
 
 def certifier_pair_tests(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) -> int:
-    """How many edge pairs the certifier hands to the exact predicate: the
-    pairs that share an endpoint and leave it along one ray, and the pairs
-    that share no endpoint and whose bounding boxes overlap."""
+    """How many edge pairs the certifier's listing hands to the exact
+    predicate: the pairs of edges of nonzero length that share no endpoint
+    position and whose bounding boxes overlap."""
     count = 0
+    ends = [{(xs[a], ys[a]), (xs[b], ys[b])} for a, b in edges]
     for i, (a, b) in enumerate(edges):
-        for c, d in edges[i + 1 :]:
-            shared = {a, b} & {c, d}
-            if shared:
-                count += any(
-                    same_ray(xs, ys, v, b if a == v else a, d if c == v else c) for v in shared
-                )
-            else:
-                count += (
-                    min(xs[a], xs[b]) <= max(xs[c], xs[d])
-                    and min(xs[c], xs[d]) <= max(xs[a], xs[b])
-                    and min(ys[a], ys[b]) <= max(ys[c], ys[d])
-                    and min(ys[c], ys[d]) <= max(ys[a], ys[b])
-                )
+        for (c, d), other in zip(edges[i + 1 :], ends[i + 1 :]):
+            count += (
+                len(ends[i]) == 2
+                and len(other) == 2
+                and not ends[i] & other
+                and min(xs[a], xs[b]) <= max(xs[c], xs[d])
+                and min(xs[c], xs[d]) <= max(xs[a], xs[b])
+                and min(ys[a], ys[b]) <= max(ys[c], ys[d])
+                and min(ys[c], ys[d]) <= max(ys[a], ys[b])
+            )
     return count
 
 

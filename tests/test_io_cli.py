@@ -1,7 +1,9 @@
 import functools
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -703,6 +705,24 @@ def test_cli_fivepaths_verdict(tmp_path):
     assert doc["coverage"]["all_covered"] is True
     assert doc["search"]["counterexample"] is None
     assert "no counterexample" in doc["verdict"]
+
+
+@pytest.mark.parametrize("module", ["simembed", "simembed.cli"])
+def test_cli_runs_as_a_module(tmp_path, module):
+    # The package and its cli module both run the command line under
+    # python -m, in a fresh interpreter that finds this checkout's package.
+    out = tmp_path / "five.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "fivepaths", "--grid", "3", "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text(encoding="utf-8"))["search"]["placements_checked"] == 420
 
 
 def test_cli_gen_seed(tmp_path):

@@ -392,10 +392,13 @@ def test_exhaustive_check_four_paths_find_witness():
 
 
 def test_exhaustive_check_degenerate_column():
+    # A side below 3 holds no five points with no three collinear: the
+    # search is refused, sampled or not, rather than claiming a verdict
+    # after checking no placement.
     paths = [path_from_digits(d) for d in FIVE_PATHS]
-    res = exhaustive_five_point_check((1, 5), paths)
-    assert res.counterexample is None
-    assert res.placements_checked == 0
+    for (w, h), samples in [((1, 5), None), ((2, 8), None), ((8, 2), None), ((2, 12), 50)]:
+        with pytest.raises(InvalidInstanceError, match=f"grid {w}x{h} holds no five points"):
+            exhaustive_five_point_check((w, h), paths, seed=1, samples=samples)
 
 
 def test_search_budget_and_sampling():

@@ -276,6 +276,19 @@ def test_layer_crossings_hand_example_on_both_axes():
         assert calls == certifier_pair_tests(lx, ly, le)
         assert _layer_crossings(lx, ly, le, 5) == out
 
+    # A collinear chain (0, 0)-(1, 0)-(2, 0): its edges meet end to start,
+    # so they never conflict and reach no predicate.  An edge from (2, 0)
+    # back to (0, 0) shares an L with the first and an R with the second
+    # and runs along both, and the parallel test reports both pairs.
+    xs, ys, edges = [0, 1, 2], [0, 0, 0], [(0, 1), (1, 2)]
+    for lx, ly in [(xs, ys), (ys, xs)]:
+        assert _with_conflict_count(_listed_crossings, lx, ly, edges, 0) == ([], 0)
+        assert certifier_pair_tests(lx, ly, edges) == 0
+        out, calls = _with_conflict_count(_listed_crossings, lx, ly, edges + [(2, 0)], 0)
+        assert [v.witness for v in out] == [(0, 0, 2), (0, 1, 2)] and calls == 0
+        assert out == layer_crossings_all_pairs(lx, ly, edges + [(2, 0)], 0)
+        assert _layer_crossings(lx, ly, edges + [(2, 0)], 0) == out
+
 
 @settings(max_examples=500, deadline=None)
 @given(
@@ -467,6 +480,10 @@ def _grid_id(grid):
     return "x".join(map(str, grid)) if isinstance(grid, tuple) else str(grid)
 
 
+def _grid_sides(grid):
+    return grid if isinstance(grid, tuple) else (grid, grid)
+
+
 _SEARCH_GRIDS = _SMALL_GRIDS + [5, (5, 3), (3, 5), (6, 2)]
 
 
@@ -485,22 +502,29 @@ def _path_sets(grid):
 def test_five_point_search_matches_table_search(grid):
     # Against the table search on the small grids, and against the
     # per-placement search, which is the faster reference there, on the
-    # larger ones.
+    # larger ones.  A grid with a side below 3 holds no five points in
+    # general position: the references find no placement there, and the
+    # search refuses the grid instead of claiming that verdict.
     reference = five_point_check_table if grid in _SMALL_GRIDS else five_point_check_dfs
+    w, h = _grid_sides(grid)
     for paths in _path_sets(grid):
-        assert _search_outcome(exhaustive_five_point_check(grid, paths)) == _search_outcome(
-            reference(grid, paths)
-        )
+        want = _search_outcome(reference(grid, paths))
+        if min(w, h) < 3:
+            assert want[0] is None
+            with pytest.raises(InvalidInstanceError, match=f"grid {w}x{h} holds no five points"):
+                exhaustive_five_point_check(grid, paths)
+        else:
+            assert _search_outcome(exhaustive_five_point_check(grid, paths)) == want
 
 
 @pytest.mark.parametrize("grid", _SEARCH_GRIDS, ids=_grid_id)
-def test_shadow_table_search_matches_per_candidate_search(grid, monkeypatch):
+def test_shadow_table_search_matches_per_candidate_search(grid):
     # The search with hoisted shadows from one table against the loop that
     # computed every shadow of the next level for every candidate.
-    path_sets = _path_sets(grid)
-    hoisted = [_search_outcome(exhaustive_five_point_check(grid, p)) for p in path_sets]
-    monkeypatch.setattr(mapped, "_search_grid", search_grid_per_candidate)
-    assert [_search_outcome(exhaustive_five_point_check(grid, p)) for p in path_sets] == hoisted
+    w, h = _grid_sides(grid)
+    for paths in _path_sets(grid):
+        checks = mapped._cross_checks(paths)
+        assert mapped._search_grid(w, h, checks) == search_grid_per_candidate(w, h, checks)
 
 
 @pytest.mark.parametrize("grid", [(4, 4), (5, 3), (6, 2)], ids=_grid_id)
