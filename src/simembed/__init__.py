@@ -78,7 +78,6 @@ from .unmapped import (
     planar_grid_draw,
     simul_embed_free,
 )
-from .cli import cli_main
 
 __version__ = "0.1.0"
 
@@ -137,3 +136,13 @@ __all__ = [
     "validate_instance",
     "validate_layer",
 ]
+
+
+def __getattr__(name: str):
+    # The command line is imported on first use (PEP 562): imported eagerly,
+    # ``python -m simembed.cli`` would find the module loaded before running it.
+    if name == "cli_main":
+        from .cli import cli_main
+
+        return cli_main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -342,10 +342,12 @@ def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]
     :func:`graphs.maximalize_outerplanar` makes from sparse input are mostly
     such splits.  An angular order is sorted only when a split with two
     nonempty sides needs it, by float keys that are exact up to ties (see
-    :func:`_angular_sort`).  What stays quadratic in the worst case is
-    work per split over the whole subproblem: the copy of the surviving
-    order and, when the empty side alternates as in a zig-zag, the sort of
-    the order the parent did not pass down.
+    :func:`_angular_sort`), and then only around its new point r, with no
+    rank table (see :func:`_select_split`).  What stays quadratic in the
+    worst case is work per split over the whole subproblem: the copy of
+    the surviving order, the sort around r when one side stays small (the
+    apex two past the low end), and, when the empty side alternates as in
+    a zig-zag, the sort of the order the parent did not pass down.
     """
     validate_layer(layer, len(pts))
     if layer.kind != "outerplanar" or layer.outer_cycle is None:
@@ -534,42 +536,36 @@ def _select_split(
     Degenerate sides: if n_b = 0, every q-rank is at most m - 1 = n_a, so
     r = ``by_p[0]`` and A is ``by_p[1:]``; if n_a = 0, r is the point of
     q-rank 0, ``by_q[0]``, and B is ``by_q[1:]``.  :func:`_embed_chain`
-    takes those splits itself, without this function's ranks and sorts.
+    takes those splits itself, without this function's sorts.
 
     Returns each side as its subproblem's two angular orders: A around p
-    and around r, B around r and around q.  A lies beyond pr, so A's order
-    around p, from ray pr, is ``by_p`` restricted to A; likewise B's order
-    around q, from ray qr, is ``by_q`` restricted to B.  General position
-    makes every angular order total, so only orders around the new point r
-    need sorting.  Around r, from ray rp, the points beyond pr only come
-    before the wedge, whose points nearest them go to A; from ray rq, the
-    points beyond qr only come before the wedge, traversed the other way.
-    So each side's order around r is its own points beyond one line only,
-    sorted, followed by its part of the sorted wedge, and every point is
-    sorted around r once.  :func:`_angular_sort` keys each point by minus
-    the cotangent of its angle, -dot/|cross|, a correctly rounded int / int
-    that never inverts two points; only points with equal float keys are
-    ordered by the exact orientation predicate.
+    and around r, B around r and around q.  The rule needs no rank table:
+    r is the first point of ``by_p`` among the n_a + 1 first of ``by_q``.
+    Around r, from ray rp, the points after r in ``by_p`` (beyond pr) put
+    those beyond pr only before the wedge; there are at most n_a of them
+    and at least n_a points beyond pr, so A is the n_a first points of
+    that order, which is A's order around r.  B takes the rest, reversed,
+    after the points before r in ``by_p``: those lie beyond qr only, as
+    triangle pqr is empty, so from ray rq they come first.  A lies beyond
+    pr and B beyond qr, so A's order around p is ``by_p`` restricted to A
+    and B's around q is ``by_q`` restricted to B.  Only orders around the
+    new point r need sorting (general position makes every order total),
+    and every point is sorted around r once.  :func:`_angular_sort` keys
+    each point by minus the cotangent of its angle, -dot/|cross|, a
+    correctly rounded int / int that never inverts two points; only points
+    with equal float keys are ordered by the exact orientation predicate.
     """
-    rank_p = {x: i for i, x in enumerate(by_p)}
-    rank_q = {x: i for i, x in enumerate(by_q)}
-    r = next(x for x in by_p if rank_q[x] <= n_a)
-    i, j = rank_p[r], rank_q[r]
-    beyond_p, beyond_q = by_p[i + 1 :], by_q[j + 1 :]
-    only_a = [x for x in beyond_p if rank_q[x] < j]
-    only_b = [x for x in beyond_q if rank_p[x] < i]
-    both = _angular_sort(pts, r, p, [x for x in beyond_p if rank_q[x] > j])
-    cut = n_a - len(only_a)
-    in_a = set(both[:cut])
+    head = set(by_q[: n_a + 1])
+    i, r = next((i, x) for i, x in enumerate(by_p) if x in head)
+    beyond_p = by_p[i + 1 :]
+    around_r = _angular_sort(pts, r, p, beyond_p)
+    in_a = set(around_r[:n_a])
     return (
         r,
+        ([x for x in beyond_p if x in in_a], around_r[:n_a]),
         (
-            [x for x in beyond_p if rank_q[x] < j or x in in_a],
-            _angular_sort(pts, r, p, only_a) + both[:cut],
-        ),
-        (
-            _angular_sort(pts, r, q, only_b) + both[cut:][::-1],
-            [x for x in beyond_q if x not in in_a],
+            _angular_sort(pts, r, q, by_p[:i]) + around_r[n_a:][::-1],
+            [x for x in by_q[by_q.index(r) + 1 :] if x not in in_a],
         ),
     )
 
@@ -587,10 +583,12 @@ def simul_embed_free(layers: list[Layer], n: int) -> SimultaneousEmbedding:
     :func:`general_position_bounds`, or without a plane layer the
     parabola set, within p x p for p the smallest prime >= n.  Both leave
     no three points collinear by construction, so neither is checked
-    again.  Each outerplanar layer is maximalized and mapped onto those
-    points by the split of :func:`embed_outerplanar_on_points`.  Layers
-    keep their order and their own index spaces; the returned assignments
-    map them onto the shared points, the identity for the plane layer.
+    again.  Each outerplanar layer is maximalized, which validates it and
+    refuses crossing chords before any point is drawn, and mapped onto
+    those points by the split of :func:`embed_outerplanar_on_points`.
+    Layers keep their order and their own index spaces; the returned
+    assignments map them onto the shared points, the identity for the
+    plane layer.
     """
     if not layers:
         raise InvalidInstanceError("need at least one layer")
@@ -601,16 +599,16 @@ def simul_embed_free(layers: list[Layer], n: int) -> SimultaneousEmbedding:
             "at most one planar layer plus any number of outerplanar layers"
         )
     planar = [layer for layer in layers if layer.kind == "planar"]
-    for layer in layers:
-        if layer.kind == "outerplanar":  # the plane layer is validated by its drawing
-            validate_layer(layer, n)
+    # None for the plane layer, which its drawing validates
+    maximal = [
+        maximalize_outerplanar(layer, n)[0] if layer.kind == "outerplanar" else None
+        for layer in layers
+    ]
     pts = planar_general_position_draw(planar[0], n) if planar else parabola_pointset(n)
     root = _hull_root(pts) if "outerplanar" in kinds else None
     assignments = [
-        list(range(n))
-        if layer.kind == "planar"
-        else _embed_on_general_position(maximalize_outerplanar(layer, n)[0], pts, root)
-        for layer in layers
+        list(range(n)) if m is None else _embed_on_general_position(m, pts, root)
+        for m in maximal
     ]
     coords, width, height = _translate_to_origin(pts)
     return SimultaneousEmbedding(

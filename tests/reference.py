@@ -766,6 +766,43 @@ def angular_sort_comparator(
     return sorted(others, key=cmp_to_key(cmp))
 
 
+def select_split_rank_dicts(
+    pts: list[GridPoint],
+    p: int,
+    q: int,
+    by_p: list[int],
+    by_q: list[int],
+    n_a: int,
+    n_b: int,
+) -> tuple[int, tuple[list[int], list[int]], tuple[list[int], list[int]]]:
+    """``unmapped._select_split`` as it was written first: full p- and
+    q-rank dicts, r as the first point in p-order of q-rank at most n_a,
+    the points beyond pr only, beyond qr only and beyond both found by
+    filtering on ranks, each sorted around r on its own, and the wedge
+    (beyond both) cut so that |A| = n_a."""
+    rank_p = {x: i for i, x in enumerate(by_p)}
+    rank_q = {x: i for i, x in enumerate(by_q)}
+    r = next(x for x in by_p if rank_q[x] <= n_a)
+    i, j = rank_p[r], rank_q[r]
+    beyond_p, beyond_q = by_p[i + 1 :], by_q[j + 1 :]
+    only_a = [x for x in beyond_p if rank_q[x] < j]
+    only_b = [x for x in beyond_q if rank_p[x] < i]
+    both = unmapped._angular_sort(pts, r, p, [x for x in beyond_p if rank_q[x] > j])
+    cut = n_a - len(only_a)
+    in_a = set(both[:cut])
+    return (
+        r,
+        (
+            [x for x in beyond_p if rank_q[x] < j or x in in_a],
+            unmapped._angular_sort(pts, r, p, only_a) + both[:cut],
+        ),
+        (
+            unmapped._angular_sort(pts, r, q, only_b) + both[cut:][::-1],
+            [x for x in beyond_q if x not in in_a],
+        ),
+    )
+
+
 def embed_on_general_position_eager(layer: Layer, pts: list[GridPoint]) -> list[int]:
     """``unmapped._embed_on_general_position`` as it was written first, for
     a valid maximal outerplanar layer on k >= 3 points: every subproblem

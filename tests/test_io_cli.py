@@ -710,7 +710,8 @@ def test_cli_fivepaths_verdict(tmp_path):
 @pytest.mark.parametrize("module", ["simembed", "simembed.cli"])
 def test_cli_runs_as_a_module(tmp_path, module):
     # The package and its cli module both run the command line under
-    # python -m, in a fresh interpreter that finds this checkout's package.
+    # python -m, in a fresh interpreter that finds this checkout's package,
+    # without runpy's warning that the module was imported before it ran.
     out = tmp_path / "five.json"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -722,6 +723,7 @@ def test_cli_runs_as_a_module(tmp_path, module):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
     assert json.loads(out.read_text(encoding="utf-8"))["search"]["placements_checked"] == 420
 
 

@@ -19,8 +19,10 @@ properly crosses, and its sampled probe must draw what the separate
 sampled loop drew.  The outerplanar point-set
 embedder, with lazy angular orders, interval chains and float-keyed
 sorts, must assign what the eager slicing loop with comparator sorts
-assigns, and the heap-driven peeling of the shift-method drawing must
-draw what the walk over the whole outer path drew.  The brute-force
+assigns, its split, which builds no rank table, must return what the
+split on full rank dicts returned, and the heap-driven peeling of the
+shift-method drawing must draw what the walk over the whole outer path
+drew.  The brute-force
 assignment search that the point-set tests use as an oracle is checked
 here on hand-made cases.
 """
@@ -57,6 +59,7 @@ from reference import (
     plane_triangulation_rebuild,
     same_ray,
     search_grid_per_candidate,
+    select_split_rank_dicts,
     triangulate_plane_retrace,
 )
 from simembed import (
@@ -68,12 +71,14 @@ from simembed import (
     SearchBudgetError,
     caterpillar_decompose,
     certify_general_position,
+    convex_hull,
     embed_outerplanar_on_points,
     embed_path_caterpillar,
     exhaustive_five_point_check,
     generate,
     maximalize_outerplanar,
     orient,
+    parabola_pointset,
     path_from_digits,
     planar_general_position_draw,
     simul_embed_free,
@@ -632,6 +637,33 @@ def test_float_key_ties_are_ordered_exactly():
     assert expected == [4, 3, 2, 5]  # the steeper the slope, the later
     assert unmapped._angular_sort(pts, 0, 1, others) == expected
     assert unmapped._angular_sort(pts, 0, 1, others[::-1]) == expected
+
+
+@st.composite
+def parabola_subsets(draw):
+    # Any subset of a parabola set is again in general position.
+    pts = parabola_pointset(draw(st.integers(3, 60)))
+    keep = draw(st.sets(st.integers(0, len(pts) - 1), min_size=3))
+    return [pts[i] for i in sorted(keep)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(general_position_points(max_size=24, coord_max=10**4), parabola_subsets()),
+    st.integers(0, 10**6),
+)
+def test_split_without_rank_dicts_matches_rank_dicts(pts, edge):
+    # On any hull edge (p, q), every split n_a + n_b + 1 = m of the other
+    # m points picks the same r, sides and orders as the rank-dict body.
+    hull = convex_hull(pts)
+    p, q = hull[edge % len(hull)], hull[(edge + 1) % len(hull)]
+    others = [i for i in range(len(pts)) if i not in (p, q)]
+    by_p = unmapped._angular_sort(pts, p, q, others)
+    by_q = unmapped._angular_sort(pts, q, p, others)
+    m = len(others)
+    for n_a in range(m):
+        args = (pts, p, q, by_p, by_q, n_a, m - 1 - n_a)
+        assert unmapped._select_split(*args) == select_split_rank_dicts(*args)
 
 
 def _relabelled(k: int, edges, rng: random.Random) -> Layer:

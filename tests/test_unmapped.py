@@ -364,6 +364,24 @@ def test_simul_outerplanars_single_layer():
     assert certify_embedding(emb, free_instance([tri], 3)).ok
 
 
+def test_crossing_chords_are_refused_before_the_plane_drawing(monkeypatch):
+    # Maximalizing validates every outerplanar layer, so a layer whose
+    # chords cross is refused before the plane layer is triangulated and drawn.
+    drawn = []
+    monkeypatch.setattr(
+        unmapped, "planar_general_position_draw", lambda *args: drawn.append(args)
+    )
+    n = 6
+    crossing = Layer(
+        "outerplanar",
+        [(i, (i + 1) % n) for i in range(n)] + [(0, 3), (1, 4)],
+        outer_cycle=list(range(n)),
+    )
+    with pytest.raises(InvalidInstanceError, match="cross"):
+        simul_embed_free([octahedron(), crossing], n)
+    assert drawn == []
+
+
 def test_free_pipelines_check_their_point_set_once(monkeypatch):
     calls = []
     real = unmapped.find_collinear_triple
