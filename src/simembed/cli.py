@@ -29,8 +29,8 @@ from .generate import generate
 from .graphs import (
     LayeredInstance,
     SimultaneousEmbedding,
-    as_path,
-    caterpillar_decompose,
+    _caterpillar,
+    _path_order,
     validate_instance,
 )
 from .mapped import (
@@ -51,10 +51,14 @@ SUPPORTED_GIVEN = "path+path, path+caterpillar, caterpillar+caterpillar"
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        where = "stdin" if path == "-" else path
+        raise ParseError(f"{where} is not UTF-8 text: {exc}") from exc
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -80,16 +84,17 @@ def _parse_bounds(text: Optional[str]) -> Optional[tuple[int, int]]:
 
 
 # The two-layer embedders for a given mapping by layer classes, keyed in
-# the order each takes its layers.  The lambdas look the embedders up in
-# this module when called, so a patched module attribute is the one that
-# runs.
+# the order each takes its layers.  parse_instance has validated every
+# layer, so they recover paths and caterpillars without validating again.
+# The lambdas look the embedders up in this module when called, so a
+# patched module attribute is the one that runs.
 _PAIR_EMBEDDERS = {
-    ("path", "path"): lambda a, b, n: embed_two_paths(as_path(a, n), as_path(b, n)),
+    ("path", "path"): lambda a, b, n: embed_two_paths(_path_order(a, n), _path_order(b, n)),
     ("path", "caterpillar"): lambda a, b, n: embed_path_caterpillar(
-        as_path(a, n), caterpillar_decompose(b, n)
+        _path_order(a, n), _caterpillar(b, n)
     )[0],
     ("caterpillar", "caterpillar"): lambda a, b, n: embed_two_caterpillars(
-        caterpillar_decompose(a, n), caterpillar_decompose(b, n)
+        _caterpillar(a, n), _caterpillar(b, n)
     ),
 }
 

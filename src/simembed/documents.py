@@ -43,12 +43,19 @@ def _int_pairs(value: Any, what: str) -> list[tuple[int, int]]:
     return out
 
 
+def _loads(text: str | bytes) -> Any:
+    # JSONDecodeError is a ValueError, and so are a bytes document that is
+    # not UTF-8 and an integer literal over CPython's digit limit; nesting
+    # deeper than the recursion limit raises RecursionError.
+    try:
+        return json.loads(text)
+    except (RecursionError, ValueError) as exc:
+        raise ParseError(f"malformed JSON: {exc}") from exc
+
+
 def parse_instance(text: str | bytes) -> LayeredInstance:
     """Parse and validate an instance document."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+    data = _loads(text)
     if not isinstance(data, dict):
         raise ParseError("instance document must be a JSON object")
     _require_keys(data, _INSTANCE_KEYS, "instance")
@@ -177,10 +184,7 @@ def parse_result(
     text: str | bytes, layers: list[list[tuple[int, int]]]
 ) -> tuple[SimultaneousEmbedding, Optional[CertificateReport]]:
     """Rebuild an embedding from a result document plus its instance's layers."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+    data = _loads(text)
     if not isinstance(data, dict):
         raise ParseError("result document must be a JSON object")
     _require_keys(data, _RESULT_KEYS, "result")

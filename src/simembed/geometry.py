@@ -56,22 +56,29 @@ def _next_prime(m: int) -> int:
     return c
 
 
-@dataclass(frozen=True, order=True)
+# A frozen dataclass refuses its own __setattr__; fields are set through
+# object's, as its generated __init__ does.
+_set_field = object.__setattr__
+
+
+@dataclass(frozen=True, order=True, init=False)
 class GridPoint:
     """An exact lattice point.  Out-of-budget coordinates are rejected."""
 
     x: int
     y: int
 
-    def __post_init__(self) -> None:
-        if type(self.x) is not int or type(self.y) is not int:
+    # Checks the arguments, then sets the fields, in one frame: the
+    # generated __init__ would call a __post_init__ as a second one.
+    def __init__(self, x: int, y: int) -> None:
+        if type(x) is not int or type(y) is not int:
+            raise CoordinateBudgetError(f"coordinates must be integers, got ({x!r}, {y!r})")
+        if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:
             raise CoordinateBudgetError(
-                f"coordinates must be integers, got ({self.x!r}, {self.y!r})"
+                f"coordinate magnitude exceeds budget 2^40: ({x}, {y})"
             )
-        if abs(self.x) > COORD_LIMIT or abs(self.y) > COORD_LIMIT:
-            raise CoordinateBudgetError(
-                f"coordinate magnitude exceeds budget 2^40: ({self.x}, {self.y})"
-            )
+        _set_field(self, "x", x)
+        _set_field(self, "y", y)
 
 
 def _parabola_lift(base: list[GridPoint], scale: int, p: int) -> list[GridPoint]:

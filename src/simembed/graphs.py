@@ -64,7 +64,7 @@ class PathOrder:
         return len(self.order)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(self.order[i], self.order[i + 1]) for i in range(len(self.order) - 1)]
+        return list(zip(self.order, self.order[1:]))
 
 
 @dataclass
@@ -96,7 +96,7 @@ class Caterpillar:
         return sum(len(l) for l in self.legs)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = [(self.spine[i], self.spine[i + 1]) for i in range(len(self.spine) - 1)]
+        out = list(zip(self.spine, self.spine[1:]))
         for parent, legs in zip(self.spine, self.legs):
             out.extend((parent, leg) for leg in legs)
         return out
@@ -182,79 +182,123 @@ def _connected(n: int, adj: list[list[int]]) -> bool:
 def as_path(layer: Layer, n: int) -> PathOrder:
     """Recover the linear order of a path layer.
 
-    The returned order starts at the lower-indexed endpoint.  Raises for
-    cycles, branch vertices, and disconnected layers.
+    Runs :func:`validate_layer`, then one linear walk.  The returned order
+    starts at the lower-indexed endpoint.  Raises for cycles, branch
+    vertices, and disconnected layers.
     """
     validate_layer(layer, n)
-    if len(layer.edges) != n - 1:
+    return _path_order(layer, n)
+
+
+def _path_order(layer: Layer, n: int) -> PathOrder:
+    # as_path on a layer that validate_layer has passed.  Each vertex keeps
+    # its degree and the XOR of its neighbours, so the walk leaves a vertex
+    # entered from prev by link ^ prev.  With n - 1 edges and no degree over
+    # 2 the layer is one path plus cycles.  The two ends are that path's, so
+    # the walk from one stops at the other, and it missed a cycle if it
+    # covered fewer than n vertices.
+    edges = layer.edges
+    if len(edges) != n - 1:
         raise InvalidInstanceError(f"path on {n} vertices needs {n - 1} edges")
     if n == 1:
         return PathOrder([0])
-    adj = _adjacency(n, layer.edges)
-    deg = [len(a) for a in adj]
-    if any(d > 2 for d in deg):
+    deg = [0] * n
+    link = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+        link[u] ^= v
+        link[v] ^= u
+    if max(deg) > 2:
         bad = next(v for v in range(n) if deg[v] > 2)
         raise InvalidInstanceError(f"not a path: branch vertex {bad}")
-    ends = [v for v in range(n) if deg[v] == 1]
-    if len(ends) != 2:
+    if deg.count(1) != 2:
         raise InvalidInstanceError("not a path: contains a cycle or is disconnected")
-    order = [min(ends)]
-    prev = -1
-    while len(order) < n:
-        nxt = [w for w in adj[order[-1]] if w != prev]
-        if not nxt:
-            raise InvalidInstanceError("not a path: disconnected")
-        prev = order[-1]
-        order.append(nxt[0])
+    first = deg.index(1)
+    last = deg.index(1, first + 1)
+    order = [first]
+    prev, cur = first, link[first]
+    while cur != last:
+        order.append(cur)
+        prev, cur = cur, link[cur] ^ prev
+    order.append(last)
+    if len(order) < n:
+        raise InvalidInstanceError("not a path: disconnected")
     return PathOrder(order)
 
 
 def caterpillar_decompose(layer: Layer, n: int) -> Caterpillar:
     """Split a caterpillar layer into its spine and per-spine-vertex legs.
 
-    The spine is the leaf-pruned tree, which must form a path; legs attach
-    in input edge order.  A star prunes down to its center (spine length
-    one), and the two-vertex path is treated as a star centered at the
-    lower index.
+    Runs :func:`validate_layer`, then two linear passes over the edges and
+    one walk along the spine.  The spine is the leaf-pruned tree, which
+    must form a path; legs attach in input edge order.  A star prunes down
+    to its center (spine length one), and the two-vertex path is treated as
+    a star centered at the lower index.
     """
     validate_layer(layer, n)
-    if len(layer.edges) != n - 1:
+    return _caterpillar(layer, n)
+
+
+def _caterpillar(layer: Layer, n: int) -> Caterpillar:
+    # caterpillar_decompose on a layer that validate_layer has passed.  The
+    # spine is every vertex of degree 2 or more.  A leaf edge hands its leaf
+    # to the other end's legs; a spine edge is counted and XOR-linked as in
+    # _path_order.  With n - 1 edges the layer is a tree iff it has no
+    # cycle, and a cycle only runs along spine edges: so the layer is a tree
+    # iff the walk from one end of the spine covers it.  An edge between two
+    # leaves is a component of its own.  Only a branching spine, which the
+    # walk cannot follow, takes a search to tell a disconnected layer, whose
+    # error comes first, from a tree that is not a caterpillar.
+    edges = layer.edges
+    if len(edges) != n - 1:
         raise InvalidInstanceError(f"tree on {n} vertices needs {n - 1} edges")
-    adj = _adjacency(n, layer.edges)
-    if not _connected(n, adj):
-        raise InvalidInstanceError("not a tree: disconnected")
     if n == 1:
         return Caterpillar([0], [[]])
-    deg = [len(a) for a in adj]
-    spine_set = {v for v in range(n) if deg[v] >= 2}
-    if not spine_set:
-        # Single edge: both vertices are leaves.
-        u, v = layer.edges[0]
-        return Caterpillar([min(u, v)], [[max(u, v)]])
-    pruned_deg = {v: sum(1 for w in adj[v] if w in spine_set) for v in spine_set}
-    if any(d > 2 for d in pruned_deg.values()):
-        bad = next(v for v in sorted(spine_set) if pruned_deg[v] > 2)
+    if n == 2:  # the one edge joins 0 and 1
+        return Caterpillar([0], [[1]])
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    legs: dict[int, list[int]] = {v: [] for v in range(n) if deg[v] > 1}
+    spine_deg = [0] * n
+    link = [0] * n
+    for u, v in edges:
+        if deg[u] == 1:
+            if deg[v] == 1:
+                raise InvalidInstanceError("not a tree: disconnected")
+            legs[v].append(u)
+        elif deg[v] == 1:
+            legs[u].append(v)
+        else:
+            spine_deg[u] += 1
+            spine_deg[v] += 1
+            link[u] ^= v
+            link[v] ^= u
+    if max(spine_deg) > 2:
+        if not _connected(n, _adjacency(n, edges)):
+            raise InvalidInstanceError("not a tree: disconnected")
+        bad = next(v for v in range(n) if spine_deg[v] > 2)
         raise InvalidInstanceError(
             f"not a caterpillar: pruned tree branches at vertex {bad}"
         )
-    if len(spine_set) == 1:
-        spine = [next(iter(spine_set))]
+    if len(legs) == 1:
+        spine = list(legs)
     else:
-        endpoints = sorted(v for v in spine_set if pruned_deg[v] <= 1)
-        if len(endpoints) != 2:
-            raise InternalInvariantError("pruned tree of a tree must stay connected")
-        spine = [endpoints[0]]
-        prev = -1
-        while True:
-            nxt = [w for w in adj[spine[-1]] if w in spine_set and w != prev]
-            if not nxt:
-                break
-            prev = spine[-1]
-            spine.append(nxt[0])
-        if len(spine) != len(spine_set):
-            raise InternalInvariantError("pruned tree walk did not cover the spine")
-    legs = [[w for w in adj[p] if deg[w] == 1] for p in spine]
-    return Caterpillar(spine, legs)
+        if spine_deg.count(1) != 2:
+            raise InvalidInstanceError("not a tree: disconnected")
+        first = spine_deg.index(1)
+        last = spine_deg.index(1, first + 1)
+        spine = [first]
+        prev, cur = first, link[first]
+        while cur != last:
+            spine.append(cur)
+            prev, cur = cur, link[cur] ^ prev
+        spine.append(last)
+        if len(spine) < len(legs):
+            raise InvalidInstanceError("not a tree: disconnected")
+    return Caterpillar(spine, [legs[p] for p in spine])
 
 
 def caterpillar_to_path(cat: Caterpillar) -> PathOrder:

@@ -28,7 +28,7 @@ from simembed import (
 from simembed import certify, unmapped
 from simembed.errors import SearchBudgetError
 from simembed.geometry import _conflict_raw, orient
-from simembed.graphs import _trace_faces, rotation_system_from_faces
+from simembed.graphs import _adjacency, _connected, _trace_faces, rotation_system_from_faces
 from simembed.mapped import (
     EXHAUSTIVE_GRID_LIMIT,
     FivePointSearchResult,
@@ -115,6 +115,76 @@ def plane_triangulation_rebuild(n: int, seed: int) -> Layer:
 
     edges = sorted(tuple(sorted(e)) for e in edge_set)
     return Layer(kind="planar", edges=edges, rotation=rotation_system_from_faces(n, faces))
+
+
+def as_path_neighbour_lists(layer: Layer, n: int) -> PathOrder:
+    """``as_path`` by adjacency lists: from the lower end, each step keeps
+    the neighbours of the last vertex other than the one before it."""
+    validate_layer(layer, n)
+    if len(layer.edges) != n - 1:
+        raise InvalidInstanceError(f"path on {n} vertices needs {n - 1} edges")
+    if n == 1:
+        return PathOrder([0])
+    adj = _adjacency(n, layer.edges)
+    deg = [len(a) for a in adj]
+    if any(d > 2 for d in deg):
+        bad = next(v for v in range(n) if deg[v] > 2)
+        raise InvalidInstanceError(f"not a path: branch vertex {bad}")
+    ends = [v for v in range(n) if deg[v] == 1]
+    if len(ends) != 2:
+        raise InvalidInstanceError("not a path: contains a cycle or is disconnected")
+    order = [min(ends)]
+    prev = -1
+    while len(order) < n:
+        nxt = [w for w in adj[order[-1]] if w != prev]
+        if not nxt:
+            raise InvalidInstanceError("not a path: disconnected")
+        prev = order[-1]
+        order.append(nxt[0])
+    return PathOrder(order)
+
+
+def caterpillar_decompose_neighbour_lists(layer: Layer, n: int) -> Caterpillar:
+    """``caterpillar_decompose`` by adjacency lists: a search for
+    connectivity, a spine set with pruned degrees, and a walk that keeps the
+    spine neighbours of the last vertex other than the one before it."""
+    validate_layer(layer, n)
+    if len(layer.edges) != n - 1:
+        raise InvalidInstanceError(f"tree on {n} vertices needs {n - 1} edges")
+    adj = _adjacency(n, layer.edges)
+    if not _connected(n, adj):
+        raise InvalidInstanceError("not a tree: disconnected")
+    if n == 1:
+        return Caterpillar([0], [[]])
+    deg = [len(a) for a in adj]
+    spine_set = {v for v in range(n) if deg[v] >= 2}
+    if not spine_set:
+        u, v = layer.edges[0]
+        return Caterpillar([min(u, v)], [[max(u, v)]])
+    pruned_deg = {v: sum(1 for w in adj[v] if w in spine_set) for v in spine_set}
+    if any(d > 2 for d in pruned_deg.values()):
+        bad = next(v for v in sorted(spine_set) if pruned_deg[v] > 2)
+        raise InvalidInstanceError(
+            f"not a caterpillar: pruned tree branches at vertex {bad}"
+        )
+    if len(spine_set) == 1:
+        spine = [next(iter(spine_set))]
+    else:
+        endpoints = sorted(v for v in spine_set if pruned_deg[v] <= 1)
+        if len(endpoints) != 2:
+            raise InternalInvariantError("pruned tree of a tree must stay connected")
+        spine = [endpoints[0]]
+        prev = -1
+        while True:
+            nxt = [w for w in adj[spine[-1]] if w in spine_set and w != prev]
+            if not nxt:
+                break
+            prev = spine[-1]
+            spine.append(nxt[0])
+        if len(spine) != len(spine_set):
+            raise InternalInvariantError("pruned tree walk did not cover the spine")
+    legs = [[w for w in adj[p] if deg[w] == 1] for p in spine]
+    return Caterpillar(spine, legs)
 
 
 def path_caterpillar_rescan(p: PathOrder, cat: Caterpillar) -> tuple[list[GridPoint], int]:

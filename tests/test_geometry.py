@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -75,6 +76,49 @@ def test_coordinate_budget_enforced():
     for x, y in ((True, 1), (1, False), (False, True)):
         with pytest.raises(CoordinateBudgetError):
             P(x, y)
+
+
+def test_grid_point_semantics():
+    p = P(3, -4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.x = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.z = 5
+    assert (p.x, p.y) == (3, -4)
+    assert repr(p) == "GridPoint(x=3, y=-4)"
+    assert P(x=3, y=-4) == p and hash(P(3, -4)) == hash(p)
+    assert len({P(1, 2), P(1, 2), P(2, 1)}) == 2
+    # ordered as the tuple (x, y), yet never equal to one
+    assert sorted([P(2, 0), P(1, 5), P(1, -5)]) == [P(1, -5), P(1, 5), P(2, 0)]
+    assert P(1, 5) < P(2, 0) and P(1, 5) >= P(1, 5)
+    assert p != (3, -4)
+    with pytest.raises(TypeError):
+        p < (3, -4)
+    assert dataclasses.astuple(p) == (3, -4)
+    assert [f.name for f in dataclasses.fields(P)] == ["x", "y"]
+    assert dataclasses.replace(p, y=7) == P(3, 7)
+    with pytest.raises(CoordinateBudgetError):
+        dataclasses.replace(p, x=True)
+
+
+def test_grid_point_rejects_what_is_not_an_exact_int():
+    for x, y in ((True, 1), (1, False), (1.0, 1), (1, 2.5), ("1", 1), (None, 0)):
+        with pytest.raises(CoordinateBudgetError) as exc:
+            P(x, y)
+        assert str(exc.value) == f"coordinates must be integers, got ({x!r}, {y!r})"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_grid_point_budget_edges(sign):
+    lim = sign * COORD_LIMIT
+    assert COORD_LIMIT == 2**40
+    assert P(lim, lim) == P(lim, lim)
+    assert P(lim, 0).x == lim and P(0, lim).y == lim
+    over = sign * (COORD_LIMIT + 1)
+    for x, y in ((over, 0), (0, over), (over, over)):
+        with pytest.raises(CoordinateBudgetError) as exc:
+            P(x, y)
+        assert str(exc.value) == f"coordinate magnitude exceeds budget 2^40: ({x}, {y})"
 
 
 def test_predicates_exact_at_budget_extremes():

@@ -59,6 +59,64 @@ def test_as_path_roundtrip_random():
             )
 
 
+# Error texts of as_path and caterpillar_decompose, by case: the CLI prints
+# them as its one error line.
+PATH_ERRORS = {
+    "branch vertex": (4, [(3, 2), (2, 0), (2, 1)], "not a path: branch vertex 2"),
+    "cycle": (3, [(0, 1), (1, 2), (2, 0)], "path on 3 vertices needs 2 edges"),
+    "cycle plus isolated vertex": (
+        4, [(0, 1), (1, 2), (2, 0)], "not a path: contains a cycle or is disconnected"
+    ),
+    "path plus separate cycle": (
+        6, [(4, 5), (0, 1), (1, 2), (2, 0), (3, 4)], "not a path: disconnected"
+    ),
+    "n = 1 with an edge": (1, [(0, 0)], "loop at vertex 0"),
+    "n = 2 without edges": (2, [], "path on 2 vertices needs 1 edges"),
+}
+CATERPILLAR_ERRORS = {
+    "branch vertex": (
+        7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)],
+        "not a caterpillar: pruned tree branches at vertex 0",
+    ),
+    "cycle": (3, [(0, 1), (1, 2), (2, 0)], "tree on 3 vertices needs 2 edges"),
+    "path plus separate cycle": (
+        6, [(4, 5), (0, 1), (1, 2), (2, 0), (3, 4)], "not a tree: disconnected"
+    ),
+    "cycle with legs plus separate edge": (
+        7, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (5, 6)], "not a tree: disconnected"
+    ),
+    "branching cycle plus isolated vertex": (
+        7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)], "not a tree: disconnected"
+    ),
+    "n = 1 with an edge": (1, [(0, 0)], "loop at vertex 0"),
+    "n = 2 without edges": (2, [], "tree on 2 vertices needs 1 edges"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATH_ERRORS))
+def test_as_path_error_texts(case):
+    n, edges, text = PATH_ERRORS[case]
+    with pytest.raises(InvalidInstanceError) as exc:
+        as_path(Layer("path", edges), n)
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("case", sorted(CATERPILLAR_ERRORS))
+def test_caterpillar_decompose_error_texts(case):
+    n, edges, text = CATERPILLAR_ERRORS[case]
+    with pytest.raises(InvalidInstanceError) as exc:
+        caterpillar_decompose(Layer("caterpillar", edges), n)
+    assert str(exc.value) == text
+
+
+def test_one_and_two_vertices():
+    assert as_path(Layer("path", []), 1).order == [0]
+    assert caterpillar_decompose(Layer("caterpillar", []), 1) == Caterpillar([0], [[]])
+    for edge in ((0, 1), (1, 0)):
+        assert as_path(Layer("path", [edge]), 2).order == [0, 1]
+        assert caterpillar_decompose(Layer("caterpillar", [edge]), 2) == Caterpillar([0], [[1]])
+
+
 def test_caterpillar_star():
     cat = caterpillar_decompose(Layer("caterpillar", [(0, 1), (0, 2), (0, 3)]), 4)
     assert cat.spine == [0]

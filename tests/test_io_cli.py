@@ -28,7 +28,7 @@ from simembed import (
     serialize_instance,
     serialize_result,
 )
-from simembed import cli, unmapped
+from simembed import cli, graphs, unmapped
 from simembed.documents import _dumps, instance_to_json
 from simembed.generate import KINDS
 from test_golden import CASES
@@ -817,6 +817,93 @@ def test_cli_malformed_result_one_error_line(tmp_path, capsys, outerplanar_resul
     else:
         assert len(err) == 1 and err[0].startswith("error: "), err
 
+
+
+# ---------------------------------------------------------------------------
+# documents that the reader itself refuses: one error line, never a traceback
+# ---------------------------------------------------------------------------
+
+
+_THREE_VERTEX_PATHS = {
+    "n": 3, "mapping": "given", "layers": [{"class": "path", "edges": [[0, 1], [1, 2]]}] * 2,
+}
+_THREE_VERTEX_RESULT = {"coords": [[1, 1], [2, 2], [3, 3]], "width": 3, "height": 3}
+
+
+def _refused_by_every_reader(tmp_path, capsys, monkeypatch, instance: bytes, result: bytes):
+    # Runs each command that reads a document on the bad one (the instance
+    # through embed, from a file and from stdin, and through certify
+    # --instance; the result through certify --in and render) and returns
+    # the error lines.
+    good_inst, good_res = tmp_path / "inst.json", tmp_path / "res.json"
+    bad_inst, bad_res = tmp_path / "bad-inst.json", tmp_path / "bad-res.json"
+    good_inst.write_text(json.dumps(_THREE_VERTEX_PATHS), encoding="utf-8")
+    good_res.write_text(json.dumps(_THREE_VERTEX_RESULT), encoding="utf-8")
+    bad_inst.write_bytes(instance)
+    bad_res.write_bytes(result)
+    out = str(tmp_path / "out")
+    runs = {
+        "embed --in": ["embed", "--in", str(bad_inst), "--out", out],
+        "embed stdin": ["embed", "--in", "-", "--out", out],
+        "certify --instance": ["certify", "--in", str(good_res), "--instance", str(bad_inst),
+                               "--out", out],
+        "certify --in": ["certify", "--in", str(bad_res), "--instance", str(good_inst),
+                         "--out", out],
+        "render": ["render", "--in", str(bad_res), "--instance", str(good_inst), "--svg", out],
+    }
+    messages = []
+    for name, argv in runs.items():
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(instance), encoding="utf-8"))
+        capsys.readouterr()
+        rc = cli_main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1, name
+        assert len(err) == 1 and err[0].startswith("error: "), (name, err)
+        messages.append(err[0])
+    assert not os.path.exists(out)
+    return messages
+
+
+def test_cli_non_utf8_document_one_error_line(tmp_path, capsys, monkeypatch):
+    instance = b"\xff\xfe" + json.dumps(_THREE_VERTEX_PATHS).encode()
+    result = b"\xff\xfe" + json.dumps(_THREE_VERTEX_RESULT).encode()
+    messages = _refused_by_every_reader(tmp_path, capsys, monkeypatch, instance, result)
+    assert all("is not UTF-8 text" in m for m in messages), messages
+
+
+def test_cli_over_deep_document_one_error_line(tmp_path, capsys, monkeypatch):
+    deep = "[" * 100000 + "]" * 100000
+    instance = ('{"n": 3, "mapping": "given", "layers": ' + deep + "}").encode()
+    result = ('{"coords": ' + deep + ', "width": 3, "height": 3}').encode()
+    messages = _refused_by_every_reader(tmp_path, capsys, monkeypatch, instance, result)
+    assert all("malformed JSON" in m and "recursion" in m for m in messages), messages
+
+
+def test_cli_over_long_integer_document_one_error_line(tmp_path, capsys, monkeypatch):
+    digits = "9" * 5000
+    instance = ('{"n": ' + digits + ', "mapping": "given", "layers": []}').encode()
+    result = ('{"coords": [[1, 1], [2, 2], [3, ' + digits + ']], "width": 3, "height": 3}')
+    messages = _refused_by_every_reader(tmp_path, capsys, monkeypatch, instance, result.encode())
+    assert all("malformed JSON" in m and "digits" in m for m in messages), messages
+
+
+@pytest.mark.parametrize("kind", ["two-paths", "path-caterpillar", "two-caterpillars"])
+def test_cli_validates_each_layer_once(tmp_path, monkeypatch, kind):
+    # parse_instance validates both layers; the embedders recover paths and
+    # caterpillars from them without validating again
+    inst, res = str(tmp_path / "inst.json"), str(tmp_path / "res.json")
+    assert cli_main(["gen", "--kind", kind, "--n", "40", "--seed", "3", "--out", inst]) == 0
+    calls = []
+    validate = graphs.validate_layer
+    monkeypatch.setattr(
+        graphs, "validate_layer", lambda layer, n: calls.append(layer.kind) or validate(layer, n)
+    )
+    assert cli_main(["embed", "--in", inst, "--out", res]) == 0
+    assert len(calls) == 2, calls
+    calls.clear()
+    assert cli_main(["certify", "--in", res, "--instance", inst,
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 2, calls
 
 
 def _replace_first_one(rows):

@@ -44,7 +44,9 @@ from helpers import (
 )
 from reference import (
     angular_sort_comparator,
+    as_path_neighbour_lists,
     brute_force_point_assignment,
+    caterpillar_decompose_neighbour_lists,
     certifier_pair_tests,
     chords_cross,
     collinear_triples_cubic,
@@ -69,6 +71,7 @@ from simembed import (
     Layer,
     PathOrder,
     SearchBudgetError,
+    as_path,
     caterpillar_decompose,
     certify_general_position,
     convex_hull,
@@ -181,6 +184,55 @@ def test_chord_stack_matches_pair_scan():
 def test_plane_triangulation_matches_rebuild_per_flip(seed):
     for n in range(3, 61):
         assert generate("plane-triangulation", n, seed) == plane_triangulation_rebuild(n, seed)
+
+
+def _outcome(fn, layer, n):
+    # The returned value, or the type and text of the error raised.
+    try:
+        return fn(layer, n)
+    except InvalidInstanceError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "kind, recover, reference",
+    [
+        ("path", as_path, as_path_neighbour_lists),
+        ("caterpillar", caterpillar_decompose, caterpillar_decompose_neighbour_lists),
+    ],
+)
+def test_linear_walks_match_neighbour_lists(kind, recover, reference):
+    # Generated layers with edges shuffled and flipped, and random simple
+    # graphs with n - 1 edges: cycles, spiders, forests with a cycle, and
+    # isolated vertices, where the error raised must match as well.
+    rng = random.Random(13)
+    errors = set()
+    for trial in range(600):
+        n = rng.randrange(1, 60)
+        layer = flip_and_shuffle(generate(kind, n, trial), rng)
+        result = recover(layer, n)
+        assert result == reference(layer, n)
+        assert result.n == n
+    for trial in range(3000):
+        n = rng.randrange(2, 10)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in rng.sample(pairs, n - 1)]
+        layer = Layer(kind, edges)
+        got = _outcome(recover, layer, n)
+        assert got == _outcome(reference, layer, n), edges
+        if isinstance(got, tuple):
+            errors.add(re.sub(r"\d+", "#", got[1]))
+    assert errors == {
+        "path": {
+            "not a path: branch vertex #",
+            "not a path: contains a cycle or is disconnected",
+            "not a path: disconnected",
+        },
+        "caterpillar": {
+            "not a tree: disconnected",
+            "not a caterpillar: pruned tree branches at vertex #",
+        },
+    }[kind]
 
 
 def test_path_caterpillar_matches_shift_pass_over_all_vertices():
