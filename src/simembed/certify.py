@@ -99,10 +99,9 @@ def _sweep_frame(
 def _edge_table(
     xs: list[int], ys: list[int], edges: list[tuple[int, int]]
 ) -> tuple[list, ...]:
-    """One pass over a layer: each edge k oriented from its lexicographically
-    smaller endpoint L to its larger endpoint R, as the points ``lp[k]`` and
-    ``rp[k]``, their coordinates ``lx, ly, rx, ry``, the direction
-    ``dx, dy`` from L to R, and the sorted sweep events ``(x, y, enters, k)``
+    """One pass over a layer: the coordinates ``lx, ly, rx, ry`` of each
+    edge k oriented from its lexicographically smaller endpoint L to its
+    larger endpoint R, and the sorted sweep events ``(x, y, enters, k)``
     at L (enters = 1) and at R (enters = 0).
 
     An edge of length zero conflicts with nothing (its own orientations are
@@ -110,31 +109,39 @@ def _edge_table(
     inside a point), so it gets no events: neither :func:`_any_conflict`
     nor :func:`_listed_crossings` ever looks at it.
     """
-    lp: list[tuple[int, int]] = []
-    rp: list[tuple[int, int]] = []
     lx: list[int] = []
     ly: list[int] = []
     rx: list[int] = []
     ry: list[int] = []
     events = []
     for u, w in edges:
-        a, b = (xs[u], ys[u]), (xs[w], ys[w])
-        if b < a:
-            a, b = b, a
+        ax, ay, bx, by = xs[u], ys[u], xs[w], ys[w]
+        if bx < ax or bx == ax and by < ay:
+            ax, ay, bx, by = bx, by, ax, ay
         k = len(lx)
-        lp.append(a)
-        rp.append(b)
-        lx.append(a[0])
-        ly.append(a[1])
-        rx.append(b[0])
-        ry.append(b[1])
-        if a != b:
-            events.append((a[0], a[1], 1, k))
-            events.append((b[0], b[1], 0, k))
-    dx = [r - l for l, r in zip(lx, rx)]
-    dy = [r - l for l, r in zip(ly, ry)]
+        lx.append(ax)
+        ly.append(ay)
+        rx.append(bx)
+        ry.append(by)
+        if ax != bx or ay != by:
+            events.append((ax, ay, 1, k))
+            events.append((bx, by, 0, k))
     events.sort()
-    return lp, rp, lx, ly, rx, ry, dx, dy, events
+    return lx, ly, rx, ry, events
+
+
+def _pair_conflict(
+    lx: list[int], ly: list[int], rx: list[int], ry: list[int], i: int, j: int
+) -> bool:
+    """Whether edges i and j of an :func:`_edge_table` conflict.
+
+    The shared-endpoint rule: two edges with the same L (or the same R)
+    leave it into one open half-plane, so they meet beyond it iff they are
+    parallel.  Every other pair goes to the exact predicate.
+    """
+    if lx[i] == lx[j] and ly[i] == ly[j] or rx[i] == rx[j] and ry[i] == ry[j]:
+        return (rx[i] - lx[i]) * (ry[j] - ly[j]) == (ry[i] - ly[i]) * (rx[j] - lx[j])
+    return _conflict_raw(lx[i], ly[i], rx[i], ry[i], lx[j], ly[j], rx[j], ry[j])
 
 
 def _any_conflict(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) -> bool:
@@ -151,12 +158,12 @@ def _any_conflict(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) ->
     enters or when an edge between them leaves, are tested exactly, and
     only that test reports.
 
-    The shared-endpoint rule: two edges with the same L (or the same R)
-    leave it into one open half-plane, so they meet beyond it iff they are
-    parallel, dx_i * dy_j = dy_i * dx_j.  Every other pair goes to the
-    exact predicate; an edge whose R is the L of another has left the list
-    before the other enters, so such a pair is never tested.  So the
-    answer is never a false yes, and each edge costs at most three tests.
+    Each test is :func:`_pair_conflict`: two edges with the same L (or the
+    same R) leave it into one open half-plane, so they meet beyond it iff
+    they are parallel.  Every other pair goes to the exact predicate; an
+    edge whose R is the L of another has left the list before the other
+    enters, so such a pair is never tested.  So the answer is never a
+    false yes, and each edge costs at most three tests.
 
     No conflict is missed.  Shear the plane by (x, y) -> (x + εy, y) for a
     small ε > 0: orientations and intersections are unchanged, the
@@ -191,36 +198,34 @@ def _any_conflict(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) ->
     one it read as "lower" (or an end of the list), so g lands next to an
     element of M, and that neighbour test reports.
     """
-    lp, rp, lx, ly, rx, ry, dx, dy, events = _edge_table(xs, ys, edges)
-
-    def conflict(i: int, j: int) -> bool:
-        if lp[i] == lp[j] or rp[i] == rp[j]:
-            return dx[i] * dy[j] == dy[i] * dx[j]
-        return _conflict_raw(lx[i], ly[i], rx[i], ry[i], lx[j], ly[j], rx[j], ry[j])
-
+    lx, ly, rx, ry, events = _edge_table(xs, ys, edges)
     status: list[int] = []
     for x, y, enters, e in events:
         if not enters:
             i = status.index(e)
             del status[i]
-            if 0 < i < len(status) and conflict(status[i - 1], status[i]):
+            if 0 < i < len(status) and _pair_conflict(
+                lx, ly, rx, ry, status[i - 1], status[i]
+            ):
                 return True
             continue
+        ex, ey = rx[e] - x, ry[e] - y
         lo, hi = 0, len(status)
         while lo < hi:
             mid = (lo + hi) // 2
             k = status[mid]
-            side = dx[k] * (y - ly[k]) - dy[k] * (x - lx[k])
+            kx, ky = rx[k] - lx[k], ry[k] - ly[k]
+            side = kx * (y - ly[k]) - ky * (x - lx[k])
             if not side:
-                side = dx[k] * dy[e] - dy[k] * dx[e]
+                side = kx * ey - ky * ex
             if side > 0:
                 lo = mid + 1
             else:
                 hi = mid
         status.insert(lo, e)
-        if lo and conflict(status[lo - 1], e):
+        if lo and _pair_conflict(lx, ly, rx, ry, status[lo - 1], e):
             return True
-        if lo + 1 < len(status) and conflict(e, status[lo + 1]):
+        if lo + 1 < len(status) and _pair_conflict(lx, ly, rx, ry, e, status[lo + 1]):
             return True
     return False
 
@@ -240,18 +245,17 @@ def _listed_crossings(
     the later edges up to the last start at or below its R, found by
     bisection, and those pairs are filtered on the other axis.
 
-    Each pair that is left is decided by the shared-endpoint rule of
-    :func:`_any_conflict` when the two edges have the same L or the same
-    R.  When the R of the earlier edge is the L of the later one, p, they
+    When the R of the earlier edge is the L of the later one, p, they
     never conflict: the earlier lies lexicographically at or before p and
     the later at or after it, so they meet only at p, an endpoint of both.
     (The later edge's R lies after its L, so it is never the earlier one's
-    L.)  Every other pair goes to the exact predicate.  Every pair whose
+    L.)  Every other pair that is left is decided by
+    :func:`_pair_conflict`, as in :func:`_any_conflict`.  Every pair whose
     boxes overlap is looked at, so a layer whose long edges overlap one
     another costs O(m^2).
     """
     us, vs = _sweep_frame(xs, ys, edges)
-    lp, rp, lx, ly, rx, ry, dx, dy, events = _edge_table(us, vs, edges)
+    lx, ly, rx, ry, events = _edge_table(us, vs, edges)
     low = list(map(min, ly, ry))
     high = list(map(max, ly, ry))
     order = [k for _, _, enters, k in events if enters]
@@ -259,17 +263,11 @@ def _listed_crossings(
 
     hits = []
     for p, i in enumerate(order):
-        l_i, r_i, low_i, high_i = lp[i], rp[i], low[i], high[i]
-        for j in order[p + 1 : bisect_right(starts, rx[i])]:
-            if low[j] > high_i or high[j] < low_i:
+        rx_i, ry_i, low_i, high_i = rx[i], ry[i], low[i], high[i]
+        for j in order[p + 1 : bisect_right(starts, rx_i)]:
+            if low[j] > high_i or high[j] < low_i or lx[j] == rx_i and ly[j] == ry_i:
                 continue
-            if lp[j] == l_i or rp[j] == r_i:
-                hit = dx[i] * dy[j] == dy[i] * dx[j]
-            else:
-                hit = lp[j] != r_i and _conflict_raw(
-                    lx[i], ly[i], rx[i], ry[i], lx[j], ly[j], rx[j], ry[j]
-                )
-            if hit:
+            if _pair_conflict(lx, ly, rx, ry, i, j):
                 hits.append((i, j) if i < j else (j, i))
     hits.sort()
     return [Violation("layer-crossing", (layer_idx, i, j)) for i, j in hits]

@@ -53,7 +53,8 @@ SUPPORTED_GIVEN = "path+path, path+caterpillar, caterpillar+caterpillar"
 def _read(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # the text layer's error handler depends on the locale
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:

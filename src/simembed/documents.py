@@ -192,9 +192,14 @@ def parse_result(
         if key not in data:
             raise ParseError(f"result document missing {key!r}")
     coords = [GridPoint(x, y) for x, y in _int_pairs(data["coords"], "coords")]
-    for key in ("width", "height"):
+    for key, axis in (("width", [p.x for p in coords]), ("height", [p.y for p in coords])):
         if type(data[key]) is not int or data[key] < 1:
             raise ParseError(f"{key} must be a positive integer")
+        # every embedder writes the extent, so the document may not claim another
+        if axis and data[key] != max(axis) - min(axis) + 1:
+            raise ParseError(
+                f"{key} {data[key]} is not the coordinates' extent {max(axis) - min(axis) + 1}"
+            )
     assignments = data.get("assignments")
     if assignments is not None and not (
         isinstance(assignments, list)

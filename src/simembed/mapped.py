@@ -111,10 +111,12 @@ def _check_two_caterpillar_budget(n: int) -> None:
 
 def embed_two_caterpillars(c1: Caterpillar, c2: Caterpillar) -> SimultaneousEmbedding:
     """Linearize both caterpillars, lay the two paths out on n x n, then
-    refine to general position and swap the path edges for the caterpillar
-    edges.  Fits p*n x p*n for p the smallest prime >= n, and p < 2n for
-    n >= 2 (Bertrand's postulate).  The extent p*n + p - 1 is checked
-    against COORD_LIMIT before the caterpillars are linearized."""
+    lift that permutation grid onto the mod-p parabola as
+    :func:`refine_general_position` would (its base points are distinct and
+    inside [1, n]^2) and swap the path edges for the caterpillar edges.
+    Fits p*n x p*n for p the smallest prime >= n, and p < 2n for n >= 2
+    (Bertrand's postulate).  The extent p*n + p - 1 is checked against
+    COORD_LIMIT before the caterpillars are linearized."""
     n = c1.n
     if c2.n != n:
         raise InvalidInstanceError("caterpillars must share one vertex set")
@@ -122,8 +124,8 @@ def embed_two_caterpillars(c1: Caterpillar, c2: Caterpillar) -> SimultaneousEmbe
     p1 = caterpillar_to_path(c1)
     p2 = caterpillar_to_path(c2)
     base = embed_two_paths(p1, p2)
-    refined = refine_general_position(base.coords, n)
-    coords, width, height = _translate_to_origin(refined)
+    prime = _next_prime(n)
+    coords, width, height = _translate_to_origin(_parabola_lift(base.coords, prime, prime))
     return SimultaneousEmbedding(
         coords=coords, layers=[c1.edges(), c2.edges()], width=width, height=height
     )

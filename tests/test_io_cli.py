@@ -794,6 +794,9 @@ MALFORMED_RESULTS = {
     "width-abc": _set("width", "abc"),
     "height-null": _set("height", None),
     "width-zero": _set("width", 0),
+    # every embedder writes the coordinates' extent, max - min + 1
+    "width-not-the-extent": _set("width", 1),
+    "height-not-the-extent": _set("height", 99999),
     "certificate-no-violations": _set("certificate", {"ok": True}),
     "certificate-string": _set("certificate", "yes"),
 }
@@ -853,7 +856,10 @@ def _refused_by_every_reader(tmp_path, capsys, monkeypatch, instance: bytes, res
     }
     messages = []
     for name, argv in runs.items():
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(instance), encoding="utf-8"))
+        # Under a C or POSIX locale Python opens stdin with surrogateescape,
+        # which turns bytes that are not UTF-8 into text instead of failing.
+        stdin = io.TextIOWrapper(io.BytesIO(instance), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
         capsys.readouterr()
         rc = cli_main(argv)
         err = capsys.readouterr().err.splitlines()

@@ -227,6 +227,26 @@ def test_two_caterpillars_random_certified_within_bounds():
         assert certify_general_position(emb.coords).ok
 
 
+def test_two_caterpillars_lift_their_two_path_grid_directly(monkeypatch):
+    # The two-path layout is a permutation grid inside [1, n]^2, so it needs
+    # none of refine_general_position's checks; the drawing is the one that
+    # refine_general_position's lift gives, translated to the origin.
+    def refuse(points, base_extent):
+        raise AssertionError("refine_general_position was called")
+
+    for seed in range(4):
+        n = 30
+        c1 = caterpillar_decompose(generate("caterpillar", n, seed), n)
+        c2 = caterpillar_decompose(generate("caterpillar", n, seed + 500), n)
+        base = embed_two_paths(mapped.caterpillar_to_path(c1), mapped.caterpillar_to_path(c2))
+        refined = refine_general_position(base.coords, n)
+        min_x, min_y = min(q.x for q in refined), min(q.y for q in refined)
+        with monkeypatch.context() as mp:
+            mp.setattr(mapped, "refine_general_position", refuse)
+            emb = embed_two_caterpillars(c1, c2)
+        assert emb.coords == [P(q.x - min_x + 1, q.y - min_y + 1) for q in refined]
+
+
 def test_two_caterpillars_check_budget_up_front(monkeypatch):
     # refine_general_position gives n points of base extent n coordinates
     # up to p*n + p - 1, p the smallest prime >= n

@@ -450,8 +450,8 @@ def test_conflict_decision_matches_all_pairs(layer):
 @example(([1, 1, 0, 2], [1, 1, 0, 2], [(0, 2), (1, 3), (2, 3)]))  # coincident, end to start
 def test_conflict_decision_decides_shared_endpoints_by_direction(layer):
     # Alone in a layer, two edges that share an endpoint are the only pair
-    # the sweep can test.  It decides them without the exact predicate and
-    # agrees with it, along either axis.
+    # the sweep or the listing can test.  Both decide them without the
+    # exact predicate and agree with it, along either axis.
     xs, ys, edges = layer
     for e, f in itertools.combinations(edges, 2):
         s = (xs[e[0]], ys[e[0]], xs[e[1]], ys[e[1]])
@@ -461,6 +461,8 @@ def test_conflict_decision_decides_shared_endpoints_by_direction(layer):
         want = certify._conflict_raw(*s, *t)
         for lx, ly in [(xs, ys), (ys, xs)]:
             assert _with_conflict_count(_any_conflict, lx, ly, [e, f]) == (want, 0)
+            out, calls = _with_conflict_count(_listed_crossings, lx, ly, [e, f], 0)
+            assert ([v.witness for v in out], calls) == ([(0, 0, 1)] if want else [], 0)
 
 
 def test_conflict_decision_tests_the_pair_a_removal_joins():
