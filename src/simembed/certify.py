@@ -304,8 +304,10 @@ def certify_embedding(
     xs = [p.x for p in emb.coords]
     ys = [p.y for p in emb.coords]
 
+    # The edges come from the instance alone, never from the embedder's
+    # own lists, so a drawing is judged against what was asked for.
     assignments = emb.assignments
-    for li, layer_edges in enumerate(emb.layers):
+    for li, layer in enumerate(inst.layers):
         if assignments is None:
             phi = None
         else:
@@ -314,11 +316,8 @@ def certify_embedding(
             violations.extend(bad)
             if bad:
                 continue
-        if phi is None:
-            mapped = list(layer_edges)
-        else:
-            mapped = [(phi[u], phi[v]) for u, v in layer_edges]
-        violations.extend(_layer_crossings(xs, ys, mapped, li))
+        edges = layer.edges if phi is None else [(phi[u], phi[v]) for u, v in layer.edges]
+        violations.extend(_layer_crossings(xs, ys, edges, li))
 
     if bounds is not None:
         violations.extend(_bounds_violations(emb.coords, bounds[0], bounds[1]))

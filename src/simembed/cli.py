@@ -186,7 +186,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_fivepaths(args: argparse.Namespace) -> int:
-    digits = args.paths.split(",") if args.paths else list(FIVE_PATHS)
+    digits = args.paths.split(",") if args.paths is not None else list(FIVE_PATHS)
     paths = [path_from_digits(d.strip()) for d in digits]
     report: dict = {"paths": [d.strip() for d in digits], "grid": args.grid}
     if len(paths) == 5:

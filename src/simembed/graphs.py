@@ -9,6 +9,7 @@ their declared class and compute the decompositions the embedders consume.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,11 +54,21 @@ class SimultaneousEmbedding:
     assignments: Optional[list[list[int]]] = None
 
 
+def _check_permutation(order: list[int], what: str) -> None:
+    n = len(order)
+    if sorted(order) != list(range(n)):
+        raise InvalidInstanceError(f"{what} must be a permutation of 0..{n - 1}")
+
+
 @dataclass
 class PathOrder:
-    """A path given as the linear order of its vertices."""
+    """A path given as the linear order of its vertices, a permutation of
+    0..n-1."""
 
     order: list[int]
+
+    def __post_init__(self) -> None:
+        _check_permutation(self.order, "path")
 
     @property
     def n(self) -> int:
@@ -69,7 +80,8 @@ class PathOrder:
 
 @dataclass
 class Caterpillar:
-    """Spine vertices in order plus, per spine vertex, its legs in order."""
+    """Spine vertices in order plus, per spine vertex, its legs in order;
+    spine and legs together are a permutation of 0..n-1."""
 
     spine: list[int]
     legs: list[list[int]]
@@ -77,16 +89,7 @@ class Caterpillar:
     def __post_init__(self) -> None:
         if len(self.legs) != len(self.spine):
             raise InvalidInstanceError("one leg list per spine vertex required")
-        seen: set[int] = set()
-        for v in self.spine:
-            if v in seen:
-                raise InvalidInstanceError(f"vertex {v} repeated in caterpillar")
-            seen.add(v)
-        for legs in self.legs:
-            for v in legs:
-                if v in seen:
-                    raise InvalidInstanceError(f"vertex {v} repeated in caterpillar")
-                seen.add(v)
+        _check_permutation(list(itertools.chain(self.spine, *self.legs)), "caterpillar")
 
     @property
     def n(self) -> int:
@@ -214,6 +217,16 @@ def _path_order(layer: Layer, n: int) -> PathOrder:
         raise InvalidInstanceError(f"not a path: branch vertex {bad}")
     if deg.count(1) != 2:
         raise InvalidInstanceError("not a path: contains a cycle or is disconnected")
+    order = _walk_between_ends(deg, link)
+    if len(order) < n:
+        raise InvalidInstanceError("not a path: disconnected")
+    return PathOrder(order)
+
+
+def _walk_between_ends(deg: list[int], link: list[int]) -> list[int]:
+    # The walk of _path_order and _caterpillar: the vertices from the first
+    # vertex of degree 1 to the other one, for exactly two such ends, no
+    # degree over 2, and link[v] the XOR of v's neighbours.
     first = deg.index(1)
     last = deg.index(1, first + 1)
     order = [first]
@@ -222,9 +235,7 @@ def _path_order(layer: Layer, n: int) -> PathOrder:
         order.append(cur)
         prev, cur = cur, link[cur] ^ prev
     order.append(last)
-    if len(order) < n:
-        raise InvalidInstanceError("not a path: disconnected")
-    return PathOrder(order)
+    return order
 
 
 def caterpillar_decompose(layer: Layer, n: int) -> Caterpillar:
@@ -288,14 +299,7 @@ def _caterpillar(layer: Layer, n: int) -> Caterpillar:
     else:
         if spine_deg.count(1) != 2:
             raise InvalidInstanceError("not a tree: disconnected")
-        first = spine_deg.index(1)
-        last = spine_deg.index(1, first + 1)
-        spine = [first]
-        prev, cur = first, link[first]
-        while cur != last:
-            spine.append(cur)
-            prev, cur = cur, link[cur] ^ prev
-        spine.append(last)
+        spine = _walk_between_ends(spine_deg, link)
         if len(spine) < len(legs):
             raise InvalidInstanceError("not a tree: disconnected")
     return Caterpillar(spine, [legs[p] for p in spine])
@@ -384,8 +388,7 @@ def _plane_faces(layer: Layer, n: int) -> list[list[tuple[int, int]]]:
         raise InvalidInstanceError("plane embedding check requires a rotation system")
     if layer.kind != "planar":  # validate_layer checked a planar rotation
         _validate_rotation(layer, n)
-    adj = _adjacency(n, layer.edges)
-    if not _connected(n, adj):
+    if not _connected(n, layer.rotation):  # each rotation lists its vertex's neighbours
         raise InvalidInstanceError("plane embedding check requires a connected graph")
     faces = _trace_faces(n, layer.edges, layer.rotation)
     f = len(faces) or 1  # a lone vertex traces no walk but has one face

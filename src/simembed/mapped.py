@@ -35,11 +35,6 @@ from .graphs import Caterpillar, PathOrder, SimultaneousEmbedding, caterpillar_t
 EXHAUSTIVE_GRID_LIMIT = 8
 
 
-def _check_permutation(order: Sequence[int], n: int, what: str) -> None:
-    if sorted(order) != list(range(n)):
-        raise InvalidInstanceError(f"{what} must be a permutation of 0..{n - 1}")
-
-
 def embed_two_paths(p1: PathOrder, p2: PathOrder) -> SimultaneousEmbedding:
     """Place vertex v at (position in p1, position in p2), 1-based.
 
@@ -49,8 +44,6 @@ def embed_two_paths(p1: PathOrder, p2: PathOrder) -> SimultaneousEmbedding:
     n = p1.n
     if p2.n != n:
         raise InvalidInstanceError("paths must share one vertex set")
-    _check_permutation(p1.order, n, "first path")
-    _check_permutation(p2.order, n, "second path")
     pos1 = [0] * n
     pos2 = [0] * n
     for i, v in enumerate(p1.order):
@@ -145,10 +138,6 @@ def embed_path_caterpillar(
     n = p.n
     if cat.n != n:
         raise InvalidInstanceError("path and caterpillar must share one vertex set")
-    _check_permutation(p.order, n, "path")
-    _check_permutation(
-        [v for v in itertools.chain(cat.spine, *cat.legs)], n, "caterpillar"
-    )
     ys = [0] * n
     for i, v in enumerate(p.order):
         ys[v] = i + 1
@@ -230,7 +219,6 @@ def five_path_pair_coverage(paths: Sequence[PathOrder]) -> PairCoverage:
     for p in paths:
         if p.n != 5:
             raise InvalidInstanceError("pair coverage is defined for 5-vertex paths")
-        _check_permutation(p.order, 5, "path")
     edge_sets = [
         {tuple(sorted(e)) for e in p.edges()} for p in paths
     ]
@@ -490,7 +478,6 @@ def exhaustive_five_point_check(
     for p in paths:
         if p.n != 5:
             raise InvalidInstanceError("the search is defined for 5-vertex paths")
-        _check_permutation(p.order, 5, "path")
     exhaustive = max(w, h) <= EXHAUSTIVE_GRID_LIMIT
     if exhaustive and samples is not None:
         raise InvalidInstanceError(

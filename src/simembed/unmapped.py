@@ -350,7 +350,7 @@ def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]
     a zig-zag, the sort of the order the parent did not pass down.
     """
     validate_layer(layer, len(pts))
-    if layer.kind != "outerplanar" or layer.outer_cycle is None:
+    if layer.kind != "outerplanar":
         raise InvalidInstanceError("point-set embedding expects an outerplanar layer")
     if find_collinear_triple(pts) is not None:
         raise InvalidInstanceError("points are not in general position")
@@ -395,15 +395,14 @@ def _embed_on_general_position(
         raise InvalidInstanceError(
             "point-set embedding expects a maximal outerplanar layer (E = 2n-3)"
         )
-    cyc = layer.outer_cycle
-    edge_set = {frozenset(e) for e in layer.edges}
-    for i in range(k):
-        if frozenset((cyc[i], cyc[(i + 1) % k])) not in edge_set:
-            raise InvalidInstanceError("maximal outerplanar layer is missing a cycle edge")
     adj = [set() for _ in range(k)]
     for u, v in layer.edges:
         adj[u].add(v)
         adj[v].add(u)
+    cyc = layer.outer_cycle
+    for i in range(k):
+        if cyc[(i + 1) % k] not in adj[cyc[i]]:
+            raise InvalidInstanceError("maximal outerplanar layer is missing a cycle edge")
 
     p_idx, q_idx, by_p = root
     chain = [cyc[0]] + cyc[:0:-1]

@@ -32,7 +32,6 @@ from simembed.graphs import _adjacency, _connected, _trace_faces, rotation_syste
 from simembed.mapped import (
     EXHAUSTIVE_GRID_LIMIT,
     FivePointSearchResult,
-    _check_permutation,
     _fundamental_domain,
     _grid_points,
     _shadow,
@@ -416,7 +415,6 @@ def five_point_check_table(
     for p in paths:
         if p.n != 5:
             raise InvalidInstanceError("the search is defined for 5-vertex paths")
-        _check_permutation(p.order, 5, "path")
 
     # Same-path disjoint edge pairs, bucketed by their largest vertex so the
     # search can check each pair as soon as its last endpoint is placed.
@@ -520,7 +518,6 @@ def five_point_check_dfs(
     for p in paths:
         if p.n != 5:
             raise InvalidInstanceError("the search is defined for 5-vertex paths")
-        _check_permutation(p.order, 5, "path")
 
     # Same-path disjoint edge pairs, bucketed by their largest vertex so the
     # search can check each pair as soon as its last endpoint is placed.

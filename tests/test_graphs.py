@@ -6,12 +6,14 @@ from simembed import (
     Caterpillar,
     InvalidInstanceError,
     Layer,
+    PathOrder,
     as_path,
     caterpillar_decompose,
     caterpillar_to_path,
     check_plane_embedding,
     generate,
     maximalize_outerplanar,
+    path_from_digits,
     triangulate_plane,
 )
 from simembed.graphs import _trace_faces, rotation_system_from_faces
@@ -175,6 +177,31 @@ def test_caterpillar_to_path_rule():
     assert caterpillar_to_path(cat).order == [0, 3, 1, 4, 5, 2]
     bare = Caterpillar([2, 0, 1], [[], [], []])
     assert caterpillar_to_path(bare).order == [2, 0, 1]
+
+
+# Five labels that are not a permutation of 0..4, each as an order and in
+# path_from_digits' 1-based digits.
+NOT_PERMUTATIONS = {
+    "repeated vertex": ([0, 1, 1, 3, 4], "11345"),
+    "label out of range": ([0, 1, 2, 3, 8], "12349"),
+    "missing label": ([1, 2, 3, 4, 5], "23456"),
+}
+
+
+@pytest.mark.parametrize("order, digits", NOT_PERMUTATIONS.values(), ids=NOT_PERMUTATIONS)
+def test_paths_and_caterpillars_refuse_a_non_permutation(order, digits):
+    with pytest.raises(InvalidInstanceError, match="path must be a permutation of 0..4"):
+        PathOrder(order)
+    with pytest.raises(InvalidInstanceError, match="path must be a permutation of 0..4"):
+        path_from_digits(digits)
+    # the bad label in the spine, in a leg, and as a leg of another spine vertex
+    for spine, legs in [
+        (order[:3], [[], order[3:], []]),
+        (order[:1], [order[1:]]),
+        (order[3:], [order[:3], []]),
+    ]:
+        with pytest.raises(InvalidInstanceError, match="caterpillar must be a permutation"):
+            Caterpillar(spine, legs)
 
 
 def test_caterpillar_to_path_properties_random():

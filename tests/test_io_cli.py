@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from simembed import (
+    Caterpillar,
     InvalidInstanceError,
     Layer,
     LayeredInstance,
@@ -455,6 +456,58 @@ def test_cli_broken_split_is_caught_by_the_certificate(tmp_path, capsys, monkeyp
     assert "layer-crossing" in {v["kind"] for v in certificate["violations"]}
 
 
+def _sorted_path(path):
+    # a path through every vertex, but not the layer's
+    return PathOrder(sorted(path.order))
+
+
+def _legs_on_first_spine_vertex(cat):
+    # a caterpillar on every vertex, but not the layer's
+    legs = [leg for legs in cat.legs for leg in legs]
+    return Caterpillar(cat.spine, [legs] + [[] for _ in cat.spine[1:]])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "kind, recovery, wrong",
+    [
+        ("two-paths", "_path_order", _sorted_path),
+        ("path-caterpillar", "_caterpillar", _legs_on_first_spine_vertex),
+    ],
+)
+def test_cli_embed_certifies_the_instance_edges(
+    tmp_path, capsys, monkeypatch, kind, recovery, wrong, seed
+):
+    # The certifier reads each layer's edges from the instance, never from
+    # the embedder: a recovery that hands back a wrong but valid order for
+    # the second layer draws the wrong graph, and embed must fail the same
+    # certificate that certify computes from the same two files.
+    inst_file = tmp_path / "inst.json"
+    out_file = tmp_path / "r.json"
+    report_file = tmp_path / "report.json"
+    assert cli_main(["gen", "--kind", kind, "--n", "30", "--seed", str(seed),
+                     "--out", str(inst_file)]) == 0
+    second = parse_instance(inst_file.read_text(encoding="utf-8")).layers[1].edges
+    real = getattr(cli, recovery)
+
+    def recover(layer, n):
+        got = real(layer, n)
+        return wrong(got) if layer.edges == second else got
+
+    monkeypatch.setattr(cli, recovery, recover)
+    capsys.readouterr()
+    rc = cli_main(["embed", "--in", str(inst_file), "--out", str(out_file)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("certificate FAILED:"), err
+    certificate = json.loads(out_file.read_text(encoding="utf-8"))["certificate"]
+    argv = ["certify", "--in", str(out_file), "--instance", str(inst_file),
+            "--out", str(report_file)]
+    assert cli_main(argv) == 2
+    assert certificate == json.loads(report_file.read_text(encoding="utf-8"))
+    assert "layer-crossing" in {v["kind"] for v in certificate["violations"]}
+
+
 HUGE_N = 10**12
 
 HUGE_INSTANCES = {
@@ -745,6 +798,26 @@ def test_cli_fivepaths_rejects_a_path_that_is_not_digits(tmp_path, capsys, paths
     err = capsys.readouterr().err
     assert rc == 2 and "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "path digits" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "paths, message",
+    [
+        ("11345", "path must be a permutation of 0..4"),
+        ("", "the search is defined for 5-vertex paths"),
+    ],
+)
+def test_cli_fivepaths_refuses_paths_that_are_not_five_vertex_permutations(
+    tmp_path, capsys, paths, message
+):
+    # an empty --paths is a list of one empty path, not the default five
+    out = tmp_path / "five.json"
+    capsys.readouterr()
+    rc = cli_main(["fivepaths", "--grid", "4", "--paths", paths, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert err == [f"error: {message}"]
     assert not out.exists()
 
 
