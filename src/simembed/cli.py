@@ -26,6 +26,7 @@ from .documents import (
 )
 from .errors import ParseError, SimembedError, UnsupportedInstanceError
 from .generate import generate
+from .geometry import COORD_LIMIT
 from .graphs import (
     LayeredInstance,
     SimultaneousEmbedding,
@@ -35,7 +36,9 @@ from .graphs import (
 )
 from .mapped import (
     FIVE_PATHS,
+    _check_path_caterpillar_budget,
     _check_two_caterpillar_budget,
+    _check_two_path_budget,
     embed_path_caterpillar,
     embed_two_caterpillars,
     embed_two_paths,
@@ -45,7 +48,11 @@ from .mapped import (
     path_from_digits,
 )
 from .svg import render_svg
-from .unmapped import _check_general_position_budget, simul_embed_free
+from .unmapped import (
+    _check_general_position_budget,
+    _check_parabola_budget,
+    simul_embed_free,
+)
 
 SUPPORTED_GIVEN = "path+path, path+caterpillar, caterpillar+caterpillar"
 
@@ -153,13 +160,13 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-# Each kind's mapping, layer recipe and, where its embedder has one, the
-# coordinate budget check that embedder runs first.
+# Each kind's mapping, layer recipe and the coordinate budget check that
+# its embedder runs first.
 _GEN_RECIPES = {
-    "two-paths": ("given", ["path", "path"], None),
+    "two-paths": ("given", ["path", "path"], _check_two_path_budget),
     "two-caterpillars": ("given", ["caterpillar", "caterpillar"], _check_two_caterpillar_budget),
-    "path-caterpillar": ("given", ["path", "caterpillar"], None),
-    "outerplanars": ("free", None, None),
+    "path-caterpillar": ("given", ["path", "caterpillar"], _check_path_caterpillar_budget),
+    "outerplanars": ("free", None, _check_parabola_budget),
     "planar-outerplanar": (
         "free",
         ["plane-triangulation", "maximal-outerplanar"],
@@ -174,9 +181,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             f"unknown kind {args.kind!r}; choose from {sorted(_GEN_RECIPES)}"
         )
     mapping, recipe, check_budget = _GEN_RECIPES[args.kind]
-    if check_budget is not None:
-        check_budget(args.n)  # before generating: embed would refuse this n
+    check_budget(args.n)  # before generating: embed would refuse this n
     if recipe is None:
+        if args.layers > COORD_LIMIT:
+            raise ParseError(f"--layers expects at most 2^40 layers, got {args.layers}")
         recipe = ["maximal-outerplanar"] * args.layers
     layers = [generate(k, args.n, args.seed + i) for i, k in enumerate(recipe)]
     inst = LayeredInstance(n=args.n, layers=layers, mapping=mapping)
@@ -273,6 +281,10 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse in CPython 3.11 parses "--flag=--" to an empty list, not
+        # to the string "--", and no option here takes a list
+        if any(isinstance(value, list) for value in vars(args).values()):
+            parser.error("an option's value cannot be '--'")
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

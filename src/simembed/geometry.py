@@ -39,19 +39,54 @@ def _largest_within_budget(extent: Callable[[int], int]) -> int:
 def _check_coord_budget(n: int, extent: Callable[[int], int], what: str) -> None:
     """Raise unless ``extent(n)``, the largest coordinate that ``what`` on
     n vertices needs, fits COORD_LIMIT, with a message that names the
-    largest n that fits.  ``extent`` must grow with n."""
-    need = extent(n)
-    if need > COORD_LIMIT:
-        raise CoordinateBudgetError(
-            f"{what} on {n} vertices needs coordinates up to {need}, over the "
-            f"coordinate budget 2^40; at most {_largest_within_budget(extent)} vertices fit"
-        )
+    largest n that fits.  ``extent`` must grow with n and be at least n, so
+    an n past COORD_LIMIT is refused without evaluating it: an extent that
+    looks for a prime near n would take long for n far past the budget."""
+    if n > COORD_LIMIT:
+        need = f"of at least {n}"
+    else:
+        need = extent(n)
+        if need <= COORD_LIMIT:
+            return
+        need = f"up to {need}"
+    raise CoordinateBudgetError(
+        f"{what} on {n} vertices needs coordinates {need}, over the "
+        f"coordinate budget 2^40; at most {_largest_within_budget(extent)} vertices fit"
+    )
+
+
+# Miller-Rabin with the twelve primes up to 37 as bases decides primality
+# exactly below 3.18 * 10^23 (Sorenson & Webster, Math. Comp. 2017): far
+# past every size that a coordinate budget lets through.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(c: int) -> bool:
+    if c < 2:
+        return False
+    for b in _PRIME_BASES:
+        if c % b == 0:
+            return c == b
+    d, s = c - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, c)
+        if x == 1 or x == c - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % c
+            if x == c - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _next_prime(m: int) -> int:
-    """The smallest prime >= max(m, 2)."""
+    """The smallest prime >= max(m, 2), for m below 3.18 * 10^23."""
     c = max(m, 2)
-    while any(c % d == 0 for d in range(2, math.isqrt(c) + 1)):
+    while not _is_prime(c):
         c += 1
     return c
 

@@ -495,55 +495,110 @@ def maximalize_outerplanar(layer: Layer, n: int) -> tuple[Layer, list[tuple[int,
     Missing outer-cycle edges are added first, then every internal face is
     triangulated; all added edges are returned as dummies.  Rejects inputs
     whose chords cross with respect to the declared outer cycle.
+
+    The chords, sorted by (lo, -hi) on their cycle positions, are walked
+    with a stack of open chords, each nested in the one below.  Popping
+    every open chord that ends at or before lo leaves only chords with
+    lo' <= lo < hi'; the new chord crosses one of them iff it crosses the
+    innermost one, that is iff it ends past the innermost one's hi.  The
+    same walk lists the inner faces: the face under chord (lo, hi) has the
+    corners lo..hi that no chord nested directly under it jumps over, in
+    increasing position, and is closed by the chord; the root face runs
+    from position 0 to n - 1 and is closed by the cycle edge
+    cyc[n - 1] -> cyc[0].
+
+    The chords are the ones that ``_complete_faces`` adds on the faces that
+    ``_trace_faces`` walks in the convex rotation (neighbours by cyclic
+    distance), which is how the result is defined:
+
+    - that trace walks every inner face by increasing position, starting at
+      its smallest-key dart c0 -> c1, where the forward dart of edge k has
+      key (0, k) and its reverse (1, k); faces are completed in that order;
+    - the corners of a convex face are distinct and no chord joins two of
+      them that are not neighbours on it, so every first candidate pair
+      takes the chord and every cut-off piece is a triangle;
+    - hence a face that starts at a forward dart becomes the fan
+      (c1, c3) ... (c1, c_{L-1}), and only a face that starts at a reverse
+      dart moves: after (c1, c3) it starts at that new forward dart, which
+      gives the fan (c3, c5) ... (c3, c_{L-1}), (c3, c0), empty for L = 4.
     """
     validate_layer(layer, n)
     if layer.outer_cycle is None:
         raise InvalidInstanceError("maximalization requires the outer cycle")
     cyc = list(layer.outer_cycle)
-    pos = {v: i for i, v in enumerate(cyc)}
     edges = list(layer.edges)
-    edge_set = {frozenset(e) for e in edges}
-
     if n <= 2:
-        if n == 2 and frozenset((cyc[0], cyc[1])) not in edge_set:
+        if n == 2 and not edges:
             edges.append((cyc[0], cyc[1]))
         return Layer(kind="outerplanar", edges=edges, outer_cycle=cyc), edges[len(layer.edges) :]
 
-    # Chords by (lo, -hi) on their cycle positions, walked with a stack of
-    # the open chords, each nested in the one below.  Popping every open
-    # chord that ends at or before lo leaves only chords with lo' <= lo < hi';
-    # the new chord crosses one of them iff it crosses the innermost one,
-    # that is iff it ends past the innermost one's hi.
-    spans = sorted(
-        (min(pos[u], pos[v]), -max(pos[u], pos[v]), (u, v))
-        for u, v in layer.edges
-        if (pos[v] - pos[u]) % n not in (1, n - 1)
-    )
-    open_chords: list[tuple[int, tuple[int, int]]] = []
-    for lo, neg_hi, chord in spans:
-        while open_chords and open_chords[-1][0] <= lo:
-            open_chords.pop()
-        if open_chords and -neg_hi > open_chords[-1][0]:
-            (a, b), (c, d) = open_chords[-1][1], chord
+    # Dart keys as integers: k for the forward dart of edge k, k + rev for
+    # its reverse, rev being past every edge index before the first chord
+    # is added.  step[x] keys the dart cyc[x] -> cyc[x + 1 (mod n)].
+    pos = dict(zip(cyc, range(n)))
+    rev = len(edges) + n
+    step: list[Optional[int]] = [None] * n
+    spans = []
+    for k, (u, v) in enumerate(edges):
+        a, b = pos[u], pos[v]
+        gap = (b - a) % n
+        if gap == 1:
+            step[a] = k
+        elif gap == n - 1:
+            step[b] = k + rev
+        elif a < b:
+            spans.append((a, -b, k))
+        else:
+            spans.append((b, -a, k + rev))
+    for x, key in enumerate(step):
+        if key is None:
+            step[x] = len(edges)
+            edges.append((cyc[x], cyc[(x + 1) % n]))
+
+    # Open faces, innermost last: (hi, key of the closing dart hi -> lo, key
+    # of the dart lo -> hi in the face around it, corners, keys, edge index),
+    # where keys[i] keys the dart corners[i] -> corners[i + 1].  The corners
+    # of the innermost face run up to position nxt - 1.  A sentinel chord at
+    # position n closes every face, the root last.
+    long_faces = []
+    stack = [(n - 1, step[n - 1], None, [cyc[0]], [], None)]
+    nxt = 1
+    for lo, neg_hi, up in sorted(spans) + [(n, 0, 0)]:
+        while stack and stack[-1][0] <= lo:
+            hi, down, jump, corners, keys, _ = stack.pop()
+            corners += cyc[nxt : hi + 1]
+            keys += step[nxt - 1 : hi]
+            keys.append(down)
+            if len(corners) > 3:
+                long_faces.append((min(keys), corners, keys))
+            if stack:
+                stack[-1][3].append(cyc[hi])
+                stack[-1][4].append(jump)
+            nxt = hi + 1
+        if not stack:
+            break
+        hi, _, _, corners, keys, outer = stack[-1]
+        k = up % rev
+        if -neg_hi > hi:
+            (a, b), (c, d) = edges[outer], edges[k]
             raise InvalidInstanceError(
                 f"chords ({a},{b}) and ({c},{d}) cross in the declared outer cycle"
             )
-        open_chords.append((-neg_hi, chord))
+        corners += cyc[nxt : lo + 1]
+        keys += step[nxt - 1 : lo]
+        nxt = lo + 1
+        stack.append((-neg_hi, up + rev if up < rev else k, up, [cyc[lo]], [], k))
 
-    for i in range(n):
-        u, v = cyc[i], cyc[(i + 1) % n]
-        if frozenset((u, v)) not in edge_set:
-            edges.append((u, v))
-            edge_set.add(frozenset((u, v)))
-
-    # Convex-position rotation: neighbors ordered by cyclic distance.  The
-    # outer face, the one walking (cyc[1], cyc[0]), stays as it is.
-    rotation = [
-        sorted(nbrs, key=lambda w: (pos[w] - pos[v]) % n)
-        for v, nbrs in enumerate(_adjacency(n, edges))
-    ]
-    outer_dart = (cyc[1], cyc[0])
-    _complete_faces(edges, [f for f in _trace_faces(n, edges, rotation) if outer_dart not in f])
+    long_faces.sort(key=lambda f: f[0])
+    for first, corners, keys in long_faces:
+        s = keys.index(first)
+        c = corners[s:] + corners[:s]
+        if first < rev:
+            edges.extend(zip(itertools.repeat(c[1]), c[3:]))
+        else:
+            edges.append((c[1], c[3]))
+            if len(c) > 4:
+                edges.extend(zip(itertools.repeat(c[3]), c[5:] + c[:1]))
 
     if len(edges) != 2 * n - 3:
         raise InternalInvariantError(

@@ -39,11 +39,12 @@ def embed_two_paths(p1: PathOrder, p2: PathOrder) -> SimultaneousEmbedding:
     """Place vertex v at (position in p1, position in p2), 1-based.
 
     Each layer is monotone in one axis, so neither path can self-cross;
-    the grid is exactly n x n.
+    the grid is exactly n x n, checked against COORD_LIMIT before any work.
     """
     n = p1.n
     if p2.n != n:
         raise InvalidInstanceError("paths must share one vertex set")
+    _check_two_path_budget(n)
     pos1 = [0] * n
     pos2 = [0] * n
     for i, v in enumerate(p1.order):
@@ -54,6 +55,11 @@ def embed_two_paths(p1: PathOrder, p2: PathOrder) -> SimultaneousEmbedding:
     return SimultaneousEmbedding(
         coords=coords, layers=[p1.edges(), p2.edges()], width=n, height=n
     )
+
+
+def _check_two_path_budget(n: int) -> None:
+    # the CLI's gen runs it too, so it writes no instance that embed refuses
+    _check_coord_budget(n, lambda k: k, "a two-path drawing")
 
 
 def refine_general_position(
@@ -124,6 +130,11 @@ def embed_two_caterpillars(c1: Caterpillar, c2: Caterpillar) -> SimultaneousEmbe
     )
 
 
+def _check_path_caterpillar_budget(n: int) -> None:
+    # the CLI's gen runs it too, so it writes no instance that embed refuses
+    _check_coord_budget(n, lambda k: 2 * k, "a path-caterpillar drawing")
+
+
 def embed_path_caterpillar(
     p: PathOrder, cat: Caterpillar
 ) -> tuple[SimultaneousEmbedding, int]:
@@ -134,10 +145,13 @@ def embed_path_caterpillar(
     of the current spine vertex is collinear with the spine edge ahead,
     that edge's far endpoint and everything right of it shift one column
     right.  Returns the embedding and the number of shifts performed.
+    The width stays below 2n, which is checked against COORD_LIMIT before
+    any work.
     """
     n = p.n
     if cat.n != n:
         raise InvalidInstanceError("path and caterpillar must share one vertex set")
+    _check_path_caterpillar_budget(n)
     ys = [0] * n
     for i, v in enumerate(p.order):
         ys[v] = i + 1
@@ -455,8 +469,9 @@ def exhaustive_five_point_check(
     grids require ``samples`` and are randomly probed with the seeded
     generator, each draw tested level by level on coordinates.  A grid
     with a side below 3, which holds no five points in general position,
-    is rejected, and so is a ``samples`` count below 1 or one given for a
-    grid that is exhausted.
+    is rejected, and so is one with a side above COORD_LIMIT + 1, whose
+    points leave the coordinate budget, a ``samples`` count below 1 or one
+    given for a grid that is exhausted.
     """
     if isinstance(grid_extent, tuple):
         w, h = grid_extent
@@ -471,6 +486,12 @@ def exhaustive_five_point_check(
         raise InvalidInstanceError(
             f"grid {w}x{h} holds no five points with no three collinear; "
             f"both sides must be 3 or more"
+        )
+    if max(w, h) > COORD_LIMIT + 1:
+        # coordinates run from 0 to the side minus one
+        raise CoordinateBudgetError(
+            f"grid {w}x{h} needs coordinates up to {max(w, h) - 1}, over the "
+            f"coordinate budget 2^40; sides up to {COORD_LIMIT + 1} fit"
         )
     if samples is not None and samples < 1:
         # a verdict after no placements would claim what nothing checked

@@ -273,6 +273,12 @@ def planar_general_position_draw(layer: Layer, n: int) -> list[GridPoint]:
 # ---------------------------------------------------------------------------
 
 
+def _check_parabola_budget(n: int) -> None:
+    # coordinates of parabola_pointset(n) stay below its prime; the CLI's
+    # gen runs it too, so it writes no instance that embed refuses
+    _check_coord_budget(n, _next_prime, "a parabola point set")
+
+
 def parabola_pointset(n: int) -> list[GridPoint]:
     """The n points (t, t^2 mod p) for t = 1..n, p the smallest prime >= n.
 
@@ -580,7 +586,8 @@ def simul_embed_free(layers: list[Layer], n: int) -> SimultaneousEmbedding:
 
     The points are the plane layer's general-position drawing, within
     :func:`general_position_bounds`, or without a plane layer the
-    parabola set, within p x p for p the smallest prime >= n.  Both leave
+    parabola set, within p x p for p the smallest prime >= n.  Both
+    check their extent against COORD_LIMIT before any work, and both leave
     no three points collinear by construction, so neither is checked
     again.  Each outerplanar layer is maximalized, which validates it and
     refuses crossing chords before any point is drawn, and mapped onto
@@ -598,6 +605,8 @@ def simul_embed_free(layers: list[Layer], n: int) -> SimultaneousEmbedding:
             "at most one planar layer plus any number of outerplanar layers"
         )
     planar = [layer for layer in layers if layer.kind == "planar"]
+    if not planar:
+        _check_parabola_budget(n)  # the plane drawing checks its own first
     # None for the plane layer, which its drawing validates
     maximal = [
         maximalize_outerplanar(layer, n)[0] if layer.kind == "outerplanar" else None

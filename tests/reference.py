@@ -9,6 +9,7 @@ use it to confirm that small point sets admit the embeddings found.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from functools import cmp_to_key, lru_cache
 from typing import Optional, Sequence
@@ -347,6 +348,15 @@ def certifier_pair_tests(xs: list[int], ys: list[int], edges: list[tuple[int, in
                 and min(ys[c], ys[d]) <= max(ys[a], ys[b])
             )
     return count
+
+
+def next_prime_trial_division(m: int) -> int:
+    """The smallest prime >= max(m, 2), each candidate divided by every
+    d up to its square root."""
+    c = max(m, 2)
+    while any(c % d == 0 for d in range(2, math.isqrt(c) + 1)):
+        c += 1
+    return c
 
 
 def collinear_triples_cubic(points: list[GridPoint]) -> list[tuple[int, int, int]]:

@@ -6,12 +6,13 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from simembed import (
     Caterpillar,
@@ -562,28 +563,56 @@ def test_cli_huge_vertex_count_one_error_line(tmp_path, capsys, command, instanc
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
+# The largest n whose drawing fits the coordinate budget, per gen kind: the
+# grid side n, the width 2n, the prime p >= n of the parabola set (the
+# largest prime below 2^40 is 2^40 - 87), p * n + p - 1, and the
+# general-position bound.
+_LARGEST_N = {
+    "two-paths": 2**40,
+    "path-caterpillar": 2**39,
+    "outerplanars": 2**40 - 87,
+    "two-caterpillars": 1048573,
+    "planar-outerplanar": 4507,
+}
+
+# Far over the budget: no kind may evaluate its extent, which for a prime
+# near n would take long, nor allocate per vertex.
+_OVER_BUDGET = [
+    (["--kind", kind, "--n", str(n)], f"at most {largest} vertices fit")
+    for kind, largest in _LARGEST_N.items()
+    for n in (2**40 + 1, 10**20)
+]
+
+
 @pytest.mark.parametrize(
     "options, message",
     [
         (["--kind", "two-paths", "--n", "0"], "at least one vertex"),
         (["--kind", "outerplanars", "--n", "5", "--layers", "0"], "at least one layer"),
         (["--kind", "outerplanars", "--n", "5", "--layers", "-2"], "at least one layer"),
+        *_OVER_BUDGET,
     ],
-    ids=["two-paths-n0", "outerplanars-layers0", "outerplanars-layers-2"],
+    ids=[
+        "two-paths-n0",
+        "outerplanars-layers0",
+        "outerplanars-layers-2",
+        *(f"{options[1]}-n{options[3]}" for options, _ in _OVER_BUDGET),
+    ],
 )
-def test_cli_gen_refuses_what_embed_would_reject(capsys, options, message):
+def test_cli_gen_refuses_what_embed_would_reject(tmp_path, capsys, options, message):
+    out_file = tmp_path / "inst.json"
     capsys.readouterr()
-    rc = cli_main(["gen", *options, "--out", "-"])
+    start = time.perf_counter()
+    rc = cli_main(["gen", *options, "--out", str(out_file)])
+    elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
-    assert rc == 2 and out == ""
+    assert rc == 2 and out == "" and not out_file.exists()
     err = err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+    assert elapsed < 1.0
 
 
-@pytest.mark.parametrize(
-    "kind, fits",
-    [("planar-outerplanar", 4507), ("two-caterpillars", 1048573)],
-)
+@pytest.mark.parametrize("kind, fits", sorted(_LARGEST_N.items()))
 def test_cli_gen_checks_the_coordinate_budget_before_generating(
     tmp_path, capsys, monkeypatch, kind, fits
 ):
@@ -748,6 +777,22 @@ def test_cli_fivepaths_refuses_a_grid_without_five_points(tmp_path, capsys, grid
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error:") and f"grid {grid}" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["2000000000000", str(2**40 + 2)])
+def test_cli_fivepaths_refuses_a_grid_over_the_coordinate_budget(tmp_path, capsys, grid):
+    # refused before the sampled probe runs, not when its result is built
+    out = tmp_path / "five.json"
+    capsys.readouterr()
+    start = time.perf_counter()
+    rc = cli_main(["fivepaths", "--grid", grid, "--samples", "3", "--paths", "12345",
+                   "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and not out.exists()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert f"sides up to {2**40 + 1} fit" in err[0]
+    assert elapsed < 1.0
 
 
 def test_cli_fivepaths_verdict(tmp_path):
@@ -1147,3 +1192,71 @@ def test_cli_mutated_documents_keep_the_exit_contract(kind, n, seed, how, data):
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1, (argv[0], lines)
                 assert lines[0].startswith(("error:", "certificate FAILED:")), (argv[0], lines)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed contract: malformed numeric flags end in exit 0, 1 or 2 with one
+# reason line, and write nothing when they fail
+# ---------------------------------------------------------------------------
+
+# Huge values lie past every budget: vertex and layer counts over 2^40, grid
+# sides over 2^40 + 1.  A positive count inside its budget but above about
+# 10^4, or a sample count that large on a grid above 8, is a legitimate
+# request that allocates or runs long, so none is drawn.
+_HUGE = st.sampled_from([2**40 + 2, 10**20, 10**30]) | st.integers(2**40 + 2, 10**30)
+_NOT_DECIMAL = st.sampled_from(["", "abc", "0x10", "1e3", "1.5", "12abc", "--"]) | st.text(
+    alphabet="abcxyz.-+_ !?", max_size=6
+)
+_BAD_NUMBER = st.one_of(st.integers(max_value=0).map(str), _HUGE.map(str), _NOT_DECIMAL)
+_SEED = st.one_of(st.integers(-(10**30), 10**30).map(str), _NOT_DECIMAL)
+
+
+@st.composite
+def _malformed_flags(draw):
+    """A command line with some of its numeric flags drawn malformed;
+    ``{inst}`` and ``{res}`` stand for a valid instance and its result."""
+
+    def maybe(flag, values):
+        return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["gen", "fivepaths", "embed", "certify"]))
+    if command == "gen":
+        n = draw(_BAD_NUMBER | st.just("5"))
+        return ["gen", "--kind", draw(st.sampled_from(sorted(cli._GEN_RECIPES))), f"--n={n}",
+                *maybe("--layers", _BAD_NUMBER), *maybe("--seed", _SEED)]
+    if command == "fivepaths":
+        paths = st.lists(_BAD_NUMBER, min_size=1, max_size=3).map(",".join)
+        return ["fivepaths", *maybe("--grid", _BAD_NUMBER), *maybe("--samples", _BAD_NUMBER),
+                *maybe("--seed", _SEED), *maybe("--paths", paths)]
+    bounds = draw(st.builds("{}x{}".format, _BAD_NUMBER, _BAD_NUMBER) | _NOT_DECIMAL)
+    if command == "embed":
+        return ["embed", "--in", "{inst}", f"--bounds={bounds}"]
+    return ["certify", "--in", "{res}", "--instance", "{inst}", f"--bounds={bounds}"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_malformed_flags())
+@example(["gen", "--kind", "two-paths", "--n=99999999999999999999"])
+@example(["gen", "--kind", "path-caterpillar", "--n=99999999999999999999"])
+@example(["gen", "--kind", "outerplanars", "--n=99999999999999999999"])
+@example(["gen", "--kind", "two-caterpillars", "--n=99999999999999999999"])
+@example(["gen", "--kind", "planar-outerplanar", "--n=99999999999999999999"])
+@example(["gen", "--kind", "outerplanars", "--n=5", "--layers=99999999999999999999"])
+@example(["fivepaths", "--grid=2000000000000", "--samples=3", "--paths=12345"])
+def test_cli_malformed_flags_keep_the_exit_contract(argv):
+    inst_text, res_text = _valid_documents("two-paths", 5, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"inst": Path(tmp, "inst.json"), "res": Path(tmp, "res.json")}
+        files["inst"].write_text(inst_text, encoding="utf-8")
+        files["res"].write_text(res_text, encoding="utf-8")
+        out = Path(tmp, "out")
+        argv = [arg.format(**files) if arg in ("{inst}", "{res}") else arg for arg in argv]
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            rc = cli_main([*argv, "--out", str(out)])
+        assert rc in (0, 1, 2), (argv, rc)
+        if rc:
+            lines = [line for line in err.getvalue().splitlines() if "error:" in line]
+            assert len(lines) == 1, (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            assert not out.exists(), argv

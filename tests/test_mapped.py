@@ -270,6 +270,18 @@ def test_two_caterpillars_check_budget_up_front(monkeypatch):
         embed_stars(fits + 1)
 
 
+def test_path_embedders_check_budget_up_front():
+    # the n x n grid of two paths and the width below 2n of a path and a
+    # caterpillar are refused before either order is read
+    class Huge:
+        n = 2**40 + 1
+
+    with pytest.raises(CoordinateBudgetError, match=f"at most {2**40} vertices fit"):
+        embed_two_paths(Huge(), Huge())
+    with pytest.raises(CoordinateBudgetError, match=f"at most {2**39} vertices fit"):
+        embed_path_caterpillar(Huge(), Huge())
+
+
 # ---------------------------------------------------------------------------
 # path + caterpillar
 # ---------------------------------------------------------------------------
@@ -419,6 +431,18 @@ def test_exhaustive_check_degenerate_column():
     for (w, h), samples in [((1, 5), None), ((2, 8), None), ((8, 2), None), ((2, 12), 50)]:
         with pytest.raises(InvalidInstanceError, match=f"grid {w}x{h} holds no five points"):
             exhaustive_five_point_check((w, h), paths, seed=1, samples=samples)
+
+
+def test_exhaustive_check_refuses_a_grid_over_the_coordinate_budget():
+    # Points of a side-s grid run from 0 to s - 1: a side of COORD_LIMIT + 1
+    # fits, one more is refused before any placement is drawn.
+    paths = [path_from_digits(d) for d in FIVE_PATHS]
+    side = COORD_LIMIT + 1
+    for grid in [(2**41, 2**41), side + 1, (3, side + 1), (side + 1, 3)]:
+        with pytest.raises(CoordinateBudgetError, match=f"sides up to {side} fit"):
+            exhaustive_five_point_check(grid, paths, seed=1, samples=3)
+    res = exhaustive_five_point_check(side, paths, seed=1, samples=3)
+    assert res.grid == (side, side) and res.placements_checked == 3
 
 
 def test_search_budget_and_sampling():

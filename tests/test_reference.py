@@ -1,6 +1,7 @@
 """The optimized routines against their plain references.
 
-The package's trace-once face completion, one-pass chord check, flip
+The package's trace-once face completion, outerplanar completion read
+off the chord nesting, one-pass chord check, flip
 generator that updates its dart map in place, path + caterpillar layout
 with a running shift, bounding-box scan of the certifier and bucketed
 full collinearity scan must return exactly what the re-trace-per-chord
@@ -22,7 +23,8 @@ sorts, must assign what the eager slicing loop with comparator sorts
 assigns, its split, which builds no rank table, must return what the
 split on full rank dicts returned, and the heap-driven peeling of the
 shift-method drawing must draw what the walk over the whole outer path
-drew.  The brute-force
+drew.  The Miller-Rabin prime search must find the primes that trial
+division finds.  The brute-force
 assignment search that the point-set tests use as an oracle is checked
 here on hand-made cases.
 """
@@ -57,6 +59,7 @@ from reference import (
     five_point_check_table,
     layer_crossings_all_pairs,
     maximalize_outerplanar_retrace,
+    next_prime_trial_division,
     path_caterpillar_rescan,
     plane_triangulation_rebuild,
     same_ray,
@@ -87,10 +90,10 @@ from simembed import (
     simul_embed_free,
     triangulate_plane,
 )
-from simembed import certify, mapped, unmapped
+from simembed import certify, graphs, mapped, unmapped
 from simembed.graphs import _trace_faces
 from simembed.certify import _any_conflict, _layer_crossings, _listed_crossings
-from simembed.geometry import _conflict_raw
+from simembed.geometry import _conflict_raw, _is_prime, _next_prime
 from simembed.mapped import _grid_points, _shadow, _shadow_table, _side_masks
 
 
@@ -124,6 +127,13 @@ def test_triangulate_plane_matches_retrace(n, seed, share, shape):
     st.sampled_from(_SHAPES),
 )
 @example(8, 0, 0.0, 0.0, "bare cycle")
+# one face of 4 corners that starts at a reverse dart: chord (c1, c3) only
+@example(4, 0, 0.0, 0.0, "bare cycle")
+# the same among other faces, and one of 5 corners: (c1, c3), then (c3, c0)
+@example(11, 5, 0.7, 1.0, "flipped")
+@example(8, 4, 0.5, 1.0, "flipped")
+# three chords from one cycle position, nested in each other
+@example(11, 39, 0.5, 1.0, "flipped")
 def test_maximalize_outerplanar_matches_retrace(n, seed, density, cycle_keep, shape):
     rng = random.Random(seed)
     thinned = thin_outerplanar(generate("maximal-outerplanar", n, seed), density, rng)
@@ -136,6 +146,27 @@ def test_maximalize_outerplanar_matches_retrace(n, seed, density, cycle_keep, sh
     elif shape == "bare cycle":
         layer = bare_cycle("outerplanar", n, rng)
     assert maximalize_outerplanar(layer, n) == maximalize_outerplanar_retrace(layer, n)
+
+
+def test_maximalize_outerplanar_reads_faces_off_the_chord_nesting(monkeypatch):
+    # The inner faces come from the chord stack, not from a face trace, and
+    # their chords from the fan rule, not from the generic completion.
+    rng = random.Random(3)
+    layers = []
+    for n in (3, 4, 9, 30, 61):
+        layers.append(generate("maximal-outerplanar", n, n))
+        layers.append(thin_outerplanar(layers[-1], rng.random(), rng))
+        layers.append(flip_and_shuffle(layers[-1], rng))
+        layers.append(bare_cycle("outerplanar", n, rng))
+    expected = [maximalize_outerplanar_retrace(layer, len(layer.outer_cycle)) for layer in layers]
+
+    def forbidden(*args):
+        raise AssertionError("maximalize_outerplanar traced or completed faces")
+
+    monkeypatch.setattr(graphs, "_trace_faces", forbidden)
+    monkeypatch.setattr(graphs, "_complete_faces", forbidden)
+    for layer, want in zip(layers, expected):
+        assert maximalize_outerplanar(layer, len(layer.outer_cycle)) == want
 
 
 def test_maximalize_small_cycles_match_retrace():
@@ -178,6 +209,20 @@ def test_chord_stack_matches_pair_scan():
                 assert expected is None
                 verdicts.add("plane")
     assert verdicts == {"cross", "plane"}
+
+
+def test_next_prime_matches_trial_division():
+    rng = random.Random(11)
+    for m in [*range(-3, 3000), *(rng.randrange(10**6, 10**11) for _ in range(30))]:
+        assert _next_prime(m) == next_prime_trial_division(m), m
+    # the largest prime below 2^40 and the Mersenne primes 2^31 - 1, 2^61 - 1
+    assert [_next_prime(m) for m in (2**40 - 87, 2**31 - 1, 2**61 - 1)] == [
+        2**40 - 87, 2**31 - 1, 2**61 - 1
+    ]
+    # strong pseudoprimes to the bases up to 7, 11, 13, 17 and 23
+    for composite in (3215031751, 2152302898747, 3474749660383, 341550071728321,
+                      3825123056546413051):
+        assert not _is_prime(composite)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -172,6 +172,27 @@ def test_general_position_draw_checks_budget_up_front(monkeypatch):
         planar_general_position_draw(path_plane_layer(4507), 4507)
 
 
+def test_free_outerplanar_embed_checks_the_parabola_budget_first(monkeypatch):
+    # the parabola set's coordinates stay below its prime p >= n, and the
+    # largest prime below 2^40 is 2^40 - 87; nothing is maximalized first
+    fits = 2**40 - 87
+    assert next_prime(fits) == fits and next_prime(fits + 1) > COORD_LIMIT
+
+    class PassedTheCheck(Exception):
+        pass
+
+    def no_work(*args):
+        raise PassedTheCheck
+
+    monkeypatch.setattr(unmapped, "maximalize_outerplanar", no_work)
+    layer = generate("maximal-outerplanar", 5, 0)
+    for n in (fits + 1, 2**40 + 1, 10**20):
+        with pytest.raises(CoordinateBudgetError, match=f"at most {fits} vertices fit"):
+            simul_embed_free([layer], n)
+    with pytest.raises(PassedTheCheck):
+        simul_embed_free([layer], fits)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 25), st.integers(0, 10**6), st.sampled_from([0.0, 0.5, 1.0]))
 def test_general_position_draw_keeps_base_orientations(n, seed, share):
