@@ -185,7 +185,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if recipe is None:
         if args.layers > COORD_LIMIT:
             raise ParseError(f"--layers expects at most 2^40 layers, got {args.layers}")
-        recipe = ["maximal-outerplanar"] * args.layers
+        # a count below one makes no layers, which validate_instance refuses;
+        # clamping first keeps a count below -2^63 from overflowing the repeat
+        recipe = ["maximal-outerplanar"] * max(args.layers, 0)
     layers = [generate(k, args.n, args.seed + i) for i, k in enumerate(recipe)]
     inst = LayeredInstance(n=args.n, layers=layers, mapping=mapping)
     validate_instance(inst)  # write nothing that embed would reject

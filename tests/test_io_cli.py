@@ -1242,6 +1242,7 @@ def _malformed_flags(draw):
 @example(["gen", "--kind", "two-caterpillars", "--n=99999999999999999999"])
 @example(["gen", "--kind", "planar-outerplanar", "--n=99999999999999999999"])
 @example(["gen", "--kind", "outerplanars", "--n=5", "--layers=99999999999999999999"])
+@example(["gen", "--kind", "outerplanars", "--n=5", "--layers=-9223372036854775809"])
 @example(["fivepaths", "--grid=2000000000000", "--samples=3", "--paths=12345"])
 def test_cli_malformed_flags_keep_the_exit_contract(argv):
     inst_text, res_text = _valid_documents("two-paths", 5, 0)
