@@ -89,8 +89,10 @@ def _sweep_frame(
     """
     if not edges:
         return xs, ys
-    along_x = sum(abs(xs[u] - xs[w]) for u, w in edges)
-    along_y = sum(abs(ys[u] - ys[w]) for u, w in edges)
+    along_x = along_y = 0
+    for u, w in edges:
+        along_x += abs(xs[u] - xs[w])
+        along_y += abs(ys[u] - ys[w])
     if along_x * (max(ys) - min(ys)) <= along_y * (max(xs) - min(xs)):
         return xs, ys
     return ys, xs
@@ -154,9 +156,11 @@ def _any_conflict(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) ->
     to top.  An entering edge e is placed by binary search: a kept edge k
     is below p if orient(L_k, R_k, p) > 0 and above it if < 0, and a zero
     is settled by the direction of R_e against that of R_k (the order
-    around p when L_k = p).  Every two edges that become neighbours, when e
-    enters or when an edge between them leaves, are tested exactly, and
-    only that test reports.
+    around p when L_k = p).  Each entering edge is tested exactly against
+    both of its neighbours.  The two edges that the last removal at p
+    leaves adjacent are tested once, and only if no edge enters at p: an
+    entering edge lands between them and tests both.  Only these tests
+    report.
 
     Each test is :func:`_pair_conflict`: two edges with the same L (or the
     same R) leave it into one open half-plane, so they meet beyond it iff
@@ -179,12 +183,27 @@ def _any_conflict(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) ->
     prefix of the list and "lower" on the rest, the binary search puts e
     in its place, and the order stays right after p.
 
+    Lemma: at an event p before q, the edges with R = p are consecutive in
+    the list, and their kept neighbours lie strictly below and strictly
+    above p.  Just before p every edge between two of them passes through
+    p, and so does a neighbour that is not strictly below or above it; a
+    kept such edge would contain p in its interior and conflict with the
+    edges that leave, so p >= q.  So the removals at p open exactly one
+    gap, and every edge that enters at p lands in it.
+
+    Invariant: once an event point before q is handled, every adjacent
+    pair in the list has been tested.  At such a point p the removals
+    make one new adjacent pair, the two sides of the gap.  If no edge
+    enters, that pair is tested.  Otherwise the first entering edge splits
+    it, and each adjacent pair that an insertion makes is tested by that
+    insertion.  Every other adjacent pair was adjacent before p.
+
     (a) If L_e < q and L_f < q, then e ∩ f = {q} (a collinear overlap
     would start before q), and q lies inside one of them, say e.  Just
     before q the edges between e and f in the list all pass through q, so
     e and its neighbour on the side of f both contain q, which is not an
-    endpoint of e: that neighbouring pair conflicts, and it was tested when
-    it became neighbours, before q.  Otherwise no two kept edges contain q
+    endpoint of e: that neighbouring pair conflicts, and by the invariant
+    it was tested before q.  Otherwise no two kept edges contain q
     (they would be such a pair), and some conflicting pair has L_f = q.
     (b) If an edge e kept across q contains q, the first edge g to enter
     at q conflicts with it.  (c) Else L_e = q as well (with L_e < q, q
@@ -200,14 +219,21 @@ def _any_conflict(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) ->
     """
     lx, ly, rx, ry, events = _edge_table(xs, ys, edges)
     status: list[int] = []
+    # The gap the last removal opened, status[gap - 1] and status[gap], at
+    # the point (gx, gy); 0 when there is none to test.
+    gap = gx = gy = 0
     for x, y, enters, e in events:
+        if gap:
+            if (x != gx or y != gy) and _pair_conflict(
+                lx, ly, rx, ry, status[gap - 1], status[gap]
+            ):
+                return True
+            gap = 0
         if not enters:
             i = status.index(e)
             del status[i]
-            if 0 < i < len(status) and _pair_conflict(
-                lx, ly, rx, ry, status[i - 1], status[i]
-            ):
-                return True
+            if 0 < i < len(status):
+                gap, gx, gy = i, x, y
             continue
         ex, ey = rx[e] - x, ry[e] - y
         lo, hi = 0, len(status)
@@ -274,8 +300,10 @@ def _listed_crossings(
 
 
 def check_embedding_shape(emb: SimultaneousEmbedding, inst: LayeredInstance) -> None:
-    """Raise unless the embedding has one point per vertex and one layer,
-    plus one assignment if it carries any, per instance layer."""
+    """Raise unless the embedding has one point per vertex and one layer
+    per instance layer, and, exactly when the mapping is free, one
+    assignment per instance layer: under a given mapping vertex v is drawn
+    at ``coords[v]`` in every layer, so an assignment is refused."""
     if len(emb.layers) != len(inst.layers):
         raise InvalidInstanceError("embedding and instance disagree on layer count")
     if len(emb.coords) != inst.n:
@@ -283,6 +311,8 @@ def check_embedding_shape(emb: SimultaneousEmbedding, inst: LayeredInstance) -> 
     if emb.assignments is None:
         if inst.mapping == "free":
             raise InvalidInstanceError("free-mapping embedding must carry its bijections")
+    elif inst.mapping != "free":
+        raise InvalidInstanceError("given-mapping embedding must not carry assignments")
     elif len(emb.assignments) != len(inst.layers):
         raise InvalidInstanceError("embedding and instance disagree on assignment count")
 
@@ -300,9 +330,12 @@ def certify_embedding(
     Crossings between different layers are deliberately never reported.
     """
     check_embedding_shape(emb, inst)
-    violations = _duplicate_violations(emb.coords)
-    xs = [p.x for p in emb.coords]
-    ys = [p.y for p in emb.coords]
+    coords = emb.coords
+    xs = [p.x for p in coords]
+    ys = [p.y for p in coords]
+    # The scans that name duplicate and out-of-bounds points run only when
+    # a set or an extent shows there is one: a valid drawing pays for neither.
+    violations = _duplicate_violations(coords) if len(set(zip(xs, ys))) != len(xs) else []
 
     # The edges come from the instance alone, never from the embedder's
     # own lists, so a drawing is judged against what was asked for.
@@ -319,8 +352,10 @@ def certify_embedding(
         edges = layer.edges if phi is None else [(phi[u], phi[v]) for u, v in layer.edges]
         violations.extend(_layer_crossings(xs, ys, edges, li))
 
-    if bounds is not None:
-        violations.extend(_bounds_violations(emb.coords, bounds[0], bounds[1]))
+    if bounds is not None and xs:
+        w, h = bounds
+        if max(xs) - min(xs) >= w or max(ys) - min(ys) >= h:
+            violations.extend(_bounds_violations(coords, w, h))
     return _report(violations)
 
 

@@ -161,12 +161,19 @@ def _conflict_raw(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
     sitting in the interior of the other all count as conflicts.  Touching
     at exactly one shared endpoint does not.  Both segments must have
     distinct endpoints.  The certifier and the five-point search call it
-    on raw coordinates in their inner loops.
+    on raw coordinates in their inner loops, and most pairs they ask about
+    lie apart: so it returns as soon as one segment lies strictly on one
+    side of the other's line, before it computes the other two
+    orientations.
     """
     o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+    if o1 > 0 and o2 > 0 or o1 < 0 and o2 < 0:
+        return False  # c and d strictly on one side of line ab
     o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
     o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
+    if o3 > 0 and o4 > 0 or o3 < 0 and o4 < 0:
+        return False  # a and b strictly on one side of line cd
 
     if (o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0 and (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0:
         return True  # proper crossing

@@ -45,7 +45,8 @@ class LayeredInstance:
 class SimultaneousEmbedding:
     """A drawing shared by all layers: one point per vertex plus the
     per-layer edge lists.  With free mapping, ``assignments`` maps each
-    layer's own vertex indices to point indices."""
+    layer's own vertex indices to point indices; with given mapping it is
+    None, and vertex v is at ``coords[v]`` in every layer."""
 
     coords: list[GridPoint]
     layers: list[list[tuple[int, int]]]

@@ -320,6 +320,46 @@ def layer_crossings_all_pairs(
     return out
 
 
+def conflict_four_orientations(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
+    """``geometry._conflict_raw`` as it was before it stopped at the first
+    separating line: all four orientations first, then the proper-crossing,
+    collinear and touching cases."""
+    o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+    o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
+    o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
+
+    if (o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0 and (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0:
+        return True  # proper crossing
+
+    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
+        # Collinear: conflict iff the 1-D overlap is longer than a point.
+        if ax != bx:
+            lo1, hi1 = min(ax, bx), max(ax, bx)
+            lo2, hi2 = min(cx, dx), max(cx, dx)
+        else:
+            lo1, hi1 = min(ay, by), max(ay, by)
+            lo2, hi2 = min(cy, dy), max(cy, dy)
+        return max(lo1, lo2) < min(hi1, hi2)
+
+    def strictly_between(px, py, qx, qy, rx, ry) -> bool:
+        # q is collinear with p-r; is it strictly inside the segment?
+        if px != rx:
+            return min(px, rx) < qx < max(px, rx)
+        return min(py, ry) < qy < max(py, ry)
+
+    # Endpoint of one segment strictly inside the other.
+    if o1 == 0 and strictly_between(ax, ay, cx, cy, bx, by):
+        return True
+    if o2 == 0 and strictly_between(ax, ay, dx, dy, bx, by):
+        return True
+    if o3 == 0 and strictly_between(cx, cy, ax, ay, dx, dy):
+        return True
+    if o4 == 0 and strictly_between(cx, cy, bx, by, dx, dy):
+        return True
+    return False
+
+
 def same_ray(xs: list[int], ys: list[int], v: int, a: int, b: int) -> bool:
     """Whether points a and b both differ from point v and lie on one ray
     from it."""

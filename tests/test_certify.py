@@ -19,7 +19,7 @@ from simembed import (
     refine_general_position,
     simul_embed_free,
 )
-from simembed.certify import _sweep_frame
+from simembed.certify import _sweep_frame, check_embedding_shape
 
 P = GridPoint
 
@@ -121,6 +121,40 @@ def test_certify_bounds():
     )
     shifted_inst = LayeredInstance(n=2, layers=[Layer("path", [(0, 1)])])
     assert certify_embedding(shifted, shifted_inst, bounds=(2, 2)).ok
+
+
+def test_certify_bounds_at_the_extent():
+    # Extents 5 (x from 3 to 7) and 4 (y from 10 to 13): bounds equal to
+    # them pass, and one under names exactly the points beyond the edge.
+    emb = SimultaneousEmbedding(
+        coords=[P(3, 10), P(7, 11), P(5, 13), P(4, 12)],
+        layers=[[(0, 1), (1, 2), (2, 3)]],
+        width=5,
+        height=4,
+    )
+    inst = LayeredInstance(n=4, layers=[Layer("path", [(0, 1), (1, 2), (2, 3)])])
+    assert certify_embedding(emb, inst, bounds=(5, 4)).ok
+
+    def witnesses(w, h):
+        return [(v.kind, v.witness) for v in certify_embedding(emb, inst, bounds=(w, h)).violations]
+
+    assert witnesses(4, 4) == [("out-of-bounds", (1,))]
+    assert witnesses(5, 3) == [("out-of-bounds", (2,))]
+    assert witnesses(4, 3) == [("out-of-bounds", (1,)), ("out-of-bounds", (2,))]
+    # only the minimum corner, point 0, fits a 1 x 1 grid
+    assert witnesses(1, 1) == [("out-of-bounds", (i,)) for i in (1, 2, 3)]
+
+
+def test_given_mapping_refuses_assignments():
+    # Under a given mapping vertex v is drawn at coords[v] in every layer;
+    # per-layer assignments would let each layer relabel the points.
+    emb = embed_two_paths(PathOrder([0, 1, 2]), PathOrder([2, 0, 1]))
+    inst = LayeredInstance(n=3, layers=[Layer("path", e) for e in emb.layers])
+    relabeled = dataclasses.replace(emb, assignments=[[0, 1, 2], [1, 2, 0]])
+    with pytest.raises(InvalidInstanceError, match="given-mapping"):
+        certify_embedding(relabeled, inst)
+    with pytest.raises(InvalidInstanceError, match="given-mapping"):
+        check_embedding_shape(relabeled, inst)
 
 
 def test_report_round_trips_through_json():

@@ -21,6 +21,7 @@ from simembed import (
     LayeredInstance,
     ParseError,
     PathOrder,
+    as_path,
     cli_main,
     embed_two_paths,
     generate,
@@ -938,6 +939,36 @@ def test_cli_malformed_result_one_error_line(tmp_path, capsys, outerplanar_resul
     else:
         assert len(err) == 1 and err[0].startswith("error: "), err
 
+
+
+@pytest.mark.parametrize("command", ["certify", "render"])
+def test_cli_given_mapping_result_with_assignments_one_error_line(tmp_path, capsys, command):
+    # Coordinates (i, i^2) and, per layer, an assignment that puts the
+    # layer's path in order along the curve: each layer alone is drawn
+    # without a crossing, but vertex v sits at a different point in each,
+    # which a given mapping forbids.
+    inst_file = tmp_path / "inst.json"
+    assert cli_main(["gen", "--kind", "two-paths", "--n", "8", "--seed", "3",
+                     "--out", str(inst_file)]) == 0
+    inst = parse_instance(inst_file.read_text(encoding="utf-8"))
+    assignments = []
+    for layer in inst.layers:
+        phi = [0] * inst.n
+        for k, v in enumerate(as_path(layer, inst.n).order):
+            phi[v] = k
+        assignments.append(phi)
+    n = inst.n
+    doc = {"coords": [[i, i * i] for i in range(n)], "width": n, "height": (n - 1) ** 2 + 1,
+           "assignments": assignments}
+    res_file = tmp_path / "result.json"
+    res_file.write_text(json.dumps(doc), encoding="utf-8")
+    target = ["--svg", str(tmp_path / "out.svg")] if command == "render" else ["--out", "-"]
+    capsys.readouterr()
+    rc = cli_main([command, "--in", str(res_file), "--instance", str(inst_file)] + target)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.splitlines() == ["error: given-mapping embedding must not carry assignments"]
+    assert not (tmp_path / "out.svg").exists()
 
 
 # ---------------------------------------------------------------------------

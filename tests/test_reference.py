@@ -11,7 +11,9 @@ over all vertices, the all-pairs edge loop and the cubic triple loop in
 completed, chords nest, cross and share endpoints, and edges overlap,
 touch and tie in every way a grid allows; the certifier's Shamos–Hoey
 decision must say yes exactly when the exact predicate finds some
-conflicting pair among all pairs.  The five-point search on candidate
+conflicting pair among all pairs, and that predicate, which stops at the
+first separating line, must answer as the one that computes all four
+orientations first.  The five-point search on candidate
 bitmasks must report what the conflict-table search and the
 per-placement search reported, and with its shadows hoisted and looked
 up in one table what the loop that recomputed them per candidate
@@ -52,6 +54,7 @@ from reference import (
     certifier_pair_tests,
     chords_cross,
     collinear_triples_cubic,
+    conflict_four_orientations,
     crossing_chords_pair_scan,
     draw_triangulation_path_walk,
     embed_on_general_position_eager,
@@ -93,7 +96,7 @@ from simembed import (
 from simembed import certify, graphs, mapped, unmapped
 from simembed.graphs import _trace_faces
 from simembed.certify import _any_conflict, _layer_crossings, _listed_crossings
-from simembed.geometry import _conflict_raw, _is_prime, _next_prime
+from simembed.geometry import COORD_LIMIT, _conflict_raw, _is_prime, _next_prime
 from simembed.mapped import _grid_points, _shadow, _shadow_table, _side_masks
 
 
@@ -470,8 +473,25 @@ def distinct_grid_layers(draw):
     return [x for x, _ in cells], [y for _, y in cells], edges
 
 
+# Hand layers for the sweep's event-point rule, along x.  Edge a runs
+# along y = 0 and edge b along y = 10, across the whole sweep; r1 and r2
+# end at p = (5, 5), from below and from above, and s1 and s2 start there.
+_EVENT_XS = [0, 10, 0, 10, 2, 5, 2, 8, 8, 0, 10]
+_EVENT_YS = [0, 0, 10, 10, 3, 5, 7, 3, 7, 5, 5]
+_A, _B, _R1, _R2, _S1, _S2 = (0, 1), (2, 3), (4, 5), (6, 5), (5, 7), (5, 8)
+# two edges end and two edges start at p
+LEAVE_AND_ENTER = (_EVENT_XS, _EVENT_YS, [_A, _B, _R1, _R2, _S1, _S2])
+# two edges end at p, where nothing starts
+LEAVE_ONLY = (_EVENT_XS, _EVENT_YS, [_A, _B, _R1, _R2])
+# a kept edge along y = 5 passes through p, between r1 and r2 in the list
+KEPT_THROUGH = (_EVENT_XS, _EVENT_YS, [_A, _B, _R1, _R2, (9, 10)])
+
+
 @settings(max_examples=600, deadline=None)
 @given(st.one_of(distinct_grid_layers(), grid_layers()))
+@example(LEAVE_AND_ENTER)
+@example(LEAVE_ONLY)
+@example(KEPT_THROUGH)
 def test_conflict_decision_matches_all_pairs(layer):
     # The sweep decides exactly whether some pair conflicts, along either
     # axis, coincident points and edges of length zero included, with at
@@ -520,6 +540,68 @@ def test_conflict_decision_tests_the_pair_a_removal_joins():
     assert _any_conflict(xs, ys, edges)
     assert not _any_conflict(xs, ys, edges[:2]) and not _any_conflict(xs, ys, edges[1:])
     assert [v.witness for v in _layer_crossings(xs, ys, edges, 0)] == [(0, 0, 2)]
+
+
+def test_conflict_decision_tests_each_gap_once_per_event_point():
+    # Up to p: b is tested against a, r1 against a and b, r2 against b
+    # (against r1 by direction), 4 exact tests.  At p, r1 and r2 leave and
+    # s1 and s2 enter: the gap between a and b is not tested, since s1
+    # lands in it and tests both sides, and s2 tests b (s1 by direction),
+    # 7.  Then s1 leaves, opening the gap (a, s2), and s2 leaves, opening
+    # (a, b): 9.  Testing after every removal would also test (a, r2) and
+    # (a, b) at p, 11.
+    assert _with_conflict_count(_any_conflict, *LEAVE_AND_ENTER) == (False, 9)
+    # With nothing starting at p, the gap (a, b) is tested once, after the
+    # last removal there, not (a, r2) first: 5 instead of 6.
+    assert _with_conflict_count(_any_conflict, *LEAVE_ONLY) == (False, 5)
+    # The kept edge contains p in its interior, so it conflicts with both
+    # r1 and r2; the sweep finds that when r1 enters next to it.
+    assert _with_conflict_count(_any_conflict, *KEPT_THROUGH) == (True, 4)
+    assert [v.witness for v in _layer_crossings(*KEPT_THROUGH, 0)] == [(0, 2, 4), (0, 3, 4)]
+
+
+@st.composite
+def segment_pairs(draw):
+    # Two segments on up to four points of a 5 x 5 grid, so that they are
+    # often collinear, overlap, touch at a T, meet end to end or coincide.
+    # Mapped onto {-L, -L/2, 0, L/2, L} for L = COORD_LIMIT, every such
+    # incidence stays and the orientations reach their largest sizes; or
+    # each coordinate is drawn near ±L.
+    mode = draw(st.sampled_from(["grid", "scaled", "extreme"]))
+    if mode == "extreme":
+        near = st.sampled_from([-COORD_LIMIT, 1 - COORD_LIMIT, -1, 0, 1, COORD_LIMIT - 1, COORD_LIMIT])
+        point = st.tuples(near, near)
+    else:
+        point = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    pts = draw(st.lists(point, min_size=2, max_size=4, unique=True))
+    pick = st.sampled_from(pts)
+    a, c = draw(pick), draw(pick)
+    b = draw(pick.filter(lambda q: q != a))
+    d = draw(pick.filter(lambda q: q != c))
+    if mode == "scaled":
+        half = COORD_LIMIT // 2
+        a, b, c, d = ((x * half - COORD_LIMIT, y * half - COORD_LIMIT) for x, y in (a, b, c, d))
+    return (*a, *b), (*c, *d)
+
+
+_L = COORD_LIMIT
+
+
+@settings(max_examples=1500, deadline=None)
+@given(segment_pairs())
+@example(((0, 0, 2, 0), (1, 0, 3, 0)))  # collinear overlap
+@example(((0, 0, 2, 0), (2, 0, 4, 0)))  # collinear, end to end
+@example(((0, 0, 2, 0), (1, 0, 1, 2)))  # an endpoint inside the other: a T
+@example(((0, 0, 2, 2), (2, 2, 0, 0)))  # identical, given both ways round
+@example(((0, 0, 2, 2), (2, 2, 4, 0)))  # end to end at an angle
+@example(((-_L, -_L, _L, _L), (-_L, _L, _L, -_L)))  # proper crossing across the budget
+@example(((-_L, -_L, _L, _L), (0, 0, _L, -_L)))  # a T at the centre
+def test_conflict_predicate_matches_four_orientations(pair):
+    # The predicate that stops at the first separating line answers as the
+    # one that computes all four orientations first, both ways round.
+    s, t = pair
+    assert _conflict_raw(*s, *t) == conflict_four_orientations(*s, *t)
+    assert _conflict_raw(*t, *s) == conflict_four_orientations(*t, *s)
 
 
 def test_conflict_decision_work_bound_on_a_maximal_outerplanar_layer():
