@@ -59,7 +59,8 @@ def _duplicate_violations(points: list[GridPoint]) -> list[Violation]:
 
 
 def _layer_crossings(
-    xs: list[int], ys: list[int], edges: list[tuple[int, int]], layer_idx: int
+    xs: list[int], ys: list[int], edges: list[tuple[int, int]], layer_idx: int,
+    x_span: int, y_span: int,
 ) -> list[Violation]:
     """Every conflicting edge pair (i, j), i < j, of one layer, in order.
 
@@ -69,23 +70,23 @@ def _layer_crossings(
     :func:`_listed_crossings`, which names every conflicting pair.  Both
     sweep along the axis that :func:`_sweep_frame` picks, the one on which
     a sweep line meets fewer edges on average; the axis changes how fast
-    they run, never what they find.
+    they run, never what they find.  The spans are ``max - min`` of xs, ys.
     """
-    if _any_conflict(*_sweep_frame(xs, ys, edges), edges):
-        return _listed_crossings(xs, ys, edges, layer_idx)
+    if _any_conflict(*_sweep_frame(xs, ys, edges, x_span, y_span), edges):
+        return _listed_crossings(xs, ys, edges, layer_idx, x_span, y_span)
     return []
 
 
 def _sweep_frame(
-    xs: list[int], ys: list[int], edges: list[tuple[int, int]]
+    xs: list[int], ys: list[int], edges: list[tuple[int, int]], x_span: int, y_span: int
 ) -> tuple[list[int], list[int]]:
     """The coordinates with the sweep axis first: x when
-    sum |dx| * height <= sum |dy| * width over the edges, else y.
+    sum |dx| * y_span <= sum |dy| * x_span over the edges, else y.
 
-    Width and height are the drawing's extents, so each side is, up to the
-    common factor width * height, the mean number of edges that a sweep
-    line meets on its axis: a line at a uniformly random x meets an edge
-    with probability |dx| / width.  One pass, no sort.
+    The spans are the drawing's extents less one, so each side is, up to
+    the common factor x_span * y_span, the mean number of edges that a
+    sweep line meets on its axis: a line at a uniformly random x meets an
+    edge with probability |dx| / x_span.  One pass, no sort.
     """
     if not edges:
         return xs, ys
@@ -93,7 +94,7 @@ def _sweep_frame(
     for u, w in edges:
         along_x += abs(xs[u] - xs[w])
         along_y += abs(ys[u] - ys[w])
-    if along_x * (max(ys) - min(ys)) <= along_y * (max(xs) - min(xs)):
+    if along_x * y_span <= along_y * x_span:
         return xs, ys
     return ys, xs
 
@@ -257,7 +258,8 @@ def _any_conflict(xs: list[int], ys: list[int], edges: list[tuple[int, int]]) ->
 
 
 def _listed_crossings(
-    xs: list[int], ys: list[int], edges: list[tuple[int, int]], layer_idx: int
+    xs: list[int], ys: list[int], edges: list[tuple[int, int]], layer_idx: int,
+    x_span: int, y_span: int,
 ) -> list[Violation]:
     """Every conflicting edge pair (i, j), i < j, of one layer, in order,
     found by a bounding-box scan over the table of :func:`_edge_table`,
@@ -280,7 +282,7 @@ def _listed_crossings(
     boxes overlap is looked at, so a layer whose long edges overlap one
     another costs O(m^2).
     """
-    us, vs = _sweep_frame(xs, ys, edges)
+    us, vs = _sweep_frame(xs, ys, edges, x_span, y_span)
     lx, ly, rx, ry, events = _edge_table(us, vs, edges)
     low = list(map(min, ly, ry))
     high = list(map(max, ly, ry))
@@ -300,12 +302,10 @@ def _listed_crossings(
 
 
 def check_embedding_shape(emb: SimultaneousEmbedding, inst: LayeredInstance) -> None:
-    """Raise unless the embedding has one point per vertex and one layer
-    per instance layer, and, exactly when the mapping is free, one
-    assignment per instance layer: under a given mapping vertex v is drawn
-    at ``coords[v]`` in every layer, so an assignment is refused."""
-    if len(emb.layers) != len(inst.layers):
-        raise InvalidInstanceError("embedding and instance disagree on layer count")
+    """Raise unless the embedding has one point per vertex and, exactly
+    when the mapping is free, one assignment per instance layer: under a
+    given mapping vertex v is drawn at ``coords[v]`` in every layer, so an
+    assignment is refused."""
     if len(emb.coords) != inst.n:
         raise InvalidInstanceError("embedding and instance disagree on vertex count")
     if emb.assignments is None:
@@ -336,6 +336,8 @@ def certify_embedding(
     # The scans that name duplicate and out-of-bounds points run only when
     # a set or an extent shows there is one: a valid drawing pays for neither.
     violations = _duplicate_violations(coords) if len(set(zip(xs, ys))) != len(xs) else []
+    # every layer shares the extents, so they are taken once
+    x_span, y_span = (max(xs) - min(xs), max(ys) - min(ys)) if xs else (0, 0)
 
     # The edges come from the instance alone, never from the embedder's
     # own lists, so a drawing is judged against what was asked for.
@@ -350,11 +352,11 @@ def certify_embedding(
             if bad:
                 continue
         edges = layer.edges if phi is None else [(phi[u], phi[v]) for u, v in layer.edges]
-        violations.extend(_layer_crossings(xs, ys, edges, li))
+        violations.extend(_layer_crossings(xs, ys, edges, li, x_span, y_span))
 
-    if bounds is not None and xs:
+    if bounds is not None:
         w, h = bounds
-        if max(xs) - min(xs) >= w or max(ys) - min(ys) >= h:
+        if x_span >= w or y_span >= h:
             violations.extend(_bounds_violations(coords, w, h))
     return _report(violations)
 

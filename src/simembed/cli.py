@@ -5,7 +5,7 @@ Subcommands: ``embed`` (dispatch on layer classes and mapping mode),
 (random instances), and ``fivepaths`` (pair coverage plus the exhaustive
 placement search).  Exit codes: 0 success with ok certificate, 2 the
 instance is unsupported/invalid or a certificate failed, 1 usage or I/O
-error.
+error or out of memory.
 """
 
 from __future__ import annotations
@@ -91,15 +91,15 @@ def _parse_bounds(text: Optional[str]) -> Optional[tuple[int, int]]:
     return w, h
 
 
-# The two-layer embedders for a given mapping by layer classes, keyed in
-# the order each takes its layers.  parse_instance has validated every
-# layer, so they recover paths and caterpillars without validating again.
-# The lambdas look the embedders up in this module when called, so a
-# patched module attribute is the one that runs.
+# The two-layer embedders for a given mapping, keyed by the layer classes
+# in sorted order, which is the order each takes its layers.  parse_instance
+# has validated every layer, so they recover paths and caterpillars without
+# validating again.  The lambdas look the embedders up in this module when
+# called, so a patched module attribute is the one that runs.
 _PAIR_EMBEDDERS = {
     ("path", "path"): lambda a, b, n: embed_two_paths(_path_order(a, n), _path_order(b, n)),
-    ("path", "caterpillar"): lambda a, b, n: embed_path_caterpillar(
-        _path_order(a, n), _caterpillar(b, n)
+    ("caterpillar", "path"): lambda c, p, n: embed_path_caterpillar(
+        _path_order(p, n), _caterpillar(c, n)
     )[0],
     ("caterpillar", "caterpillar"): lambda a, b, n: embed_two_caterpillars(
         _caterpillar(a, n), _caterpillar(b, n)
@@ -110,20 +110,18 @@ _PAIR_EMBEDDERS = {
 def _dispatch_embed(inst: LayeredInstance) -> SimultaneousEmbedding:
     if inst.mapping == "free":
         return simul_embed_free(inst.layers, inst.n)
-    kinds = tuple(layer.kind for layer in inst.layers)
-    flipped = kinds not in _PAIR_EMBEDDERS
-    layers = inst.layers[::-1] if flipped else inst.layers
-    embed = _PAIR_EMBEDDERS.get(kinds[::-1] if flipped else kinds)
+    # Each embedder takes its layers in class order; the sort is stable, so
+    # two layers of one class keep the instance's order.
+    layers = sorted(inst.layers, key=lambda layer: layer.kind)
+    embed = _PAIR_EMBEDDERS.get(tuple(layer.kind for layer in layers))
     if embed is None:
+        kinds = [layer.kind for layer in inst.layers]
         raise UnsupportedInstanceError(
-            f"no with-mapping embedder for classes {list(kinds)}; "
+            f"no with-mapping embedder for classes {kinds}; "
             f"supported: {SUPPORTED_GIVEN}. Two planar layers with a given "
             "mapping cannot be simultaneously embedded in general."
         )
-    emb = embed(*layers, inst.n)
-    if flipped:
-        emb.layers.reverse()  # a given mapping has no assignments to reverse
-    return emb
+    return embed(*layers, inst.n)
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
@@ -133,7 +131,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     report = certify_mod.certify_embedding(emb, inst, bounds=bounds)
     _write(args.out, serialize_result(emb, report))
     if args.svg:
-        _write(args.svg, render_svg(emb))
+        _write(args.svg, render_svg(emb, inst))
     if not report.ok:
         print("certificate FAILED:", report.to_json(), file=sys.stderr)
         return 2
@@ -142,7 +140,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance))
-    emb, _stored = parse_result(_read(args.infile), [list(l.edges) for l in inst.layers])
+    emb, _stored = parse_result(_read(args.infile))
     bounds = _parse_bounds(args.bounds)
     report = certify_mod.certify_embedding(emb, inst, bounds=bounds)
     _write(args.out, _dumps(report.to_json()) + "\n")
@@ -154,9 +152,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance))
-    emb, _stored = parse_result(_read(args.infile), [list(l.edges) for l in inst.layers])
+    emb, _stored = parse_result(_read(args.infile))
     certify_mod.check_embedding_shape(emb, inst)
-    _write(args.svg, render_svg(emb))
+    _write(args.svg, render_svg(emb, inst))
     return 0
 
 
@@ -293,6 +291,11 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (OSError, json.JSONDecodeError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # the input was admitted; like an I/O error, the host is at fault
+        size = f" at n = {args.n}" if hasattr(args, "n") else ""
+        print(f"error: {args.command}{size} ran out of memory", file=sys.stderr)
         return 1
     except SimembedError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -181,9 +181,9 @@ def serialize_result(
 
 
 def parse_result(
-    text: str | bytes, layers: list[list[tuple[int, int]]]
+    text: str | bytes,
 ) -> tuple[SimultaneousEmbedding, Optional[CertificateReport]]:
-    """Rebuild an embedding from a result document plus its instance's layers."""
+    """Rebuild an embedding and its stored certificate from a result document."""
     data = _loads(text)
     if not isinstance(data, dict):
         raise ParseError("result document must be a JSON object")
@@ -208,7 +208,6 @@ def parse_result(
         raise ParseError("assignments must be lists of integers")
     emb = SimultaneousEmbedding(
         coords=coords,
-        layers=layers,
         width=data["width"],
         height=data["height"],
         assignments=assignments,

@@ -43,13 +43,12 @@ class LayeredInstance:
 
 @dataclass
 class SimultaneousEmbedding:
-    """A drawing shared by all layers: one point per vertex plus the
-    per-layer edge lists.  With free mapping, ``assignments`` maps each
-    layer's own vertex indices to point indices; with given mapping it is
-    None, and vertex v is at ``coords[v]`` in every layer."""
+    """A drawing shared by all layers: one point per vertex and its extents.
+    With free mapping, ``assignments`` maps each layer's own vertex indices
+    to point indices; with given mapping it is None, and vertex v is at
+    ``coords[v]`` in every layer.  The edges are the instance's."""
 
     coords: list[GridPoint]
-    layers: list[list[tuple[int, int]]]
     width: int
     height: int
     assignments: Optional[list[list[int]]] = None

@@ -52,9 +52,7 @@ def embed_two_paths(p1: PathOrder, p2: PathOrder) -> SimultaneousEmbedding:
     for i, v in enumerate(p2.order):
         pos2[v] = i + 1
     coords = [GridPoint(pos1[v], pos2[v]) for v in range(n)]
-    return SimultaneousEmbedding(
-        coords=coords, layers=[p1.edges(), p2.edges()], width=n, height=n
-    )
+    return SimultaneousEmbedding(coords=coords, width=n, height=n)
 
 
 def _check_two_path_budget(n: int) -> None:
@@ -112,7 +110,7 @@ def embed_two_caterpillars(c1: Caterpillar, c2: Caterpillar) -> SimultaneousEmbe
     """Linearize both caterpillars, lay the two paths out on n x n, then
     lift that permutation grid onto the mod-p parabola as
     :func:`refine_general_position` would (its base points are distinct and
-    inside [1, n]^2) and swap the path edges for the caterpillar edges.
+    inside [1, n]^2); the caterpillar edges are drawn on those points.
     Fits p*n x p*n for p the smallest prime >= n, and p < 2n for n >= 2
     (Bertrand's postulate).  The extent p*n + p - 1 is checked against
     COORD_LIMIT before the caterpillars are linearized."""
@@ -125,9 +123,7 @@ def embed_two_caterpillars(c1: Caterpillar, c2: Caterpillar) -> SimultaneousEmbe
     base = embed_two_paths(p1, p2)
     prime = _next_prime(n)
     coords, width, height = _translate_to_origin(_parabola_lift(base.coords, prime, prime))
-    return SimultaneousEmbedding(
-        coords=coords, layers=[c1.edges(), c2.edges()], width=width, height=height
-    )
+    return SimultaneousEmbedding(coords=coords, width=width, height=height)
 
 
 def _check_path_caterpillar_budget(n: int) -> None:
@@ -180,13 +176,7 @@ def embed_path_caterpillar(
                 raise InternalInvariantError("shift count exceeded the leg count")
 
     coords = [GridPoint(xs[v], ys[v]) for v in range(n)]
-    emb = SimultaneousEmbedding(
-        coords=coords,
-        layers=[p.edges(), cat.edges()],
-        width=max(xs),
-        height=n,
-    )
-    return emb, shifts
+    return SimultaneousEmbedding(coords=coords, width=max(xs), height=n), shifts
 
 
 # ---------------------------------------------------------------------------

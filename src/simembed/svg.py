@@ -1,19 +1,19 @@
 """SVG rendering of layered drawings.
 
-One group per layer with distinct stroke colors, vertices as labeled
-circles.  The y axis is flipped so larger y draws upward.  Output is a
-deterministic function of the input.
+One group per instance layer, in order, with distinct stroke colors;
+vertices as labeled circles.  The y axis is flipped so larger y draws
+upward.  Output is a deterministic function of the drawing and instance.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidInstanceError
-from .graphs import SimultaneousEmbedding
+from .graphs import LayeredInstance, SimultaneousEmbedding
 
 LAYER_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def render_svg(emb: SimultaneousEmbedding) -> str:
+def render_svg(emb: SimultaneousEmbedding, inst: LayeredInstance) -> str:
     coords = emb.coords
     min_x = min((p.x for p in coords), default=0)
     max_x = max((p.x for p in coords), default=0)
@@ -34,14 +34,14 @@ def render_svg(emb: SimultaneousEmbedding) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {view_w:.6g} {view_h:.6g}">',
     ]
-    for li, edges in enumerate(emb.layers):
+    for li, layer in enumerate(inst.layers):
         color = LAYER_COLORS[li % len(LAYER_COLORS)]
         phi = emb.assignments[li] if emb.assignments is not None else None
         out.append(
             f'  <g id="layer-{li}" stroke="{color}" stroke-width="{unit / 8:.6g}" fill="none">'
         )
         slot = range(len(coords)) if phi is None else phi
-        for u, v in edges:
+        for u, v in layer.edges:
             ends = [slot[w] if 0 <= w < len(slot) else -1 for w in (u, v)]
             if min(ends) < 0 or max(ends) >= len(coords):
                 raise InvalidInstanceError(f"layer {li} edge ({u},{v}) maps to no point")

@@ -621,7 +621,6 @@ def simul_embed_free(layers: list[Layer], n: int) -> SimultaneousEmbedding:
     coords, width, height = _translate_to_origin(pts)
     return SimultaneousEmbedding(
         coords=coords,
-        layers=[list(layer.edges) for layer in layers],
         width=width,
         height=height,
         assignments=assignments,

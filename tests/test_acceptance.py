@@ -61,12 +61,13 @@ def test_criterion_1_two_paths():
         o1, o2 = list(range(n)), list(range(n))
         rng.shuffle(o1)
         rng.shuffle(o2)
-        emb = embed_two_paths(PathOrder(o1), PathOrder(o2))
+        p1, p2 = PathOrder(o1), PathOrder(o2)
+        emb = embed_two_paths(p1, p2)
         assert emb.width == n and emb.height == n
         xs = sorted(p.x for p in emb.coords)
         ys = sorted(p.y for p in emb.coords)
         assert xs == list(range(1, n + 1)) and ys == list(range(1, n + 1))
-        inst = given_instance(emb.layers, n, ["path", "path"])
+        inst = given_instance([p1.edges(), p2.edges()], n, ["path", "path"])
         assert certify_embedding(emb, inst, bounds=(n, n)).ok
     elapsed = time.monotonic() - t0
 
@@ -108,10 +109,8 @@ def test_criterion_2_five_paths():
             drops_ok = False
         else:
             pts = witness.counterexample
-            emb = SimultaneousEmbedding(
-                coords=pts, layers=[p.edges() for p in four], width=5, height=5
-            )
-            inst = given_instance(emb.layers, 5, ["path"] * 4)
+            emb = SimultaneousEmbedding(coords=pts, width=5, height=5)
+            inst = given_instance([p.edges() for p in four], 5, ["path"] * 4)
             if not certify_embedding(emb, inst).ok:
                 drops_ok = False
 
@@ -161,7 +160,7 @@ def test_criterion_4_caterpillars():
         c1 = caterpillar_decompose(generate("caterpillar", n, trial), n)
         c2 = caterpillar_decompose(generate("caterpillar", n, trial + 9999), n)
         emb = embed_two_caterpillars(c1, c2)
-        inst = given_instance(emb.layers, n, ["caterpillar", "caterpillar"])
+        inst = given_instance([c1.edges(), c2.edges()], n, ["caterpillar", "caterpillar"])
         assert certify_embedding(emb, inst).ok
         assert emb.width <= _next_prime(n) * n and emb.height <= _next_prime(n) * n
 
@@ -176,7 +175,7 @@ def test_criterion_4_caterpillars():
         assert shifts <= k
         assert emb.width <= 2 * n - k
         assert emb.height == n
-        inst = given_instance(emb.layers, n, ["path", "caterpillar"])
+        inst = given_instance([p.edges(), cat.edges()], n, ["path", "caterpillar"])
         assert certify_embedding(emb, inst).ok
     report(4, True, "200 caterpillar pairs + 200 path/caterpillar instances certified in bounds")
 
@@ -189,9 +188,7 @@ def test_criterion_5_planar_drawing():
         pts = planar_grid_draw(lay, n)
         assert 0 <= min(p.x for p in pts) and max(p.x for p in pts) <= 2 * n - 4
         assert 0 <= min(p.y for p in pts) and max(p.y for p in pts) <= n - 2
-        emb = SimultaneousEmbedding(
-            coords=pts, layers=[lay.edges], width=2 * n - 4 + 1, height=n - 2 + 1
-        )
+        emb = SimultaneousEmbedding(coords=pts, width=2 * n - 4 + 1, height=n - 2 + 1)
         inst = LayeredInstance(n=n, layers=[lay])
         assert certify_embedding(emb, inst, bounds=(2 * n - 3, n - 1)).ok
 
@@ -204,7 +201,7 @@ def test_criterion_5_planar_drawing():
         width = max(p.x for p in pts) - min(p.x for p in pts) + 1
         height = max(p.y for p in pts) - min(p.y for p in pts) + 1
         assert width <= w_bound and height <= h_bound
-        emb = SimultaneousEmbedding(coords=pts, layers=[lay.edges], width=width, height=height)
+        emb = SimultaneousEmbedding(coords=pts, width=width, height=height)
         inst = LayeredInstance(n=n, layers=[lay])
         assert certify_embedding(emb, inst).ok
     report(5, True, "100 grid drawings fit (2n-4) x (n-2); general-position variant in documented bounds")
@@ -242,9 +239,7 @@ def test_criterion_7_outerplanar_on_points():
             if find_collinear_triple(pts) is None:
                 break
         phi = embed_outerplanar_on_points(lay, pts)
-        emb = SimultaneousEmbedding(
-            coords=pts, layers=[lay.edges], width=10**6, height=10**6, assignments=[phi]
-        )
+        emb = SimultaneousEmbedding(coords=pts, width=10**6, height=10**6, assignments=[phi])
         inst = LayeredInstance(n=k, layers=[lay], mapping="free")
         assert certify_embedding(emb, inst).ok
         assert brute_force_point_assignment(lay, pts) is not None

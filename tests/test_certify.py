@@ -25,15 +25,15 @@ P = GridPoint
 
 
 def test_two_path_output_certifies():
-    emb = embed_two_paths(PathOrder([0, 1, 2, 3, 4, 5, 6]), PathOrder([1, 4, 0, 3, 2, 5, 6]))
-    inst = LayeredInstance(n=7, layers=[Layer("path", e) for e in emb.layers])
+    paths = [PathOrder([0, 1, 2, 3, 4, 5, 6]), PathOrder([1, 4, 0, 3, 2, 5, 6])]
+    emb = embed_two_paths(*paths)
+    inst = LayeredInstance(n=7, layers=[Layer("path", p.edges()) for p in paths])
     assert certify_embedding(emb, inst).ok
 
 
 def test_crossing_in_one_layer_reported():
     emb = SimultaneousEmbedding(
         coords=[P(0, 0), P(2, 2), P(0, 2), P(2, 0)],
-        layers=[[(0, 1), (2, 3)]],
         width=3,
         height=3,
     )
@@ -47,7 +47,6 @@ def test_crossing_in_one_layer_reported():
 def test_same_segments_in_different_layers_allowed():
     emb = SimultaneousEmbedding(
         coords=[P(0, 0), P(2, 2), P(0, 2), P(2, 0)],
-        layers=[[(0, 1)], [(2, 3)]],
         width=3,
         height=3,
     )
@@ -60,7 +59,6 @@ def test_same_segments_in_different_layers_allowed():
 def test_duplicate_coordinates_reported():
     emb = SimultaneousEmbedding(
         coords=[P(1, 1), P(1, 1), P(2, 2)],
-        layers=[[(0, 2)]],
         width=2,
         height=2,
     )
@@ -72,7 +70,6 @@ def test_duplicate_coordinates_reported():
 def test_bad_bijection_reported():
     emb = SimultaneousEmbedding(
         coords=[P(0, 0), P(1, 2), P(3, 1)],
-        layers=[[(0, 1), (1, 2)]],
         width=4,
         height=3,
         assignments=[[0, 0, 2]],
@@ -84,7 +81,7 @@ def test_bad_bijection_reported():
 
 def test_free_mapping_requires_assignments():
     emb = SimultaneousEmbedding(
-        coords=[P(0, 0), P(1, 2), P(3, 1)], layers=[[(0, 1)]], width=4, height=3
+        coords=[P(0, 0), P(1, 2), P(3, 1)], width=4, height=3
     )
     inst = LayeredInstance(n=3, layers=[Layer("path", [(0, 1)])], mapping="free")
     with pytest.raises(InvalidInstanceError):
@@ -92,7 +89,7 @@ def test_free_mapping_requires_assignments():
 
 
 def test_arity_mismatch_is_an_error_not_a_report():
-    emb = SimultaneousEmbedding(coords=[P(0, 0)], layers=[[]], width=1, height=1)
+    emb = SimultaneousEmbedding(coords=[P(0, 0)], width=1, height=1)
     inst = LayeredInstance(n=2, layers=[Layer("path", [(0, 1)])])
     with pytest.raises(InvalidInstanceError):
         certify_embedding(emb, inst)
@@ -109,15 +106,16 @@ def test_general_position_reports():
 
 
 def test_certify_bounds():
-    emb = embed_two_paths(PathOrder([0, 1, 2]), PathOrder([2, 0, 1]))
-    inst = LayeredInstance(n=3, layers=[Layer("path", e) for e in emb.layers])
+    paths = [PathOrder([0, 1, 2]), PathOrder([2, 0, 1])]
+    emb = embed_two_paths(*paths)
+    inst = LayeredInstance(n=3, layers=[Layer("path", p.edges()) for p in paths])
     assert certify_embedding(emb, inst, bounds=(3, 3)).ok
     rep = certify_embedding(emb, inst, bounds=(1, 1))
     assert not rep.ok
     assert all(v.kind == "out-of-bounds" for v in rep.violations)
     # translation to (1,1) happens before checking
     shifted = SimultaneousEmbedding(
-        coords=[P(100, 200), P(101, 201)], layers=[[(0, 1)]], width=2, height=2
+        coords=[P(100, 200), P(101, 201)], width=2, height=2
     )
     shifted_inst = LayeredInstance(n=2, layers=[Layer("path", [(0, 1)])])
     assert certify_embedding(shifted, shifted_inst, bounds=(2, 2)).ok
@@ -128,7 +126,6 @@ def test_certify_bounds_at_the_extent():
     # them pass, and one under names exactly the points beyond the edge.
     emb = SimultaneousEmbedding(
         coords=[P(3, 10), P(7, 11), P(5, 13), P(4, 12)],
-        layers=[[(0, 1), (1, 2), (2, 3)]],
         width=5,
         height=4,
     )
@@ -148,8 +145,9 @@ def test_certify_bounds_at_the_extent():
 def test_given_mapping_refuses_assignments():
     # Under a given mapping vertex v is drawn at coords[v] in every layer;
     # per-layer assignments would let each layer relabel the points.
-    emb = embed_two_paths(PathOrder([0, 1, 2]), PathOrder([2, 0, 1]))
-    inst = LayeredInstance(n=3, layers=[Layer("path", e) for e in emb.layers])
+    paths = [PathOrder([0, 1, 2]), PathOrder([2, 0, 1])]
+    emb = embed_two_paths(*paths)
+    inst = LayeredInstance(n=3, layers=[Layer("path", p.edges()) for p in paths])
     relabeled = dataclasses.replace(emb, assignments=[[0, 1, 2], [1, 2, 0]])
     with pytest.raises(InvalidInstanceError, match="given-mapping"):
         certify_embedding(relabeled, inst)
@@ -173,8 +171,9 @@ def _valid_embeddings():
     layers = [generate("maximal-outerplanar", n, seed) for seed in (1, 2, 3)]
     free = (simul_embed_free(layers, n), LayeredInstance(n=n, layers=layers, mapping="free"))
     order = [3, 0, 7, 5, 1, 8, 2, 6, 4, 9]
-    emb = embed_two_paths(PathOrder(list(range(10))), PathOrder(order))
-    given = (emb, LayeredInstance(n=10, layers=[Layer("path", e) for e in emb.layers]))
+    paths = [PathOrder(list(range(10))), PathOrder(order)]
+    emb = embed_two_paths(*paths)
+    given = (emb, LayeredInstance(n=10, layers=[Layer("path", p.edges()) for p in paths]))
     for emb, inst in (free, given):
         assert certify_embedding(emb, inst).ok
     return [free, given]
@@ -188,7 +187,7 @@ def test_vertex_moved_onto_an_edge_of_its_layer_is_named(case, li):
     # conflict between that edge and every edge at the vertex.
     emb, inst = _valid_embeddings()[case]
     phi = emb.assignments[li] if emb.assignments else list(range(inst.n))
-    edges = emb.layers[li]
+    edges = inst.layers[li].edges
     i = len(edges) // 2
     a, b = phi[edges[i][0]], phi[edges[i][1]]
     v = next(w for w in range(inst.n) if phi[w] not in (a, b))
@@ -230,15 +229,16 @@ def test_sweep_axis_is_the_one_a_sweep_line_meets_fewer_edges_on():
     # meets about one edge at a time, and one along the other about n / 3.
     rng = random.Random(5)
     orders = [rng.sample(range(200), 200) for _ in range(2)]
-    emb = embed_two_paths(PathOrder(orders[0]), PathOrder(orders[1]))
+    paths = [PathOrder(orders[0]), PathOrder(orders[1])]
+    emb = embed_two_paths(*paths)
     xs = [p.x for p in emb.coords]
     ys = [p.y for p in emb.coords]
-    first = [_sweep_frame(xs, ys, edges)[0] for edges in emb.layers]
+    first = [_sweep_frame(xs, ys, p.edges(), 199, 199)[0] for p in paths]
     assert first[0] is xs and first[1] is ys
     # Passed the other way round, each layer still sweeps along its own path.
-    first = [_sweep_frame(ys, xs, edges)[0] for edges in emb.layers]
+    first = [_sweep_frame(ys, xs, p.edges(), 199, 199)[0] for p in paths]
     assert first[0] is xs and first[1] is ys
     # Horizontal edges only: every vertical sweep line meets many of them
     # (sum |dx| > 0), every horizontal one meets none (sum |dy| = 0).
     xs, ys = [0, 5, 1, 6, 2, 7], [0, 0, 1, 1, 2, 2]
-    assert _sweep_frame(xs, ys, [(0, 1), (2, 3), (4, 5)]) == (ys, xs)
+    assert _sweep_frame(xs, ys, [(0, 1), (2, 3), (4, 5)], 7, 2) == (ys, xs)

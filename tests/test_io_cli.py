@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -34,7 +35,7 @@ from simembed import (
 from simembed import cli, graphs, unmapped
 from simembed.documents import _dumps, instance_to_json
 from simembed.generate import KINDS
-from test_golden import CASES
+from test_golden import CASES, GEN_KINDS
 
 
 MINIMAL_TWO_PATHS = json.dumps(
@@ -118,7 +119,7 @@ def test_serialize_parse_roundtrip():
 def test_result_document_roundtrip():
     emb = embed_two_paths(PathOrder([0, 1, 2]), PathOrder([1, 2, 0]))
     text = serialize_result(emb)
-    again, cert = parse_result(text, emb.layers)
+    again, cert = parse_result(text)
     assert cert is None
     assert [(p.x, p.y) for p in again.coords] == [(p.x, p.y) for p in emb.coords]
     assert (again.width, again.height) == (emb.width, emb.height)
@@ -179,21 +180,21 @@ def test_documents_match_indented_json_dumps_on_the_golden_corpus(tmp_path, name
 
 
 def test_svg_two_path_structure():
-    emb = embed_two_paths(
-        PathOrder([0, 1, 2, 3, 4, 5, 6]), PathOrder([1, 4, 0, 3, 2, 5, 6])
-    )
-    svg = render_svg(emb)
+    paths = [PathOrder([0, 1, 2, 3, 4, 5, 6]), PathOrder([1, 4, 0, 3, 2, 5, 6])]
+    emb = embed_two_paths(*paths)
+    inst = LayeredInstance(n=7, layers=[Layer("path", p.edges()) for p in paths])
+    svg = render_svg(emb, inst)
     assert svg.count("<g id=\"layer-") == 2
     assert svg.count("<line") == 12
     assert svg.count("<circle") == 7
-    assert render_svg(emb) == svg  # deterministic
+    assert render_svg(emb, inst) == svg  # deterministic
 
 
 def test_svg_single_vertex():
     from simembed import SimultaneousEmbedding, GridPoint
 
-    emb = SimultaneousEmbedding(coords=[GridPoint(1, 1)], layers=[[]], width=1, height=1)
-    svg = render_svg(emb)
+    emb = SimultaneousEmbedding(coords=[GridPoint(1, 1)], width=1, height=1)
+    svg = render_svg(emb, LayeredInstance(n=1, layers=[Layer("path", [])]))
     assert svg.count("<circle") == 1
     assert svg.count("<line") == 0
 
@@ -206,7 +207,7 @@ def test_svg_three_layers():
     from simembed import simul_embed_free
 
     emb = simul_embed_free([path, star, cyc], n)
-    svg = render_svg(emb)
+    svg = render_svg(emb, LayeredInstance(n=n, layers=[path, star, cyc], mapping="free"))
     assert svg.count("<g id=\"layer-") == 3
 
 
@@ -316,16 +317,51 @@ def test_cli_embed_reversed_layer_orders(tmp_path):
     assert doc2["certificate"]["ok"] is True
 
 
-    # the embedding lists its layers in the instance's order; the result
-    # document does not show this for a given mapping
-    from simembed.cli import _dispatch_embed
+_SVG_LINE = re.compile(r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"/>')
+_SVG_CIRCLE = re.compile(r'<circle cx="([^"]+)" cy="([^"]+)"')
 
-    for doc_path in (f, f2):
-        inst = parse_instance(doc_path.read_text(encoding="utf-8"))
-        emb = _dispatch_embed(inst)
-        assert [{frozenset(e) for e in edges} for edges in emb.layers] == [
-            {frozenset(e) for e in layer.edges} for layer in inst.layers
-        ]
+
+def _gen_instance(kind):
+    def build(tmp_path):
+        path = tmp_path / "inst.json"
+        args = ["gen", "--kind", kind, "--n", "12", "--seed", "3", "--out", str(path)]
+        assert cli_main(args) == 0
+        return path
+
+    return build
+
+
+_SVG_CASES = {f"gen-{kind}-n12-s3": _gen_instance(kind) for kind in GEN_KINDS}
+_SVG_CASES.update((name, build) for name, build in CASES.items() if name.startswith("reversed-"))
+
+
+@pytest.mark.parametrize("case", sorted(_SVG_CASES))
+def test_embed_svg_equals_render(tmp_path, case):
+    # embed --svg and render draw one result against one instance, so they
+    # write the same bytes; each layer group draws that instance layer's
+    # edges, in the instance's layer order and edge order.
+    inst_file = _SVG_CASES[case](tmp_path)
+    result, embed_svg, render_svg_file = (
+        tmp_path / "r.json", tmp_path / "embed.svg", tmp_path / "render.svg"
+    )
+    assert cli_main(["embed", "--in", str(inst_file), "--out", str(result),
+                     "--svg", str(embed_svg)]) == 0
+    assert cli_main(["render", "--in", str(result), "--instance", str(inst_file),
+                     "--svg", str(render_svg_file)]) == 0
+    svg = embed_svg.read_bytes()
+    assert svg == render_svg_file.read_bytes()
+
+    inst = parse_instance(inst_file.read_text(encoding="utf-8"))
+    emb, _ = parse_result(result.read_text(encoding="utf-8"))
+    text = svg.decode("utf-8")
+    points = {xy: i for i, xy in enumerate(_SVG_CIRCLE.findall(text))}
+    assert len(points) == inst.n
+    groups = text.split('<g id="layer-')[1:]
+    assert [g.split('"', 1)[0] for g in groups] == [str(i) for i in range(len(inst.layers))]
+    for li, (group, layer) in enumerate(zip(groups, inst.layers)):
+        slot = range(inst.n) if emb.assignments is None else emb.assignments[li]
+        drawn = [(points[m[:2]], points[m[2:]]) for m in _SVG_LINE.findall(group)]
+        assert drawn == [(slot[u], slot[v]) for u, v in layer.edges], li
 
 
 def test_cli_rejects_unsupported_combination(tmp_path):
@@ -562,6 +598,33 @@ def test_cli_huge_vertex_count_one_error_line(tmp_path, capsys, command, instanc
     err = capsys.readouterr().err.splitlines()
     assert rc in (1, 2)
     assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_cli_out_of_memory_one_error_line(tmp_path):
+    # The budget admits this n, so running out of memory is the host's
+    # failure, as an I/O error is: one error line naming the command and n,
+    # exit 1, and no output file.  The address-space limit is set on the
+    # child only.
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    out = tmp_path / "inst.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "simembed", "gen", "--kind", "two-paths",
+         "--n", "100000000", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=limit_memory,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert err == ["error: gen at n = 100000000 ran out of memory"], proc.stderr
+    assert not out.exists()
 
 
 # The largest n whose drawing fits the coordinate budget, per gen kind: the

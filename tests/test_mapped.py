@@ -75,8 +75,9 @@ def test_two_paths_random_certified():
         o1, o2 = list(range(n)), list(range(n))
         rng.shuffle(o1)
         rng.shuffle(o2)
-        emb = embed_two_paths(PathOrder(o1), PathOrder(o2))
-        inst = instance_for([emb.layers[0], emb.layers[1]], n)
+        p1, p2 = PathOrder(o1), PathOrder(o2)
+        emb = embed_two_paths(p1, p2)
+        inst = instance_for([p1.edges(), p2.edges()], n)
         assert certify_embedding(emb, inst, bounds=(n, n)).ok
 
 
@@ -419,7 +420,7 @@ def test_exhaustive_check_four_paths_find_witness():
     pts = res.counterexample
     assert find_collinear_triple(pts) is None
     layers = [p.edges() for p in paths]
-    emb = SimultaneousEmbedding(coords=pts, layers=layers, width=5, height=5)
+    emb = SimultaneousEmbedding(coords=pts, width=5, height=5)
     assert certify_embedding(emb, instance_for(layers, 5)).ok
 
 

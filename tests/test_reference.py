@@ -299,6 +299,11 @@ def test_path_caterpillar_matches_shift_pass_over_all_vertices():
     assert total_shifts > 0
 
 
+def spans(xs, ys):
+    # the extents less one that the certifier takes once per drawing
+    return max(xs) - min(xs), max(ys) - min(ys)
+
+
 def _with_conflict_count(fn, *args):
     # Both versions look the exact predicate up on the certify module, so
     # patching it there counts the pairs each one tests.
@@ -338,10 +343,10 @@ def grid_layers(draw):
 @given(grid_layers(), st.integers(0, 3))
 def test_layer_crossings_sweep_matches_all_pairs(layer, layer_idx):
     xs, ys, edges = layer
-    out, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, layer_idx)
+    out, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, layer_idx, *spans(xs, ys))
     assert out == layer_crossings_all_pairs(xs, ys, edges, layer_idx)
     assert calls == certifier_pair_tests(xs, ys, edges)
-    assert _layer_crossings(xs, ys, edges, layer_idx) == out
+    assert _layer_crossings(xs, ys, edges, layer_idx, *spans(xs, ys)) == out
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -356,10 +361,10 @@ def test_layer_crossings_sweep_matches_all_pairs_on_larger_layers(seed):
         v = rng.randrange(n)
         if u != v:
             edges.append((u, v))
-    out, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, 0)
+    out, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, 0, *spans(xs, ys))
     assert out == layer_crossings_all_pairs(xs, ys, edges, 0)
     assert out and calls == certifier_pair_tests(xs, ys, edges)
-    assert _layer_crossings(xs, ys, edges, 0) == out
+    assert _layer_crossings(xs, ys, edges, 0, *spans(xs, ys)) == out
 
 
 def test_layer_crossings_hand_example_on_both_axes():
@@ -370,16 +375,16 @@ def test_layer_crossings_hand_example_on_both_axes():
     xs = [0, 2, 1, 1, 0, 2]
     ys = [0, 0, 0, 2, 2, 2]
     edges = [(0, 1), (2, 3), (2, 1), (0, 4), (4, 1), (3, 5)]
-    got = [v.witness for v in _listed_crossings(xs, ys, edges, 5)]
+    got = [v.witness for v in _listed_crossings(xs, ys, edges, 5, *spans(xs, ys))]
     assert got == [(5, 0, 1), (5, 0, 2), (5, 1, 4)]
     # The same outputs and call counts on the layer, on its mirror image
     # across the diagonal, and on the two together, whose axes tie.
     both = (xs + ys, ys + xs, edges + [(u + 6, v + 6) for u, v in edges])
     for lx, ly, le in [(xs, ys, edges), (ys, xs, edges), both]:
-        out, calls = _with_conflict_count(_listed_crossings, lx, ly, le, 5)
+        out, calls = _with_conflict_count(_listed_crossings, lx, ly, le, 5, *spans(lx, ly))
         assert out == layer_crossings_all_pairs(lx, ly, le, 5)
         assert calls == certifier_pair_tests(lx, ly, le)
-        assert _layer_crossings(lx, ly, le, 5) == out
+        assert _layer_crossings(lx, ly, le, 5, *spans(lx, ly)) == out
 
     # A collinear chain (0, 0)-(1, 0)-(2, 0): its edges meet end to start,
     # so they never conflict and reach no predicate.  An edge from (2, 0)
@@ -387,12 +392,13 @@ def test_layer_crossings_hand_example_on_both_axes():
     # and runs along both, and the parallel test reports both pairs.
     xs, ys, edges = [0, 1, 2], [0, 0, 0], [(0, 1), (1, 2)]
     for lx, ly in [(xs, ys), (ys, xs)]:
-        assert _with_conflict_count(_listed_crossings, lx, ly, edges, 0) == ([], 0)
+        frame = spans(lx, ly)
+        assert _with_conflict_count(_listed_crossings, lx, ly, edges, 0, *frame) == ([], 0)
         assert certifier_pair_tests(lx, ly, edges) == 0
-        out, calls = _with_conflict_count(_listed_crossings, lx, ly, edges + [(2, 0)], 0)
+        out, calls = _with_conflict_count(_listed_crossings, lx, ly, edges + [(2, 0)], 0, *frame)
         assert [v.witness for v in out] == [(0, 0, 2), (0, 1, 2)] and calls == 0
         assert out == layer_crossings_all_pairs(lx, ly, edges + [(2, 0)], 0)
-        assert _layer_crossings(lx, ly, edges + [(2, 0)], 0) == out
+        assert _layer_crossings(lx, ly, edges + [(2, 0)], 0, *frame) == out
 
 
 @settings(max_examples=500, deadline=None)
@@ -429,14 +435,14 @@ def test_layer_crossings_around_hubs():
         xs.append(1 + y % 3)
         ys.append(y)
         edges.append((0 if y < 200 else 1, len(xs) - 1))
-    out, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, 0)
+    out, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, 0, *spans(xs, ys))
     assert out == [] and calls == 0
     assert certifier_pair_tests(xs, ys, edges) == 0
     # The decision calls the predicate only on neighbours that share no
     # endpoint.  The two stars span disjoint ranges of y, so every two
     # edges that are neighbours in the sweep share a hub, and those pairs
     # are decided by direction.
-    out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, 0)
+    out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, 0, *spans(xs, ys))
     assert out == [] and calls == 0
 
     # A new leaf of the second hub, twice as far out along the ray to its
@@ -447,10 +453,10 @@ def test_layer_crossings_around_hubs():
     xs += [3, 3]
     ys += [50, 150]
     edges.append((len(xs) - 2, len(xs) - 1))
-    out, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, 0)
+    out, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, 0, *spans(xs, ys))
     assert out == layer_crossings_all_pairs(xs, ys, edges, 0)
     assert calls == certifier_pair_tests(xs, ys, edges)
-    assert _layer_crossings(xs, ys, edges, 0) == out
+    assert _layer_crossings(xs, ys, edges, 0, *spans(xs, ys)) == out
     assert (0, len(edges) - 3, len(edges) - 2) in [v.witness for v in out]
     assert any(v.witness[2] == len(edges) - 1 for v in out)
 
@@ -505,7 +511,8 @@ def test_conflict_decision_matches_all_pairs(layer):
         got, calls = _with_conflict_count(_any_conflict, lx, ly, edges)
         assert got == want
         assert calls <= 3 * len(edges)
-    assert _layer_crossings(xs, ys, edges, 0) == layer_crossings_all_pairs(xs, ys, edges, 0)
+    out = _layer_crossings(xs, ys, edges, 0, *spans(xs, ys))
+    assert out == layer_crossings_all_pairs(xs, ys, edges, 0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -526,7 +533,7 @@ def test_conflict_decision_decides_shared_endpoints_by_direction(layer):
         want = certify._conflict_raw(*s, *t)
         for lx, ly in [(xs, ys), (ys, xs)]:
             assert _with_conflict_count(_any_conflict, lx, ly, [e, f]) == (want, 0)
-            out, calls = _with_conflict_count(_listed_crossings, lx, ly, [e, f], 0)
+            out, calls = _with_conflict_count(_listed_crossings, lx, ly, [e, f], 0, *spans(lx, ly))
             assert ([v.witness for v in out], calls) == ([(0, 0, 1)] if want else [], 0)
 
 
@@ -539,7 +546,7 @@ def test_conflict_decision_tests_the_pair_a_removal_joins():
     edges = [(0, 1), (2, 3), (4, 5)]
     assert _any_conflict(xs, ys, edges)
     assert not _any_conflict(xs, ys, edges[:2]) and not _any_conflict(xs, ys, edges[1:])
-    assert [v.witness for v in _layer_crossings(xs, ys, edges, 0)] == [(0, 0, 2)]
+    assert [v.witness for v in _layer_crossings(xs, ys, edges, 0, *spans(xs, ys))] == [(0, 0, 2)]
 
 
 def test_conflict_decision_tests_each_gap_once_per_event_point():
@@ -557,7 +564,8 @@ def test_conflict_decision_tests_each_gap_once_per_event_point():
     # The kept edge contains p in its interior, so it conflicts with both
     # r1 and r2; the sweep finds that when r1 enters next to it.
     assert _with_conflict_count(_any_conflict, *KEPT_THROUGH) == (True, 4)
-    assert [v.witness for v in _layer_crossings(*KEPT_THROUGH, 0)] == [(0, 2, 4), (0, 3, 4)]
+    out = _layer_crossings(*KEPT_THROUGH, 0, *spans(*KEPT_THROUGH[:2]))
+    assert [v.witness for v in out] == [(0, 2, 4), (0, 3, 4)]
 
 
 @st.composite
@@ -606,12 +614,13 @@ def test_conflict_predicate_matches_four_orientations(pair):
 
 def test_conflict_decision_work_bound_on_a_maximal_outerplanar_layer():
     n = 1500
-    emb = simul_embed_free([generate("maximal-outerplanar", n, 1)], n)
+    layer = generate("maximal-outerplanar", n, 1)
+    emb = simul_embed_free([layer], n)
     phi = emb.assignments[0]
     xs = [p.x for p in emb.coords]
     ys = [p.y for p in emb.coords]
-    edges = [(phi[u], phi[v]) for u, v in emb.layers[0]]
-    out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, 0)
+    edges = [(phi[u], phi[v]) for u, v in layer.edges]
+    out, calls = _with_conflict_count(_layer_crossings, xs, ys, edges, 0, *spans(xs, ys))
     assert out == [] and 0 < calls <= 3 * len(edges)
 
 
@@ -630,10 +639,10 @@ def test_listing_on_a_broken_parabola_set_layer(kind):
     phi[1], phi[n // 2] = phi[n // 2], phi[1]
     xs = [p.x for p in emb.coords]
     ys = [p.y for p in emb.coords]
-    edges = [(phi[u], phi[v]) for u, v in emb.layers[0]]
-    out = _layer_crossings(xs, ys, edges, 0)
+    edges = [(phi[u], phi[v]) for u, v in layer.edges]
+    out = _layer_crossings(xs, ys, edges, 0, *spans(xs, ys))
     assert out and out == layer_crossings_all_pairs(xs, ys, edges, 0)
-    listed, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, 0)
+    listed, calls = _with_conflict_count(_listed_crossings, xs, ys, edges, 0, *spans(xs, ys))
     assert listed == out
     assert calls == certifier_pair_tests(xs, ys, edges)
 

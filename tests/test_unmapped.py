@@ -52,7 +52,6 @@ def octahedron():
 def drawing_certified(layer, n, pts, bounds=None):
     emb = SimultaneousEmbedding(
         coords=pts,
-        layers=[layer.edges],
         width=max(p.x for p in pts) - min(p.x for p in pts) + 1,
         height=max(p.y for p in pts) - min(p.y for p in pts) + 1,
     )
@@ -277,7 +276,6 @@ def test_parabola_modular_reason():
 def assignment_certified(layer, pts, phi):
     emb = SimultaneousEmbedding(
         coords=pts,
-        layers=[layer.edges],
         width=10**9,
         height=10**9,
         assignments=[phi],
@@ -376,7 +374,7 @@ def test_simul_outerplanars_three_kinds():
     cycle = Layer("outerplanar", [(i, (i + 1) % n) for i in range(n)], outer_cycle=list(range(n)))
     emb = simul_embed_free([path, star, cycle], n)
     assert certify_embedding(emb, free_instance([path, star, cycle], n)).ok
-    assert len(emb.layers) == 3
+    assert len(emb.assignments) == 3
 
 
 def test_simul_outerplanars_single_layer():
