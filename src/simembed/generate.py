@@ -82,28 +82,32 @@ def _plane_triangulation(n: int, rng: random.Random) -> Layer:
         faces.extend([(fa, fb, v), (fb, fc, v), (fc, fa, v)])
 
     # Stacked triangulations are a narrow family; scramble with random
-    # diagonal flips.  Edge (a, b) between oriented faces (a, b, c) and
-    # (b, a, d) becomes (c, d) with faces (c, a, d) and (d, b, c).  The
-    # dart -> face map and the sorted edge list are kept up to date.
-    darts = {(f[i], f[(i + 1) % 3]): fi for fi, f in enumerate(faces) for i in range(3)}
-    edges = sorted({(min(u, v), max(u, v)) for u, v in darts})
+    # diagonal flips.  Edge (u, v) between oriented faces (u, v, c) and
+    # (v, u, d) becomes (c, d) with faces (c, u, d) and (d, v, c).  Of the
+    # six darts of the two faces only (u, d), (d, c), (v, c) and (c, d)
+    # change face; (c, u) and (d, v) keep theirs.  The dart -> face map and
+    # the sorted edge list are kept up to date.
+    darts = {}
+    for fi, (x, y, z) in enumerate(faces):
+        darts[x, y] = darts[y, z] = darts[z, x] = fi
+    edges = sorted(dart for dart in darts if dart[0] < dart[1])
     for _ in range(4 * n):
         edge = rng.choice(edges)
         u, v = edge
         if rng.random() < 0.5:
             u, v = v, u
-        i1, i2 = darts[(u, v)], darts[(v, u)]
-        cc = next(x for x in faces[i1] if x not in (u, v))
-        dd = next(x for x in faces[i2] if x not in (u, v))
+        i1, i2 = darts[u, v], darts[v, u]
+        cc = sum(faces[i1]) - u - v
+        dd = sum(faces[i2]) - u - v
         if cc == dd or (cc, dd) in darts:
             continue
-        del darts[(u, v)], darts[(v, u)]
-        for fi, f in ((i1, (cc, u, dd)), (i2, (dd, v, cc))):
-            faces[fi] = f
-            for i in range(3):
-                darts[(f[i], f[(i + 1) % 3])] = fi
+        del darts[u, v], darts[v, u]
+        faces[i1] = (cc, u, dd)
+        faces[i2] = (dd, v, cc)
+        darts[u, dd] = darts[dd, cc] = i1
+        darts[v, cc] = darts[cc, dd] = i2
         del edges[bisect.bisect_left(edges, edge)]
-        bisect.insort(edges, (min(cc, dd), max(cc, dd)))
+        bisect.insort(edges, (cc, dd) if cc < dd else (dd, cc))
 
     rotation = rotation_system_from_faces(n, faces)
     return Layer(kind="planar", edges=edges, rotation=rotation)

@@ -8,6 +8,7 @@ use it to confirm that small point sets admit the embeddings found.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -115,6 +116,46 @@ def plane_triangulation_rebuild(n: int, seed: int) -> Layer:
 
     edges = sorted(tuple(sorted(e)) for e in edge_set)
     return Layer(kind="planar", edges=edges, rotation=rotation_system_from_faces(n, faces))
+
+
+def plane_triangulation_sorted_flips(n: int, seed: int) -> Layer:
+    """``generate("plane-triangulation", n, seed)`` with the flip
+    bookkeeping written plainly: a flip finds each face's third vertex by a
+    scan and rewrites all six darts of its two faces, and the initial edge
+    list comes from a set of ``(min, max)`` pairs."""
+    if n < 3:
+        raise InvalidInstanceError("triangulation needs n >= 3")
+    rng = random.Random(("plane-triangulation", n, seed).__repr__())
+    labels = list(range(n))
+    rng.shuffle(labels)
+    a, b, c = labels[0], labels[1], labels[2]
+    faces: list[tuple[int, int, int]] = [(a, b, c), (a, c, b)]
+    for v in labels[3:]:
+        fa, fb, fc = faces.pop(rng.randrange(len(faces)))
+        faces.extend([(fa, fb, v), (fb, fc, v), (fc, fa, v)])
+
+    darts = {(f[i], f[(i + 1) % 3]): fi for fi, f in enumerate(faces) for i in range(3)}
+    edges = sorted({(min(u, v), max(u, v)) for u, v in darts})
+    for _ in range(4 * n):
+        edge = rng.choice(edges)
+        u, v = edge
+        if rng.random() < 0.5:
+            u, v = v, u
+        i1, i2 = darts[(u, v)], darts[(v, u)]
+        cc = next(x for x in faces[i1] if x not in (u, v))
+        dd = next(x for x in faces[i2] if x not in (u, v))
+        if cc == dd or (cc, dd) in darts:
+            continue
+        del darts[(u, v)], darts[(v, u)]
+        for fi, f in ((i1, (cc, u, dd)), (i2, (dd, v, cc))):
+            faces[fi] = f
+            for i in range(3):
+                darts[(f[i], f[(i + 1) % 3])] = fi
+        del edges[bisect.bisect_left(edges, edge)]
+        bisect.insort(edges, (min(cc, dd), max(cc, dd)))
+
+    rotation = rotation_system_from_faces(n, faces)
+    return Layer(kind="planar", edges=edges, rotation=rotation)
 
 
 def as_path_neighbour_lists(layer: Layer, n: int) -> PathOrder:

@@ -1045,63 +1045,78 @@ _THREE_VERTEX_PATHS = {
 _THREE_VERTEX_RESULT = {"coords": [[1, 1], [2, 2], [3, 3]], "width": 3, "height": 3}
 
 
-def _refused_by_every_reader(tmp_path, capsys, monkeypatch, instance: bytes, result: bytes):
-    # Runs each command that reads a document on the bad one (the instance
-    # through embed, from a file and from stdin, and through certify
-    # --instance; the result through certify --in and render) and returns
-    # the error lines.
-    good_inst, good_res = tmp_path / "inst.json", tmp_path / "res.json"
-    bad_inst, bad_res = tmp_path / "bad-inst.json", tmp_path / "bad-res.json"
-    good_inst.write_text(json.dumps(_THREE_VERTEX_PATHS), encoding="utf-8")
-    good_res.write_text(json.dumps(_THREE_VERTEX_RESULT), encoding="utf-8")
-    bad_inst.write_bytes(instance)
-    bad_res.write_bytes(result)
-    out = str(tmp_path / "out")
+def _run_every_reader(directory: Path, instance: bytes, result: bytes,
+                      good_instance: bytes, good_result: bytes) -> dict:
+    # Runs each command that reads a document on the given ones (the
+    # instance through embed, from a file and from stdin, and through
+    # certify --instance beside good_result; the result through certify
+    # --in and render beside good_instance) and returns each run's exit
+    # code and stderr lines.  Each run writes to its own out-<i> file.
+    files = {}
+    for name, data in (("inst", instance), ("res", result),
+                       ("good-inst", good_instance), ("good-res", good_result)):
+        files[name] = str(directory / f"{name}.json")
+        Path(files[name]).write_bytes(data)
     runs = {
-        "embed --in": ["embed", "--in", str(bad_inst), "--out", out],
-        "embed stdin": ["embed", "--in", "-", "--out", out],
-        "certify --instance": ["certify", "--in", str(good_res), "--instance", str(bad_inst),
-                               "--out", out],
-        "certify --in": ["certify", "--in", str(bad_res), "--instance", str(good_inst),
-                         "--out", out],
-        "render": ["render", "--in", str(bad_res), "--instance", str(good_inst), "--svg", out],
+        "embed --in": ["embed", "--in", files["inst"], "--out"],
+        "embed stdin": ["embed", "--in", "-", "--out"],
+        "certify --instance": ["certify", "--in", files["good-res"],
+                               "--instance", files["inst"], "--out"],
+        "certify --in": ["certify", "--in", files["res"], "--instance", files["good-inst"],
+                         "--out"],
+        "render": ["render", "--in", files["res"], "--instance", files["good-inst"], "--svg"],
     }
-    messages = []
-    for name, argv in runs.items():
+    outcomes = {}
+    for i, (name, argv) in enumerate(runs.items()):
         # Under a C or POSIX locale Python opens stdin with surrogateescape,
         # which turns bytes that are not UTF-8 into text instead of failing.
         stdin = io.TextIOWrapper(io.BytesIO(instance), encoding="utf-8", errors="surrogateescape")
-        monkeypatch.setattr(sys, "stdin", stdin)
-        capsys.readouterr()
-        rc = cli_main(argv)
-        err = capsys.readouterr().err.splitlines()
+        saved, sys.stdin = sys.stdin, stdin
+        err = io.StringIO()
+        try:
+            with redirect_stderr(err):
+                rc = cli_main(argv + [str(directory / f"out-{i}")])
+        finally:
+            sys.stdin = saved
+        outcomes[name] = rc, err.getvalue().splitlines()
+    return outcomes
+
+
+def _refused_by_every_reader(tmp_path, instance: bytes, result: bytes):
+    # Every reader refuses the bad documents with exit 1, one error line and
+    # no output; returns the error lines.
+    good_instance = json.dumps(_THREE_VERTEX_PATHS).encode()
+    good_result = json.dumps(_THREE_VERTEX_RESULT).encode()
+    outcomes = _run_every_reader(tmp_path, instance, result, good_instance, good_result)
+    messages = []
+    for name, (rc, err) in outcomes.items():
         assert rc == 1, name
         assert len(err) == 1 and err[0].startswith("error: "), (name, err)
         messages.append(err[0])
-    assert not os.path.exists(out)
+    assert not list(tmp_path.glob("out-*"))
     return messages
 
 
-def test_cli_non_utf8_document_one_error_line(tmp_path, capsys, monkeypatch):
+def test_cli_non_utf8_document_one_error_line(tmp_path):
     instance = b"\xff\xfe" + json.dumps(_THREE_VERTEX_PATHS).encode()
     result = b"\xff\xfe" + json.dumps(_THREE_VERTEX_RESULT).encode()
-    messages = _refused_by_every_reader(tmp_path, capsys, monkeypatch, instance, result)
+    messages = _refused_by_every_reader(tmp_path, instance, result)
     assert all("is not UTF-8 text" in m for m in messages), messages
 
 
-def test_cli_over_deep_document_one_error_line(tmp_path, capsys, monkeypatch):
+def test_cli_over_deep_document_one_error_line(tmp_path):
     deep = "[" * 100000 + "]" * 100000
     instance = ('{"n": 3, "mapping": "given", "layers": ' + deep + "}").encode()
     result = ('{"coords": ' + deep + ', "width": 3, "height": 3}').encode()
-    messages = _refused_by_every_reader(tmp_path, capsys, monkeypatch, instance, result)
+    messages = _refused_by_every_reader(tmp_path, instance, result)
     assert all("malformed JSON" in m and "recursion" in m for m in messages), messages
 
 
-def test_cli_over_long_integer_document_one_error_line(tmp_path, capsys, monkeypatch):
+def test_cli_over_long_integer_document_one_error_line(tmp_path):
     digits = "9" * 5000
     instance = ('{"n": ' + digits + ', "mapping": "given", "layers": []}').encode()
     result = ('{"coords": [[1, 1], [2, 2], [3, ' + digits + ']], "width": 3, "height": 3}')
-    messages = _refused_by_every_reader(tmp_path, capsys, monkeypatch, instance, result.encode())
+    messages = _refused_by_every_reader(tmp_path, instance, result.encode())
     assert all("malformed JSON" in m and "digits" in m for m in messages), messages
 
 
@@ -1286,6 +1301,63 @@ def test_cli_mutated_documents_keep_the_exit_contract(kind, n, seed, how, data):
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1, (argv[0], lines)
                 assert lines[0].startswith(("error:", "certificate FAILED:")), (argv[0], lines)
+
+
+_INTEGER_LITERAL = re.compile(rb"-?[0-9]+")
+# An inflated literal gains one or two digits or is replaced by a value
+# inside the two-path budget (10^7, 10^9), past every budget (2^64, 10^20)
+# or over CPython's 4300-digit limit.
+_INFLATIONS = (b"0", b"00", b"10000000", b"1000000000", str(2**64).encode(),
+               str(10**20).encode(), b"9" * 5000)
+
+
+def _mutate_bytes(doc: bytes, other: bytes, how: str, data) -> bytes:
+    # One byte-level mutation of a document; other is the other document of
+    # the pair, a source for splices.
+    if how == "truncate":
+        return doc[: data.draw(st.integers(0, len(doc) - 1), label="cut")]
+    if how == "splice":
+        source = data.draw(st.sampled_from([doc, other]), label="source")
+        i, j = sorted(data.draw(st.lists(st.integers(0, len(doc)), min_size=2, max_size=2)))
+        a, b = sorted(data.draw(st.lists(st.integers(0, len(source)), min_size=2, max_size=2)))
+        return doc[:i] + source[a:b] + doc[j:]
+    if how == "flip":
+        out = bytearray(doc)
+        for _ in range(data.draw(st.integers(1, 3), label="flips")):
+            at = data.draw(st.integers(0, len(out) - 1), label="at")
+            out[at] ^= data.draw(st.integers(1, 255), label="mask")
+        return bytes(out)
+    literals = list(_INTEGER_LITERAL.finditer(doc))
+    if how == "inflate":
+        m = data.draw(st.sampled_from(literals), label="literal")
+        inflation = data.draw(st.sampled_from(_INFLATIONS), label="inflation")
+        grown = m.group() + inflation if inflation in (b"0", b"00") else inflation
+        return doc[: m.start()] + grown + doc[m.end() :]
+    # nest the whole document, or one integer literal, in arrays or objects
+    depth = data.draw(st.sampled_from([1, 2, 64, 100000]), label="depth")
+    opener, closer = data.draw(st.sampled_from([(b"[", b"]"), (b'{"x": ', b"}")]), label="bracket")
+    m = data.draw(st.sampled_from([None] + literals), label="literal")
+    start, end = (0, len(doc)) if m is None else m.span()
+    return doc[:start] + opener * depth + doc[start:end] + closer * depth + doc[end:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(cli._GEN_RECIPES)), st.integers(3, 7), st.integers(0, 3),
+       st.sampled_from(["truncate", "splice", "flip", "nest", "inflate"]), st.data())
+def test_cli_byte_mutated_documents_keep_the_exit_contract(kind, n, seed, how, data):
+    # Both documents of a valid pair are mutated at the byte level, and each
+    # is read beside the other's valid original.
+    instance, result = (text.encode() for text in _valid_documents(kind, n, seed))
+    bad_instance = _mutate_bytes(instance, result, how, data)
+    bad_result = _mutate_bytes(result, instance, how, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        outcomes = _run_every_reader(Path(tmp), bad_instance, bad_result, instance, result)
+    for name, (rc, err) in outcomes.items():
+        assert rc in (0, 1, 2), (name, rc)
+        assert not any("Traceback" in line for line in err), (name, err)
+        if rc:
+            assert len(err) == 1, (name, err)
+            assert err[0].startswith(("error:", "certificate FAILED:")), (name, err)
 
 
 # ---------------------------------------------------------------------------

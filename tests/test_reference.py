@@ -65,6 +65,7 @@ from reference import (
     next_prime_trial_division,
     path_caterpillar_rescan,
     plane_triangulation_rebuild,
+    plane_triangulation_sorted_flips,
     same_ray,
     search_grid_per_candidate,
     select_split_rank_dicts,
@@ -232,6 +233,13 @@ def test_next_prime_matches_trial_division():
 def test_plane_triangulation_matches_rebuild_per_flip(seed):
     for n in range(3, 61):
         assert generate("plane-triangulation", n, seed) == plane_triangulation_rebuild(n, seed)
+
+
+@pytest.mark.parametrize("n", [61, 500, 4507])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_plane_triangulation_matches_sorted_flips(n, seed):
+    # Past the rebuild oracle's reach, up to gen's planar-outerplanar cap.
+    assert generate("plane-triangulation", n, seed) == plane_triangulation_sorted_flips(n, seed)
 
 
 def _outcome(fn, layer, n):
