@@ -52,16 +52,18 @@ from .graphs import (
     validate_layer,
 )
 from .mapped import (
-    FIVE_PATHS,
-    FivePointSearchResult,
-    PairCoverage,
     embed_path_caterpillar,
     embed_two_caterpillars,
     embed_two_paths,
+    refine_general_position,
+)
+from .smallcases import (
+    FIVE_PATHS,
+    FivePointSearchResult,
+    PairCoverage,
     exhaustive_five_point_check,
     five_path_pair_coverage,
     path_from_digits,
-    refine_general_position,
 )
 from .documents import (
     parse_instance,

@@ -35,13 +35,15 @@ from .graphs import (
     validate_instance,
 )
 from .mapped import (
-    FIVE_PATHS,
     _check_path_caterpillar_budget,
     _check_two_caterpillar_budget,
     _check_two_path_budget,
     embed_path_caterpillar,
     embed_two_caterpillars,
     embed_two_paths,
+)
+from .smallcases import (
+    FIVE_PATHS,
     exhaustive_five_point_check,
     five_path_pair_coverage,
     PairCoverage,

@@ -31,7 +31,7 @@ from simembed import certify, unmapped
 from simembed.errors import SearchBudgetError
 from simembed.geometry import _conflict_raw, orient
 from simembed.graphs import _adjacency, _connected, _trace_faces, rotation_system_from_faces
-from simembed.mapped import (
+from simembed.smallcases import (
     EXHAUSTIVE_GRID_LIMIT,
     FivePointSearchResult,
     _fundamental_domain,
@@ -670,7 +670,7 @@ def five_point_check_dfs(
 def search_grid_per_candidate(
     w: int, h: int, cross_checks: list[list[tuple[int, int, int, int]]]
 ) -> tuple[Optional[list[int]], int]:
-    """``mapped._search_grid`` before it looked shadows up in a per-search
+    """``smallcases._search_grid`` before it looked shadows up in a per-search
     table: every shadow of the next level recomputed for every candidate.
 
     Depth-first search over placements of vertices 0..4 on distinct

@@ -1,4 +1,5 @@
-"""Golden corpus: SHA-256 digests of ``simembed embed`` result documents.
+"""Golden corpus: SHA-256 digests of ``simembed embed`` result documents
+(and, in a table of their own, of ``fivepaths`` reports).
 
 Every ``gen`` kind at small n and a few seeds, plus free-mapping instances
 whose planar and outerplanar layers were thinned, so that face completion
@@ -153,3 +154,25 @@ def test_embed_result_digest(case, tmp_path):
     out = tmp_path / "result.json"
     assert cli_main(["embed", "--in", str(inst), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[case]
+
+
+# ``fivepaths`` report documents, kept apart from CASES, which test_io_cli
+# imports for embed: the bundled paths on grids 3 to 6, a four-path subset
+# whose grid-5 search finds a counterexample, and one seeded sampled grid.
+FIVEPATHS_DIGESTS = {
+    ("--grid", "3"): "f4e6121e1e9861a0840598a50436d9011db0ebcda38a3a6597a5b2139a330ae8",
+    ("--grid", "4"): "f632d69f046b2a8585c0a9b857e12c0e2b2087a4a91dbd9da0c412a7b9419fb7",
+    ("--grid", "5"): "d2ee88c2ff820acd5acaadd2fad2f736aa53799774cc46ae397951980b25c09c",
+    ("--grid", "6"): "43349141eabef9ef5b15d987474992611a19c57c3a6bd2206ecd002cf3f60edc",
+    ("--paths", "12345,13542,25134,32415", "--grid", "5"):
+        "048b077fc6ca27d605b6163baae8cf454155683ec61a704ff712fe48819f912d",
+    ("--grid", "12", "--samples", "300", "--seed", "9"):
+        "895e98a9bfa05f6e8bb28a323e1d4aa0df1fae5d9759053737cb3a7e72ea2637",
+}
+
+
+@pytest.mark.parametrize("args", sorted(FIVEPATHS_DIGESTS), ids=" ".join)
+def test_fivepaths_report_digest(args, tmp_path):
+    out = tmp_path / "fivepaths.json"
+    assert cli_main(["fivepaths", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIVEPATHS_DIGESTS[args]

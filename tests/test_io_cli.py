@@ -831,7 +831,7 @@ def test_cli_fivepaths_rejects_a_sample_count_below_one(tmp_path, capsys, grid, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", ["1", "2"])
+@pytest.mark.parametrize("grid", ["-3", "0", "1", "2"])
 def test_cli_fivepaths_refuses_a_grid_without_five_points(tmp_path, capsys, grid):
     # no five points in general position: the search would check nothing
     out = tmp_path / "five.json"

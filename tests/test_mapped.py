@@ -283,6 +283,22 @@ def test_path_embedders_check_budget_up_front():
         embed_path_caterpillar(Huge(), Huge())
 
 
+@pytest.mark.parametrize(
+    "embed, first, second",
+    [
+        (embed_two_paths, PathOrder([]), PathOrder([])),
+        (embed_two_caterpillars, Caterpillar([], []), Caterpillar([], [])),
+        (embed_path_caterpillar, PathOrder([]), Caterpillar([], [])),
+    ],
+    ids=["two-paths", "two-caterpillars", "path-caterpillar"],
+)
+def test_path_embedders_refuse_an_empty_vertex_set(embed, first, second):
+    # no empty drawing, whose 0 x 0 grid parse_result refuses, and no bare
+    # ValueError from the extent of no points
+    with pytest.raises(InvalidInstanceError, match="at least one vertex"):
+        embed(first, second)
+
+
 # ---------------------------------------------------------------------------
 # path + caterpillar
 # ---------------------------------------------------------------------------

@@ -94,11 +94,11 @@ from simembed import (
     simul_embed_free,
     triangulate_plane,
 )
-from simembed import certify, graphs, mapped, unmapped
+from simembed import certify, graphs, smallcases, unmapped
 from simembed.graphs import _trace_faces
 from simembed.certify import _any_conflict, _layer_crossings, _listed_crossings
 from simembed.geometry import COORD_LIMIT, _conflict_raw, _is_prime, _next_prime
-from simembed.mapped import _grid_points, _shadow, _shadow_table, _side_masks
+from simembed.smallcases import _grid_points, _shadow, _shadow_table, _side_masks
 
 
 # How a case reshapes its thinned layer: not at all, by reversing and
@@ -726,8 +726,8 @@ def test_shadow_table_search_matches_per_candidate_search(grid):
     # computed every shadow of the next level for every candidate.
     w, h = _grid_sides(grid)
     for paths in _path_sets(grid):
-        checks = mapped._cross_checks(paths)
-        assert mapped._search_grid(w, h, checks) == search_grid_per_candidate(w, h, checks)
+        checks = smallcases._cross_checks(paths)
+        assert smallcases._search_grid(w, h, checks) == search_grid_per_candidate(w, h, checks)
 
 
 @pytest.mark.parametrize("grid", [(4, 4), (5, 3), (6, 2)], ids=_grid_id)
