@@ -1,12 +1,14 @@
 """Five paths on five vertices: the impossibility certificate.
 
-Pair coverage of the vertex-disjoint K5 edge pairs, plus a search over
+Pair coverage of the vertex-disjoint K5 edge pairs, the verdict over the
+three order types of five points in general position, plus a search over
 placements of the five vertices on small grids, exhaustive up to
 EXHAUSTIVE_GRID_LIMIT and a seeded sampled probe above it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -184,6 +186,89 @@ def _cross_checks(paths: Sequence[PathOrder]) -> list[list[tuple[int, int, int, 
     return cross_checks
 
 
+#: One integer point set per order type of five points in general position:
+#: hull sizes 5, 4 and 3, hull vertices first and counterclockwise.
+_ORDER_TYPES = (
+    ((0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)),
+    ((0, 0), (4, 0), (4, 4), (0, 4), (1, 2)),
+    ((0, 0), (6, 0), (0, 6), (1, 2), (2, 1)),
+)
+
+
+@functools.cache
+def _pair_bits() -> dict[tuple[int, int, int, int], int]:
+    """Bit k for the k-th vertex-disjoint K5 edge pair (a, b) / (c, d) of
+    :func:`five_path_pair_coverage`, keyed by (a, b, c, d) and by
+    (c, d, a, b), the two orders in which :func:`_cross_checks` lists it."""
+    bits = {}
+    for k, (e1, e2) in enumerate(five_path_pair_coverage(()).pairs):
+        bits[e1 + e2] = bits[e2 + e1] = 1 << k
+    return bits
+
+
+@functools.cache
+def _labeling_masks() -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """Every labeling of every :data:`_ORDER_TYPES` representative, as its
+    points (vertex i at the i-th) and the mask of the :func:`_pair_bits`
+    pairs whose segments ``_conflict_raw`` says cross.  360 entries, built
+    once per process on first use."""
+    pairs = five_path_pair_coverage(()).pairs
+    table = []
+    for rep in _ORDER_TYPES:
+        for pts in itertools.permutations(rep):
+            mask = 0
+            for k, ((a, b), (c, d)) in enumerate(pairs):
+                if _conflict_raw(*pts[a], *pts[b], *pts[c], *pts[d]):
+                    mask |= 1 << k
+            table.append((pts, mask))
+    return table
+
+
+def _needed_pairs(cross_checks: list[list[tuple[int, int, int, int]]]) -> int:
+    """The :func:`_pair_bits` of every pair in ``cross_checks``."""
+    bits = _pair_bits()
+    need = 0
+    for checks in cross_checks:
+        for check in checks:
+            need |= bits[check]
+    return need
+
+
+def _order_type_witness(
+    cross_checks: list[list[tuple[int, int, int, int]]],
+) -> Optional[list[tuple[int, int]]]:
+    """The points of the first labeling in :func:`_labeling_masks` on which
+    no pair of ``cross_checks`` crosses, or None when no set of five points
+    in general position has such a labeling.
+
+    None is a proof over every such point set, in two steps.
+
+    1. The three representatives cover every order type.  The hull of five
+       points in general position has 5, 4 or 3 vertices; label them
+       counterclockwise.  An inner point lies left of every hull edge, and
+       hull vertices keep their hull order, so only triples that hold an
+       inner point and two hull vertices that are not neighbours, or two
+       inner points, are left open.  Hull 5 has none.  Hull 4, hull
+       a, b, c, d around the inner point e: the diagonals ac and bd cut the
+       hull into four triangles, one on each hull edge, and e lies in one;
+       rotating the labels puts it on ab, which fixes ace and bde.  Hull 3,
+       inner points d and e: line de leaves one hull vertex alone on its
+       side; starting the labels there and naming d and e so that it lies
+       left of d -> e fixes ade, bde and cde.  So each hull size is one
+       sign vector up to relabeling.
+    2. For four points no three collinear all four orientations in
+       ``_conflict_raw`` are nonzero, so on a disjoint edge pair it reports
+       exactly a proper crossing, which those signs alone decide.  A point
+       set therefore has the crossing mask of the representative of its
+       order type under the matching labeling.
+    """
+    need = _needed_pairs(cross_checks)
+    for pts, mask in _labeling_masks():
+        if not mask & need:
+            return list(pts)
+    return None
+
+
 def _search_grid(
     w: int, h: int, cross_checks: list[list[tuple[int, int, int, int]]]
 ) -> tuple[Optional[list[int]], int]:
@@ -219,6 +304,14 @@ def _search_grid(
     below lvl is the same for every candidate: it is ORed once, before the
     loop, and only the shadows that involve vertex lvl are looked up per
     candidate.
+
+    When :func:`_order_type_witness` is None the level-3 loop does not
+    run.  By the free-mask argument above, every point the loop would give
+    vertex 4 would complete five points in general position on which no
+    pair of ``cross_checks`` crosses, and there are none.  So each
+    vertex-3 candidate leaves vertex 4 no free point and adds N - 4 to the
+    count, and level 2 adds N - 4 times the number of its free points
+    instead: the same count, and the same None.
     """
     left, col = _side_masks(w, h)
     count = w * h
@@ -232,6 +325,8 @@ def _search_grid(
         shadow_checks = [(a, c, d) if b == lvl + 1 else (c, a, b) for a, b, c, d in checks]
         fixed_checks.append([t for t in shadow_checks if lvl not in t])
         moving_checks.append([t for t in shadow_checks if lvl in t])
+    # the deepest level whose candidates are placed one at a time
+    deepest = 2 if _order_type_witness(cross_checks) is None else 3
     placement = [0] * 5
     checked = 0
 
@@ -257,9 +352,11 @@ def _search_grid(
             for a, c, d in moving:
                 forbidden |= table[placement[a]][placement[c]][placement[d]]
             next_free = full & ~forbidden
-            if lvl < 3:
+            if lvl < deepest:
                 if dfs(lvl + 1, next_free, now_blocked):
                     return True
+            elif lvl == 2:
+                checked += (count - 4) * next_free.bit_count()
             elif next_free:
                 low = next_free & -next_free
                 placement[4] = low.bit_length() - 1
@@ -290,7 +387,8 @@ def exhaustive_five_point_check(
     placement forces a crossing in some path.  Grids up to extent 8 are
     exhausted by :func:`_search_grid`, which keeps the candidates of each
     vertex as a bitmask built from per-grid side and collinearity masks
-    and a per-search shadow table; ``placements_checked`` counts the
+    and a per-search shadow table, and does not place vertex 3 when no
+    order type carries the paths; ``placements_checked`` counts the
     vertex-4 placements a point-by-point search would look at.  Larger
     grids require ``samples`` and are randomly probed with the seeded
     generator, each draw tested level by level on coordinates.  A grid

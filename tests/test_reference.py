@@ -17,8 +17,9 @@ orientations first.  The five-point search on candidate
 bitmasks must report what the conflict-table search and the
 per-placement search reported, and with its shadows hoisted and looked
 up in one table what the loop that recomputed them per candidate
-reported; its shadow masks must hold exactly the points whose segment
-properly crosses, and its sampled probe must draw what the separate
+reported, and when the order types prove the paths impossible it must
+count without placing vertex 3 what it counts when it places it; its
+shadow masks must hold exactly the points whose segment properly crosses, and its sampled probe must draw what the separate
 sampled loop drew.  The outerplanar point-set
 embedder, with lazy angular orders, interval chains and float-keyed
 sorts, must assign what the eager slicing loop with comparator sorts
@@ -670,6 +671,8 @@ def _search_outcome(res):
 
 
 _FIVE = [path_from_digits(d) for d in FIVE_PATHS]
+# the other five-path set with 12345 that no point set carries
+_SECOND_FAILING = [path_from_digits(d) for d in ("12345", "15243", "23514", "25413", "42135")]
 _RANDOM_PATH_SETS = [
     [PathOrder(random.Random(seed * 10 + k).sample(range(5), 5)) for k in range(1 + seed % 4)]
     for seed in range(6)
@@ -693,12 +696,13 @@ _SEARCH_GRIDS = _SMALL_GRIDS + [5, (5, 3), (3, 5), (6, 2)]
 def _path_sets(grid):
     # Every subset of the five paths on the small grids; on the larger ones
     # the five paths and each four-path subset (which has a witness at
-    # grid 5, so a partial count is compared).  Random path sets on both.
+    # grid 5, so a partial count is compared).  The second failing set and
+    # random path sets on both.
     if grid in _SMALL_GRIDS:
         subsets = [list(c) for k in range(1, 6) for c in itertools.combinations(_FIVE, k)]
     else:
         subsets = [_FIVE] + [list(c) for c in itertools.combinations(_FIVE, 4)]
-    return subsets + _RANDOM_PATH_SETS
+    return subsets + [_SECOND_FAILING] + _RANDOM_PATH_SETS
 
 
 @pytest.mark.parametrize("grid", _SEARCH_GRIDS, ids=_grid_id)
@@ -728,6 +732,22 @@ def test_shadow_table_search_matches_per_candidate_search(grid):
     for paths in _path_sets(grid):
         checks = smallcases._cross_checks(paths)
         assert smallcases._search_grid(w, h, checks) == search_grid_per_candidate(w, h, checks)
+
+
+@pytest.mark.parametrize("grid", [3, 4, 5, 6, (3, 5), (5, 3), (4, 6)], ids=_grid_id)
+def test_order_type_pruned_search_matches_full_depth_search(grid, monkeypatch):
+    # Both sets fail on every order type, so the search counts the vertex-3
+    # candidates at level 2; with the verdict patched to a fit it places
+    # vertex 3 and tries vertex 4 as before.
+    w, h = _grid_sides(grid)
+    for paths in (_FIVE, _SECOND_FAILING):
+        checks = smallcases._cross_checks(paths)
+        assert smallcases._order_type_witness(checks) is None
+        pruned = smallcases._search_grid(w, h, checks)
+        with monkeypatch.context() as patch:
+            patch.setattr(smallcases, "_order_type_witness", lambda checks: [(0, 0)] * 5)
+            assert smallcases._search_grid(w, h, checks) == pruned
+        assert pruned[0] is None
 
 
 @pytest.mark.parametrize("grid", [(4, 4), (5, 3), (6, 2)], ids=_grid_id)

@@ -1,0 +1,144 @@
+"""The order-type verdict of the five-point search.
+
+Its three representatives must cover every order type of five points in
+general position, and its labeling masks must reproduce the counts of
+crossing-free labelings and of failing path sets that a plain scan over
+every labeling of every path set gives.
+"""
+
+import itertools
+
+from hypothesis import assume, given, settings, strategies as st
+
+from simembed import (
+    FIVE_PATHS,
+    GridPoint,
+    PathOrder,
+    convex_hull,
+    find_collinear_triple,
+    orient,
+    path_from_digits,
+)
+from simembed.geometry import _conflict_raw
+from simembed.smallcases import (
+    _ORDER_TYPES,
+    _cross_checks,
+    _labeling_masks,
+    _needed_pairs,
+    _order_type_witness,
+)
+
+# the 60 undirected 5-vertex paths, each once
+ALL_PATHS = ["".join(p) for p in itertools.permutations("12345") if p[0] < p[-1]]
+
+# the other five-path set with 12345 that no point set carries
+SECOND_FAILING_SET = ("12345", "15243", "23514", "25413", "42135")
+
+
+def _sign_vector(pts):
+    gp = [GridPoint(*p) for p in pts]
+    return tuple(orient(gp[i], gp[j], gp[k]) > 0 for i, j, k in itertools.combinations(range(5), 3))
+
+
+def _relabeled_sign_vectors(rep):
+    return {_sign_vector(pts) for pts in itertools.permutations(rep)}
+
+
+_REP_SIGNS = [_relabeled_sign_vectors(rep) for rep in _ORDER_TYPES]
+
+
+def _need(digit_strings):
+    return _needed_pairs(_cross_checks([path_from_digits(d) for d in digit_strings]))
+
+
+def _fitting_labelings(digit_strings):
+    need = _need(digit_strings)
+    return sum(1 for _, mask in _labeling_masks() if not mask & need)
+
+
+def test_order_type_representatives_are_in_general_position_with_hull_sizes_5_4_3():
+    for rep, hull_size in zip(_ORDER_TYPES, (5, 4, 3)):
+        pts = [GridPoint(*p) for p in rep]
+        assert find_collinear_triple(pts) is None
+        hull = convex_hull(pts)
+        assert len(hull) == hull_size
+        # hull vertices first, counterclockwise
+        assert sorted(hull) == list(range(hull_size))
+        assert all(orient(pts[0], pts[1], pts[k]) > 0 for k in range(2, 5))
+    assert len(_labeling_masks()) == 360
+    assert all(not x & y for x, y in itertools.combinations(_REP_SIGNS, 2))
+
+
+@st.composite
+def five_general_position_points(draw):
+    w = draw(st.integers(3, 16))
+    h = draw(st.integers(3, 16))
+    cells = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+    pts = draw(st.lists(cells, min_size=5, max_size=5, unique=True))
+    assume(find_collinear_triple([GridPoint(*p) for p in pts]) is None)
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(five_general_position_points())
+def test_every_five_points_match_exactly_one_representative(pts):
+    signs = _sign_vector(pts)
+    assert sum(signs in rep_signs for rep_signs in _REP_SIGNS) == 1
+
+
+def test_five_paths_fit_no_labeling_and_each_four_path_subset_fits_26():
+    assert _fitting_labelings(FIVE_PATHS) == 0
+    assert _order_type_witness(_cross_checks([path_from_digits(d) for d in FIVE_PATHS])) is None
+    for subset in itertools.combinations(FIVE_PATHS, 4):
+        assert _fitting_labelings(subset) == 26
+
+
+def _fits_table():
+    # fits[need] for every 15-bit need mask: a need fits some labeling
+    # iff it misses some mask that is minimal under inclusion
+    masks = {mask for _, mask in _labeling_masks()}
+    minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
+    return bytearray(any(not need & m for m in minimal) for need in range(1 << 15))
+
+
+def test_no_four_paths_on_five_vertices_fail():
+    fits = _fits_table()
+    needs = [_need([d]) for d in ALL_PATHS]
+    sets = failing = 0
+    for a, b, c, d in itertools.combinations(needs, 4):
+        sets += 1
+        failing += not fits[a | b | c | d]
+    assert (sets, failing) == (487635, 0)
+
+
+def test_exactly_two_five_path_sets_with_12345_fail():
+    fits = _fits_table()
+    needs = {d: _need([d]) for d in ALL_PATHS}
+    first = needs.pop("12345")
+    failing = [
+        ("12345", a, b, c, d)
+        for a, b, c, d in itertools.combinations(needs, 4)
+        if not fits[first | needs[a] | needs[b] | needs[c] | needs[d]]
+    ]
+    assert sorted(failing) == sorted([FIVE_PATHS, SECOND_FAILING_SET])
+    assert _fitting_labelings(SECOND_FAILING_SET) == 0
+
+
+def test_order_type_witness_is_crossing_free_on_every_proper_subset():
+    paths = [path_from_digits(d) for d in FIVE_PATHS]
+    for k in range(1, 5):
+        for subset in itertools.combinations(paths, k):
+            checks = _cross_checks(subset)
+            pts = _order_type_witness(checks)
+            assert pts is not None
+            assert find_collinear_triple([GridPoint(*p) for p in pts]) is None
+            for level in checks:
+                for a, b, c, d in level:
+                    assert not _conflict_raw(*pts[a], *pts[b], *pts[c], *pts[d]), (subset, pts)
+
+
+def test_order_type_witness_of_one_path_is_the_first_labeling():
+    # a single path asks for three pairs; the convex pentagon in hull order
+    # draws 12345 as four hull edges
+    pts = _order_type_witness(_cross_checks([PathOrder([0, 1, 2, 3, 4])]))
+    assert pts == list(_ORDER_TYPES[0])
