@@ -3,7 +3,8 @@
 Pair coverage of the vertex-disjoint K5 edge pairs, the verdict over the
 three order types of five points in general position, plus a search over
 placements of the five vertices on small grids, exhaustive up to
-EXHAUSTIVE_GRID_LIMIT and a seeded sampled probe above it.
+EXHAUSTIVE_GRID_LIMIT and a seeded sampled probe above it, which draws
+only for path sets that some labeling of some order type carries.
 """
 
 from __future__ import annotations
@@ -394,8 +395,19 @@ def exhaustive_five_point_check(
     generator, each draw tested level by level on coordinates.  A grid
     with a side below 3, which holds no five points in general position,
     is rejected, and so is one with a side above COORD_LIMIT + 1, whose
-    points leave the coordinate budget, a ``samples`` count below 1 or one
-    given for a grid that is exhausted.
+    points leave the coordinate budget, a ``samples`` count below 1 or
+    above COORD_LIMIT, or one given for a grid that is exhausted.
+
+    When :func:`_order_type_witness` is None the probe draws nothing and
+    reports ``samples`` placements checked and no counterexample, which is
+    what drawing them would report.  A draw is five distinct grid points,
+    and ``level_ok`` passes it only if no three are collinear and no
+    same-path disjoint edge pair conflicts.  Such a draw is five points in
+    general position, so by step 2 of the witness's proof its crossing
+    mask is that of some labeling of its order type's representative, and
+    that labeling would be a witness.  So every draw fails, the loop runs
+    exactly ``samples`` times and returns None; the generator is observed
+    nowhere else.
     """
     if isinstance(grid_extent, tuple):
         w, h = grid_extent
@@ -418,6 +430,11 @@ def exhaustive_five_point_check(
     if samples is not None and samples < 1:
         # a verdict after no placements would claim what nothing checked
         raise InvalidInstanceError(f"sample count must be positive, got {samples}")
+    if samples is not None and samples > COORD_LIMIT:
+        # the count is reported, not drawn, for a set no order type carries
+        raise InvalidInstanceError(
+            f"sample count over the cap 2^40; counts up to {COORD_LIMIT} are probed"
+        )
     for p in paths:
         if p.n != 5:
             raise InvalidInstanceError("the search is defined for 5-vertex paths")
@@ -444,6 +461,12 @@ def exhaustive_five_point_check(
             placements_checked=checked,
             exhaustive=True,
             grid=(w, h),
+        )
+
+    if _order_type_witness(cross_checks) is None:
+        # no draw can pass: see the docstring
+        return FivePointSearchResult(
+            counterexample=None, placements_checked=samples, exhaustive=False, grid=(w, h)
         )
 
     tri_checks: list[list[tuple[int, int]]] = [

@@ -3,23 +3,29 @@
 Its three representatives must cover every order type of five points in
 general position, and its labeling masks must reproduce the counts of
 crossing-free labelings and of failing path sets that a plain scan over
-every labeling of every path set gives.
+every labeling of every path set gives.  When the verdict is None the
+sampled probe draws nothing, and reports what drawing would.
 """
 
 import itertools
+import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from reference import five_point_check_table
 from simembed import (
     FIVE_PATHS,
     GridPoint,
+    InvalidInstanceError,
     PathOrder,
     convex_hull,
+    exhaustive_five_point_check,
     find_collinear_triple,
     orient,
     path_from_digits,
 )
-from simembed.geometry import _conflict_raw
+from simembed.geometry import COORD_LIMIT, _conflict_raw
 from simembed.smallcases import (
     _ORDER_TYPES,
     _cross_checks,
@@ -142,3 +148,79 @@ def test_order_type_witness_of_one_path_is_the_first_labeling():
     # draws 12345 as four hull edges
     pts = _order_type_witness(_cross_checks([PathOrder([0, 1, 2, 3, 4])]))
     assert pts == list(_ORDER_TYPES[0])
+
+
+# a four-path set that the witness at grid 5 embeds
+FITTING_SET = ("12345", "13542", "25134", "32415")
+
+SAMPLED_GRIDS = [9, 10, 11, 12, (9, 12)]
+
+
+def _outcome(res):
+    return res.counterexample, res.placements_checked, res.exhaustive, res.grid
+
+
+class _NoDraws(random.Random):
+    def randrange(self, *args, **kwargs):
+        raise AssertionError("the probe drew a placement")
+
+
+class _CountedDraws(random.Random):
+    draws = 0
+
+    def randrange(self, *args, **kwargs):
+        _CountedDraws.draws += 1
+        return super().randrange(*args, **kwargs)
+
+
+@pytest.mark.parametrize("digits", [FIVE_PATHS, SECOND_FAILING_SET], ids=["five", "second"])
+def test_sampled_probe_draws_nothing_when_no_order_type_fits(digits, monkeypatch):
+    paths = [path_from_digits(d) for d in digits]
+    monkeypatch.setattr("simembed.smallcases.random.Random", _NoDraws)
+    for grid in [9, 12, (9, 12), COORD_LIMIT + 1]:
+        sides = grid if isinstance(grid, tuple) else (grid, grid)
+        for samples in (1, 5000, COORD_LIMIT):
+            res = exhaustive_five_point_check(grid, paths, seed=3, samples=samples)
+            assert _outcome(res) == (None, samples, False, sides)
+
+
+@pytest.mark.parametrize("digits", [FIVE_PATHS, SECOND_FAILING_SET], ids=["five", "second"])
+def test_sampled_probe_without_witness_matches_the_drawing_reference(digits):
+    # the reference draws every sample and tests it on coordinates
+    paths = [path_from_digits(d) for d in digits]
+    for grid in SAMPLED_GRIDS:
+        for seed in range(10):
+            want = _outcome(five_point_check_table(grid, paths, seed=seed, samples=200))
+            assert want[:3] == (None, 200, False)
+            got = exhaustive_five_point_check(grid, paths, seed=seed, samples=200)
+            assert _outcome(got) == want
+
+
+def test_sampled_probe_with_a_witness_still_draws(monkeypatch):
+    paths = [path_from_digits(d) for d in FITTING_SET]
+    assert _order_type_witness(_cross_checks(paths)) is not None
+    cases = [(grid, seed) for grid in SAMPLED_GRIDS for seed in range(10)]
+    # the reference runs before the patch, which replaces random.Random for
+    # every module
+    wants = [
+        _outcome(five_point_check_table(grid, paths, seed=seed, samples=200))
+        for grid, seed in cases
+    ]
+    assert sum(want[0] is not None for want in wants) >= 10
+    monkeypatch.setattr("simembed.smallcases.random.Random", _CountedDraws)
+    for (grid, seed), want in zip(cases, wants):
+        _CountedDraws.draws = 0
+        res = exhaustive_five_point_check(grid, paths, seed=seed, samples=200)
+        assert _outcome(res) == want
+        assert _CountedDraws.draws >= 10 * res.placements_checked
+
+
+def test_sample_count_is_capped_at_the_coordinate_budget():
+    # one over 2^40 is refused before any work, as is a count too long to
+    # print, whether or not the set would be drawn
+    paths = [path_from_digits(d) for d in FIVE_PATHS]
+    fitting = [path_from_digits(d) for d in FITTING_SET]
+    for samples in (COORD_LIMIT + 1, 10**5000):
+        for which in (paths, fitting):
+            with pytest.raises(InvalidInstanceError, match=r"over the cap 2\^40"):
+                exhaustive_five_point_check(12, which, seed=1, samples=samples)
