@@ -3,7 +3,9 @@
 Subcommands: ``embed`` (dispatch on layer classes and mapping mode),
 ``certify`` (re-check a result document), ``render`` (SVG), ``gen``
 (random instances), and ``fivepaths`` (pair coverage plus the exhaustive
-placement search).  Exit codes: 0 success with ok certificate, 2 the
+placement search).  ``_EMBEDDERS`` lists what ``embed`` and ``gen`` take:
+the kinds ``gen`` writes and, for a given mapping, the layer classes
+``embed`` accepts.  Exit codes: 0 success with ok certificate, 2 the
 instance is unsupported/invalid or a certificate failed, 1 usage or I/O
 error or out of memory.
 """
@@ -56,8 +58,6 @@ from .unmapped import (
     simul_embed_free,
 )
 
-SUPPORTED_GIVEN = "path+path, path+caterpillar, caterpillar+caterpillar"
-
 
 def _read(path: str) -> str:
     try:
@@ -93,20 +93,31 @@ def _parse_bounds(text: Optional[str]) -> Optional[tuple[int, int]]:
     return w, h
 
 
-# The two-layer embedders for a given mapping, keyed by the layer classes
-# in sorted order, which is the order each takes its layers.  parse_instance
-# has validated every layer, so they recover paths and caterpillars without
-# validating again.  The lambdas look the embedders up in this module when
-# called, so a patched module attribute is the one that runs.
-_PAIR_EMBEDDERS = {
-    ("path", "path"): lambda a, b, n: embed_two_paths(_path_order(a, n), _path_order(b, n)),
-    ("caterpillar", "path"): lambda c, p, n: embed_path_caterpillar(
-        _path_order(p, n), _caterpillar(c, n)
-    )[0],
-    ("caterpillar", "caterpillar"): lambda a, b, n: embed_two_caterpillars(
-        _caterpillar(a, n), _caterpillar(b, n)
+# What embed and gen take, one row per gen kind: the mapping, the layer
+# classes gen writes (None: --layers outerplanars), the budget check the
+# embedder runs first, and a given mapping's embedder, which takes its
+# layers sorted by class and already validated.  The lambdas look the
+# embedders up in this module when called, so a patch of one here runs.
+_EMBEDDERS = {
+    "two-paths": (
+        "given", ("path", "path"), _check_two_path_budget,
+        lambda a, b, n: embed_two_paths(_path_order(a, n), _path_order(b, n)),
     ),
+    "two-caterpillars": (
+        "given", ("caterpillar", "caterpillar"), _check_two_caterpillar_budget,
+        lambda a, b, n: embed_two_caterpillars(_caterpillar(a, n), _caterpillar(b, n)),
+    ),
+    "path-caterpillar": (
+        "given", ("path", "caterpillar"), _check_path_caterpillar_budget,
+        lambda c, p, n: embed_path_caterpillar(_path_order(p, n), _caterpillar(c, n))[0],
+    ),
+    "outerplanars": ("free", None, _check_parabola_budget, None),
+    "planar-outerplanar": ("free", ("planar", "outerplanar"), _check_general_position_budget, None),
 }
+# The given-mapping embedders by sorted classes, and each class's generator.
+_GIVEN = {tuple(sorted(c)): embed for m, c, _, embed in _EMBEDDERS.values() if m == "given"}
+_GEN_LAYER = {"path": "path", "caterpillar": "caterpillar",
+              "planar": "plane-triangulation", "outerplanar": "maximal-outerplanar"}
 
 
 def _dispatch_embed(inst: LayeredInstance) -> SimultaneousEmbedding:
@@ -115,13 +126,12 @@ def _dispatch_embed(inst: LayeredInstance) -> SimultaneousEmbedding:
     # Each embedder takes its layers in class order; the sort is stable, so
     # two layers of one class keep the instance's order.
     layers = sorted(inst.layers, key=lambda layer: layer.kind)
-    embed = _PAIR_EMBEDDERS.get(tuple(layer.kind for layer in layers))
+    embed = _GIVEN.get(tuple(layer.kind for layer in layers))
     if embed is None:
         kinds = [layer.kind for layer in inst.layers]
+        supported = ", ".join("+".join(classes) for classes in _GIVEN)
         raise UnsupportedInstanceError(
-            f"no with-mapping embedder for classes {kinds}; "
-            f"supported: {SUPPORTED_GIVEN}. Two planar layers with a given "
-            "mapping cannot be simultaneously embedded in general."
+            f"no with-mapping embedder for classes {kinds}; supported: {supported}"
         )
     return embed(*layers, inst.n)
 
@@ -160,35 +170,20 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-# Each kind's mapping, layer recipe and the coordinate budget check that
-# its embedder runs first.
-_GEN_RECIPES = {
-    "two-paths": ("given", ["path", "path"], _check_two_path_budget),
-    "two-caterpillars": ("given", ["caterpillar", "caterpillar"], _check_two_caterpillar_budget),
-    "path-caterpillar": ("given", ["path", "caterpillar"], _check_path_caterpillar_budget),
-    "outerplanars": ("free", None, _check_parabola_budget),
-    "planar-outerplanar": (
-        "free",
-        ["plane-triangulation", "maximal-outerplanar"],
-        _check_general_position_budget,
-    ),
-}
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.kind not in _GEN_RECIPES:
+    if args.kind not in _EMBEDDERS:
         raise SimembedError(
-            f"unknown kind {args.kind!r}; choose from {sorted(_GEN_RECIPES)}"
+            f"unknown kind {args.kind!r}; choose from {sorted(_EMBEDDERS)}"
         )
-    mapping, recipe, check_budget = _GEN_RECIPES[args.kind]
+    mapping, classes, check_budget, _embed = _EMBEDDERS[args.kind]
     check_budget(args.n)  # before generating: embed would refuse this n
-    if recipe is None:
+    if classes is None:
         if args.layers > COORD_LIMIT:
             raise ParseError(f"--layers expects at most 2^40 layers, got {args.layers}")
         # a count below one makes no layers, which validate_instance refuses;
         # clamping first keeps a count below -2^63 from overflowing the repeat
-        recipe = ["maximal-outerplanar"] * max(args.layers, 0)
-    layers = [generate(k, args.n, args.seed + i) for i, k in enumerate(recipe)]
+        classes = ["outerplanar"] * max(args.layers, 0)
+    layers = [generate(_GEN_LAYER[c], args.n, args.seed + i) for i, c in enumerate(classes)]
     inst = LayeredInstance(n=args.n, layers=layers, mapping=mapping)
     validate_instance(inst)  # write nothing that embed would reject
     _write(args.out, serialize_instance(inst))
@@ -262,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.set_defaults(func=_cmd_render)
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
-    p_gen.add_argument("--kind", required=True, help=", ".join(sorted(_GEN_RECIPES)))
+    p_gen.add_argument("--kind", required=True, help=", ".join(sorted(_EMBEDDERS)))
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--layers", type=int, default=3, help="layer count for outerplanars")
     p_gen.add_argument("--seed", type=int, default=0)

@@ -43,15 +43,16 @@ def _check_coord_budget(n: int, extent: Callable[[int], int], what: str) -> None
     an n past COORD_LIMIT is refused without evaluating it: an extent that
     looks for a prime near n would take long for n far past the budget."""
     if n > COORD_LIMIT:
-        need = f"of at least {n}"
+        # n is left out, as it may have too many digits to format
+        need = "on more than 2^40 vertices is"
     else:
-        need = extent(n)
-        if need <= COORD_LIMIT:
+        top = extent(n)
+        if top <= COORD_LIMIT:
             return
-        need = f"up to {need}"
+        need = f"on {n} vertices needs coordinates up to {top},"
     raise CoordinateBudgetError(
-        f"{what} on {n} vertices needs coordinates {need}, over the "
-        f"coordinate budget 2^40; at most {_largest_within_budget(extent)} vertices fit"
+        f"{what} {need} over the coordinate budget 2^40; "
+        f"at most {_largest_within_budget(extent)} vertices fit"
     )
 
 

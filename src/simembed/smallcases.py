@@ -422,14 +422,15 @@ def exhaustive_five_point_check(
             f"both sides must be 3 or more"
         )
     if max(w, h) > COORD_LIMIT + 1:
-        # coordinates run from 0 to the side minus one
+        # coordinates run from 0 to the side minus one; the message leaves
+        # the side out, which may have too many digits to format
         raise CoordinateBudgetError(
-            f"grid {w}x{h} needs coordinates up to {max(w, h) - 1}, over the "
-            f"coordinate budget 2^40; sides up to {COORD_LIMIT + 1} fit"
+            "a grid side over 2^40 + 1 needs coordinates over the coordinate "
+            f"budget 2^40; sides up to {COORD_LIMIT + 1} fit"
         )
     if samples is not None and samples < 1:
         # a verdict after no placements would claim what nothing checked
-        raise InvalidInstanceError(f"sample count must be positive, got {samples}")
+        raise InvalidInstanceError("sample count must be positive")
     if samples is not None and samples > COORD_LIMIT:
         # the count is reported, not drawn, for a set no order type carries
         raise InvalidInstanceError(

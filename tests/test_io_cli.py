@@ -364,7 +364,7 @@ def test_embed_svg_equals_render(tmp_path, case):
         assert drawn == [(slot[u], slot[v]) for u, v in layer.edges], li
 
 
-def test_cli_rejects_unsupported_combination(tmp_path):
+def test_cli_rejects_unsupported_combination(tmp_path, capsys):
     doc = {
         "n": 4,
         "mapping": "given",
@@ -383,8 +383,38 @@ def test_cli_rejects_unsupported_combination(tmp_path):
     }
     inst_file = tmp_path / "two-planar.json"
     inst_file.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
     rc = cli_main(["embed", "--in", str(inst_file), "--out", str(tmp_path / "r.json")])
     assert rc == 2
+    # one reason line, which lists every given-mapping row of the table
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    for mapping, classes, _check, _embed in cli._EMBEDDERS.values():
+        if mapping == "given":
+            assert "+".join(sorted(classes)) in err[0], (classes, err)
+
+
+def test_readme_documents_every_embedder_row():
+    # one row of "What it can embed" per _EMBEDDERS row, found by its gen
+    # kind, with the row's mapping and a given mapping's layer classes;
+    # the "Generator kinds:" sentence names the same kinds
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## What it can embed\n", 1)[1].split("\n## ", 1)[0]
+    cells = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|") and "---" not in line
+    ]
+    assert cells[0] == ["layers", "mapping", "grid", "`gen --kind`"]
+    rows = {kind.strip("`"): (layers, mapping) for layers, mapping, _grid, kind in cells[1:]}
+    assert len(rows) == len(cells) - 1 and sorted(rows) == sorted(cli._EMBEDDERS)
+    for kind, (mapping, classes, _check, _embed) in cli._EMBEDDERS.items():
+        assert rows[kind][1] == mapping, kind
+        if mapping == "given":
+            assert rows[kind][0] == " + ".join(classes), kind
+    sentence = readme.split("Generator kinds:", 1)[1].split(".\n", 1)[0]
+    listed = re.findall(r"`([a-z]+(?:-[a-z]+)*)`", sentence)
+    assert listed == list(cli._EMBEDDERS)
 
 
 def _embed_free(tmp_path, layers, n):
@@ -1243,7 +1273,7 @@ _MUTATIONS = {
 
 
 @settings(max_examples=250, deadline=None)
-@given(st.sampled_from(sorted(cli._GEN_RECIPES)), st.integers(3, 7), st.integers(0, 3),
+@given(st.sampled_from(sorted(cli._EMBEDDERS)), st.integers(3, 7), st.integers(0, 3),
        st.sampled_from(sorted(_MUTATIONS)), st.data())
 def test_cli_mutated_documents_keep_the_exit_contract(kind, n, seed, how, data):
     inst_text, res_text = _valid_documents(kind, n, seed)
@@ -1342,7 +1372,7 @@ def _mutate_bytes(doc: bytes, other: bytes, how: str, data) -> bytes:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(cli._GEN_RECIPES)), st.integers(3, 7), st.integers(0, 3),
+@given(st.sampled_from(sorted(cli._EMBEDDERS)), st.integers(3, 7), st.integers(0, 3),
        st.sampled_from(["truncate", "splice", "flip", "nest", "inflate"]), st.data())
 def test_cli_byte_mutated_documents_keep_the_exit_contract(kind, n, seed, how, data):
     # Both documents of a valid pair are mutated at the byte level, and each
@@ -1388,7 +1418,7 @@ def _malformed_flags(draw):
     command = draw(st.sampled_from(["gen", "fivepaths", "embed", "certify"]))
     if command == "gen":
         n = draw(_BAD_NUMBER | st.just("5"))
-        return ["gen", "--kind", draw(st.sampled_from(sorted(cli._GEN_RECIPES))), f"--n={n}",
+        return ["gen", "--kind", draw(st.sampled_from(sorted(cli._EMBEDDERS))), f"--n={n}",
                 *maybe("--layers", _BAD_NUMBER), *maybe("--seed", _SEED)]
     if command == "fivepaths":
         paths = st.lists(_BAD_NUMBER, min_size=1, max_size=3).map(",".join)

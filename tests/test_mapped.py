@@ -452,10 +452,11 @@ def test_exhaustive_check_degenerate_column():
 
 def test_exhaustive_check_refuses_a_grid_over_the_coordinate_budget():
     # Points of a side-s grid run from 0 to s - 1: a side of COORD_LIMIT + 1
-    # fits, one more is refused before any placement is drawn.
+    # fits, one more is refused before any placement is drawn.  The refusal
+    # leaves the side out, which CPython will not format past 4300 digits.
     paths = [path_from_digits(d) for d in FIVE_PATHS]
     side = COORD_LIMIT + 1
-    for grid in [(2**41, 2**41), side + 1, (3, side + 1), (side + 1, 3)]:
+    for grid in [(2**41, 2**41), side + 1, (3, side + 1), (side + 1, 3), 10**5000]:
         with pytest.raises(CoordinateBudgetError, match=f"sides up to {side} fit"):
             exhaustive_five_point_check(grid, paths, seed=1, samples=3)
     res = exhaustive_five_point_check(side, paths, seed=1, samples=3)

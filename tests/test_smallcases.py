@@ -224,3 +224,12 @@ def test_sample_count_is_capped_at_the_coordinate_budget():
         for which in (paths, fitting):
             with pytest.raises(InvalidInstanceError, match=r"over the cap 2\^40"):
                 exhaustive_five_point_check(12, which, seed=1, samples=samples)
+
+
+def test_sample_count_below_one_is_refused():
+    # the refusal leaves the count out, which CPython will not format past
+    # 4300 digits
+    paths = [path_from_digits(d) for d in FIVE_PATHS]
+    for samples in (0, -1, -(10**5000)):
+        with pytest.raises(InvalidInstanceError, match="sample count must be positive$"):
+            exhaustive_five_point_check(12, paths, seed=1, samples=samples)
