@@ -191,27 +191,22 @@ def parse_result(
     for key in ("coords", "width", "height"):
         if key not in data:
             raise ParseError(f"result document missing {key!r}")
-    coords = [GridPoint(x, y) for x, y in _int_pairs(data["coords"], "coords")]
-    for key, axis in (("width", [p.x for p in coords]), ("height", [p.y for p in coords])):
+    assignments = data.get("assignments")
+    emb = SimultaneousEmbedding(
+        coords=[GridPoint(x, y) for x, y in _int_pairs(data["coords"], "coords")],
+        assignments=assignments,
+    )
+    for key, extent in (("width", emb.width), ("height", emb.height)):
         if type(data[key]) is not int or data[key] < 1:
             raise ParseError(f"{key} must be a positive integer")
-        # every embedder writes the extent, so the document may not claim another
-        if axis and data[key] != max(axis) - min(axis) + 1:
-            raise ParseError(
-                f"{key} {data[key]} is not the coordinates' extent {max(axis) - min(axis) + 1}"
-            )
-    assignments = data.get("assignments")
+        # the embedding reads its extent off the points, so the document may not claim another
+        if emb.coords and data[key] != extent:
+            raise ParseError(f"{key} {data[key]} is not the coordinates' extent {extent}")
     if assignments is not None and not (
         isinstance(assignments, list)
         and all(isinstance(a, list) and all(type(x) is int for x in a) for a in assignments)
     ):
         raise ParseError("assignments must be lists of integers")
-    emb = SimultaneousEmbedding(
-        coords=coords,
-        width=data["width"],
-        height=data["height"],
-        assignments=assignments,
-    )
     cert = None
     if data.get("certificate") is not None:
         try:

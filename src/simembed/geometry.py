@@ -131,14 +131,11 @@ def _parabola_lift(base: list[GridPoint], scale: int, p: int) -> list[GridPoint]
     return [GridPoint(scale * b.x + i, scale * b.y + i * i % p) for i, b in enumerate(base)]
 
 
-def _translate_to_origin(points: list[GridPoint]) -> tuple[list[GridPoint], int, int]:
-    # Shift so the smallest x and y are 1; also return the width and height.
+def _translate_to_origin(points: list[GridPoint]) -> list[GridPoint]:
+    # Shift so the smallest x and y are 1.
     min_x = min(p.x for p in points)
     min_y = min(p.y for p in points)
-    shifted = [GridPoint(p.x - min_x + 1, p.y - min_y + 1) for p in points]
-    width = max(p.x for p in shifted)
-    height = max(p.y for p in shifted)
-    return shifted, width, height
+    return [GridPoint(p.x - min_x + 1, p.y - min_y + 1) for p in points]
 
 
 def orient(a: GridPoint, b: GridPoint, c: GridPoint) -> int:

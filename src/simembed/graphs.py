@@ -43,15 +43,27 @@ class LayeredInstance:
 
 @dataclass
 class SimultaneousEmbedding:
-    """A drawing shared by all layers: one point per vertex and its extents.
+    """A drawing shared by all layers: one point per vertex.
     With free mapping, ``assignments`` maps each layer's own vertex indices
     to point indices; with given mapping it is None, and vertex v is at
-    ``coords[v]`` in every layer.  The edges are the instance's."""
+    ``coords[v]`` in every layer.  The edges are the instance's, and the
+    width and height are read off the points."""
 
     coords: list[GridPoint]
-    width: int
-    height: int
     assignments: Optional[list[list[int]]] = None
+
+    @property
+    def width(self) -> int:
+        return _extent([p.x for p in self.coords])
+
+    @property
+    def height(self) -> int:
+        return _extent([p.y for p in self.coords])
+
+
+def _extent(axis: list[int]) -> int:
+    # max - min + 1, the columns or rows the points span; 0 for no points
+    return max(axis) - min(axis) + 1 if axis else 0
 
 
 def _check_permutation(order: list[int], what: str) -> None:

@@ -43,7 +43,7 @@ def embed_two_paths(p1: PathOrder, p2: PathOrder) -> SimultaneousEmbedding:
     for i, v in enumerate(p2.order):
         pos2[v] = i + 1
     coords = [GridPoint(pos1[v], pos2[v]) for v in range(n)]
-    return SimultaneousEmbedding(coords=coords, width=n, height=n)
+    return SimultaneousEmbedding(coords=coords)
 
 
 def _check_two_path_budget(n: int) -> None:
@@ -113,8 +113,8 @@ def embed_two_caterpillars(c1: Caterpillar, c2: Caterpillar) -> SimultaneousEmbe
     p2 = caterpillar_to_path(c2)
     base = embed_two_paths(p1, p2)
     prime = _next_prime(n)
-    coords, width, height = _translate_to_origin(_parabola_lift(base.coords, prime, prime))
-    return SimultaneousEmbedding(coords=coords, width=width, height=height)
+    coords = _translate_to_origin(_parabola_lift(base.coords, prime, prime))
+    return SimultaneousEmbedding(coords=coords)
 
 
 def _check_path_caterpillar_budget(n: int) -> None:
@@ -169,4 +169,4 @@ def embed_path_caterpillar(
                 raise InternalInvariantError("shift count exceeded the leg count")
 
     coords = [GridPoint(xs[v], ys[v]) for v in range(n)]
-    return SimultaneousEmbedding(coords=coords, width=max(xs), height=n), shifts
+    return SimultaneousEmbedding(coords=coords), shifts

@@ -394,9 +394,10 @@ def exhaustive_five_point_check(
     grids require ``samples`` and are randomly probed with the seeded
     generator, each draw tested level by level on coordinates.  A grid
     with a side below 3, which holds no five points in general position,
-    is rejected, and so is one with a side above COORD_LIMIT + 1, whose
-    points leave the coordinate budget, a ``samples`` count below 1 or
-    above COORD_LIMIT, or one given for a grid that is exhausted.
+    is rejected, and so is one with a side above COORD_LIMIT + 1 in
+    magnitude (checked first), whose points leave the coordinate budget,
+    a ``samples`` count below 1 or above COORD_LIMIT, or one given for a
+    grid that is exhausted.
 
     When :func:`_order_type_witness` is None the probe draws nothing and
     reports ``samples`` placements checked and no counterexample, which is
@@ -413,6 +414,14 @@ def exhaustive_five_point_check(
         w, h = grid_extent
     else:
         w = h = grid_extent
+    if max(abs(w), abs(h)) > COORD_LIMIT + 1:
+        # coordinates run from 0 to the side minus one; the message leaves
+        # the side out, which may have too many digits to format, and comes
+        # first so that the next one formats no such side either
+        raise CoordinateBudgetError(
+            "a grid side over 2^40 + 1 in magnitude is outside the coordinate "
+            f"budget 2^40; sides up to {COORD_LIMIT + 1} fit"
+        )
     if min(w, h) < 3:
         # every point lies on one of at most two lines along the long side,
         # and five points on two lines put three on one: there is no
@@ -420,13 +429,6 @@ def exhaustive_five_point_check(
         raise InvalidInstanceError(
             f"grid {w}x{h} holds no five points with no three collinear; "
             f"both sides must be 3 or more"
-        )
-    if max(w, h) > COORD_LIMIT + 1:
-        # coordinates run from 0 to the side minus one; the message leaves
-        # the side out, which may have too many digits to format
-        raise CoordinateBudgetError(
-            "a grid side over 2^40 + 1 needs coordinates over the coordinate "
-            f"budget 2^40; sides up to {COORD_LIMIT + 1} fit"
         )
     if samples is not None and samples < 1:
         # a verdict after no placements would claim what nothing checked

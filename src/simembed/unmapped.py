@@ -24,6 +24,7 @@ from .errors import (
     UnsupportedInstanceError,
 )
 from .geometry import (
+    COORD_LIMIT,
     GridPoint,
     _check_coord_budget,
     _next_prime,
@@ -211,6 +212,9 @@ def _planar_lift(n: int) -> tuple[int, int]:
 
 def general_position_bounds(n: int) -> tuple[int, int]:
     """Documented extent bound for :func:`planar_general_position_draw`."""
+    if n > COORD_LIMIT:
+        # refused before a prime search near n; the check's own calls stay below 2^40
+        _check_general_position_budget(n)
     p, lam = _planar_lift(n)
     return lam * (2 * n - 4) + p, lam * (n - 2) + p
 
@@ -291,6 +295,7 @@ def parabola_pointset(n: int) -> list[GridPoint]:
     """
     if n < 1:
         raise InvalidInstanceError("point set needs at least one point")
+    _check_parabola_budget(n)
     p = _next_prime(n)
     return [GridPoint(t, (t * t) % p) for t in range(1, n + 1)]
 
@@ -618,10 +623,4 @@ def simul_embed_free(layers: list[Layer], n: int) -> SimultaneousEmbedding:
         list(range(n)) if m is None else _embed_on_general_position(m, pts, root)
         for m in maximal
     ]
-    coords, width, height = _translate_to_origin(pts)
-    return SimultaneousEmbedding(
-        coords=coords,
-        width=width,
-        height=height,
-        assignments=assignments,
-    )
+    return SimultaneousEmbedding(coords=_translate_to_origin(pts), assignments=assignments)

@@ -109,7 +109,7 @@ def test_criterion_2_five_paths():
             drops_ok = False
         else:
             pts = witness.counterexample
-            emb = SimultaneousEmbedding(coords=pts, width=5, height=5)
+            emb = SimultaneousEmbedding(coords=pts)
             inst = given_instance([p.edges() for p in four], 5, ["path"] * 4)
             if not certify_embedding(emb, inst).ok:
                 drops_ok = False
@@ -188,7 +188,7 @@ def test_criterion_5_planar_drawing():
         pts = planar_grid_draw(lay, n)
         assert 0 <= min(p.x for p in pts) and max(p.x for p in pts) <= 2 * n - 4
         assert 0 <= min(p.y for p in pts) and max(p.y for p in pts) <= n - 2
-        emb = SimultaneousEmbedding(coords=pts, width=2 * n - 4 + 1, height=n - 2 + 1)
+        emb = SimultaneousEmbedding(coords=pts)
         inst = LayeredInstance(n=n, layers=[lay])
         assert certify_embedding(emb, inst, bounds=(2 * n - 3, n - 1)).ok
 
@@ -198,10 +198,8 @@ def test_criterion_5_planar_drawing():
         pts = planar_general_position_draw(lay, n)
         assert certify_general_position(pts).ok
         w_bound, h_bound = general_position_bounds(n)
-        width = max(p.x for p in pts) - min(p.x for p in pts) + 1
-        height = max(p.y for p in pts) - min(p.y for p in pts) + 1
-        assert width <= w_bound and height <= h_bound
-        emb = SimultaneousEmbedding(coords=pts, width=width, height=height)
+        emb = SimultaneousEmbedding(coords=pts)
+        assert emb.width <= w_bound and emb.height <= h_bound
         inst = LayeredInstance(n=n, layers=[lay])
         assert certify_embedding(emb, inst).ok
     report(5, True, "100 grid drawings fit (2n-4) x (n-2); general-position variant in documented bounds")
@@ -239,7 +237,7 @@ def test_criterion_7_outerplanar_on_points():
             if find_collinear_triple(pts) is None:
                 break
         phi = embed_outerplanar_on_points(lay, pts)
-        emb = SimultaneousEmbedding(coords=pts, width=10**6, height=10**6, assignments=[phi])
+        emb = SimultaneousEmbedding(coords=pts, assignments=[phi])
         inst = LayeredInstance(n=k, layers=[lay], mapping="free")
         assert certify_embedding(emb, inst).ok
         assert brute_force_point_assignment(lay, pts) is not None

@@ -32,11 +32,7 @@ def test_two_path_output_certifies():
 
 
 def test_crossing_in_one_layer_reported():
-    emb = SimultaneousEmbedding(
-        coords=[P(0, 0), P(2, 2), P(0, 2), P(2, 0)],
-        width=3,
-        height=3,
-    )
+    emb = SimultaneousEmbedding(coords=[P(0, 0), P(2, 2), P(0, 2), P(2, 0)])
     inst = LayeredInstance(n=4, layers=[Layer("path", [(0, 1), (2, 3)])])
     rep = certify_embedding(emb, inst)
     assert not rep.ok
@@ -45,11 +41,7 @@ def test_crossing_in_one_layer_reported():
 
 
 def test_same_segments_in_different_layers_allowed():
-    emb = SimultaneousEmbedding(
-        coords=[P(0, 0), P(2, 2), P(0, 2), P(2, 0)],
-        width=3,
-        height=3,
-    )
+    emb = SimultaneousEmbedding(coords=[P(0, 0), P(2, 2), P(0, 2), P(2, 0)])
     inst = LayeredInstance(
         n=4, layers=[Layer("path", [(0, 1)]), Layer("path", [(2, 3)])]
     )
@@ -57,11 +49,7 @@ def test_same_segments_in_different_layers_allowed():
 
 
 def test_duplicate_coordinates_reported():
-    emb = SimultaneousEmbedding(
-        coords=[P(1, 1), P(1, 1), P(2, 2)],
-        width=2,
-        height=2,
-    )
+    emb = SimultaneousEmbedding(coords=[P(1, 1), P(1, 1), P(2, 2)])
     inst = LayeredInstance(n=3, layers=[Layer("path", [(0, 2)])])
     rep = certify_embedding(emb, inst)
     assert any(v.kind == "duplicate-point" and v.witness == (0, 1) for v in rep.violations)
@@ -70,8 +58,6 @@ def test_duplicate_coordinates_reported():
 def test_bad_bijection_reported():
     emb = SimultaneousEmbedding(
         coords=[P(0, 0), P(1, 2), P(3, 1)],
-        width=4,
-        height=3,
         assignments=[[0, 0, 2]],
     )
     inst = LayeredInstance(n=3, layers=[Layer("path", [(0, 1), (1, 2)])], mapping="free")
@@ -80,16 +66,14 @@ def test_bad_bijection_reported():
 
 
 def test_free_mapping_requires_assignments():
-    emb = SimultaneousEmbedding(
-        coords=[P(0, 0), P(1, 2), P(3, 1)], width=4, height=3
-    )
+    emb = SimultaneousEmbedding(coords=[P(0, 0), P(1, 2), P(3, 1)])
     inst = LayeredInstance(n=3, layers=[Layer("path", [(0, 1)])], mapping="free")
     with pytest.raises(InvalidInstanceError):
         certify_embedding(emb, inst)
 
 
 def test_arity_mismatch_is_an_error_not_a_report():
-    emb = SimultaneousEmbedding(coords=[P(0, 0)], width=1, height=1)
+    emb = SimultaneousEmbedding(coords=[P(0, 0)])
     inst = LayeredInstance(n=2, layers=[Layer("path", [(0, 1)])])
     with pytest.raises(InvalidInstanceError):
         certify_embedding(emb, inst)
@@ -114,9 +98,7 @@ def test_certify_bounds():
     assert not rep.ok
     assert all(v.kind == "out-of-bounds" for v in rep.violations)
     # translation to (1,1) happens before checking
-    shifted = SimultaneousEmbedding(
-        coords=[P(100, 200), P(101, 201)], width=2, height=2
-    )
+    shifted = SimultaneousEmbedding(coords=[P(100, 200), P(101, 201)])
     shifted_inst = LayeredInstance(n=2, layers=[Layer("path", [(0, 1)])])
     assert certify_embedding(shifted, shifted_inst, bounds=(2, 2)).ok
 
@@ -124,11 +106,8 @@ def test_certify_bounds():
 def test_certify_bounds_at_the_extent():
     # Extents 5 (x from 3 to 7) and 4 (y from 10 to 13): bounds equal to
     # them pass, and one under names exactly the points beyond the edge.
-    emb = SimultaneousEmbedding(
-        coords=[P(3, 10), P(7, 11), P(5, 13), P(4, 12)],
-        width=5,
-        height=4,
-    )
+    emb = SimultaneousEmbedding(coords=[P(3, 10), P(7, 11), P(5, 13), P(4, 12)])
+    assert (emb.width, emb.height) == (5, 4)
     inst = LayeredInstance(n=4, layers=[Layer("path", [(0, 1), (1, 2), (2, 3)])])
     assert certify_embedding(emb, inst, bounds=(5, 4)).ok
 
@@ -191,7 +170,10 @@ def test_vertex_moved_onto_an_edge_of_its_layer_is_named(case, li):
     i = len(edges) // 2
     a, b = phi[edges[i][0]], phi[edges[i][1]]
     v = next(w for w in range(inst.n) if phi[w] not in (a, b))
-    coords = [P(2 * p.x, 2 * p.y) for p in emb.coords]
+    doubled = dataclasses.replace(emb, coords=[P(2 * p.x, 2 * p.y) for p in emb.coords])
+    # the extent is read off the new points: doubled, they span 2w - 1 columns
+    assert (doubled.width, doubled.height) == (2 * emb.width - 1, 2 * emb.height - 1)
+    coords = list(doubled.coords)
     mid = P((coords[a].x + coords[b].x) // 2, (coords[a].y + coords[b].y) // 2)
     assert mid not in coords
     coords[phi[v]] = mid

@@ -1,12 +1,15 @@
+import dataclasses
 import random
 
 import pytest
 
 from simembed import (
     Caterpillar,
+    GridPoint,
     InvalidInstanceError,
     Layer,
     PathOrder,
+    SimultaneousEmbedding,
     as_path,
     caterpillar_decompose,
     caterpillar_to_path,
@@ -19,6 +22,20 @@ from simembed import (
 from simembed.graphs import _trace_faces, rotation_system_from_faces
 
 TRIANGLE = Layer("planar", [(0, 1), (1, 2), (2, 0)], rotation=[[1, 2], [2, 0], [0, 1]])
+
+
+def test_embedding_reads_its_extent_off_its_points():
+    assert [f.name for f in dataclasses.fields(SimultaneousEmbedding)] == ["coords", "assignments"]
+    emb = SimultaneousEmbedding(coords=[GridPoint(1, 1), GridPoint(3, 2)])
+    assert (emb.width, emb.height) == (3, 2)
+    with pytest.raises(AttributeError):
+        emb.width = 9
+    with pytest.raises(TypeError):
+        SimultaneousEmbedding(coords=emb.coords, width=9, height=9)
+    moved = dataclasses.replace(emb, coords=[GridPoint(-4, 7), GridPoint(3, 2), GridPoint(0, 0)])
+    assert (moved.width, moved.height) == (8, 8)
+    empty = SimultaneousEmbedding(coords=[])
+    assert (empty.width, empty.height) == (0, 0)
 
 
 def test_as_path_basic():

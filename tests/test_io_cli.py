@@ -16,13 +16,17 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from simembed import (
+    COORD_LIMIT,
     Caterpillar,
+    GridPoint,
     InvalidInstanceError,
     Layer,
     LayeredInstance,
     ParseError,
     PathOrder,
+    SimultaneousEmbedding,
     as_path,
+    certify_embedding,
     cli_main,
     embed_two_paths,
     generate,
@@ -125,6 +129,44 @@ def test_result_document_roundtrip():
     assert (again.width, again.height) == (emb.width, emb.height)
 
 
+_COORDS = st.integers(-3, 3) | st.integers(-COORD_LIMIT, COORD_LIMIT)
+
+
+@st.composite
+def _certified_embeddings(draw):
+    # A gen kind's embed result, or random points (duplicates and collinear
+    # triples included) with or without assignments, certified on a path.
+    if draw(st.booleans()):
+        inst_text, _ = _valid_documents(
+            draw(st.sampled_from(sorted(cli._EMBEDDERS))), draw(st.integers(3, 7)),
+            draw(st.integers(0, 3)),
+        )
+        inst = parse_instance(inst_text)
+        emb = cli._dispatch_embed(inst)
+    else:
+        coords = draw(st.lists(st.builds(GridPoint, _COORDS, _COORDS), min_size=1, max_size=8))
+        n = len(coords)
+        free = draw(st.booleans())
+        emb = SimultaneousEmbedding(
+            coords=coords, assignments=[draw(st.permutations(range(n)))] if free else None
+        )
+        inst = LayeredInstance(n=n, layers=[Layer("path", [(i, i + 1) for i in range(n - 1)])],
+                               mapping="free" if free else "given")
+    return emb, draw(st.none() | st.just(certify_embedding(emb, inst)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_certified_embeddings())
+def test_result_document_roundtrip_keeps_points_extent_and_assignments(case):
+    emb, report = case
+    again, cert = parse_result(serialize_result(emb, report))
+    assert again.coords == emb.coords and again.assignments == emb.assignments
+    xs, ys = [p.x for p in emb.coords], [p.y for p in emb.coords]
+    assert (again.width, again.height) == (emb.width, emb.height)
+    assert (emb.width, emb.height) == (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
+    assert cert == report
+
+
 def _stdlib_dumps(value):
     return json.dumps(value, indent=2, sort_keys=True)
 
@@ -193,7 +235,7 @@ def test_svg_two_path_structure():
 def test_svg_single_vertex():
     from simembed import SimultaneousEmbedding, GridPoint
 
-    emb = SimultaneousEmbedding(coords=[GridPoint(1, 1)], width=1, height=1)
+    emb = SimultaneousEmbedding(coords=[GridPoint(1, 1)])
     svg = render_svg(emb, LayeredInstance(n=1, layers=[Layer("path", [])]))
     assert svg.count("<circle") == 1
     assert svg.count("<line") == 0

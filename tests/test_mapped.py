@@ -436,7 +436,7 @@ def test_exhaustive_check_four_paths_find_witness():
     pts = res.counterexample
     assert find_collinear_triple(pts) is None
     layers = [p.edges() for p in paths]
-    emb = SimultaneousEmbedding(coords=pts, width=5, height=5)
+    emb = SimultaneousEmbedding(coords=pts)
     assert certify_embedding(emb, instance_for(layers, 5)).ok
 
 
@@ -445,7 +445,9 @@ def test_exhaustive_check_degenerate_column():
     # search is refused, sampled or not, rather than claiming a verdict
     # after checking no placement.
     paths = [path_from_digits(d) for d in FIVE_PATHS]
-    for (w, h), samples in [((1, 5), None), ((2, 8), None), ((8, 2), None), ((2, 12), 50)]:
+    # a side of magnitude 2^40 + 1 passes the budget check and keeps this text
+    for (w, h), samples in [((1, 5), None), ((2, 8), None), ((8, 2), None), ((2, 12), 50),
+                            ((-(2**40 + 1), 5), None)]:
         with pytest.raises(InvalidInstanceError, match=f"grid {w}x{h} holds no five points"):
             exhaustive_five_point_check((w, h), paths, seed=1, samples=samples)
 
@@ -456,7 +458,10 @@ def test_exhaustive_check_refuses_a_grid_over_the_coordinate_budget():
     # leaves the side out, which CPython will not format past 4300 digits.
     paths = [path_from_digits(d) for d in FIVE_PATHS]
     side = COORD_LIMIT + 1
-    for grid in [(2**41, 2**41), side + 1, (3, side + 1), (side + 1, 3), 10**5000]:
+    # The last three would also fail the side-below-3 check, whose message
+    # formats the sides: the budget is checked first, on the magnitude.
+    for grid in [(2**41, 2**41), side + 1, (3, side + 1), (side + 1, 3), 10**5000,
+                 (10**5000, 2), (2, 10**5000), -10**5000]:
         with pytest.raises(CoordinateBudgetError, match=f"sides up to {side} fit"):
             exhaustive_five_point_check(grid, paths, seed=1, samples=3)
     res = exhaustive_five_point_check(side, paths, seed=1, samples=3)

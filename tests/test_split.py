@@ -93,7 +93,7 @@ def test_embedding_certifies_on_any_points(pts, seed):
     k = len(pts)
     lay = generate("maximal-outerplanar", k, seed)
     phi = embed_outerplanar_on_points(lay, pts)
-    emb = SimultaneousEmbedding(coords=pts, width=10**6, height=10**6, assignments=[phi])
+    emb = SimultaneousEmbedding(coords=pts, assignments=[phi])
     assert certify_embedding(emb, LayeredInstance(n=k, layers=[lay], mapping="free")).ok
 
 
@@ -110,5 +110,5 @@ def test_deep_fan_needs_no_recursion():
         phi = embed_outerplanar_on_points(fan, pts)
     finally:
         sys.setrecursionlimit(limit)
-    emb = SimultaneousEmbedding(coords=pts, width=10**6, height=10**6, assignments=[phi])
+    emb = SimultaneousEmbedding(coords=pts, assignments=[phi])
     assert certify_embedding(emb, LayeredInstance(n=n, layers=[fan], mapping="free")).ok

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -50,11 +51,7 @@ def octahedron():
 
 
 def drawing_certified(layer, n, pts, bounds=None):
-    emb = SimultaneousEmbedding(
-        coords=pts,
-        width=max(p.x for p in pts) - min(p.x for p in pts) + 1,
-        height=max(p.y for p in pts) - min(p.y for p in pts) + 1,
-    )
+    emb = SimultaneousEmbedding(coords=pts)
     inst = LayeredInstance(n=n, layers=[layer])
     return certify_embedding(emb, inst, bounds=bounds).ok
 
@@ -131,9 +128,8 @@ def test_general_position_draw_random_within_bounds():
             pts = planar_general_position_draw(lay, n)
             assert certify_general_position(pts).ok
             w_bound, h_bound = general_position_bounds(n)
-            width = max(p.x for p in pts) - min(p.x for p in pts) + 1
-            height = max(p.y for p in pts) - min(p.y for p in pts) + 1
-            assert width <= w_bound and height <= h_bound
+            emb = SimultaneousEmbedding(coords=pts)
+            assert emb.width <= w_bound and emb.height <= h_bound
             assert drawing_certified(lay, n, pts)
 
 
@@ -192,6 +188,24 @@ def test_free_outerplanar_embed_checks_the_parabola_budget_first(monkeypatch):
             simul_embed_free([layer], n)
     with pytest.raises(PassedTheCheck):
         simul_embed_free([layer], fits)
+
+
+def _refused_within_a_second(call, n):
+    # a prime search near such an n would not end; the budget check comes first
+    start = time.perf_counter()
+    with pytest.raises(CoordinateBudgetError, match="over the coordinate budget 2\\^40"):
+        call(n)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("n", [10**5000, 2**40 + 1], ids=["10^5000", "2^40+1"])
+def test_parabola_pointset_refuses_a_huge_n_quickly(n):
+    _refused_within_a_second(parabola_pointset, n)
+
+
+@pytest.mark.parametrize("n", [10**5000, 2**40 + 1], ids=["10^5000", "2^40+1"])
+def test_general_position_bounds_refuses_a_huge_n_quickly(n):
+    _refused_within_a_second(general_position_bounds, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -276,12 +290,7 @@ def test_parabola_modular_reason():
 
 
 def assignment_certified(layer, pts, phi):
-    emb = SimultaneousEmbedding(
-        coords=pts,
-        width=10**9,
-        height=10**9,
-        assignments=[phi],
-    )
+    emb = SimultaneousEmbedding(coords=pts, assignments=[phi])
     inst = LayeredInstance(n=len(pts), layers=[layer], mapping="free")
     return certify_embedding(emb, inst).ok
 
