@@ -46,11 +46,10 @@ def _report(violations: list[Violation]) -> CertificateReport:
     return CertificateReport(ok=not violations, violations=violations)
 
 
-def _duplicate_violations(points: list[GridPoint]) -> list[Violation]:
+def _duplicate_violations(xs: list[int], ys: list[int]) -> list[Violation]:
     seen: dict[tuple[int, int], int] = {}
     out = []
-    for i, p in enumerate(points):
-        key = (p.x, p.y)
+    for i, key in enumerate(zip(xs, ys)):
         if key in seen:
             out.append(Violation("duplicate-point", (seen[key], i)))
         else:
@@ -304,9 +303,9 @@ def _listed_crossings(
 def check_embedding_shape(emb: SimultaneousEmbedding, inst: LayeredInstance) -> None:
     """Raise unless the embedding has one point per vertex and, exactly
     when the mapping is free, one assignment per instance layer: under a
-    given mapping vertex v is drawn at ``coords[v]`` in every layer, so an
+    given mapping vertex v is drawn at point v in every layer, so an
     assignment is refused."""
-    if len(emb.coords) != inst.n:
+    if len(emb.xs) != inst.n:
         raise InvalidInstanceError("embedding and instance disagree on vertex count")
     if emb.assignments is None:
         if inst.mapping == "free":
@@ -330,12 +329,10 @@ def certify_embedding(
     Crossings between different layers are deliberately never reported.
     """
     check_embedding_shape(emb, inst)
-    coords = emb.coords
-    xs = [p.x for p in coords]
-    ys = [p.y for p in coords]
+    xs, ys = emb.xs, emb.ys
     # The scans that name duplicate and out-of-bounds points run only when
     # a set or an extent shows there is one: a valid drawing pays for neither.
-    violations = _duplicate_violations(coords) if len(set(zip(xs, ys))) != len(xs) else []
+    violations = _duplicate_violations(xs, ys) if len(set(zip(xs, ys))) != len(xs) else []
     # every layer shares the extents, so they are taken once
     x_span, y_span = (max(xs) - min(xs), max(ys) - min(ys)) if xs else (0, 0)
 
@@ -357,7 +354,7 @@ def certify_embedding(
     if bounds is not None:
         w, h = bounds
         if x_span >= w or y_span >= h:
-            violations.extend(_bounds_violations(coords, w, h))
+            violations.extend(_bounds_violations(xs, ys, w, h))
     return _report(violations)
 
 
@@ -381,7 +378,7 @@ def certify_general_position(points: list[GridPoint]) -> CertificateReport:
     """Report the duplicate points of a point set or, when there are none,
     its lexicographically first collinear triple, as
     :func:`geometry.find_collinear_triple` finds it."""
-    violations = _duplicate_violations(points)
+    violations = _duplicate_violations([p.x for p in points], [p.y for p in points])
     if not violations:
         triple = _first_collinear_triple(points)
         if triple is not None:
@@ -389,15 +386,15 @@ def certify_general_position(points: list[GridPoint]) -> CertificateReport:
     return _report(violations)
 
 
-def _bounds_violations(points: list[GridPoint], w: int, h: int) -> list[Violation]:
-    if not points:
+def _bounds_violations(xs: list[int], ys: list[int], w: int, h: int) -> list[Violation]:
+    if not xs:
         return []
-    min_x = min(p.x for p in points)
-    min_y = min(p.y for p in points)
+    min_x = min(xs)
+    min_y = min(ys)
     out = []
-    for i, p in enumerate(points):
-        sx = p.x - min_x + 1
-        sy = p.y - min_y + 1
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        sx = x - min_x + 1
+        sy = y - min_y + 1
         if not (1 <= sx <= w and 1 <= sy <= h):
             out.append(Violation("out-of-bounds", (i,)))
     return out

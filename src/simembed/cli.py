@@ -13,9 +13,12 @@ error or out of memory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
 import json
 import sys
+import threading
 from typing import Optional
 
 from . import certify as certify_mod
@@ -274,7 +277,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A command's documents and drawings, millions of objects at large n, live
+# until it returns, and the cyclic GC would scan them over and over.
+# So cli_main pauses automatic collection for the command's lifetime and
+# then restores the state it found.  gc.freeze() after parsing would also
+# spare those scans, but the benchmark and the tests call cli_main
+# thousands of times in one process, and cyclic garbage that has been
+# frozen is never reclaimed.  The collector's switch is process-wide, and
+# so are the lock and depth count: the outermost of concurrent commands on
+# threads restores the state, so no interleaving leaves collection off.
+# Library callers of the embedders and the certifier keep the
+# interpreter's policy.
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_was_enabled = False
+
+
+@contextlib.contextmanager
+def _cyclic_gc_paused():
+    global _gc_depth, _gc_was_enabled
+    with _gc_lock:
+        if not _gc_depth:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_depth -= 1
+            if not _gc_depth and _gc_was_enabled:
+                gc.enable()
+
+
 def cli_main(argv: Optional[list[str]] = None) -> int:
+    with _cyclic_gc_paused():
+        return _run(argv)
+
+
+def _run(argv: Optional[list[str]]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,7 +13,6 @@ from typing import Any, Optional
 
 from .certify import CertificateReport
 from .errors import InvalidInstanceError, ParseError
-from .geometry import GridPoint
 from .graphs import LAYER_CLASSES, Layer, LayeredInstance, SimultaneousEmbedding, validate_instance
 
 _INSTANCE_KEYS = {"n", "mapping", "layers"}
@@ -164,7 +163,7 @@ def result_to_json(
     emb: SimultaneousEmbedding, certificate: Optional[CertificateReport] = None
 ) -> dict:
     doc: dict[str, Any] = {
-        "coords": [[p.x, p.y] for p in emb.coords],
+        "coords": list(map(list, zip(emb.xs, emb.ys))),
         "width": emb.width,
         "height": emb.height,
         "assignments": emb.assignments,
@@ -192,15 +191,15 @@ def parse_result(
         if key not in data:
             raise ParseError(f"result document missing {key!r}")
     assignments = data.get("assignments")
+    pairs = _int_pairs(data["coords"], "coords")
     emb = SimultaneousEmbedding(
-        coords=[GridPoint(x, y) for x, y in _int_pairs(data["coords"], "coords")],
-        assignments=assignments,
+        xs=[x for x, _ in pairs], ys=[y for _, y in pairs], assignments=assignments
     )
     for key, extent in (("width", emb.width), ("height", emb.height)):
         if type(data[key]) is not int or data[key] < 1:
             raise ParseError(f"{key} must be a positive integer")
         # the embedding reads its extent off the points, so the document may not claim another
-        if emb.coords and data[key] != extent:
+        if pairs and data[key] != extent:
             raise ParseError(f"{key} {data[key]} is not the coordinates' extent {extent}")
     if assignments is not None and not (
         isinstance(assignments, list)

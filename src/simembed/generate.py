@@ -6,13 +6,14 @@ import bisect
 import random
 
 from .errors import InvalidInstanceError
-from .graphs import Layer, rotation_system_from_faces
+from .graphs import Layer, _check_vertex_count, rotation_system_from_faces
 
 KINDS = ("path", "caterpillar", "maximal-outerplanar", "plane-triangulation")
 
 
 def generate(kind: str, n: int, seed: int) -> Layer:
     """Deterministic random layer of the given kind on n vertices."""
+    _check_vertex_count(n, "a generated layer")  # the seed below formats n
     rng = random.Random((kind, n, seed).__repr__())
     if kind == "path":
         return _path(n, rng)

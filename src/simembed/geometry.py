@@ -128,14 +128,25 @@ def _parabola_lift(base: list[GridPoint], scale: int, p: int) -> list[GridPoint]
     and p divides none of its factors.  Distinctness follows the same way
     from the x offsets i mod p.
     """
-    return [GridPoint(scale * b.x + i, scale * b.y + i * i % p) for i, b in enumerate(base)]
+    xs, ys = _parabola_lift_columns([b.x for b in base], [b.y for b in base], scale, p)
+    return list(map(GridPoint, xs, ys))
 
 
-def _translate_to_origin(points: list[GridPoint]) -> list[GridPoint]:
-    # Shift so the smallest x and y are 1.
-    min_x = min(p.x for p in points)
-    min_y = min(p.y for p in points)
-    return [GridPoint(p.x - min_x + 1, p.y - min_y + 1) for p in points]
+def _parabola_lift_columns(
+    xs: list[int], ys: list[int], scale: int, p: int
+) -> tuple[list[int], list[int]]:
+    # _parabola_lift on the coordinate columns of the base points
+    return (
+        [scale * x + i for i, x in enumerate(xs)],
+        [scale * y + i * i % p for i, y in enumerate(ys)],
+    )
+
+
+def _translate_to_origin(xs: list[int], ys: list[int]) -> tuple[list[int], list[int]]:
+    # Shift the columns so the smallest x and y are 1.
+    dx = 1 - min(xs)
+    dy = 1 - min(ys)
+    return [x + dx for x in xs], [y + dy for y in ys]
 
 
 def orient(a: GridPoint, b: GridPoint, c: GridPoint) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InternalInvariantError, InvalidInstanceError
-from .geometry import GridPoint
+from .geometry import COORD_LIMIT, GridPoint
 
 LAYER_CLASSES = ("path", "caterpillar", "outerplanar", "planar")
 
@@ -43,27 +43,58 @@ class LayeredInstance:
 
 @dataclass
 class SimultaneousEmbedding:
-    """A drawing shared by all layers: one point per vertex.
+    """A drawing shared by all layers: point i is ``(xs[i], ys[i])``.
     With free mapping, ``assignments`` maps each layer's own vertex indices
     to point indices; with given mapping it is None, and vertex v is at
-    ``coords[v]`` in every layer.  The edges are the instance's, and the
-    width and height are read off the points."""
+    point v in every layer.  The edges are the instance's, and the width
+    and height are read off the points.
 
-    coords: list[GridPoint]
+    The columns are checked once each when the object is built: equal
+    lengths, exact ints (no bools), and magnitudes within COORD_LIMIT, with
+    the error that :class:`GridPoint` raises for the first bad point.
+    ``coords`` is a read-only view of the points as :class:`GridPoint`."""
+
+    xs: list[int]
+    ys: list[int]
     assignments: Optional[list[list[int]]] = None
+
+    def __post_init__(self) -> None:
+        xs, ys = self.xs, self.ys
+        if len(xs) != len(ys):
+            raise InvalidInstanceError("embedding columns xs and ys differ in length")
+        # one pass per column for the types and one for each extreme; only
+        # a column that fails is walked point by point, for GridPoint's error
+        if xs and not (
+            set(map(type, xs)) == set(map(type, ys)) == {int}
+            and -COORD_LIMIT <= min(xs) and max(xs) <= COORD_LIMIT
+            and -COORD_LIMIT <= min(ys) and max(ys) <= COORD_LIMIT
+        ):
+            for x, y in zip(xs, ys):
+                GridPoint(x, y)  # raises for the first bad point
+
+    @property
+    def coords(self) -> list[GridPoint]:
+        return list(map(GridPoint, self.xs, self.ys))
 
     @property
     def width(self) -> int:
-        return _extent([p.x for p in self.coords])
+        return _extent(self.xs)
 
     @property
     def height(self) -> int:
-        return _extent([p.y for p in self.coords])
+        return _extent(self.ys)
 
 
 def _extent(axis: list[int]) -> int:
     # max - min + 1, the columns or rows the points span; 0 for no points
     return max(axis) - min(axis) + 1 if axis else 0
+
+
+def _check_vertex_count(n: int, what: str) -> None:
+    # Before any refusal that formats n: an int of over 4300 digits cannot
+    # be formatted, so this one names no value.
+    if abs(n) > COORD_LIMIT:
+        raise InvalidInstanceError(f"the vertex count of {what} is over 2^40 in magnitude")
 
 
 def _check_permutation(order: list[int], what: str) -> None:
@@ -201,6 +232,7 @@ def as_path(layer: Layer, n: int) -> PathOrder:
     starts at the lower-indexed endpoint.  Raises for cycles, branch
     vertices, and disconnected layers.
     """
+    _check_vertex_count(n, "a path")
     validate_layer(layer, n)
     return _path_order(layer, n)
 
@@ -259,6 +291,7 @@ def caterpillar_decompose(layer: Layer, n: int) -> Caterpillar:
     to its center (spine length one), and the two-vertex path is treated as
     a star centered at the lower index.
     """
+    _check_vertex_count(n, "a caterpillar")
     validate_layer(layer, n)
     return _caterpillar(layer, n)
 

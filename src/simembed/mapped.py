@@ -19,6 +19,7 @@ from .geometry import (
     _check_coord_budget,
     _next_prime,
     _parabola_lift,
+    _parabola_lift_columns,
     _translate_to_origin,
 )
 from .graphs import Caterpillar, PathOrder, SimultaneousEmbedding, caterpillar_to_path
@@ -42,8 +43,7 @@ def embed_two_paths(p1: PathOrder, p2: PathOrder) -> SimultaneousEmbedding:
         pos1[v] = i + 1
     for i, v in enumerate(p2.order):
         pos2[v] = i + 1
-    coords = [GridPoint(pos1[v], pos2[v]) for v in range(n)]
-    return SimultaneousEmbedding(coords=coords)
+    return SimultaneousEmbedding(xs=pos1, ys=pos2)
 
 
 def _check_two_path_budget(n: int) -> None:
@@ -113,8 +113,8 @@ def embed_two_caterpillars(c1: Caterpillar, c2: Caterpillar) -> SimultaneousEmbe
     p2 = caterpillar_to_path(c2)
     base = embed_two_paths(p1, p2)
     prime = _next_prime(n)
-    coords = _translate_to_origin(_parabola_lift(base.coords, prime, prime))
-    return SimultaneousEmbedding(coords=coords)
+    xs, ys = _translate_to_origin(*_parabola_lift_columns(base.xs, base.ys, prime, prime))
+    return SimultaneousEmbedding(xs=xs, ys=ys)
 
 
 def _check_path_caterpillar_budget(n: int) -> None:
@@ -168,5 +168,4 @@ def embed_path_caterpillar(
             if shifts > total_legs:
                 raise InternalInvariantError("shift count exceeded the leg count")
 
-    coords = [GridPoint(xs[v], ys[v]) for v in range(n)]
-    return SimultaneousEmbedding(coords=coords), shifts
+    return SimultaneousEmbedding(xs=xs, ys=ys), shifts

@@ -14,11 +14,11 @@ LAYER_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"
 
 
 def render_svg(emb: SimultaneousEmbedding, inst: LayeredInstance) -> str:
-    coords = emb.coords
-    min_x = min((p.x for p in coords), default=0)
-    max_x = max((p.x for p in coords), default=0)
-    min_y = min((p.y for p in coords), default=0)
-    max_y = max((p.y for p in coords), default=0)
+    xs, ys = emb.xs, emb.ys
+    min_x = min(xs, default=0)
+    max_x = max(xs, default=0)
+    min_y = min(ys, default=0)
+    max_y = max(ys, default=0)
     span = max(max_x - min_x, max_y - min_y, 1)
     unit = max(span / 40.0, 1.0)
 
@@ -40,24 +40,24 @@ def render_svg(emb: SimultaneousEmbedding, inst: LayeredInstance) -> str:
         out.append(
             f'  <g id="layer-{li}" stroke="{color}" stroke-width="{unit / 8:.6g}" fill="none">'
         )
-        slot = range(len(coords)) if phi is None else phi
+        slot = range(len(xs)) if phi is None else phi
         for u, v in layer.edges:
             ends = [slot[w] if 0 <= w < len(slot) else -1 for w in (u, v)]
-            if min(ends) < 0 or max(ends) >= len(coords):
+            if min(ends) < 0 or max(ends) >= len(xs):
                 raise InvalidInstanceError(f"layer {li} edge ({u},{v}) maps to no point")
-            a, b = coords[ends[0]], coords[ends[1]]
+            a, b = ends
             out.append(
-                f'    <line x1="{sx(a.x):.6g}" y1="{sy(a.y):.6g}" '
-                f'x2="{sx(b.x):.6g}" y2="{sy(b.y):.6g}"/>'
+                f'    <line x1="{sx(xs[a]):.6g}" y1="{sy(ys[a]):.6g}" '
+                f'x2="{sx(xs[b]):.6g}" y2="{sy(ys[b]):.6g}"/>'
             )
         out.append("  </g>")
     out.append(f'  <g id="vertices" font-size="{unit / 2:.6g}">')
-    for i, p in enumerate(coords):
+    for i, (x, y) in enumerate(zip(xs, ys)):
         out.append(
-            f'    <circle cx="{sx(p.x):.6g}" cy="{sy(p.y):.6g}" r="{unit / 6:.6g}" fill="#333"/>'
+            f'    <circle cx="{sx(x):.6g}" cy="{sy(y):.6g}" r="{unit / 6:.6g}" fill="#333"/>'
         )
         out.append(
-            f'    <text x="{sx(p.x) + unit / 5:.6g}" y="{sy(p.y) - unit / 5:.6g}">v{i + 1}</text>'
+            f'    <text x="{sx(x) + unit / 5:.6g}" y="{sy(y) - unit / 5:.6g}">v{i + 1}</text>'
         )
     out.append("  </g>")
     out.append("</svg>")

@@ -623,4 +623,5 @@ def simul_embed_free(layers: list[Layer], n: int) -> SimultaneousEmbedding:
         list(range(n)) if m is None else _embed_on_general_position(m, pts, root)
         for m in maximal
     ]
-    return SimultaneousEmbedding(coords=_translate_to_origin(pts), assignments=assignments)
+    xs, ys = _translate_to_origin([p.x for p in pts], [p.y for p in pts])
+    return SimultaneousEmbedding(xs=xs, ys=ys, assignments=assignments)

@@ -1,5 +1,6 @@
-"""Seeded layer thinning shared by the golden and reference tests, and the
-general-position point sets of the split, reference and unmapped tests.
+"""Seeded layer thinning shared by the golden and reference tests, the
+general-position point sets of the split, reference and unmapped tests, and
+the embedding of a list of points.
 
 ``generate`` only yields maximal layers, which leave ``triangulate_plane``
 and ``maximalize_outerplanar`` no face to complete; thinning removes edges
@@ -13,7 +14,14 @@ from itertools import combinations
 
 from hypothesis import assume, strategies as st
 
-from simembed import GridPoint, Layer, find_collinear_triple, orient
+from simembed import GridPoint, Layer, SimultaneousEmbedding, find_collinear_triple, orient
+
+
+def embedding_of(points: list[GridPoint], assignments=None) -> SimultaneousEmbedding:
+    """The embedding whose point i is ``points[i]``."""
+    return SimultaneousEmbedding(
+        xs=[p.x for p in points], ys=[p.y for p in points], assignments=assignments
+    )
 
 
 @st.composite

@@ -7,6 +7,7 @@ import json
 import random
 import time
 
+from helpers import embedding_of
 from reference import brute_force_point_assignment
 from simembed import (
     FIVE_PATHS,
@@ -14,7 +15,6 @@ from simembed import (
     Layer,
     LayeredInstance,
     PathOrder,
-    SimultaneousEmbedding,
     caterpillar_decompose,
     certify_embedding,
     certify_general_position,
@@ -109,7 +109,7 @@ def test_criterion_2_five_paths():
             drops_ok = False
         else:
             pts = witness.counterexample
-            emb = SimultaneousEmbedding(coords=pts)
+            emb = embedding_of(pts)
             inst = given_instance([p.edges() for p in four], 5, ["path"] * 4)
             if not certify_embedding(emb, inst).ok:
                 drops_ok = False
@@ -188,7 +188,7 @@ def test_criterion_5_planar_drawing():
         pts = planar_grid_draw(lay, n)
         assert 0 <= min(p.x for p in pts) and max(p.x for p in pts) <= 2 * n - 4
         assert 0 <= min(p.y for p in pts) and max(p.y for p in pts) <= n - 2
-        emb = SimultaneousEmbedding(coords=pts)
+        emb = embedding_of(pts)
         inst = LayeredInstance(n=n, layers=[lay])
         assert certify_embedding(emb, inst, bounds=(2 * n - 3, n - 1)).ok
 
@@ -198,7 +198,7 @@ def test_criterion_5_planar_drawing():
         pts = planar_general_position_draw(lay, n)
         assert certify_general_position(pts).ok
         w_bound, h_bound = general_position_bounds(n)
-        emb = SimultaneousEmbedding(coords=pts)
+        emb = embedding_of(pts)
         assert emb.width <= w_bound and emb.height <= h_bound
         inst = LayeredInstance(n=n, layers=[lay])
         assert certify_embedding(emb, inst).ok
@@ -237,7 +237,7 @@ def test_criterion_7_outerplanar_on_points():
             if find_collinear_triple(pts) is None:
                 break
         phi = embed_outerplanar_on_points(lay, pts)
-        emb = SimultaneousEmbedding(coords=pts, assignments=[phi])
+        emb = embedding_of(pts, assignments=[phi])
         inst = LayeredInstance(n=k, layers=[lay], mapping="free")
         assert certify_embedding(emb, inst).ok
         assert brute_force_point_assignment(lay, pts) is not None

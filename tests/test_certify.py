@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from helpers import embedding_of
 from simembed import (
     CertificateReport,
     GridPoint,
@@ -10,7 +11,6 @@ from simembed import (
     Layer,
     LayeredInstance,
     PathOrder,
-    SimultaneousEmbedding,
     certify_embedding,
     certify_general_position,
     embed_two_paths,
@@ -32,7 +32,7 @@ def test_two_path_output_certifies():
 
 
 def test_crossing_in_one_layer_reported():
-    emb = SimultaneousEmbedding(coords=[P(0, 0), P(2, 2), P(0, 2), P(2, 0)])
+    emb = embedding_of([P(0, 0), P(2, 2), P(0, 2), P(2, 0)])
     inst = LayeredInstance(n=4, layers=[Layer("path", [(0, 1), (2, 3)])])
     rep = certify_embedding(emb, inst)
     assert not rep.ok
@@ -41,7 +41,7 @@ def test_crossing_in_one_layer_reported():
 
 
 def test_same_segments_in_different_layers_allowed():
-    emb = SimultaneousEmbedding(coords=[P(0, 0), P(2, 2), P(0, 2), P(2, 0)])
+    emb = embedding_of([P(0, 0), P(2, 2), P(0, 2), P(2, 0)])
     inst = LayeredInstance(
         n=4, layers=[Layer("path", [(0, 1)]), Layer("path", [(2, 3)])]
     )
@@ -49,31 +49,28 @@ def test_same_segments_in_different_layers_allowed():
 
 
 def test_duplicate_coordinates_reported():
-    emb = SimultaneousEmbedding(coords=[P(1, 1), P(1, 1), P(2, 2)])
+    emb = embedding_of([P(1, 1), P(1, 1), P(2, 2)])
     inst = LayeredInstance(n=3, layers=[Layer("path", [(0, 2)])])
     rep = certify_embedding(emb, inst)
     assert any(v.kind == "duplicate-point" and v.witness == (0, 1) for v in rep.violations)
 
 
 def test_bad_bijection_reported():
-    emb = SimultaneousEmbedding(
-        coords=[P(0, 0), P(1, 2), P(3, 1)],
-        assignments=[[0, 0, 2]],
-    )
+    emb = embedding_of([P(0, 0), P(1, 2), P(3, 1)], assignments=[[0, 0, 2]])
     inst = LayeredInstance(n=3, layers=[Layer("path", [(0, 1), (1, 2)])], mapping="free")
     rep = certify_embedding(emb, inst)
     assert any(v.kind == "bad-bijection" for v in rep.violations)
 
 
 def test_free_mapping_requires_assignments():
-    emb = SimultaneousEmbedding(coords=[P(0, 0), P(1, 2), P(3, 1)])
+    emb = embedding_of([P(0, 0), P(1, 2), P(3, 1)])
     inst = LayeredInstance(n=3, layers=[Layer("path", [(0, 1)])], mapping="free")
     with pytest.raises(InvalidInstanceError):
         certify_embedding(emb, inst)
 
 
 def test_arity_mismatch_is_an_error_not_a_report():
-    emb = SimultaneousEmbedding(coords=[P(0, 0)])
+    emb = embedding_of([P(0, 0)])
     inst = LayeredInstance(n=2, layers=[Layer("path", [(0, 1)])])
     with pytest.raises(InvalidInstanceError):
         certify_embedding(emb, inst)
@@ -98,7 +95,7 @@ def test_certify_bounds():
     assert not rep.ok
     assert all(v.kind == "out-of-bounds" for v in rep.violations)
     # translation to (1,1) happens before checking
-    shifted = SimultaneousEmbedding(coords=[P(100, 200), P(101, 201)])
+    shifted = embedding_of([P(100, 200), P(101, 201)])
     shifted_inst = LayeredInstance(n=2, layers=[Layer("path", [(0, 1)])])
     assert certify_embedding(shifted, shifted_inst, bounds=(2, 2)).ok
 
@@ -106,7 +103,7 @@ def test_certify_bounds():
 def test_certify_bounds_at_the_extent():
     # Extents 5 (x from 3 to 7) and 4 (y from 10 to 13): bounds equal to
     # them pass, and one under names exactly the points beyond the edge.
-    emb = SimultaneousEmbedding(coords=[P(3, 10), P(7, 11), P(5, 13), P(4, 12)])
+    emb = embedding_of([P(3, 10), P(7, 11), P(5, 13), P(4, 12)])
     assert (emb.width, emb.height) == (5, 4)
     inst = LayeredInstance(n=4, layers=[Layer("path", [(0, 1), (1, 2), (2, 3)])])
     assert certify_embedding(emb, inst, bounds=(5, 4)).ok
@@ -170,14 +167,14 @@ def test_vertex_moved_onto_an_edge_of_its_layer_is_named(case, li):
     i = len(edges) // 2
     a, b = phi[edges[i][0]], phi[edges[i][1]]
     v = next(w for w in range(inst.n) if phi[w] not in (a, b))
-    doubled = dataclasses.replace(emb, coords=[P(2 * p.x, 2 * p.y) for p in emb.coords])
+    doubled = embedding_of([P(2 * p.x, 2 * p.y) for p in emb.coords], emb.assignments)
     # the extent is read off the new points: doubled, they span 2w - 1 columns
     assert (doubled.width, doubled.height) == (2 * emb.width - 1, 2 * emb.height - 1)
     coords = list(doubled.coords)
     mid = P((coords[a].x + coords[b].x) // 2, (coords[a].y + coords[b].y) // 2)
     assert mid not in coords
     coords[phi[v]] = mid
-    rep = certify_embedding(dataclasses.replace(emb, coords=coords), inst)
+    rep = certify_embedding(embedding_of(coords, emb.assignments), inst)
     assert not rep.ok
     named = {(x.kind, x.witness) for x in rep.violations}
     at_v = [j for j, e in enumerate(edges) if v in e]
@@ -191,7 +188,7 @@ def test_duplicated_point_is_named(case):
     emb, inst = _valid_embeddings()[case]
     coords = list(emb.coords)
     coords[7] = coords[2]
-    rep = certify_embedding(dataclasses.replace(emb, coords=coords), inst)
+    rep = certify_embedding(embedding_of(coords, emb.assignments), inst)
     assert not rep.ok
     assert rep.violations[0].kind == "duplicate-point"
     assert rep.violations[0].witness == (2, 7)

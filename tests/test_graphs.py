@@ -5,6 +5,7 @@ import pytest
 
 from simembed import (
     Caterpillar,
+    CoordinateBudgetError,
     GridPoint,
     InvalidInstanceError,
     Layer,
@@ -25,17 +26,56 @@ TRIANGLE = Layer("planar", [(0, 1), (1, 2), (2, 0)], rotation=[[1, 2], [2, 0], [
 
 
 def test_embedding_reads_its_extent_off_its_points():
-    assert [f.name for f in dataclasses.fields(SimultaneousEmbedding)] == ["coords", "assignments"]
-    emb = SimultaneousEmbedding(coords=[GridPoint(1, 1), GridPoint(3, 2)])
+    assert [f.name for f in dataclasses.fields(SimultaneousEmbedding)] == ["xs", "ys", "assignments"]
+    emb = SimultaneousEmbedding(xs=[1, 3], ys=[1, 2])
     assert (emb.width, emb.height) == (3, 2)
     with pytest.raises(AttributeError):
         emb.width = 9
     with pytest.raises(TypeError):
-        SimultaneousEmbedding(coords=emb.coords, width=9, height=9)
-    moved = dataclasses.replace(emb, coords=[GridPoint(-4, 7), GridPoint(3, 2), GridPoint(0, 0)])
+        SimultaneousEmbedding(xs=emb.xs, ys=emb.ys, width=9, height=9)
+    moved = dataclasses.replace(emb, xs=[-4, 3, 0], ys=[7, 2, 0])
     assert (moved.width, moved.height) == (8, 8)
-    empty = SimultaneousEmbedding(coords=[])
+    empty = SimultaneousEmbedding(xs=[], ys=[])
     assert (empty.width, empty.height) == (0, 0)
+
+
+def test_embedding_coords_are_a_read_only_view_of_the_columns():
+    xs, ys = [3, -1, 2**40], [0, 5, -(2**40)]
+    emb = SimultaneousEmbedding(xs=xs, ys=ys)
+    assert emb.coords == [GridPoint(x, y) for x, y in zip(xs, ys)]
+    with pytest.raises(AttributeError):
+        emb.coords = []
+    assert SimultaneousEmbedding(xs=[], ys=[]).coords == []
+
+
+def test_embedding_columns_must_have_one_length():
+    with pytest.raises(InvalidInstanceError, match="differ in length"):
+        SimultaneousEmbedding(xs=[1, 2, 3], ys=[1, 2])
+
+
+# Columns with a bad coordinate at point 1, and GridPoint's error for it.
+BAD_COLUMNS = {
+    "bool": ([1, True, 3], [1, 2, 3], "coordinates must be integers, got (True, 2)"),
+    "float": ([1, 2, 3], [1, 2.0, 3], "coordinates must be integers, got (2, 2.0)"),
+    "2^40+1": (
+        [1, 2**40 + 1, 3], [1, 2, -(2**40) - 1],
+        f"coordinate magnitude exceeds budget 2^40: ({2**40 + 1}, 2)",
+    ),
+    "-(2^40+1)": (
+        [1, 2, 3], [1, -(2**40) - 1, 3.5],
+        f"coordinate magnitude exceeds budget 2^40: (2, {-(2**40) - 1})",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COLUMNS))
+def test_embedding_refuses_the_first_bad_point_as_gridpoint_does(case):
+    xs, ys, text = BAD_COLUMNS[case]
+    with pytest.raises(CoordinateBudgetError) as want:
+        GridPoint(xs[1], ys[1])
+    with pytest.raises(CoordinateBudgetError) as got:
+        SimultaneousEmbedding(xs=xs, ys=ys)
+    assert str(got.value) == str(want.value) == text
 
 
 def test_as_path_basic():
@@ -91,6 +131,9 @@ PATH_ERRORS = {
     ),
     "n = 1 with an edge": (1, [(0, 0)], "loop at vertex 0"),
     "n = 2 without edges": (2, [], "path on 2 vertices needs 1 edges"),
+    # n is too long to format, so the refusal names no value
+    "n = 10**5000": (10**5000, [(0, 1)], "the vertex count of a path is over 2^40 in magnitude"),
+    "n = -10**5000": (-(10**5000), [(0, 1)], "the vertex count of a path is over 2^40 in magnitude"),
 }
 CATERPILLAR_ERRORS = {
     "branch vertex": (
@@ -109,6 +152,12 @@ CATERPILLAR_ERRORS = {
     ),
     "n = 1 with an edge": (1, [(0, 0)], "loop at vertex 0"),
     "n = 2 without edges": (2, [], "tree on 2 vertices needs 1 edges"),
+    "n = 10**5000": (
+        10**5000, [(0, 1)], "the vertex count of a caterpillar is over 2^40 in magnitude"
+    ),
+    "n = -10**5000": (
+        -(10**5000), [(0, 1)], "the vertex count of a caterpillar is over 2^40 in magnitude"
+    ),
 }
 
 

@@ -1,4 +1,5 @@
 import functools
+import gc
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from helpers import embedding_of
 from simembed import (
     COORD_LIMIT,
     Caterpillar,
@@ -24,7 +26,6 @@ from simembed import (
     LayeredInstance,
     ParseError,
     PathOrder,
-    SimultaneousEmbedding,
     as_path,
     certify_embedding,
     cli_main,
@@ -147,8 +148,8 @@ def _certified_embeddings(draw):
         coords = draw(st.lists(st.builds(GridPoint, _COORDS, _COORDS), min_size=1, max_size=8))
         n = len(coords)
         free = draw(st.booleans())
-        emb = SimultaneousEmbedding(
-            coords=coords, assignments=[draw(st.permutations(range(n)))] if free else None
+        emb = embedding_of(
+            coords, assignments=[draw(st.permutations(range(n)))] if free else None
         )
         inst = LayeredInstance(n=n, layers=[Layer("path", [(i, i + 1) for i in range(n - 1)])],
                                mapping="free" if free else "given")
@@ -233,9 +234,9 @@ def test_svg_two_path_structure():
 
 
 def test_svg_single_vertex():
-    from simembed import SimultaneousEmbedding, GridPoint
+    from simembed import GridPoint
 
-    emb = SimultaneousEmbedding(coords=[GridPoint(1, 1)])
+    emb = embedding_of([GridPoint(1, 1)])
     svg = render_svg(emb, LayeredInstance(n=1, layers=[Layer("path", [])]))
     assert svg.count("<circle") == 1
     assert svg.count("<line") == 0
@@ -274,6 +275,15 @@ def test_generate_is_deterministic_and_valid():
         assert check_plane_embedding(lay, 15) == 2 * 15 - 4
         _aug, dummies = maximalize_outerplanar(generate("maximal-outerplanar", 15, seed), 15)
         assert dummies == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [10**5000, -(10**5000), 2**40 + 1], ids=["10^5000", "-10^5000", "2^40+1"])
+def test_generate_refuses_a_vertex_count_over_the_budget(kind, n):
+    # refused before the seed, which formats n, and before any list of n
+    with pytest.raises(InvalidInstanceError) as exc:
+        generate(kind, n, 1)
+    assert str(exc.value) == "the vertex count of a generated layer is over 2^40 in magnitude"
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +892,98 @@ def test_cli_certify_from_threads_matches_serial_runs(tmp_path):
     assert len({doc for _, doc in serial}) > 2
 
 
+# Every exit of cli_main: an embed that certifies, a usage error, an
+# unreadable file, a failed certificate, and an embedder out of memory.
+GC_CASES = {
+    "exit-0": ([], 0),
+    "exit-1-usage": (["--bogus"], 1),
+    "exit-1-missing-file": (["--in", "missing.json"], 1),
+    "exit-2-certificate": (["--bounds", "1x1"], 2),
+    "memory": ([], 1),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", sorted(GC_CASES))
+def test_cli_main_pauses_the_gc_and_leaves_it_as_it_found_it(
+    tmp_path, monkeypatch, case, enabled
+):
+    inst = tmp_path / "inst.json"
+    inst.write_text(MINIMAL_TWO_PATHS, encoding="utf-8")
+    extra, code = GC_CASES[case]
+    argv = ["embed", "--in", str(inst), "--out", str(tmp_path / "r.json")] + extra
+    monkeypatch.chdir(tmp_path)
+    real = cli.embed_two_paths
+    during = []
+
+    def embed(p1, p2):
+        during.append(gc.isenabled())
+        if case == "memory":
+            raise MemoryError
+        return real(p1, p2)
+
+    monkeypatch.setattr(cli, "embed_two_paths", embed)
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        with redirect_stderr(io.StringIO()), redirect_stdout(io.StringIO()):
+            rc = cli_main(argv)
+        after = gc.isenabled()
+    finally:
+        gc.enable() if was else gc.disable()
+    assert rc == code
+    assert after is enabled
+    assert during == ([] if case.startswith("exit-1") else [False])
+
+
+def test_cli_embed_and_certify_from_threads_match_serial_runs_and_restore_the_gc(
+    tmp_path, monkeypatch
+):
+    # Sixteen commands on eight threads, each entering and leaving the GC
+    # pause while others are inside it: outputs are the serial ones, every
+    # command reads its instance with collection paused, and collection is
+    # on again once all have returned.
+    embeds, certifies = [], []
+    for i in range(8):
+        inst, result = tmp_path / f"inst{i}.json", tmp_path / f"result{i}.json"
+        kind = ("two-paths", "path-caterpillar")[i % 2]
+        assert cli_main(["gen", "--kind", kind, "--n", "40", "--seed", str(i),
+                         "--out", str(inst)]) == 0
+        assert cli_main(["embed", "--in", str(inst), "--out", str(result)]) == 0
+        embeds.append(["embed", "--in", str(inst)])
+        certifies.append(["certify", "--in", str(result), "--instance", str(inst),
+                          "--bounds", f"{5 * i + 1}x40"])
+    runs = embeds + certifies
+
+    def run(i, tag):
+        out = tmp_path / f"out{i}-{tag}.json"
+        rc = cli_main(runs[i] + ["--out", str(out)])
+        return rc, out.read_text(encoding="utf-8")
+
+    real, during = cli.parse_instance, []
+
+    def parse_instance(text):
+        during.append(gc.isenabled())
+        return real(text)
+
+    monkeypatch.setattr(cli, "parse_instance", parse_instance)
+    assert gc.isenabled()
+    interval = sys.getswitchinterval()
+    try:
+        with redirect_stderr(io.StringIO()):
+            serial = [run(i, "serial") for i in range(16)]
+            sys.setswitchinterval(1e-5)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, i, "thread") for i in range(16)]
+                threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert {rc for rc, _ in serial} == {0, 2}
+    assert during == [False] * 32
+    assert gc.isenabled()
+
+
 def test_cli_fivepaths_sampled(tmp_path):
     out = tmp_path / "sampled.json"
     rc = cli_main(["fivepaths", "--grid", "12", "--samples", "300", "--seed", "9", "--out", str(out)])
@@ -1115,6 +1217,24 @@ _THREE_VERTEX_PATHS = {
     "n": 3, "mapping": "given", "layers": [{"class": "path", "edges": [[0, 1], [1, 2]]}] * 2,
 }
 _THREE_VERTEX_RESULT = {"coords": [[1, 1], [2, 2], [3, 3]], "width": 3, "height": 3}
+
+
+@pytest.mark.parametrize("command", ["certify", "render"])
+def test_cli_result_with_a_coordinate_over_the_budget_one_error_line(tmp_path, capsys, command):
+    # The embedding checks its columns once each and names the first bad
+    # point as GridPoint does; the exit code is the budget error's.
+    big = 2**40 + 1
+    inst_file, res_file = tmp_path / "inst.json", tmp_path / "result.json"
+    inst_file.write_text(json.dumps(_THREE_VERTEX_PATHS), encoding="utf-8")
+    doc = {"coords": [[1, 1], [big, 2], [3, -big]], "width": big, "height": 2 * big}
+    res_file.write_text(json.dumps(doc), encoding="utf-8")
+    target = ["--svg", str(tmp_path / "out.svg")] if command == "render" else ["--out", "-"]
+    capsys.readouterr()
+    rc = cli_main([command, "--in", str(res_file), "--instance", str(inst_file)] + target)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.splitlines() == [f"error: coordinate magnitude exceeds budget 2^40: ({big}, 2)"]
+    assert not (tmp_path / "out.svg").exists()
 
 
 def _run_every_reader(directory: Path, instance: bytes, result: bytes,

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import embedding_of
 from simembed import (
     COORD_LIMIT,
     CoordinateBudgetError,
@@ -428,15 +429,13 @@ def test_exhaustive_check_grid_seven():
 
 
 def test_exhaustive_check_four_paths_find_witness():
-    from simembed import SimultaneousEmbedding
-
     paths = [path_from_digits(d) for d in FIVE_PATHS[:4]]
     res = exhaustive_five_point_check(5, paths)
     assert res.counterexample is not None
     pts = res.counterexample
     assert find_collinear_triple(pts) is None
     layers = [p.edges() for p in paths]
-    emb = SimultaneousEmbedding(coords=pts)
+    emb = embedding_of(pts)
     assert certify_embedding(emb, instance_for(layers, 5)).ok
 
 

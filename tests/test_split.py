@@ -10,11 +10,10 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import general_position_points
+from helpers import embedding_of, general_position_points
 from simembed import (
     Layer,
     LayeredInstance,
-    SimultaneousEmbedding,
     certify_embedding,
     convex_hull,
     embed_outerplanar_on_points,
@@ -93,7 +92,7 @@ def test_embedding_certifies_on_any_points(pts, seed):
     k = len(pts)
     lay = generate("maximal-outerplanar", k, seed)
     phi = embed_outerplanar_on_points(lay, pts)
-    emb = SimultaneousEmbedding(coords=pts, assignments=[phi])
+    emb = embedding_of(pts, assignments=[phi])
     assert certify_embedding(emb, LayeredInstance(n=k, layers=[lay], mapping="free")).ok
 
 
@@ -110,5 +109,5 @@ def test_deep_fan_needs_no_recursion():
         phi = embed_outerplanar_on_points(fan, pts)
     finally:
         sys.setrecursionlimit(limit)
-    emb = SimultaneousEmbedding(coords=pts, assignments=[phi])
+    emb = embedding_of(pts, assignments=[phi])
     assert certify_embedding(emb, LayeredInstance(n=n, layers=[fan], mapping="free")).ok

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_general_position, thin_plane
+from helpers import embedding_of, random_general_position, thin_plane
 from reference import brute_force_point_assignment
 from simembed import (
     COORD_LIMIT,
@@ -14,7 +14,6 @@ from simembed import (
     InvalidInstanceError,
     Layer,
     LayeredInstance,
-    SimultaneousEmbedding,
     certify_embedding,
     certify_general_position,
     check_plane_embedding,
@@ -51,7 +50,7 @@ def octahedron():
 
 
 def drawing_certified(layer, n, pts, bounds=None):
-    emb = SimultaneousEmbedding(coords=pts)
+    emb = embedding_of(pts)
     inst = LayeredInstance(n=n, layers=[layer])
     return certify_embedding(emb, inst, bounds=bounds).ok
 
@@ -128,7 +127,7 @@ def test_general_position_draw_random_within_bounds():
             pts = planar_general_position_draw(lay, n)
             assert certify_general_position(pts).ok
             w_bound, h_bound = general_position_bounds(n)
-            emb = SimultaneousEmbedding(coords=pts)
+            emb = embedding_of(pts)
             assert emb.width <= w_bound and emb.height <= h_bound
             assert drawing_certified(lay, n, pts)
 
@@ -290,7 +289,7 @@ def test_parabola_modular_reason():
 
 
 def assignment_certified(layer, pts, phi):
-    emb = SimultaneousEmbedding(coords=pts, assignments=[phi])
+    emb = embedding_of(pts, assignments=[phi])
     inst = LayeredInstance(n=len(pts), layers=[layer], mapping="free")
     return certify_embedding(emb, inst).ok
 
