@@ -42,6 +42,27 @@ def _int_pairs(value: Any, what: str) -> list[tuple[int, int]]:
     return out
 
 
+def _int_columns(value: Any, what: str) -> tuple[list[int], list[int]]:
+    """The first and the second entries of the pairs :func:`_int_pairs`
+    accepts, in two lists, with its checks and messages; no pair tuple is
+    built."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list of pairs")
+    xs: list[int] = []
+    ys: list[int] = []
+    add_x = xs.append
+    add_y = ys.append
+    for item in value:
+        if not isinstance(item, list) or len(item) != 2:
+            raise ParseError(f"{what} entries must be integer pairs")
+        x, y = item
+        if type(x) is not int or type(y) is not int:
+            raise ParseError(f"{what} entries must be integer pairs")
+        add_x(x)
+        add_y(y)
+    return xs, ys
+
+
 def _loads(text: str | bytes) -> Any:
     # JSONDecodeError is a ValueError, and so are a bytes document that is
     # not UTF-8 and an integer literal over CPython's digit limit; nesting
@@ -191,15 +212,13 @@ def parse_result(
         if key not in data:
             raise ParseError(f"result document missing {key!r}")
     assignments = data.get("assignments")
-    pairs = _int_pairs(data["coords"], "coords")
-    emb = SimultaneousEmbedding(
-        xs=[x for x, _ in pairs], ys=[y for _, y in pairs], assignments=assignments
-    )
+    xs, ys = _int_columns(data["coords"], "coords")
+    emb = SimultaneousEmbedding(xs=xs, ys=ys, assignments=assignments)
     for key, extent in (("width", emb.width), ("height", emb.height)):
         if type(data[key]) is not int or data[key] < 1:
             raise ParseError(f"{key} must be a positive integer")
         # the embedding reads its extent off the points, so the document may not claim another
-        if pairs and data[key] != extent:
+        if xs and data[key] != extent:
             raise ParseError(f"{key} {data[key]} is not the coordinates' extent {extent}")
     if assignments is not None and not (
         isinstance(assignments, list)

@@ -164,12 +164,51 @@ def _shadow_table(left: list[list[int]], count: int) -> list[list[list[int]]]:
     table = []
     for a in span:
         rows = [[0] * count for _ in span]
+        left_a = left[a]
+        bit_a = 1 << a
         for c in span:
+            # _shadow(left, a, c, d) inline, its lookups of a and c hoisted
+            left_ac = left_a[c]
+            left_c = left[c]
+            row_c = rows[c]
             for d in range(c + 1, count):
-                mask = _shadow(left, a, c, d)
-                rows[c][d] = rows[d][c] = share(mask, mask)
+                wedge = left_ac ^ left_a[d]
+                if left_c[d] & bit_a:
+                    mask = wedge & left[d][c]
+                else:
+                    mask = wedge & left_c[d]
+                row_c[d] = rows[d][c] = share(mask, mask)
         table.append(rows)
     return table
+
+
+#: A grid's side masks, ``[i][j]`` over pairs of its points, and its
+#: shadow table, ``[a][c][d]`` over triples, as :func:`_grid_tables` keeps them.
+_PairMasks = tuple[tuple[int, ...], ...]
+_TripleMasks = tuple[_PairMasks, ...]
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_tables(w: int, h: int) -> tuple[_PairMasks, _PairMasks, _TripleMasks]:
+    """``(left, col, table)`` of the w x h grid: :func:`_side_masks` and
+    :func:`_shadow_table` as nested tuples, so that no caller can change
+    the copy that every search of the grid shares.
+
+    They depend on the grid alone, so they are built on the first search
+    of the grid, not at import, and kept for the next ones; a process that
+    searches more than four grids rebuilds the least recently used.  The
+    cache holds at most the four largest grids the search exhausts,
+    8 x 8, 8 x 7, 7 x 8 and 7 x 7: about 8.1 MiB, 9.1 MiB at the peak of
+    building the last (tracemalloc, CPython 3.11.7).  An 8 x 8 entry takes
+    2.9 MiB, a 5 x 5 one 0.2 MiB.
+    """
+    left, col = _side_masks(w, h)
+    table = _shadow_table(left, w * h)
+    return (
+        tuple(map(tuple, left)),
+        tuple(map(tuple, col)),
+        tuple(tuple(map(tuple, rows)) for rows in table),
+    )
 
 
 def _cross_checks(paths: Sequence[PathOrder]) -> list[list[tuple[int, int, int, int]]]:
@@ -298,13 +337,13 @@ def _search_grid(
     witness, and the count is the number of unplaced points at or below
     it, or all N - 4 when no bit is free.
 
-    The shadows are looked up in :func:`_shadow_table`, built once per
-    search.  While the loop of level ``lvl`` tries its candidates, the
-    points of vertices 0..lvl-1 stay where they are; only vertex lvl
-    moves.  So a shadow of the next level whose three vertices all lie
-    below lvl is the same for every candidate: it is ORed once, before the
-    loop, and only the shadows that involve vertex lvl are looked up per
-    candidate.
+    The collinearity masks and the shadows are looked up in the tables of
+    :func:`_grid_tables`, built once per process per grid.  While the loop
+    of level ``lvl`` tries its candidates, the points of vertices
+    0..lvl-1 stay where they are; only vertex lvl moves.  So a shadow of
+    the next level whose three vertices all lie below lvl is the same for
+    every candidate: it is ORed once, before the loop, and only the
+    shadows that involve vertex lvl are looked up per candidate.
 
     When :func:`_order_type_witness` is None the level-3 loop does not
     run.  By the free-mask argument above, every point the loop would give
@@ -314,10 +353,9 @@ def _search_grid(
     count, and level 2 adds N - 4 times the number of its free points
     instead: the same count, and the same None.
     """
-    left, col = _side_masks(w, h)
+    _, col, table = _grid_tables(w, h)
     count = w * h
     full = (1 << count) - 1
-    table = _shadow_table(left, count)
     # Each check of level lvl + 1 as (a, c, d): that vertex's neighbour a
     # and the other edge, split by whether it involves vertex lvl.
     fixed_checks: list[list[tuple[int, int, int]]] = []
@@ -369,8 +407,10 @@ def _search_grid(
         return False
 
     found = dfs(0, sum(1 << pt for pt in _fundamental_domain(w, h)), 0)
-    # dfs holds itself through its closure; clearing it frees the table on
-    # return rather than at the next garbage collection
+    # dfs holds itself through its closure; clearing it frees the placement
+    # and check lists on return rather than at the next garbage collection,
+    # and drops the closure's hold on the grid tables, which would keep
+    # them alive after the cache evicts them
     del dfs
     return (list(placement) if found else None), checked
 
@@ -387,12 +427,12 @@ def exhaustive_five_point_check(
     Returns the first such counterexample found, or None if every valid
     placement forces a crossing in some path.  Grids up to extent 8 are
     exhausted by :func:`_search_grid`, which keeps the candidates of each
-    vertex as a bitmask built from per-grid side and collinearity masks
-    and a per-search shadow table, and does not place vertex 3 when no
-    order type carries the paths; ``placements_checked`` counts the
-    vertex-4 placements a point-by-point search would look at.  Larger
-    grids require ``samples`` and are randomly probed with the seeded
-    generator, each draw tested level by level on coordinates.  A grid
+    vertex as a bitmask built from the grid's collinearity masks and
+    shadow table, built once per process per grid, and does not place
+    vertex 3 when no order type carries the paths; ``placements_checked``
+    counts the vertex-4 placements a point-by-point search would look at.
+    Larger grids require ``samples`` and are randomly probed with the
+    seeded generator, each draw tested level by level on coordinates.  A grid
     with a side below 3, which holds no five points in general position,
     is rejected, and so is one with a side above COORD_LIMIT + 1 in
     magnitude (checked first), whose points leave the coordinate budget,

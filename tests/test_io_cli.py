@@ -93,14 +93,20 @@ def test_parse_accepts_bytes():
 
 
 def test_int_pairs_accepts_exactly_two_element_integer_lists():
-    from simembed.documents import _int_pairs
+    from simembed.documents import _int_columns, _int_pairs
 
     assert _int_pairs([[0, 1], [-3, 10**30]], "edges") == [(0, 1), (-3, 10**30)]
-    # bools are ints to isinstance, but JSON true is no vertex
+    assert _int_columns([[0, 1], [-3, 10**30]], "coords") == ([0, -3], [1, 10**30])
+    assert _int_columns([], "coords") == ([], [])
+    # bools are ints to isinstance, but JSON true is no vertex; the columns
+    # refuse what the pairs refuse, in the same words
     for bad in ([[0, 1.0]], [["0", 1]], [[0, None]], [[0]], [[0, 1, 2]], [(0, 1)], [None], {},
-                [[True, 2]], [[0, False]]):
-        with pytest.raises(ParseError):
-            _int_pairs(bad, "edges")
+                [[True, 2]], [[0, False]], [[0, 1], [2, 1.5]]):
+        with pytest.raises(ParseError) as pairs_error:
+            _int_pairs(bad, "coords")
+        with pytest.raises(ParseError) as columns_error:
+            _int_columns(bad, "coords")
+        assert str(columns_error.value) == str(pairs_error.value)
 
 
 def random_instance(seed):

@@ -35,6 +35,8 @@ here on hand-made cases.
 import itertools
 import random
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -99,7 +101,7 @@ from simembed import certify, graphs, smallcases, unmapped
 from simembed.graphs import _trace_faces
 from simembed.certify import _any_conflict, _layer_crossings, _listed_crossings
 from simembed.geometry import COORD_LIMIT, _conflict_raw, _is_prime, _next_prime
-from simembed.smallcases import _grid_points, _shadow, _shadow_table, _side_masks
+from simembed.smallcases import _grid_points, _grid_tables, _shadow, _shadow_table, _side_masks
 
 
 # How a case reshapes its thinned layer: not at all, by reversing and
@@ -786,6 +788,66 @@ def test_side_masks_match_orientation():
         o = orient(pts[i], pts[j], pts[k])
         assert bool(left[i][j] >> k & 1) == (o > 0)
         assert bool(col[i][j] >> k & 1) == (o == 0 and k not in (i, j))
+
+
+def _only_tuples(value):
+    return isinstance(value, int) or (
+        type(value) is tuple and all(_only_tuples(v) for v in value)
+    )
+
+
+@pytest.mark.parametrize("grid", [3, 4, 5, 6, 7, 8, (3, 5), (5, 3), (4, 6)], ids=_grid_id)
+def test_grid_tables_are_fresh_builds_as_tuples(grid):
+    w, h = _grid_sides(grid)
+    left, col = _side_masks(w, h)
+    tables = _grid_tables(w, h)
+    assert tables == (
+        tuple(map(tuple, left)),
+        tuple(map(tuple, col)),
+        tuple(tuple(map(tuple, rows)) for rows in _shadow_table(left, w * h)),
+    )
+    assert _only_tuples(tables)
+    assert _grid_tables(w, h) is tables
+
+
+# grids 5, 3, 3x5 and 4 fill the cache; 5 is a hit; 5x3 evicts 3, and 3
+# and 3x5 are rebuilt after their eviction
+_INTERLEAVED_GRIDS = [5, 3, (3, 5), 4, 5, (5, 3), 3, (3, 5)]
+
+
+def test_searches_interleaved_across_grids_match_fresh_searches():
+    path_sets = [_FIVE, _SECOND_FAILING, _FIVE[:4], _FIVE[1:3]]
+
+    def search(grid, paths):
+        return smallcases._search_grid(*_grid_sides(grid), smallcases._cross_checks(paths))
+
+    fresh = {}
+    for grid in _INTERLEAVED_GRIDS:
+        for k, paths in enumerate(path_sets):
+            _grid_tables.cache_clear()
+            fresh[grid, k] = search(grid, paths)
+    assert any(fresh[grid, k][0] is not None for grid in _INTERLEAVED_GRIDS for k in (2, 3))
+    _grid_tables.cache_clear()
+    for grid in _INTERLEAVED_GRIDS:
+        for k, paths in enumerate(path_sets):
+            assert search(grid, paths) == fresh[grid, k], (grid, k)
+    info = _grid_tables.cache_info()
+    assert (info.misses, info.currsize) == (7, 4)
+
+
+def test_five_point_search_from_threads_matches_serial_runs():
+    runs = [(grid, paths) for grid in (3, 4, 5) for paths in (_FIVE, _SECOND_FAILING)] * 4
+    serial = [_search_outcome(exhaustive_five_point_check(g, p)) for g, p in runs]
+    _grid_tables.cache_clear()
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(exhaustive_five_point_check, g, p) for g, p in runs]
+            threaded = [_search_outcome(f.result(timeout=60)) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 @pytest.mark.parametrize(
