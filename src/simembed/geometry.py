@@ -117,8 +117,10 @@ class GridPoint:
         _set_field(self, "y", y)
 
 
-def _parabola_lift(base: list[GridPoint], scale: int, p: int) -> list[GridPoint]:
-    """Point i goes to scale * base[i] + (i, i^2 mod p).
+def _parabola_lift(
+    xs: list[int], ys: list[int], scale: int, p: int
+) -> tuple[list[int], list[int]]:
+    """Point i, at (xs[i], ys[i]), goes to scale * (xs[i], ys[i]) + (i, i^2 mod p).
 
     For p prime, at most p points and ``scale`` a multiple of p, no three
     lifted points are collinear, whatever the base points (Erdős's mod-p
@@ -128,14 +130,6 @@ def _parabola_lift(base: list[GridPoint], scale: int, p: int) -> list[GridPoint]
     and p divides none of its factors.  Distinctness follows the same way
     from the x offsets i mod p.
     """
-    xs, ys = _parabola_lift_columns([b.x for b in base], [b.y for b in base], scale, p)
-    return list(map(GridPoint, xs, ys))
-
-
-def _parabola_lift_columns(
-    xs: list[int], ys: list[int], scale: int, p: int
-) -> tuple[list[int], list[int]]:
-    # _parabola_lift on the coordinate columns of the base points
     return (
         [scale * x + i for i, x in enumerate(xs)],
         [scale * y + i * i % p for i, y in enumerate(ys)],

@@ -19,7 +19,6 @@ from .geometry import (
     _check_coord_budget,
     _next_prime,
     _parabola_lift,
-    _parabola_lift_columns,
     _translate_to_origin,
 )
 from .graphs import Caterpillar, PathOrder, SimultaneousEmbedding, caterpillar_to_path
@@ -82,7 +81,8 @@ def refine_general_position(
             f"up to {extent}, over the budget 2^40; base extents up to "
             f"{(COORD_LIMIT - prime + 1) // prime} fit"
         )
-    return _parabola_lift(points, prime, prime)
+    xs, ys = _parabola_lift([p.x for p in points], [p.y for p in points], prime, prime)
+    return list(map(GridPoint, xs, ys))
 
 
 def _two_caterpillar_extent(n: int) -> int:
@@ -113,7 +113,7 @@ def embed_two_caterpillars(c1: Caterpillar, c2: Caterpillar) -> SimultaneousEmbe
     p2 = caterpillar_to_path(c2)
     base = embed_two_paths(p1, p2)
     prime = _next_prime(n)
-    xs, ys = _translate_to_origin(*_parabola_lift_columns(base.xs, base.ys, prime, prime))
+    xs, ys = _translate_to_origin(*_parabola_lift(base.xs, base.ys, prime, prime))
     return SimultaneousEmbedding(xs=xs, ys=ys)
 
 

@@ -131,26 +131,19 @@ def _side_masks(w: int, h: int) -> tuple[list[list[int]], list[list[int]]]:
     return left, col
 
 
-def _shadow(left: list[list[int]], a: int, c: int, d: int) -> int:
-    """The points x for which segment a-x properly crosses segment c-d.
+def _shadow_table(left: list[list[int]], count: int) -> list[list[list[int]]]:
+    """``table[a][c][d]`` is the shadow of segment c-d seen from a, the
+    points x for which segment a-x properly crosses segment c-d, over the
+    ``count`` grid points: ``count**3`` entries.  It is exact when a, c, d
+    are not collinear, the only triples the search looks up, and x lies on
+    none of the three lines through two of them.
 
     The segments cross properly iff c and d lie strictly on opposite sides
     of line ax and a and x strictly on opposite sides of line cd.  The
     first holds iff x is left of exactly one of the lines a -> c and
-    a -> d, the double wedge at a between those rays; the second iff x is
-    on the open side of line cd away from a.  Exact for a, c, d not
-    collinear and x on none of the three lines through two of them.
-    """
-    wedge = left[a][c] ^ left[a][d]
-    if left[c][d] >> a & 1:
-        return wedge & left[d][c]
-    return wedge & left[c][d]
-
-
-def _shadow_table(left: list[list[int]], count: int) -> list[list[list[int]]]:
-    """``table[a][c][d]`` = :func:`_shadow` ``(left, a, c, d)`` for every
-    triple of the ``count`` grid points that is not collinear, the only
-    triples the search looks up: ``count**3`` entries.
+    a -> d, the double wedge ``left[a][c] ^ left[a][d]`` at a between
+    those rays; the second iff x is on the open side of line cd away from
+    a, ``left[d][c]`` when a is left of c -> d and ``left[c][d]`` when not.
 
     A shadow is symmetric in c and d: neither the double wedge between the
     rays a -> c and a -> d nor the side of line cd away from a depends on
@@ -167,7 +160,7 @@ def _shadow_table(left: list[list[int]], count: int) -> list[list[list[int]]]:
         left_a = left[a]
         bit_a = 1 << a
         for c in span:
-            # _shadow(left, a, c, d) inline, its lookups of a and c hoisted
+            # the lookups of a and c hoisted out of the loop over d
             left_ac = left_a[c]
             left_c = left[c]
             row_c = rows[c]
@@ -324,7 +317,7 @@ def _search_grid(
 
     Vertex ``lvl`` may take any point outside a forbidden mask: the placed
     points, the lines through two placed points, and for each pair whose
-    edges are (a, lvl) and (c, d) the :func:`_shadow` of cd seen from a.
+    edges are (a, lvl) and (c, d) the shadow of cd seen from a.
     The placed points are in general position, because every point on a
     line through two of them was forbidden when it could be taken.  So a
     candidate x off those lines forms with a, c, d four points no three
@@ -337,13 +330,14 @@ def _search_grid(
     witness, and the count is the number of unplaced points at or below
     it, or all N - 4 when no bit is free.
 
-    The collinearity masks and the shadows are looked up in the tables of
-    :func:`_grid_tables`, built once per process per grid.  While the loop
-    of level ``lvl`` tries its candidates, the points of vertices
-    0..lvl-1 stay where they are; only vertex lvl moves.  So a shadow of
-    the next level whose three vertices all lie below lvl is the same for
-    every candidate: it is ORed once, before the loop, and only the
-    shadows that involve vertex lvl are looked up per candidate.
+    The collinearity masks and the shadows, derived in :func:`_shadow_table`,
+    are looked up in the tables of :func:`_grid_tables`, built once per
+    process per grid.  While the loop of level ``lvl`` tries its
+    candidates, the points of vertices 0..lvl-1 stay where they are; only
+    vertex lvl moves.  So a shadow of the next level whose three vertices
+    all lie below lvl is the same for every candidate: it is ORed once,
+    before the loop, and only the shadows that involve vertex lvl are
+    looked up per candidate.
 
     When :func:`_order_type_witness` is None the level-3 loop does not
     run.  By the free-mask argument above, every point the loop would give
@@ -435,9 +429,10 @@ def exhaustive_five_point_check(
     seeded generator, each draw tested level by level on coordinates.  A grid
     with a side below 3, which holds no five points in general position,
     is rejected, and so is one with a side above COORD_LIMIT + 1 in
-    magnitude (checked first), whose points leave the coordinate budget,
-    a ``samples`` count below 1 or above COORD_LIMIT, or one given for a
-    grid that is exhausted.
+    magnitude, whose points leave the coordinate budget, a ``samples``
+    count below 1 or above COORD_LIMIT, or one given for a grid that is
+    exhausted.  First of all, a tuple grid must be a pair, and each side
+    and a given ``samples`` an exact ``int``, so that the rest compare ints.
 
     When :func:`_order_type_witness` is None the probe draws nothing and
     reports ``samples`` placements checked and no counterexample, which is
@@ -451,9 +446,17 @@ def exhaustive_five_point_check(
     nowhere else.
     """
     if isinstance(grid_extent, tuple):
+        if len(grid_extent) != 2:
+            raise InvalidInstanceError("a tuple grid must be a (width, height) pair")
         w, h = grid_extent
     else:
         w = h = grid_extent
+    # the refusals name types, not values, which may be too long to format
+    if type(w) is not int or type(h) is not int:
+        sides = f"{type(w).__name__} x {type(h).__name__}"
+        raise InvalidInstanceError(f"grid sides must be integers, got {sides}")
+    if samples is not None and type(samples) is not int:
+        raise InvalidInstanceError(f"sample count must be an integer, got {type(samples).__name__}")
     if max(abs(w), abs(h)) > COORD_LIMIT + 1:
         # coordinates run from 0 to the side minus one; the message leaves
         # the side out, which may have too many digits to format, and comes

@@ -4,6 +4,13 @@ Each function here is the plain algorithm the package's faster code must
 match exactly; ``test_reference.py`` compares them on random inputs.
 ``brute_force_point_assignment`` is an exhaustive oracle instead: tests
 use it to confirm that small point sets admit the embeddings found.
+
+The five-point search has one oracle per mode, which place vertices on
+coordinates and test them with ``_conflict_raw`` through one shared
+``five_point_level_check``, and share no mask or table with
+``simembed.smallcases``: ``five_point_check_dfs`` for the exhaustive
+search, with its placement counts, and ``sampled_five_point_check`` for
+the sampled probe, which always draws.
 """
 
 from __future__ import annotations
@@ -12,8 +19,8 @@ import bisect
 import itertools
 import math
 import random
-from functools import cmp_to_key, lru_cache
-from typing import Optional, Sequence
+from functools import cmp_to_key
+from typing import Callable, Optional, Sequence
 
 from simembed import (
     Caterpillar,
@@ -36,8 +43,6 @@ from simembed.smallcases import (
     FivePointSearchResult,
     _fundamental_domain,
     _grid_points,
-    _shadow,
-    _side_masks,
 )
 
 
@@ -452,184 +457,31 @@ def collinear_triples_cubic(points: list[GridPoint]) -> list[tuple[int, int, int
     ]
 
 
-@lru_cache(maxsize=None)
-def _conflict_table(w: int, h: int) -> Optional[bytes]:
-    """``five_point_check_table``'s ``count**4`` conflict table of the w x h
-    grid, or None above 2 000 000 entries.  It depends on the grid alone,
-    so it is built once per grid and shared, immutable, by every path
-    set."""
-    pts = _grid_points(w, h)
-    count = len(pts)
-    if count**4 > 2_000_000:
-        return None
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    table = bytearray(count**4)
-    for a in range(count):
-        for b in range(count):
-            if a == b:
-                continue
-            base = (a * count + b) * count
-            for c in range(count):
-                for d in range(count):
-                    if c == d:
-                        continue
-                    if _conflict_raw(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d]):
-                        table[(base + c) * count + d] = 1
-    return bytes(table)
+def _grid_sides(grid_extent: int | tuple[int, int]) -> tuple[int, int]:
+    return grid_extent if isinstance(grid_extent, tuple) else (grid_extent, grid_extent)
 
 
-def five_point_check_table(
-    grid_extent: int | tuple[int, int],
+def five_point_level_check(
     paths: Sequence[PathOrder],
-    seed: Optional[int] = None,
-    samples: Optional[int] = None,
-) -> FivePointSearchResult:
-    """The five-point search before its two modes shared one per-level
-    check: a precomputed ``count**4`` conflict table on grids up to 6 x 6,
-    the direct predicate above that, and its own sampled loop.
-
-    Returns the first placement, no 3 collinear, where every given path is
-    crossing-free, or None if every valid placement forces a crossing in
-    some path.  Grids up to extent 8 are exhausted; larger grids require
-    ``samples`` and are randomly probed with the seeded generator.
-    """
-    if isinstance(grid_extent, tuple):
-        w, h = grid_extent
-    else:
-        w = h = grid_extent
-    if w < 1 or h < 1:
-        raise InvalidInstanceError("grid extent must be positive")
-    if samples is not None and samples < 1:
-        # a verdict after no placements would claim what nothing checked
-        raise InvalidInstanceError(f"sample count must be positive, got {samples}")
+) -> Callable[[Sequence[int], Sequence[int], int], bool]:
+    """``level_ok(px, py, lvl)`` for the five-point searches below: whether
+    vertex ``lvl``, at ``(px[lvl], py[lvl])``, is collinear with no two of
+    vertices 0..lvl-1 and conflicts, by ``_conflict_raw``, in no same-path
+    disjoint edge pair whose largest vertex is ``lvl``.  Vertices 0..lvl
+    must be placed.  Passing every level is exactly: no three collinear
+    and no path with two disjoint edges in conflict."""
     for p in paths:
         if p.n != 5:
             raise InvalidInstanceError("the search is defined for 5-vertex paths")
-
-    # Same-path disjoint edge pairs, bucketed by their largest vertex so the
-    # search can check each pair as soon as its last endpoint is placed.
     cross_checks: list[list[tuple[int, int, int, int]]] = [[] for _ in range(5)]
     for p in paths:
         edges = [tuple(sorted(e)) for e in p.edges()]
         for e1, e2 in itertools.combinations(edges, 2):
-            if set(e1) & set(e2):
-                continue
-            level = max(*e1, *e2)
-            cross_checks[level].append((*e1, *e2))
-    tri_checks: list[list[tuple[int, int]]] = [
-        [(i, j) for i in range(lvl) for j in range(i + 1, lvl)] for lvl in range(5)
-    ]
+            if not set(e1) & set(e2):
+                cross_checks[max(*e1, *e2)].append((*e1, *e2))
+    tri_checks = [list(itertools.combinations(range(lvl), 2)) for lvl in range(5)]
 
-    if max(w, h) > EXHAUSTIVE_GRID_LIMIT:
-        if samples is None:
-            raise SearchBudgetError(
-                f"grid {w}x{h} exceeds the exhaustive budget "
-                f"({EXHAUSTIVE_GRID_LIMIT}); pass a sample count"
-            )
-        return sampled_five_point_check(w, h, cross_checks, tri_checks, seed, samples)
-
-    pts = _grid_points(w, h)
-    count = len(pts)
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-
-    def conflict(a: int, b: int, c: int, d: int) -> bool:
-        return _conflict_raw(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d])
-
-    conflict_table = _conflict_table(w, h)
-
-    placement = [0] * 5
-    checked = 0
-    first_candidates = _fundamental_domain(w, h)
-
-    def collinear(a: int, b: int, c: int) -> bool:
-        return (xs[b] - xs[a]) * (ys[c] - ys[a]) == (ys[b] - ys[a]) * (xs[c] - xs[a])
-
-    def level_ok(lvl: int) -> bool:
-        pt = placement[lvl]
-        for i, j in tri_checks[lvl]:
-            if collinear(placement[i], placement[j], pt):
-                return False
-        for a, b, c, d in cross_checks[lvl]:
-            pa, pb, pc, pd = placement[a], placement[b], placement[c], placement[d]
-            if conflict_table is not None:
-                if conflict_table[((pa * count + pb) * count + pc) * count + pd]:
-                    return False
-            elif conflict(pa, pb, pc, pd):
-                return False
-        return True
-
-    def dfs(lvl: int) -> Optional[list[int]]:
-        nonlocal checked
-        candidates = first_candidates if lvl == 0 else range(count)
-        for pt in candidates:
-            if pt in placement[:lvl]:
-                continue
-            placement[lvl] = pt
-            if lvl == 4:
-                checked += 1
-            if not level_ok(lvl):
-                continue
-            if lvl == 4:
-                return list(placement)
-            found = dfs(lvl + 1)
-            if found is not None:
-                return found
-        return None
-
-    witness = dfs(0)
-    counterexample = (
-        [GridPoint(xs[i], ys[i]) for i in witness] if witness is not None else None
-    )
-    return FivePointSearchResult(
-        counterexample=counterexample,
-        placements_checked=checked,
-        exhaustive=True,
-        grid=(w, h),
-    )
-
-
-def five_point_check_dfs(
-    grid_extent: int | tuple[int, int], paths: Sequence[PathOrder]
-) -> FivePointSearchResult:
-    """The exhaustive five-point search before it worked on candidate
-    bitmasks: every candidate of every level placed in turn, and a
-    collinearity and ``_conflict_raw`` test per placed vertex.  Grids up
-    to extent 8 only.
-    """
-    if isinstance(grid_extent, tuple):
-        w, h = grid_extent
-    else:
-        w = h = grid_extent
-    if w < 1 or h < 1:
-        raise InvalidInstanceError("grid extent must be positive")
-    if max(w, h) > EXHAUSTIVE_GRID_LIMIT:
-        raise SearchBudgetError(f"grid {w}x{h} exceeds the exhaustive budget")
-    for p in paths:
-        if p.n != 5:
-            raise InvalidInstanceError("the search is defined for 5-vertex paths")
-
-    # Same-path disjoint edge pairs, bucketed by their largest vertex so the
-    # search can check each pair as soon as its last endpoint is placed.
-    cross_checks: list[list[tuple[int, int, int, int]]] = [[] for _ in range(5)]
-    for p in paths:
-        edges = [tuple(sorted(e)) for e in p.edges()]
-        for e1, e2 in itertools.combinations(edges, 2):
-            if set(e1) & set(e2):
-                continue
-            level = max(*e1, *e2)
-            cross_checks[level].append((*e1, *e2))
-    tri_checks: list[list[tuple[int, int]]] = [
-        [(i, j) for i in range(lvl) for j in range(i + 1, lvl)] for lvl in range(5)
-    ]
-
-    # Coordinates of vertices 0..4; vertex lvl and every vertex below it
-    # are placed when level_ok(lvl) runs.
-    px = [0] * 5
-    py = [0] * 5
-
-    def level_ok(lvl: int) -> bool:
+    def level_ok(px: Sequence[int], py: Sequence[int], lvl: int) -> bool:
         x, y = px[lvl], py[lvl]
         for i, j in tri_checks[lvl]:
             if (px[j] - px[i]) * (y - py[i]) == (py[j] - py[i]) * (x - px[i]):
@@ -639,22 +491,41 @@ def five_point_check_dfs(
                 return False
         return True
 
-    checked = 0
+    return level_ok
+
+
+def five_point_check_dfs(
+    grid_extent: int | tuple[int, int], paths: Sequence[PathOrder]
+) -> FivePointSearchResult:
+    """The exhaustive five-point search before it worked on candidate
+    bitmasks: every candidate of every level placed in turn, points in
+    ascending index order and vertex 0 confined to the fundamental domain,
+    and :func:`five_point_level_check` run per placed vertex.  Grids up to
+    extent 8 only, sides below 3 included, where nothing passes."""
+    w, h = _grid_sides(grid_extent)
+    if w < 1 or h < 1:
+        raise InvalidInstanceError("grid extent must be positive")
+    if max(w, h) > EXHAUSTIVE_GRID_LIMIT:
+        raise SearchBudgetError(f"grid {w}x{h} exceeds the exhaustive budget")
+    level_ok = five_point_level_check(paths)
     pts = _grid_points(w, h)
-    placement = [0] * 5
     first_candidates = _fundamental_domain(w, h)
+    # coordinates and point indices of vertices 0..4
+    px = [0] * 5
+    py = [0] * 5
+    placement = [0] * 5
+    checked = 0
 
     def dfs(lvl: int) -> bool:
         nonlocal checked
-        candidates = first_candidates if lvl == 0 else range(len(pts))
-        for pt in candidates:
+        for pt in first_candidates if lvl == 0 else range(len(pts)):
             if pt in placement[:lvl]:
                 continue
             placement[lvl] = pt
             px[lvl], py[lvl] = pts[pt]
             if lvl == 4:
                 checked += 1
-            if level_ok(lvl) and (lvl == 4 or dfs(lvl + 1)):
+            if level_ok(px, py, lvl) and (lvl == 4 or dfs(lvl + 1)):
                 return True
         return False
 
@@ -667,129 +538,35 @@ def five_point_check_dfs(
     )
 
 
-def search_grid_per_candidate(
-    w: int, h: int, cross_checks: list[list[tuple[int, int, int, int]]]
-) -> tuple[Optional[list[int]], int]:
-    """``smallcases._search_grid`` before it looked shadows up in a per-search
-    table: every shadow of the next level recomputed for every candidate.
-
-    Depth-first search over placements of vertices 0..4 on distinct
-    points of the w x h grid, points tried in ascending index order and
-    vertex 0 confined to :func:`_fundamental_domain`.
-
-    ``cross_checks[lvl]`` holds the same-path disjoint edge pairs
-    (a, b) / (c, d), each sorted, whose largest vertex is lvl.  Returns the
-    first placement (point indices) with no three points collinear and no
-    such pair in conflict, or None, and the number of vertex-4 placements
-    a point-by-point search looks at.
-
-    Vertex ``lvl`` may take any point outside a forbidden mask: the placed
-    points, the lines through two placed points, and for each pair whose
-    edges are (a, lvl) and (c, d) the :func:`_shadow` of cd seen from a.
-    The placed points are in general position, because every point on a
-    line through two of them was forbidden when it could be taken.  So a
-    candidate x off those lines forms with a, c, d four points no three
-    collinear.  For such points all four orientations in ``_conflict_raw``
-    are nonzero, so its collinear and touching branches never fire and it
-    reports exactly a proper crossing of a-x and c-d, which is exactly
-    shadow membership.  The free mask therefore holds exactly the
-    candidates the per-placement predicates accept, in the same order.
-    Vertex 4 is not tried point by point: the lowest free bit is the
-    witness, and the count is the number of unplaced points at or below
-    it, or all N - 4 when no bit is free.
-    """
-    left, col = _side_masks(w, h)
-    count = w * h
-    full = (1 << count) - 1
-    # Each check as (a, c, d): vertex lvl's neighbour a and the other edge.
-    shadow_checks = [
-        [(a, c, d) if b == lvl else (c, a, b) for a, b, c, d in checks]
-        for lvl, checks in enumerate(cross_checks)
-    ]
-    placement = [0] * 5
-    checked = 0
-
-    def dfs(lvl: int, free: int, blocked: int) -> bool:
-        # free: the candidates for vertex lvl; blocked: the points of
-        # vertices 0..lvl-1 and every line through two of them
-        nonlocal checked
-        while free:
-            low = free & -free
-            free ^= low
-            pt = low.bit_length() - 1
-            placement[lvl] = pt
-            now_blocked = blocked | low
-            for q in placement[:lvl]:
-                now_blocked |= col[pt][q]
-            forbidden = now_blocked
-            for a, c, d in shadow_checks[lvl + 1]:
-                forbidden |= _shadow(left, placement[a], placement[c], placement[d])
-            next_free = full & ~forbidden
-            if lvl < 3:
-                if dfs(lvl + 1, next_free, now_blocked):
-                    return True
-            elif next_free:
-                low = next_free & -next_free
-                placement[4] = low.bit_length() - 1
-                below = sum(1 for q in placement[:4] if q < placement[4])
-                checked += placement[4] + 1 - below
-                return True
-            else:
-                checked += count - 4
-        return False
-
-    found = dfs(0, sum(1 << pt for pt in _fundamental_domain(w, h)), 0)
-    return (list(placement) if found else None), checked
-
-
 def sampled_five_point_check(
-    w: int,
-    h: int,
-    cross_checks: list[list[tuple[int, int, int, int]]],
-    tri_checks: list[list[tuple[int, int]]],
+    grid_extent: int | tuple[int, int],
+    paths: Sequence[PathOrder],
     seed: Optional[int],
     samples: int,
 ) -> FivePointSearchResult:
+    """The sampled five-point probe as it draws: up to ``samples`` draws of
+    five distinct grid points from ``random.Random(seed)``, x then y per
+    point, each tested by :func:`five_point_level_check` on every level,
+    whether or not any order type carries the paths."""
+    w, h = _grid_sides(grid_extent)
+    level_ok = five_point_level_check(paths)
     rng = random.Random(seed)
-    checked = 0
-    for _ in range(samples):
-        pts: list[tuple[int, int]] = []
-        used = set()
-        while len(pts) < 5:
+    for checked in range(1, samples + 1):
+        drawn: list[tuple[int, int]] = []
+        while len(drawn) < 5:
             cand = (rng.randrange(w), rng.randrange(h))
-            if cand not in used:
-                used.add(cand)
-                pts.append(cand)
-        checked += 1
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        ok = True
-        for lvl in range(5):
-            for i, j in tri_checks[lvl]:
-                if (xs[j] - xs[i]) * (ys[lvl] - ys[i]) == (ys[j] - ys[i]) * (
-                    xs[lvl] - xs[i]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-            for a, b, c, d in cross_checks[lvl]:
-                if _conflict_raw(
-                    xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+            if cand not in drawn:
+                drawn.append(cand)
+        px, py = zip(*drawn)
+        if all(level_ok(px, py, lvl) for lvl in range(5)):
             return FivePointSearchResult(
-                counterexample=[GridPoint(x, y) for x, y in pts],
+                counterexample=[GridPoint(x, y) for x, y in drawn],
                 placements_checked=checked,
                 exhaustive=False,
                 grid=(w, h),
             )
     return FivePointSearchResult(
-        counterexample=None, placements_checked=checked, exhaustive=False, grid=(w, h)
+        counterexample=None, placements_checked=samples, exhaustive=False, grid=(w, h)
     )
 
 
@@ -801,7 +578,7 @@ def _canonical_face(walk: list[tuple[int, int]]) -> tuple[int, ...]:
 
 def draw_triangulation_path_walk(
     rotation: list[list[int]], faces: list[list[tuple[int, int]]], n: int
-) -> list[GridPoint]:
+) -> tuple[list[int], list[int]]:
     """``unmapped._draw_triangulation`` as it was written first: each of the
     n - 3 peeled vertices is picked by walking the whole outer path and
     counting every path vertex's alive path neighbours."""
@@ -908,7 +685,7 @@ def draw_triangulation_path_walk(
 
     if min(xs) < 0 or max(xs) > 2 * n - 4 or min(ys) < 0 or max(ys) > n - 2:
         raise InternalInvariantError("drawing escaped the (2n-4) x (n-2) grid")
-    return [GridPoint(xs[v], ys[v]) for v in range(n)]
+    return xs, ys
 
 
 def angular_sort_comparator(

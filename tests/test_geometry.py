@@ -254,13 +254,15 @@ def test_convex_hull_matches_halfplane_oracle():
 def test_parabola_lift_leaves_no_collinear_triple(coords, row, row_len, mult, extra):
     # Any base points, repeats allowed, plus a fully collinear row; any
     # prime p >= the point count and any scale that p divides.
-    base = [P(x, y) for x, y in coords] + [P(x, row) for x in range(row_len)]
-    p = _next_prime(len(base))
+    xs = [x for x, _ in coords] + list(range(row_len))
+    ys = [y for _, y in coords] + [row] * row_len
+    p = _next_prime(len(xs))
     for _ in range(extra):
         p = _next_prime(p + 1)
-    lifted = _parabola_lift(base, mult * p, p)
+    scale = mult * p
+    lifted = list(map(P, *_parabola_lift(xs, ys, scale, p)))
     assert find_collinear_triple(lifted) is None
-    assert lifted == [P(mult * p * b.x + i, mult * p * b.y + i * i % p) for i, b in enumerate(base)]
+    assert lifted == [P(scale * x + i, scale * y + i * i % p) for i, (x, y) in enumerate(zip(xs, ys))]
 
 
 def test_next_prime():

@@ -62,15 +62,14 @@ from reference import (
     draw_triangulation_path_walk,
     embed_on_general_position_eager,
     five_point_check_dfs,
-    five_point_check_table,
     layer_crossings_all_pairs,
     maximalize_outerplanar_retrace,
     next_prime_trial_division,
     path_caterpillar_rescan,
     plane_triangulation_rebuild,
     plane_triangulation_sorted_flips,
+    sampled_five_point_check,
     same_ray,
-    search_grid_per_candidate,
     select_split_rank_dicts,
     triangulate_plane_retrace,
 )
@@ -101,7 +100,7 @@ from simembed import certify, graphs, smallcases, unmapped
 from simembed.graphs import _trace_faces
 from simembed.certify import _any_conflict, _layer_crossings, _listed_crossings
 from simembed.geometry import COORD_LIMIT, _conflict_raw, _is_prime, _next_prime
-from simembed.smallcases import _grid_points, _grid_tables, _shadow, _shadow_table, _side_masks
+from simembed.smallcases import _grid_points, _grid_tables, _shadow_table, _side_masks
 
 
 # How a case reshapes its thinned layer: not at all, by reversing and
@@ -708,32 +707,26 @@ def _path_sets(grid):
 
 
 @pytest.mark.parametrize("grid", _SEARCH_GRIDS, ids=_grid_id)
-def test_five_point_search_matches_table_search(grid):
-    # Against the table search on the small grids, and against the
-    # per-placement search, which is the faster reference there, on the
-    # larger ones.  A grid with a side below 3 holds no five points in
-    # general position: the references find no placement there, and the
-    # search refuses the grid instead of claiming that verdict.
-    reference = five_point_check_table if grid in _SMALL_GRIDS else five_point_check_dfs
+def test_five_point_search_matches_dfs_search(grid):
+    # The mask search and the public check against the search that places
+    # every vertex on coordinates and tests it with _conflict_raw.  A grid
+    # with a side below 3 holds no five points in general position: both
+    # searches find no placement there, and the check refuses the grid
+    # instead of claiming that verdict.
     w, h = _grid_sides(grid)
+    pts = _grid_points(w, h)
     for paths in _path_sets(grid):
-        want = _search_outcome(reference(grid, paths))
+        want = five_point_check_dfs(grid, paths)
+        placement, checked = smallcases._search_grid(w, h, smallcases._cross_checks(paths))
+        witness = None if placement is None else [GridPoint(*pts[pt]) for pt in placement]
+        assert (witness, checked) == (want.counterexample, want.placements_checked)
         if min(w, h) < 3:
-            assert want[0] is None
+            assert want.counterexample is None
             with pytest.raises(InvalidInstanceError, match=f"grid {w}x{h} holds no five points"):
                 exhaustive_five_point_check(grid, paths)
         else:
-            assert _search_outcome(exhaustive_five_point_check(grid, paths)) == want
-
-
-@pytest.mark.parametrize("grid", _SEARCH_GRIDS, ids=_grid_id)
-def test_shadow_table_search_matches_per_candidate_search(grid):
-    # The search with hoisted shadows from one table against the loop that
-    # computed every shadow of the next level for every candidate.
-    w, h = _grid_sides(grid)
-    for paths in _path_sets(grid):
-        checks = smallcases._cross_checks(paths)
-        assert smallcases._search_grid(w, h, checks) == search_grid_per_candidate(w, h, checks)
+            got = exhaustive_five_point_check(grid, paths)
+            assert _search_outcome(got) == _search_outcome(want)
 
 
 @pytest.mark.parametrize("grid", [3, 4, 5, 6, (3, 5), (5, 3), (4, 6)], ids=_grid_id)
@@ -756,17 +749,15 @@ def test_order_type_pruned_search_matches_full_depth_search(grid, monkeypatch):
 def test_shadow_mask_is_the_proper_crossing_region(grid):
     # For a, c, d not collinear and x on none of the lines through two of
     # them, x is in the shadow of cd seen from a exactly when segment a-x
-    # meets segment c-d; the search's table holds that shadow.
+    # meets segment c-d; the table the search reads holds that shadow.
     w, h = grid
     pts = _grid_points(w, h)
-    left, col = _side_masks(w, h)
-    table = _shadow_table(left, len(pts))
+    _, col, table = _grid_tables(w, h)
     crossings = 0
     for a, c, d in itertools.permutations(range(len(pts)), 3):
         if col[a][c] >> d & 1:
             continue
         shadow = table[a][c][d]
-        assert shadow == _shadow(left, a, c, d)
         lines = col[a][c] | col[a][d] | col[c][d] | 1 << a | 1 << c | 1 << d
         for x in range(len(pts)):
             if lines >> x & 1:
@@ -861,7 +852,7 @@ def test_sampled_five_point_search_matches_old_sampler(grid):
     for seed in range(10):
         for paths in (_FIVE[:2], _FIVE[1:4], _FIVE, _RANDOM_PATH_SETS[seed % 6]):
             new = exhaustive_five_point_check(grid, paths, seed=seed, samples=200)
-            old = five_point_check_table(grid, paths, seed=seed, samples=200)
+            old = sampled_five_point_check(grid, paths, seed, 200)
             assert _search_outcome(new) == _search_outcome(old)
             witnesses += new.counterexample is not None
     assert witnesses >= 10

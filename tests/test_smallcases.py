@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reference import five_point_check_table
+from reference import sampled_five_point_check
 from simembed import (
     FIVE_PATHS,
     GridPoint,
@@ -190,7 +190,7 @@ def test_sampled_probe_without_witness_matches_the_drawing_reference(digits):
     paths = [path_from_digits(d) for d in digits]
     for grid in SAMPLED_GRIDS:
         for seed in range(10):
-            want = _outcome(five_point_check_table(grid, paths, seed=seed, samples=200))
+            want = _outcome(sampled_five_point_check(grid, paths, seed, 200))
             assert want[:3] == (None, 200, False)
             got = exhaustive_five_point_check(grid, paths, seed=seed, samples=200)
             assert _outcome(got) == want
@@ -203,7 +203,7 @@ def test_sampled_probe_with_a_witness_still_draws(monkeypatch):
     # the reference runs before the patch, which replaces random.Random for
     # every module
     wants = [
-        _outcome(five_point_check_table(grid, paths, seed=seed, samples=200))
+        _outcome(sampled_five_point_check(grid, paths, seed, 200))
         for grid, seed in cases
     ]
     assert sum(want[0] is not None for want in wants) >= 10
@@ -233,3 +233,30 @@ def test_sample_count_below_one_is_refused():
     for samples in (0, -1, -(10**5000)):
         with pytest.raises(InvalidInstanceError, match="sample count must be positive$"):
             exhaustive_five_point_check(12, paths, seed=1, samples=samples)
+
+
+@pytest.mark.parametrize(
+    "grid, samples, message",
+    [
+        (12, 2.5, "sample count must be an integer, got float$"),
+        (12, True, "sample count must be an integer, got bool$"),
+        (12, "300", "sample count must be an integer, got str$"),
+        (5, 1.0, "sample count must be an integer, got float$"),
+        (5.0, None, "grid sides must be integers, got float x float$"),
+        (True, None, "grid sides must be integers, got bool x bool$"),
+        ((3, 5.0), None, "grid sides must be integers, got int x float$"),
+        ((5, "5"), None, "grid sides must be integers, got int x str$"),
+        ((10**5000, 2.0), None, "grid sides must be integers, got int x float$"),
+        ((4,), None, r"a tuple grid must be a \(width, height\) pair$"),
+        ((3, 4, 5), None, r"a tuple grid must be a \(width, height\) pair$"),
+    ],
+    ids=["2.5", "True", "str", "grid-5-1.0", "5.0", "grid-True", "3x5.0", "5x'5'",
+         "huge-x-2.0", "(4,)", "3x4x5"],
+)
+def test_search_refuses_a_grid_or_sample_count_that_is_not_an_int(grid, samples, message):
+    # checked before the magnitude and size checks, so that each of those
+    # compares integers: with the bundled paths a float count would be
+    # reported as the placements checked and a float side would reach range
+    paths = [path_from_digits(d) for d in FIVE_PATHS]
+    with pytest.raises(InvalidInstanceError, match=message):
+        exhaustive_five_point_check(grid, paths, seed=1, samples=samples)

@@ -235,7 +235,7 @@ def test_planar_lift_keeps_every_nonzero_base_orientation(data, n, one_row):
     ys = st.just(data.draw(st.integers(0, n - 2))) if one_row else st.integers(0, n - 2)
     base = [P(*c) for c in data.draw(st.lists(st.tuples(xs, ys), min_size=n, max_size=n))]
     p, lam = unmapped._planar_lift(n)
-    pts = _parabola_lift(base, lam, p)
+    pts = list(map(P, *_parabola_lift([b.x for b in base], [b.y for b in base], lam, p)))
     for a, b, c in combinations(range(n), 3):
         o = orient(base[a], base[b], base[c])
         assert orient(pts[a], pts[b], pts[c]) == o or o == 0
