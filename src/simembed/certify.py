@@ -378,9 +378,10 @@ def certify_general_position(points: list[GridPoint]) -> CertificateReport:
     """Report the duplicate points of a point set or, when there are none,
     its lexicographically first collinear triple, as
     :func:`geometry.find_collinear_triple` finds it."""
-    violations = _duplicate_violations([p.x for p in points], [p.y for p in points])
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    violations = _duplicate_violations(xs, ys)
     if not violations:
-        triple = _first_collinear_triple(points)
+        triple = _first_collinear_triple(xs, ys)
         if triple is not None:
             violations.append(Violation("collinear-triple", triple))
     return _report(violations)

@@ -26,10 +26,10 @@ def _require_keys(obj: dict, allowed: set[str], what: str) -> None:
         raise ParseError(f"unknown {what} fields: {sorted(unknown)}")
 
 
-def _int_pairs(value: Any, what: str) -> list[tuple[int, int]]:
+def _int_pair_list(value: Any, what: str) -> list[list[int]]:
+    """``value`` itself, once checked to be a list of two-integer lists."""
     if not isinstance(value, list):
         raise ParseError(f"{what} must be a list of pairs")
-    out = []
     for item in value:
         if (
             not isinstance(item, list)
@@ -38,29 +38,7 @@ def _int_pairs(value: Any, what: str) -> list[tuple[int, int]]:
             or type(item[1]) is not int
         ):
             raise ParseError(f"{what} entries must be integer pairs")
-        out.append((item[0], item[1]))
-    return out
-
-
-def _int_columns(value: Any, what: str) -> tuple[list[int], list[int]]:
-    """The first and the second entries of the pairs :func:`_int_pairs`
-    accepts, in two lists, with its checks and messages; no pair tuple is
-    built."""
-    if not isinstance(value, list):
-        raise ParseError(f"{what} must be a list of pairs")
-    xs: list[int] = []
-    ys: list[int] = []
-    add_x = xs.append
-    add_y = ys.append
-    for item in value:
-        if not isinstance(item, list) or len(item) != 2:
-            raise ParseError(f"{what} entries must be integer pairs")
-        x, y = item
-        if type(x) is not int or type(y) is not int:
-            raise ParseError(f"{what} entries must be integer pairs")
-        add_x(x)
-        add_y(y)
-    return xs, ys
+    return value
 
 
 def _loads(text: str | bytes) -> Any:
@@ -99,7 +77,7 @@ def parse_instance(text: str | bytes) -> LayeredInstance:
             raise ParseError(
                 f"layer {li} needs a class among {sorted(LAYER_CLASSES)}"
             )
-        edges = _int_pairs(raw.get("edges", []), f"layer {li} edges")
+        edges = list(map(tuple, _int_pair_list(raw.get("edges", []), f"layer {li} edges")))
         rotation = None
         if "rotation" in raw and raw["rotation"] is not None:
             rotation = raw["rotation"]
@@ -212,7 +190,8 @@ def parse_result(
         if key not in data:
             raise ParseError(f"result document missing {key!r}")
     assignments = data.get("assignments")
-    xs, ys = _int_columns(data["coords"], "coords")
+    coords = _int_pair_list(data["coords"], "coords")
+    xs, ys = [x for x, _ in coords], [y for _, y in coords]
     emb = SimultaneousEmbedding(xs=xs, ys=ys, assignments=assignments)
     for key, extent in (("width", emb.width), ("height", emb.height)):
         if type(data[key]) is not int or data[key] < 1:

@@ -210,13 +210,11 @@ def _strictly_between(px, py, qx, qy, rx, ry) -> bool:
     return min(py, ry) < qy < max(py, ry)
 
 
-def _check_distinct(points: list[GridPoint]) -> None:
-    seen: dict[tuple[int, int], int] = {}
-    for i, p in enumerate(points):
-        key = (p.x, p.y)
-        if key in seen:
-            raise DuplicatePointError(f"points {seen[key]} and {i} coincide at {key}")
-        seen[key] = i
+def _check_distinct(xs: list[int], ys: list[int]) -> None:
+    first: dict[tuple[int, int], int] = {}
+    for i, key in enumerate(zip(xs, ys)):
+        if first.setdefault(key, i) != i:
+            raise DuplicatePointError(f"points {first[key]} and {i} coincide at {key}")
 
 
 def _direction_buckets(
@@ -242,17 +240,16 @@ def _direction_buckets(
     return buckets
 
 
-def _first_collinear_triple(points: list[GridPoint]) -> Optional[tuple[int, int, int]]:
+def _first_collinear_triple(xs: list[int], ys: list[int]) -> Optional[tuple[int, int, int]]:
     """Lexicographically smallest index triple i < j < k of collinear points.
 
     Per anchor i, the points j < k collinear with it are the pairs within
     one of its direction buckets, and a bucket's smallest pair is its first
     two indices; the first anchor with a bucket of two holds the triple.
-    The points must be distinct.
+    Raises DuplicatePointError if two points coincide.
     """
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    for i in range(len(points) - 2):
+    _check_distinct(xs, ys)
+    for i in range(len(xs) - 2):
         pairs = [(b[0], b[1]) for b in _direction_buckets(xs, ys, i).values() if len(b) >= 2]
         if pairs:
             return (i, *min(pairs))
@@ -266,8 +263,7 @@ def find_collinear_triple(points: list[GridPoint]) -> Optional[tuple[int, int, i
     per anchor, which is much faster than the cubic scan but returns the
     identical triple.
     """
-    _check_distinct(points)
-    return _first_collinear_triple(points)
+    return _first_collinear_triple([p.x for p in points], [p.y for p in points])
 
 
 def convex_hull(points: list[GridPoint]) -> list[int]:
@@ -277,16 +273,26 @@ def convex_hull(points: list[GridPoint]) -> list[int]:
     hull edge are dropped, so with no three collinear inputs every hull
     point appears.
     """
-    _check_distinct(points)
-    n = len(points)
-    if n < 3:
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    _check_distinct(xs, ys)
+    if len(xs) < 3:
         raise InvalidInstanceError("convex hull needs at least 3 points")
-    idx = sorted(range(n), key=lambda i: (points[i].x, points[i].y))
+    return _convex_hull(xs, ys)
+
+
+def _convex_hull(xs: list[int], ys: list[int]) -> list[int]:
+    # convex_hull on the columns of at least 3 distinct points
+    idx = sorted(range(len(xs)), key=lambda i: (xs[i], ys[i]))
 
     def build(seq: list[int]) -> list[int]:
         chain: list[int] = []
         for i in seq:
-            while len(chain) >= 2 and orient(points[chain[-2]], points[chain[-1]], points[i]) <= 0:
+            # pop while chain[-2], chain[-1], i make no counterclockwise turn
+            while len(chain) >= 2 and (
+                (xs[chain[-1]] - xs[chain[-2]]) * (ys[i] - ys[chain[-2]])
+                - (ys[chain[-1]] - ys[chain[-2]]) * (xs[i] - xs[chain[-2]])
+                <= 0
+            ):
                 chain.pop()
             chain.append(i)
         return chain

@@ -63,16 +63,16 @@ def refine_general_position(
     their strict y order.  Coordinates reach p * base extent + p - 1,
     which is checked against COORD_LIMIT before any work.
     """
-    for p in points:
-        if abs(p.x) > base_extent or abs(p.y) > base_extent:
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if abs(x) > base_extent or abs(y) > base_extent:
             raise InvalidInstanceError(
-                f"point {p} lies outside the declared base extent {base_extent}"
+                f"point {points[i]} lies outside the declared base extent {base_extent}"
             )
-    seen = set()
-    for p in points:
-        if (p.x, p.y) in seen:
-            raise InvalidInstanceError(f"duplicate base point {p}")
-        seen.add((p.x, p.y))
+    first: dict[tuple[int, int], int] = {}
+    for i, key in enumerate(zip(xs, ys)):
+        if first.setdefault(key, i) != i:
+            raise InvalidInstanceError(f"duplicate base point {points[i]}")
     prime = _next_prime(len(points))
     extent = prime * base_extent + prime - 1
     if extent > COORD_LIMIT:
@@ -81,8 +81,7 @@ def refine_general_position(
             f"up to {extent}, over the budget 2^40; base extents up to "
             f"{(COORD_LIMIT - prime + 1) // prime} fit"
         )
-    xs, ys = _parabola_lift([p.x for p in points], [p.y for p in points], prime, prime)
-    return list(map(GridPoint, xs, ys))
+    return list(map(GridPoint, *_parabola_lift(xs, ys, prime, prime)))
 
 
 def _two_caterpillar_extent(n: int) -> int:

@@ -9,7 +9,8 @@ rule, proved in :func:`_select_split`, applied to an explicit stack of
 subproblems that sort their angular orders only when a split reads them.
 :func:`simul_embed_free` composes them: one point set, then every
 outerplanar layer mapped onto it.
-"""
+A point set is its two int columns ``xs`` and ``ys``; only the public
+point functions build or unpack ``GridPoint`` lists."""
 
 from __future__ import annotations
 
@@ -27,12 +28,11 @@ from .geometry import (
     COORD_LIMIT,
     GridPoint,
     _check_coord_budget,
+    _convex_hull,
+    _first_collinear_triple,
     _next_prime,
     _parabola_lift,
     _translate_to_origin,
-    convex_hull,
-    find_collinear_triple,
-    orient,
 )
 from .graphs import (
     Layer,
@@ -266,11 +266,16 @@ def planar_general_position_draw(layer: Layer, n: int) -> list[GridPoint]:
         lifted points keep their order along w and a line across w
         separates the edges.
     """
+    return list(map(GridPoint, *_general_position_columns(layer, n)))
+
+
+def _general_position_columns(layer: Layer, n: int) -> tuple[list[int], list[int]]:
+    # planar_general_position_draw as the columns xs and ys of its points
     _check_general_position_budget(n)
     tri, _dummies = triangulate_plane(layer, n)
     xs, ys = _draw_triangulation(tri.rotation, n)
     p, lam = _planar_lift(n)
-    return list(map(GridPoint, *_parabola_lift(xs, ys, lam, p)))
+    return _parabola_lift(xs, ys, lam, p)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +299,16 @@ def parabola_pointset(n: int) -> list[GridPoint]:
     factor lies in 1..n-1 and so below p, which is prime and divides none
     of them; hence the determinant is nonzero.
     """
+    return list(map(GridPoint, *_parabola_columns(n)))
+
+
+def _parabola_columns(n: int) -> tuple[list[int], list[int]]:
+    # parabola_pointset(n) as the columns xs and ys of its points
     if n < 1:
         raise InvalidInstanceError("point set needs at least one point")
     _check_parabola_budget(n)
     p = _next_prime(n)
-    return [GridPoint(t, (t * t) % p) for t in range(1, n + 1)]
+    return list(range(1, n + 1)), [t * t % p for t in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,29 +316,31 @@ def parabola_pointset(n: int) -> list[GridPoint]:
 # ---------------------------------------------------------------------------
 
 def _angular_sort(
-    pts: list[GridPoint], pivot: int, ref: int, others: list[int]
+    xs: list[int], ys: list[int], pivot: int, ref: int, others: list[int]
 ) -> list[int]:
     # Sort point indices by angle around the pivot, from the ray pivot->ref;
     # every point lies strictly on one side of the line through the two.
     # The key -dot/|cross| is minus the cotangent of that angle, strictly
     # increasing in it.  CPython's int / int is correctly rounded, hence
     # monotone, so two points with different float keys are in the right
-    # order; only a run of equal keys needs the exact orientation predicate.
-    o, r = pts[pivot], pts[ref]
-    dx, dy = r.x - o.x, r.y - o.y
+    # order; only a run of equal keys needs the exact cross product.
+    ox, oy = xs[pivot], ys[pivot]
+    dx, dy = xs[ref] - ox, ys[ref] - oy
     # dot = d . (s - o) and cross = d x (s - o) for d = ref - pivot, with
     # d . o and d x o taken out of the loop.
-    dot_o, cross_o = dx * o.x + dy * o.y, dx * o.y - dy * o.x
+    dot_o, cross_o = dx * ox + dy * oy, dx * oy - dy * ox
     key = {
-        s: (dot_o - dx * pts[s].x - dy * pts[s].y)
-        / abs(dx * pts[s].y - dy * pts[s].x - cross_o)
+        s: (dot_o - dx * xs[s] - dy * ys[s]) / abs(dx * ys[s] - dy * xs[s] - cross_o)
         for s in others
     }
     order = sorted(others, key=key.__getitem__)
     if len(set(key.values())) == len(order):
         return order
-    side = orient(o, r, pts[order[0]])
-    exact = cmp_to_key(lambda s, t: -side * orient(o, pts[s], pts[t]))
+    # s comes first iff (s - o) x (t - o) has the sign of side = d x (s - o)
+    side = dx * ys[order[0]] - dy * xs[order[0]] - cross_o
+    exact = cmp_to_key(
+        lambda s, t: side * ((ys[s] - oy) * (xs[t] - ox) - (xs[s] - ox) * (ys[t] - oy))
+    )
     repaired: list[int] = []
     for _, run in groupby(order, key.__getitem__):
         repaired.extend(sorted(run, key=exact))
@@ -364,9 +376,10 @@ def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]
     validate_layer(layer, len(pts))
     if layer.kind != "outerplanar":
         raise InvalidInstanceError("point-set embedding expects an outerplanar layer")
-    if find_collinear_triple(pts) is not None:
+    xs, ys = [p.x for p in pts], [p.y for p in pts]
+    if _first_collinear_triple(xs, ys) is not None:
         raise InvalidInstanceError("points are not in general position")
-    return _embed_on_general_position(layer, pts, _hull_root(pts))
+    return _embed_on_general_position(layer, xs, ys, _hull_root(xs, ys))
 
 
 #: The root of the split: the designated hull edge (p, q) and the other
@@ -374,31 +387,30 @@ def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]
 Root = tuple[int, int, list[int]]
 
 
-def _hull_root(pts: list[GridPoint]) -> Optional[Root]:
-    """The root of the split on distinct points in general position: the
-    lexicographically least hull edge, its ends (p, q) in point order, and
-    the other points sorted by angle around p.  It depends on the points
-    alone, so :func:`simul_embed_free` computes it once for all of its
-    outerplanar layers.  None for fewer than three points, which no split
-    reads."""
-    if len(pts) < 3:
+def _hull_root(xs: list[int], ys: list[int]) -> Optional[Root]:
+    """The root of the split on distinct points in general position, given
+    as their columns: the lexicographically least hull edge, its ends
+    (p, q) in point order, and the other points sorted by angle around p.
+    It depends on the points alone, so :func:`simul_embed_free` computes
+    it once for all of its outerplanar layers.  None for fewer than three
+    points, which no split reads."""
+    if len(xs) < 3:
         return None
-    hull = convex_hull(pts)
-    hull_edges = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
-    best = min(hull_edges, key=lambda e: sorted((pts[e[0]], pts[e[1]])))
-    p_idx, q_idx = sorted(best, key=pts.__getitem__)
-    others = [i for i in range(len(pts)) if i != p_idx and i != q_idx]
-    return p_idx, q_idx, _angular_sort(pts, p_idx, q_idx, others)
+    # the hull starts at the least point, so the least edge is one of its two
+    hull = _convex_hull(xs, ys)
+    p_idx, q_idx = hull[0], min(hull[1], hull[-1], key=lambda i: (xs[i], ys[i]))
+    others = [i for i in range(len(xs)) if i != p_idx and i != q_idx]
+    return p_idx, q_idx, _angular_sort(xs, ys, p_idx, q_idx, others)
 
 
 def _embed_on_general_position(
-    layer: Layer, pts: list[GridPoint], root: Optional[Root]
+    layer: Layer, xs: list[int], ys: list[int], root: Optional[Root]
 ) -> list[int]:
-    # embed_outerplanar_on_points for a valid outerplanar layer and points
-    # known to be distinct and in general position, such as the point sets
-    # of simul_embed_free, which are so by construction; root is
-    # _hull_root(pts), which the caller may share between layers.
-    k = len(pts)
+    # embed_outerplanar_on_points for a valid outerplanar layer and the
+    # columns of points known to be distinct and in general position, such
+    # as the point sets of simul_embed_free, which are so by construction;
+    # root is _hull_root(xs, ys), which the caller may share between layers.
+    k = len(xs)
     if k == 1:
         return [0]
     if k == 2:
@@ -419,7 +431,7 @@ def _embed_on_general_position(
     p_idx, q_idx, by_p = root
     chain = [cyc[0]] + cyc[:0:-1]
     phi = [-1] * k
-    _embed_chain(pts, adj, chain, phi, [(0, k - 1, by_p, None, p_idx, q_idx)])
+    _embed_chain(xs, ys, adj, chain, phi, [(0, k - 1, by_p, None, p_idx, q_idx)])
     if sorted(phi) != list(range(k)):
         raise InternalInvariantError("point assignment is not a bijection")
     return phi
@@ -430,7 +442,8 @@ Subproblem = tuple[int, int, Optional[list[int]], Optional[list[int]], int, int]
 
 
 def _embed_chain(
-    pts: list[GridPoint],
+    xs: list[int],
+    ys: list[int],
     adj: list[set[int]],
     chain: list[int],
     phi: list[int],
@@ -484,21 +497,22 @@ def _embed_chain(
         # Sort a missing order only if the split below reads it: by_p
         # unless n_a = 0 < n_b, by_q unless n_b = 0.
         if by_p is None and (n_a > 0 or n_b == 0):
-            by_p = _angular_sort(pts, p_i, q_i, by_q)
+            by_p = _angular_sort(xs, ys, p_i, q_i, by_q)
         if by_q is None and n_b > 0:
-            by_q = _angular_sort(pts, q_i, p_i, by_p)
+            by_q = _angular_sort(xs, ys, q_i, p_i, by_p)
         if n_b == 0:
             r, part_a, part_b = by_p[0], (by_p[1:], None), ([], [])
         elif n_a == 0:
             r, part_a, part_b = by_q[0], ([], []), (None, by_q[1:])
         else:
-            r, part_a, part_b = _select_split(pts, p_i, q_i, by_p, by_q, n_a, n_b)
+            r, part_a, part_b = _select_split(xs, ys, p_i, q_i, by_p, by_q, n_a, n_b)
         stack.append((j, hi, *part_b, r, q_i))
         stack.append((lo, j, *part_a, p_i, r))
 
 
 def _select_split(
-    pts: list[GridPoint],
+    xs: list[int],
+    ys: list[int],
     p: int,
     q: int,
     by_p: list[int],
@@ -564,18 +578,18 @@ def _select_split(
     and every point is sorted around r once.  :func:`_angular_sort` keys
     each point by minus the cotangent of its angle, -dot/|cross|, a
     correctly rounded int / int that never inverts two points; only points
-    with equal float keys are ordered by the exact orientation predicate.
+    with equal float keys are ordered by the exact cross product.
     """
     head = set(by_q[: n_a + 1])
     i, r = next((i, x) for i, x in enumerate(by_p) if x in head)
     beyond_p = by_p[i + 1 :]
-    around_r = _angular_sort(pts, r, p, beyond_p)
+    around_r = _angular_sort(xs, ys, r, p, beyond_p)
     in_a = set(around_r[:n_a])
     return (
         r,
         ([x for x in beyond_p if x in in_a], around_r[:n_a]),
         (
-            _angular_sort(pts, r, q, by_p[:i]) + around_r[n_a:][::-1],
+            _angular_sort(xs, ys, r, q, by_p[:i]) + around_r[n_a:][::-1],
             [x for x in by_q[by_q.index(r) + 1 :] if x not in in_a],
         ),
     )
@@ -618,11 +632,11 @@ def simul_embed_free(layers: list[Layer], n: int) -> SimultaneousEmbedding:
         maximalize_outerplanar(layer, n)[0] if layer.kind == "outerplanar" else None
         for layer in layers
     ]
-    pts = planar_general_position_draw(planar[0], n) if planar else parabola_pointset(n)
-    root = _hull_root(pts) if "outerplanar" in kinds else None
+    xs, ys = _general_position_columns(planar[0], n) if planar else _parabola_columns(n)
+    root = _hull_root(xs, ys) if "outerplanar" in kinds else None
     assignments = [
-        list(range(n)) if m is None else _embed_on_general_position(m, pts, root)
+        list(range(n)) if m is None else _embed_on_general_position(m, xs, ys, root)
         for m in maximal
     ]
-    xs, ys = _translate_to_origin([p.x for p in pts], [p.y for p in pts])
+    xs, ys = _translate_to_origin(xs, ys)
     return SimultaneousEmbedding(xs=xs, ys=ys, assignments=assignments)

@@ -1,6 +1,6 @@
 """Seeded layer thinning shared by the golden and reference tests, the
 general-position point sets of the split, reference and unmapped tests, and
-the embedding of a list of points.
+the columns and the embedding of a list of points.
 
 ``generate`` only yields maximal layers, which leave ``triangulate_plane``
 and ``maximalize_outerplanar`` no face to complete; thinning removes edges
@@ -17,11 +17,15 @@ from hypothesis import assume, strategies as st
 from simembed import GridPoint, Layer, SimultaneousEmbedding, find_collinear_triple, orient
 
 
+def columns(points: list[GridPoint]) -> tuple[list[int], list[int]]:
+    """The x and the y column of ``points``, as the package's split reads them."""
+    return [p.x for p in points], [p.y for p in points]
+
+
 def embedding_of(points: list[GridPoint], assignments=None) -> SimultaneousEmbedding:
     """The embedding whose point i is ``points[i]``."""
-    return SimultaneousEmbedding(
-        xs=[p.x for p in points], ys=[p.y for p in points], assignments=assignments
-    )
+    xs, ys = columns(points)
+    return SimultaneousEmbedding(xs=xs, ys=ys, assignments=assignments)
 
 
 @st.composite

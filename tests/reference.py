@@ -689,11 +689,12 @@ def draw_triangulation_path_walk(
 
 
 def angular_sort_comparator(
-    pts: list[GridPoint], pivot: int, others: list[int], side: int
+    xs: list[int], ys: list[int], pivot: int, others: list[int], side: int
 ) -> list[int]:
     """``unmapped._angular_sort`` as it was written first: the exact
     orientation predicate as the comparator, sweeping from the boundary ray
     of ``side``, for points all strictly on that side."""
+    pts = list(map(GridPoint, xs, ys))
 
     def cmp(s: int, t: int) -> int:
         return -side * orient(pts[pivot], pts[s], pts[t])
@@ -702,7 +703,8 @@ def angular_sort_comparator(
 
 
 def select_split_rank_dicts(
-    pts: list[GridPoint],
+    xs: list[int],
+    ys: list[int],
     p: int,
     q: int,
     by_p: list[int],
@@ -722,27 +724,31 @@ def select_split_rank_dicts(
     beyond_p, beyond_q = by_p[i + 1 :], by_q[j + 1 :]
     only_a = [x for x in beyond_p if rank_q[x] < j]
     only_b = [x for x in beyond_q if rank_p[x] < i]
-    both = unmapped._angular_sort(pts, r, p, [x for x in beyond_p if rank_q[x] > j])
+    both = unmapped._angular_sort(xs, ys, r, p, [x for x in beyond_p if rank_q[x] > j])
     cut = n_a - len(only_a)
     in_a = set(both[:cut])
     return (
         r,
         (
             [x for x in beyond_p if rank_q[x] < j or x in in_a],
-            unmapped._angular_sort(pts, r, p, only_a) + both[:cut],
+            unmapped._angular_sort(xs, ys, r, p, only_a) + both[:cut],
         ),
         (
-            unmapped._angular_sort(pts, r, q, only_b) + both[cut:][::-1],
+            unmapped._angular_sort(xs, ys, r, q, only_b) + both[cut:][::-1],
             [x for x in beyond_q if x not in in_a],
         ),
     )
 
 
-def embed_on_general_position_eager(layer: Layer, pts: list[GridPoint]) -> list[int]:
+def embed_on_general_position_eager(
+    layer: Layer, xs: list[int], ys: list[int]
+) -> list[int]:
     """``unmapped._embed_on_general_position`` as it was written first, for
-    a valid maximal outerplanar layer on k >= 3 points: every subproblem
-    carries its chain as a slice and both angular orders, sorted by the
-    comparator, and every split goes through ``_select_split``."""
+    a valid maximal outerplanar layer on the columns of k >= 3 points:
+    every subproblem carries its chain as a slice and both angular orders,
+    sorted by the comparator, and every split goes through
+    ``_select_split``."""
+    pts = list(map(GridPoint, xs, ys))
     k = len(pts)
     cyc = layer.outer_cycle
     adj: list[set[int]] = [set() for _ in range(k)]
@@ -755,8 +761,8 @@ def embed_on_general_position_eager(layer: Layer, pts: list[GridPoint]) -> list[
     p_idx, q_idx = sorted(best, key=pts.__getitem__)
     others = [i for i in range(k) if i != p_idx and i != q_idx]
     side = orient(pts[p_idx], pts[q_idx], pts[others[0]])
-    by_p = angular_sort_comparator(pts, p_idx, others, side)
-    by_q = angular_sort_comparator(pts, q_idx, others, -side)
+    by_p = angular_sort_comparator(xs, ys, p_idx, others, side)
+    by_q = angular_sort_comparator(xs, ys, q_idx, others, -side)
     phi = [-1] * k
     stack = [([cyc[0]] + cyc[:0:-1], by_p, by_q, p_idx, q_idx)]
     while stack:
@@ -779,7 +785,7 @@ def embed_on_general_position_eager(layer: Layer, pts: list[GridPoint]) -> list[
             raise InternalInvariantError(
                 "designated edge is not a hull edge of its point subset"
             )
-        r, part_a, part_b = unmapped._select_split(pts, p_i, q_i, by_p, by_q, n_a, n_b)
+        r, part_a, part_b = unmapped._select_split(xs, ys, p_i, q_i, by_p, by_q, n_a, n_b)
         stack.append((chain[j:], *part_b, r, q_i))
         stack.append((chain[: j + 1], *part_a, p_i, r))
     return phi

@@ -93,20 +93,26 @@ def test_parse_accepts_bytes():
 
 
 def test_int_pairs_accepts_exactly_two_element_integer_lists():
-    from simembed.documents import _int_columns, _int_pairs
+    from simembed.documents import _int_pair_list
 
-    assert _int_pairs([[0, 1], [-3, 10**30]], "edges") == [(0, 1), (-3, 10**30)]
-    assert _int_columns([[0, 1], [-3, 10**30]], "coords") == ([0, -3], [1, 10**30])
-    assert _int_columns([], "coords") == ([], [])
-    # bools are ints to isinstance, but JSON true is no vertex; the columns
-    # refuse what the pairs refuse, in the same words
+    pairs = [[0, 1], [-3, 10**30]]
+    assert _int_pair_list(pairs, "edges") is pairs
+    assert _int_pair_list([], "coords") == []
+    # bools are ints to isinstance, but JSON true is no vertex; edges and
+    # coordinates are refused in the same words, and a document refuses
+    # every entry that JSON can carry (a tuple loads as a list)
     for bad in ([[0, 1.0]], [["0", 1]], [[0, None]], [[0]], [[0, 1, 2]], [(0, 1)], [None], {},
                 [[True, 2]], [[0, False]], [[0, 1], [2, 1.5]]):
-        with pytest.raises(ParseError) as pairs_error:
-            _int_pairs(bad, "coords")
-        with pytest.raises(ParseError) as columns_error:
-            _int_columns(bad, "coords")
-        assert str(columns_error.value) == str(pairs_error.value)
+        words = "must be a list of pairs" if bad == {} else "entries must be integer pairs"
+        with pytest.raises(ParseError, match=f"^coords {words}$"):
+            _int_pair_list(bad, "coords")
+        if json.loads(json.dumps(bad)) != bad:
+            continue
+        layer = {"class": "outerplanar", "edges": bad, "outer_cycle": [0, 1, 2]}
+        with pytest.raises(ParseError, match=f"^layer 0 edges {words}$"):
+            parse_instance(json.dumps({"n": 3, "mapping": "free", "layers": [layer]}))
+        with pytest.raises(ParseError, match=f"^coords {words}$"):
+            parse_result(json.dumps({"coords": bad, "width": 1, "height": 1}))
 
 
 def random_instance(seed):
@@ -560,7 +566,7 @@ def test_cli_broken_split_is_caught_by_the_certificate(tmp_path, capsys, monkeyp
     # No split re-checks its hull edge; a rule that keeps both side sizes
     # but takes the wrong apex must still end in a failed certificate,
     # never in a silent crossing or a traceback.
-    def wrong_apex(pts, p, q, by_p, by_q, n_a, n_b):
+    def wrong_apex(xs, ys, p, q, by_p, by_q, n_a, n_b):
         r, rest = by_p[-1], by_p[:-1]
         return r, (rest[:n_a], None), (None, rest[n_a:])
 

@@ -43,6 +43,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     bare_cycle,
+    columns,
     flip_and_shuffle,
     general_position_points,
     random_general_position,
@@ -890,24 +891,24 @@ def half_plane_points(draw):
 @given(half_plane_points())
 def test_float_key_sort_matches_comparator(case):
     pts, pivot, ref, others = case
+    xs, ys = columns(pts)
     side = orient(pts[pivot], pts[ref], pts[others[0]]) if others else 1
-    assert unmapped._angular_sort(pts, pivot, ref, others) == angular_sort_comparator(
-        pts, pivot, others, side
+    assert unmapped._angular_sort(xs, ys, pivot, ref, others) == angular_sort_comparator(
+        xs, ys, pivot, others, side
     )
 
 
 def test_float_key_ties_are_ordered_exactly():
     # All four keys -x/y round to one double; only the repair orders them.
     b = 2**39
-    pts = [GridPoint(0, 0), GridPoint(1, 0)] + [
-        GridPoint(b + d, b + d + 1) for d in (0, 2, 4, -2)
-    ]
+    xs = [0, 1] + [b + d for d in (0, 2, 4, -2)]
+    ys = [0, 0] + [b + d + 1 for d in (0, 2, 4, -2)]
     others = [2, 3, 4, 5]
-    assert len({-p.x / p.y for p in pts[2:]}) == 1
-    expected = angular_sort_comparator(pts, 0, others, 1)
+    assert len({-x / y for x, y in zip(xs[2:], ys[2:])}) == 1
+    expected = angular_sort_comparator(xs, ys, 0, others, 1)
     assert expected == [4, 3, 2, 5]  # the steeper the slope, the later
-    assert unmapped._angular_sort(pts, 0, 1, others) == expected
-    assert unmapped._angular_sort(pts, 0, 1, others[::-1]) == expected
+    assert unmapped._angular_sort(xs, ys, 0, 1, others) == expected
+    assert unmapped._angular_sort(xs, ys, 0, 1, others[::-1]) == expected
 
 
 @st.composite
@@ -926,14 +927,15 @@ def parabola_subsets(draw):
 def test_split_without_rank_dicts_matches_rank_dicts(pts, edge):
     # On any hull edge (p, q), every split n_a + n_b + 1 = m of the other
     # m points picks the same r, sides and orders as the rank-dict body.
+    xs, ys = columns(pts)
     hull = convex_hull(pts)
     p, q = hull[edge % len(hull)], hull[(edge + 1) % len(hull)]
     others = [i for i in range(len(pts)) if i not in (p, q)]
-    by_p = unmapped._angular_sort(pts, p, q, others)
-    by_q = unmapped._angular_sort(pts, q, p, others)
+    by_p = unmapped._angular_sort(xs, ys, p, q, others)
+    by_q = unmapped._angular_sort(xs, ys, q, p, others)
     m = len(others)
     for n_a in range(m):
-        args = (pts, p, q, by_p, by_q, n_a, m - 1 - n_a)
+        args = (xs, ys, p, q, by_p, by_q, n_a, m - 1 - n_a)
         assert unmapped._select_split(*args) == select_split_rank_dicts(*args)
 
 
@@ -986,9 +988,10 @@ def _layers(k: int, seed: int) -> list[Layer]:
 @settings(max_examples=150, deadline=None)
 @given(general_position_points(max_size=30, coord_max=10**4), st.integers(0, 10**6))
 def test_lazy_split_driver_matches_eager_on_random_points(pts, seed):
+    xs, ys = columns(pts)
     for layer in _layers(len(pts), seed):
         assert embed_outerplanar_on_points(layer, pts) == embed_on_general_position_eager(
-            layer, pts
+            layer, xs, ys
         )
 
 
@@ -996,10 +999,11 @@ def test_lazy_split_driver_matches_eager_on_random_points(pts, seed):
 def test_lazy_split_driver_matches_eager_on_planar_drawings(seed):
     for k in (3, 4, 7, 12, 25, 60, 120):
         pts = planar_general_position_draw(generate("plane-triangulation", k, seed), k)
+        xs, ys = columns(pts)
         for layer in _layers(k, seed):
             assert unmapped._embed_on_general_position(
-                layer, pts, unmapped._hull_root(pts)
-            ) == embed_on_general_position_eager(layer, pts)
+                layer, xs, ys, unmapped._hull_root(xs, ys)
+            ) == embed_on_general_position_eager(layer, xs, ys)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -10,7 +10,7 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import embedding_of, general_position_points
+from helpers import columns, embedding_of, general_position_points
 from simembed import (
     Layer,
     LayeredInstance,
@@ -44,25 +44,28 @@ def separated_at(pts, r, left, right):
 
 
 def root_orders(pts):
+    xs, ys = columns(pts)
     p, q = lowest_hull_edge(pts)
     others = [i for i in range(len(pts)) if i not in (p, q)]
-    return p, q, unmapped._angular_sort(pts, p, q, others), unmapped._angular_sort(pts, q, p, others)
+    by_p = unmapped._angular_sort(xs, ys, p, q, others)
+    by_q = unmapped._angular_sort(xs, ys, q, p, others)
+    return xs, ys, p, q, by_p, by_q
 
 
 @settings(max_examples=150, deadline=None)
 @given(general_position_points())
 def test_split_exists_for_every_n_a(pts):
-    p, q, by_p, by_q = root_orders(pts)
+    xs, ys, p, q, by_p, by_q = root_orders(pts)
     m = len(by_p)
     for n_a in range(m):
         r, (part_a, a_by_r), (b_by_r, part_b) = unmapped._select_split(
-            pts, p, q, by_p, by_q, n_a, m - 1 - n_a
+            xs, ys, p, q, by_p, by_q, n_a, m - 1 - n_a
         )
         # each side comes back in its subproblem's two angular orders
-        assert part_a == unmapped._angular_sort(pts, p, r, part_a)
-        assert a_by_r == unmapped._angular_sort(pts, r, p, part_a)
-        assert b_by_r == unmapped._angular_sort(pts, r, q, part_b)
-        assert part_b == unmapped._angular_sort(pts, q, r, part_b)
+        assert part_a == unmapped._angular_sort(xs, ys, p, r, part_a)
+        assert a_by_r == unmapped._angular_sort(xs, ys, r, p, part_a)
+        assert b_by_r == unmapped._angular_sort(xs, ys, r, q, part_b)
+        assert part_b == unmapped._angular_sort(xs, ys, q, r, part_b)
         assert len(part_a) == n_a and len(part_b) == m - 1 - n_a
         assert sorted(part_a + part_b + [r]) == sorted(by_p)
         # A strictly beyond line pr (away from q), B strictly beyond line rq
@@ -78,11 +81,11 @@ def test_split_exists_for_every_n_a(pts):
 def test_split_with_an_empty_side_takes_the_first_point(pts):
     # The split driver takes these two splits without calling the rule;
     # here the rule itself picks the same r and the same surviving order.
-    p, q, by_p, by_q = root_orders(pts)
+    xs, ys, p, q, by_p, by_q = root_orders(pts)
     m = len(by_p)
-    r, (part_a, _), (_, part_b) = unmapped._select_split(pts, p, q, by_p, by_q, 0, m - 1)
+    r, (part_a, _), (_, part_b) = unmapped._select_split(xs, ys, p, q, by_p, by_q, 0, m - 1)
     assert (r, part_a, part_b) == (by_q[0], [], by_q[1:])
-    r, (part_a, _), (_, part_b) = unmapped._select_split(pts, p, q, by_p, by_q, m - 1, 0)
+    r, (part_a, _), (_, part_b) = unmapped._select_split(xs, ys, p, q, by_p, by_q, m - 1, 0)
     assert (r, part_a, part_b) == (by_p[0], by_p[1:], [])
 
 

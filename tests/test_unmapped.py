@@ -397,9 +397,7 @@ def test_crossing_chords_are_refused_before_the_plane_drawing(monkeypatch):
     # Maximalizing validates every outerplanar layer, so a layer whose
     # chords cross is refused before the plane layer is triangulated and drawn.
     drawn = []
-    monkeypatch.setattr(
-        unmapped, "planar_general_position_draw", lambda *args: drawn.append(args)
-    )
+    monkeypatch.setattr(unmapped, "_general_position_columns", lambda *args: drawn.append(args))
     n = 6
     crossing = Layer(
         "outerplanar",
@@ -413,9 +411,9 @@ def test_crossing_chords_are_refused_before_the_plane_drawing(monkeypatch):
 
 def test_free_pipelines_check_their_point_set_once(monkeypatch):
     calls = []
-    real = unmapped.find_collinear_triple
+    real = unmapped._first_collinear_triple
     monkeypatch.setattr(
-        unmapped, "find_collinear_triple", lambda pts: calls.append(len(pts)) or real(pts)
+        unmapped, "_first_collinear_triple", lambda xs, ys: calls.append(len(xs)) or real(xs, ys)
     )
     # Both point sources leave no three points collinear by construction,
     # so neither the parabola set nor the planar lift runs the kernel;
@@ -431,6 +429,32 @@ def test_free_pipelines_check_their_point_set_once(monkeypatch):
     assert certify_embedding(emb, free_instance([g1, g2], n)).ok
     embed_outerplanar_on_points(layers[0], parabola_pointset(n))
     assert calls == [n]
+
+
+def test_free_pipelines_build_no_grid_point(monkeypatch):
+    # Both free pipelines read their points as int columns from first to
+    # last; GridPoint lists are built only by the public point functions.
+    n = 80
+    outerplanars = [generate("maximal-outerplanar", n, seed) for seed in (3, 4, 5)]
+    planar_outerplanar = [
+        generate("plane-triangulation", n, 3),
+        generate("maximal-outerplanar", n, 3),
+    ]
+    built = []
+    init = GridPoint.__init__
+
+    def counting_init(self, x, y):
+        built.append((x, y))
+        init(self, x, y)
+
+    monkeypatch.setattr(GridPoint, "__init__", counting_init)
+    for layers in (outerplanars, planar_outerplanar):
+        emb = simul_embed_free(layers, n)
+        assert built == []
+        assert certify_embedding(emb, free_instance(layers, n)).ok
+    # the count sees every point that the public function builds
+    pts = parabola_pointset(n)
+    assert built == [(p.x, p.y) for p in pts]
 
 
 def test_embedders_are_pure_under_concurrency():
