@@ -63,17 +63,59 @@ def _layer_crossings(
 ) -> list[Violation]:
     """Every conflicting edge pair (i, j), i < j, of one layer, in order.
 
-    A valid layer has none, so :func:`_any_conflict` first decides whether
-    there is one, with O(m log m) orientation tests and at most 3m exact
-    ones; only a layer with a conflict is handed to
+    A layer whose edges form one path that is strictly monotone in x or in
+    y has none, and :func:`_monotone_chain` tells so in one pass: along
+    such a path the coordinate strictly increases, so two edges that are
+    not adjacent on it span disjoint closed intervals of it, and two
+    adjacent ones leave their shared vertex in opposite directions of it,
+    so they meet only there.  The two paths of a given-mapping drawing
+    are such chains.
+
+    Any other layer goes to :func:`_any_conflict`, which decides whether
+    there is a conflict with O(m log m) orientation tests and at most 3m
+    exact ones; only a layer with a conflict is handed to
     :func:`_listed_crossings`, which names every conflicting pair.  Both
     sweep along the axis that :func:`_sweep_frame` picks, the one on which
     a sweep line meets fewer edges on average; the axis changes how fast
     they run, never what they find.  The spans are ``max - min`` of xs, ys.
     """
+    if _monotone_chain(xs, edges) or _monotone_chain(ys, edges):
+        return []
     if _any_conflict(*_sweep_frame(xs, ys, edges, x_span, y_span), edges):
         return _listed_crossings(xs, ys, edges, layer_idx, x_span, y_span)
     return []
+
+
+def _monotone_chain(cs: list[int], edges: list[tuple[int, int]]) -> bool:
+    """Whether the edges form one path along which the coordinate ``cs``
+    strictly increases; then no two of them conflict (see
+    :func:`_layer_crossings`).
+
+    Each edge runs from its end with the lower coordinate, its low end, to
+    the other, its high end.  The answer is no at the first edge whose ends
+    have equal coordinates and at the first vertex that is the low end of
+    two edges or the high end of two.  Otherwise every vertex has at most
+    one edge up and one edge down, and the coordinate rises along every
+    edge, so the edges form disjoint paths with no cycle: as many paths as
+    touched vertices less edges.  It is one path iff the m edges touch
+    m + 1 vertices; two disjoint chains may cross.  The check reads only
+    the edges, never the layer's kind, and a layer that is no such path
+    usually fails it within a few edges.
+    """
+    low = bytearray(len(cs))  # low[v] = 1 once v is the low end of an edge
+    high = bytearray(len(cs))
+    for u, w in edges:
+        a, b = cs[u], cs[w]
+        if a > b:
+            u, w = w, u
+        elif a == b:
+            return False
+        if low[u] or high[w]:
+            return False
+        low[u] = high[w] = 1
+    # m low ends and m high ends touch m + 1 vertices iff m - 1 are both
+    both = int.from_bytes(low, "little") & int.from_bytes(high, "little")
+    return both.bit_count() == len(edges) - 1
 
 
 def _sweep_frame(

@@ -9,7 +9,7 @@ would count as the integers 1 and 0.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 from .certify import CertificateReport
 from .errors import InvalidInstanceError, ParseError
@@ -110,14 +110,34 @@ def _dumps(obj: Any) -> str:
     The standard library writes indented JSON with its pure-Python encoder;
     this one builds each nested level with ``str.join``.  A list of exact
     ints (``type(x) is int``, so no bools) and a list of exact-int pairs,
-    such as coordinates and edges, are written in one join each.  Strings,
-    floats, bools and None go to ``json.dumps``.
+    such as edges, are written in one join each, and so are
+    :class:`_PairColumns`, a drawing's coordinates.  Strings, floats, bools
+    and None go to ``json.dumps``.
     """
     return _dumps_at(obj, "\n")
 
 
+class _PairColumns(NamedTuple):
+    """Two int columns that :func:`_dumps_at` writes as the list of their
+    ``[x, y]`` pairs with no check, for a drawing, whose columns
+    :class:`SimultaneousEmbedding` has checked to be exact ints."""
+
+    xs: list[int]
+    ys: list[int]
+
+
+def _pairs_at(pairs: Iterable[tuple[int, int]], nl: str) -> str:
+    # a non-empty run of int pairs as a list of two-element lists
+    p1 = nl + "  "
+    p2 = p1 + "  "
+    pair = "[" + p2 + "%d," + p2 + "%d" + p1 + "]"
+    return "[" + p1 + ("," + p1).join(map(pair.__mod__, pairs)) + nl + "]"
+
+
 def _dumps_at(obj: Any, nl: str) -> str:
     # nl is a newline plus the indentation of the line obj starts on.
+    if type(obj) is _PairColumns:
+        return _pairs_at(zip(obj.xs, obj.ys), nl) if obj.xs else "[]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -128,9 +148,7 @@ def _dumps_at(obj: Any, nl: str) -> str:
             type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
             for p in obj
         ):
-            p2 = p1 + "  "
-            pair = "[" + p2 + "%d," + p2 + "%d" + p1 + "]"
-            return "[" + p1 + ("," + p1).join([pair % (x, y) for x, y in obj]) + nl + "]"
+            return _pairs_at(map(tuple, obj), nl)
         return "[" + p1 + ("," + p1).join([_dumps_at(x, p1) for x in obj]) + nl + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -161,8 +179,15 @@ def serialize_instance(inst: LayeredInstance) -> str:
 def result_to_json(
     emb: SimultaneousEmbedding, certificate: Optional[CertificateReport] = None
 ) -> dict:
+    doc = _result_doc(emb, certificate)
+    doc["coords"] = list(map(list, zip(emb.xs, emb.ys)))
+    return doc
+
+
+def _result_doc(emb: SimultaneousEmbedding, certificate: Optional[CertificateReport]) -> dict:
+    # the result document with its coords still as the drawing's columns
     doc: dict[str, Any] = {
-        "coords": list(map(list, zip(emb.xs, emb.ys))),
+        "coords": _PairColumns(emb.xs, emb.ys),
         "width": emb.width,
         "height": emb.height,
         "assignments": emb.assignments,
@@ -175,7 +200,7 @@ def result_to_json(
 def serialize_result(
     emb: SimultaneousEmbedding, certificate: Optional[CertificateReport] = None
 ) -> str:
-    return _dumps(result_to_json(emb, certificate)) + "\n"
+    return _dumps(_result_doc(emb, certificate)) + "\n"
 
 
 def parse_result(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -108,26 +109,37 @@ def _side_masks(w: int, h: int) -> tuple[list[list[int]], list[list[int]]]:
     """Bitmasks over the w x h grid points, bit k standing for point k of
     :func:`_grid_points`: ``left[i][j]`` holds the points strictly left of
     the directed line i -> j and ``col[i][j]`` the points other than i and
-    j on the line through them (both 0 when i == j)."""
+    j on the line through them (both 0 when i == j).
+
+    All the pairs i < j on one line share its masks, so they are computed
+    once per line, a direction at a time.  Take the line's primitive
+    direction (dx, dy) with dx > 0, or dx == 0 < dy, which is that of
+    i -> j for every i < j on it, as the points are listed by x and then y.
+    Point k is left of, on or right of i -> j as f(k) = dx * y_k - dy * x_k
+    is above, at or below f(i): the lines of one direction are the levels
+    of f, and the points left of a line are those on the higher levels.
+    """
     pts = _grid_points(w, h)
     count = len(pts)
     full = (1 << count) - 1
     left = [[0] * count for _ in range(count)]
     col = [[0] * count for _ in range(count)]
-    for i, (ax, ay) in enumerate(pts):
-        for j in range(i + 1, count):
-            dx = pts[j][0] - ax
-            dy = pts[j][1] - ay
-            on_left = on_line = 0
+    for dx in range(w):
+        for dy in range(1 - h, h):
+            if math.gcd(dx, dy) != 1 or dx == 0 and dy < 0:
+                continue
+            levels: dict[int, list[int]] = {}
             for k, (x, y) in enumerate(pts):
-                o = dx * (y - ay) - dy * (x - ax)
-                if o > 0:
-                    on_left |= 1 << k
-                elif o == 0:
-                    on_line |= 1 << k
-            left[i][j] = on_left
-            left[j][i] = full ^ on_left ^ on_line
-            col[i][j] = col[j][i] = on_line ^ (1 << i) ^ (1 << j)
+                levels.setdefault(dx * y - dy * x, []).append(k)
+            above = 0
+            for f in sorted(levels, reverse=True):
+                line = levels[f]
+                on_line = sum(1 << k for k in line)
+                for i, j in itertools.combinations(line, 2):
+                    left[i][j] = above
+                    left[j][i] = full ^ above ^ on_line
+                    col[i][j] = col[j][i] = on_line ^ (1 << i) ^ (1 << j)
+                above |= on_line
     return left, col
 
 

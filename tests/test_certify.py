@@ -11,14 +11,18 @@ from simembed import (
     Layer,
     LayeredInstance,
     PathOrder,
+    as_path,
+    caterpillar_decompose,
     certify_embedding,
     certify_general_position,
+    embed_path_caterpillar,
     embed_two_paths,
     generate,
     parabola_pointset,
     refine_general_position,
     simul_embed_free,
 )
+from simembed import certify
 from simembed.certify import _sweep_frame, check_embedding_shape
 
 P = GridPoint
@@ -221,3 +225,31 @@ def test_sweep_axis_is_the_one_a_sweep_line_meets_fewer_edges_on():
     # (sum |dx| > 0), every horizontal one meets none (sum |dy| = 0).
     xs, ys = [0, 5, 1, 6, 2, 7], [0, 0, 1, 1, 2, 2]
     assert _sweep_frame(xs, ys, [(0, 1), (2, 3), (4, 5)], 7, 2) == (ys, xs)
+
+
+def test_path_layers_of_given_mapping_drawings_skip_the_sweep(monkeypatch):
+    # Each path of a two-paths drawing steps by one along its own axis, and
+    # the path of a path-caterpillar drawing along y, so the chain rule
+    # proves those layers and the sweep never starts on them; it does start
+    # on the caterpillar.
+    swept = []
+    real = certify._any_conflict
+
+    def counting(xs, ys, edges):
+        swept.append(edges)
+        return real(xs, ys, edges)
+
+    monkeypatch.setattr(certify, "_any_conflict", counting)
+    rng = random.Random(11)
+    for n in (2, 3, 10, 400):
+        paths = [PathOrder(rng.sample(range(n), n)) for _ in range(2)]
+        inst = LayeredInstance(n=n, layers=[Layer("path", p.edges()) for p in paths])
+        assert certify_embedding(embed_two_paths(*paths), inst).ok
+    assert swept == []
+    for seed in (1, 2, 3):
+        n = 300
+        path, cat = generate("path", n, seed), generate("caterpillar", n, seed)
+        emb, _ = embed_path_caterpillar(as_path(path, n), caterpillar_decompose(cat, n))
+        inst = LayeredInstance(n=n, layers=[path, cat])
+        assert certify_embedding(emb, inst).ok
+        assert swept.pop() is cat.edges and swept == []

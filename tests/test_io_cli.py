@@ -26,6 +26,7 @@ from simembed import (
     LayeredInstance,
     ParseError,
     PathOrder,
+    SimultaneousEmbedding,
     as_path,
     certify_embedding,
     cli_main,
@@ -38,7 +39,7 @@ from simembed import (
     serialize_result,
 )
 from simembed import cli, graphs, unmapped
-from simembed.documents import _dumps, instance_to_json
+from simembed.documents import _dumps, instance_to_json, result_to_json
 from simembed.generate import KINDS
 from test_golden import CASES, GEN_KINDS
 
@@ -172,7 +173,10 @@ def _certified_embeddings(draw):
 @given(_certified_embeddings())
 def test_result_document_roundtrip_keeps_points_extent_and_assignments(case):
     emb, report = case
-    again, cert = parse_result(serialize_result(emb, report))
+    text = serialize_result(emb, report)
+    # the coords are written from the columns, as json.dumps writes their pairs
+    assert text == _stdlib_dumps(result_to_json(emb, report)) + "\n"
+    again, cert = parse_result(text)
     assert again.coords == emb.coords and again.assignments == emb.assignments
     xs, ys = [p.x for p in emb.coords], [p.y for p in emb.coords]
     assert (again.width, again.height) == (emb.width, emb.height)
@@ -210,6 +214,12 @@ _JSON_VALUES = st.recursive(
 @given(_JSON_VALUES)
 def test_writer_matches_indented_json_dumps(value):
     assert _dumps(value) == _stdlib_dumps(value)
+
+
+def test_result_without_points_writes_empty_coords():
+    emb = SimultaneousEmbedding(xs=[], ys=[])
+    assert serialize_result(emb) == _stdlib_dumps(result_to_json(emb)) + "\n"
+    assert '"coords": []' in serialize_result(emb)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

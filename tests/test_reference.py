@@ -11,7 +11,9 @@ over all vertices, the all-pairs edge loop and the cubic triple loop in
 completed, chords nest, cross and share endpoints, and edges overlap,
 touch and tie in every way a grid allows; the certifier's Shamos–Hoey
 decision must say yes exactly when the exact predicate finds some
-conflicting pair among all pairs, and that predicate, which stops at the
+conflicting pair among all pairs, its one-pass rule for a monotone path
+may accept only layers in which the all-pairs loop finds no conflict, and
+that predicate, which stops at the
 first separating line, must answer as the one that computes all four
 orientations first.  The five-point search on candidate
 bitmasks must report what the conflict-table search and the
@@ -99,7 +101,7 @@ from simembed import (
 )
 from simembed import certify, graphs, smallcases, unmapped
 from simembed.graphs import _trace_faces
-from simembed.certify import _any_conflict, _layer_crossings, _listed_crossings
+from simembed.certify import _any_conflict, _layer_crossings, _listed_crossings, _monotone_chain
 from simembed.geometry import COORD_LIMIT, _conflict_raw, _is_prime, _next_prime
 from simembed.smallcases import _grid_points, _grid_tables, _shadow_table, _side_masks
 
@@ -526,6 +528,86 @@ def test_conflict_decision_matches_all_pairs(layer):
     assert out == layer_crossings_all_pairs(xs, ys, edges, 0)
 
 
+@st.composite
+def path_shaped_layers(draw):
+    # Up to 9 points on a small grid, coincident ones and collinear runs
+    # included, and the edges of a walk through all of them: often in
+    # order along x or y, so that the chain rule fires, with edges given
+    # either way round and in any order; sometimes with an edge left out
+    # (two chains), one repeated, or one more between any two points.
+    g = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 9))
+    cols = [draw(st.lists(st.integers(0, g), min_size=n, max_size=n)) for _ in "xy"]
+    walk = draw(st.permutations(range(n)))
+    axis = draw(st.sampled_from([None, 0, 1]))
+    if axis is not None:
+        if draw(st.booleans()):
+            # distinct values on the axis, so that the walk is a chain along it
+            cols[axis] = draw(st.permutations(range(n)))
+        walk.sort(key=cols[axis].__getitem__, reverse=draw(st.booleans()))
+    xs, ys = cols
+    edges = [(u, w) if draw(st.booleans()) else (w, u) for u, w in zip(walk, walk[1:])]
+    edges = draw(st.permutations(edges))
+    change = draw(st.sampled_from([None, None, None, "drop", "repeat", "extra"]))
+    if change == "drop" and edges:
+        del edges[draw(st.integers(0, len(edges) - 1))]
+    elif change == "repeat" and edges:
+        u, w = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from([(u, w), (w, u)])))
+    elif change == "extra" and n > 1:
+        ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges.append(draw(ends.filter(lambda e: e[0] != e[1])))
+    return xs, ys, edges
+
+
+@settings(max_examples=800, deadline=None)
+@given(path_shaped_layers())
+def test_chain_rule_accepts_only_layers_without_a_conflict(layer):
+    # Whenever the edges form one path strictly monotone along x or y, the
+    # all-pairs oracle finds no conflict; and whether the rule fires or the
+    # sweep runs, the layer's list is the oracle's.
+    xs, ys, edges = layer
+    out = layer_crossings_all_pairs(xs, ys, edges, 0)
+    if _monotone_chain(xs, edges) or _monotone_chain(ys, edges):
+        assert out == []
+    assert _layer_crossings(xs, ys, edges, 0, *spans(xs, ys)) == out
+
+
+# Hand layers that the chain rule must hand on to the sweep, each as
+# (xs, ys, edges), and the conflicts the oracle finds in them.
+_NOT_CHAINS = {
+    # Two x-monotone chains, (0, 0)-(2, 1)-(4, 4) and (1, 4)-(3, 3)-(5, 0):
+    # every vertex has at most one edge up and one down on both axes, but
+    # four edges touch six vertices, and the chains cross.
+    "two-crossing-chains": (
+        [0, 2, 4, 1, 3, 5], [0, 1, 4, 4, 3, 0], [(0, 1), (1, 2), (3, 4), (4, 5)], [(0, 1, 3)],
+    ),
+    # A "V": vertex 1 at (0, 0) is the low end of both edges on both axes,
+    # and the arms run along one ray, so they overlap.
+    "v": ([2, 0, 1], [2, 0, 1], [(1, 0), (1, 2)], [(0, 0, 1)]),
+    # Its mirror image: vertex 2 at (2, 2) is the high end of both edges.
+    "inverted-v": ([0, 1, 2], [0, 1, 2], [(0, 2), (2, 1)], [(0, 0, 1)]),
+    # An x-monotone chain but for one vertical edge, which makes vertex 1
+    # the high end of two edges along y; no conflict.
+    "flat-edge": ([0, 1, 1, 3], [0, 3, 1, 2], [(0, 1), (1, 2), (2, 3)], []),
+    # A chain monotone along both axes with its middle edge given twice,
+    # the second time reversed: the two copies overlap.
+    "repeated-edge": ([0, 1, 2, 3], [0, 2, 3, 5], [(0, 1), (1, 2), (3, 2), (2, 1)], [(0, 1, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_CHAINS))
+def test_chain_rule_hands_other_layers_to_the_sweep(name, monkeypatch):
+    xs, ys, edges, want = _NOT_CHAINS[name]
+    assert not _monotone_chain(xs, edges) and not _monotone_chain(ys, edges)
+    swept = []
+    monkeypatch.setattr(certify, "_any_conflict", lambda *args: swept.append(1) or _any_conflict(*args))
+    out = _layer_crossings(xs, ys, edges, 0, *spans(xs, ys))
+    assert swept == [1]
+    assert out == layer_crossings_all_pairs(xs, ys, edges, 0)
+    assert [v.witness for v in out] == want
+
+
 @settings(max_examples=400, deadline=None)
 @given(grid_layers())
 @example(([0, 0, 3, 3], [0, 0, 1, 1], [(0, 2), (1, 3)]))  # identical segments
@@ -769,8 +851,11 @@ def test_shadow_mask_is_the_proper_crossing_region(grid):
     assert crossings > 0
 
 
-def test_side_masks_match_orientation():
-    w, h = 4, 3
+@pytest.mark.parametrize("grid", [(4, 3), (3, 5), 5, (1, 4), (4, 1), 2, 1], ids=_grid_id)
+def test_side_masks_match_orientation(grid):
+    # one orientation test per point and directed pair, against the masks
+    # that are computed once per line
+    w, h = _grid_sides(grid)
     pts = [GridPoint(x, y) for x, y in _grid_points(w, h)]
     left, col = _side_masks(w, h)
     for i, j, k in itertools.product(range(len(pts)), repeat=3):
