@@ -207,9 +207,7 @@ def _cmd_fivepaths(args: argparse.Namespace) -> int:
             },
             "per_path": cov.per_path_counts(len(paths)),
         }
-    result = exhaustive_five_point_check(
-        args.grid, paths, seed=args.seed, samples=args.samples
-    )
+    result = exhaustive_five_point_check(args.grid, paths, samples=args.samples)
     report["search"] = {
         "exhaustive": result.exhaustive,
         "placements_checked": result.placements_checked,
@@ -271,6 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_five.add_argument("--grid", type=int, default=5)
     p_five.add_argument("--paths", default=None, help="comma-separated digit strings")
     p_five.add_argument("--samples", type=int, default=None)
+    # nothing is drawn any more, so --seed changes no result; it is still
+    # accepted, so that existing command lines keep working
     p_five.add_argument("--seed", type=int, default=0)
     p_five.add_argument("--out", default="-")
     p_five.set_defaults(func=_cmd_fivepaths)

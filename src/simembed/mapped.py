@@ -17,6 +17,7 @@ from .geometry import (
     COORD_LIMIT,
     GridPoint,
     _check_coord_budget,
+    _check_distinct,
     _next_prime,
     _parabola_lift,
     _translate_to_origin,
@@ -61,7 +62,9 @@ def refine_general_position(
     Every offset lies in [0, p - 1], so base x values a < b give
     p*a + (p - 1) < p*b and points keep their strict x order, and likewise
     their strict y order.  Coordinates reach p * base extent + p - 1,
-    which is checked against COORD_LIMIT before any work.
+    which is checked against COORD_LIMIT before any work.  A base point
+    outside the extent raises InvalidInstanceError and two that coincide
+    raise DuplicatePointError, as in :func:`geometry.convex_hull`.
     """
     xs, ys = [p.x for p in points], [p.y for p in points]
     for i, (x, y) in enumerate(zip(xs, ys)):
@@ -69,10 +72,7 @@ def refine_general_position(
             raise InvalidInstanceError(
                 f"point {points[i]} lies outside the declared base extent {base_extent}"
             )
-    first: dict[tuple[int, int], int] = {}
-    for i, key in enumerate(zip(xs, ys)):
-        if first.setdefault(key, i) != i:
-            raise InvalidInstanceError(f"duplicate base point {points[i]}")
+    _check_distinct(xs, ys)
     prime = _next_prime(len(points))
     extent = prime * base_extent + prime - 1
     if extent > COORD_LIMIT:

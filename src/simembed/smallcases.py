@@ -1,10 +1,11 @@
 """Five paths on five vertices: the impossibility certificate.
 
 Pair coverage of the vertex-disjoint K5 edge pairs, the verdict over the
-three order types of five points in general position, plus a search over
-placements of the five vertices on small grids, exhaustive up to
-EXHAUSTIVE_GRID_LIMIT and a seeded sampled probe above it, which draws
-only for path sets that some labeling of some order type carries.
+three order types of five points in general position, plus an exhaustive
+search over placements of the five vertices on grids up to
+EXHAUSTIVE_GRID_LIMIT.  Above it nothing is drawn: a path set that no
+order type carries has no placement, and one that some order type
+carries is placed by the search of the grid's corner, at most 8 x 8.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -424,7 +424,6 @@ def _search_grid(
 def exhaustive_five_point_check(
     grid_extent: int | tuple[int, int],
     paths: Sequence[PathOrder],
-    seed: Optional[int] = None,
     samples: Optional[int] = None,
 ) -> FivePointSearchResult:
     """Search placements of the 5 vertices on the grid, no 3 collinear,
@@ -437,25 +436,36 @@ def exhaustive_five_point_check(
     shadow table, built once per process per grid, and does not place
     vertex 3 when no order type carries the paths; ``placements_checked``
     counts the vertex-4 placements a point-by-point search would look at.
-    Larger grids require ``samples`` and are randomly probed with the
-    seeded generator, each draw tested level by level on coordinates.  A grid
-    with a side below 3, which holds no five points in general position,
-    is rejected, and so is one with a side above COORD_LIMIT + 1 in
-    magnitude, whose points leave the coordinate budget, a ``samples``
-    count below 1 or above COORD_LIMIT, or one given for a grid that is
-    exhausted.  First of all, a tuple grid must be a pair, and each side
-    and a given ``samples`` an exact ``int``, so that the rest compare ints.
+    Larger grids require ``samples``, and nothing is drawn: the verdict of
+    :func:`_order_type_witness` decides.  A grid with a side below 3,
+    which holds no five points in general position, is rejected, and so
+    is one with a side above COORD_LIMIT + 1 in magnitude, whose points
+    leave the coordinate budget, a ``samples`` count below 1 or above
+    COORD_LIMIT, or one given for a grid that is exhausted.  First of
+    all, a tuple grid must be a pair, and each side and a given
+    ``samples`` an exact ``int``, so that the rest compare ints.
 
-    When :func:`_order_type_witness` is None the probe draws nothing and
-    reports ``samples`` placements checked and no counterexample, which is
-    what drawing them would report.  A draw is five distinct grid points,
-    and ``level_ok`` passes it only if no three are collinear and no
-    same-path disjoint edge pair conflicts.  Such a draw is five points in
-    general position, so by step 2 of the witness's proof its crossing
-    mask is that of some labeling of its order type's representative, and
-    that labeling would be a witness.  So every draw fails, the loop runs
-    exactly ``samples`` times and returns None; the generator is observed
-    nowhere else.
+    Above grid 8, a path set that no order type carries has no placement
+    on any grid: every placement with no three collinear is five points
+    in general position, whose crossing mask is, by step 2 of the
+    witness's proof, that of some labeling of its order type's
+    representative, and that labeling would be a witness.  So the result
+    is no counterexample, with ``samples`` placements checked.
+
+    A set that some order type carries gets the exhaustive search of the
+    grid's corner, min(w, 8) x min(h, 8), whose first placement and count
+    are reported with the requested grid.  That search always finds one.
+    A grid that is not exhausted has one side at least 3 and the other at
+    least 9, so its corner holds a 3 x 7 or a 7 x 3 box.  Each order type
+    has a realization in 3 x 7: hull 5 as (0, 0) (2, 0) (2, 1) (1, 3)
+    (0, 1), hull 4 as (0, 1) (2, 0) (2, 4) (0, 5) around (1, 2), hull 3 as
+    (0, 0) (2, 0) (0, 6) around (1, 1) and (1, 2).  Transposing or
+    mirroring a point set keeps its crossings and its collinear triples,
+    so each order type is realized in a 7 x 3 box too.  Points of one
+    order type share their crossing masks labeling for labeling (step 2
+    of the witness's proof), so the realization of the witness's order
+    type, suitably labeled, is a placement in the corner, which the
+    exhaustive search does not miss.
     """
     if isinstance(grid_extent, tuple):
         if len(grid_extent) != 2:
@@ -509,59 +519,20 @@ def exhaustive_five_point_check(
         )
 
     cross_checks = _cross_checks(paths)
-    if exhaustive:
-        placement, checked = _search_grid(w, h, cross_checks)
-        pts = _grid_points(w, h)
-        return FivePointSearchResult(
-            counterexample=(
-                [GridPoint(*pts[pt]) for pt in placement] if placement is not None else None
-            ),
-            placements_checked=checked,
-            exhaustive=True,
-            grid=(w, h),
-        )
-
-    if _order_type_witness(cross_checks) is None:
-        # no draw can pass: see the docstring
+    if not exhaustive and _order_type_witness(cross_checks) is None:
+        # no placement on any grid: see the docstring
         return FivePointSearchResult(
             counterexample=None, placements_checked=samples, exhaustive=False, grid=(w, h)
         )
-
-    tri_checks: list[list[tuple[int, int]]] = [
-        [(i, j) for i in range(lvl) for j in range(i + 1, lvl)] for lvl in range(5)
-    ]
-
-    # Coordinates of vertices 0..4; vertex lvl and every vertex below it
-    # are placed when level_ok(lvl) runs.
-    px = [0] * 5
-    py = [0] * 5
-
-    def level_ok(lvl: int) -> bool:
-        x, y = px[lvl], py[lvl]
-        for i, j in tri_checks[lvl]:
-            if (px[j] - px[i]) * (y - py[i]) == (py[j] - py[i]) * (x - px[i]):
-                return False
-        for a, b, c, d in cross_checks[lvl]:
-            if _conflict_raw(px[a], py[a], px[b], py[b], px[c], py[c], px[d], py[d]):
-                return False
-        return True
-
-    rng = random.Random(seed)
-    checked = 0
-    found = False
-    while not found and checked < samples:
-        drawn: list[tuple[int, int]] = []
-        while len(drawn) < 5:
-            cand = (rng.randrange(w), rng.randrange(h))
-            if cand not in drawn:
-                drawn.append(cand)
-        px[:], py[:] = zip(*drawn)
-        checked += 1
-        found = all(level_ok(lvl) for lvl in range(5))
-
+    # the grid itself, or the corner that holds a placement: see the docstring
+    cw, ch = min(w, EXHAUSTIVE_GRID_LIMIT), min(h, EXHAUSTIVE_GRID_LIMIT)
+    placement, checked = _search_grid(cw, ch, cross_checks)
+    pts = _grid_points(cw, ch)
     return FivePointSearchResult(
-        counterexample=[GridPoint(x, y) for x, y in zip(px, py)] if found else None,
+        counterexample=(
+            [GridPoint(*pts[pt]) for pt in placement] if placement is not None else None
+        ),
         placements_checked=checked,
-        exhaustive=False,
+        exhaustive=exhaustive,
         grid=(w, h),
     )

@@ -110,14 +110,6 @@ def _draw_triangulation(rotation: list[list[int]], n: int) -> tuple[list[int], l
         if path_deg[w] == 2 and w != v1 and w != v2:
             heapq.heappush(ready, w)
 
-    def path_iter():
-        v = v1
-        while True:
-            yield v
-            if v == v2:
-                return
-            v = nxt[v]
-
     for v in (v1, v_top, v2):
         enter(v)
     fans: dict[int, tuple[int, list[int], int]] = {}
@@ -158,10 +150,9 @@ def _draw_triangulation(rotation: list[list[int]], n: int) -> tuple[list[int], l
         nxt[prev] = b
         prv[b] = prev
 
-    remaining = [v for v in path_iter()]
-    if len(remaining) != 3:
+    v3 = nxt[v1]
+    if v3 == v2 or nxt[v3] != v2:
         raise InternalInvariantError("canonical peeling left a non-triangle")
-    v3 = remaining[1]
 
     # Replaying the peel in reverse, v covers exactly its fan's interior,
     # the path between a and b.
@@ -625,8 +616,11 @@ def simul_embed_free(layers: list[Layer], n: int) -> SimultaneousEmbedding:
             "at most one planar layer plus any number of outerplanar layers"
         )
     planar = [layer for layer in layers if layer.kind == "planar"]
-    if not planar:
-        _check_parabola_budget(n)  # the plane drawing checks its own first
+    # the point set's budget comes before any layer is maximalized
+    if planar:
+        _check_general_position_budget(n)
+    else:
+        _check_parabola_budget(n)
     # None for the plane layer, which its drawing validates
     maximal = [
         maximalize_outerplanar(layer, n)[0] if layer.kind == "outerplanar" else None

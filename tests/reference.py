@@ -9,8 +9,9 @@ The five-point search has one oracle per mode, which place vertices on
 coordinates and test them with ``_conflict_raw`` through one shared
 ``five_point_level_check``, and share no mask or table with
 ``simembed.smallcases``: ``five_point_check_dfs`` for the exhaustive
-search, with its placement counts, and ``sampled_five_point_check`` for
-the sampled probe, which always draws.
+search, with its placement counts, and ``sampled_five_point_check``, the
+sampled probe as it drew, for the path sets no order type carries, which
+the search still reports as that many failed draws.
 """
 
 from __future__ import annotations
@@ -544,7 +545,7 @@ def sampled_five_point_check(
     seed: Optional[int],
     samples: int,
 ) -> FivePointSearchResult:
-    """The sampled five-point probe as it draws: up to ``samples`` draws of
+    """The sampled five-point probe as it drew: up to ``samples`` draws of
     five distinct grid points from ``random.Random(seed)``, x then y per
     point, each tested by :func:`five_point_level_check` on every level,
     whether or not any order type carries the paths."""

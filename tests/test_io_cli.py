@@ -1015,6 +1015,28 @@ def test_cli_fivepaths_sampled(tmp_path):
     assert doc["search"]["counterexample"] is None
 
 
+def test_cli_fivepaths_places_a_carried_set_on_the_corner(tmp_path, capsys):
+    # five seeded draws found no placement of these four paths, which embed;
+    # the search of the 8 x 8 corner places them, whatever the seed
+    capsys.readouterr()
+    reports = []
+    for seed in ("3", "4"):
+        out = tmp_path / f"carried{seed}.json"
+        rc = cli_main(["fivepaths", "--grid", "12", "--samples", "5", "--seed", seed,
+                       "--paths", "12345,13542,25134,32415", "--out", str(out)])
+        assert rc == 0
+        reports.append(out.read_bytes())
+    assert capsys.readouterr().err.splitlines() == ["counterexample found: all paths embed"] * 2
+    assert reports[0] == reports[1]
+    doc = json.loads(reports[0])
+    assert doc["verdict"] == "counterexample found: all paths embed"
+    assert doc["search"] == {
+        "counterexample": [[0, 0], [0, 2], [1, 1], [2, 1], [5, 0]],
+        "exhaustive": False,
+        "placements_checked": 4237,
+    }
+
+
 # ("4", "5"): a count at or below grid 8 would be ignored by the exhaustive search
 @pytest.mark.parametrize("grid, samples", [("12", "0"), ("12", "-5"), ("4", "0"), ("4", "5")])
 def test_cli_fivepaths_rejects_a_sample_count_below_one(tmp_path, capsys, grid, samples):

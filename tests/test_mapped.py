@@ -9,6 +9,7 @@ from simembed import (
     CoordinateBudgetError,
     FIVE_PATHS,
     Caterpillar,
+    DuplicatePointError,
     GridPoint,
     InvalidInstanceError,
     Layer,
@@ -19,6 +20,7 @@ from simembed import (
     caterpillar_decompose,
     certify_embedding,
     certify_general_position,
+    convex_hull,
     embed_path_caterpillar,
     embed_two_caterpillars,
     embed_two_paths,
@@ -181,10 +183,26 @@ def test_refine_checks_budget_up_front():
 
 
 def test_refine_rejects_bad_input():
-    with pytest.raises(InvalidInstanceError):
+    with pytest.raises(DuplicatePointError):
         refine_general_position([P(0, 0), P(0, 0)], 5)
     with pytest.raises(InvalidInstanceError):
         refine_general_position([P(99, 0)], 5)
+
+
+def test_refine_refuses_duplicate_base_points_as_the_geometry_kernel_does():
+    # the same error and words as convex_hull and find_collinear_triple,
+    # after the extent check and before the budget check
+    base = [P(0, 0), P(2, 2), P(1, 3), P(2, 2), P(1, 3)]
+    with pytest.raises(DuplicatePointError) as hull_err:
+        convex_hull(base)
+    with pytest.raises(DuplicatePointError) as err:
+        refine_general_position(base, 3)
+    assert str(err.value) == str(hull_err.value) == "points 1 and 3 coincide at (2, 2)"
+    assert not isinstance(err.value, InvalidInstanceError)
+    with pytest.raises(DuplicatePointError, match="points 1 and 3 coincide"):
+        refine_general_position(base, COORD_LIMIT)
+    with pytest.raises(InvalidInstanceError, match="outside the declared base extent 1"):
+        refine_general_position(base, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +466,7 @@ def test_exhaustive_check_degenerate_column():
     for (w, h), samples in [((1, 5), None), ((2, 8), None), ((8, 2), None), ((2, 12), 50),
                             ((-(2**40 + 1), 5), None)]:
         with pytest.raises(InvalidInstanceError, match=f"grid {w}x{h} holds no five points"):
-            exhaustive_five_point_check((w, h), paths, seed=1, samples=samples)
+            exhaustive_five_point_check((w, h), paths, samples=samples)
 
 
 def test_exhaustive_check_refuses_a_grid_over_the_coordinate_budget():
@@ -462,8 +480,8 @@ def test_exhaustive_check_refuses_a_grid_over_the_coordinate_budget():
     for grid in [(2**41, 2**41), side + 1, (3, side + 1), (side + 1, 3), 10**5000,
                  (10**5000, 2), (2, 10**5000), -10**5000]:
         with pytest.raises(CoordinateBudgetError, match=f"sides up to {side} fit"):
-            exhaustive_five_point_check(grid, paths, seed=1, samples=3)
-    res = exhaustive_five_point_check(side, paths, seed=1, samples=3)
+            exhaustive_five_point_check(grid, paths, samples=3)
+    res = exhaustive_five_point_check(side, paths, samples=3)
     assert res.grid == (side, side) and res.placements_checked == 3
 
 
@@ -471,6 +489,6 @@ def test_search_budget_and_sampling():
     paths = [path_from_digits(d) for d in FIVE_PATHS]
     with pytest.raises(SearchBudgetError):
         exhaustive_five_point_check(9, paths)
-    res = exhaustive_five_point_check(9, paths, seed=1, samples=200)
+    res = exhaustive_five_point_check(9, paths, samples=200)
     assert not res.exhaustive
     assert res.placements_checked == 200  # five paths never embed

@@ -21,10 +21,12 @@ per-placement search reported, and with its shadows hoisted and looked
 up in one table what the loop that recomputed them per candidate
 reported, and when the order types prove the paths impossible it must
 count without placing vertex 3 what it counts when it places it; its
-shadow masks must hold exactly the points whose segment properly crosses, and its sampled probe must draw what the separate
-sampled loop drew.  The outerplanar point-set
-embedder, with lazy angular orders, interval chains and float-keyed
-sorts, must assign what the eager slicing loop with comparator sorts
+shadow masks must hold exactly the points whose segment properly
+crosses.  Above grid 8 it must report what the separate sampled loop
+reported for paths that no order type carries, and for the others what
+the per-placement search reports on the grid's 8 x 8 corner.  The
+outerplanar point-set embedder, with lazy angular orders, interval
+chains and float-keyed sorts, must assign what the eager slicing loop with comparator sorts
 assigns, its split, which builds no rank table, must return what the
 split on full rank dicts returned, and the heap-driven peeling of the
 shift-method drawing must draw what the walk over the whole outer path
@@ -34,6 +36,7 @@ assignment search that the point-set tests use as an oracle is checked
 here on hand-made cases.
 """
 
+import functools
 import itertools
 import random
 import re
@@ -103,7 +106,13 @@ from simembed import certify, graphs, smallcases, unmapped
 from simembed.graphs import _trace_faces
 from simembed.certify import _any_conflict, _layer_crossings, _listed_crossings, _monotone_chain
 from simembed.geometry import COORD_LIMIT, _conflict_raw, _is_prime, _next_prime
-from simembed.smallcases import _grid_points, _grid_tables, _shadow_table, _side_masks
+from simembed.smallcases import (
+    EXHAUSTIVE_GRID_LIMIT,
+    _grid_points,
+    _grid_tables,
+    _shadow_table,
+    _side_masks,
+)
 
 
 # How a case reshapes its thinned layer: not at all, by reversing and
@@ -927,21 +936,37 @@ def test_five_point_search_from_threads_matches_serial_runs():
     assert threaded == serial
 
 
+_SAMPLED_PATH_SETS = [_FIVE[:2], _FIVE[1:4], _FIVE] + _RANDOM_PATH_SETS
+
+
+@functools.cache
+def _corner_search(corner, which):
+    return five_point_check_dfs(corner, _SAMPLED_PATH_SETS[which])
+
+
 @pytest.mark.parametrize(
     "grid", [9, 10, 11, 12, (9, 12), (12, 10)], ids=["9", "10", "11", "12", "9x12", "12x10"]
 )
 def test_sampled_five_point_search_matches_old_sampler(grid):
-    # Two or three paths leave room for a witness, so the sampler stops
-    # early and the draw order decides where; all five never embed.  The
-    # rectangles tell an x draw from a y draw.
+    # All five paths never embed, so nothing is drawn and the old sampler's
+    # 200 failed draws are reported, whatever its seed.  Two or three paths
+    # and the random sets leave room for a witness, and the search of the
+    # grid's 8 x 8 corner places them, as on an exhausted grid of that size.
+    corner = tuple(min(side, EXHAUSTIVE_GRID_LIMIT) for side in _grid_sides(grid))
     witnesses = 0
-    for seed in range(10):
-        for paths in (_FIVE[:2], _FIVE[1:4], _FIVE, _RANDOM_PATH_SETS[seed % 6]):
-            new = exhaustive_five_point_check(grid, paths, seed=seed, samples=200)
-            old = sampled_five_point_check(grid, paths, seed, 200)
-            assert _search_outcome(new) == _search_outcome(old)
+    for which, paths in enumerate(_SAMPLED_PATH_SETS):
+        new = exhaustive_five_point_check(grid, paths, samples=200)
+        assert not new.exhaustive and new.grid == _grid_sides(grid)
+        if smallcases._order_type_witness(smallcases._cross_checks(paths)) is None:
+            for seed in range(10):
+                old = sampled_five_point_check(grid, paths, seed, 200)
+                assert _search_outcome(new) == _search_outcome(old)
+        else:
+            old = _corner_search(corner, which)
+            assert (new.counterexample, new.placements_checked) == (
+                old.counterexample, old.placements_checked)
             witnesses += new.counterexample is not None
-    assert witnesses >= 10
+    assert witnesses >= 5
 
 
 @st.composite

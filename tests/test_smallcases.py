@@ -3,22 +3,29 @@
 Its three representatives must cover every order type of five points in
 general position, and its labeling masks must reproduce the counts of
 crossing-free labelings and of failing path sets that a plain scan over
-every labeling of every path set gives.  When the verdict is None the
-sampled probe draws nothing, and reports what drawing would.
+every labeling of every path set gives.  Above grid 8 nothing is drawn:
+when the verdict is None the search reports what drawing would, and
+otherwise the placement that the search of the grid's corner finds, which
+every order type's realization in a 3 x 7 box guarantees.
 """
 
+import functools
 import itertools
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reference import sampled_five_point_check
+from helpers import embedding_of
+from reference import five_point_check_dfs, sampled_five_point_check
 from simembed import (
     FIVE_PATHS,
     GridPoint,
     InvalidInstanceError,
+    Layer,
+    LayeredInstance,
     PathOrder,
+    certify_embedding,
     convex_hull,
     exhaustive_five_point_check,
     find_collinear_triple,
@@ -27,6 +34,7 @@ from simembed import (
 )
 from simembed.geometry import COORD_LIMIT, _conflict_raw
 from simembed.smallcases import (
+    EXHAUSTIVE_GRID_LIMIT,
     _ORDER_TYPES,
     _cross_checks,
     _labeling_masks,
@@ -160,28 +168,26 @@ def _outcome(res):
     return res.counterexample, res.placements_checked, res.exhaustive, res.grid
 
 
-class _NoDraws(random.Random):
-    def randrange(self, *args, **kwargs):
-        raise AssertionError("the probe drew a placement")
+def _no_random(*args, **kwargs):
+    raise AssertionError("the search made a random generator")
 
 
-class _CountedDraws(random.Random):
-    draws = 0
+def _sides(grid):
+    return grid if isinstance(grid, tuple) else (grid, grid)
 
-    def randrange(self, *args, **kwargs):
-        _CountedDraws.draws += 1
-        return super().randrange(*args, **kwargs)
+
+def _corner(grid):
+    return tuple(min(side, EXHAUSTIVE_GRID_LIMIT) for side in _sides(grid))
 
 
 @pytest.mark.parametrize("digits", [FIVE_PATHS, SECOND_FAILING_SET], ids=["five", "second"])
 def test_sampled_probe_draws_nothing_when_no_order_type_fits(digits, monkeypatch):
     paths = [path_from_digits(d) for d in digits]
-    monkeypatch.setattr("simembed.smallcases.random.Random", _NoDraws)
+    monkeypatch.setattr(random, "Random", _no_random)
     for grid in [9, 12, (9, 12), COORD_LIMIT + 1]:
-        sides = grid if isinstance(grid, tuple) else (grid, grid)
         for samples in (1, 5000, COORD_LIMIT):
-            res = exhaustive_five_point_check(grid, paths, seed=3, samples=samples)
-            assert _outcome(res) == (None, samples, False, sides)
+            res = exhaustive_five_point_check(grid, paths, samples=samples)
+            assert _outcome(res) == (None, samples, False, _sides(grid))
 
 
 @pytest.mark.parametrize("digits", [FIVE_PATHS, SECOND_FAILING_SET], ids=["five", "second"])
@@ -192,27 +198,93 @@ def test_sampled_probe_without_witness_matches_the_drawing_reference(digits):
         for seed in range(10):
             want = _outcome(sampled_five_point_check(grid, paths, seed, 200))
             assert want[:3] == (None, 200, False)
-            got = exhaustive_five_point_check(grid, paths, seed=seed, samples=200)
+            got = exhaustive_five_point_check(grid, paths, samples=200)
             assert _outcome(got) == want
 
 
-def test_sampled_probe_with_a_witness_still_draws(monkeypatch):
+def test_probe_with_a_witness_searches_the_8_by_8_corner(monkeypatch):
+    # the four paths embed; a probe of 5 seeded draws on grid 12 reported
+    # that some path must cross
     paths = [path_from_digits(d) for d in FITTING_SET]
     assert _order_type_witness(_cross_checks(paths)) is not None
-    cases = [(grid, seed) for grid in SAMPLED_GRIDS for seed in range(10)]
-    # the reference runs before the patch, which replaces random.Random for
-    # every module
-    wants = [
-        _outcome(sampled_five_point_check(grid, paths, seed, 200))
-        for grid, seed in cases
+    want = five_point_check_dfs(EXHAUSTIVE_GRID_LIMIT, paths)
+    assert want.counterexample == [GridPoint(0, 0), GridPoint(0, 2), GridPoint(1, 1),
+                                   GridPoint(2, 1), GridPoint(5, 0)]
+    assert want.placements_checked == 4237
+    monkeypatch.setattr(random, "Random", _no_random)
+    for grid in SAMPLED_GRIDS:
+        for samples in (5, 200):
+            res = exhaustive_five_point_check(grid, paths, samples=samples)
+            assert _outcome(res) == (want.counterexample, 4237, False, _sides(grid))
+
+
+#: One realization of each order type in the 3 x 7 box, hull vertices
+#: first and counterclockwise, as the search's docstring names them.
+BOX_REALIZATIONS = (
+    ((0, 0), (2, 0), (2, 1), (1, 3), (0, 1)),
+    ((0, 1), (2, 0), (2, 4), (0, 5), (1, 2)),
+    ((0, 0), (2, 0), (0, 6), (1, 1), (1, 2)),
+)
+
+
+def test_every_order_type_is_realized_in_the_3_by_7_box():
+    for pts, hull_size, rep_signs in zip(BOX_REALIZATIONS, (5, 4, 3), _REP_SIGNS):
+        gp = [GridPoint(*p) for p in pts]
+        assert max(p.x for p in gp) <= 2 and max(p.y for p in gp) <= 6
+        assert find_collinear_triple(gp) is None
+        assert sorted(convex_hull(gp)) == list(range(hull_size))
+        assert _sign_vector(pts) in rep_signs
+    # and all three occur among the 5-subsets of the box in general position
+    box = [GridPoint(x, y) for x in range(3) for y in range(7)]
+    seen = set()
+    for pts in itertools.combinations(box, 5):
+        signs = [orient(pts[i], pts[j], pts[k]) for i, j, k in itertools.combinations(range(5), 3)]
+        if all(signs):
+            seen.add(tuple(sign > 0 for sign in signs))
+    assert all(seen & rep_signs for rep_signs in _REP_SIGNS)
+
+
+#: Grids above 8, whose corners are 8 x 8, 3 x 8 and 8 x 3.
+CORNER_GRIDS = [9, 12, 16, (3, 9), (9, 3), (9, 12), (3, COORD_LIMIT + 1)]
+
+
+def _carried_sets():
+    # the fitting set, every single path, every 37th pair and random sets of
+    # 2 to 6 paths, keeping those that some order type carries
+    rng = random.Random(38)
+    sets = [list(FITTING_SET)] + [[d] for d in ALL_PATHS]
+    sets += [list(pair) for pair in itertools.combinations(ALL_PATHS, 2)][::37]
+    sets += [rng.sample(ALL_PATHS, rng.randint(2, 6)) for _ in range(60)]
+    return [
+        digits for digits in sets
+        if _order_type_witness(_cross_checks([path_from_digits(d) for d in digits]))
     ]
-    assert sum(want[0] is not None for want in wants) >= 10
-    monkeypatch.setattr("simembed.smallcases.random.Random", _CountedDraws)
-    for (grid, seed), want in zip(cases, wants):
-        _CountedDraws.draws = 0
-        res = exhaustive_five_point_check(grid, paths, seed=seed, samples=200)
-        assert _outcome(res) == want
-        assert _CountedDraws.draws >= 10 * res.placements_checked
+
+
+CARRIED_SETS = _carried_sets()
+
+
+@functools.cache
+def _corner_oracle(corner):
+    # shared by the grids with one corner: the oracle places vertex by vertex
+    return [five_point_check_dfs(corner, [path_from_digits(d) for d in digits])
+            for digits in CARRIED_SETS]
+
+
+@pytest.mark.parametrize("grid", CORNER_GRIDS, ids=lambda g: "x".join(map(str, _sides(g))))
+def test_a_carried_set_above_grid_8_is_placed_by_the_corner_search(grid, monkeypatch):
+    assert len(CARRIED_SETS) > 100 and any(len(d) >= 4 for d in CARRIED_SETS)
+    wants = _corner_oracle(_corner(grid))
+    monkeypatch.setattr(random, "Random", _no_random)
+    for digits, want in zip(CARRIED_SETS, wants):
+        paths = [path_from_digits(d) for d in digits]
+        assert want.counterexample is not None, digits
+        for samples in (1, 5, 5000):
+            res = exhaustive_five_point_check(grid, paths, samples=samples)
+            assert _outcome(res) == (want.counterexample, want.placements_checked, False,
+                                     _sides(grid))
+        instance = LayeredInstance(n=5, layers=[Layer("path", p.edges()) for p in paths])
+        assert certify_embedding(embedding_of(res.counterexample), instance).ok, digits
 
 
 def test_sample_count_is_capped_at_the_coordinate_budget():
@@ -223,7 +295,7 @@ def test_sample_count_is_capped_at_the_coordinate_budget():
     for samples in (COORD_LIMIT + 1, 10**5000):
         for which in (paths, fitting):
             with pytest.raises(InvalidInstanceError, match=r"over the cap 2\^40"):
-                exhaustive_five_point_check(12, which, seed=1, samples=samples)
+                exhaustive_five_point_check(12, which, samples=samples)
 
 
 def test_sample_count_below_one_is_refused():
@@ -232,7 +304,7 @@ def test_sample_count_below_one_is_refused():
     paths = [path_from_digits(d) for d in FIVE_PATHS]
     for samples in (0, -1, -(10**5000)):
         with pytest.raises(InvalidInstanceError, match="sample count must be positive$"):
-            exhaustive_five_point_check(12, paths, seed=1, samples=samples)
+            exhaustive_five_point_check(12, paths, samples=samples)
 
 
 @pytest.mark.parametrize(
@@ -259,4 +331,4 @@ def test_search_refuses_a_grid_or_sample_count_that_is_not_an_int(grid, samples,
     # reported as the placements checked and a float side would reach range
     paths = [path_from_digits(d) for d in FIVE_PATHS]
     with pytest.raises(InvalidInstanceError, match=message):
-        exhaustive_five_point_check(grid, paths, seed=1, samples=samples)
+        exhaustive_five_point_check(grid, paths, samples=samples)

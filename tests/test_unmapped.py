@@ -189,6 +189,32 @@ def test_free_outerplanar_embed_checks_the_parabola_budget_first(monkeypatch):
         simul_embed_free([layer], fits)
 
 
+def test_free_planar_embed_checks_the_plane_budget_before_maximalizing(monkeypatch):
+    # the plane drawing's budget is checked before any outerplanar layer is
+    # maximalized, as the parabola set's is without a plane layer
+    class PassedTheCheck(Exception):
+        pass
+
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        raise PassedTheCheck
+
+    monkeypatch.setattr(unmapped, "maximalize_outerplanar", record)
+
+    def layers(n):
+        cycle = [(i, (i + 1) % n) for i in range(n)]
+        return [path_plane_layer(n), Layer("outerplanar", cycle, outer_cycle=list(range(n)))]
+
+    with pytest.raises(CoordinateBudgetError, match="at most 4507 vertices fit"):
+        simul_embed_free(layers(4508), 4508)
+    assert calls == []
+    with pytest.raises(PassedTheCheck):
+        simul_embed_free(layers(4507), 4507)
+    assert len(calls) == 1
+
+
 def _refused_within_a_second(call, n):
     # a prime search near such an n would not end; the budget check comes first
     start = time.perf_counter()
