@@ -430,8 +430,6 @@ def certify_general_position(points: list[GridPoint]) -> CertificateReport:
 
 
 def _bounds_violations(xs: list[int], ys: list[int], w: int, h: int) -> list[Violation]:
-    if not xs:
-        return []
     min_x = min(xs)
     min_y = min(ys)
     out = []

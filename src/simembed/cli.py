@@ -74,9 +74,7 @@ def _read(path: str) -> str:
         raise ParseError(f"{where} is not UTF-8 text: {exc}") from exc
 
 
-def _write(path: Optional[str], text: str) -> None:
-    if path is None:
-        return
+def _write(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:

@@ -1,11 +1,13 @@
 """Five paths on five vertices: the impossibility certificate.
 
-Pair coverage of the vertex-disjoint K5 edge pairs, the verdict over the
-three order types of five points in general position, plus an exhaustive
-search over placements of the five vertices on grids up to
-EXHAUSTIVE_GRID_LIMIT.  Above it nothing is drawn: a path set that no
-order type carries has no placement, and one that some order type
-carries is placed by the search of the grid's corner, at most 8 x 8.
+A path set is read as one covered-pair mask over the 15 vertex-disjoint
+K5 edge pairs, the pairs that must not cross.  The mask is the one input
+of the verdict over the three order types of five points in general
+position and of an exhaustive search over placements of the five
+vertices on grids up to EXHAUSTIVE_GRID_LIMIT.  Above it nothing is
+drawn: a path set that no order type carries has no placement, and one
+that some order type carries is placed by the search of the grid's
+corner, at most 8 x 8.
 """
 
 from __future__ import annotations
@@ -32,6 +34,36 @@ def path_from_digits(digits: str) -> PathOrder:
     if not all("1" <= ch <= "9" for ch in digits):
         raise InvalidInstanceError(f"path digits must be 1 to 9, got {digits!r}")
     return PathOrder([int(ch) - 1 for ch in digits])
+
+
+#: The 15 vertex-disjoint edge pairs of K5, each edge sorted, in
+#: lexicographic order: bit k of a covered-pair mask stands for the k-th.
+_PAIRS = tuple(
+    (e1, e2)
+    for e1, e2 in itertools.combinations(itertools.combinations(range(5), 2), 2)
+    if not set(e1) & set(e2)
+)
+
+#: The bit of each pair of :data:`_PAIRS`, keyed by every (w, x, y, z)
+#: whose edges wx and yz are the pair's, in either order and direction.
+_PAIR_BITS = {
+    quad: 1 << k
+    for k, ((a, b), (c, d)) in enumerate(_PAIRS)
+    for quad in itertools.permutations((a, b, c, d))
+    if {quad[0], quad[1]} in ({a, b}, {c, d})
+}
+
+
+def _covered_pairs(paths: Sequence[PathOrder]) -> int:
+    """The covered-pair mask of 5-vertex paths: bit k set when some path
+    holds both edges of the k-th pair of :data:`_PAIRS`.  Edges of a path
+    share a vertex exactly when they are neighbours on it, so the path
+    a-b-c-d-e holds the disjoint pairs ab / cd, ab / de and bc / de."""
+    need = 0
+    for p in paths:
+        a, b, c, d, e = p.order
+        need |= _PAIR_BITS[a, b, c, d] | _PAIR_BITS[a, b, d, e] | _PAIR_BITS[b, c, d, e]
+    return need
 
 
 @dataclass
@@ -63,17 +95,9 @@ def five_path_pair_coverage(paths: Sequence[PathOrder]) -> PairCoverage:
     for p in paths:
         if p.n != 5:
             raise InvalidInstanceError("pair coverage is defined for 5-vertex paths")
-    edge_sets = [
-        {tuple(sorted(e)) for e in p.edges()} for p in paths
-    ]
-    # the 15 vertex-disjoint edge pairs of K5, in lexicographic order
-    k5_edges = itertools.combinations(range(5), 2)
-    pairs = [(e1, e2) for e1, e2 in itertools.combinations(k5_edges, 2) if not set(e1) & set(e2)]
-    covered = [
-        [i for i, es in enumerate(edge_sets) if e1 in es and e2 in es]
-        for e1, e2 in pairs
-    ]
-    return PairCoverage(pairs=pairs, covered_by=covered)
+    masks = [_covered_pairs([p]) for p in paths]
+    covered = [[i for i, mask in enumerate(masks) if mask >> k & 1] for k in range(len(_PAIRS))]
+    return PairCoverage(pairs=list(_PAIRS), covered_by=covered)
 
 
 @dataclass
@@ -216,21 +240,6 @@ def _grid_tables(w: int, h: int) -> tuple[_PairMasks, _PairMasks, _TripleMasks]:
     )
 
 
-def _cross_checks(paths: Sequence[PathOrder]) -> list[list[tuple[int, int, int, int]]]:
-    """The same-path disjoint edge pairs (a, b) / (c, d), each sorted,
-    bucketed by their largest vertex, so the search checks each pair as soon
-    as its last endpoint is placed."""
-    cross_checks: list[list[tuple[int, int, int, int]]] = [[] for _ in range(5)]
-    for p in paths:
-        edges = [tuple(sorted(e)) for e in p.edges()]
-        for e1, e2 in itertools.combinations(edges, 2):
-            if set(e1) & set(e2):
-                continue
-            level = max(*e1, *e2)
-            cross_checks[level].append((*e1, *e2))
-    return cross_checks
-
-
 #: One integer point set per order type of five points in general position:
 #: hull sizes 5, 4 and 3, hull vertices first and counterclockwise.
 _ORDER_TYPES = (
@@ -241,50 +250,26 @@ _ORDER_TYPES = (
 
 
 @functools.cache
-def _pair_bits() -> dict[tuple[int, int, int, int], int]:
-    """Bit k for the k-th vertex-disjoint K5 edge pair (a, b) / (c, d) of
-    :func:`five_path_pair_coverage`, keyed by (a, b, c, d) and by
-    (c, d, a, b), the two orders in which :func:`_cross_checks` lists it."""
-    bits = {}
-    for k, (e1, e2) in enumerate(five_path_pair_coverage(()).pairs):
-        bits[e1 + e2] = bits[e2 + e1] = 1 << k
-    return bits
-
-
-@functools.cache
 def _labeling_masks() -> list[tuple[tuple[tuple[int, int], ...], int]]:
     """Every labeling of every :data:`_ORDER_TYPES` representative, as its
-    points (vertex i at the i-th) and the mask of the :func:`_pair_bits`
-    pairs whose segments ``_conflict_raw`` says cross.  360 entries, built
-    once per process on first use."""
-    pairs = five_path_pair_coverage(()).pairs
+    points (vertex i at the i-th) and the mask of the :data:`_PAIRS`
+    whose segments ``_conflict_raw`` says cross.  360 entries, built once
+    per process on first use."""
     table = []
     for rep in _ORDER_TYPES:
         for pts in itertools.permutations(rep):
             mask = 0
-            for k, ((a, b), (c, d)) in enumerate(pairs):
+            for k, ((a, b), (c, d)) in enumerate(_PAIRS):
                 if _conflict_raw(*pts[a], *pts[b], *pts[c], *pts[d]):
                     mask |= 1 << k
             table.append((pts, mask))
     return table
 
 
-def _needed_pairs(cross_checks: list[list[tuple[int, int, int, int]]]) -> int:
-    """The :func:`_pair_bits` of every pair in ``cross_checks``."""
-    bits = _pair_bits()
-    need = 0
-    for checks in cross_checks:
-        for check in checks:
-            need |= bits[check]
-    return need
-
-
-def _order_type_witness(
-    cross_checks: list[list[tuple[int, int, int, int]]],
-) -> Optional[list[tuple[int, int]]]:
+def _order_type_witness(need: int) -> Optional[list[tuple[int, int]]]:
     """The points of the first labeling in :func:`_labeling_masks` on which
-    no pair of ``cross_checks`` crosses, or None when no set of five points
-    in general position has such a labeling.
+    no pair of the covered-pair mask ``need`` crosses, or None when no set
+    of five points in general position has such a labeling.
 
     None is a proof over every such point set, in two steps.
 
@@ -307,29 +292,26 @@ def _order_type_witness(
        set therefore has the crossing mask of the representative of its
        order type under the matching labeling.
     """
-    need = _needed_pairs(cross_checks)
     for pts, mask in _labeling_masks():
         if not mask & need:
             return list(pts)
     return None
 
 
-def _search_grid(
-    w: int, h: int, cross_checks: list[list[tuple[int, int, int, int]]]
-) -> tuple[Optional[list[int]], int]:
+def _search_grid(w: int, h: int, need: int) -> tuple[Optional[list[int]], int]:
     """Depth-first search over placements of vertices 0..4 on distinct
     points of the w x h grid, points tried in ascending index order and
     vertex 0 confined to :func:`_fundamental_domain`.
 
-    ``cross_checks[lvl]`` holds the same-path disjoint edge pairs
-    (a, b) / (c, d), each sorted, whose largest vertex is lvl.  Returns the
-    first placement (point indices) with no three points collinear and no
-    such pair in conflict, or None, and the number of vertex-4 placements
-    a point-by-point search looks at.
+    ``need`` is a covered-pair mask, whose pairs must not cross.  Returns
+    the first placement (point indices) with no three points collinear and
+    no such pair in conflict, or None, and the number of vertex-4
+    placements a point-by-point search looks at.
 
     Vertex ``lvl`` may take any point outside a forbidden mask: the placed
-    points, the lines through two placed points, and for each pair whose
-    edges are (a, lvl) and (c, d) the shadow of cd seen from a.
+    points, the lines through two placed points, and for each pair of
+    ``need`` whose edges are (a, lvl) and (c, d), lvl its largest vertex,
+    the shadow of cd seen from a.
     The placed points are in general position, because every point on a
     line through two of them was forbidden when it could be taken.  So a
     candidate x off those lines forms with a, c, d four points no three
@@ -354,7 +336,7 @@ def _search_grid(
     When :func:`_order_type_witness` is None the level-3 loop does not
     run.  By the free-mask argument above, every point the loop would give
     vertex 4 would complete five points in general position on which no
-    pair of ``cross_checks`` crosses, and there are none.  So each
+    pair of ``need`` crosses, and there are none.  So each
     vertex-3 candidate leaves vertex 4 no free point and adds N - 4 to the
     count, and level 2 adds N - 4 times the number of its free points
     instead: the same count, and the same None.
@@ -362,16 +344,19 @@ def _search_grid(
     _, col, table = _grid_tables(w, h)
     count = w * h
     full = (1 << count) - 1
-    # Each check of level lvl + 1 as (a, c, d): that vertex's neighbour a
-    # and the other edge, split by whether it involves vertex lvl.
-    fixed_checks: list[list[tuple[int, int, int]]] = []
-    moving_checks: list[list[tuple[int, int, int]]] = []
-    for lvl, checks in enumerate(cross_checks[1:]):
-        shadow_checks = [(a, c, d) if b == lvl + 1 else (c, a, b) for a, b, c, d in checks]
-        fixed_checks.append([t for t in shadow_checks if lvl not in t])
-        moving_checks.append([t for t in shadow_checks if lvl in t])
+    # Each pair as (a, c, d), its largest vertex b's neighbour a and the
+    # other edge, filed under level b - 1, whose candidates forbid b's
+    # points, and split by whether it involves vertex b - 1.
+    fixed_checks: list[list[tuple[int, int, int]]] = [[] for _ in range(4)]
+    moving_checks: list[list[tuple[int, int, int]]] = [[] for _ in range(4)]
+    for k, ((a, b), (c, d)) in enumerate(_PAIRS):
+        if need >> k & 1:
+            if b < d:
+                a, b, c, d = c, d, a, b
+            checks = moving_checks if b - 1 in (a, c, d) else fixed_checks
+            checks[b - 1].append((a, c, d))
     # the deepest level whose candidates are placed one at a time
-    deepest = 2 if _order_type_witness(cross_checks) is None else 3
+    deepest = 2 if _order_type_witness(need) is None else 3
     placement = [0] * 5
     checked = 0
 
@@ -518,15 +503,15 @@ def exhaustive_five_point_check(
             f"({EXHAUSTIVE_GRID_LIMIT}); pass a sample count"
         )
 
-    cross_checks = _cross_checks(paths)
-    if not exhaustive and _order_type_witness(cross_checks) is None:
+    need = _covered_pairs(paths)
+    if not exhaustive and _order_type_witness(need) is None:
         # no placement on any grid: see the docstring
         return FivePointSearchResult(
             counterexample=None, placements_checked=samples, exhaustive=False, grid=(w, h)
         )
     # the grid itself, or the corner that holds a placement: see the docstring
     cw, ch = min(w, EXHAUSTIVE_GRID_LIMIT), min(h, EXHAUSTIVE_GRID_LIMIT)
-    placement, checked = _search_grid(cw, ch, cross_checks)
+    placement, checked = _search_grid(cw, ch, need)
     pts = _grid_points(cw, ch)
     return FivePointSearchResult(
         counterexample=(

@@ -1,5 +1,6 @@
 """Golden corpus: SHA-256 digests of ``simembed embed`` result documents
-(and, in a table of their own, of ``fivepaths`` reports).
+(and, in a table of their own, of ``fivepaths`` reports, plus one digest
+over many five-point search results).
 
 Every ``gen`` kind at small n and a few seeds, plus free-mapping instances
 whose planar and outerplanar layers were thinned, so that face completion
@@ -9,12 +10,24 @@ purpose must say why and record the new digests.
 """
 
 import hashlib
+import itertools
+import json
 import random
 
 import pytest
 
 from helpers import thin_outerplanar, thin_plane
-from simembed import LayeredInstance, cli_main, generate, parse_instance, serialize_instance
+from simembed import (
+    FIVE_PATHS,
+    LayeredInstance,
+    PathOrder,
+    cli_main,
+    exhaustive_five_point_check,
+    generate,
+    parse_instance,
+    path_from_digits,
+    serialize_instance,
+)
 
 GEN_KINDS = ("two-paths", "two-caterpillars", "path-caterpillar", "outerplanars", "planar-outerplanar")
 
@@ -176,3 +189,53 @@ def test_fivepaths_report_digest(args, tmp_path):
     out = tmp_path / "fivepaths.json"
     assert cli_main(["fivepaths", *args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIVEPATHS_DIGESTS[args]
+
+
+# ``exhaustive_five_point_check`` results, (counterexample, placements
+# checked, exhaustive, grid), for every nonempty subset of the five paths
+# and for seeded random sets of 1 to 15 five-vertex paths, on grids 3 to 8,
+# 3 x 7 and 7 x 3, and with 5 samples on grids 9 to 12.
+FIVE_POINT_GRIDS = [(g, None) for g in range(3, 9)] + [((3, 7), None), ((7, 3), None)] + [
+    (g, 5) for g in range(9, 13)
+]
+
+# Recorded before the search read its path set as one covered-pair mask.
+FIVE_POINT_DIGEST = "56a053031f4b552fefdabd5ef43842c057f0c3a14f166e1251ec4fdc9e866d08"
+
+
+def _five_point_path_sets():
+    subsets = [
+        [path_from_digits(d) for d in subset]
+        for k in range(1, 6)
+        for subset in itertools.combinations(FIVE_PATHS, k)
+    ]
+    rng = random.Random(39)
+    randoms = [
+        [PathOrder(rng.sample(range(5), 5)) for _ in range(rng.randint(1, 15))]
+        for _ in range(40)
+    ]
+    return subsets, randoms
+
+
+def test_five_point_search_results_digest():
+    subsets, randoms = _five_point_path_sets()
+    rows = []
+    # grid by grid, so that each grid's tables are built once
+    for grid, samples in FIVE_POINT_GRIDS:
+        for paths in subsets + randoms:
+            res = exhaustive_five_point_check(grid, paths, samples=samples)
+            cx = res.counterexample
+            rows.append([
+                None if cx is None else [[p.x, p.y] for p in cx],
+                res.placements_checked,
+                res.exhaustive,
+                list(res.grid),
+            ])
+    # an 8 x 8 grid holds a placement of every set some order type carries
+    # (each order type is realized in 3 x 7), and of no other
+    per_grid = len(subsets) + len(randoms)
+    grid_8 = per_grid * FIVE_POINT_GRIDS.index((8, None))
+    carried = [row[0] is not None for row in rows[grid_8 + len(subsets):grid_8 + per_grid]]
+    assert any(carried) and not all(carried)
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == FIVE_POINT_DIGEST

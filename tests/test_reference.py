@@ -809,7 +809,7 @@ def test_five_point_search_matches_dfs_search(grid):
     pts = _grid_points(w, h)
     for paths in _path_sets(grid):
         want = five_point_check_dfs(grid, paths)
-        placement, checked = smallcases._search_grid(w, h, smallcases._cross_checks(paths))
+        placement, checked = smallcases._search_grid(w, h, smallcases._covered_pairs(paths))
         witness = None if placement is None else [GridPoint(*pts[pt]) for pt in placement]
         assert (witness, checked) == (want.counterexample, want.placements_checked)
         if min(w, h) < 3:
@@ -828,12 +828,12 @@ def test_order_type_pruned_search_matches_full_depth_search(grid, monkeypatch):
     # vertex 3 and tries vertex 4 as before.
     w, h = _grid_sides(grid)
     for paths in (_FIVE, _SECOND_FAILING):
-        checks = smallcases._cross_checks(paths)
-        assert smallcases._order_type_witness(checks) is None
-        pruned = smallcases._search_grid(w, h, checks)
+        need = smallcases._covered_pairs(paths)
+        assert smallcases._order_type_witness(need) is None
+        pruned = smallcases._search_grid(w, h, need)
         with monkeypatch.context() as patch:
-            patch.setattr(smallcases, "_order_type_witness", lambda checks: [(0, 0)] * 5)
-            assert smallcases._search_grid(w, h, checks) == pruned
+            patch.setattr(smallcases, "_order_type_witness", lambda need: [(0, 0)] * 5)
+            assert smallcases._search_grid(w, h, need) == pruned
         assert pruned[0] is None
 
 
@@ -905,7 +905,7 @@ def test_searches_interleaved_across_grids_match_fresh_searches():
     path_sets = [_FIVE, _SECOND_FAILING, _FIVE[:4], _FIVE[1:3]]
 
     def search(grid, paths):
-        return smallcases._search_grid(*_grid_sides(grid), smallcases._cross_checks(paths))
+        return smallcases._search_grid(*_grid_sides(grid), smallcases._covered_pairs(paths))
 
     fresh = {}
     for grid in _INTERLEAVED_GRIDS:
@@ -957,7 +957,7 @@ def test_sampled_five_point_search_matches_old_sampler(grid):
     for which, paths in enumerate(_SAMPLED_PATH_SETS):
         new = exhaustive_five_point_check(grid, paths, samples=200)
         assert not new.exhaustive and new.grid == _grid_sides(grid)
-        if smallcases._order_type_witness(smallcases._cross_checks(paths)) is None:
+        if smallcases._order_type_witness(smallcases._covered_pairs(paths)) is None:
             for seed in range(10):
                 old = sampled_five_point_check(grid, paths, seed, 200)
                 assert _search_outcome(new) == _search_outcome(old)

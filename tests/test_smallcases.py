@@ -29,6 +29,7 @@ from simembed import (
     convex_hull,
     exhaustive_five_point_check,
     find_collinear_triple,
+    five_path_pair_coverage,
     orient,
     path_from_digits,
 )
@@ -36,9 +37,9 @@ from simembed.geometry import COORD_LIMIT, _conflict_raw
 from simembed.smallcases import (
     EXHAUSTIVE_GRID_LIMIT,
     _ORDER_TYPES,
-    _cross_checks,
+    _PAIRS,
+    _covered_pairs,
     _labeling_masks,
-    _needed_pairs,
     _order_type_witness,
 )
 
@@ -62,12 +63,30 @@ _REP_SIGNS = [_relabeled_sign_vectors(rep) for rep in _ORDER_TYPES]
 
 
 def _need(digit_strings):
-    return _needed_pairs(_cross_checks([path_from_digits(d) for d in digit_strings]))
+    return _covered_pairs([path_from_digits(d) for d in digit_strings])
 
 
 def _fitting_labelings(digit_strings):
     need = _need(digit_strings)
     return sum(1 for _, mask in _labeling_masks() if not mask & need)
+
+
+def test_covered_pair_mask_is_read_off_the_edge_sets():
+    # the 15 pairs are the disjoint K5 edge pairs in lexicographic order;
+    # a set's mask, and its coverage, hold pair k exactly when some path
+    # has both its edges, whichever way the path runs
+    edges = list(itertools.combinations(range(5), 2))
+    assert list(_PAIRS) == [(e, f) for e, f in itertools.combinations(edges, 2) if not {*e} & {*f}]
+    rng = random.Random(39)
+    sets = [[d] for d in ALL_PATHS] + [rng.sample(ALL_PATHS, rng.randint(2, 8)) for _ in range(50)]
+    for digits in sets:
+        paths = [path_from_digits(d) for d in digits]
+        paths += [PathOrder(p.order[::-1]) for p in paths]
+        edge_sets = [{tuple(sorted(e)) for e in p.edges()} for p in paths]
+        covered_by = [[i for i, es in enumerate(edge_sets) if e in es and f in es] for e, f in _PAIRS]
+        assert _covered_pairs(paths) == sum(1 << k for k, c in enumerate(covered_by) if c)
+        cov = five_path_pair_coverage(paths)
+        assert (cov.pairs, cov.covered_by) == (list(_PAIRS), covered_by)
 
 
 def test_order_type_representatives_are_in_general_position_with_hull_sizes_5_4_3():
@@ -102,7 +121,7 @@ def test_every_five_points_match_exactly_one_representative(pts):
 
 def test_five_paths_fit_no_labeling_and_each_four_path_subset_fits_26():
     assert _fitting_labelings(FIVE_PATHS) == 0
-    assert _order_type_witness(_cross_checks([path_from_digits(d) for d in FIVE_PATHS])) is None
+    assert _order_type_witness(_need(FIVE_PATHS)) is None
     for subset in itertools.combinations(FIVE_PATHS, 4):
         assert _fitting_labelings(subset) == 26
 
@@ -142,19 +161,20 @@ def test_order_type_witness_is_crossing_free_on_every_proper_subset():
     paths = [path_from_digits(d) for d in FIVE_PATHS]
     for k in range(1, 5):
         for subset in itertools.combinations(paths, k):
-            checks = _cross_checks(subset)
-            pts = _order_type_witness(checks)
+            pts = _order_type_witness(_covered_pairs(subset))
             assert pts is not None
             assert find_collinear_triple([GridPoint(*p) for p in pts]) is None
-            for level in checks:
-                for a, b, c, d in level:
-                    assert not _conflict_raw(*pts[a], *pts[b], *pts[c], *pts[d]), (subset, pts)
+            # every disjoint edge pair of every path, read off the path
+            for path in subset:
+                for (a, b), (c, d) in itertools.combinations(path.edges(), 2):
+                    if not {a, b} & {c, d}:
+                        assert not _conflict_raw(*pts[a], *pts[b], *pts[c], *pts[d]), (subset, pts)
 
 
 def test_order_type_witness_of_one_path_is_the_first_labeling():
     # a single path asks for three pairs; the convex pentagon in hull order
     # draws 12345 as four hull edges
-    pts = _order_type_witness(_cross_checks([PathOrder([0, 1, 2, 3, 4])]))
+    pts = _order_type_witness(_covered_pairs([PathOrder([0, 1, 2, 3, 4])]))
     assert pts == list(_ORDER_TYPES[0])
 
 
@@ -206,7 +226,7 @@ def test_probe_with_a_witness_searches_the_8_by_8_corner(monkeypatch):
     # the four paths embed; a probe of 5 seeded draws on grid 12 reported
     # that some path must cross
     paths = [path_from_digits(d) for d in FITTING_SET]
-    assert _order_type_witness(_cross_checks(paths)) is not None
+    assert _order_type_witness(_covered_pairs(paths)) is not None
     want = five_point_check_dfs(EXHAUSTIVE_GRID_LIMIT, paths)
     assert want.counterexample == [GridPoint(0, 0), GridPoint(0, 2), GridPoint(1, 1),
                                    GridPoint(2, 1), GridPoint(5, 0)]
@@ -257,7 +277,7 @@ def _carried_sets():
     sets += [rng.sample(ALL_PATHS, rng.randint(2, 6)) for _ in range(60)]
     return [
         digits for digits in sets
-        if _order_type_witness(_cross_checks([path_from_digits(d) for d in digits]))
+        if _order_type_witness(_need(digits))
     ]
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from itertools import combinations
@@ -17,6 +18,7 @@ from simembed import (
     certify_embedding,
     certify_general_position,
     check_plane_embedding,
+    cli_main,
     embed_outerplanar_on_points,
     find_collinear_triple,
     general_position_bounds,
@@ -25,6 +27,7 @@ from simembed import (
     parabola_pointset,
     planar_general_position_draw,
     planar_grid_draw,
+    serialize_instance,
     simul_embed_free,
 )
 from simembed import unmapped
@@ -358,6 +361,41 @@ def test_embed_random_k7_agrees_with_bruteforce():
         assert brute_force_point_assignment(lay, pts) is not None
 
 
+@st.composite
+def cycles_with_chords(draw):
+    # a shuffled k-cycle plus k - 3 distinct chords: the edge count and
+    # the cycle edges of a maximal outerplanar layer, whose chords may cross
+    k = draw(st.integers(4, 9))
+    cycle = draw(st.permutations(range(k)))
+    sides = {tuple(sorted((cycle[i], cycle[(i + 1) % k]))) for i in range(k)}
+    others = [e for e in combinations(range(k), 2) if e not in sides]
+    chords = draw(st.lists(st.sampled_from(others), min_size=k - 3, max_size=k - 3, unique=True))
+    return Layer("outerplanar", sorted(sides) + chords, outer_cycle=cycle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycles_with_chords())
+def test_embed_refuses_crossing_chords_or_draws_a_certified_layer(layer):
+    k = len(layer.outer_cycle)
+    pts = parabola_pointset(k)
+    try:
+        phi = embed_outerplanar_on_points(layer, pts)
+    except InvalidInstanceError as exc:
+        assert "must close exactly one triangle inside its chain" in str(exc)
+    else:
+        assert assignment_certified(layer, pts, phi)
+
+
+def test_embed_refuses_a_hexagon_with_three_crossing_diagonals():
+    hexagon = Layer(
+        "outerplanar",
+        [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4), (2, 5)],
+        outer_cycle=list(range(6)),
+    )
+    with pytest.raises(InvalidInstanceError, match="must close exactly one triangle"):
+        embed_outerplanar_on_points(hexagon, parabola_pointset(6))
+
+
 def test_embed_requires_general_position():
     tri = Layer("outerplanar", [(0, 1), (1, 2), (2, 0)], outer_cycle=[0, 1, 2])
     with pytest.raises(InvalidInstanceError):
@@ -417,6 +455,31 @@ def test_simul_outerplanars_single_layer():
     tri = Layer("outerplanar", [(0, 1), (1, 2), (2, 0)], outer_cycle=[0, 1, 2])
     emb = simul_embed_free([tri], 3)
     assert certify_embedding(emb, free_instance([tri], 3)).ok
+
+
+@pytest.mark.parametrize(
+    "n, edges, xs, ys",
+    [(1, [], [1], [1]), (2, [(0, 1)], [1, 2], [2, 1])],
+    ids=["n1", "n2"],
+)
+def test_simul_outerplanars_on_one_and_two_points(n, edges, xs, ys, tmp_path):
+    # below three points there is no hull edge to root a split at: each
+    # layer is mapped by the identity
+    layers = [
+        Layer("outerplanar", edges, outer_cycle=list(range(n))),
+        Layer("outerplanar", [], outer_cycle=list(range(n))),
+    ]
+    inst = free_instance(layers, n)
+    emb = simul_embed_free(layers, n)
+    assert (emb.xs, emb.ys, emb.assignments) == (xs, ys, [list(range(n))] * 2)
+    assert certify_embedding(emb, inst).ok
+    src, out = tmp_path / "inst.json", tmp_path / "result.json"
+    src.write_text(serialize_instance(inst), encoding="utf-8")
+    assert cli_main(["embed", "--in", str(src), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["coords"] == [list(p) for p in zip(xs, ys)]
+    assert doc["assignments"] == [list(range(n))] * 2
+    assert doc["certificate"] == {"ok": True, "violations": []}
 
 
 def test_crossing_chords_are_refused_before_the_plane_drawing(monkeypatch):
