@@ -343,10 +343,12 @@ def _listed_crossings(
 
 
 def check_embedding_shape(emb: SimultaneousEmbedding, inst: LayeredInstance) -> None:
-    """Raise unless the embedding has one point per vertex and, exactly
-    when the mapping is free, one assignment per instance layer: under a
-    given mapping vertex v is drawn at point v in every layer, so an
-    assignment is refused."""
+    """Raise unless the instance has a vertex, the embedding has one point
+    per vertex and, exactly when the mapping is free, one assignment per
+    instance layer: under a given mapping vertex v is drawn at point v in
+    every layer, so an assignment is refused."""
+    if inst.n < 1:
+        raise InvalidInstanceError("instance needs at least one vertex")
     if len(emb.xs) != inst.n:
         raise InvalidInstanceError("embedding and instance disagree on vertex count")
     if emb.assignments is None:
@@ -369,6 +371,11 @@ def certify_embedding(
     (1, 1), for ``bounds=(w, h)``.
 
     Crossings between different layers are deliberately never reported.
+
+    The instance must pass :func:`graphs.validate_instance`, as every
+    parsed document does.  Only its shape is checked again here
+    (:func:`check_embedding_shape`); an edge endpoint outside 0..n-1 is
+    not, as that would take one more pass over every edge.
     """
     check_embedding_shape(emb, inst)
     xs, ys = emb.xs, emb.ys
@@ -376,7 +383,7 @@ def certify_embedding(
     # a set or an extent shows there is one: a valid drawing pays for neither.
     violations = _duplicate_violations(xs, ys) if len(set(zip(xs, ys))) != len(xs) else []
     # every layer shares the extents, so they are taken once
-    x_span, y_span = (max(xs) - min(xs), max(ys) - min(ys)) if xs else (0, 0)
+    x_span, y_span = max(xs) - min(xs), max(ys) - min(ys)
 
     # The edges come from the instance alone, never from the embedder's
     # own lists, so a drawing is judged against what was asked for.

@@ -40,7 +40,6 @@ from .graphs import (
     check_plane_embedding,
     maximalize_outerplanar,
     triangulate_plane,
-    validate_layer,
 )
 
 
@@ -74,6 +73,16 @@ def _draw_triangulation(rotation: list[list[int]], n: int) -> tuple[list[int], l
     (0, x, w), w the predecessor of 0 in x's rotation, so the outer face is
     the smallest of those.
 
+    Each fan is read off the rotation.  A face walk goes from dart (x, y)
+    to (y, w), w the predecessor of x in y's rotation, so it runs the outer
+    path backwards, from v2 to v1, and still does as vertices are peeled.
+    For a path vertex u between a and b it takes b -> u -> a: the outer
+    face, which holds every peeled vertex and u's edges to them, fills the
+    arc of rotation[u] after a up to b, and the arc after b up to a is u's
+    fan interior, from b's side to a's.  A mirrored rotation mirrors the
+    walks too, so the rule holds for either orientation.  A peeled vertex
+    in that arc would be a fault, checked as the interior joins the path.
+
     Placement follows Chrobak & Payne (IPL 1995): instead of shifting the
     absolute x of every covered vertex right of an insertion, ``dx[w]`` keeps
     x(w) minus the x of w's predecessor on the outer path, frozen once w is
@@ -86,13 +95,12 @@ def _draw_triangulation(rotation: list[list[int]], n: int) -> tuple[list[int], l
     )
 
     # Reverse canonical order: peel chord-free outer vertices off the path
-    # from v1 to v2, recording the fan of alive neighbors each leaves behind.
-    # ``path_deg[v]`` counts v's neighbours on the path (all alive), kept
+    # from v1 to v2, recording the fan of unpeeled neighbours each leaves
+    # behind.  ``path_deg[v]`` counts v's neighbours on the path, kept
     # up to date as vertices enter and leave it; a path vertex other than
     # v1, v2 is chord-free when it has exactly its two path neighbours.
     # ``ready`` is a heap of such vertices, checked again when popped, so
     # the smallest chord-free vertex is picked.
-    alive = [True] * n
     on_path = [False] * n
     path_deg = [0] * n
     nxt = {v1: v_top, v_top: v2}
@@ -121,28 +129,21 @@ def _draw_triangulation(rotation: list[list[int]], n: int) -> tuple[list[int], l
             raise InternalInvariantError("no chord-free outer vertex available")
         u = heapq.heappop(ready)
         a, b = prv[u], nxt[u]
-        alive_ring = [w for w in rotation[u] if alive[w]]
-        ia = alive_ring.index(a)
-        ring_a = alive_ring[ia:] + alive_ring[:ia]
-        if ring_a[-1] == b:
-            interior = ring_a[1:-1]
-        else:
-            ib = alive_ring.index(b)
-            ring_b = alive_ring[ib:] + alive_ring[:ib]
-            if ring_b[-1] != a:
-                raise InternalInvariantError("outer vertex fan is not contiguous")
-            interior = ring_b[1:-1][::-1]
+        ring = rotation[u]
+        ia, ib = ring.index(a), ring.index(b)
+        interior = (ring[ib + 1 : ia] if ib < ia else ring[ib + 1 :] + ring[:ia])[::-1]
         fans[u] = (a, interior, b)
         removal_order.append(u)
-        alive[u] = False
         on_path[u] = False
-        for x in rotation[u]:
+        for x in ring:
             if on_path[x]:
                 path_deg[x] -= 1
                 if path_deg[x] == 2 and x != v1 and x != v2:
                     heapq.heappush(ready, x)
         prev = a
         for w in interior:
+            if w in fans:
+                raise InternalInvariantError("outer vertex fan is not contiguous")
             enter(w)
             nxt[prev] = w
             prv[w] = prev
@@ -339,8 +340,13 @@ def _angular_sort(
 
 
 def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]:
-    """Map a maximal outerplanar graph onto general-position points without
+    """Map an outerplanar layer onto general-position points without
     crossings; returns point index per vertex.
+
+    As in :func:`simul_embed_free`, the layer is first completed by
+    :func:`graphs.maximalize_outerplanar`, which validates it and refuses
+    chords that cross in the declared outer cycle; drawing the maximal
+    layer draws the layer.
 
     Split by split: the designated outer-cycle edge sits on a hull edge
     (p, q) of its point subset; the apex of its internal triangle goes to
@@ -364,13 +370,13 @@ def embed_outerplanar_on_points(layer: Layer, pts: list[GridPoint]) -> list[int]
     apex two past the low end), and, when the empty side alternates as in
     a zig-zag, the sort of the order the parent did not pass down.
     """
-    validate_layer(layer, len(pts))
     if layer.kind != "outerplanar":
         raise InvalidInstanceError("point-set embedding expects an outerplanar layer")
+    maximal, _dummies = maximalize_outerplanar(layer, len(pts))
     xs, ys = [p.x for p in pts], [p.y for p in pts]
     if _first_collinear_triple(xs, ys) is not None:
         raise InvalidInstanceError("points are not in general position")
-    return _embed_on_general_position(layer, xs, ys, _hull_root(xs, ys))
+    return _embed_on_general_position(maximal, xs, ys, _hull_root(xs, ys))
 
 
 #: The root of the split: the designated hull edge (p, q) and the other
@@ -397,28 +403,18 @@ def _hull_root(xs: list[int], ys: list[int]) -> Optional[Root]:
 def _embed_on_general_position(
     layer: Layer, xs: list[int], ys: list[int], root: Optional[Root]
 ) -> list[int]:
-    # embed_outerplanar_on_points for a valid outerplanar layer and the
-    # columns of points known to be distinct and in general position, such
-    # as the point sets of simul_embed_free, which are so by construction;
-    # root is _hull_root(xs, ys), which the caller may share between layers.
+    # embed_outerplanar_on_points for a maximalized layer and the columns
+    # of points known to be distinct and in general position, such as the
+    # point sets of simul_embed_free, which are so by construction; root is
+    # _hull_root(xs, ys), which the caller may share between layers.
     k = len(xs)
-    if k == 1:
-        return [0]
-    if k == 2:
-        return [0, 1]
-    if len(layer.edges) != 2 * k - 3:
-        raise InvalidInstanceError(
-            "point-set embedding expects a maximal outerplanar layer (E = 2n-3)"
-        )
+    if k < 3:
+        return list(range(k))
     adj = [set() for _ in range(k)]
     for u, v in layer.edges:
         adj[u].add(v)
         adj[v].add(u)
     cyc = layer.outer_cycle
-    for i in range(k):
-        if cyc[(i + 1) % k] not in adj[cyc[i]]:
-            raise InvalidInstanceError("maximal outerplanar layer is missing a cycle edge")
-
     p_idx, q_idx, by_p = root
     chain = [cyc[0]] + cyc[:0:-1]
     phi = [-1] * k
@@ -451,7 +447,9 @@ def _embed_chain(
     the proof in :func:`_select_split` and is not checked again here.  The
     apex of the designated edge (u, v) is a common neighbour strictly
     inside the interval, found through the positions of the chain's
-    vertices in time linear in the smaller degree.
+    vertices in time linear in the smaller degree.  It is unique, as the
+    chords of a maximalized layer nest: apexes w before w' would make the
+    edges (u, w') and (w, v) cross.
 
     With n_a points on the p side of the apex and n_b on the q side, the
     split rule of :func:`_select_split` needs no sort when a side is
@@ -478,8 +476,8 @@ def _embed_chain(
             continue
         apexes = [w for w in adj[u] & adj[v] if lo < pos[w] < hi]
         if len(apexes) != 1:
-            raise InvalidInstanceError(
-                f"edge ({u},{v}) must close exactly one triangle inside its chain"
+            raise InternalInvariantError(
+                f"edge ({u},{v}) does not close exactly one triangle inside its chain"
             )
         j = pos[apexes[0]]
         n_a = j - lo - 1

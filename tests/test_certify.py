@@ -135,6 +135,17 @@ def test_given_mapping_refuses_assignments():
         check_embedding_shape(relabeled, inst)
 
 
+def test_instance_without_vertices_is_refused_not_certified():
+    # no point to take an extent of: the shape check refuses the instance
+    # as validate_instance would, before any scan reads the columns
+    emb = embedding_of([])
+    inst = LayeredInstance(n=0, layers=[Layer("path", [])], mapping="given")
+    with pytest.raises(InvalidInstanceError, match="at least one vertex"):
+        certify_embedding(emb, inst, bounds=(0, 0))
+    with pytest.raises(InvalidInstanceError, match="at least one vertex"):
+        check_embedding_shape(emb, inst)
+
+
 def test_report_round_trips_through_json():
     rep = certify_general_position([P(0, 0), P(1, 1), P(2, 2)])
     again = CertificateReport.from_json(rep.to_json())

@@ -845,6 +845,62 @@ def test_cli_invalid_instance_exit_code_follows_where_it_is_caught(
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
 
 
+def _disjoint_triangles_and_hexagon():
+    # a plane layer of two disjoint triangles, which is no connected plane
+    # embedding, beside an outerplanar hexagon
+    rotation = [[1, 2], [2, 0], [0, 1], [4, 5], [5, 3], [3, 4]]
+    planar = {
+        "class": "planar",
+        "edges": [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]],
+        "rotation": rotation,
+    }
+    hexagon = {
+        "class": "outerplanar",
+        "edges": [[i, (i + 1) % 6] for i in range(6)],
+        "outer_cycle": list(range(6)),
+    }
+    return {"n": 6, "mapping": "free", "layers": [planar, hexagon]}
+
+
+@pytest.mark.parametrize(
+    "command, document, rc, message",
+    [
+        (
+            ["embed"],
+            {**json.loads(MINIMAL_TWO_PATHS), "mapping": "partial"},
+            1,
+            "mapping must be 'given' or 'free'",
+        ),
+        (["gen", "--kind", "nosuch", "--n", "5"], None, 2, "unknown kind 'nosuch'"),
+        (
+            ["embed"],
+            _disjoint_triangles_and_hexagon(),
+            2,
+            "plane embedding check requires a connected graph",
+        ),
+    ],
+    ids=["mapping-partial", "gen-unknown-kind", "disconnected-plane-layer"],
+)
+def test_cli_refusals_one_error_line(tmp_path, capsys, command, document, rc, message):
+    out_file = tmp_path / "out.json"
+    args = [*command, "--out", str(out_file)]
+    if document is not None:
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text(json.dumps(document), encoding="utf-8")
+        args += ["--in", str(inst_file)]
+    capsys.readouterr()
+    assert cli_main(args) == rc
+    out, err = capsys.readouterr()
+    assert out == "" and not out_file.exists()
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+
+def test_parse_result_refuses_a_document_without_width():
+    with pytest.raises(ParseError, match="^result document missing 'width'$"):
+        parse_result(json.dumps({"coords": [[1, 1]], "height": 1}))
+
+
 def test_cli_io_error_exit_code(tmp_path):
     rc = cli_main(["embed", "--in", str(tmp_path / "missing.json"), "--out", "-"])
     assert rc == 1

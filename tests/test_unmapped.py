@@ -6,7 +6,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import embedding_of, random_general_position, thin_plane
+from helpers import (
+    embedding_of,
+    general_position_points,
+    random_general_position,
+    thin_plane,
+)
 from reference import brute_force_point_assignment
 from simembed import (
     COORD_LIMIT,
@@ -23,6 +28,7 @@ from simembed import (
     find_collinear_triple,
     general_position_bounds,
     generate,
+    maximalize_outerplanar,
     orient,
     parabola_pointset,
     planar_general_position_draw,
@@ -381,7 +387,8 @@ def test_embed_refuses_crossing_chords_or_draws_a_certified_layer(layer):
     try:
         phi = embed_outerplanar_on_points(layer, pts)
     except InvalidInstanceError as exc:
-        assert "must close exactly one triangle inside its chain" in str(exc)
+        # maximalize_outerplanar is the one check of nesting chords
+        assert "cross in the declared outer cycle" in str(exc)
     else:
         assert assignment_certified(layer, pts, phi)
 
@@ -392,7 +399,7 @@ def test_embed_refuses_a_hexagon_with_three_crossing_diagonals():
         [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4), (2, 5)],
         outer_cycle=list(range(6)),
     )
-    with pytest.raises(InvalidInstanceError, match="must close exactly one triangle"):
+    with pytest.raises(InvalidInstanceError, match="cross in the declared outer cycle"):
         embed_outerplanar_on_points(hexagon, parabola_pointset(6))
 
 
@@ -403,9 +410,28 @@ def test_embed_requires_general_position():
 
 
 def test_embed_requires_maximal():
+    # the layer need not be maximal: it is maximalized first, so the bare
+    # square maps as its maximalization does
     square = Layer("outerplanar", [(0, 1), (1, 2), (2, 3), (3, 0)], outer_cycle=[0, 1, 2, 3])
-    with pytest.raises(InvalidInstanceError):
-        embed_outerplanar_on_points(square, [P(0, 0), P(7, 1), P(5, 6), P(1, 5)])
+    pts = [P(0, 0), P(7, 1), P(5, 6), P(1, 5)]
+    phi = embed_outerplanar_on_points(square, pts)
+    assert assignment_certified(square, pts, phi)
+    assert phi == embed_outerplanar_on_points(maximalize_outerplanar(square, 4)[0], pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_position_points(max_size=11), st.integers(0, 10**6), st.data())
+def test_embed_thinned_layer_maps_as_its_maximalization(pts, seed, data):
+    # any subset of a maximal layer's edges, cycle edges too, on any points
+    k = len(pts)
+    maximal = generate("maximal-outerplanar", k, seed)
+    kept = data.draw(st.sets(st.sampled_from(range(len(maximal.edges)))))
+    thinned = Layer(
+        "outerplanar", [maximal.edges[i] for i in sorted(kept)], outer_cycle=maximal.outer_cycle
+    )
+    phi = embed_outerplanar_on_points(thinned, pts)
+    assert assignment_certified(thinned, pts, phi)
+    assert phi == embed_outerplanar_on_points(maximalize_outerplanar(thinned, k)[0], pts)
 
 
 # ---------------------------------------------------------------------------
