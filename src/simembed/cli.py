@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import functools
 import gc
-import json
 import sys
 import threading
 from typing import Optional
@@ -325,7 +324,7 @@ def _run(argv: Optional[list[str]]) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ParseError) as exc:
+    except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

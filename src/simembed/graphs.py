@@ -8,7 +8,6 @@ their declared class and compute the decompositions the embedders consume.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -449,38 +448,26 @@ def _complete_faces(
 ) -> list[tuple[int, int, int, int]]:
     """Add chords until every face in ``faces`` is a triangle.
 
-    ``faces`` are walks from ``_trace_faces`` over ``edges``, each starting
-    at its smallest-key dart; ``edges`` is extended in place.  Returns one
-    (p, q, a, b) per chord p-q in insertion order, with a and b the sources
-    of the in-darts of its corners at p and q: a plane rotation stays plane
-    when q goes in right before a at p and p right before b at q.
+    ``faces`` are walks from ``_trace_faces`` over ``edges``; ``edges`` is
+    extended in place.  Returns one (p, q, a, b) per chord p-q in insertion
+    order, with a and b the sources of the in-darts of its corners at p and
+    q: a plane rotation stays plane when q goes in right before a at p and
+    p right before b at q.
 
-    The chord sequence is the one that re-tracing all faces after each chord
-    would give, but the faces are traced once.  In that re-trace the forward
-    dart of edge k comes at key (0, k) and its reverse at (1, k), each face
-    walk starts at its smallest-key dart, and the first face longer than
-    three darts gets the chord, between the first pair of distinct,
-    non-adjacent corners i < j - 1 (corner i sits at w[i][1], between darts
-    w[i] and w[i+1]), so no parallel edge appears.  A chord cuts
-    w[i+1..j] + [(q, p)] off the walk w, onto a heap of long faces keyed by
-    start dart, and w becomes w[..i] + [(p, q)] + w[j+1..] in place.  That
-    kept walk keeps its start dart and so stays the first long face; it has
-    only lost corners and gained an edge, so no pair before (i, i + 2) can
-    take a chord and the scan resumes there.  The one exception: the new
-    forward dart (p, q) sorts before every reverse dart, so a walk whose
-    start is a reverse dart starts at (p, q) after its first chord and is
-    scanned again from corner 0.
+    The long faces come off a stack.  Each walk w is scanned forward for
+    the first pair of corners i < j - 1 (corner i sits at w[i][1], between
+    darts w[i] and w[i+1]) that are distinct and not yet joined, so the
+    chord is no loop and no parallel edge.  It cuts w[i+1..j] + [(q, p)]
+    off onto the stack, if longer than a triangle, and w becomes
+    w[..i] + [(p, q)] + w[j+1..] in place.  The kept walk has only lost
+    corners and gained an edge, so no pair before (i, i + 2) can take a
+    chord and the scan resumes there.
     """
-    key: dict[tuple[int, int], tuple[int, int]] = {}
-    for k, (u, v) in enumerate(edges):
-        key[(u, v)] = (0, k)
-        key[(v, u)] = (1, k)
     edge_set = {frozenset(e) for e in edges}
-    heap = [(key[f[0]], f) for f in faces if len(f) > 3]
-    heapq.heapify(heap)
+    stack = [f for f in faces if len(f) > 3]
     inserts: list[tuple[int, int, int, int]] = []
-    while heap:
-        (reverse_start, _), walk = heapq.heappop(heap)
+    while stack:
+        walk = stack.pop()
         i, j = 0, 2
         while len(walk) > 3:
             if j >= len(walk):
@@ -495,18 +482,12 @@ def _complete_faces(
                 j += 1
                 continue
             inserts.append((p, q, walk[i][0], walk[j][0]))
-            key[(p, q)] = (0, len(edges))
-            key[(q, p)] = (1, len(edges))
             edges.append((p, q))
             edge_set.add(frozenset((p, q)))
             cut = walk[i + 1 : j + 1] + [(q, p)]
             if len(cut) > 3:
-                start = min(range(len(cut)), key=lambda t: key[cut[t]])
-                heapq.heappush(heap, (key[cut[start]], cut[start:] + cut[:start]))
+                stack.append(cut)
             walk[i + 1 : j + 1] = [(p, q)]
-            if reverse_start:
-                walk = walk[i + 1 :] + walk[: i + 1]
-                reverse_start, i = 0, 0
             j = i + 2
     return inserts
 
@@ -537,7 +518,7 @@ def triangulate_plane(layer: Layer, n: int) -> tuple[Layer, list[tuple[int, int]
 def maximalize_outerplanar(layer: Layer, n: int) -> tuple[Layer, list[tuple[int, int]]]:
     """Complete an outerplanar layer to a maximal outerplanar graph.
 
-    Missing outer-cycle edges are added first, then every internal face is
+    Missing outer-cycle edges are added first, then every inner face is
     triangulated; all added edges are returned as dummies.  Rejects inputs
     whose chords cross with respect to the declared outer cycle.
 
@@ -546,26 +527,12 @@ def maximalize_outerplanar(layer: Layer, n: int) -> tuple[Layer, list[tuple[int,
     every open chord that ends at or before lo leaves only chords with
     lo' <= lo < hi'; the new chord crosses one of them iff it crosses the
     innermost one, that is iff it ends past the innermost one's hi.  The
-    same walk lists the inner faces: the face under chord (lo, hi) has the
-    corners lo..hi that no chord nested directly under it jumps over, in
-    increasing position, and is closed by the chord; the root face runs
-    from position 0 to n - 1 and is closed by the cycle edge
-    cyc[n - 1] -> cyc[0].
-
-    The chords are the ones that ``_complete_faces`` adds on the faces that
-    ``_trace_faces`` walks in the convex rotation (neighbours by cyclic
-    distance), which is how the result is defined:
-
-    - that trace walks every inner face by increasing position, starting at
-      its smallest-key dart c0 -> c1, where the forward dart of edge k has
-      key (0, k) and its reverse (1, k); faces are completed in that order;
-    - the corners of a convex face are distinct and no chord joins two of
-      them that are not neighbours on it, so every first candidate pair
-      takes the chord and every cut-off piece is a triangle;
-    - hence a face that starts at a forward dart becomes the fan
-      (c1, c3) ... (c1, c_{L-1}), and only a face that starts at a reverse
-      dart moves: after (c1, c3) it starts at that new forward dart, which
-      gives the fan (c3, c5) ... (c3, c_{L-1}), (c3, c0), empty for L = 4.
+    same walk closes the inner faces: the face under chord (lo, hi) has the
+    corners lo..hi that no chord nested directly under it jumps over, and
+    the root face runs from position 0 to n - 1.  A face with corners
+    c0 ... c(L-1) in cycle order gets the fan (c1, c3) ... (c1, c(L-1)).
+    On the convex drawing of the cycle a face's corners are joined only
+    where they are neighbours on it, so the fan adds no edge twice.
     """
     validate_layer(layer, n)
     if layer.outer_cycle is None:
@@ -577,73 +544,48 @@ def maximalize_outerplanar(layer: Layer, n: int) -> tuple[Layer, list[tuple[int,
             edges.append((cyc[0], cyc[1]))
         return Layer(kind="outerplanar", edges=edges, outer_cycle=cyc), edges[len(layer.edges) :]
 
-    # Dart keys as integers: k for the forward dart of edge k, k + rev for
-    # its reverse, rev being past every edge index before the first chord
-    # is added.  step[x] keys the dart cyc[x] -> cyc[x + 1 (mod n)].
+    # on_cycle[x]: the edge cyc[x] - cyc[x + 1 (mod n)] is present
     pos = dict(zip(cyc, range(n)))
-    rev = len(edges) + n
-    step: list[Optional[int]] = [None] * n
+    on_cycle = [False] * n
     spans = []
     for k, (u, v) in enumerate(edges):
         a, b = pos[u], pos[v]
         gap = (b - a) % n
         if gap == 1:
-            step[a] = k
+            on_cycle[a] = True
         elif gap == n - 1:
-            step[b] = k + rev
+            on_cycle[b] = True
         elif a < b:
             spans.append((a, -b, k))
         else:
-            spans.append((b, -a, k + rev))
-    for x, key in enumerate(step):
-        if key is None:
-            step[x] = len(edges)
-            edges.append((cyc[x], cyc[(x + 1) % n]))
+            spans.append((b, -a, k))
+    edges.extend((cyc[x], cyc[(x + 1) % n]) for x in range(n) if not on_cycle[x])
 
-    # Open faces, innermost last: (hi, key of the closing dart hi -> lo, key
-    # of the dart lo -> hi in the face around it, corners, keys, edge index),
-    # where keys[i] keys the dart corners[i] -> corners[i + 1].  The corners
-    # of the innermost face run up to position nxt - 1.  A sentinel chord at
-    # position n closes every face, the root last.
-    long_faces = []
-    stack = [(n - 1, step[n - 1], None, [cyc[0]], [], None)]
+    # Open faces, innermost last: (hi, corners, index of the chord lo-hi).
+    # The corners of the innermost face run up to position nxt - 1.  A
+    # sentinel chord at position n closes every face, the root last.
+    stack = [(n - 1, [cyc[0]], None)]
     nxt = 1
-    for lo, neg_hi, up in sorted(spans) + [(n, 0, 0)]:
+    for lo, neg_hi, k in sorted(spans) + [(n, 0, 0)]:
         while stack and stack[-1][0] <= lo:
-            hi, down, jump, corners, keys, _ = stack.pop()
+            hi, corners, _ = stack.pop()
             corners += cyc[nxt : hi + 1]
-            keys += step[nxt - 1 : hi]
-            keys.append(down)
             if len(corners) > 3:
-                long_faces.append((min(keys), corners, keys))
+                edges.extend(zip(itertools.repeat(corners[1]), corners[3:]))
             if stack:
-                stack[-1][3].append(cyc[hi])
-                stack[-1][4].append(jump)
+                stack[-1][1].append(cyc[hi])
             nxt = hi + 1
         if not stack:
             break
-        hi, _, _, corners, keys, outer = stack[-1]
-        k = up % rev
+        hi, corners, outer = stack[-1]
         if -neg_hi > hi:
             (a, b), (c, d) = edges[outer], edges[k]
             raise InvalidInstanceError(
                 f"chords ({a},{b}) and ({c},{d}) cross in the declared outer cycle"
             )
         corners += cyc[nxt : lo + 1]
-        keys += step[nxt - 1 : lo]
         nxt = lo + 1
-        stack.append((-neg_hi, up + rev if up < rev else k, up, [cyc[lo]], [], k))
-
-    long_faces.sort(key=lambda f: f[0])
-    for first, corners, keys in long_faces:
-        s = keys.index(first)
-        c = corners[s:] + corners[:s]
-        if first < rev:
-            edges.extend(zip(itertools.repeat(c[1]), c[3:]))
-        else:
-            edges.append((c[1], c[3]))
-            if len(c) > 4:
-                edges.extend(zip(itertools.repeat(c[3]), c[5:] + c[:1]))
+        stack.append((-neg_hi, [cyc[lo]], k))
 
     if len(edges) != 2 * n - 3:
         raise InternalInvariantError(

@@ -110,7 +110,7 @@ def thin_outerplanar(layer: Layer, density: float, rng: random.Random) -> Layer:
 
 def flip_and_shuffle(layer: Layer, rng: random.Random) -> Layer:
     """Reverse each edge with probability 1/2 and shuffle the edge list,
-    which changes the dart keys of face completion but not the graph."""
+    which changes where face walks start but not the graph."""
     edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in layer.edges]
     rng.shuffle(edges)
     return Layer(layer.kind, edges, rotation=layer.rotation, outer_cycle=layer.outer_cycle)
@@ -119,8 +119,7 @@ def flip_and_shuffle(layer: Layer, rng: random.Random) -> Layer:
 def bare_cycle(kind: str, n: int, rng: random.Random) -> Layer:
     """A planar or outerplanar n-cycle through a random vertex order, every
     edge in one direction (forward or backward at random) and the edge
-    list shuffled.  One face walks reverse darts only: either face of the
-    planar cycle, the inner face of a backward outerplanar one."""
+    list shuffled."""
     order = rng.sample(range(n), n)
     step = rng.choice((1, -1))
     edges = [(order[i], order[(i + step) % n]) for i in range(n)]

@@ -31,7 +31,6 @@ from simembed import (
     InternalInvariantError,
     InvalidInstanceError,
     Layer,
-    check_plane_embedding,
     convex_hull,
     validate_layer,
 )
@@ -263,79 +262,41 @@ def path_caterpillar_rescan(p: PathOrder, cat: Caterpillar) -> tuple[list[GridPo
     return [GridPoint(xs[v], ys[v]) for v in range(n)], shifts
 
 
-def _first_chord(big, edge_set):
-    corner = [d[1] for d in big]
-    for i in range(len(big)):
-        for j in range(i + 2, len(big)):
-            p, q = corner[i], corner[j]
-            if p != q and frozenset((p, q)) not in edge_set:
-                return i, j
-    raise InternalInvariantError("face admits no chord")
-
-
-def triangulate_plane_retrace(layer: Layer, n: int) -> tuple[Layer, list[tuple[int, int]]]:
-    """Triangulate by re-tracing every face after each added chord."""
-    check_plane_embedding(layer, n)
-    rotation = [list(r) for r in layer.rotation or []]
-    edges = list(layer.edges)
-    edge_set = {frozenset(e) for e in edges}
-    dummies = []
-    while True:
-        big = next((f for f in _trace_faces(n, edges, rotation) if len(f) > 3), None)
-        if big is None:
-            break
-        i, j = _first_chord(big, edge_set)
-        p, q = big[i][1], big[j][1]
-        rotation[p].insert(rotation[p].index(big[i][0]), q)
-        rotation[q].insert(rotation[q].index(big[j][0]), p)
-        edges.append((p, q))
-        edge_set.add(frozenset((p, q)))
-        dummies.append((p, q))
-    return Layer(kind="planar", edges=edges, rotation=rotation), dummies
-
-
-def maximalize_outerplanar_retrace(
+def maximalize_outerplanar_fans(
     layer: Layer, n: int
 ) -> tuple[Layer, list[tuple[int, int]]]:
-    """Maximalize by rebuilding the convex rotation and re-tracing every
-    face after each added chord."""
+    """Maximalize by tracing the faces of the convex rotation once and
+    fanning every inner face from its second corner in cycle order, the
+    faces taken by (position of the last corner, minus that of the first)."""
     validate_layer(layer, n)
     cyc = list(layer.outer_cycle)
     pos = {v: i for i, v in enumerate(cyc)}
     edges = list(layer.edges)
     edge_set = {frozenset(e) for e in edges}
-    dummies = []
     if n <= 2:
         if n == 2 and frozenset((cyc[0], cyc[1])) not in edge_set:
             edges.append((cyc[0], cyc[1]))
-            dummies.append((cyc[0], cyc[1]))
-        return Layer(kind="outerplanar", edges=edges, outer_cycle=cyc), dummies
+        return Layer(kind="outerplanar", edges=edges, outer_cycle=cyc), edges[len(layer.edges) :]
     if crossing_chords_pair_scan(cyc, edges) is not None:
         raise InvalidInstanceError("chords cross")
     for i in range(n):
         u, v = cyc[i], cyc[(i + 1) % n]
         if frozenset((u, v)) not in edge_set:
             edges.append((u, v))
-            edge_set.add(frozenset((u, v)))
-            dummies.append((u, v))
-    outer_dart = (cyc[1], cyc[0])
-    while True:
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        rotation = [sorted(neighbors[v], key=lambda w: (pos[w] - pos[v]) % n) for v in range(n)]
-        faces = _trace_faces(n, edges, rotation)
-        outer = next(f for f in faces if outer_dart in f)
-        big = next((f for f in faces if f is not outer and len(f) > 3), None)
-        if big is None:
-            break
-        i, j = _first_chord(big, edge_set)
-        chord = (big[i][1], big[j][1])
-        edges.append(chord)
-        edge_set.add(frozenset(chord))
-        dummies.append(chord)
-    return Layer(kind="outerplanar", edges=edges, outer_cycle=cyc), dummies
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    rotation = [sorted(neighbors[v], key=lambda w: (pos[w] - pos[v]) % n) for v in range(n)]
+    inner = [
+        sorted((v for _, v in face), key=pos.__getitem__)
+        for face in _trace_faces(n, edges, rotation)
+        if (cyc[1], cyc[0]) not in face
+    ]
+    inner.sort(key=lambda c: (pos[c[-1]], -pos[c[0]]))
+    for c in inner:
+        edges.extend((c[1], w) for w in c[3:])
+    return Layer(kind="outerplanar", edges=edges, outer_cycle=cyc), edges[len(layer.edges) :]
 
 
 def layer_crossings_all_pairs(

@@ -1,15 +1,17 @@
 """The optimized routines against their plain references.
 
-The package's trace-once face completion, outerplanar completion read
-off the chord nesting, one-pass chord check, flip
+The package's outerplanar completion read off the chord nesting,
+one-pass chord check, flip
 generator that updates its dart map in place, path + caterpillar layout
 with a running shift, bounding-box scan of the certifier and bucketed
-full collinearity scan must return exactly what the re-trace-per-chord
-loops, the chord pair scan, the rebuild-per-flip generator, the shift pass
+full collinearity scan must return exactly what the fan over the traced
+faces, the chord pair scan, the rebuild-per-flip generator, the shift pass
 over all vertices, the all-pairs edge loop and the cubic triple loop in
 ``reference.py`` return, on inputs chosen so that faces of every size get
 completed, chords nest, cross and share endpoints, and edges overlap,
-touch and tie in every way a grid allows; the certifier's Shamos–Hoey
+touch and tie in every way a grid allows; the plane face completion,
+which fixes no chord order, must keep the input and give a simple
+triangulation whose rotations extend the input's; the certifier's Shamos–Hoey
 decision must say yes exactly when the exact predicate finds some
 conflicting pair among all pairs, its one-pass rule for a monotone path
 may accept only layers in which the all-pairs loop finds no conflict, and
@@ -69,7 +71,7 @@ from reference import (
     embed_on_general_position_eager,
     five_point_check_dfs,
     layer_crossings_all_pairs,
-    maximalize_outerplanar_retrace,
+    maximalize_outerplanar_fans,
     next_prime_trial_division,
     path_caterpillar_rescan,
     plane_triangulation_rebuild,
@@ -77,7 +79,6 @@ from reference import (
     sampled_five_point_check,
     same_ray,
     select_split_rank_dicts,
-    triangulate_plane_retrace,
 )
 from simembed import (
     FIVE_PATHS,
@@ -89,6 +90,7 @@ from simembed import (
     as_path,
     caterpillar_decompose,
     certify_general_position,
+    check_plane_embedding,
     convex_hull,
     embed_outerplanar_on_points,
     embed_path_caterpillar,
@@ -116,16 +118,25 @@ from simembed.smallcases import (
 
 
 # How a case reshapes its thinned layer: not at all, by reversing and
-# shuffling edges (so a face may start at a reverse dart or at a chord added
-# mid-walk), or by replacing it with a bare cycle, whose faces are single
-# long walks and, in one orientation, walk reverse darts only.
+# shuffling edges (so face walks start elsewhere and chords come in
+# another order), or by replacing it with a bare cycle, whose faces are
+# single long walks.
 _SHAPES = ("thinned", "flipped", "bare cycle")
+
+
+def _cyclic_subsequence(short, long):
+    # short is long with some entries removed, read from some start
+    if not short:
+        return True
+    start = long.index(short[0])
+    it = iter(long[start:] + long[:start])
+    return all(v in it for v in short)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(3, 30), st.integers(0, 10**6), st.floats(0, 1), st.sampled_from(_SHAPES))
 @example(5, 0, 0.0, "bare cycle")
-def test_triangulate_plane_matches_retrace(n, seed, share, shape):
+def test_triangulate_plane_completes_every_face(n, seed, share, shape):
     # share 1.0 thins the triangulation down to a spanning tree
     rng = random.Random(seed)
     layer = thin_plane(generate("plane-triangulation", n, seed), n, share, rng)
@@ -133,7 +144,14 @@ def test_triangulate_plane_matches_retrace(n, seed, share, shape):
         layer = flip_and_shuffle(layer, rng)
     elif shape == "bare cycle":
         layer = bare_cycle("planar", n, rng)
-    assert triangulate_plane(layer, n) == triangulate_plane_retrace(layer, n)
+    tri, dummies = triangulate_plane(layer, n)
+    m = len(layer.edges)
+    assert tri.edges[:m] == layer.edges and tri.edges[m:] == dummies
+    assert len(tri.edges) == len({frozenset(e) for e in tri.edges}) == 3 * n - 6
+    assert check_plane_embedding(tri, n) == 2 * n - 4
+    assert all(len(face) == 3 for face in _trace_faces(n, tri.edges, tri.rotation))
+    for old, new in zip(layer.rotation, tri.rotation):
+        assert _cyclic_subsequence(old, new)
 
 
 @settings(max_examples=150, deadline=None)
@@ -145,14 +163,12 @@ def test_triangulate_plane_matches_retrace(n, seed, share, shape):
     st.sampled_from(_SHAPES),
 )
 @example(8, 0, 0.0, 0.0, "bare cycle")
-# one face of 4 corners that starts at a reverse dart: chord (c1, c3) only
 @example(4, 0, 0.0, 0.0, "bare cycle")
-# the same among other faces, and one of 5 corners: (c1, c3), then (c3, c0)
 @example(11, 5, 0.7, 1.0, "flipped")
 @example(8, 4, 0.5, 1.0, "flipped")
 # three chords from one cycle position, nested in each other
 @example(11, 39, 0.5, 1.0, "flipped")
-def test_maximalize_outerplanar_matches_retrace(n, seed, density, cycle_keep, shape):
+def test_maximalize_outerplanar_matches_fans(n, seed, density, cycle_keep, shape):
     rng = random.Random(seed)
     thinned = thin_outerplanar(generate("maximal-outerplanar", n, seed), density, rng)
     cyc = thinned.outer_cycle
@@ -163,7 +179,7 @@ def test_maximalize_outerplanar_matches_retrace(n, seed, density, cycle_keep, sh
         layer = flip_and_shuffle(layer, rng)
     elif shape == "bare cycle":
         layer = bare_cycle("outerplanar", n, rng)
-    assert maximalize_outerplanar(layer, n) == maximalize_outerplanar_retrace(layer, n)
+    assert maximalize_outerplanar(layer, n) == maximalize_outerplanar_fans(layer, n)
 
 
 def test_maximalize_outerplanar_reads_faces_off_the_chord_nesting(monkeypatch):
@@ -176,7 +192,7 @@ def test_maximalize_outerplanar_reads_faces_off_the_chord_nesting(monkeypatch):
         layers.append(thin_outerplanar(layers[-1], rng.random(), rng))
         layers.append(flip_and_shuffle(layers[-1], rng))
         layers.append(bare_cycle("outerplanar", n, rng))
-    expected = [maximalize_outerplanar_retrace(layer, len(layer.outer_cycle)) for layer in layers]
+    expected = [maximalize_outerplanar_fans(layer, len(layer.outer_cycle)) for layer in layers]
 
     def forbidden(*args):
         raise AssertionError("maximalize_outerplanar traced or completed faces")
@@ -187,13 +203,13 @@ def test_maximalize_outerplanar_reads_faces_off_the_chord_nesting(monkeypatch):
         assert maximalize_outerplanar(layer, len(layer.outer_cycle)) == want
 
 
-def test_maximalize_small_cycles_match_retrace():
+def test_maximalize_small_cycles_match_fans():
     for n in (1, 2, 3):
         for edges in ([], [(0, 1)]):
             if n == 1 and edges:
                 continue
             layer = Layer("outerplanar", edges, outer_cycle=list(range(n)))
-            assert maximalize_outerplanar(layer, n) == maximalize_outerplanar_retrace(layer, n)
+            assert maximalize_outerplanar(layer, n) == maximalize_outerplanar_fans(layer, n)
 
 
 _CROSSING = re.compile(
