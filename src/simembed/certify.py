@@ -63,23 +63,50 @@ def _layer_crossings(
 ) -> list[Violation]:
     """Every conflicting edge pair (i, j), i < j, of one layer, in order.
 
-    A layer whose edges form one path that is strictly monotone in x or in
-    y has none, and :func:`_monotone_chain` tells so in one pass: along
-    such a path the coordinate strictly increases, so two edges that are
-    not adjacent on it span disjoint closed intervals of it, and two
-    adjacent ones leave their shared vertex in opposite directions of it,
-    so they meet only there.  The two paths of a given-mapping drawing
-    are such chains.
+    Two exact rules, each a pass over the edges, prove the layers of
+    given-mapping drawings free of conflicts; each is tried along x and
+    then along y, and says only yes or "not proved".
 
-    Any other layer goes to :func:`_any_conflict`, which decides whether
-    there is a conflict with O(m log m) orientation tests and at most 3m
-    exact ones; only a layer with a conflict is handed to
-    :func:`_listed_crossings`, which names every conflicting pair.  Both
-    sweep along the axis that :func:`_sweep_frame` picks, the one on which
-    a sweep line meets fewer edges on average; the axis changes how fast
-    they run, never what they find.  The spans are ``max - min`` of xs, ys.
+    The chain rule, :func:`_monotone_chain`, proves a layer whose edges
+    form one path that is strictly monotone along the axis: along such a
+    path the coordinate strictly increases, so two edges that are not
+    adjacent on it span disjoint closed intervals of it, and two adjacent
+    ones leave their shared vertex in opposite directions of it, so they
+    meet only there.  It proves both paths of a two-paths drawing and the
+    path of a path-caterpillar drawing.
+
+    The slab rule, :func:`_disjoint_slabs`, proves a layer made of fans,
+    each a low end and its edges, all to higher coordinates, whose slabs
+    along the axis overlap at most on a boundary line.  Every edge of a
+    fan leaves its low end into the open half-plane above it, so two of
+    them with different slopes have different directions and meet only at
+    the low end, an endpoint of both.  A fan lies in the closed slab from its
+    low end's coordinate c to its reach r, and the next fan's slab starts
+    at or above r, strictly above c, so the slabs of two fans share at most
+    the line at r, and only if they are consecutive.  On that line the
+    lower fan has only high ends, as each of its edges lies below its high
+    end, and the upper fan only its low end.  So two edges of different
+    fans share at most a point that is an endpoint of both, which
+    :func:`geometry._conflict_raw` counts as no conflict.  The rule proves
+    the caterpillar of a path-caterpillar drawing, along x, and each
+    caterpillar of a two-caterpillars drawing, along its own axis: each
+    spine vertex is the low end of its legs and of the spine edge ahead,
+    which reaches the column (or row) where the next spine vertex's fan
+    starts.  It runs after the chain rule, which is cheaper on paths.
+
+    Any other layer, as a rule every layer of a free-mapping drawing, goes
+    to :func:`_any_conflict`, which decides whether there is a conflict
+    with O(m log m) orientation tests and at most 3m exact ones; only a
+    layer with a conflict is handed to :func:`_listed_crossings`, which
+    names every conflicting pair.  Both sweep along the axis that
+    :func:`_sweep_frame` picks, the one on which a sweep line meets fewer
+    edges on average; the axis changes how fast they run, never what they
+    find.  The spans are ``max - min`` of xs, ys.
     """
-    if _monotone_chain(xs, edges) or _monotone_chain(ys, edges):
+    if (
+        _monotone_chain(xs, edges) or _monotone_chain(ys, edges)
+        or _disjoint_slabs(xs, ys, edges) or _disjoint_slabs(ys, xs, edges)
+    ):
         return []
     if _any_conflict(*_sweep_frame(xs, ys, edges, x_span, y_span), edges):
         return _listed_crossings(xs, ys, edges, layer_idx, x_span, y_span)
@@ -116,6 +143,55 @@ def _monotone_chain(cs: list[int], edges: list[tuple[int, int]]) -> bool:
     # m low ends and m high ends touch m + 1 vertices iff m - 1 are both
     both = int.from_bytes(low, "little") & int.from_bytes(high, "little")
     return both.bit_count() == len(edges) - 1
+
+
+def _disjoint_slabs(cs: list[int], ds: list[int], edges: list[tuple[int, int]]) -> bool:
+    """Whether the edges fall into fans in disjoint slabs along the
+    coordinate ``cs`` (``ds`` is the other one); then no two of them
+    conflict (see :func:`_layer_crossings`).
+
+    Each edge runs from its low end to its high end along ``cs``, as in
+    :func:`_monotone_chain`, and the edges with one low end form its fan.
+    The fan's reach is the highest coordinate of their high ends.  The
+    answer is no at the first edge whose ends have equal coordinates (edges
+    of length zero included) and at the first vertex that is the high end
+    of two edges; then if two edges of one fan have equal slopes Δd / Δc;
+    and then unless, with the low ends sorted by coordinate, each one's
+    reach is at most the next one's coordinate.  That last test also
+    refuses two low ends with one coordinate, as every reach lies above its
+    low end.  Equal slopes always give equal floats, each the correctly
+    rounded quotient of one real; two different slopes that round to one
+    float only make the rule refuse, as does a slope too large for a float.
+    The test on high ends is there to stop early: the tests after the pass
+    would refuse two edges with one high end too.  A layer of another
+    shape usually fails it at its first vertex with two edges down.
+    """
+    high = bytearray(len(cs))  # high[v] = 1 once v is the high end of an edge
+    reach = list(cs)  # cs[v] until v is a low end, then v's reach
+    lows = []
+    slopes = set()
+    try:
+        for u, w in edges:
+            a, b = cs[u], cs[w]
+            if a > b:
+                u, w, a, b = w, u, b, a
+            elif a == b:
+                return False
+            if high[w]:
+                return False
+            high[w] = 1
+            r = reach[u]
+            if r < b:
+                if r == a:  # the first edge of u's fan
+                    lows.append(u)
+                reach[u] = b
+            slopes.add((u, (ds[w] - ds[u]) / (b - a)))
+    except OverflowError:  # a slope beyond the float range; the sweep is exact
+        return False
+    if len(slopes) != len(edges):
+        return False
+    lows.sort(key=cs.__getitem__)
+    return all(reach[u] <= cs[v] for u, v in zip(lows, lows[1:]))
 
 
 def _sweep_frame(

@@ -16,6 +16,7 @@ from simembed import (
     certify_embedding,
     certify_general_position,
     embed_path_caterpillar,
+    embed_two_caterpillars,
     embed_two_paths,
     generate,
     parabola_pointset,
@@ -238,11 +239,13 @@ def test_sweep_axis_is_the_one_a_sweep_line_meets_fewer_edges_on():
     assert _sweep_frame(xs, ys, [(0, 1), (2, 3), (4, 5)], 7, 2) == (ys, xs)
 
 
-def test_path_layers_of_given_mapping_drawings_skip_the_sweep(monkeypatch):
+def test_no_layer_of_a_given_mapping_drawing_reaches_the_sweep(monkeypatch):
     # Each path of a two-paths drawing steps by one along its own axis, and
     # the path of a path-caterpillar drawing along y, so the chain rule
-    # proves those layers and the sweep never starts on them; it does start
-    # on the caterpillar.
+    # proves those layers.  Each caterpillar sits in disjoint column slabs,
+    # one per spine vertex, along x in a path-caterpillar drawing and along
+    # its own axis in a two-caterpillars drawing, so the slab rule proves
+    # it.  The sweep never starts.
     swept = []
     real = certify._any_conflict
 
@@ -256,11 +259,13 @@ def test_path_layers_of_given_mapping_drawings_skip_the_sweep(monkeypatch):
         paths = [PathOrder(rng.sample(range(n), n)) for _ in range(2)]
         inst = LayeredInstance(n=n, layers=[Layer("path", p.edges()) for p in paths])
         assert certify_embedding(embed_two_paths(*paths), inst).ok
-    assert swept == []
     for seed in (1, 2, 3):
         n = 300
         path, cat = generate("path", n, seed), generate("caterpillar", n, seed)
         emb, _ = embed_path_caterpillar(as_path(path, n), caterpillar_decompose(cat, n))
-        inst = LayeredInstance(n=n, layers=[path, cat])
-        assert certify_embedding(emb, inst).ok
-        assert swept.pop() is cat.edges and swept == []
+        assert certify_embedding(emb, LayeredInstance(n=n, layers=[path, cat])).ok
+    for n, seed in [(2, 1), (7, 2), (60, 3), (300, 4)]:
+        cats = [generate("caterpillar", n, seed + k) for k in (0, 10)]
+        emb = embed_two_caterpillars(*(caterpillar_decompose(c, n) for c in cats))
+        assert certify_embedding(emb, LayeredInstance(n=n, layers=cats)).ok
+    assert swept == []

@@ -13,8 +13,9 @@ touch and tie in every way a grid allows; the plane face completion,
 which fixes no chord order, must keep the input and give a simple
 triangulation whose rotations extend the input's; the certifier's Shamos–Hoey
 decision must say yes exactly when the exact predicate finds some
-conflicting pair among all pairs, its one-pass rule for a monotone path
-may accept only layers in which the all-pairs loop finds no conflict, and
+conflicting pair among all pairs, its rules for a monotone path
+and for fans in disjoint slabs may accept only layers in which the
+all-pairs loop finds no conflict, and
 that predicate, which stops at the
 first separating line, must answer as the one that computes all four
 orientations first.  The five-point search on candidate
@@ -106,7 +107,13 @@ from simembed import (
 )
 from simembed import certify, graphs, smallcases, unmapped
 from simembed.graphs import _trace_faces
-from simembed.certify import _any_conflict, _layer_crossings, _listed_crossings, _monotone_chain
+from simembed.certify import (
+    _any_conflict,
+    _disjoint_slabs,
+    _layer_crossings,
+    _listed_crossings,
+    _monotone_chain,
+)
 from simembed.geometry import COORD_LIMIT, _conflict_raw, _is_prime, _next_prime
 from simembed.smallcases import (
     EXHAUSTIVE_GRID_LIMIT,
@@ -631,6 +638,121 @@ def test_chain_rule_hands_other_layers_to_the_sweep(name, monkeypatch):
     assert swept == [1]
     assert out == layer_crossings_all_pairs(xs, ys, edges, 0)
     assert [v.witness for v in out] == want
+
+
+@st.composite
+def fan_shaped_layers(draw):
+    # Caterpillar-like layers on a small grid: spine vertices in columns
+    # that never decrease, each mostly joined to the next one, and legs that
+    # mostly end in the columns up to the next spine vertex's, so that the
+    # slab rule fires along x.  Drawn often: a leg ending on a point that is
+    # already there (coincident points), a leg in its spine vertex's column
+    # (flat, or of length zero), a leg twice as long as another along its
+    # ray (parallel legs) and a leg past the next spine vertex's column.
+    # Edges come either way round and in any order, and half the layers
+    # are mirrored across the diagonal, so that the rule fires along y.
+    g = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    xs = sorted(draw(st.lists(st.integers(0, 2 * g), min_size=k, max_size=k)))
+    ys = draw(st.lists(st.integers(0, g), min_size=k, max_size=k))
+    edges = [(i, i + 1) for i in range(k - 1) if draw(st.integers(0, 5))]
+    ends = st.sampled_from(["slab", "slab", "slab", "coincident", "flat", "parallel", "past"])
+    for i in range(k):
+        start = xs[i]
+        stop = xs[i + 1] if i + 1 < k else start + 2
+        legs = []
+        for _ in range(draw(st.integers(0, 3))):
+            end = draw(ends)
+            if end == "coincident":
+                v = draw(st.integers(0, len(xs) - 1))
+                x, y = xs[v], ys[v]
+            elif end == "flat":
+                x, y = start, draw(st.integers(0, g))
+            elif end == "parallel" and legs:
+                v = draw(st.sampled_from(legs))
+                x, y = 2 * xs[v] - start, 2 * ys[v] - ys[i]
+            elif end == "past":
+                x, y = draw(st.integers(stop + 1, stop + 2)), draw(st.integers(0, g))
+            else:
+                x, y = draw(st.integers(start + 1, max(start + 1, stop))), draw(st.integers(0, g))
+            legs.append(len(xs))
+            xs.append(x)
+            ys.append(y)
+            edges.append((i, legs[-1]))
+    edges = [(u, w) if draw(st.booleans()) else (w, u) for u, w in draw(st.permutations(edges))]
+    if draw(st.booleans()):
+        xs, ys = ys, xs
+    return xs, ys, edges
+
+
+@settings(max_examples=800, deadline=None)
+@given(fan_shaped_layers())
+def test_slab_rule_accepts_only_layers_without_a_conflict(layer):
+    # Whenever the edges fall into fans in disjoint slabs along x or y, the
+    # all-pairs oracle finds no conflict; and whichever rule fires or the
+    # sweep runs, the layer's list is the oracle's.
+    xs, ys, edges = layer
+    out = layer_crossings_all_pairs(xs, ys, edges, 0)
+    if _disjoint_slabs(xs, ys, edges) or _disjoint_slabs(ys, xs, edges):
+        assert out == []
+    assert _layer_crossings(xs, ys, edges, 0, *spans(xs, ys)) == out
+
+
+# Hand layers that the slab rule must hand on to the sweep along both
+# axes, each as (xs, ys, edges), and the conflicts the oracle finds in them.
+_NOT_SLABS = {
+    # Fan (0, 1) reaches x = 3 with its leg to (3, 4), past x = 1, where
+    # fan (1, 4) starts; that fan's leg to (2, 1) crosses the long leg.
+    "overlapping-slabs": (
+        [0, 3, 1, 1, 2, 3], [1, 4, 0, 4, 1, 5], [(0, 1), (0, 2), (3, 4), (3, 5)], [(0, 0, 2)],
+    ),
+    # Two legs of (0, 0) along one ray: equal slopes, and they overlap.
+    "collinear-legs": ([0, 1, 2], [0, 1, 2], [(0, 1), (0, 2)], [(0, 0, 1)]),
+    # Fans (0, 0) and (0, 1) start in one column, and along y the first
+    # reaches y = 3, past the second's start; no conflict.
+    "two-low-ends-in-one-column": ([0, 0, 2, 1], [0, 1, 3, 3], [(0, 2), (1, 3)], []),
+    # A triangle with a vertical edge, flat along x; along y its top is
+    # the high end of two edges.  No conflict.
+    "vertical-edge": ([0, 1, 1], [0, 1, 2], [(0, 1), (0, 2), (1, 2)], []),
+    # A leg whose slope along x is too large for a float, and a flat edge
+    # along y: a document may hold any integer coordinates.  No conflict.
+    "slope-beyond-floats": ([0, 1, 2], [0, 10**400, 0], [(0, 1), (0, 2)], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_SLABS))
+def test_slab_rule_hands_other_layers_to_the_sweep(name, monkeypatch):
+    xs, ys, edges, want = _NOT_SLABS[name]
+    for cs, ds in [(xs, ys), (ys, xs)]:
+        assert not _monotone_chain(cs, edges) and not _disjoint_slabs(cs, ds, edges)
+    swept = []
+    monkeypatch.setattr(certify, "_any_conflict", lambda *args: swept.append(1) or _any_conflict(*args))
+    out = _layer_crossings(xs, ys, edges, 0, *spans(xs, ys))
+    assert swept == [1]
+    assert out == layer_crossings_all_pairs(xs, ys, edges, 0)
+    assert [v.witness for v in out] == want
+
+
+# Hand layers that the slab rule must prove along x, the sweep untouched.
+_SLABS = {
+    # Fan (0, 0) has a leg to (2, 3) and its spine edge to (2, 1), where
+    # the next fan starts: its reach is the next fan's column.
+    "leg-ends-in-the-next-column": ([0, 2, 2, 3], [0, 3, 1, 0], [(0, 1), (0, 2), (2, 3)]),
+    # The same with no spine edge, and the leg ends on a point of its own
+    # at (2, 1), where the next fan starts: the two edges share only that
+    # point, an endpoint of both.
+    "leg-ends-on-the-next-low-end": ([0, 2, 2, 3], [0, 1, 1, 0], [(0, 1), (2, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SLABS))
+def test_slab_rule_proves_fans_that_meet_on_a_slab_boundary(name, monkeypatch):
+    xs, ys, edges = _SLABS[name]
+    assert not _monotone_chain(xs, edges) and not _monotone_chain(ys, edges)
+    assert _disjoint_slabs(xs, ys, edges)
+    assert layer_crossings_all_pairs(xs, ys, edges, 0) == []
+    monkeypatch.setattr(certify, "_any_conflict", None)
+    assert _layer_crossings(xs, ys, edges, 0, *spans(xs, ys)) == []
 
 
 @settings(max_examples=400, deadline=None)
