@@ -74,7 +74,7 @@ def refine_general_position(
             )
     _check_distinct(xs, ys)
     prime = _next_prime(len(points))
-    extent = prime * base_extent + prime - 1
+    extent = _refined_extent(prime, base_extent)
     if extent > COORD_LIMIT:
         raise CoordinateBudgetError(
             f"general-position refinement of {len(points)} points needs coordinates "
@@ -84,16 +84,18 @@ def refine_general_position(
     return list(map(GridPoint, *_parabola_lift(xs, ys, prime, prime)))
 
 
-def _two_caterpillar_extent(n: int) -> int:
-    # the largest coordinate refine_general_position gives n points of
-    # base extent n
-    prime = _next_prime(n)
-    return prime * n + prime - 1
+def _refined_extent(prime: int, base_extent: int) -> int:
+    # the largest coordinate refine_general_position gives points of base
+    # extent base_extent, lifted with offsets mod prime
+    return prime * base_extent + prime - 1
 
 
 def _check_two_caterpillar_budget(n: int) -> None:
-    # the CLI's gen runs it too, so it writes no instance that embed refuses
-    _check_coord_budget(n, _two_caterpillar_extent, "a two-caterpillar drawing")
+    # the CLI's gen runs it too, so it writes no instance that embed refuses;
+    # the drawing is the refinement of n points of base extent n
+    _check_coord_budget(
+        n, lambda k: _refined_extent(_next_prime(k), k), "a two-caterpillar drawing"
+    )
 
 
 def embed_two_caterpillars(c1: Caterpillar, c2: Caterpillar) -> SimultaneousEmbedding:

@@ -5,9 +5,9 @@ K5 edge pairs, the pairs that must not cross.  The mask is the one input
 of the verdict over the three order types of five points in general
 position and of an exhaustive search over placements of the five
 vertices on grids up to EXHAUSTIVE_GRID_LIMIT.  Above it nothing is
-drawn: a path set that no order type carries has no placement, and one
-that some order type carries is placed by the search of the grid's
-corner, at most 8 x 8.
+searched: a path set that no order type carries has no placement, and one
+that some order type carries is placed at the verdict's witness, whose
+points all lie in [0, 2] x [0, 6], transposed on a grid less than 7 high.
 """
 
 from __future__ import annotations
@@ -241,11 +241,12 @@ def _grid_tables(w: int, h: int) -> tuple[_PairMasks, _PairMasks, _TripleMasks]:
 
 
 #: One integer point set per order type of five points in general position:
-#: hull sizes 5, 4 and 3, hull vertices first and counterclockwise.
+#: hull sizes 5, 4 and 3, hull vertices first and counterclockwise, every
+#: point in [0, 2] x [0, 6].
 _ORDER_TYPES = (
-    ((0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)),
-    ((0, 0), (4, 0), (4, 4), (0, 4), (1, 2)),
-    ((0, 0), (6, 0), (0, 6), (1, 2), (2, 1)),
+    ((0, 0), (2, 0), (2, 1), (1, 3), (0, 1)),
+    ((0, 1), (2, 0), (2, 4), (0, 5), (1, 2)),
+    ((0, 0), (2, 0), (0, 6), (1, 1), (1, 2)),
 )
 
 
@@ -421,8 +422,8 @@ def exhaustive_five_point_check(
     shadow table, built once per process per grid, and does not place
     vertex 3 when no order type carries the paths; ``placements_checked``
     counts the vertex-4 placements a point-by-point search would look at.
-    Larger grids require ``samples``, and nothing is drawn: the verdict of
-    :func:`_order_type_witness` decides.  A grid with a side below 3,
+    Larger grids require ``samples``, and nothing is searched: the verdict
+    of :func:`_order_type_witness` decides.  A grid with a side below 3,
     which holds no five points in general position, is rejected, and so
     is one with a side above COORD_LIMIT + 1 in magnitude, whose points
     leave the coordinate budget, a ``samples`` count below 1 or above
@@ -435,22 +436,13 @@ def exhaustive_five_point_check(
     in general position, whose crossing mask is, by step 2 of the
     witness's proof, that of some labeling of its order type's
     representative, and that labeling would be a witness.  So the result
-    is no counterexample, with ``samples`` placements checked.
-
-    A set that some order type carries gets the exhaustive search of the
-    grid's corner, min(w, 8) x min(h, 8), whose first placement and count
-    are reported with the requested grid.  That search always finds one.
-    A grid that is not exhausted has one side at least 3 and the other at
-    least 9, so its corner holds a 3 x 7 or a 7 x 3 box.  Each order type
-    has a realization in 3 x 7: hull 5 as (0, 0) (2, 0) (2, 1) (1, 3)
-    (0, 1), hull 4 as (0, 1) (2, 0) (2, 4) (0, 5) around (1, 2), hull 3 as
-    (0, 0) (2, 0) (0, 6) around (1, 1) and (1, 2).  Transposing or
-    mirroring a point set keeps its crossings and its collinear triples,
-    so each order type is realized in a 7 x 3 box too.  Points of one
-    order type share their crossing masks labeling for labeling (step 2
-    of the witness's proof), so the realization of the witness's order
-    type, suitably labeled, is a placement in the corner, which the
-    exhaustive search does not miss.
+    is no counterexample, with ``samples`` placements checked.  A set
+    that some order type carries is placed at the witness, with
+    ``samples`` placements checked too.  Its points lie in [0, 2] x
+    [0, 6], and transposing them keeps their crossings and collinear
+    triples.  A grid that is not exhausted has one side at least 3 and
+    the other at least 9: when h >= 7 the points fit as they are, and
+    when not, w >= 9 and they fit transposed.
     """
     if isinstance(grid_extent, tuple):
         if len(grid_extent) != 2:
@@ -504,19 +496,17 @@ def exhaustive_five_point_check(
         )
 
     need = _covered_pairs(paths)
-    if not exhaustive and _order_type_witness(need) is None:
-        # no placement on any grid: see the docstring
-        return FivePointSearchResult(
-            counterexample=None, placements_checked=samples, exhaustive=False, grid=(w, h)
-        )
-    # the grid itself, or the corner that holds a placement: see the docstring
-    cw, ch = min(w, EXHAUSTIVE_GRID_LIMIT), min(h, EXHAUSTIVE_GRID_LIMIT)
-    placement, checked = _search_grid(cw, ch, need)
-    pts = _grid_points(cw, ch)
+    if exhaustive:
+        placement, checked = _search_grid(w, h, need)
+        pts = _grid_points(w, h)
+        found = None if placement is None else [pts[pt] for pt in placement]
+    else:
+        # nothing is searched: see the docstring
+        found, checked = _order_type_witness(need), samples
+        if found is not None and h < 7:
+            found = [(y, x) for x, y in found]
     return FivePointSearchResult(
-        counterexample=(
-            [GridPoint(*pts[pt]) for pt in placement] if placement is not None else None
-        ),
+        counterexample=None if found is None else [GridPoint(*p) for p in found],
         placements_checked=checked,
         exhaustive=exhaustive,
         grid=(w, h),

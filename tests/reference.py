@@ -7,11 +7,13 @@ use it to confirm that small point sets admit the embeddings found.
 
 The five-point search has one oracle per mode, which place vertices on
 coordinates and test them with ``_conflict_raw`` through one shared
-``five_point_level_check``, and share no mask or table with
+``five_point_level_check``, and share no mask or grid table with
 ``simembed.smallcases``: ``five_point_check_dfs`` for the exhaustive
-search, with its placement counts, and ``sampled_five_point_check``, the
+search, with its placement counts, ``sampled_five_point_check``, the
 sampled probe as it drew, for the path sets no order type carries, which
-the search still reports as that many failed draws.
+the search still reports as that many failed draws, and
+``five_point_witness_scan`` for the others above grid 8, which reads only
+the order types' points, ``_ORDER_TYPES``, from the package.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from simembed.geometry import _conflict_raw, orient
 from simembed.graphs import _adjacency, _connected, _trace_faces, rotation_system_from_faces
 from simembed.smallcases import (
     EXHAUSTIVE_GRID_LIMIT,
+    _ORDER_TYPES,
     FivePointSearchResult,
     _fundamental_domain,
     _grid_points,
@@ -527,6 +530,32 @@ def sampled_five_point_check(
                 exhaustive=False,
                 grid=(w, h),
             )
+    return FivePointSearchResult(
+        counterexample=None, placements_checked=samples, exhaustive=False, grid=(w, h)
+    )
+
+
+def five_point_witness_scan(
+    grid_extent: int | tuple[int, int], paths: Sequence[PathOrder], samples: int
+) -> FivePointSearchResult:
+    """The five-point search above grid 8 placed label by label: every
+    labeling of every ``_ORDER_TYPES`` point set in turn, each point set
+    transposed on a grid less than 7 high, tested by
+    :func:`five_point_level_check` on every level.  The first that passes
+    is the counterexample, and ``samples`` is reported as the placements
+    checked, whether or not one passes."""
+    w, h = _grid_sides(grid_extent)
+    level_ok = five_point_level_check(paths)
+    for rep in _ORDER_TYPES:
+        for pts in itertools.permutations(rep if h >= 7 else [(y, x) for x, y in rep]):
+            px, py = zip(*pts)
+            if all(level_ok(px, py, lvl) for lvl in range(5)):
+                return FivePointSearchResult(
+                    counterexample=[GridPoint(x, y) for x, y in pts],
+                    placements_checked=samples,
+                    exhaustive=False,
+                    grid=(w, h),
+                )
     return FivePointSearchResult(
         counterexample=None, placements_checked=samples, exhaustive=False, grid=(w, h)
     )

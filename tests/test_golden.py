@@ -1,6 +1,7 @@
 """Golden corpus: SHA-256 digests of ``simembed embed`` result documents
-(and, in a table of their own, of ``fivepaths`` reports, plus one digest
-over many five-point search results).
+(and, in a table of their own, of ``fivepaths`` reports, plus two digests
+over many five-point search results, on the grids the search exhausts and
+above them).
 
 Every ``gen`` kind at small n and a few seeds, plus free-mapping instances
 whose planar and outerplanar layers were thinned, so that face completion
@@ -197,14 +198,17 @@ def test_fivepaths_report_digest(args, tmp_path):
 
 # ``exhaustive_five_point_check`` results, (counterexample, placements
 # checked, exhaustive, grid), for every nonempty subset of the five paths
-# and for seeded random sets of 1 to 15 five-vertex paths, on grids 3 to 8,
-# 3 x 7 and 7 x 3, and with 5 samples on grids 9 to 12.
-FIVE_POINT_GRIDS = [(g, None) for g in range(3, 9)] + [((3, 7), None), ((7, 3), None)] + [
-    (g, 5) for g in range(9, 13)
-]
+# and for seeded random sets of 1 to 15 five-vertex paths: on the grids
+# the search exhausts, 3 to 8, 3 x 7 and 7 x 3, and with 5 samples on
+# grids 9 to 12, each list under a digest of its own.
+FIVE_POINT_GRIDS = [(g, None) for g in range(3, 9)] + [((3, 7), None), ((7, 3), None)]
+FIVE_POINT_SAMPLED_GRIDS = [(g, 5) for g in range(9, 13)]
 
 # Recorded before the search read its path set as one covered-pair mask.
-FIVE_POINT_DIGEST = "56a053031f4b552fefdabd5ef43842c057f0c3a14f166e1251ec4fdc9e866d08"
+FIVE_POINT_DIGEST = "72b4047a3ec565bb9fc1980902a1c6b31156b871e2cabe3710351b5c4a7108ce"
+# Recorded when a set some order type carries was first placed at its
+# order-type witness above grid 8, not by the search of the grid's corner.
+FIVE_POINT_SAMPLED_DIGEST = "449a30d929b6acf9e856902cfd01749f2ab1829e6330231a6306a0760d41a5e6"
 
 
 def _five_point_path_sets():
@@ -221,11 +225,11 @@ def _five_point_path_sets():
     return subsets, randoms
 
 
-def test_five_point_search_results_digest():
+def _five_point_rows(grids):
     subsets, randoms = _five_point_path_sets()
     rows = []
     # grid by grid, so that each grid's tables are built once
-    for grid, samples in FIVE_POINT_GRIDS:
+    for grid, samples in grids:
         for paths in subsets + randoms:
             res = exhaustive_five_point_check(grid, paths, samples=samples)
             cx = res.counterexample
@@ -235,11 +239,24 @@ def test_five_point_search_results_digest():
                 res.exhaustive,
                 list(res.grid),
             ])
+    return rows
+
+
+def _digest(rows):
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_five_point_search_results_digest():
+    rows = _five_point_rows(FIVE_POINT_GRIDS)
     # an 8 x 8 grid holds a placement of every set some order type carries
     # (each order type is realized in 3 x 7), and of no other
+    subsets, randoms = _five_point_path_sets()
     per_grid = len(subsets) + len(randoms)
     grid_8 = per_grid * FIVE_POINT_GRIDS.index((8, None))
     carried = [row[0] is not None for row in rows[grid_8 + len(subsets):grid_8 + per_grid]]
     assert any(carried) and not all(carried)
-    blob = json.dumps(rows, separators=(",", ":")).encode()
-    assert hashlib.sha256(blob).hexdigest() == FIVE_POINT_DIGEST
+    assert _digest(rows) == FIVE_POINT_DIGEST
+
+
+def test_five_point_results_above_grid_8_digest():
+    assert _digest(_five_point_rows(FIVE_POINT_SAMPLED_GRIDS)) == FIVE_POINT_SAMPLED_DIGEST

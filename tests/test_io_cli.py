@@ -1071,9 +1071,9 @@ def test_cli_fivepaths_sampled(tmp_path):
     assert doc["search"]["counterexample"] is None
 
 
-def test_cli_fivepaths_places_a_carried_set_on_the_corner(tmp_path, capsys):
+def test_cli_fivepaths_places_a_carried_set_at_its_witness(tmp_path, capsys):
     # five seeded draws found no placement of these four paths, which embed;
-    # the search of the 8 x 8 corner places them, whatever the seed
+    # the order-type verdict's witness places them, whatever the seed
     capsys.readouterr()
     reports = []
     for seed in ("3", "4"):
@@ -1087,9 +1087,9 @@ def test_cli_fivepaths_places_a_carried_set_on_the_corner(tmp_path, capsys):
     doc = json.loads(reports[0])
     assert doc["verdict"] == "counterexample found: all paths embed"
     assert doc["search"] == {
-        "counterexample": [[0, 0], [0, 2], [1, 1], [2, 1], [5, 0]],
+        "counterexample": [[2, 4], [1, 2], [2, 0], [0, 1], [0, 5]],
         "exhaustive": False,
-        "placements_checked": 4237,
+        "placements_checked": 5,
     }
 
 

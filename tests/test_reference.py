@@ -26,8 +26,9 @@ reported, and when the order types prove the paths impossible it must
 count without placing vertex 3 what it counts when it places it; its
 shadow masks must hold exactly the points whose segment properly
 crosses.  Above grid 8 it must report what the separate sampled loop
-reported for paths that no order type carries, and for the others what
-the per-placement search reports on the grid's 8 x 8 corner.  The
+reported for paths that no order type carries, and for the others the
+first labeling of an order type's points that the per-placement checks
+accept, transposed on a grid less than 7 high.  The
 outerplanar point-set embedder, with lazy angular orders, interval
 chains and float-keyed sorts, must assign what the eager slicing loop with comparator sorts
 assigns, its split, which builds no rank table, must return what the
@@ -39,7 +40,6 @@ assignment search that the point-set tests use as an oracle is checked
 here on hand-made cases.
 """
 
-import functools
 import itertools
 import random
 import re
@@ -71,6 +71,7 @@ from reference import (
     draw_triangulation_path_walk,
     embed_on_general_position_eager,
     five_point_check_dfs,
+    five_point_witness_scan,
     layer_crossings_all_pairs,
     maximalize_outerplanar_fans,
     next_prime_trial_division,
@@ -116,7 +117,6 @@ from simembed.certify import (
 )
 from simembed.geometry import COORD_LIMIT, _conflict_raw, _is_prime, _next_prime
 from simembed.smallcases import (
-    EXHAUSTIVE_GRID_LIMIT,
     _grid_points,
     _grid_tables,
     _shadow_table,
@@ -1077,22 +1077,18 @@ def test_five_point_search_from_threads_matches_serial_runs():
 _SAMPLED_PATH_SETS = [_FIVE[:2], _FIVE[1:4], _FIVE] + _RANDOM_PATH_SETS
 
 
-@functools.cache
-def _corner_search(corner, which):
-    return five_point_check_dfs(corner, _SAMPLED_PATH_SETS[which])
-
-
 @pytest.mark.parametrize(
-    "grid", [9, 10, 11, 12, (9, 12), (12, 10)], ids=["9", "10", "11", "12", "9x12", "12x10"]
+    "grid",
+    [9, 10, 11, 12, (9, 12), (12, 10), (12, 3)],
+    ids=["9", "10", "11", "12", "9x12", "12x10", "12x3"],
 )
 def test_sampled_five_point_search_matches_old_sampler(grid):
     # All five paths never embed, so nothing is drawn and the old sampler's
     # 200 failed draws are reported, whatever its seed.  Two or three paths
-    # and the random sets leave room for a witness, and the search of the
-    # grid's 8 x 8 corner places them, as on an exhausted grid of that size.
-    corner = tuple(min(side, EXHAUSTIVE_GRID_LIMIT) for side in _grid_sides(grid))
+    # and the random sets leave room for a witness, and the first labeling
+    # of an order type's points that carries them is placed.
     witnesses = 0
-    for which, paths in enumerate(_SAMPLED_PATH_SETS):
+    for paths in _SAMPLED_PATH_SETS:
         new = exhaustive_five_point_check(grid, paths, samples=200)
         assert not new.exhaustive and new.grid == _grid_sides(grid)
         if smallcases._order_type_witness(smallcases._covered_pairs(paths)) is None:
@@ -1100,9 +1096,8 @@ def test_sampled_five_point_search_matches_old_sampler(grid):
                 old = sampled_five_point_check(grid, paths, seed, 200)
                 assert _search_outcome(new) == _search_outcome(old)
         else:
-            old = _corner_search(corner, which)
-            assert (new.counterexample, new.placements_checked) == (
-                old.counterexample, old.placements_checked)
+            old = five_point_witness_scan(grid, paths, 200)
+            assert _search_outcome(new) == _search_outcome(old)
             witnesses += new.counterexample is not None
     assert witnesses >= 5
 

@@ -3,13 +3,12 @@
 Its three representatives must cover every order type of five points in
 general position, and its labeling masks must reproduce the counts of
 crossing-free labelings and of failing path sets that a plain scan over
-every labeling of every path set gives.  Above grid 8 nothing is drawn:
-when the verdict is None the search reports what drawing would, and
-otherwise the placement that the search of the grid's corner finds, which
-every order type's realization in a 3 x 7 box guarantees.
+every labeling of every path set gives.  Above grid 8 nothing is drawn or
+searched: when the verdict is None the search reports what drawing would,
+and otherwise the verdict's witness, whose points lie in a 3 x 7 box, as
+they are or transposed; no grid table is built.
 """
 
-import functools
 import itertools
 import random
 
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import embedding_of
-from reference import five_point_check_dfs, sampled_five_point_check
+from reference import sampled_five_point_check
 from simembed import (
     FIVE_PATHS,
     GridPoint,
@@ -35,10 +34,10 @@ from simembed import (
 )
 from simembed.geometry import COORD_LIMIT, _conflict_raw
 from simembed.smallcases import (
-    EXHAUSTIVE_GRID_LIMIT,
     _ORDER_TYPES,
     _PAIRS,
     _covered_pairs,
+    _grid_tables,
     _labeling_masks,
     _order_type_witness,
 )
@@ -196,10 +195,6 @@ def _sides(grid):
     return grid if isinstance(grid, tuple) else (grid, grid)
 
 
-def _corner(grid):
-    return tuple(min(side, EXHAUSTIVE_GRID_LIMIT) for side in _sides(grid))
-
-
 @pytest.mark.parametrize("digits", [FIVE_PATHS, SECOND_FAILING_SET], ids=["five", "second"])
 def test_sampled_probe_draws_nothing_when_no_order_type_fits(digits, monkeypatch):
     paths = [path_from_digits(d) for d in digits]
@@ -222,50 +217,36 @@ def test_sampled_probe_without_witness_matches_the_drawing_reference(digits):
             assert _outcome(got) == want
 
 
-def test_probe_with_a_witness_searches_the_8_by_8_corner(monkeypatch):
+def test_probe_with_a_witness_places_the_set_at_it(monkeypatch):
     # the four paths embed; a probe of 5 seeded draws on grid 12 reported
-    # that some path must cross
+    # that some path must cross.  The first labeling that carries them is
+    # one of the hull 4 set's.
     paths = [path_from_digits(d) for d in FITTING_SET]
-    assert _order_type_witness(_covered_pairs(paths)) is not None
-    want = five_point_check_dfs(EXHAUSTIVE_GRID_LIMIT, paths)
-    assert want.counterexample == [GridPoint(0, 0), GridPoint(0, 2), GridPoint(1, 1),
-                                   GridPoint(2, 1), GridPoint(5, 0)]
-    assert want.placements_checked == 4237
+    witness = [(2, 4), (1, 2), (2, 0), (0, 1), (0, 5)]
+    assert _order_type_witness(_covered_pairs(paths)) == witness
     monkeypatch.setattr(random, "Random", _no_random)
     for grid in SAMPLED_GRIDS:
         for samples in (5, 200):
             res = exhaustive_five_point_check(grid, paths, samples=samples)
-            assert _outcome(res) == (want.counterexample, 4237, False, _sides(grid))
-
-
-#: One realization of each order type in the 3 x 7 box, hull vertices
-#: first and counterclockwise, as the search's docstring names them.
-BOX_REALIZATIONS = (
-    ((0, 0), (2, 0), (2, 1), (1, 3), (0, 1)),
-    ((0, 1), (2, 0), (2, 4), (0, 5), (1, 2)),
-    ((0, 0), (2, 0), (0, 6), (1, 1), (1, 2)),
-)
+            assert _outcome(res) == ([GridPoint(*p) for p in witness], samples, False,
+                                     _sides(grid))
 
 
 def test_every_order_type_is_realized_in_the_3_by_7_box():
-    for pts, hull_size, rep_signs in zip(BOX_REALIZATIONS, (5, 4, 3), _REP_SIGNS):
-        gp = [GridPoint(*p) for p in pts]
-        assert max(p.x for p in gp) <= 2 and max(p.y for p in gp) <= 6
-        assert find_collinear_triple(gp) is None
-        assert sorted(convex_hull(gp)) == list(range(hull_size))
-        assert _sign_vector(pts) in rep_signs
-    # and all three occur among the 5-subsets of the box in general position
-    box = [GridPoint(x, y) for x in range(3) for y in range(7)]
-    seen = set()
-    for pts in itertools.combinations(box, 5):
-        signs = [orient(pts[i], pts[j], pts[k]) for i, j, k in itertools.combinations(range(5), 3)]
-        if all(signs):
-            seen.add(tuple(sign > 0 for sign in signs))
-    assert all(seen & rep_signs for rep_signs in _REP_SIGNS)
+    # the points placed above grid 8, as they are or transposed
+    for rep in _ORDER_TYPES:
+        assert all(0 <= x <= 2 and 0 <= y <= 6 for x, y in rep)
+    for pts, mask in _labeling_masks():
+        flipped = [(y, x) for x, y in pts]
+        assert find_collinear_triple([GridPoint(*p) for p in flipped]) is None
+        crossing = [_conflict_raw(*flipped[a], *flipped[b], *flipped[c], *flipped[d])
+                    for (a, b), (c, d) in _PAIRS]
+        assert sum(1 << k for k, cross in enumerate(crossing) if cross) == mask
 
 
-#: Grids above 8, whose corners are 8 x 8, 3 x 8 and 8 x 3.
-CORNER_GRIDS = [9, 12, 16, (3, 9), (9, 3), (9, 12), (3, COORD_LIMIT + 1)]
+#: Grids above 8, at least 7 high or not: the witness is placed as it is
+#: on the first kind and transposed on the second.
+CARRIED_GRIDS = [9, 12, 16, (3, 9), (9, 3), (9, 12), (3, COORD_LIMIT + 1)]
 
 
 def _carried_sets():
@@ -284,27 +265,51 @@ def _carried_sets():
 CARRIED_SETS = _carried_sets()
 
 
-@functools.cache
-def _corner_oracle(corner):
-    # shared by the grids with one corner: the oracle places vertex by vertex
-    return [five_point_check_dfs(corner, [path_from_digits(d) for d in digits])
-            for digits in CARRIED_SETS]
+def _instance(paths):
+    return LayeredInstance(n=5, layers=[Layer("path", p.edges()) for p in paths])
 
 
-@pytest.mark.parametrize("grid", CORNER_GRIDS, ids=lambda g: "x".join(map(str, _sides(g))))
-def test_a_carried_set_above_grid_8_is_placed_by_the_corner_search(grid, monkeypatch):
+@pytest.mark.parametrize("grid", CARRIED_GRIDS, ids=lambda g: "x".join(map(str, _sides(g))))
+def test_a_carried_set_above_grid_8_is_placed_at_its_witness(grid, monkeypatch):
     assert len(CARRIED_SETS) > 100 and any(len(d) >= 4 for d in CARRIED_SETS)
-    wants = _corner_oracle(_corner(grid))
+    w, h = _sides(grid)
     monkeypatch.setattr(random, "Random", _no_random)
-    for digits, want in zip(CARRIED_SETS, wants):
+    for digits in CARRIED_SETS:
         paths = [path_from_digits(d) for d in digits]
-        assert want.counterexample is not None, digits
+        witness = _order_type_witness(_need(digits))
+        want = [GridPoint(x, y) if h >= 7 else GridPoint(y, x) for x, y in witness]
         for samples in (1, 5, 5000):
             res = exhaustive_five_point_check(grid, paths, samples=samples)
-            assert _outcome(res) == (want.counterexample, want.placements_checked, False,
-                                     _sides(grid))
-        instance = LayeredInstance(n=5, layers=[Layer("path", p.edges()) for p in paths])
-        assert certify_embedding(embedding_of(res.counterexample), instance).ok, digits
+            assert _outcome(res) == (want, samples, False, (w, h))
+        assert certify_embedding(embedding_of(res.counterexample), _instance(paths)).ok, digits
+
+
+def test_no_grid_table_is_built_above_grid_8():
+    paths = [path_from_digits(d) for d in FITTING_SET]
+    _grid_tables.cache_clear()
+    for grid in [(12, 12), (9, 3), (3, COORD_LIMIT + 1)]:
+        assert exhaustive_five_point_check(grid, paths, samples=1).counterexample is not None
+    info = _grid_tables.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid=st.sampled_from([9, (3, 9), (9, 3), (12, 10), (COORD_LIMIT + 1, 3)]),
+    orders=st.lists(st.permutations(range(5)), min_size=1, max_size=15),
+    samples=st.integers(1, COORD_LIMIT),
+)
+def test_above_grid_8_the_verdict_is_grid_7s_and_the_witness_certifies(grid, orders, samples):
+    paths = [PathOrder(list(order)) for order in orders]
+    w, h = _sides(grid)
+    res = exhaustive_five_point_check(grid, paths, samples=samples)
+    assert (res.placements_checked, res.exhaustive, res.grid) == (samples, False, (w, h))
+    grid_7 = exhaustive_five_point_check(7, paths)
+    assert (res.counterexample is None) == (grid_7.counterexample is None)
+    if res.counterexample is not None:
+        assert all(0 <= p.x < w and 0 <= p.y < h for p in res.counterexample)
+        assert find_collinear_triple(res.counterexample) is None
+        assert certify_embedding(embedding_of(res.counterexample), _instance(paths)).ok
 
 
 def test_sample_count_is_capped_at_the_coordinate_budget():
