@@ -5,11 +5,12 @@ caterpillar on at most (2n-k) x n, two caterpillars on pn x pn for p the
 smallest prime >= n.  Without a mapping, one pipeline: a point set with no
 three points collinear, then every outerplanar layer mapped onto it.  Any
 number of outerplanar graphs share a near-n x n grid; one plane graph plus
-any number of outerplanar graphs share about 12n^3 x 6n^3.  General
-position comes in closed form from Erdős's mod-p parabola, lifted onto a
-scaled base drawing.  Every output can be certified independently with
-exact integer predicates, and the bundled five-path family comes with an
-exhaustive impossibility check.
+any number of outerplanar graphs share an O(n^2) x O(n^3) grid, under
+2n^2 x 16n^3.  General position comes in closed form from a mod-p
+quadratic: Erdős's parabola for the point set alone, and a sheared lift of
+the plane layer's shift-method drawing.  Every output can be certified
+independently with exact integer predicates, and the bundled five-path
+family comes with an exhaustive impossibility check.
 """
 
 from .certify import (

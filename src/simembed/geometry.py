@@ -15,7 +15,7 @@ from .errors import CoordinateBudgetError, DuplicatePointError, InvalidInstanceE
 
 # Largest coordinate magnitude accepted anywhere in the kernel.  Generous
 # enough for the largest grids the embedders emit at practical sizes
-# (planar layers up to n = 4507, checked before any work), and small enough
+# (planar layers up to n = 5159, checked before any work), and small enough
 # that every intermediate product below fits comfortably in 128 bits.
 COORD_LIMIT = 1 << 40
 

@@ -1,12 +1,13 @@
 """Embedders for instances without a prescribed vertex mapping.
 
 The pipeline building blocks: a shift-method grid drawing for plane
-triangulations, a mod-p parabola lift that upgrades it to general position
-in closed form, parabola-based point sets that are collinearity-free by
-construction, and the split-by-split embedding of a maximal outerplanar
-graph onto an arbitrary general-position point set: one angular-rank split
-rule, proved in :func:`_select_split`, applied to an explicit stack of
-subproblems that sort their angular orders only when a split reads them.
+triangulations, a sheared mod-p lift that upgrades it to general position
+in closed form on an O(n^2) x O(n^3) grid, parabola-based point sets that
+are collinearity-free by construction, and the split-by-split embedding of
+a maximal outerplanar graph onto an arbitrary general-position point set:
+one angular-rank split rule, proved in :func:`_select_split`, applied to
+an explicit stack of subproblems that sort their angular orders only when
+a split reads them.
 :func:`simul_embed_free` composes them: one point set, then every
 outerplanar layer mapped onto it.
 A point set is its two int columns ``xs`` and ``ys``; only the public
@@ -31,7 +32,6 @@ from .geometry import (
     _convex_hull,
     _first_collinear_triple,
     _next_prime,
-    _parabola_lift,
     _translate_to_origin,
 )
 from .graphs import (
@@ -197,10 +197,25 @@ def _draw_triangulation(rotation: list[list[int]], n: int) -> tuple[list[int], l
 # ---------------------------------------------------------------------------
 
 
-def _planar_lift(n: int) -> tuple[int, int]:
-    # The prime p and scale lambda of planar_general_position_draw.
-    p = _next_prime(n)
-    return p, p * (6 * n + 1)
+def _sheared_prime(n: int) -> int:
+    # The prime p of planar_general_position_draw: the least prime
+    # p ≡ 3 (mod 4) above 2n - 4, the widest base x.  For 2n - 4 >= 7 it is
+    # at most 2(2n - 4) (Breusch, Math. Z. 34, 1932).
+    p = _next_prime(2 * n - 3)
+    while p % 4 != 3:
+        p = _next_prime(p + 1)
+    return p
+
+
+def _sheared_lift(
+    xs: list[int], ys: list[int], n: int, p: int
+) -> tuple[list[int], list[int]]:
+    # Base point (x, y) goes to (n x + y, lam y + (x^2 + y^2) mod p), lam = 4np.
+    lam = 4 * n * p
+    return (
+        [n * x + y for x, y in zip(xs, ys)],
+        [lam * y + (x * x + y * y) % p for x, y in zip(xs, ys)],
+    )
 
 
 def general_position_bounds(n: int) -> tuple[int, int]:
@@ -208,8 +223,8 @@ def general_position_bounds(n: int) -> tuple[int, int]:
     if n > COORD_LIMIT:
         # refused before a prime search near n; the check's own calls stay below 2^40
         _check_general_position_budget(n)
-    p, lam = _planar_lift(n)
-    return lam * (2 * n - 4) + p, lam * (n - 2) + p
+    p = _sheared_prime(n)
+    return n * (2 * n - 4) + n - 1, 4 * n * p * (n - 2) + p
 
 
 def _check_general_position_budget(n: int) -> None:
@@ -222,20 +237,34 @@ def _check_general_position_budget(n: int) -> None:
 def planar_general_position_draw(layer: Layer, n: int) -> list[GridPoint]:
     """Draw a plane graph so that additionally no three vertices are collinear.
 
-    Triangulates and draws the triangulation on the (2n-4) x (n-2) grid as
-    base points b_i, then lifts vertex i to lam * b_i + o_i with offset
-    o_i = (i, i^2 mod p), p the smallest prime >= n and lam = p(6n + 1).
-    The drawing fits in :func:`general_position_bounds`, which is checked
-    against COORD_LIMIT before any work: at most 4507 vertices fit.  As p
-    divides lam, :func:`geometry._parabola_lift` leaves no three collinear.
+    Triangulates and draws the triangulation on the (2n-4) x (n-2) grid,
+    which gives distinct base points, then shears and lifts them: the
+    vertex at base point (x, y) goes to X = n x + y and
+    Y = lam y + f, f = (x^2 + y^2) mod p, with p the least prime ≡ 3 (mod 4)
+    above 2n - 4 and lam = 4np.  So X < 2n^2 and Y < lam (n - 2) + p, the
+    O(n^2) x O(n^3) grid of :func:`general_position_bounds`, which is
+    checked against COORD_LIMIT before any work: at most 5159 vertices fit.
 
-    Orientations: a lifted triple's determinant is lam^2 D_b + lam E + D_o,
-    with D_b the base determinant, D_o that of the offsets and E the two
-    mixed cross products of base and offset differences.  Base differences
-    are at most 2n - 4 and n - 2 per axis and offset differences at most
-    p - 1, so |E| < 2(3n - 6)p < 6np and |D_o| < 2p^2 <= lam * p.  Hence
-    lam^2 = lam * 6np + lam * p exceeds the error, and every nonzero base
-    orientation keeps its sign.
+    Distinct X: 0 <= y < n, so distinct base points get distinct X.
+
+    Orientations kept: for a triple with base differences (dx_j, dy_j),
+    the lifted determinant is lam n D_b + E, with D_b the base determinant
+    (the shear (x, y) -> (nx + y, y) has determinant n) and
+    E = dX_1 df_2 - dX_2 df_1.  Each |dX| < 2n^2 and each |df| < p, so
+    |E| < 2 * 2n^2 * p = lam n, and every nonzero base orientation keeps
+    its sign.
+
+    No three collinear: three collinear base points are b + k_j (u, v),
+    j = 1..3, with (u, v) primitive and the k_j distinct.  Then
+    dX = (nu + v) dk and dY = lam v dk + df, whose first part is parallel
+    to dX, so the lifted determinant is (nu + v) (dk_1 df_2 - dk_2 df_1).
+    Here nu + v != 0, as |v| < n and v = +-1 when u = 0.  Mod p, f is a quadratic in k with
+    leading coefficient u^2 + v^2, so the second factor is
+    (u^2 + v^2) (k_2 - k_1)(k_3 - k_1)(k_3 - k_2), a Vandermonde product.
+    Every |dk| is at most 2n - 4 and so below p, and u^2 + v^2 is not
+    0 mod p: p ≡ 3 (mod 4) leaves -1 no square root, and |u|, |v| < p are
+    not both 0.  So each factor is nonzero mod p, and so is the
+    determinant.
 
     Plane: the base drawing is plane with distinct points.  With no three
     lifted points collinear, no vertex lies on an edge and edges sharing an
@@ -252,11 +281,9 @@ def planar_general_position_draw(layer: Layer, n: int) -> list[GridPoint]:
       * c or d on base line ab and a or b on base line cd: if the lines
         differ, both vertices sit at their one common point, impossible.
         Otherwise all four are collinear and the base edges are disjoint
-        intervals of one line with primitive direction w.  In w . (x, y),
-        distinct base points on it differ by at least |w|^2 and two
-        offsets by at most (|w_x| + |w_y|)(p - 1) < lam |w|^2, so the
-        lifted points keep their order along w and a line across w
-        separates the edges.
+        intervals of one line b + k (u, v).  X = X_b + (nu + v) k is
+        strictly monotone in k, so the lifted edges span disjoint X
+        ranges and a vertical line separates them.
     """
     return list(map(GridPoint, *_general_position_columns(layer, n)))
 
@@ -266,8 +293,7 @@ def _general_position_columns(layer: Layer, n: int) -> tuple[list[int], list[int
     _check_general_position_budget(n)
     tri, _dummies = triangulate_plane(layer, n)
     xs, ys = _draw_triangulation(tri.rotation, n)
-    p, lam = _planar_lift(n)
-    return _parabola_lift(xs, ys, lam, p)
+    return _sheared_lift(xs, ys, n, _sheared_prime(n))
 
 
 # ---------------------------------------------------------------------------

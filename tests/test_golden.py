@@ -24,6 +24,7 @@ from simembed import (
     PathOrder,
     cli_main,
     exhaustive_five_point_check,
+    general_position_bounds,
     generate,
     parse_instance,
     path_from_digits,
@@ -115,6 +116,10 @@ CASES = dict(
 # the chord order of re-tracing after every chord: maximalize_outerplanar
 # now fans each inner face from its second corner and triangulate_plane
 # takes its long faces off a stack, so a thinned layer gets other dummies.
+# Every entry with a plane layer (gen, reversed and thin planar-outerplanar,
+# and thin-planar-outerplanars) was re-recorded when the sheared lift onto
+# the O(n^2) x O(n^3) grid replaced the parabola lift at scale p(6n + 1),
+# which moves every point of those results.
 DIGESTS = {
     "gen-outerplanars-n11-s1": "0c25a39f70c4e105879a6ed03e47afa12a4d7b2dabab6baeff35a33629fc7abe",
     "gen-outerplanars-n11-s2": "1c84398644564d3635c5f05ed758b348501ef9f6c48e6ea298b757d2f94de049",
@@ -124,10 +129,10 @@ DIGESTS = {
     "gen-path-caterpillar-n11-s2": "9bdf43cff7d283468574fb5eae7f309eb3c9bf90b2b4d9ec559431f1ca5d04cb",
     "gen-path-caterpillar-n6-s1": "d9b29a7eee79e3222632f6f3d820fe83d19f99bdbcabc57ed803e739de87d06e",
     "gen-path-caterpillar-n6-s2": "38d1b7a23594fc03bb8d4df73f87c358d015b6e831f304ed0d760e577835b246",
-    "gen-planar-outerplanar-n11-s1": "8963fe906672da75431a9edeb01b92f8dcf671493407e1cdac90c3893a063568",
-    "gen-planar-outerplanar-n11-s2": "629af0f0852adb92d99cddf374700123d9fb94f490038b3c7ef54c0bef3f9840",
-    "gen-planar-outerplanar-n6-s1": "88a0028faf4a6e04dd2786c1bf936c32eb68150558f0d3f092ecbd6e07f55f99",
-    "gen-planar-outerplanar-n6-s2": "6e5c6b7f8557ca82ee58a30ca61478bf4d2671f5673f60d32a797e4d5be5df50",
+    "gen-planar-outerplanar-n11-s1": "059f1e190474f111370ee811dea360bb6ac4f9aa333a07798b3e2adeebd41e7d",
+    "gen-planar-outerplanar-n11-s2": "41e0450e5014a0f08f6d2b44b95138a8630bda5b8ae08b63ea12196877569b83",
+    "gen-planar-outerplanar-n6-s1": "cca161d94c27d7333055f0da8bba7e9cf4dce15dc100cbefac7d6499b51c7a86",
+    "gen-planar-outerplanar-n6-s2": "aa51a7b1864ed5fe48e71dd636b85879141bad8318b746ef71dc4f947fd9ce8a",
     "gen-two-caterpillars-n11-s1": "1b3e7da09452750de51a60acf632797375194c209eda7fa981961e1e758287d8",
     "gen-two-caterpillars-n11-s2": "e6e19c724d51bd653f67e19c56bf58332482053d89277afe1e3abac03859ef1e",
     "gen-two-caterpillars-n6-s1": "1b71e7f6e4787a6b1b1f19105edd7c79ecc3707107c71641106141eb6a69cc48",
@@ -140,29 +145,29 @@ DIGESTS = {
     "reversed-path-caterpillar-n11-s2": "9bdf43cff7d283468574fb5eae7f309eb3c9bf90b2b4d9ec559431f1ca5d04cb",
     "reversed-path-caterpillar-n6-s1": "d9b29a7eee79e3222632f6f3d820fe83d19f99bdbcabc57ed803e739de87d06e",
     "reversed-path-caterpillar-n6-s2": "38d1b7a23594fc03bb8d4df73f87c358d015b6e831f304ed0d760e577835b246",
-    "reversed-planar-outerplanar-n11-s1": "8c7003287311a8adad71c3b081a403334fec59f6bc7670994a6f3ca2fadca170",
-    "reversed-planar-outerplanar-n11-s2": "731e15ed4fa7df62264af8e98b8ab4c3ca9cd601f63b00632f401eb4dc1e164e",
-    "reversed-planar-outerplanar-n6-s1": "7eaf0557c739859a9da2b3c9009d8c1dba8e3e254c7f44d079cc39ef24d25d46",
-    "reversed-planar-outerplanar-n6-s2": "0322ca45485c29064a58d1b43894c51ef7cb7c0ce3736923d22102b1d51bba91",
+    "reversed-planar-outerplanar-n11-s1": "7d6cb2504ee90beb3d6648ff636bd82e2f8a2a1b94c0de17862f6b4fe47e2a9c",
+    "reversed-planar-outerplanar-n11-s2": "88ae14bdf346a4054304219c518219a588b7c174d3e821bf7f439bc2ec9da9e9",
+    "reversed-planar-outerplanar-n6-s1": "482472c3f9b810c6f15e0baf086b670d4142be6be7049b7382d3c80d0093a0ac",
+    "reversed-planar-outerplanar-n6-s2": "c6bf3cee6372a8fedf925a9e458502550dbacd82d8129f3b58a4b9d1bc503167",
     "thin-outerplanars-n13-s1-drop0.0-chords0.5": "a719a311bfbbae551270e205765e65d49fadc6c74639165f068acf6a0c8f57c1",
     "thin-outerplanars-n13-s2-drop0.0-chords0.5": "42fd4557f4dd658df15602eff1b1407a10f1f38349d4be086661e1c6ee3fb8e9",
     "thin-outerplanars-n30-s1-drop0.0-chords0.5": "ea88b079167b20c6f736c1a56f562e61fbb001fd20f61cf99343414930ce8c1a",
     "thin-outerplanars-n30-s2-drop0.0-chords0.5": "8c207cf1ad0d49ce2d14d2c404fbd7a28a7f0ec68e46d859d82640b1a066f49d",
     "thin-outerplanars-n7-s1-drop0.0-chords0.5": "2ffd31fb634436270efb5a3fd9b85c25944de4c29353be3174c4e79e3e6bb2ad",
     "thin-outerplanars-n7-s2-drop0.0-chords0.5": "1ac99a1dc64a3a874d804f535d26417f6810deb8ae3445a4cebd957b9436630e",
-    "thin-planar-outerplanar-n14-s1-drop0.4-chords0.5": "fd83b072271c289263ae754608ff358a6599bf13a3af1e78616f843bf9de3c4f",
-    "thin-planar-outerplanar-n14-s1-drop1.0-chords0.0": "eaf6bedbac590d13171ec8f187adc325c4bb2b5610f0233ee2353dad0fcbd2b3",
-    "thin-planar-outerplanar-n14-s2-drop0.4-chords0.5": "a32c88e40a47d04c798d22243bf4dfe0ae43689c89629fb53b72533c02b83e86",
-    "thin-planar-outerplanar-n14-s2-drop1.0-chords0.0": "738110a3970881a1aacbeea71fdfcda1a3a2172e4f41e43949ce422eb1237290",
-    "thin-planar-outerplanar-n24-s1-drop0.4-chords0.5": "5e8829a7bbcbd56f51bf141ecea821936c9eff0c5f7a783cb9e49fd0891d3f91",
-    "thin-planar-outerplanar-n24-s1-drop1.0-chords0.0": "a05fd07d6a3ec2a64bef20ebb4c4a4c8ee14d4f9f46ae3adefa0855670c1fb4b",
-    "thin-planar-outerplanar-n24-s2-drop0.4-chords0.5": "b463abbb77f54135111c2c5b2c4d64d59fee457230b0c5cc347bd00434e45a9e",
-    "thin-planar-outerplanar-n24-s2-drop1.0-chords0.0": "60444b422f04c5f2b77d284ffd42f63fcc2ec22f56356bbc78b812f1149f35dc",
-    "thin-planar-outerplanar-n8-s1-drop0.4-chords0.5": "0c7a3cd80bcbaab083fa564a1b59f2b9c494b469f915057321eec1190daeadf9",
-    "thin-planar-outerplanar-n8-s1-drop1.0-chords0.0": "8b56d59565ce44158a487916d78c0984628d13a2b6ad03c6b1773dd7addb75de",
-    "thin-planar-outerplanar-n8-s2-drop0.4-chords0.5": "6b55d20f99b8fabf8ec28b2ede9ee52d9e70edc74dfcfd1038581ce2bed3ceaa",
-    "thin-planar-outerplanar-n8-s2-drop1.0-chords0.0": "8675d4fe807c4b4b8e46f6bddd633b9c100e257df42336c1bb25836dc4d0f535",
-    "thin-planar-outerplanars-n12-s1-drop0.4-chords0.5": "7e0c68851b38af92171f86c900b920275b8487f0014a202d8dec6bce943c05ab",
+    "thin-planar-outerplanar-n14-s1-drop0.4-chords0.5": "f452604c6d6ae14aff2cf6a91e0b225e735d856782693a4788ef24c10b39e268",
+    "thin-planar-outerplanar-n14-s1-drop1.0-chords0.0": "c43d49620e44f0d1f958af1132bfb04c8c1895deb869f4e36e013da7dd00813a",
+    "thin-planar-outerplanar-n14-s2-drop0.4-chords0.5": "ee0206108cb3a57144a36135837c7c7b3e25fb051aebe6ad8cc9bc854a270aaf",
+    "thin-planar-outerplanar-n14-s2-drop1.0-chords0.0": "6fc4f304e116c26a8218280cd597ed7451355320553925e6436cdd55418fb095",
+    "thin-planar-outerplanar-n24-s1-drop0.4-chords0.5": "ac2d57d53b43015fec7d3ae05525b0383438dd084b60f8d30e29c9ceb590b16d",
+    "thin-planar-outerplanar-n24-s1-drop1.0-chords0.0": "fd91a0504cf12654a8dae33945fbb56c32a1c6ac223a6ca7248d68329a005b0d",
+    "thin-planar-outerplanar-n24-s2-drop0.4-chords0.5": "ab90bcffda7c6010743c6da7603befb69196e8ec8084b2e2dcf78904997eef20",
+    "thin-planar-outerplanar-n24-s2-drop1.0-chords0.0": "9d7f9844c8e7cbc056aa1cbab083640c8f6bfd30e41c0d50ea3cf74e6915bbea",
+    "thin-planar-outerplanar-n8-s1-drop0.4-chords0.5": "a5c772fdc95a126eadcf4f02c09fd1fdbd681958c8e358eedd30c7187bade5a9",
+    "thin-planar-outerplanar-n8-s1-drop1.0-chords0.0": "6b6da4607f104d915c47f049bd0cb3e14d7ce12f8db982d006af885bcba24387",
+    "thin-planar-outerplanar-n8-s2-drop0.4-chords0.5": "f1d7a871d9d41c8e1c8687d821351b90535dcbbef99ac2723d8e63f5136ff3eb",
+    "thin-planar-outerplanar-n8-s2-drop1.0-chords0.0": "c6a4906e679ec75d961fbd7f268eae495f77f52800afbbdd3477758f9c405f2f",
+    "thin-planar-outerplanars-n12-s1-drop0.4-chords0.5": "957bf85dbf38b6a4e19f5816195a4bcded3a0c544414d347e96d8563907647e5",
 }
 
 
@@ -172,6 +177,26 @@ def test_embed_result_digest(case, tmp_path):
     out = tmp_path / "result.json"
     assert cli_main(["embed", "--in", str(inst), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[case]
+
+
+# Every golden instance with a plane layer, and gen's at n = 7 and 60.
+_PLANE_CASES = {
+    **{case: build for case, build in CASES.items() if "planar-outerplanar" in case},
+    **dict(_gen_case("planar-outerplanar", n, 1) for n in (7, 60)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PLANE_CASES))
+def test_plane_results_fit_the_sheared_grid(case, tmp_path):
+    # certified within general_position_bounds(n), and narrower than 2n^2
+    inst = _PLANE_CASES[case](tmp_path)
+    n = json.loads(inst.read_text(encoding="utf-8"))["n"]
+    w, h = general_position_bounds(n)
+    out = tmp_path / "result.json"
+    assert cli_main(["embed", "--in", str(inst), "--out", str(out), "--bounds", f"{w}x{h}"]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["certificate"] == {"ok": True, "violations": []}
+    assert doc["width"] < 2 * n * n
 
 
 # ``fivepaths`` report documents, kept apart from CASES, which test_io_cli

@@ -540,13 +540,13 @@ def test_cli_free_unsupported_classes_one_error_line(tmp_path, capsys, kinds):
 
 
 def test_cli_planar_layer_over_budget_one_error_line(tmp_path, capsys, monkeypatch):
-    # 4508 vertices: the general-position drawing would pass 2^40; 4507
+    # 5160 vertices: the general-position drawing would pass 2^40; 5159
     # fit, so that instance passes the check and reaches the triangulation
     def passed(*args):
         raise InvalidInstanceError("passed the budget check")
 
     monkeypatch.setattr(unmapped, "triangulate_plane", passed)
-    for n, message in ((4508, "at most 4507 vertices fit"), (4507, "passed the budget check")):
+    for n, message in ((5160, "at most 5159 vertices fit"), (5159, "passed the budget check")):
         doc = {
             "n": n,
             "mapping": "free",
@@ -740,7 +740,7 @@ _LARGEST_N = {
     "path-caterpillar": 2**39,
     "outerplanars": 2**40 - 87,
     "two-caterpillars": 1048573,
-    "planar-outerplanar": 4507,
+    "planar-outerplanar": 5159,
 }
 
 # Far over the budget: no kind may evaluate its extent, which for a prime

@@ -272,7 +272,7 @@ def test_plane_triangulation_matches_rebuild_per_flip(seed):
         assert generate("plane-triangulation", n, seed) == plane_triangulation_rebuild(n, seed)
 
 
-@pytest.mark.parametrize("n", [61, 500, 4507])
+@pytest.mark.parametrize("n", [61, 500, 5159])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_plane_triangulation_matches_sorted_flips(n, seed):
     # Past the rebuild oracle's reach, up to gen's planar-outerplanar cap.

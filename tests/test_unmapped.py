@@ -37,7 +37,7 @@ from simembed import (
     simul_embed_free,
 )
 from simembed import unmapped
-from simembed.geometry import _next_prime as next_prime, _parabola_lift
+from simembed.geometry import _first_collinear_triple, _next_prime as next_prime
 from simembed.graphs import rotation_system_from_faces
 
 P = GridPoint
@@ -160,7 +160,7 @@ def path_plane_layer(n):
 
 
 def test_general_position_draw_checks_budget_up_front(monkeypatch):
-    assert max(general_position_bounds(4507)) <= COORD_LIMIT < max(general_position_bounds(4508))
+    assert max(general_position_bounds(5159)) <= COORD_LIMIT < max(general_position_bounds(5160))
 
     class PassedTheCheck(Exception):
         pass
@@ -169,10 +169,10 @@ def test_general_position_draw_checks_budget_up_front(monkeypatch):
         raise PassedTheCheck
 
     monkeypatch.setattr(unmapped, "triangulate_plane", no_work)
-    with pytest.raises(CoordinateBudgetError, match="at most 4507 vertices fit"):
-        planar_general_position_draw(path_plane_layer(4508), 4508)
+    with pytest.raises(CoordinateBudgetError, match="at most 5159 vertices fit"):
+        planar_general_position_draw(path_plane_layer(5160), 5160)
     with pytest.raises(PassedTheCheck):
-        planar_general_position_draw(path_plane_layer(4507), 4507)
+        planar_general_position_draw(path_plane_layer(5159), 5159)
 
 
 def test_free_outerplanar_embed_checks_the_parabola_budget_first(monkeypatch):
@@ -216,11 +216,11 @@ def test_free_planar_embed_checks_the_plane_budget_before_maximalizing(monkeypat
         cycle = [(i, (i + 1) % n) for i in range(n)]
         return [path_plane_layer(n), Layer("outerplanar", cycle, outer_cycle=list(range(n)))]
 
-    with pytest.raises(CoordinateBudgetError, match="at most 4507 vertices fit"):
-        simul_embed_free(layers(4508), 4508)
+    with pytest.raises(CoordinateBudgetError, match="at most 5159 vertices fit"):
+        simul_embed_free(layers(5160), 5160)
     assert calls == []
     with pytest.raises(PassedTheCheck):
-        simul_embed_free(layers(4507), 4507)
+        simul_embed_free(layers(5159), 5159)
     assert len(calls) == 1
 
 
@@ -243,38 +243,81 @@ def test_general_position_bounds_refuses_a_huge_n_quickly(n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(3, 25), st.integers(0, 10**6), st.sampled_from([0.0, 0.5, 1.0]))
+@given(st.integers(3, 30), st.integers(0, 10**6), st.sampled_from([0.0, 0.5, 1.0]))
 def test_general_position_draw_keeps_base_orientations(n, seed, share):
-    # lam = p(6n + 1): the parabola offsets are too small against the
-    # scaled base drawing to flip any strict orientation of it, and the
-    # drawing is exactly the lift of the public grid drawing
+    # Random triangulations, whole (share 0) or thinned.  The drawing is
+    # exactly the sheared lift of the public grid drawing, which keeps
+    # every strict orientation of it and leaves no three points collinear.
     lay = thin_plane(generate("plane-triangulation", n, seed), n, share, random.Random(seed))
     base = planar_grid_draw(unmapped.triangulate_plane(lay, n)[0], n)
     pts = planar_general_position_draw(lay, n)
-    p, lam = unmapped._planar_lift(n)
-    assert (p, lam) == (next_prime(n), next_prime(n) * (6 * n + 1))
-    assert pts == [P(lam * b.x + i, lam * b.y + i * i % p) for i, b in enumerate(base)]
+    p = unmapped._sheared_prime(n)
+    assert p % 4 == 3 and p > 2 * n - 4 and next_prime(p) == p
+    lam = 4 * n * p
+    assert pts == [P(n * b.x + b.y, lam * b.y + (b.x**2 + b.y**2) % p) for b in base]
     for a, b, c in combinations(range(n), 3):
         o = orient(base[a], base[b], base[c])
         if o != 0:
             assert orient(pts[a], pts[b], pts[c]) == o
+    assert _first_collinear_triple([q.x for q in pts], [q.y for q in pts]) is None
+
+
+def _lift(base, n, p=None):
+    p = unmapped._sheared_prime(n) if p is None else p
+    xs, ys = unmapped._sheared_lift([b.x for b in base], [b.y for b in base], n, p)
+    return list(map(P, xs, ys))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data(), st.integers(3, 30), st.booleans())
-def test_planar_lift_keeps_every_nonzero_base_orientation(data, n, one_row):
-    # Any n base points in the (2n-4) x (n-2) box, a drawing or not, with
-    # repeats allowed; with one_row they all lie on one row.  The lift at
-    # the planar lam keeps every nonzero orientation and breaks every zero.
+@given(st.data(), st.integers(3, 30), st.sampled_from(["any", "row", "column"]))
+def test_planar_lift_keeps_every_nonzero_base_orientation(data, n, line):
+    # Any distinct base points in the (2n-4) x (n-2) box, a drawing or not;
+    # with "row" or "column" they all lie on one horizontal or vertical
+    # line.  The lift keeps every nonzero orientation and breaks every zero.
     xs = st.integers(0, 2 * n - 4)
-    ys = st.just(data.draw(st.integers(0, n - 2))) if one_row else st.integers(0, n - 2)
-    base = [P(*c) for c in data.draw(st.lists(st.tuples(xs, ys), min_size=n, max_size=n))]
-    p, lam = unmapped._planar_lift(n)
-    pts = list(map(P, *_parabola_lift([b.x for b in base], [b.y for b in base], lam, p)))
-    for a, b, c in combinations(range(n), 3):
+    ys = st.integers(0, n - 2)
+    if line == "row":
+        ys = st.just(data.draw(ys))
+    elif line == "column":
+        xs = st.just(data.draw(xs))
+    coords = data.draw(st.lists(st.tuples(xs, ys), min_size=3, max_size=n, unique=True))
+    base = [P(*c) for c in coords]
+    pts = _lift(base, n)
+    for a, b, c in combinations(range(len(base)), 3):
         o = orient(base[a], base[b], base[c])
         assert orient(pts[a], pts[b], pts[c]) == o or o == 0
         assert orient(pts[a], pts[b], pts[c]) != 0
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        [(x, 3) for x in range(15)],  # one full row
+        [(5, y) for y in range(8)],  # one full column
+        [(x, x // 2) for x in range(0, 15, 2)],  # the diagonal of slope 1/2
+    ],
+    ids=["row", "column", "diagonal"],
+)
+def test_sheared_lift_on_one_base_line(base):
+    # At n = 9 the base box is [0, 14] x [0, 7] and p = 19.  No lifted triple
+    # is collinear, and X grows along the line, so disjoint base intervals
+    # on it stay apart.
+    n = 9
+    pts = _lift([P(*c) for c in base], n)
+    assert unmapped._sheared_prime(n) == 19
+    assert _first_collinear_triple([q.x for q in pts], [q.y for q in pts]) is None
+    assert [q.x for q in pts] == sorted(q.x for q in pts)
+
+
+def test_sheared_lift_needs_a_prime_that_is_3_mod_4():
+    # At n = 8 the least prime above 2n - 4 = 12 is 13 = 2^2 + 3^2, so along
+    # direction (2, 3) every x^2 + y^2 is 0 mod 13 and three base points
+    # lift onto one line; 19, the least prime ≡ 3 (mod 4) above 12, does not.
+    n = 8
+    base = [P(0, 0), P(2, 3), P(4, 6)]
+    assert next_prime(2 * n - 3) == 13 and unmapped._sheared_prime(n) == 19
+    assert orient(*_lift(base, n, p=13)) == 0
+    assert orient(*_lift(base, n, p=19)) != 0
 
 
 # ---------------------------------------------------------------------------
